@@ -28,9 +28,9 @@ import numpy as np
 from .bitcommit import (
     P5OpenMessage,
     PROTOCOL_P5,
-    blinded_qubit,
+    blinded_amps,
     p3_bases,
-    p3_prepare_and_encode,
+    p3_pair_states,
     p5_measure_record,
     p5_verify_records,
     parity_function,
@@ -41,13 +41,15 @@ from .qsim import (
     RngStream,
     StateVector,
     apply_on_qubit,
+    batch_probabilities,
     bell_state,
     born_probabilities,
     fidelity,
     make_nonorthogonal_pair,
+    rotate_rows,
     rotation_plane,
 )
-from .rot import BASIS_0, BASIS_1, PERP_OUTCOME, measurement_bases
+from .rot import PERP_INDEX, measurement_bases
 
 _ENCODE_ANGLE = float(np.pi / 4)
 _SUPPORT_TOL = 1e-9
@@ -215,19 +217,24 @@ class ProbeAttackReport:
         }
 
 
-def entangle_probe(state: StateVector, control_qubit: int) -> StateVector:
-    """Append a fresh probe qubit copying the control in the standard basis."""
-    n = state.num_qubits
+def entangle_probe_rows(amps: np.ndarray, control_qubit: int) -> np.ndarray:
+    """Append a fresh probe qubit copying the control in the standard basis,
+    to every row of an (N, 2**n) amplitude array; the probe comes last."""
+    rows, dim = amps.shape
+    n = dim.bit_length() - 1
     if not 0 <= control_qubit < n:
         raise ValueError("control qubit out of range")
-    old = state.amps.reshape([2] * n)
-    new = np.zeros([2] * (n + 1), dtype=np.complex128)
-    take = [slice(None)] * n
-    for c in (0, 1):
-        sl = list(take)
-        sl[control_qubit] = c
-        new[tuple(sl) + (c,)] = old[tuple(sl)]
-    return StateVector(num_qubits=n + 1, amps=new.reshape(-1))
+    old = amps.reshape(rows, 2**control_qubit, 2, dim >> (control_qubit + 1))
+    new = np.zeros(old.shape + (2,), dtype=np.result_type(amps, np.float64))
+    new[:, :, 0, :, 0] = old[:, :, 0]
+    new[:, :, 1, :, 1] = old[:, :, 1]
+    return new.reshape(rows, 2 * dim)
+
+
+def entangle_probe(state: StateVector, control_qubit: int) -> StateVector:
+    """Append a fresh probe qubit copying the control in the standard basis."""
+    amps = entangle_probe_rows(state.amps[np.newaxis], control_qubit)
+    return StateVector(num_qubits=state.num_qubits + 1, amps=amps[0])
 
 
 def p3_probe_pre_state() -> StateVector:
@@ -250,7 +257,7 @@ def _p3_probe_tables() -> tuple[np.ndarray, np.ndarray]:
     pre = p3_probe_pre_state()
     encode = rotation_plane(_ENCODE_ANGLE)
     attacked = (pre, apply_on_qubit(pre, 0, encode))
-    honest = p3_prepare_and_encode(np.array([0, 1], dtype=np.int8))
+    honest = p3_pair_states()
     probs = np.zeros((4, 4))
     masks = np.zeros((4, 4), dtype=bool)
     for r in (0, 1):
@@ -293,7 +300,10 @@ def probe_attack_p3(n: int, trials: int, rng: RngStream) -> ProbeAttackReport:
     cum = np.cumsum(probs, axis=1)
     cells = rng.gen.integers(0, 4, size=(trials, n))
     u = rng.gen.random(size=(trials, n))
-    outcomes = (u[..., np.newaxis] >= cum[cells]).sum(axis=-1)
+    # one outcome column at a time, so no (trials, n, 4) array is built
+    outcomes = np.zeros(cells.shape, dtype=np.intp)
+    for j in range(cum.shape[1]):
+        outcomes += u >= cum[cells, j]
     detected = masks[cells, outcomes]
     qubit_hits = int(detected.sum())
     run_successes = int((~detected.any(axis=1)).sum())
@@ -307,24 +317,6 @@ def probe_attack_p3(n: int, trials: int, rng: RngStream) -> ProbeAttackReport:
 
 # ---------------------------------------------------------------------------
 # the same probe against the blinded channel
-
-
-def _p4_probe_qubit_detected(
-    alpha: float, r: int, x: int, rng: RngStream, apply_probe: bool
-) -> bool:
-    state = blinded_qubit(alpha)
-    if apply_probe:
-        state = entangle_probe(state, 0)
-    if r:
-        state = apply_on_qubit(state, 0, rotation_plane(_ENCODE_ANGLE))
-    state = apply_on_qubit(state, 0, rotation_plane(-alpha))
-    basis = measurement_bases(_ENCODE_ANGLE)[x]
-    qubits = (0,) if apply_probe else None
-    outcome_probs = born_probabilities(state, basis, qubits=qubits)
-    label = basis.labels[rng.choice_index(outcome_probs)]
-    if label != PERP_OUTCOME:
-        return False
-    return (x ^ 1) != r
 
 
 def probe_attack_p4(
@@ -343,19 +335,28 @@ def probe_attack_p4(
     """
     if n < 1 or trials < 1:
         raise ValueError("need a positive qubit count and trial count")
-    qubit_hits = 0
-    run_successes = 0
-    for _ in range(trials):
-        clean = True
-        for _ in range(n):
-            a = rng.uniform(0.0, 2 * np.pi) if alpha is None else float(alpha)
-            r = rng.bit()
-            x = rng.bit()
-            if _p4_probe_qubit_detected(a, r, x, rng, apply_probe):
-                qubit_hits += 1
-                clean = False
-        if clean:
-            run_successes += 1
+    size = trials * n
+    if alpha is None:
+        alphas = rng.gen.uniform(0.0, 2 * np.pi, size=size)
+    else:
+        alphas = np.full(size, float(alpha))
+    r = rng.bits(size)
+    x = rng.bits(size)
+    amps = blinded_amps(alphas)
+    if apply_probe:
+        amps = entangle_probe_rows(amps, 0)
+    amps = rotate_rows(amps, _ENCODE_ANGLE * r)
+    amps = rotate_rows(amps, -alphas)
+    probs = batch_probabilities(
+        amps,
+        measurement_bases(_ENCODE_ANGLE),
+        choice=x,
+        qubits=(0,) if apply_probe else None,
+    )
+    conclusive = rng.choice_indices(probs) == PERP_INDEX
+    detected = (conclusive & ((x ^ 1) != r)).reshape(trials, n)
+    qubit_hits = int(detected.sum())
+    run_successes = int((~detected.any(axis=1)).sum())
     return ProbeAttackReport(
         per_qubit_detection=monte_carlo_estimate(qubit_hits, trials * n),
         n=n,
@@ -415,19 +416,11 @@ def omission_attack_p5(
     if m < 1:
         raise ValueError("need at least one string")
     function = parity_function(n)
-    withheld = [int(rng.gen.integers(0, n)) for _ in range(m)]
-    sent_bits = [[int(b) for b in rng.bits(n)] for _ in range(m)]
+    withheld = rng.gen.integers(0, n, size=m)
+    sent_bits = rng.bits(m * n).reshape(m, n)
     alphas = rng.gen.uniform(0.0, 2 * np.pi, size=(m, n))
-    records: list[list[Optional[tuple[str, str]]]] = []
-    for i in range(m):
-        row: list[Optional[tuple[str, str]]] = []
-        for j in range(n):
-            if j == withheld[i]:
-                row.append(None)
-            else:
-                qubit = blinded_qubit(alphas[i, j], sent_bits[i][j])
-                row.append(p5_measure_record(qubit, alphas[i, j], rng))
-        records.append(row)
+    present = np.arange(n) != withheld[:, np.newaxis]
+    records = p5_measure_record(blinded_amps(alphas, sent_bits), alphas, rng, present)
     if perfect_detectors:
         detected = any(rec is None for row in records for rec in row)
         return OmissionAttackReport(
@@ -442,12 +435,10 @@ def omission_attack_p5(
     for target in (0, 1):
         strings = []
         for i in range(m):
-            declared = list(sent_bits[i])
-            partial = 0
-            for j in range(n):
-                if j != withheld[i]:
-                    partial ^= declared[j]
-            declared[withheld[i]] = partial ^ target
+            declared = sent_bits[i].tolist()
+            w = int(withheld[i])
+            partial = (sum(declared) - declared[w]) & 1
+            declared[w] = partial ^ target
             strings.append(tuple(declared))
         msg = P5OpenMessage(protocol_id=PROTOCOL_P5, bit=target, strings=tuple(strings))
         accepted[target] = p5_verify_records(msg, records, function).accepted

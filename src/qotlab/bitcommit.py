@@ -40,22 +40,28 @@ from .qsim import (
     RngStream,
     StateVector,
     apply_on_qubit,
+    batch_probabilities,
     bell_state,
-    measure_projective,
+    rotate_rows,
     rotation_plane,
 )
 from .rot import (
     BASIS_0,
-    BASIS_1,
     HONEST,
     PERP_OUTCOME,
     ReceiverRecord,
     RotConfig,
     SenderRecord,
+    basis_tags,
     bob_measure_honest,
+    honest_outcomes,
     measurement_bases,
     run_rot,
 )
+
+# Not used below (the channels sample through the batched kernel), but
+# bench/tracing.py wraps the per-state engine under this name here.
+from .qsim import measure_projective  # noqa: F401
 
 PROTOCOL_P2BC = "P2-BC"
 PROTOCOL_P3 = "P3"
@@ -99,34 +105,47 @@ def p3_bases() -> tuple[ProjectiveBasis, ProjectiveBasis]:
     return basis0, basis1
 
 
-def p3_prepare_and_encode(r_bits: np.ndarray) -> list[StateVector]:
+@functools.lru_cache(maxsize=1)
+def p3_pair_states() -> tuple[StateVector, StateVector]:
     """Joint pair states after the committer's conditional transit rotation.
 
     The receiver prepares each pair in the phi- state and sends qubit 0 over;
     the committer rotates it by pi/4 exactly when her bit is 1, which turns
-    phi- into (phi- + psi+)/sqrt(2), then returns it.
+    phi- into (phi- + psi+)/sqrt(2), then returns it. Entry b is the pair
+    state for bit b.
     """
     base = bell_state("phi-")
-    encoded = apply_on_qubit(base, 0, rotation_plane(_ENCODE_ANGLE))
-    return [encoded if b else base for b in r_bits]
+    return base, apply_on_qubit(base, 0, rotation_plane(_ENCODE_ANGLE))
 
 
-def p3_measure(states: list[StateVector], rng: RngStream) -> ReceiverRecord:
-    bases = p3_bases()
-    tags = (BASIS_0, BASIS_1)
-    basis_choices = []
-    conclusive = []
-    for pos, state in enumerate(states, start=1):
-        x = rng.bit()
-        basis_choices.append(tags[x])
-        label, _ = measure_projective(state, bases[x], rng)
-        if x == 0 and label == _P3_CONCLUSIVE_1:
-            conclusive.append((pos, 1))
-        elif x == 1 and label == _P3_CONCLUSIVE_0:
-            conclusive.append((pos, 0))
-    return ReceiverRecord(
-        strategy=HONEST, basis_choices=tuple(basis_choices), conclusive=tuple(conclusive)
-    )
+@functools.lru_cache(maxsize=1)
+def _p3_pair_amps() -> np.ndarray:
+    amps = np.stack([s.amps for s in p3_pair_states()])
+    amps.flags.writeable = False
+    return amps
+
+
+def p3_prepare_and_encode(r_bits: np.ndarray) -> np.ndarray:
+    """The returned pairs, one (4,) amplitude row per bit of r_bits."""
+    return _p3_pair_amps()[np.asarray(r_bits, dtype=np.intp)]
+
+
+@functools.lru_cache(maxsize=1)
+def _p3_decode() -> np.ndarray:
+    """Decoded bit per (basis, outcome index), -1 where inconclusive."""
+    decode = np.full((2, 4), -1, dtype=np.int8)
+    basis0, basis1 = p3_bases()
+    decode[0, basis0.labels.index(_P3_CONCLUSIVE_1)] = 1
+    decode[1, basis1.labels.index(_P3_CONCLUSIVE_0)] = 0
+    decode.flags.writeable = False
+    return decode
+
+
+def p3_measure(amps: np.ndarray, rng: RngStream) -> ReceiverRecord:
+    """Measure each returned pair in a uniformly chosen pair basis."""
+    x = rng.bits(len(amps))
+    outcomes = rng.choice_indices(batch_probabilities(amps, p3_bases(), choice=x))
+    return ReceiverRecord.from_decoded(HONEST, basis_tags(x), _p3_decode()[x, outcomes])
 
 
 # ---------------------------------------------------------------------------
@@ -149,44 +168,39 @@ class BlindedQubitRecord:
         object.__setattr__(self, "alphas", alphas)
 
 
-def blinded_qubit(alpha: float, bit: int = 0) -> StateVector:
-    """|0> rotated by the blinding angle, then by the encoding angle iff bit."""
-    angle = alpha + (_ENCODE_ANGLE if bit else 0.0)
-    return StateVector(
-        num_qubits=1, amps=np.array([np.cos(angle), np.sin(angle)], dtype=np.complex128)
-    )
+def blinded_amps(alphas, bits=0) -> np.ndarray:
+    """|0> rotated by each blinding angle, then by the encoding angle iff its
+    bit is 1; amplitudes on a trailing axis of length 2."""
+    angle = np.asarray(alphas, dtype=np.float64) + _ENCODE_ANGLE * np.asarray(bits)
+    return np.stack((np.cos(angle), np.sin(angle)), axis=-1)
 
 
-def p4_prepare_blinded(
-    n: int, rng: RngStream
-) -> tuple[BlindedQubitRecord, list[StateVector]]:
+def p4_prepare_blinded(n: int, rng: RngStream) -> tuple[BlindedQubitRecord, np.ndarray]:
     """Receiver-side preparation: |0> rotated by a fresh uniform angle each."""
     alphas = rng.gen.uniform(0.0, 2 * np.pi, size=n)
-    states = [blinded_qubit(a) for a in alphas]
-    return BlindedQubitRecord(alphas=alphas), states
+    return BlindedQubitRecord(alphas=alphas), blinded_amps(alphas)
 
 
-def p4_encode(states: list[StateVector], r_bits: np.ndarray) -> list[StateVector]:
+def p4_encode(amps: np.ndarray, r_bits: np.ndarray) -> np.ndarray:
     """Committer action: rotate by pi/4 exactly where her bit is 1."""
-    rot = rotation_plane(_ENCODE_ANGLE)
-    return [apply_on_qubit(s, 0, rot) if b else s for s, b in zip(states, r_bits, strict=True)]
+    r_bits = np.asarray(r_bits)
+    if r_bits.shape != (len(amps),):
+        raise ValueError("need one bit per qubit")
+    return rotate_rows(amps, _ENCODE_ANGLE * r_bits)
 
 
 def p4_unblind_and_measure(
-    states: list[StateVector], record: BlindedQubitRecord, rng: RngStream
+    amps: np.ndarray, record: BlindedQubitRecord, rng: RngStream
 ) -> ReceiverRecord:
     """Undo the blinding, then measure exactly like the plain honest receiver.
 
     After unblinding, an encoded 0 is |0> and an encoded 1 is |+>, so the
     statistics carry no trace of the blinding angles.
     """
-    if len(states) != record.alphas.size:
+    if len(amps) != record.alphas.size:
         raise ValueError("state count does not match the blinding record")
-    unblinded = [
-        apply_on_qubit(s, 0, rotation_plane(-a))
-        for s, a in zip(states, record.alphas, strict=True)
-    ]
-    config = RotConfig(n=len(states), theta=_ENCODE_ANGLE)
+    unblinded = rotate_rows(amps, -record.alphas)
+    config = RotConfig(n=len(amps), theta=_ENCODE_ANGLE)
     return bob_measure_honest(unblinded, config, rng)
 
 
@@ -296,8 +310,7 @@ def _ot_channel(
         return run_rot(RotConfig(n=n, theta=theta), HONEST, rng)
     if variant == PROTOCOL_P3:
         bits = rng.bits(n)
-        states = p3_prepare_and_encode(bits)
-        return SenderRecord(bits=bits), p3_measure(states, rng)
+        return SenderRecord(bits=bits), p3_measure(p3_prepare_and_encode(bits), rng)
     if variant == PROTOCOL_P4:
         record, blinded = p4_prepare_blinded(n, rng)
         bits = rng.bits(n)
@@ -326,6 +339,8 @@ def bc_commit_over_ot(
     if variant != PROTOCOL_P2BC and abs(theta - _ENCODE_ANGLE) > 1e-12:
         raise ValueError("the pair and blinded channels fix theta at pi/4")
     k = k_of(n, alpha)
+    if k < 1:
+        raise ValueError(f"n={n} gives k={k} announced positions; hiding needs k >= 1")
     sender_rounds = []
     receiver_rounds = []
     for _ in range(l):
@@ -530,7 +545,8 @@ class P5ReceiverState:
 
     records[i][j] is a (basis_tag, outcome_label) pair once qubit (i, j) has
     been measured, or None for a qubit that never clicked; states holds the
-    live qubits while measurement is deferred to open time.
+    live qubits as an (m, n, 2) amplitude array while measurement is
+    deferred to open time.
     """
 
     protocol_id: str
@@ -538,7 +554,7 @@ class P5ReceiverState:
     n: int
     function: BooleanFunctionSpec
     alphas: np.ndarray
-    states: Optional[list[list[Optional[StateVector]]]]
+    states: Optional[np.ndarray]
     records: Optional[list[list[Optional[tuple[str, str]]]]]
     perfect_detectors: bool = False
 
@@ -557,14 +573,24 @@ class P5OpenMessage:
 
 
 def p5_measure_record(
-    state: StateVector, alpha: float, rng: RngStream
-) -> tuple[str, str]:
-    """Unblind one qubit and measure it in a uniformly chosen basis."""
-    unblinded = apply_on_qubit(state, 0, rotation_plane(-alpha))
-    bases = measurement_bases(_ENCODE_ANGLE)
-    x = rng.bit()
-    label, _ = measure_projective(unblinded, bases[x], rng)
-    return (BASIS_0 if x == 0 else BASIS_1, label)
+    amps: np.ndarray, alphas: np.ndarray, rng: RngStream, present: Optional[np.ndarray] = None
+) -> list[list[Optional[tuple[str, str]]]]:
+    """Unblind every qubit of an (m, n) grid and measure each in a uniformly
+    chosen basis.
+
+    `amps` is (m, n, 2), `alphas` (m, n). Where the optional (m, n) mask
+    `present` is False the qubit never arrived and its record is None.
+    """
+    alphas = np.asarray(alphas)
+    if amps.shape != alphas.shape + (2,):
+        raise ValueError("need one blinding angle per qubit of the grid")
+    if present is None:
+        present = np.ones(alphas.shape, dtype=bool)
+    unblinded = rotate_rows(amps[present], -alphas[present])
+    x, outcomes = honest_outcomes(unblinded, _ENCODE_ANGLE, rng)
+    labels = measurement_bases(_ENCODE_ANGLE)[0].labels
+    measured = iter(zip(basis_tags(x), [labels[o] for o in outcomes.tolist()]))
+    return [[next(measured) if arrived else None for arrived in row] for row in present.tolist()]
 
 
 def p5_record_value(record: tuple[str, str]) -> Optional[int]:
@@ -590,16 +616,13 @@ def p5_commit(
         raise ValueError("function arity must equal the string length n")
     strings = p5_sample_strings(b, m, function, rng)
     alphas = rng.gen.uniform(0.0, 2 * np.pi, size=(m, n))
-    states: list[list[Optional[StateVector]]] = [
-        [blinded_qubit(alphas[i, j], strings[i][j]) for j in range(n)] for i in range(m)
-    ]
+    states: Optional[np.ndarray] = blinded_amps(alphas, np.array(strings))
     records: Optional[list[list[Optional[tuple[str, str]]]]] = None
     if measure_at_commit:
-        records = [
-            [p5_measure_record(states[i][j], alphas[i, j], rng) for j in range(n)]
-            for i in range(m)
-        ]
+        records = p5_measure_record(states, alphas, rng)
         states = None
+    else:
+        states.flags.writeable = False
     alphas.flags.writeable = False
     return P5CommitTranscript(
         sender=P5SenderState(
@@ -660,21 +683,20 @@ def p5_open_verify(
     sender_state: P5SenderState, receiver_state: P5ReceiverState, rng: RngStream
 ) -> VerifyResult:
     """Open and verify in one step, measuring now if measurement was deferred."""
-    open_msg = p5_open(sender_state)
+    return p5_verify_records(
+        p5_open(sender_state), _p5_records(receiver_state, rng), receiver_state.function
+    )
+
+
+def _p5_records(
+    receiver_state: P5ReceiverState, rng: Optional[RngStream]
+) -> list[list[Optional[tuple[str, str]]]]:
+    """The commit-time records, or the held qubits measured now."""
     if receiver_state.records is not None:
-        records = receiver_state.records
-    else:
-        records = []
-        for i in range(receiver_state.m):
-            row = []
-            for j in range(receiver_state.n):
-                state = receiver_state.states[i][j]
-                if state is None:
-                    row.append(None)
-                else:
-                    row.append(p5_measure_record(state, receiver_state.alphas[i, j], rng))
-            records.append(row)
-    return p5_verify_records(open_msg, records, receiver_state.function)
+        return receiver_state.records
+    if rng is None:
+        raise ValueError("deferred measurement needs an rng at open time")
+    return p5_measure_record(receiver_state.states, receiver_state.alphas, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -870,20 +892,10 @@ def open_message_from_dict(d: dict):
 def verify_from_states(receiver_state, open_msg, rng: Optional[RngStream] = None) -> VerifyResult:
     """Dispatch verification by protocol family."""
     if isinstance(receiver_state, P5ReceiverState):
-        if receiver_state.records is None and rng is None:
-            raise ValueError("deferred measurement needs an rng at open time")
-        if isinstance(open_msg, P5OpenMessage):
-            if receiver_state.records is not None:
-                return p5_verify_records(open_msg, receiver_state.records, receiver_state.function)
-            records = [
-                [
-                    p5_measure_record(receiver_state.states[i][j], receiver_state.alphas[i, j], rng)
-                    for j in range(receiver_state.n)
-                ]
-                for i in range(receiver_state.m)
-            ]
-            return p5_verify_records(open_msg, records, receiver_state.function)
-        return _reject("protocol identifier mismatch")
+        if not isinstance(open_msg, P5OpenMessage):
+            return _reject("protocol identifier mismatch")
+        records = _p5_records(receiver_state, rng)
+        return p5_verify_records(open_msg, records, receiver_state.function)
     if isinstance(open_msg, OpenMessage):
         return bc_verify(receiver_state, open_msg)
     return _reject("protocol identifier mismatch")

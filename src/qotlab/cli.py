@@ -12,6 +12,7 @@ statistical claims and exits 3 when one fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -56,7 +57,7 @@ CSV_HEADER = "experiment,params,metric,value,ci_low,ci_high,trials"
 
 CURVE_N_LIST = (64, 128, 256, 512, 1024)
 
-_PROTOCOL_CHOICES = ("rot", "ot12", "p2bc", "p3", "p4", "p5")
+_PROTOCOL_CHOICES = ("p2bc", "p3", "p4", "p5")
 _ATTACK_CHOICES = ("usd", "nogo", "probe-p3", "probe-p4", "omission")
 
 _COMMIT_VARIANTS = {"p2bc": PROTOCOL_P2BC, "p3": PROTOCOL_P3, "p4": PROTOCOL_P4}
@@ -104,6 +105,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 1 or self.l < 1 or self.m < 1 or self.trials < 1:
             raise ValueError("n, l, m and trials must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("the seed must lie in [0, 2**64)")
         if not 0.0 < self.theta <= np.pi / 2:
             raise ValueError("theta must lie in (0, pi/2]")
         if self.output_format not in ("csv", "json"):
@@ -421,27 +424,51 @@ def cmd_verify(cfg: ExperimentConfig, parser: argparse.ArgumentParser) -> int:
     return 3
 
 
+# every flag: (argparse keyword arguments, default); a subcommand that does
+# not take a flag still gets its default in the parsed namespace
+_FLAGS = {
+    "--n": (dict(type=int, help="qubits per run / string length"), None),
+    "--l": (dict(type=int, help="commitment rounds"), 8),
+    "--m": (dict(type=int, help="strings per direct commitment"), 3),
+    "--trials": (dict(type=int), 200),
+    "--seed": (dict(type=int), None),
+    "--theta": (dict(type=float), float(np.pi / 4)),
+    "--alpha": (dict(type=str, help="rate margin for k"), "1/16"),
+    "--protocol": (dict(choices=_PROTOCOL_CHOICES), None),
+    "--attack": (dict(choices=_ATTACK_CHOICES), None),
+    "--perfect-detectors": (dict(action="store_true"), False),
+    "--out": (dict(), None),
+    "--format": (dict(choices=("csv", "json")), "csv"),
+    "--check": (dict(action="store_true"), False),
+}
+
+_CAMPAIGN_FLAGS = ("--n", "--trials", "--seed", "--theta", "--out", "--format", "--check")
+_COMMAND_FLAGS = {
+    "rot": _CAMPAIGN_FLAGS,
+    "ot12": _CAMPAIGN_FLAGS + ("--alpha",),
+    "commit": ("--protocol", "--n", "--l", "--m", "--seed", "--theta", "--alpha", "--out"),
+    "open": ("--protocol", "--seed", "--out"),
+    "verify": ("--protocol", "--seed", "--out"),
+    "attack": _CAMPAIGN_FLAGS + ("--attack", "--alpha", "--m", "--perfect-detectors"),
+}
+
+
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each subcommand takes only its flags."""
     parser = argparse.ArgumentParser(
         prog="qotlab",
         description="simulation experiments for quantum oblivious transfer and bit commitment",
     )
+    parser.set_defaults(
+        **{flag[2:].replace("-", "_"): default for flag, (_, default) in _FLAGS.items()}
+    )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("rot", "ot12", "commit", "open", "verify", "attack"):
+    for name, flags in _COMMAND_FLAGS.items():
         p = sub.add_parser(name)
-        p.add_argument("--n", type=int, default=None, help="qubits per run / string length")
-        p.add_argument("--l", type=int, default=8, help="commitment rounds")
-        p.add_argument("--m", type=int, default=3, help="strings per direct commitment")
-        p.add_argument("--trials", type=int, default=200)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--theta", type=float, default=float(np.pi / 4))
-        p.add_argument("--alpha", type=str, default="1/16", help="rate margin for k")
-        p.add_argument("--protocol", choices=_PROTOCOL_CHOICES, default=None)
-        p.add_argument("--attack", choices=_ATTACK_CHOICES, default=None)
-        p.add_argument("--perfect-detectors", action="store_true")
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--check", action="store_true")
+        for flag in flags:
+            kwargs, default = _FLAGS[flag]
+            p.add_argument(flag, default=default, **kwargs)
     return parser
 
 
@@ -460,7 +487,11 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         parser.error("commit requires --protocol {p2bc|p3|p4|p5}")
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("QOT_SEED", DEFAULT_SEED))
+        raw = os.environ.get("QOT_SEED", str(DEFAULT_SEED))
+        try:
+            seed = int(raw)
+        except ValueError:
+            parser.error(f"QOT_SEED={raw!r} is not an integer seed")
     try:
         alpha = Fraction(args.alpha)
     except (ValueError, ZeroDivisionError):

@@ -2,7 +2,7 @@
 
 After the qubit phase the receiver announces an ordered pair of disjoint
 index sets (X, Y), one of which is his fully conclusive set I and the other
-a decoy J drawn from the remaining positions. The sender masks her two
+a decoy J drawn from the positions he did not learn. The sender masks her two
 messages with the XOR of her sent bits over X and over Y respectively; the
 receiver can strip exactly the mask over I, so he learns the message in the
 slot he pointed at and stays ignorant of the other one unless his conclusive
@@ -166,7 +166,9 @@ def binomial_tail(n: int, p: float, threshold: int) -> float:
         for j in range(threshold, n + 1)
     ]
     peak = max(logs)
-    return float(math.exp(peak) * math.fsum(math.exp(l - peak) for l in logs))
+    total = math.exp(peak) * math.fsum(math.exp(l - peak) for l in logs)
+    # rounding in the log terms can push a near-certain tail past 1
+    return min(1.0, max(0.0, total))
 
 
 def choose_index_sets(
@@ -178,26 +180,27 @@ def choose_index_sets(
 ) -> Optional[IndexSets]:
     """Draw I from the conclusive positions and J from the rest; None = abort.
 
-    The run aborts when fewer than k positions came out conclusive. With
-    prefer_conclusive_j (the discrimination attacker's choice) J is filled
-    from leftover conclusive positions first, so that 2k conclusive bits make
-    both masks known to the receiver.
+    The run aborts when fewer than k positions came out conclusive. The
+    honest receiver draws J from the inconclusive positions, so he knows
+    none of the bits under the other mask; only when fewer than k of those
+    exist is J topped up from the conclusive leftovers. With
+    prefer_conclusive_j (the discrimination attacker's choice) the roles
+    swap: J is filled from leftover conclusive positions first, so that 2k
+    conclusive bits make both masks known to the receiver.
     """
     conclusive = list(receiver.conclusive_positions)
     if len(conclusive) < k:
         return None
     i_set = rng.subset(conclusive, k)
     taken = set(i_set)
-    complement = [p for p in range(1, n + 1) if p not in taken]
-    if prefer_conclusive_j:
-        leftovers = [p for p in conclusive if p not in taken]
-        if len(leftovers) >= k:
-            j_set = rng.subset(leftovers, k)
-        else:
-            rest = [p for p in complement if p not in set(leftovers)]
-            j_set = sorted(leftovers + rng.subset(rest, k - len(leftovers)))
+    leftovers = [p for p in conclusive if p not in taken]
+    known = set(conclusive)
+    unknown = [p for p in range(1, n + 1) if p not in known]
+    first, second = (leftovers, unknown) if prefer_conclusive_j else (unknown, leftovers)
+    if len(first) >= k:
+        j_set = rng.subset(first, k)
     else:
-        j_set = rng.subset(complement, k)
+        j_set = sorted(first + rng.subset(second, k - len(first)))
     return IndexSets(i_set=tuple(i_set), j_set=tuple(j_set), m=rng.bit())
 
 
@@ -291,6 +294,8 @@ def run_ot12(
     """One full run: qubit phase, announcement, masking, decryption."""
     config = RotConfig(n=n, theta=theta)
     k = k_of(n, alpha)
+    if k < 1:
+        raise ValueError(f"n={n} gives k={k} announced positions; the transfer needs k >= 1")
     sender, receiver = run_rot(config, strategy, rng)
     return run_masked_transfer(
         sender,

@@ -7,7 +7,9 @@ the call is rejected.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -127,8 +129,11 @@ class Povm:
             e = e.copy()
             e.flags.writeable = False
             locked.append(e)
+        stack = np.stack(locked)
+        stack.flags.writeable = False
         object.__setattr__(self, "effects", tuple(locked))
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def dim(self) -> int:
@@ -147,6 +152,7 @@ def measure_povm(state: StateVector, povm: Povm, rng: RngStream) -> str:
     return povm.labels[rng.choice_index(probs)]
 
 
+@functools.lru_cache(maxsize=None)
 def usd_povm(theta: float) -> Povm:
     """Unambiguous discrimination of the coding pair with overlap cos(theta).
 
@@ -163,3 +169,73 @@ def usd_povm(theta: float) -> Povm:
     e1 = scale * np.outer(perp(psi0).amps, perp(psi0).amps.conj())
     e_inc = np.eye(2) - e0 - e1
     return Povm(effects=(e0, e1, e_inc), labels=(CONCLUSIVE_0, CONCLUSIVE_1, INCONCLUSIVE))
+
+
+# ---------------------------------------------------------------------------
+# batched Born rule: one pure state per row of an (N, 2**n) amplitude array
+
+Measurement = Union[ProjectiveBasis, Povm]
+
+
+def _batch_one(amps: np.ndarray, measurement: Measurement, qubits) -> np.ndarray:
+    rows, dim = amps.shape
+    if isinstance(measurement, Povm):
+        if qubits is not None:
+            raise ValueError("a POVM acts on the whole state")
+        if dim != measurement.dim:
+            raise ValueError("state dimension does not match the POVM")
+        return np.einsum("nd,jde,ne->nj", amps.conj(), measurement._stack, amps).real
+    n = dim.bit_length() - 1
+    k = measurement.num_qubits
+    if qubits is None:
+        if k != n:
+            raise ValueError("basis size does not match the states; pass qubits")
+        resid = (amps @ measurement._matrix_conj.T)[:, :, np.newaxis]
+    else:
+        qubits = list(qubits)
+        if len(qubits) != k or len(set(qubits)) != k:
+            raise ValueError("qubits must list one distinct index per basis qubit")
+        if any(not 0 <= q < n for q in qubits):
+            raise ValueError("qubit index out of range")
+        t = amps.reshape((rows,) + (2,) * n)
+        t = np.moveaxis(t, [q + 1 for q in qubits], range(1, k + 1)).reshape(rows, 2**k, -1)
+        resid = np.einsum("kd,ndr->nkr", measurement._matrix_conj, t)
+    return (resid.real**2 + resid.imag**2).sum(axis=2)
+
+
+def batch_probabilities(
+    amps: np.ndarray,
+    measurement: Union[Measurement, Sequence[Measurement]],
+    choice=None,
+    qubits=None,
+) -> np.ndarray:
+    """Born-rule outcome probabilities for N pure states at once.
+
+    `amps` holds one state per row. `measurement` is a ProjectiveBasis or a
+    Povm applied to every row, or a sequence of them with a common outcome
+    count, in which case `choice` names each row's entry. With `qubits` a
+    projective basis measures only those qubits and the rest are traced
+    out. Returns an (N, K) array whose rows must each sum to one.
+    """
+    amps = np.asarray(amps)
+    if amps.ndim != 2:
+        raise ValueError("amplitudes must be an (N, 2**n) array")
+    if isinstance(measurement, (ProjectiveBasis, Povm)):
+        if choice is not None:
+            raise ValueError("choice needs a sequence of measurements")
+        probs = _batch_one(amps, measurement, qubits)
+    else:
+        options = tuple(measurement)
+        choice = np.asarray(choice)
+        if choice.shape != (amps.shape[0],):
+            raise ValueError("need one measurement choice per row")
+        if choice.size and not 0 <= choice.min() <= choice.max() < len(options):
+            raise ValueError("measurement choice out of range")
+        # each option over every row, then select: no per-row matrix gather
+        probs = _batch_one(amps, options[0], qubits)
+        for idx in range(1, len(options)):
+            picked = (choice == idx)[:, np.newaxis]
+            probs = np.where(picked, _batch_one(amps, options[idx], qubits), probs)
+    if probs.size and np.max(np.abs(probs.sum(axis=1) - 1.0)) > SPAN_ATOL:
+        raise ValueError("measurement does not span the measured space")
+    return probs

@@ -10,23 +10,54 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_SEED = 20230915
+_INDEX_LIMIT = 2**32
+
+
+def _check_index(index: int) -> int:
+    # one 32-bit word per key entry keeps distinct key tuples distinct
+    # inside SeedSequence, which splits larger integers into several words
+    index = int(index)
+    if not 0 <= index < _INDEX_LIMIT:
+        raise ValueError("stream and substream indices must lie in [0, 2**32)")
+    return index
+
+
+def inverse_cdf(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise inverse-CDF sampling of an (N, K) probability array.
+
+    Row i picks the first index whose running sum exceeds u[i], or the last
+    index if none does: the rule of `RngStream.choice_index`, so equal rows
+    and uniforms give equal indices.
+    """
+    cum = np.cumsum(probabilities, axis=1)
+    above = np.asarray(u)[:, np.newaxis] < cum
+    idx = above.argmax(axis=1)
+    idx[~above.any(axis=1)] = cum.shape[1] - 1
+    return idx
 
 
 class RngStream:
-    """A numpy Generator bound to a (master_seed, stream_index) pair."""
+    """A numpy Generator bound to a (master_seed, stream_index) pair.
 
-    def __init__(self, master_seed: int = DEFAULT_SEED, stream_index: int = 0):
+    The generator is seeded with a SeedSequence whose spawn key is
+    (stream_index,) followed by the indices of any substream() calls that
+    led here, so every path of indices names its own stream.
+    """
+
+    def __init__(
+        self, master_seed: int = DEFAULT_SEED, stream_index: int = 0, _path: tuple[int, ...] = ()
+    ):
         if master_seed < 0 or master_seed >= 2**64:
             raise ValueError("master_seed must fit in 64 bits")
         self.master_seed = int(master_seed)
-        self.stream_index = int(stream_index)
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
+        self.stream_index = _check_index(stream_index)
+        self._path = tuple(_check_index(i) for i in _path)
+        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index, *self._path))
         self.gen = np.random.default_rng(seq)
 
     def substream(self, index: int) -> "RngStream":
         """Derive an independent stream; index 0 is not the parent stream."""
-        mixed = (self.stream_index << 20) ^ (index + 1)
-        return RngStream(self.master_seed, mixed)
+        return RngStream(self.master_seed, self.stream_index, self._path + (index,))
 
     def bit(self) -> int:
         return int(self.gen.integers(0, 2))
@@ -50,10 +81,15 @@ class RngStream:
                 return i
         return len(probabilities) - 1
 
+    def choice_indices(self, probabilities: np.ndarray) -> np.ndarray:
+        """One index per row of an (N, K) probability array, one uniform per row."""
+        return inverse_cdf(probabilities, self.gen.random(len(probabilities)))
+
     def subset(self, population, k: int) -> list:
         """Uniform k-subset, returned sorted."""
         picked = self.gen.choice(len(population), size=k, replace=False)
         return sorted(population[i] for i in picked)
 
     def __repr__(self) -> str:
-        return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
+        path = f", path={self._path}" if self._path else ""
+        return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index}{path})"

@@ -22,12 +22,15 @@ from .qsim import (
     ProjectiveBasis,
     RngStream,
     StateVector,
+    batch_probabilities,
     make_nonorthogonal_pair,
-    measure_povm,
-    measure_projective,
     perp,
     usd_povm,
 )
+
+# Not used below (the receivers sample through the batched kernel), but
+# bench/tracing.py wraps the per-state engine under these names here.
+from .qsim import measure_povm, measure_projective  # noqa: F401
 
 HONEST = "honest"
 USD = "usd"
@@ -98,6 +101,15 @@ class ReceiverRecord:
                 raise ValueError("conclusive values must be bits")
             last = pos
 
+    @classmethod
+    def from_decoded(
+        cls, strategy: str, basis_choices: tuple[str, ...], decoded: np.ndarray
+    ) -> "ReceiverRecord":
+        """Record from one decoded bit per qubit, -1 where inconclusive."""
+        pos = np.flatnonzero(decoded >= 0)
+        conclusive = tuple(zip((pos + 1).tolist(), decoded[pos].tolist()))
+        return cls(strategy=strategy, basis_choices=basis_choices, conclusive=conclusive)
+
     @property
     def conclusive_positions(self) -> tuple[int, ...]:
         return tuple(pos for pos, _ in self.conclusive)
@@ -112,6 +124,14 @@ def encoding_states(theta: float) -> tuple[StateVector, StateVector]:
 
 
 @functools.lru_cache(maxsize=None)
+def encoding_amps(theta: float) -> np.ndarray:
+    """The coding pair as a read-only (2, 2) array, row b encoding bit b."""
+    amps = np.stack([s.amps for s in encoding_states(theta)])
+    amps.flags.writeable = False
+    return amps
+
+
+@functools.lru_cache(maxsize=None)
 def measurement_bases(theta: float) -> tuple[ProjectiveBasis, ProjectiveBasis]:
     """Basis x = {Psi_x, Psi_x perp}; the perp outcome decodes the bit x xor 1."""
     psi0, psi1 = make_nonorthogonal_pair(theta)
@@ -120,64 +140,68 @@ def measurement_bases(theta: float) -> tuple[ProjectiveBasis, ProjectiveBasis]:
     return b0, b1
 
 
-def alice_send(config: RotConfig, rng: RngStream) -> tuple[SenderRecord, list[StateVector]]:
-    """Draw the bit string and produce the qubit sequence before any receiver
-    action; nothing the receiver later does can reach back into this record."""
+# position of PERP_OUTCOME in each of measurement_bases
+PERP_INDEX = 1
+_BASIS_TAGS = (BASIS_0, BASIS_1)
+
+
+def basis_tags(x: np.ndarray) -> tuple[str, ...]:
+    """The tag of each basis bit in x."""
+    return tuple(map(_BASIS_TAGS.__getitem__, x.tolist()))
+
+
+def alice_send(config: RotConfig, rng: RngStream) -> tuple[SenderRecord, np.ndarray]:
+    """Draw the bit string and produce the qubits, one amplitude row each,
+    before any receiver action; nothing the receiver later does can reach
+    back into this record."""
     bits = rng.bits(config.n)
-    pair = encoding_states(config.theta)
-    states = [pair[b] for b in bits]
-    return SenderRecord(bits=bits), states
+    return SenderRecord(bits=bits), encoding_amps(config.theta)[bits]
 
 
-def bob_measure_honest(
-    states: list[StateVector], config: RotConfig, rng: RngStream
-) -> ReceiverRecord:
-    if len(states) != config.n:
+def _check_length(amps: np.ndarray, n: int) -> None:
+    if len(amps) != n:
         raise ValueError("state count does not match the configuration")
-    bases = measurement_bases(config.theta)
-    tags = (BASIS_0, BASIS_1)
-    basis_choices = []
-    conclusive = []
-    for pos, state in enumerate(states, start=1):
-        x = rng.bit()
-        basis_choices.append(tags[x])
-        label, _ = measure_projective(state, bases[x], rng)
-        if label == PERP_OUTCOME:
-            conclusive.append((pos, x ^ 1))
-    return ReceiverRecord(
-        strategy=HONEST, basis_choices=tuple(basis_choices), conclusive=tuple(conclusive)
-    )
 
 
-def bob_measure_usd(
-    states: list[StateVector], config: RotConfig, rng: RngStream
-) -> ReceiverRecord:
-    if len(states) != config.n:
-        raise ValueError("state count does not match the configuration")
+def honest_outcomes(amps: np.ndarray, theta: float, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Basis bits and outcome indices of the honest measurement of each row.
+
+    Row i is measured in basis x[i] = {Psi_x, Psi_x perp}, x uniform;
+    outcome PERP_INDEX is conclusive and decodes the bit x xor 1.
+    """
+    x = rng.bits(len(amps))
+    probs = batch_probabilities(amps, measurement_bases(theta), choice=x)
+    return x, rng.choice_indices(probs)
+
+
+def bob_measure_honest(amps: np.ndarray, config: RotConfig, rng: RngStream) -> ReceiverRecord:
+    _check_length(amps, config.n)
+    x, outcomes = honest_outcomes(amps, config.theta, rng)
+    decoded = np.where(outcomes == PERP_INDEX, x ^ 1, -1)
+    return ReceiverRecord.from_decoded(HONEST, basis_tags(x), decoded)
+
+
+# outcome index of usd_povm -> decoded bit
+_USD_VALUES = {CONCLUSIVE_0: 0, CONCLUSIVE_1: 1}
+
+
+def bob_measure_usd(amps: np.ndarray, config: RotConfig, rng: RngStream) -> ReceiverRecord:
+    _check_length(amps, config.n)
     povm = usd_povm(config.theta)
-    conclusive = []
-    for pos, state in enumerate(states, start=1):
-        label = measure_povm(state, povm, rng)
-        if label == CONCLUSIVE_0:
-            conclusive.append((pos, 0))
-        elif label == CONCLUSIVE_1:
-            conclusive.append((pos, 1))
-    return ReceiverRecord(
-        strategy=USD,
-        basis_choices=(BASIS_USD,) * config.n,
-        conclusive=tuple(conclusive),
-    )
+    values = np.array([_USD_VALUES.get(label, -1) for label in povm.labels])
+    decoded = values[rng.choice_indices(batch_probabilities(amps, povm))]
+    return ReceiverRecord.from_decoded(USD, (BASIS_USD,) * config.n, decoded)
 
 
 def run_rot(
     config: RotConfig, strategy: str, rng: RngStream
 ) -> tuple[SenderRecord, ReceiverRecord]:
     """One sender pass followed by one receiver pass over the n qubits."""
-    sender, states = alice_send(config, rng)
+    sender, amps = alice_send(config, rng)
     if strategy == HONEST:
-        receiver = bob_measure_honest(states, config, rng)
+        receiver = bob_measure_honest(amps, config, rng)
     elif strategy == USD:
-        receiver = bob_measure_usd(states, config, rng)
+        receiver = bob_measure_usd(amps, config, rng)
     else:
         raise ValueError(f"unknown receiver strategy {strategy!r}")
     return sender, receiver

@@ -34,6 +34,7 @@ from qotlab.bitcommit import (
     bc_open,
     bc_verify,
     bell_state,
+    blinded_amps,
     p4_encode,
     p4_prepare_blinded,
     p4_unblind_and_measure,
@@ -293,9 +294,7 @@ def test_criterion_10_blinding_equivalence():
                 record, states = p4_prepare_blinded(n_per_run, rng)
             else:
                 record = BlindedQubitRecord(alphas=np.zeros(n_per_run))
-                from qotlab.bitcommit import blinded_qubit
-
-                states = [blinded_qubit(0.0) for _ in range(n_per_run)]
+                states = blinded_amps(record.alphas)
             bits = np.array([rng.bit() for _ in range(n_per_run)], dtype=np.int8)
             received = p4_unblind_and_measure(p4_encode(states, bits), record, rng)
             conclusive = set(received.conclusive_positions)

@@ -19,7 +19,7 @@ from qotlab.attacks import (
     probe_attack_p4,
     uhlmann_overlap,
 )
-from qotlab.bitcommit import p3_bases, p3_prepare_and_encode
+from qotlab.bitcommit import p3_bases, p3_pair_states
 from qotlab.qsim import (
     DensityMatrix,
     RngStream,
@@ -173,7 +173,7 @@ class TestProbeCopies:
 
     def test_detection_only_counts_honestly_impossible_outcomes(self):
         bases = p3_bases()
-        honest = {r: p3_prepare_and_encode(np.array([r], dtype=np.int8))[0] for r in (0, 1)}
+        honest = dict(enumerate(p3_pair_states()))
         for r in (0, 1):
             for x in (0, 1):
                 table = p3_probe_outcome_table(r, x)

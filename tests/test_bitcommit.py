@@ -18,12 +18,13 @@ from qotlab.bitcommit import (
     bc_open,
     bc_verify,
     bell_state,
-    blinded_qubit,
+    blinded_amps,
     correlation_immunity_order,
     open_message_from_dict,
     open_message_to_dict,
     p3_bases,
     p3_measure,
+    p3_pair_states,
     p3_prepare_and_encode,
     p4_encode,
     p4_prepare_blinded,
@@ -48,10 +49,12 @@ from qotlab.qsim import RngStream, StateVector, born_probabilities
 class TestEntangledEncoding:
     def test_encoding_rotation_identity(self):
         """Rotating the transit half of the pair lands exactly between two pair states."""
-        states = p3_prepare_and_encode(np.array([0, 1], dtype=np.int8))
-        np.testing.assert_allclose(states[0].amps, bell_state("phi-").amps, atol=1e-12)
+        amps = p3_prepare_and_encode(np.array([0, 1], dtype=np.int8))
+        np.testing.assert_allclose(amps[0], bell_state("phi-").amps, atol=1e-12)
         expected = (bell_state("phi-").amps + bell_state("psi+").amps) / np.sqrt(2.0)
-        np.testing.assert_allclose(states[1].amps, expected, atol=1e-12)
+        np.testing.assert_allclose(amps[1], expected, atol=1e-12)
+        for amp, state in zip(amps, p3_pair_states()):
+            np.testing.assert_allclose(amp, state.amps, atol=1e-12)
 
     def test_both_bases_are_orthonormal(self):
         for basis in p3_bases():
@@ -63,7 +66,7 @@ class TestEntangledEncoding:
     def test_conclusive_outcomes_have_zero_cross_probability(self):
         # the outcome that signals r=1 never fires on the r=0 state, and vice versa
         basis0, basis1 = p3_bases()
-        state0, state1 = p3_prepare_and_encode(np.array([0, 1], dtype=np.int8))
+        state0, state1 = p3_pair_states()
         p0_in_b0 = dict(zip(basis0.labels, born_probabilities(state0, basis0)))
         p1_in_b0 = dict(zip(basis0.labels, born_probabilities(state1, basis0)))
         assert p0_in_b0["psi+"] == pytest.approx(0.0, abs=1e-12)
@@ -91,11 +94,13 @@ class TestEntangledEncoding:
 
 class TestBlindedEncoding:
     def test_blinded_qubit_is_a_plane_rotation_of_zero(self):
-        state = blinded_qubit(0.7)
-        np.testing.assert_allclose(state.amps, [np.cos(0.7), np.sin(0.7)], atol=1e-12)
-        shifted = blinded_qubit(0.7, bit=1)
+        np.testing.assert_allclose(blinded_amps(0.7), [np.cos(0.7), np.sin(0.7)], atol=1e-12)
         angle = 0.7 + np.pi / 4
-        np.testing.assert_allclose(shifted.amps, [np.cos(angle), np.sin(angle)], atol=1e-12)
+        shifted = blinded_amps(0.7, bits=1)
+        np.testing.assert_allclose(shifted, [np.cos(angle), np.sin(angle)], atol=1e-12)
+        grid = blinded_amps(np.array([[0.7, 0.2]]), np.array([[1, 0]]))
+        assert grid.shape == (1, 2, 2)
+        np.testing.assert_allclose(grid[0, 0], shifted, atol=1e-12)
 
     def test_blinding_angles_are_validated(self):
         from qotlab.bitcommit import BlindedQubitRecord
@@ -140,6 +145,8 @@ def test_commit_validates_arguments():
         bc_commit_over_ot(0, l=2, n=16, variant="P9", rng=rng)
     with pytest.raises(ValueError):
         bc_commit_over_ot(0, l=2, n=16, variant=PROTOCOL_P3, rng=rng, theta=0.5)
+    with pytest.raises(ValueError):
+        bc_commit_over_ot(0, l=2, n=4, variant=PROTOCOL_P2BC, rng=rng)  # k = 0
 
 
 def test_round_shares_split_the_committed_bit():
@@ -196,16 +203,20 @@ class TestTamperRejection:
             assert not result.accepted
 
     def test_flipped_bit_at_conclusive_position_is_rejected(self, transcript):
+        # I is one of the two announced sets and entirely conclusive, so the
+        # search over both declared sets always finds a position
         msg = bc_open(transcript.sender)
         flipped = None
         for ri, (s_rnd, r_rnd) in enumerate(zip(msg.rounds, transcript.receiver.rounds)):
             known = dict(r_rnd.conclusive)
-            for si, (pos, val) in enumerate(s_rnd.declared_x):
-                if pos in known:
-                    declared = list(s_rnd.declared_x)
-                    declared[si] = (pos, val ^ 1)
+            for side in ("declared_x", "declared_y"):
+                declared = list(getattr(s_rnd, side))
+                hit = next((si for si, (pos, _) in enumerate(declared) if pos in known), None)
+                if hit is not None:
+                    pos, val = declared[hit]
+                    declared[hit] = (pos, val ^ 1)
                     rounds = list(msg.rounds)
-                    rounds[ri] = dataclasses.replace(s_rnd, declared_x=tuple(declared))
+                    rounds[ri] = dataclasses.replace(s_rnd, **{side: tuple(declared)})
                     flipped = dataclasses.replace(msg, rounds=tuple(rounds))
                     break
             if flipped:
@@ -297,12 +308,13 @@ class TestGridCommitment:
 
     def test_measurement_record_never_contradicts_the_encoding(self):
         rng = RngStream(48, 0)
-        for bit in (0, 1):
-            for rep in range(300):
-                alpha = rng.gen.uniform(0, 2 * np.pi)
-                record = p5_measure_record(blinded_qubit(alpha, bit), alpha, rng)
-                value = p5_record_value(record)
-                assert value in (None, bit)
+        bits = rng.bits(2 * 300).reshape(2, 300)
+        alphas = rng.gen.uniform(0, 2 * np.pi, size=bits.shape)
+        records = p5_measure_record(blinded_amps(alphas, bits), alphas, rng)
+        values = [p5_record_value(rec) for row in records for rec in row]
+        for bit, value in zip(bits.ravel().tolist(), values):
+            assert value in (None, bit)
+        assert values.count(None) < len(values)
 
     @pytest.mark.parametrize("measure_at_commit", [False, True])
     @pytest.mark.parametrize("b", [0, 1])

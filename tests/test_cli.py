@@ -71,6 +71,23 @@ class TestExitCodes:
         result = run_cli(["attack", "--trials", "10"])
         assert result.returncode == 2
 
+    def test_flag_of_another_command_is_a_usage_error(self):
+        result = run_cli(["open", "--protocol", "p2bc", "--trials", "5", "--out", "x"])
+        assert result.returncode == 2
+        assert "--trials" in result.stderr
+
+    def test_non_integer_seed_variable_is_a_usage_error(self):
+        result = run_cli(["rot", "--n", "8", "--trials", "1"], env_extra={"QOT_SEED": "abc"})
+        assert result.returncode == 2
+        assert "QOT_SEED" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_commit_with_empty_index_sets_is_refused(self, tmp_path):
+        result = run_cli(["commit", "--protocol", "p2bc", "--n", "4", "--out", str(tmp_path)])
+        assert result.returncode == 2
+        assert "k >= 1" in result.stderr
+        assert not (tmp_path / "sender.json").exists()
+
     def test_check_passes_on_healthy_statistics(self):
         result = run_cli(["rot", "--n", "500", "--trials", "40", "--seed", "5", "--check"])
         assert result.returncode == 0, result.stderr
@@ -130,6 +147,14 @@ def test_tampered_opening_is_rejected(tmp_path, capsys):
 def test_verify_without_files_is_a_usage_error(tmp_path):
     result = run_cli(["verify", "--protocol", "p2bc", "--out", str(tmp_path)])
     assert result.returncode == 2
+
+
+def test_abort_rate_exact_is_never_negative(capsys):
+    assert main(["ot12", "--n", "20000", "--trials", "1", "--seed", "33"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    rows = {line.split(",")[2]: float(line.split(",")[3]) for line in lines[1:] if ";n=20000;" in line}
+    assert rows["abort_rate_exact"] == 0.0
+    assert rows["p1_exact"] == 1.0
 
 
 def test_attack_nogo_reports_exact_numbers(capsys):

@@ -60,6 +60,13 @@ class TestTailProbabilities:
     def test_binomial_tail_against_scipy(self, n, p, k):
         assert binomial_tail(n, p, k) == pytest.approx(scipy.stats.binom.sf(k - 1, n, p), rel=1e-10)
 
+    def test_near_certain_tail_stays_a_probability(self):
+        # the log-space sum rounds to 1 + 7.5e-14 here unless clamped
+        p1 = p1_exact(20000).value
+        assert 0.0 <= p1 <= 1.0
+        assert p1 == pytest.approx(1.0, abs=1e-12)
+        assert 1.0 - p1 >= 0.0
+
     def test_binomial_tail_edge_thresholds(self):
         assert binomial_tail(10, 0.3, 0) == pytest.approx(1.0, abs=1e-15)
         assert binomial_tail(10, 0.3, 11) == 0.0
@@ -144,6 +151,21 @@ class TestIndexSets:
         assert set(t.sets.i_set) <= conclusive
         assert not set(t.sets.j_set) & conclusive
         assert len(t.sets.i_set) == len(t.sets.j_set) == t.k
+
+    def test_honest_j_is_topped_up_only_when_inconclusive_positions_run_out(self):
+        n, k = 16, k_of(16)
+        # 14 conclusive positions leave 2 inconclusive ones for a J of size 3
+        record = make_record(n, [(pos, 0) for pos in range(1, 15)])
+        for seed in range(20):
+            sets = choose_index_sets(record, n, k, RngStream(5, seed))
+            assert {15, 16} <= set(sets.j_set)
+            assert len(sets.j_set) == k
+            assert not set(sets.i_set) & set(sets.j_set)
+
+    def test_runs_that_would_announce_empty_sets_are_refused(self):
+        assert k_of(5) == 0
+        with pytest.raises(ValueError):
+            run_ot12(5, 0, 1, HONEST, RngStream(6, 0))
 
     def test_mapping_choice_is_balanced(self):
         n, k = 64, k_of(64)

@@ -42,11 +42,12 @@ def test_config_validation():
 def test_alice_send_encodes_her_bits():
     cfg = RotConfig(32)
     rng = RngStream(21, 0)
-    sender, states = alice_send(cfg, rng)
+    sender, amps = alice_send(cfg, rng)
+    assert amps.shape == (cfg.n, 2)
     psi0, psi1 = encoding_states(cfg.theta)
-    for bit, state in zip(sender.bits, states):
+    for bit, row in zip(sender.bits, amps):
         expected = psi1 if bit else psi0
-        np.testing.assert_allclose(state.amps, expected.amps, atol=1e-12)
+        np.testing.assert_allclose(row, expected.amps, atol=1e-12)
 
 
 def test_conclusive_values_are_never_wrong():
@@ -125,11 +126,11 @@ def test_sender_record_reveals_nothing_about_outcomes():
 def test_measure_functions_reject_length_mismatch():
     cfg = RotConfig(4)
     rng = RngStream(12, 0)
-    _, states = alice_send(cfg, rng)
+    _, amps = alice_send(cfg, rng)
     with pytest.raises(ValueError):
-        bob_measure_honest(states[:3], cfg, rng)
+        bob_measure_honest(amps[:3], cfg, rng)
     with pytest.raises(ValueError):
-        bob_measure_usd(states + states, cfg, rng)
+        bob_measure_usd(np.concatenate([amps, amps]), cfg, rng)
 
 
 def test_transcript_dict_round_trip_shape():
