@@ -217,24 +217,30 @@ class ProbeAttackReport:
         }
 
 
-def entangle_probe_rows(amps: np.ndarray, control_qubit: int) -> np.ndarray:
-    """Append a fresh probe qubit copying the control in the standard basis,
-    to every row of an (N, 2**n) amplitude array; the probe comes last."""
+def entangle_probe_rows(amps: np.ndarray) -> np.ndarray:
+    """Append a fresh probe qubit copying qubit 0 in the standard basis, to
+    every row of an (N, 2**n) amplitude array; the probe comes last."""
     rows, dim = amps.shape
-    n = dim.bit_length() - 1
-    if not 0 <= control_qubit < n:
-        raise ValueError("control qubit out of range")
-    old = amps.reshape(rows, 2**control_qubit, 2, dim >> (control_qubit + 1))
+    old = amps.reshape(rows, 2, dim // 2)
     new = np.zeros(old.shape + (2,), dtype=np.result_type(amps, np.float64))
-    new[:, :, 0, :, 0] = old[:, :, 0]
-    new[:, :, 1, :, 1] = old[:, :, 1]
+    new[:, 0, :, 0] = old[:, 0]
+    new[:, 1, :, 1] = old[:, 1]
     return new.reshape(rows, 2 * dim)
 
 
 def entangle_probe(state: StateVector, control_qubit: int) -> StateVector:
     """Append a fresh probe qubit copying the control in the standard basis."""
-    amps = entangle_probe_rows(state.amps[np.newaxis], control_qubit)
-    return StateVector(num_qubits=state.num_qubits + 1, amps=amps[0])
+    n = state.num_qubits
+    if not 0 <= control_qubit < n:
+        raise ValueError("control qubit out of range")
+    old = state.amps.reshape([2] * n)
+    new = np.zeros([2] * (n + 1), dtype=np.complex128)
+    take = [slice(None)] * n
+    for c in (0, 1):
+        sl = list(take)
+        sl[control_qubit] = c
+        new[tuple(sl) + (c,)] = old[tuple(sl)]
+    return StateVector(num_qubits=n + 1, amps=new.reshape(-1))
 
 
 def p3_probe_pre_state() -> StateVector:
@@ -344,7 +350,7 @@ def probe_attack_p4(
     x = rng.bits(size)
     amps = blinded_amps(alphas)
     if apply_probe:
-        amps = entangle_probe_rows(amps, 0)
+        amps = entangle_probe_rows(amps)
     amps = rotate_rows(amps, _ENCODE_ANGLE * r)
     amps = rotate_rows(amps, -alphas)
     probs = batch_probabilities(

@@ -105,8 +105,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 1 or self.l < 1 or self.m < 1 or self.trials < 1:
             raise ValueError("n, l, m and trials must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("the seed must lie in [0, 2**64)")
         if not 0.0 < self.theta <= np.pi / 2:
             raise ValueError("theta must lie in (0, pi/2]")
         if self.output_format not in ("csv", "json"):

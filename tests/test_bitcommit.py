@@ -13,6 +13,7 @@ from qotlab.bitcommit import (
     PROTOCOL_P4,
     PROTOCOL_P5,
     BooleanFunctionSpec,
+    OpenMessage,
     OpenRound,
     bc_commit_over_ot,
     bc_open,
@@ -43,6 +44,7 @@ from qotlab.bitcommit import (
     sender_state_to_dict,
     verify_from_states,
 )
+from qotlab.ot12 import k_of
 from qotlab.qsim import RngStream, StateVector, born_probabilities
 
 
@@ -225,6 +227,32 @@ class TestTamperRejection:
         result = bc_verify(transcript.receiver, flipped)
         assert not result.accepted
         assert "conclusive" in result.first_inconsistency
+
+    def test_unheld_share_flip_is_caught_only_at_a_conclusive_j_position(self):
+        """Flip the share the receiver did not get and one bit of the set
+        masking it (J). The ciphertext still checks out, so only a conclusive
+        outcome at the flipped position can catch it; honest J holds none
+        unless it was topped up, so per round this cheat is caught only when
+        the committer flips the share the receiver holds."""
+        caught = tried = 0
+        for seed in range(20):
+            t = bc_commit_over_ot(0, l=1, n=64, variant=PROTOCOL_P2BC, rng=RngStream(600 + seed, 0))
+            s_rnd, r_rnd = bc_open(t.sender).rounds[0], t.receiver.rounds[0]
+            side, share = ("declared_y", "share1") if r_rnd.m == 0 else ("declared_x", "share0")
+            known = dict(r_rnd.conclusive)
+            for i, (pos, val) in enumerate(getattr(s_rnd, side)):
+                declared = list(getattr(s_rnd, side))
+                declared[i] = (pos, val ^ 1)
+                bad = dataclasses.replace(
+                    s_rnd, **{side: tuple(declared), share: getattr(s_rnd, share) ^ 1}
+                )
+                msg = OpenMessage(protocol_id=PROTOCOL_P2BC, rounds=(bad,))
+                result = bc_verify(t.receiver, msg)
+                assert result.accepted == (pos not in known)
+                assert not result.accepted or result.recovered_bit == 1
+                caught += not result.accepted
+                tried += 1
+        assert caught == 0 and tried == 20 * k_of(64)
 
     def test_wrong_protocol_id_is_rejected(self, transcript):
         msg = bc_open(transcript.sender)

@@ -93,7 +93,7 @@ def test_probe_on_blinded_qubits_matches_the_single_state_rule(apply_probe):
     bases = measurement_bases(ENCODE)
     amps = blinded_amps(alphas)
     if apply_probe:
-        amps = entangle_probe_rows(amps, 0)
+        amps = entangle_probe_rows(amps)
     amps = rotate_rows(rotate_rows(amps, ENCODE * r), -alphas)
     qubits = (0,) if apply_probe else None
     probs = batch_probabilities(amps, bases, choice=x, qubits=qubits)
@@ -109,19 +109,16 @@ def test_probe_on_blinded_qubits_matches_the_single_state_rule(apply_probe):
         np.testing.assert_allclose(probs[i], expected, atol=ATOL)
 
 
-def test_rotate_rows_acts_on_the_named_qubit():
+def test_rotate_rows_acts_on_qubit_zero():
     gen = np.random.default_rng(6)
     raw = gen.normal(size=(6, 8)) + 1j * gen.normal(size=(6, 8))
     amps = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     angles = gen.uniform(0, 2 * np.pi, size=6)
-    for qubit in range(3):
-        rotated = rotate_rows(amps, angles, qubit=qubit)
-        for i in range(6):
-            state = StateVector(num_qubits=3, amps=amps[i])
-            expected = apply_on_qubit(state, qubit, rotation_plane(angles[i]))
-            np.testing.assert_allclose(rotated[i], expected.amps, atol=ATOL)
-    with pytest.raises(ValueError):
-        rotate_rows(amps, angles, qubit=3)
+    rotated = rotate_rows(amps, angles)
+    for i in range(6):
+        state = StateVector(num_qubits=3, amps=amps[i])
+        expected = apply_on_qubit(state, 0, rotation_plane(angles[i]))
+        np.testing.assert_allclose(rotated[i], expected.amps, atol=ATOL)
 
 
 def test_partial_measurement_traces_out_the_other_qubits():
