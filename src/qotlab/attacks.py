@@ -102,33 +102,24 @@ class CheatReport:
         }
 
 
-def _parity_class_density(two_k: int, theta: float, parity: int) -> DensityMatrix:
-    psi0, psi1 = make_nonorthogonal_pair(theta)
-    single = (psi0.amps, psi1.amps)
-    dim = 2**two_k
-    members = []
-    for word in range(dim):
-        if bin(word).count("1") & 1 != parity:
-            continue
-        amps = np.ones(1, dtype=np.complex128)
-        for pos in range(two_k):
-            bit = (word >> (two_k - 1 - pos)) & 1
-            amps = np.kron(amps, single[bit])
-        members.append(amps)
-    stacked = np.array(members)
-    entries = np.einsum("si,sj->ij", stacked, stacked.conj()) / len(members)
-    return DensityMatrix(num_qubits=two_k, entries=entries)
-
-
 def nogo_reduced_states(inst: NoGoInstance) -> tuple[DensityMatrix, DensityMatrix]:
     """Receiver-side states for commit 0 and commit 1.
 
     Each is the uniform mixture, over all two_k-bit strings of the target
     parity, of the product of the corresponding non-orthogonal signal states.
+    Summing the products over one parity class gives the closed form
+    rho_p = mean**(x)N + (-1)**p * half_diff**(x)N with N = two_k, where
+    mean = (P0 + P1) / 2 and half_diff = (P0 - P1) / 2 for the signal
+    projectors P_b = |psi_b><psi_b|.
     """
-    return (
-        _parity_class_density(inst.two_k, inst.theta, inst.parity0),
-        _parity_class_density(inst.two_k, inst.theta, inst.parity1),
+    psi0, psi1 = make_nonorthogonal_pair(inst.theta)
+    p0 = np.outer(psi0.amps, psi0.amps.conj())
+    p1 = np.outer(psi1.amps, psi1.amps.conj())
+    mean = functools.reduce(np.kron, [(p0 + p1) / 2] * inst.two_k)
+    half_diff = functools.reduce(np.kron, [(p0 - p1) / 2] * inst.two_k)
+    return tuple(
+        DensityMatrix(num_qubits=inst.two_k, entries=mean + (-1) ** parity * half_diff)
+        for parity in (inst.parity0, inst.parity1)
     )
 
 
@@ -137,40 +128,24 @@ def nogo_fidelity(inst: NoGoInstance) -> float:
     return fidelity(rho0, rho1)
 
 
-def _purification_matrix(rho: DensityMatrix) -> np.ndarray:
-    """Amplitudes of an eigen-purification, laid out ancilla index by rows.
-
-    Row k, column i holds sqrt(lam_k) * v_k[i], so the purifying vector is
-    sum_k sqrt(lam_k) |k>_ancilla |v_k>_system and a cheating unitary on the
-    ancilla acts by left multiplication.
-    """
-    vals, vecs = np.linalg.eigh(rho.entries)
-    vals = np.clip(vals, 0.0, None)
-    vals[vals < vals.max() * 1e-12] = 0.0
-    vals = vals / vals.sum()
-    return np.sqrt(vals)[:, np.newaxis] * vecs.T
-
-
 def nogo_cheating_unitary(rho0: DensityMatrix, rho1: DensityMatrix) -> np.ndarray:
     """Ancilla unitary steering the purification of rho0 onto that of rho1.
 
     Built from the singular value decomposition of the cross-Gram matrix of
     the two eigen-purifications; the achieved overlap equals the fidelity.
+    The purifications are laid out ancilla index by rows, so the unitary
+    acts on them by left multiplication.
     """
     if rho0.entries.shape != rho1.entries.shape:
         raise ValueError("the two states must share one dimension")
-    m0 = _purification_matrix(rho0)
-    m1 = _purification_matrix(rho1)
-    cross_gram = m0 @ m1.conj().T
+    cross_gram = rho0.purification_amps.T @ rho1.purification_amps.conj()
     u, _, vh = np.linalg.svd(cross_gram)
     return vh.conj().T @ u.conj().T
 
 
 def uhlmann_overlap(rho0: DensityMatrix, rho1: DensityMatrix, unitary: np.ndarray) -> float:
     """|<purification1 | (U x I) purification0>| for the eigen-purifications."""
-    m0 = _purification_matrix(rho0)
-    m1 = _purification_matrix(rho1)
-    return float(abs(np.vdot(m1, unitary @ m0)))
+    return float(abs(np.vdot(rho1.purification_amps.T, unitary @ rho0.purification_amps.T)))
 
 
 def nogo_cheat_report(inst: NoGoInstance) -> CheatReport:
@@ -309,8 +284,12 @@ def probe_attack_p3(n: int, trials: int, rng: RngStream) -> ProbeAttackReport:
     # one outcome column at a time, so no (trials, n, 4) array is built
     outcomes = np.zeros(cells.shape, dtype=np.intp)
     for j in range(cum.shape[1]):
-        outcomes += u >= cum[cells, j]
-    detected = masks[cells, outcomes]
+        outcomes += u >= cum[:, j][cells]
+    # flat (cell, outcome) index, built in place: a temporary of this size
+    # raises the process's peak memory by about 0.5 MB
+    cells *= masks.shape[1]
+    cells += outcomes
+    detected = masks.ravel()[cells]
     qubit_hits = int(detected.sum())
     run_successes = int((~detected.any(axis=1)).sum())
     return ProbeAttackReport(

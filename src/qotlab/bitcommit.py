@@ -801,90 +801,192 @@ def _function_from_name(name: str, arity: int) -> BooleanFunctionSpec:
     return _FUNCTION_REGISTRY[name](arity)
 
 
+def _field(d, key: str, read, where: str = ""):
+    """read(d[key]) for a transcript read from untrusted JSON.
+
+    A missing field, or one that `read` refuses with a TypeError or
+    ValueError, raises a ValueError naming the field.
+    """
+    try:
+        value = d[key]
+    except KeyError:
+        raise ValueError(f"missing field {where + key!r}") from None
+    except (TypeError, IndexError):
+        raise ValueError(
+            f"expected a JSON object with field {where + key!r}, got {type(d).__name__}"
+        ) from None
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {where + key!r} is malformed: {exc}") from None
+
+
+def _int(x) -> int:
+    if type(x) is not int:  # a JSON bool is no integer here
+        raise TypeError(f"expected an integer, got {type(x).__name__}")
+    return x
+
+
+def _float(x) -> float:
+    if type(x) not in (int, float):
+        raise TypeError(f"expected a number, got {type(x).__name__}")
+    return float(x)
+
+
+def _str(x) -> str:
+    if not isinstance(x, str):
+        raise TypeError(f"expected a string, got {type(x).__name__}")
+    return x
+
+
+def _list(x) -> list:
+    if not isinstance(x, list):
+        raise TypeError(f"expected a list, got {type(x).__name__}")
+    return x
+
+
+def _ints(x) -> tuple[int, ...]:
+    values = tuple(_list(x))
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"expected a list of integers, got a {type(v).__name__}")
+    return values
+
+
+def _bits(x) -> np.ndarray:
+    bits = _ints(x)
+    if not set(bits) <= {0, 1}:
+        raise ValueError("expected a list of bits")
+    return np.array(bits, dtype=np.int8)
+
+
+def _int_rows(x) -> tuple[tuple[int, ...], ...]:
+    return tuple(_ints(row) for row in _list(x))
+
+
+def _float_rows(x) -> np.ndarray:
+    return np.array([[_float(v) for v in _list(row)] for row in _list(x)], dtype=np.float64)
+
+
+def _pos_vals(x) -> tuple[tuple[int, int], ...]:
+    pairs = []
+    for c in _list(x):
+        try:
+            pos, val = c["pos"], c["val"]
+        except (KeyError, TypeError):
+            raise ValueError('expected a list of {"pos": ..., "val": ...} objects') from None
+        if type(pos) is not int or type(val) is not int:
+            raise TypeError("positions and values must be integers")
+        pairs.append((pos, val))
+    return tuple(pairs)
+
+
+def _record(x) -> Optional[tuple[str, str]]:
+    if x is None:
+        return None
+    if len(_list(x)) != 2:
+        raise ValueError("an outcome record is a [basis, outcome] pair")
+    return (_str(x[0]), _str(x[1]))
+
+
+def _records(x) -> list[list[Optional[tuple[str, str]]]]:
+    return [[_record(rec) for rec in _list(row)] for row in _list(x)]
+
+
+def _rounds(d: dict) -> list[tuple[dict, str]]:
+    """(round, its field prefix) for every entry of d["rounds"]."""
+    return [(rnd, f"rounds[{i}].") for i, rnd in enumerate(_field(d, "rounds", _list))]
+
+
 def sender_state_from_dict(d: dict):
-    if d["protocol_id"] == PROTOCOL_P5:
+    if _field(d, "protocol_id", _str) == PROTOCOL_P5:
+        n = _field(d, "n", _int)
         return P5SenderState(
             protocol_id=PROTOCOL_P5,
-            bit=int(d["bit"]),
-            m=int(d["m"]),
-            n=int(d["n"]),
-            function=_function_from_name(d["function"], int(d["n"])),
-            strings=tuple(tuple(int(x) for x in s) for s in d["strings"]),
+            bit=_field(d, "bit", _int),
+            m=_field(d, "m", _int),
+            n=n,
+            function=_function_from_name(_field(d, "function", _str), n),
+            strings=_field(d, "strings", _int_rows),
         )
     rounds = tuple(
         SenderCommitRound(
-            share0=int(rnd["share0"]),
-            share1=int(rnd["share1"]),
-            bits=np.asarray(rnd["r"], dtype=np.int8),
-            x_set=tuple(rnd["x_set"]),
-            y_set=tuple(rnd["y_set"]),
-            c0=int(rnd["c0"]),
-            c1=int(rnd["c1"]),
+            share0=_field(rnd, "share0", _int, at),
+            share1=_field(rnd, "share1", _int, at),
+            bits=_field(rnd, "r", _bits, at),
+            x_set=_field(rnd, "x_set", _ints, at),
+            y_set=_field(rnd, "y_set", _ints, at),
+            c0=_field(rnd, "c0", _int, at),
+            c1=_field(rnd, "c1", _int, at),
         )
-        for rnd in d["rounds"]
+        for rnd, at in _rounds(d)
     )
     return CommitSenderState(
         protocol_id=d["protocol_id"],
-        bit=int(d["bit"]),
-        l=int(d["l"]),
-        n=int(d["n"]),
-        k=int(d["k"]),
-        theta=float(d["theta"]),
+        bit=_field(d, "bit", _int),
+        l=_field(d, "l", _int),
+        n=_field(d, "n", _int),
+        k=_field(d, "k", _int),
+        theta=_field(d, "theta", _float),
         rounds=rounds,
     )
 
 
 def receiver_state_from_dict(d: dict):
-    if d["protocol_id"] == PROTOCOL_P5:
+    if _field(d, "protocol_id", _str) == PROTOCOL_P5:
+        m, n = _field(d, "m", _int), _field(d, "n", _int)
+        alphas = _field(d, "alphas", _float_rows)
+        records = _field(d, "records", _records)
+        if alphas.shape != (m, n):
+            raise ValueError(f"field 'alphas' must hold m x n = {m} x {n} angles")
+        if [len(row) for row in records] != [n] * m:
+            raise ValueError(f"field 'records' must hold m x n = {m} x {n} entries")
         return P5ReceiverState(
             protocol_id=PROTOCOL_P5,
-            m=int(d["m"]),
-            n=int(d["n"]),
-            function=_function_from_name(d["function"], int(d["n"])),
-            alphas=np.asarray(d["alphas"], dtype=np.float64),
+            m=m,
+            n=n,
+            function=_function_from_name(_field(d, "function", _str), n),
+            alphas=alphas,
             states=None,
-            records=[
-                [tuple(rec) if rec is not None else None for rec in row]
-                for row in d["records"]
-            ],
+            records=records,
         )
     rounds = tuple(
         ReceiverCommitRound(
-            m=int(rnd["m"]),
-            i_set=tuple(rnd["i_set"]),
-            j_set=tuple(rnd["j_set"]),
-            conclusive=tuple((c["pos"], c["val"]) for c in rnd["conclusive"]),
-            c0=int(rnd["c0"]),
-            c1=int(rnd["c1"]),
-            received_share=int(rnd["received_share"]),
+            m=_field(rnd, "m", _int, at),
+            i_set=_field(rnd, "i_set", _ints, at),
+            j_set=_field(rnd, "j_set", _ints, at),
+            conclusive=_field(rnd, "conclusive", _pos_vals, at),
+            c0=_field(rnd, "c0", _int, at),
+            c1=_field(rnd, "c1", _int, at),
+            received_share=_field(rnd, "received_share", _int, at),
         )
-        for rnd in d["rounds"]
+        for rnd, at in _rounds(d)
     )
     return CommitReceiverState(
         protocol_id=d["protocol_id"],
-        l=int(d["l"]),
-        n=int(d["n"]),
-        k=int(d["k"]),
-        theta=float(d["theta"]),
+        l=_field(d, "l", _int),
+        n=_field(d, "n", _int),
+        k=_field(d, "k", _int),
+        theta=_field(d, "theta", _float),
         rounds=rounds,
     )
 
 
 def open_message_from_dict(d: dict):
-    if d["protocol_id"] == PROTOCOL_P5:
+    if _field(d, "protocol_id", _str) == PROTOCOL_P5:
         return P5OpenMessage(
             protocol_id=PROTOCOL_P5,
-            bit=int(d["bit"]),
-            strings=tuple(tuple(int(x) for x in s) for s in d["strings"]),
+            bit=_field(d, "bit", _int),
+            strings=_field(d, "strings", _int_rows),
         )
     rounds = tuple(
         OpenRound(
-            share0=int(rnd["share0"]),
-            share1=int(rnd["share1"]),
-            declared_x=tuple((c["pos"], c["val"]) for c in rnd["declared_x"]),
-            declared_y=tuple((c["pos"], c["val"]) for c in rnd["declared_y"]),
+            share0=_field(rnd, "share0", _int, at),
+            share1=_field(rnd, "share1", _int, at),
+            declared_x=_field(rnd, "declared_x", _pos_vals, at),
+            declared_y=_field(rnd, "declared_y", _pos_vals, at),
         )
-        for rnd in d["rounds"]
+        for rnd, at in _rounds(d)
     )
     return OpenMessage(protocol_id=d["protocol_id"], rounds=rounds)
 

@@ -219,7 +219,7 @@ def cmd_ot12(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
             completed += 1
             if tr.b_received == (b0 if tr.m == 0 else b1):
                 correct += 1
-    p1 = p1_exact(cfg.n, cfg.alpha)
+    p1 = p1_exact(cfg.n, cfg.alpha, cfg.theta)
     p2 = p2_exact(cfg.n, cfg.alpha, cfg.theta)
     params = f"alpha={cfg.alpha};n={cfg.n};theta={_g(cfg.theta)}"
     rows.append(_mc_row("ot12", params, "abort_rate", aborts, cfg.trials))

@@ -142,8 +142,87 @@ def monte_carlo_estimate(successes: int, trials: int) -> SecurityEstimate:
     )
 
 
+# terms of a tail more than this far (in log) below its largest term, plus
+# log(n + 1), are dropped: together they weigh less than e**-60 of the tail
+TAIL_LOG_MARGIN = 60.0
+
+_LN_2PI = math.log(2.0 * math.pi)
+
+
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)**n), the Stirling series remainder."""
+    if n <= 15:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * _LN_2PI
+    nn = float(n) * n
+    if n > 500:
+        return (1 / 12 - 1 / 360 / nn) / n
+    if n > 80:
+        return (1 / 12 - (1 / 360 - 1 / 1260 / nn) / nn) / n
+    if n > 35:
+        return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / 1680 / nn) / nn) / nn) / n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, mean: float) -> float:
+    """x log(x / mean) + mean - x, by a series where the terms would cancel."""
+    if abs(x - mean) < 0.1 * (x + mean):
+        v = (x - mean) / (x + mean)
+        s = (x - mean) * v
+        ej = 2.0 * x * v
+        v *= v
+        for j in range(1, 1000):
+            ej *= v
+            s_next = s + ej / (2 * j + 1)
+            if s_next == s:
+                break
+            s = s_next
+        return s
+    return x * math.log(x / mean) + mean - x
+
+
+def _log_pmf(n: int, j: int, p: float) -> float:
+    """log P[Binomial(n, p) = j] in Loader's saddle-point form, which keeps
+    full relative accuracy where the lgamma form cancels; 0 < p < 1."""
+    if j == 0:
+        return n * math.log1p(-p)
+    if j == n:
+        return n * math.log(p)
+    lc = _stirlerr(n) - _stirlerr(j) - _stirlerr(n - j)
+    lc -= _bd0(j, n * p) + _bd0(n - j, n * (1.0 - p))
+    return lc - 0.5 * (_LN_2PI + math.log(j) + math.log1p(-j / n))
+
+
+def _tail_window(n: int, p: float, threshold: int) -> tuple[int, int, int, float]:
+    """(lo, top, hi, log pmf at top) for a tail with 0 < threshold <= n.
+
+    top is the largest term in [threshold, n]; [lo, hi] holds every term
+    whose log is within TAIL_LOG_MARGIN + log(n + 1) of it. The pmf is
+    log-concave, so those terms form one interval and both ends are found by
+    bisection; the at most n + 1 terms outside weigh less than e**-60 of
+    the term at top.
+    """
+    top = max(threshold, min(n, math.floor((n + 1) * p)))
+    log_top = _log_pmf(n, top, p)
+    cut = log_top - TAIL_LOG_MARGIN - math.log(n + 1)
+
+    def edge(inside: int, outside: int) -> int:
+        # the term at `inside` clears the cut: the farthest one towards `outside` that does
+        if _log_pmf(n, outside, p) >= cut:
+            return outside
+        while abs(outside - inside) > 1:
+            mid = (inside + outside) // 2
+            if _log_pmf(n, mid, p) >= cut:
+                inside = mid
+            else:
+                outside = mid
+        return inside
+
+    return edge(top, threshold), top, edge(top, n), log_top
+
+
 def binomial_tail(n: int, p: float, threshold: int) -> float:
-    """P[Binomial(n, p) >= threshold], summed in log space for stability."""
+    """P[Binomial(n, p) >= threshold], summed over the window of terms that
+    can matter, relative to the largest term so nothing underflows."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
@@ -156,17 +235,12 @@ def binomial_tail(n: int, p: float, threshold: int) -> float:
         return 0.0
     if p == 1.0:
         return 1.0
-    log_n_fact = math.lgamma(n + 1)
-    logs = [
-        log_n_fact
-        - math.lgamma(j + 1)
-        - math.lgamma(n - j + 1)
-        + j * math.log(p)
-        + (n - j) * math.log1p(-p)
-        for j in range(threshold, n + 1)
-    ]
-    peak = max(logs)
-    total = math.exp(peak) * math.fsum(math.exp(l - peak) for l in logs)
+    lo, top, hi, log_top = _tail_window(n, p, threshold)
+    # log pmf(j + 1) - log pmf(j), for j from lo to hi - 1
+    j = np.arange(lo, hi, dtype=np.float64)
+    steps = np.log((n - j) / (j + 1)) + (math.log(p) - math.log1p(-p))
+    logs = np.concatenate(([0.0], np.cumsum(steps)))
+    total = math.exp(log_top) * float(np.sum(np.exp(logs - logs[top - lo])))
     # rounding in the log terms can push a near-certain tail past 1
     return min(1.0, max(0.0, total))
 
@@ -310,9 +384,16 @@ def run_ot12(
     )
 
 
-def p1_exact(n: int, alpha: Fraction = DEFAULT_ALPHA) -> SecurityEstimate:
-    """Probability an honest receiver reaches k conclusive bits (no abort)."""
-    value = binomial_tail(n, float(BASE_RATE), k_of(n, alpha))
+def p1_exact(
+    n: int, alpha: Fraction = DEFAULT_ALPHA, theta: float = float(np.pi / 4)
+) -> SecurityEstimate:
+    """Probability an honest receiver reaches k conclusive bits (no abort).
+
+    Each qubit is conclusive at the honest rate sin(theta)**2 / 2, which is
+    the base rate 1/4 of k_of only at theta = pi/4.
+    """
+    rate = RotConfig(n=n, theta=theta).honest_conclusive_rate
+    value = binomial_tail(n, rate, k_of(n, alpha))
     return SecurityEstimate(value=value, method=EXACT_BINOMIAL, ci_low=value, ci_high=value)
 
 
@@ -320,7 +401,7 @@ def p2_exact(
     n: int, alpha: Fraction = DEFAULT_ALPHA, theta: float = float(np.pi / 4)
 ) -> SecurityEstimate:
     """Probability a discrimination receiver reaches 2k and learns both bits."""
-    rate = 1.0 - float(np.cos(theta))
+    rate = RotConfig(n=n, theta=theta).usd_conclusive_rate
     value = binomial_tail(n, rate, 2 * k_of(n, alpha))
     return SecurityEstimate(value=value, method=EXACT_BINOMIAL, ci_low=value, ci_high=value)
 

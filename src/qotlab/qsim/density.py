@@ -1,6 +1,7 @@
 """Density matrices: ensembles, partial trace, fidelity, purification."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -29,6 +30,17 @@ class DensityMatrix:
             raise ValueError("density matrix trace is not 1")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
+
+    @functools.cached_property
+    def purification_amps(self) -> np.ndarray:
+        """Amplitudes sqrt(w_k) v_k[i] of the eigen-purification, system index
+        i by rows and ancilla index k by columns; one eigendecomposition per
+        state, since the entries cannot change."""
+        vals, vecs = np.linalg.eigh(self.entries)
+        vals = _clipped_eigvals(vals)
+        amps = vecs * np.sqrt(vals / vals.sum())
+        amps.flags.writeable = False
+        return amps
 
     @classmethod
     def from_pure(cls, state: StateVector) -> "DensityMatrix":
@@ -104,8 +116,4 @@ def purify(dm: DensityMatrix) -> StateVector:
     """A pure state on twice the qubits whose reduction over the appended
     ancilla reproduces dm. Built from the eigendecomposition: amplitudes
     sqrt(w_k) on |v_k> (system, leading qubits) tensor |k> (ancilla)."""
-    vals, vecs = np.linalg.eigh(dm.entries)
-    vals = np.clip(vals, 0.0, None)
-    vals = vals / vals.sum()
-    amps = (vecs * np.sqrt(vals)).reshape(-1)
-    return StateVector(num_qubits=2 * dm.num_qubits, amps=amps)
+    return StateVector(num_qubits=2 * dm.num_qubits, amps=dm.purification_amps.reshape(-1))

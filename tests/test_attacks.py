@@ -1,5 +1,7 @@
 """Cheating strategies: equivocation by purification, probe copies, withheld qubits."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,29 @@ class TestEquivocationAttack:
 
     def test_nearly_identical_encoding_states_hide_the_parity(self):
         assert nogo_fidelity(NoGoInstance(2, theta=0.01)) == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("two_k", [2, 4, 6, 8])
+    @pytest.mark.parametrize("theta", [0.3, np.pi / 4, 1.2])
+    def test_tensor_power_states_match_the_parity_class_enumeration(self, two_k, theta):
+        """The closed form equals the uniform mixture over every bit string of
+        the class, built member by member."""
+        single = [s.amps for s in make_nonorthogonal_pair(theta)]
+        for parity, rho in zip((0, 1), nogo_reduced_states(NoGoInstance(two_k, theta=theta))):
+            members = []
+            for word in itertools.product((0, 1), repeat=two_k):
+                if sum(word) % 2 != parity:
+                    continue
+                amps = np.ones(1, dtype=np.complex128)
+                for bit in word:
+                    amps = np.kron(amps, single[bit])
+                members.append(np.outer(amps, amps.conj()))
+            by_hand = sum(members) / len(members)
+            np.testing.assert_allclose(rho.entries, by_hand, rtol=0, atol=1e-14)
+
+    def test_each_state_is_eigendecomposed_once(self):
+        rho0, rho1 = nogo_reduced_states(NoGoInstance(4))
+        assert rho0.purification_amps is rho0.purification_amps
+        assert not rho0.purification_amps.flags.writeable
 
     def test_reduced_states_are_valid_and_distinct(self):
         rho0, rho1 = nogo_reduced_states(NoGoInstance(4))

@@ -144,6 +144,51 @@ def test_tampered_opening_is_rejected(tmp_path, capsys):
     assert "rejected" in out
 
 
+def test_verify_rejects_an_opening_with_a_missing_field(tmp_path):
+    workdir = str(tmp_path)
+    common = ["--protocol", "p2bc", "--seed", "23", "--out", workdir]
+    assert run_cli(["commit", "--n", "8", "--l", "2", *common]).returncode == 0
+    assert run_cli(["open", *common]).returncode == 0
+    opening = json.loads((tmp_path / "open.json").read_text())
+    del opening["rounds"][0]["share0"]
+    (tmp_path / "open.json").write_text(json.dumps(opening))
+    result = run_cli(["verify", *common])
+    assert result.returncode == 2
+    assert "rounds[0].share0" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("protocol", ["p2bc", "p5"])
+@pytest.mark.parametrize("name", ["receiver.json", "open.json"])
+def test_verify_names_every_missing_or_mistyped_field(protocol, name, tmp_path, capsys):
+    """Each field of a valid transcript, deleted or replaced by a value of
+    the wrong type, is refused with a usage error that names it."""
+    workdir = str(tmp_path)
+    common = ["--protocol", protocol, "--seed", "24", "--out", workdir]
+    assert main(["commit", "--n", "8", "--l", "2", "--m", "2", *common]) == 0
+    assert main(["open", *common]) == 0
+    original = json.loads((tmp_path / name).read_text())
+
+    def fields(doc, prefix=""):
+        for key, value in doc.items():
+            yield prefix, key
+            if key == "rounds":
+                yield from fields(value[0], prefix="rounds[0].")
+
+    for prefix, key in fields(original):
+        for mutation in ("delete", "retype"):
+            doc = json.loads(json.dumps(original))
+            target = doc["rounds"][0] if prefix else doc
+            if mutation == "delete":
+                del target[key]
+            else:
+                target[key] = {"bad": True}
+            (tmp_path / name).write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert main(["verify", *common]) == 2, (mutation, prefix + key)
+            assert prefix + key in capsys.readouterr().err, (mutation, prefix + key)
+
+
 def test_verify_without_files_is_a_usage_error(tmp_path):
     result = run_cli(["verify", "--protocol", "p2bc", "--out", str(tmp_path)])
     assert result.returncode == 2
@@ -155,6 +200,12 @@ def test_abort_rate_exact_is_never_negative(capsys):
     rows = {line.split(",")[2]: float(line.split(",")[3]) for line in lines[1:] if ";n=20000;" in line}
     assert rows["abort_rate_exact"] == 0.0
     assert rows["p1_exact"] == 1.0
+
+
+def test_abort_rate_exact_follows_theta():
+    # at theta = 0.5 the honest rate is sin(0.5)**2 / 2, about 0.115, not 1/4
+    result = run_cli(["ot12", "--n", "256", "--trials", "200", "--theta", "0.5", "--check"])
+    assert result.returncode == 0, result.stderr
 
 
 def test_attack_nogo_reports_exact_numbers(capsys):

@@ -3,14 +3,17 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
 
 from qotlab.ot12 import (
     HONEST,
+    TAIL_LOG_MARGIN,
     USD,
     CurveRow,
+    _tail_window,
     binomial_tail,
     choose_index_sets,
     curve_csv,
@@ -50,6 +53,99 @@ def test_k_of_rejects_bad_arguments():
         k_of(64, alpha=Fraction(1, 4))  # leaves no conclusive margin
 
 
+def lgamma_log_terms(n, p, first, last):
+    """log P[Binomial(n, p) = j] for j from first to last, each from lgamma."""
+    log_n_fact = math.lgamma(n + 1)
+    return [
+        log_n_fact
+        - math.lgamma(j + 1)
+        - math.lgamma(n - j + 1)
+        + j * math.log(p)
+        + (n - j) * math.log1p(-p)
+        for j in range(first, last + 1)
+    ]
+
+
+def full_sum_tail(n, p, threshold):
+    """Reference tail: every term from threshold to n, each from lgamma."""
+    if threshold <= 0:
+        return 1.0
+    if threshold > n or p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+    logs = lgamma_log_terms(n, p, threshold, n)
+    peak = max(logs)
+    total = math.exp(peak) * math.fsum(math.exp(l - peak) for l in logs)
+    return min(1.0, max(0.0, total))
+
+
+_ANGLES = (0.3, np.pi / 4, 1.2)
+TAIL_RATES = (
+    (0.25, 0.01, 0.9)
+    + tuple(1 - math.cos(t) for t in _ANGLES)
+    + tuple(math.sin(t) ** 2 / 2 for t in _ANGLES)
+)
+
+
+def tail_thresholds(n, p):
+    k = k_of(n)
+    return sorted({k, 2 * k, 1, math.floor(n * p), n})
+
+
+def assert_tails_match(n_values, rtol=1e-10):
+    """Windowed tail against the full sum and scipy, relative to rtol; values
+    below the normal range (about 2e-308) compare absolutely."""
+    floor = np.finfo(float).tiny
+    for n in n_values:
+        for p in TAIL_RATES:
+            for t in tail_thresholds(n, p):
+                got = binomial_tail(n, p, t)
+                for want in (full_sum_tail(n, p, t), float(scipy.stats.binom.sf(t - 1, n, p))):
+                    assert abs(got - want) <= rtol * want + floor, (n, p, t, got, want)
+
+
+class TestWindowedTail:
+    def test_matches_full_sum_and_scipy_for_small_n(self):
+        assert_tails_match(list(range(1, 301)) + [512, 1024])
+
+    def test_matches_full_sum_and_scipy_near_the_benchmark_n(self):
+        assert_tails_match([18000, 19321, 20480, 22000])
+
+    def test_matches_full_sum_at_large_n(self):
+        n = 10**5
+        for p, t in ((0.25, 25000), (0.25, 26000), (0.01, 1200), (1 - math.cos(0.3), 4400)):
+            want = full_sum_tail(n, p, t)
+            assert 1e-30 < want < 1.0
+            assert binomial_tail(n, p, t) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("n,p,t", [(400, 0.25, 75), (5000, 0.3, 1600), (20000, 0.25, 3750), (3000, 0.9, 1)])
+    def test_dropped_terms_weigh_less_than_the_bound(self, n, p, t):
+        lo, top, hi, _ = _tail_window(n, p, t)
+        assert t <= lo <= top <= hi <= n
+        assert (lo, hi) != (t, n), "the window should drop terms here"
+        outside = lgamma_log_terms(n, p, t, lo - 1) + lgamma_log_terms(n, p, hi + 1, n)
+        dropped = math.fsum(math.exp(l) for l in outside)
+        assert 0.0 < dropped <= math.exp(-TAIL_LOG_MARGIN) * binomial_tail(n, p, t)
+
+    def test_window_ends_are_the_last_terms_above_the_cut(self):
+        n, p, t = 20000, 0.25, 3750
+        lo, top, hi, log_top = _tail_window(n, p, t)
+
+        def log_pmf(j):
+            with mpmath.workdps(40):
+                q = mpmath.mpf(p)
+                return float(
+                    mpmath.log(mpmath.binomial(n, j)) + j * mpmath.log(q) + (n - j) * mpmath.log(1 - q)
+                )
+
+        cut = log_top - TAIL_LOG_MARGIN - math.log(n + 1)
+        assert log_pmf(lo) >= cut > log_pmf(lo - 1)
+        assert log_pmf(hi) >= cut > log_pmf(hi + 1)
+        # the saddle-point anchor keeps full relative accuracy at the mode
+        assert log_top == pytest.approx(log_pmf(top), rel=1e-15, abs=0)
+
+
 class TestTailProbabilities:
     def test_binomial_tail_against_direct_sum(self):
         n, p, k = 16, 0.25, 3
@@ -77,6 +173,14 @@ class TestTailProbabilities:
             scipy.stats.binom.sf(k_of(n) - 1, n, 0.25), rel=1e-10
         )
         assert p1_exact(n).method == "exact-binomial"
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 1.2, np.pi / 2])
+    def test_p1_sums_at_the_honest_rate_of_theta(self, theta):
+        n = 256
+        rate = math.sin(theta) ** 2 / 2
+        assert p1_exact(n, theta=theta).value == pytest.approx(
+            scipy.stats.binom.sf(k_of(n) - 1, n, rate), rel=1e-10
+        )
 
     def test_p2_counts_optimal_attack_successes(self):
         n = 64
