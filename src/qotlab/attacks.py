@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .bitcommit import (
+    ENCODE_ANGLE,
     P5OpenMessage,
     PROTOCOL_P5,
     blinded_amps,
@@ -51,7 +52,6 @@ from .qsim import (
 )
 from .rot import PERP_INDEX, measurement_bases
 
-_ENCODE_ANGLE = float(np.pi / 4)
 _SUPPORT_TOL = 1e-9
 
 
@@ -65,7 +65,7 @@ class NoGoInstance:
     have a parity fixed by the committed value."""
 
     two_k: int
-    theta: float = _ENCODE_ANGLE
+    theta: float = ENCODE_ANGLE
     parity0: int = 0
     parity1: int = 1
 
@@ -236,7 +236,7 @@ def _p3_probe_tables() -> tuple[np.ndarray, np.ndarray]:
     """
     bases = p3_bases()
     pre = p3_probe_pre_state()
-    encode = rotation_plane(_ENCODE_ANGLE)
+    encode = rotation_plane(ENCODE_ANGLE)
     attacked = (pre, apply_on_qubit(pre, 0, encode))
     honest = p3_pair_states()
     probs = np.zeros((4, 4))
@@ -330,11 +330,11 @@ def probe_attack_p4(
     amps = blinded_amps(alphas)
     if apply_probe:
         amps = entangle_probe_rows(amps)
-    amps = rotate_rows(amps, _ENCODE_ANGLE * r)
+    amps = rotate_rows(amps, ENCODE_ANGLE * r)
     amps = rotate_rows(amps, -alphas)
     probs = batch_probabilities(
         amps,
-        measurement_bases(_ENCODE_ANGLE),
+        measurement_bases(ENCODE_ANGLE),
         choice=x,
         qubits=(0,) if apply_probe else None,
     )

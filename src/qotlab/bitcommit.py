@@ -30,11 +30,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .ot12 import DEFAULT_ALPHA, Ot12Transcript, k_of, run_masked_transfer
+from .ot12 import DEFAULT_ALPHA, IndexSets, Ot12Transcript, k_of, run_masked_transfer
 from .qsim import (
     ProjectiveBasis,
     RngStream,
@@ -70,7 +70,7 @@ PROTOCOL_P5 = "P5"
 
 OT_VARIANTS = (PROTOCOL_P2BC, PROTOCOL_P3, PROTOCOL_P4)
 
-_ENCODE_ANGLE = float(np.pi / 4)
+ENCODE_ANGLE = float(np.pi / 4)
 
 # ---------------------------------------------------------------------------
 # entangled-pair channel ("P3")
@@ -115,7 +115,7 @@ def p3_pair_states() -> tuple[StateVector, StateVector]:
     state for bit b.
     """
     base = bell_state("phi-")
-    return base, apply_on_qubit(base, 0, rotation_plane(_ENCODE_ANGLE))
+    return base, apply_on_qubit(base, 0, rotation_plane(ENCODE_ANGLE))
 
 
 @functools.lru_cache(maxsize=1)
@@ -171,7 +171,7 @@ class BlindedQubitRecord:
 def blinded_amps(alphas, bits=0) -> np.ndarray:
     """|0> rotated by each blinding angle, then by the encoding angle iff its
     bit is 1; amplitudes on a trailing axis of length 2."""
-    angle = np.asarray(alphas, dtype=np.float64) + _ENCODE_ANGLE * np.asarray(bits)
+    angle = np.asarray(alphas, dtype=np.float64) + ENCODE_ANGLE * np.asarray(bits)
     return np.stack((np.cos(angle), np.sin(angle)), axis=-1)
 
 
@@ -186,7 +186,7 @@ def p4_encode(amps: np.ndarray, r_bits: np.ndarray) -> np.ndarray:
     r_bits = np.asarray(r_bits)
     if r_bits.shape != (len(amps),):
         raise ValueError("need one bit per qubit")
-    return rotate_rows(amps, _ENCODE_ANGLE * r_bits)
+    return rotate_rows(amps, ENCODE_ANGLE * r_bits)
 
 
 def p4_unblind_and_measure(
@@ -200,7 +200,7 @@ def p4_unblind_and_measure(
     if len(amps) != record.alphas.size:
         raise ValueError("state count does not match the blinding record")
     unblinded = rotate_rows(amps, -record.alphas)
-    config = RotConfig(n=len(amps), theta=_ENCODE_ANGLE)
+    config = RotConfig(n=len(amps), theta=ENCODE_ANGLE)
     return bob_measure_honest(unblinded, config, rng)
 
 
@@ -226,21 +226,11 @@ class SenderCommitRound:
 
 @dataclass(frozen=True)
 class ReceiverCommitRound:
-    m: int
-    i_set: tuple[int, ...]
-    j_set: tuple[int, ...]
+    sets: IndexSets
     conclusive: tuple[tuple[int, int], ...]
     c0: int
     c1: int
     received_share: int
-
-    @property
-    def x_set(self) -> tuple[int, ...]:
-        return self.i_set if self.m == 0 else self.j_set
-
-    @property
-    def y_set(self) -> tuple[int, ...]:
-        return self.j_set if self.m == 0 else self.i_set
 
 
 @dataclass(frozen=True)
@@ -268,8 +258,8 @@ class CommitReceiverState:
 class CommitTranscript:
     """Both ends of a finished commit; only the sender side knows the bit."""
 
-    sender: CommitSenderState
-    receiver: CommitReceiverState
+    sender: CommitSenderState | P5SenderState
+    receiver: CommitReceiverState | P5ReceiverState
 
 
 @dataclass(frozen=True)
@@ -325,7 +315,7 @@ def bc_commit_over_ot(
     n: int,
     variant: str,
     rng: RngStream,
-    theta: float = _ENCODE_ANGLE,
+    theta: float = ENCODE_ANGLE,
     alpha: Fraction = DEFAULT_ALPHA,
     max_attempts_per_round: int = 1000,
 ) -> CommitTranscript:
@@ -336,7 +326,7 @@ def bc_commit_over_ot(
         raise ValueError("need at least one round")
     if variant not in OT_VARIANTS:
         raise ValueError(f"variant must be one of {OT_VARIANTS}")
-    if variant != PROTOCOL_P2BC and abs(theta - _ENCODE_ANGLE) > 1e-12:
+    if variant != PROTOCOL_P2BC and abs(theta - ENCODE_ANGLE) > 1e-12:
         raise ValueError("the pair and blinded channels fix theta at pi/4")
     k = k_of(n, alpha)
     if k < 1:
@@ -369,9 +359,7 @@ def bc_commit_over_ot(
         )
         receiver_rounds.append(
             ReceiverCommitRound(
-                m=sets.m,
-                i_set=sets.i_set,
-                j_set=sets.j_set,
+                sets=sets,
                 conclusive=transcript.receiver.conclusive,
                 c0=transcript.c0,
                 c1=transcript.c1,
@@ -420,9 +408,9 @@ def bc_verify(receiver_state: CommitReceiverState, open_msg: OpenMessage) -> Ver
     for idx, (orec, rrec) in enumerate(zip(open_msg.rounds, receiver_state.rounds), start=1):
         if orec.share0 not in (0, 1) or orec.share1 not in (0, 1):
             return _reject(f"round {idx}: shares are not bits")
-        if tuple(p for p, _ in orec.declared_x) != rrec.x_set:
+        if tuple(p for p, _ in orec.declared_x) != rrec.sets.x_set:
             return _reject(f"round {idx}: declared X positions differ from the announcement")
-        if tuple(p for p, _ in orec.declared_y) != rrec.y_set:
+        if tuple(p for p, _ in orec.declared_y) != rrec.sets.y_set:
             return _reject(f"round {idx}: declared Y positions differ from the announcement")
         cmap = dict(rrec.conclusive)
         for pos, val in orec.declared_x + orec.declared_y:
@@ -442,7 +430,7 @@ def bc_verify(receiver_state: CommitReceiverState, open_msg: OpenMessage) -> Ver
             return _reject(f"round {idx}: ciphertext c0 inconsistent with the declared opening")
         if rrec.c1 != orec.share1 ^ s_y:
             return _reject(f"round {idx}: ciphertext c1 inconsistent with the declared opening")
-        declared_received = orec.share0 if rrec.m == 0 else orec.share1
+        declared_received = orec.share0 if rrec.sets.m == 0 else orec.share1
         if declared_received != rrec.received_share:
             return _reject(f"round {idx}: declared share differs from the transferred share")
         decoded_bits.append(orec.share0 ^ orec.share1)
@@ -556,13 +544,6 @@ class P5ReceiverState:
     alphas: np.ndarray
     states: Optional[np.ndarray]
     records: Optional[list[list[Optional[tuple[str, str]]]]]
-    perfect_detectors: bool = False
-
-
-@dataclass(frozen=True)
-class P5CommitTranscript:
-    sender: P5SenderState
-    receiver: P5ReceiverState
 
 
 @dataclass(frozen=True)
@@ -587,8 +568,8 @@ def p5_measure_record(
     if present is None:
         present = np.ones(alphas.shape, dtype=bool)
     unblinded = rotate_rows(amps[present], -alphas[present])
-    x, outcomes = honest_outcomes(unblinded, _ENCODE_ANGLE, rng)
-    labels = measurement_bases(_ENCODE_ANGLE)[0].labels
+    x, outcomes = honest_outcomes(unblinded, ENCODE_ANGLE, rng)
+    labels = measurement_bases(ENCODE_ANGLE)[0].labels
     measured = iter(zip(basis_tags(x), [labels[o] for o in outcomes.tolist()]))
     return [[next(measured) if arrived else None for arrived in row] for row in present.tolist()]
 
@@ -608,7 +589,7 @@ def p5_commit(
     function: BooleanFunctionSpec,
     rng: RngStream,
     measure_at_commit: bool = False,
-) -> P5CommitTranscript:
+) -> CommitTranscript:
     """Commit b by encoding m preimage strings on the receiver's blinded grid."""
     if m < 1:
         raise ValueError("need at least one string")
@@ -624,7 +605,7 @@ def p5_commit(
     else:
         states.flags.writeable = False
     alphas.flags.writeable = False
-    return P5CommitTranscript(
+    return CommitTranscript(
         sender=P5SenderState(
             protocol_id=PROTOCOL_P5, bit=b, m=m, n=n, function=function, strings=strings
         ),
@@ -665,6 +646,8 @@ def p5_verify_records(
     for i, string in enumerate(open_msg.strings, start=1):
         if len(string) != function.arity:
             return _reject(f"string {i}: wrong length")
+        if not set(string) <= {0, 1}:
+            return _reject(f"string {i}: holds a value other than 0 and 1")
         if function(string) != open_msg.bit:
             return _reject(f"string {i}: function value does not match the declared bit")
     for i, (string, row) in enumerate(zip(open_msg.strings, records), start=1):
@@ -683,36 +666,26 @@ def p5_open_verify(
     sender_state: P5SenderState, receiver_state: P5ReceiverState, rng: RngStream
 ) -> VerifyResult:
     """Open and verify in one step, measuring now if measurement was deferred."""
-    return p5_verify_records(
-        p5_open(sender_state), _p5_records(receiver_state, rng), receiver_state.function
-    )
+    return _p5_verify(receiver_state, p5_open(sender_state), rng)
 
 
-def _p5_records(
-    receiver_state: P5ReceiverState, rng: Optional[RngStream]
-) -> list[list[Optional[tuple[str, str]]]]:
-    """The commit-time records, or the held qubits measured now."""
-    if receiver_state.records is not None:
-        return receiver_state.records
-    if rng is None:
-        raise ValueError("deferred measurement needs an rng at open time")
-    return p5_measure_record(receiver_state.states, receiver_state.alphas, rng)
+def _p5_verify(
+    receiver_state: P5ReceiverState, open_msg: P5OpenMessage, rng: Optional[RngStream]
+) -> VerifyResult:
+    """Verify against the commit-time records, or the held qubits measured now."""
+    records = receiver_state.records
+    if records is None:
+        if rng is None:
+            raise ValueError("deferred measurement needs an rng at open time")
+        records = p5_measure_record(receiver_state.states, receiver_state.alphas, rng)
+    return p5_verify_records(open_msg, records, receiver_state.function)
 
 
 # ---------------------------------------------------------------------------
-# JSON views (classical data only)
+# JSON views (classical data only), one codec per protocol family
 
 
-def sender_state_to_dict(state) -> dict:
-    if isinstance(state, P5SenderState):
-        return {
-            "protocol_id": state.protocol_id,
-            "bit": state.bit,
-            "m": state.m,
-            "n": state.n,
-            "function": state.function.name,
-            "strings": [list(s) for s in state.strings],
-        }
+def _bc_sender_to_dict(state: CommitSenderState) -> dict:
     return {
         "protocol_id": state.protocol_id,
         "bit": state.bit,
@@ -735,21 +708,7 @@ def sender_state_to_dict(state) -> dict:
     }
 
 
-def receiver_state_to_dict(state) -> dict:
-    if isinstance(state, P5ReceiverState):
-        if state.records is None:
-            raise ValueError("only commit-time-measured runs serialize; qubits are not JSON")
-        return {
-            "protocol_id": state.protocol_id,
-            "m": state.m,
-            "n": state.n,
-            "function": state.function.name,
-            "alphas": [[float(a) for a in row] for row in state.alphas],
-            "records": [
-                [list(rec) if rec is not None else None for rec in row]
-                for row in state.records
-            ],
-        }
+def _bc_receiver_to_dict(state: CommitReceiverState) -> dict:
     return {
         "protocol_id": state.protocol_id,
         "l": state.l,
@@ -758,9 +717,9 @@ def receiver_state_to_dict(state) -> dict:
         "theta": state.theta,
         "rounds": [
             {
-                "m": rnd.m,
-                "i_set": list(rnd.i_set),
-                "j_set": list(rnd.j_set),
+                "m": rnd.sets.m,
+                "i_set": list(rnd.sets.i_set),
+                "j_set": list(rnd.sets.j_set),
                 "conclusive": [{"pos": pos, "val": val} for pos, val in rnd.conclusive],
                 "c0": rnd.c0,
                 "c1": rnd.c1,
@@ -771,13 +730,7 @@ def receiver_state_to_dict(state) -> dict:
     }
 
 
-def open_message_to_dict(msg) -> dict:
-    if isinstance(msg, P5OpenMessage):
-        return {
-            "protocol_id": msg.protocol_id,
-            "bit": msg.bit,
-            "strings": [list(s) for s in msg.strings],
-        }
+def _bc_open_to_dict(msg: OpenMessage) -> dict:
     return {
         "protocol_id": msg.protocol_id,
         "rounds": [
@@ -789,6 +742,40 @@ def open_message_to_dict(msg) -> dict:
             }
             for rnd in msg.rounds
         ],
+    }
+
+
+def _p5_sender_to_dict(state: P5SenderState) -> dict:
+    return {
+        "protocol_id": state.protocol_id,
+        "bit": state.bit,
+        "m": state.m,
+        "n": state.n,
+        "function": state.function.name,
+        "strings": [list(s) for s in state.strings],
+    }
+
+
+def _p5_receiver_to_dict(state: P5ReceiverState) -> dict:
+    if state.records is None:
+        raise ValueError("only commit-time-measured runs serialize; qubits are not JSON")
+    return {
+        "protocol_id": state.protocol_id,
+        "m": state.m,
+        "n": state.n,
+        "function": state.function.name,
+        "alphas": [[float(a) for a in row] for row in state.alphas],
+        "records": [
+            [list(rec) if rec is not None else None for rec in row] for row in state.records
+        ],
+    }
+
+
+def _p5_open_to_dict(msg: P5OpenMessage) -> dict:
+    return {
+        "protocol_id": msg.protocol_id,
+        "bit": msg.bit,
+        "strings": [list(s) for s in msg.strings],
     }
 
 
@@ -805,20 +792,21 @@ def _field(d, key: str, read, where: str = ""):
     """read(d[key]) for a transcript read from untrusted JSON.
 
     A missing field, or one that `read` refuses with a TypeError or
-    ValueError, raises a ValueError naming the field.
+    ValueError, raises a ValueError naming the field (`where.key`).
     """
+    name = f"{where}.{key}" if where else key
     try:
         value = d[key]
     except KeyError:
-        raise ValueError(f"missing field {where + key!r}") from None
+        raise ValueError(f"missing field {name!r}") from None
     except (TypeError, IndexError):
         raise ValueError(
-            f"expected a JSON object with field {where + key!r}, got {type(d).__name__}"
+            f"expected a JSON object with field {name!r}, got {type(d).__name__}"
         ) from None
     try:
         return read(value)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"field {where + key!r} is malformed: {exc}") from None
+        raise ValueError(f"field {name!r} is malformed: {exc}") from None
 
 
 def _int(x) -> int:
@@ -853,11 +841,18 @@ def _ints(x) -> tuple[int, ...]:
     return values
 
 
-def _bits(x) -> np.ndarray:
+def _bits(n: int, x) -> np.ndarray:
     bits = _ints(x)
-    if not set(bits) <= {0, 1}:
-        raise ValueError("expected a list of bits")
+    if len(bits) != n or not set(bits) <= {0, 1}:
+        raise ValueError(f"expected a list of n = {n} bits")
     return np.array(bits, dtype=np.int8)
+
+
+def _positions(n: int, x) -> tuple[int, ...]:
+    positions = _ints(x)
+    if not all(1 <= p <= n for p in positions):
+        raise ValueError(f"positions must lie in 1..{n}")
+    return positions
 
 
 def _int_rows(x) -> tuple[tuple[int, ...], ...]:
@@ -893,92 +888,78 @@ def _records(x) -> list[list[Optional[tuple[str, str]]]]:
     return [[_record(rec) for rec in _list(row)] for row in _list(x)]
 
 
-def _rounds(d: dict) -> list[tuple[dict, str]]:
-    """(round, its field prefix) for every entry of d["rounds"]."""
-    return [(rnd, f"rounds[{i}].") for i, rnd in enumerate(_field(d, "rounds", _list))]
+def _rounds(d: dict, l: Optional[int] = None) -> list[tuple[dict, str]]:
+    """(round, its name) for every entry of d["rounds"], which must hold l if given."""
+    rounds = _field(d, "rounds", _list)
+    if l is not None and len(rounds) != l:
+        raise ValueError(f"field 'rounds' holds {len(rounds)} rounds, but field 'l' is {l}")
+    return [(rnd, f"rounds[{i}]") for i, rnd in enumerate(rounds)]
 
 
-def sender_state_from_dict(d: dict):
-    if _field(d, "protocol_id", _str) == PROTOCOL_P5:
-        n = _field(d, "n", _int)
-        return P5SenderState(
-            protocol_id=PROTOCOL_P5,
-            bit=_field(d, "bit", _int),
-            m=_field(d, "m", _int),
-            n=n,
-            function=_function_from_name(_field(d, "function", _str), n),
-            strings=_field(d, "strings", _int_rows),
-        )
+def _announcement(rnd: dict, at: str, n: int, k: int) -> IndexSets:
+    """A round's announced sets: k positions each in I and J, all in 1..n."""
+    positions = functools.partial(_positions, n)
+    i_set = _field(rnd, "i_set", positions, at)
+    j_set = _field(rnd, "j_set", positions, at)
+    m = _field(rnd, "m", _int, at)
+    try:
+        sets = IndexSets(i_set=i_set, j_set=j_set, m=m)
+    except ValueError as exc:
+        raise ValueError(f"{at}: {exc}") from None
+    if len(i_set) != k:
+        raise ValueError(f"{at}: the announced sets hold {len(i_set)} positions each, not k = {k}")
+    return sets
+
+
+def _bc_sender_from_dict(d: dict) -> CommitSenderState:
+    l, n = _field(d, "l", _int), _field(d, "n", _int)
+    positions = functools.partial(_positions, n)
     rounds = tuple(
         SenderCommitRound(
             share0=_field(rnd, "share0", _int, at),
             share1=_field(rnd, "share1", _int, at),
-            bits=_field(rnd, "r", _bits, at),
-            x_set=_field(rnd, "x_set", _ints, at),
-            y_set=_field(rnd, "y_set", _ints, at),
+            bits=_field(rnd, "r", functools.partial(_bits, n), at),
+            x_set=_field(rnd, "x_set", positions, at),
+            y_set=_field(rnd, "y_set", positions, at),
             c0=_field(rnd, "c0", _int, at),
             c1=_field(rnd, "c1", _int, at),
         )
-        for rnd, at in _rounds(d)
+        for rnd, at in _rounds(d, l)
     )
     return CommitSenderState(
         protocol_id=d["protocol_id"],
         bit=_field(d, "bit", _int),
-        l=_field(d, "l", _int),
-        n=_field(d, "n", _int),
+        l=l,
+        n=n,
         k=_field(d, "k", _int),
         theta=_field(d, "theta", _float),
         rounds=rounds,
     )
 
 
-def receiver_state_from_dict(d: dict):
-    if _field(d, "protocol_id", _str) == PROTOCOL_P5:
-        m, n = _field(d, "m", _int), _field(d, "n", _int)
-        alphas = _field(d, "alphas", _float_rows)
-        records = _field(d, "records", _records)
-        if alphas.shape != (m, n):
-            raise ValueError(f"field 'alphas' must hold m x n = {m} x {n} angles")
-        if [len(row) for row in records] != [n] * m:
-            raise ValueError(f"field 'records' must hold m x n = {m} x {n} entries")
-        return P5ReceiverState(
-            protocol_id=PROTOCOL_P5,
-            m=m,
-            n=n,
-            function=_function_from_name(_field(d, "function", _str), n),
-            alphas=alphas,
-            states=None,
-            records=records,
-        )
+def _bc_receiver_from_dict(d: dict) -> CommitReceiverState:
+    l, n, k = _field(d, "l", _int), _field(d, "n", _int), _field(d, "k", _int)
     rounds = tuple(
         ReceiverCommitRound(
-            m=_field(rnd, "m", _int, at),
-            i_set=_field(rnd, "i_set", _ints, at),
-            j_set=_field(rnd, "j_set", _ints, at),
+            sets=_announcement(rnd, at, n, k),
             conclusive=_field(rnd, "conclusive", _pos_vals, at),
             c0=_field(rnd, "c0", _int, at),
             c1=_field(rnd, "c1", _int, at),
             received_share=_field(rnd, "received_share", _int, at),
         )
-        for rnd, at in _rounds(d)
+        for rnd, at in _rounds(d, l)
     )
     return CommitReceiverState(
         protocol_id=d["protocol_id"],
-        l=_field(d, "l", _int),
-        n=_field(d, "n", _int),
-        k=_field(d, "k", _int),
+        l=l,
+        n=n,
+        k=k,
         theta=_field(d, "theta", _float),
         rounds=rounds,
     )
 
 
-def open_message_from_dict(d: dict):
-    if _field(d, "protocol_id", _str) == PROTOCOL_P5:
-        return P5OpenMessage(
-            protocol_id=PROTOCOL_P5,
-            bit=_field(d, "bit", _int),
-            strings=_field(d, "strings", _int_rows),
-        )
+def _bc_open_from_dict(d: dict) -> OpenMessage:
     rounds = tuple(
         OpenRound(
             share0=_field(rnd, "share0", _int, at),
@@ -991,13 +972,118 @@ def open_message_from_dict(d: dict):
     return OpenMessage(protocol_id=d["protocol_id"], rounds=rounds)
 
 
+def _p5_sender_from_dict(d: dict) -> P5SenderState:
+    n = _field(d, "n", _int)
+    return P5SenderState(
+        protocol_id=PROTOCOL_P5,
+        bit=_field(d, "bit", _int),
+        m=_field(d, "m", _int),
+        n=n,
+        function=_function_from_name(_field(d, "function", _str), n),
+        strings=_field(d, "strings", _int_rows),
+    )
+
+
+def _p5_receiver_from_dict(d: dict) -> P5ReceiverState:
+    m, n = _field(d, "m", _int), _field(d, "n", _int)
+    alphas = _field(d, "alphas", _float_rows)
+    records = _field(d, "records", _records)
+    if alphas.shape != (m, n):
+        raise ValueError(f"field 'alphas' must hold m x n = {m} x {n} angles")
+    if [len(row) for row in records] != [n] * m:
+        raise ValueError(f"field 'records' must hold m x n = {m} x {n} entries")
+    return P5ReceiverState(
+        protocol_id=PROTOCOL_P5,
+        m=m,
+        n=n,
+        function=_function_from_name(_field(d, "function", _str), n),
+        alphas=alphas,
+        states=None,
+        records=records,
+    )
+
+
+def _p5_open_from_dict(d: dict) -> P5OpenMessage:
+    return P5OpenMessage(
+        protocol_id=PROTOCOL_P5,
+        bit=_field(d, "bit", _int),
+        strings=_field(d, "strings", _int_rows),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the protocol families: which codecs, opener and verifier a protocol id uses
+
+
+class Codec(NamedTuple):
+    to_dict: Callable[[Any], dict]
+    from_dict: Callable[[dict], Any]
+
+
+class ProtocolFamily(NamedTuple):
+    """What a protocol id selects: its transcript codecs, opener and verifier."""
+
+    sender: Codec
+    receiver: Codec
+    opening: Codec
+    open: Callable[[Any], Any]
+    verify: Callable[[Any, Any, Optional[RngStream]], VerifyResult]
+
+
+# the three commitments built on the transfer split the bit into shares
+_SHARE_SPLIT = ProtocolFamily(
+    sender=Codec(_bc_sender_to_dict, _bc_sender_from_dict),
+    receiver=Codec(_bc_receiver_to_dict, _bc_receiver_from_dict),
+    opening=Codec(_bc_open_to_dict, _bc_open_from_dict),
+    open=bc_open,
+    # no qubit outlives a transfer round, so there is nothing left to measure
+    verify=lambda receiver_state, open_msg, rng: bc_verify(receiver_state, open_msg),
+)
+
+# the grid commitment encodes preimage strings directly
+_DIRECT = ProtocolFamily(
+    sender=Codec(_p5_sender_to_dict, _p5_sender_from_dict),
+    receiver=Codec(_p5_receiver_to_dict, _p5_receiver_from_dict),
+    opening=Codec(_p5_open_to_dict, _p5_open_from_dict),
+    open=p5_open,
+    verify=_p5_verify,
+)
+
+PROTOCOL_FAMILIES = {**dict.fromkeys(OT_VARIANTS, _SHARE_SPLIT), PROTOCOL_P5: _DIRECT}
+
+
+def protocol_family(protocol_id: str) -> ProtocolFamily:
+    """The table entry of a protocol id; a ValueError for any other value."""
+    if protocol_id not in PROTOCOL_FAMILIES:
+        known = ", ".join(PROTOCOL_FAMILIES)
+        raise ValueError(f"unknown protocol {protocol_id!r}, not one of {known}")
+    return PROTOCOL_FAMILIES[protocol_id]
+
+
+def sender_state_to_dict(state) -> dict:
+    return protocol_family(state.protocol_id).sender.to_dict(state)
+
+
+def receiver_state_to_dict(state) -> dict:
+    return protocol_family(state.protocol_id).receiver.to_dict(state)
+
+
+def open_message_to_dict(msg) -> dict:
+    return protocol_family(msg.protocol_id).opening.to_dict(msg)
+
+
+def sender_state_from_dict(d: dict):
+    return _field(d, "protocol_id", protocol_family).sender.from_dict(d)
+
+
+def receiver_state_from_dict(d: dict):
+    return _field(d, "protocol_id", protocol_family).receiver.from_dict(d)
+
+
+def open_message_from_dict(d: dict):
+    return _field(d, "protocol_id", protocol_family).opening.from_dict(d)
+
+
 def verify_from_states(receiver_state, open_msg, rng: Optional[RngStream] = None) -> VerifyResult:
-    """Dispatch verification by protocol family."""
-    if isinstance(receiver_state, P5ReceiverState):
-        if not isinstance(open_msg, P5OpenMessage):
-            return _reject("protocol identifier mismatch")
-        records = _p5_records(receiver_state, rng)
-        return p5_verify_records(open_msg, records, receiver_state.function)
-    if isinstance(open_msg, OpenMessage):
-        return bc_verify(receiver_state, open_msg)
-    return _reject("protocol identifier mismatch")
+    """Verify with the verifier of the receiver's protocol family."""
+    return protocol_family(receiver_state.protocol_id).verify(receiver_state, open_msg, rng)

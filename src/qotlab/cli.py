@@ -33,16 +33,14 @@ from .attacks import (
     probe_attack_p4,
 )
 from .bitcommit import (
-    PROTOCOL_P2BC,
-    PROTOCOL_P3,
-    PROTOCOL_P4,
+    PROTOCOL_FAMILIES,
+    PROTOCOL_P5,
     bc_commit_over_ot,
-    bc_open,
     open_message_from_dict,
     open_message_to_dict,
     p5_commit,
-    p5_open,
     parity_function,
+    protocol_family,
     receiver_state_from_dict,
     receiver_state_to_dict,
     sender_state_from_dict,
@@ -57,10 +55,9 @@ CSV_HEADER = "experiment,params,metric,value,ci_low,ci_high,trials"
 
 CURVE_N_LIST = (64, 128, 256, 512, 1024)
 
-_PROTOCOL_CHOICES = ("p2bc", "p3", "p4", "p5")
+# --protocol name of each protocol id, e.g. "p2bc" for "P2-BC"
+_PROTOCOLS = {pid.lower().replace("-", ""): pid for pid in PROTOCOL_FAMILIES}
 _ATTACK_CHOICES = ("usd", "nogo", "probe-p3", "probe-p4", "omission")
-
-_COMMIT_VARIANTS = {"p2bc": PROTOCOL_P2BC, "p3": PROTOCOL_P3, "p4": PROTOCOL_P4}
 
 # fixed stream offsets per campaign so reruns and partial runs never collide
 _STREAM_ROT_HONEST = 0
@@ -383,14 +380,14 @@ def cmd_commit(cfg: ExperimentConfig, parser: argparse.ArgumentParser) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rng = RngStream(cfg.seed, _STREAM_COMMIT)
     b = rng.bit()
-    if cfg.protocol_id == "p5":
+    protocol_id = _PROTOCOLS[cfg.protocol_id]
+    if protocol_id == PROTOCOL_P5:
         transcript = p5_commit(
             b, cfg.m, cfg.n, parity_function(cfg.n), rng, measure_at_commit=True
         )
     else:
-        variant = _COMMIT_VARIANTS[cfg.protocol_id]
         transcript = bc_commit_over_ot(
-            b, cfg.l, cfg.n, variant, rng, theta=cfg.theta, alpha=cfg.alpha
+            b, cfg.l, cfg.n, protocol_id, rng, theta=cfg.theta, alpha=cfg.alpha
         )
     _dump(out / "sender.json", sender_state_to_dict(transcript.sender))
     _dump(out / "receiver.json", receiver_state_to_dict(transcript.receiver))
@@ -401,10 +398,7 @@ def cmd_commit(cfg: ExperimentConfig, parser: argparse.ArgumentParser) -> int:
 def cmd_open(cfg: ExperimentConfig, parser: argparse.ArgumentParser) -> int:
     out = _transcript_dir(cfg, parser)
     sender = sender_state_from_dict(json.loads((out / "sender.json").read_text()))
-    if sender.protocol_id == "P5":
-        msg = p5_open(sender)
-    else:
-        msg = bc_open(sender)
+    msg = protocol_family(sender.protocol_id).open(sender)
     _dump(out / "open.json", open_message_to_dict(msg))
     print(f"open message written for {sender.protocol_id}")
     return 0
@@ -432,7 +426,7 @@ _FLAGS = {
     "--seed": (dict(type=int), None),
     "--theta": (dict(type=float), float(np.pi / 4)),
     "--alpha": (dict(type=str, help="rate margin for k"), "1/16"),
-    "--protocol": (dict(choices=_PROTOCOL_CHOICES), None),
+    "--protocol": (dict(choices=tuple(_PROTOCOLS)), None),
     "--attack": (dict(choices=_ATTACK_CHOICES), None),
     "--perfect-detectors": (dict(action="store_true"), False),
     "--out": (dict(), None),
@@ -481,8 +475,8 @@ def _default_n(command: str, protocol_id: Optional[str], attack_id: Optional[str
 def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ExperimentConfig:
     if args.command == "attack" and args.attack is None:
         parser.error("attack requires --attack {usd|nogo|probe-p3|probe-p4|omission}")
-    if args.command == "commit" and args.protocol not in ("p2bc", "p3", "p4", "p5"):
-        parser.error("commit requires --protocol {p2bc|p3|p4|p5}")
+    if args.command == "commit" and args.protocol not in _PROTOCOLS:
+        parser.error(f"commit requires --protocol {{{'|'.join(_PROTOCOLS)}}}")
     seed = args.seed
     if seed is None:
         raw = os.environ.get("QOT_SEED", str(DEFAULT_SEED))

@@ -28,22 +28,18 @@ from .rot import HONEST, USD, ReceiverRecord, RotConfig, SenderRecord, run_rot
 DEFAULT_ALPHA = Fraction(1, 16)
 BASE_RATE = Fraction(1, 4)
 
-EXACT_BINOMIAL = "exact-binomial"
-MONTE_CARLO = "monte-carlo"
-
 # two-sided 95% normal quantile, used for Wilson intervals
 _WILSON_Z = 1.959963984540054
 
 
-def k_of(n: int, alpha: Fraction = DEFAULT_ALPHA, base_rate: Fraction = BASE_RATE) -> int:
-    """floor((base_rate - alpha) * n), computed exactly for rational inputs."""
+def k_of(n: int, alpha: Fraction = DEFAULT_ALPHA) -> int:
+    """floor((BASE_RATE - alpha) * n), computed exactly for rational inputs."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     alpha = Fraction(alpha)
-    base_rate = Fraction(base_rate)
-    if not 0 < alpha < base_rate:
+    if not 0 < alpha < BASE_RATE:
         raise ValueError("alpha must lie strictly between 0 and the base rate")
-    return int((base_rate - alpha) * n)
+    return int((BASE_RATE - alpha) * n)
 
 
 @dataclass(frozen=True)
@@ -81,13 +77,10 @@ class IndexSets:
 @dataclass(frozen=True)
 class SecurityEstimate:
     value: float
-    method: str
     ci_low: float
     ci_high: float
 
     def __post_init__(self):
-        if self.method not in (EXACT_BINOMIAL, MONTE_CARLO):
-            raise ValueError(f"unknown method {self.method!r}")
         if not self.ci_low <= self.value <= self.ci_high:
             raise ValueError("confidence bounds must bracket the value")
 
@@ -137,9 +130,7 @@ def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[
 
 def monte_carlo_estimate(successes: int, trials: int) -> SecurityEstimate:
     low, high = wilson_interval(successes, trials)
-    return SecurityEstimate(
-        value=successes / trials, method=MONTE_CARLO, ci_low=low, ci_high=high
-    )
+    return SecurityEstimate(value=successes / trials, ci_low=low, ci_high=high)
 
 
 # terms of a tail more than this far (in log) below its largest term, plus
@@ -394,7 +385,7 @@ def p1_exact(
     """
     rate = RotConfig(n=n, theta=theta).honest_conclusive_rate
     value = binomial_tail(n, rate, k_of(n, alpha))
-    return SecurityEstimate(value=value, method=EXACT_BINOMIAL, ci_low=value, ci_high=value)
+    return SecurityEstimate(value=value, ci_low=value, ci_high=value)
 
 
 def p2_exact(
@@ -403,7 +394,7 @@ def p2_exact(
     """Probability a discrimination receiver reaches 2k and learns both bits."""
     rate = RotConfig(n=n, theta=theta).usd_conclusive_rate
     value = binomial_tail(n, rate, 2 * k_of(n, alpha))
-    return SecurityEstimate(value=value, method=EXACT_BINOMIAL, ci_low=value, ci_high=value)
+    return SecurityEstimate(value=value, ci_low=value, ci_high=value)
 
 
 @dataclass(frozen=True)
@@ -421,38 +412,3 @@ def security_curve(n_list: Sequence[int], alpha: Fraction = DEFAULT_ALPHA) -> li
             CurveRow(n=n, k=k_of(n, alpha), p1=p1_exact(n, alpha).value, p2=p2_exact(n, alpha).value)
         )
     return rows
-
-
-def curve_csv(rows: Sequence[CurveRow]) -> str:
-    lines = ["n,k,p1,p2"]
-    for row in rows:
-        lines.append(f"{row.n},{row.k},{row.p1:.12g},{row.p2:.12g}")
-    return "\n".join(lines) + "\n"
-
-
-def transcript_dict(t: Ot12Transcript) -> dict:
-    """JSON-ready record of one run."""
-    out = {
-        "n": t.n,
-        "k": t.k,
-        "theta": t.theta,
-        "strategy": t.strategy,
-        "aborted": t.aborted,
-        "r": [int(b) for b in t.sender.bits],
-        "basis_choices": list(t.receiver.basis_choices),
-        "conclusive": [{"pos": pos, "val": val} for pos, val in t.receiver.conclusive],
-    }
-    if not t.aborted:
-        out.update(
-            {
-                "m": t.sets.m,
-                "i_set": list(t.sets.i_set),
-                "j_set": list(t.sets.j_set),
-                "x_set": list(t.sets.x_set),
-                "y_set": list(t.sets.y_set),
-                "c0": t.c0,
-                "c1": t.c1,
-                "b_received": t.b_received,
-            }
-        )
-    return out

@@ -205,15 +205,3 @@ def run_rot(
     else:
         raise ValueError(f"unknown receiver strategy {strategy!r}")
     return sender, receiver
-
-
-def transcript_dict(config: RotConfig, sender: SenderRecord, receiver: ReceiverRecord) -> dict:
-    """JSON-ready record of one run."""
-    return {
-        "n": config.n,
-        "theta": config.theta,
-        "r": [int(b) for b in sender.bits],
-        "strategy": receiver.strategy,
-        "basis_choices": list(receiver.basis_choices),
-        "conclusive": [{"pos": pos, "val": val} for pos, val in receiver.conclusive],
-    }

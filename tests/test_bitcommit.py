@@ -238,7 +238,7 @@ class TestTamperRejection:
         for seed in range(20):
             t = bc_commit_over_ot(0, l=1, n=64, variant=PROTOCOL_P2BC, rng=RngStream(600 + seed, 0))
             s_rnd, r_rnd = bc_open(t.sender).rounds[0], t.receiver.rounds[0]
-            side, share = ("declared_y", "share1") if r_rnd.m == 0 else ("declared_x", "share0")
+            side, share = ("declared_y", "share1") if r_rnd.sets.m == 0 else ("declared_x", "share0")
             known = dict(r_rnd.conclusive)
             for i, (pos, val) in enumerate(getattr(s_rnd, side)):
                 declared = list(getattr(s_rnd, side))
@@ -388,6 +388,24 @@ class TestGridCommitment:
         result = p5_verify_records(bad, t.receiver.records, spec)
         assert not result.accepted
         assert "does not match the declared bit" in result.first_inconsistency
+
+    def test_declared_values_other_than_bits_are_rejected(self):
+        """Adding 2 at two inconclusive positions keeps the XOR of the string
+        at the declared bit and contradicts no conclusive outcome, so only a
+        check on the values catches it."""
+        spec = parity_function(6)
+        t = p5_commit(0, 3, 6, spec, RngStream(58, 0), measure_at_commit=True)
+        msg = p5_open(t.sender)
+        strings = [list(s) for s in msg.strings]
+        records = t.receiver.records[0]
+        a, b = [j for j, rec in enumerate(records) if p5_record_value(rec) is None][:2]
+        strings[0][a] += 2
+        strings[0][b] += 2
+        bad = dataclasses.replace(msg, strings=tuple(tuple(s) for s in strings))
+        assert spec(strings[0]) == 0
+        result = p5_verify_records(bad, t.receiver.records, spec)
+        assert not result.accepted
+        assert "other than 0 and 1" in result.first_inconsistency
 
 
 class TestSerialization:

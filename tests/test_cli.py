@@ -246,3 +246,134 @@ def test_attack_omission_perfect_flag(capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "detected_at_commit_rate" in out
+
+
+def _commit_and_open(tmp_path, seed):
+    common = ["--protocol", "p2bc", "--seed", str(seed), "--out", str(tmp_path)]
+    assert run_cli(["commit", "--l", "2", "--n", "16", *common]).returncode == 0
+    assert run_cli(["open", *common]).returncode == 0
+    return common
+
+
+def test_verify_refuses_an_unknown_protocol_id(tmp_path):
+    common = _commit_and_open(tmp_path, 21)
+    for name in ("sender.json", "receiver.json", "open.json"):
+        doc = json.loads((tmp_path / name).read_text())
+        doc["protocol_id"] = "bogus"
+        (tmp_path / name).write_text(json.dumps(doc))
+
+    def refused(command):
+        result = run_cli([command, *common])
+        assert result.returncode == 2, (command, result.stdout)
+        assert "protocol_id" in result.stderr and "bogus" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    refused("open")  # reads sender.json
+    refused("verify")  # reads receiver.json first
+    receiver = json.loads((tmp_path / "receiver.json").read_text())
+    receiver["protocol_id"] = "P2-BC"
+    (tmp_path / "receiver.json").write_text(json.dumps(receiver))
+    refused("verify")  # now open.json is the bogus one
+
+
+def test_verify_refuses_a_forged_announcement(tmp_path):
+    """Round 0 announces I = [11, 7, 4, 11] at k = 3, with the opening and
+    the ciphertext adjusted to match: every check of the opening passes (the
+    repeated 11 cancels out of the mask), so only the reader can refuse it."""
+    common = _commit_and_open(tmp_path, 21)
+    receiver = json.loads((tmp_path / "receiver.json").read_text())
+    opening = json.loads((tmp_path / "open.json").read_text())
+    rnd, orn = receiver["rounds"][0], opening["rounds"][0]
+    assert receiver["k"] == 3
+    known = {c["pos"]: c["val"] for c in rnd["conclusive"]}
+    rnd["i_set"] = [11, 7, 4, 11]
+    declared = [{"pos": p, "val": known.get(p, 0)} for p in rnd["i_set"]]
+    # the masked slot: X (c0, share0) when m = 0, Y (c1, share1) when m = 1
+    slot = rnd["m"]
+    orn[("declared_x", "declared_y")[slot]] = declared
+    rnd[f"c{slot}"] = orn[f"share{slot}"] ^ declared[1]["val"] ^ declared[2]["val"]
+    (tmp_path / "receiver.json").write_text(json.dumps(receiver))
+    (tmp_path / "open.json").write_text(json.dumps(opening))
+    result = run_cli(["verify", *common])
+    assert result.returncode == 2, result.stdout
+    assert "rounds[0]" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def _unsorted(rnd):
+    rnd["i_set"].reverse()
+
+
+def _repeated(rnd):
+    rnd["i_set"][1] = rnd["i_set"][0]
+
+
+def _unequal(rnd):
+    rnd["j_set"].pop()
+
+
+def _overlapping(rnd):
+    rnd["j_set"] = sorted(rnd["j_set"][1:] + rnd["i_set"][:1])
+
+
+def _position_zero(rnd):
+    rnd["i_set"][0] = 0
+
+
+def _position_past_n(rnd):
+    rnd["j_set"][-1] = 17
+
+
+@pytest.mark.parametrize(
+    "mutate, reason",
+    [
+        (_unsorted, "rounds[1]: index sets must be sorted"),
+        (_repeated, "rounds[1]: index sets must be sorted without repeats"),
+        (_unequal, "rounds[1]: index sets must have equal size"),
+        (_overlapping, "rounds[1]: index sets must be disjoint"),
+        (_position_zero, "'rounds[1].i_set' is malformed: positions must lie in 1..16"),
+        (_position_past_n, "'rounds[1].j_set' is malformed: positions must lie in 1..16"),
+    ],
+)
+def test_verify_refuses_a_malformed_announcement(mutate, reason, tmp_path, capsys):
+    common = ["--protocol", "p2bc", "--seed", "25", "--out", str(tmp_path)]
+    assert main(["commit", "--l", "2", "--n", "16", *common]) == 0
+    assert main(["open", *common]) == 0
+    receiver = json.loads((tmp_path / "receiver.json").read_text())
+    mutate(receiver["rounds"][1])
+    (tmp_path / "receiver.json").write_text(json.dumps(receiver))
+    capsys.readouterr()
+    assert main(["verify", *common]) == 2
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, field, value, reason",
+    [
+        ("receiver.json", "k", 2, "rounds[0]: the announced sets hold 3 positions each, not k = 2"),
+        ("receiver.json", "l", 3, "field 'rounds' holds 2 rounds, but field 'l' is 3"),
+        ("sender.json", "l", 1, "field 'rounds' holds 2 rounds, but field 'l' is 1"),
+        ("sender.json", "n", 8, "'rounds[0].r' is malformed: expected a list of n = 8 bits"),
+    ],
+)
+def test_transcript_counts_must_agree(name, field, value, reason, tmp_path, capsys):
+    common = ["--protocol", "p2bc", "--seed", "25", "--out", str(tmp_path)]
+    assert main(["commit", "--l", "2", "--n", "16", *common]) == 0
+    assert main(["open", *common]) == 0
+    doc = json.loads((tmp_path / name).read_text())
+    doc[field] = value
+    (tmp_path / name).write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["open" if name == "sender.json" else "verify", *common]) == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_open_refuses_a_sender_position_out_of_range(tmp_path, capsys):
+    common = ["--protocol", "p2bc", "--seed", "25", "--out", str(tmp_path)]
+    assert main(["commit", "--l", "2", "--n", "16", *common]) == 0
+    sender = json.loads((tmp_path / "sender.json").read_text())
+    sender["rounds"][0]["x_set"][-1] = 99
+    (tmp_path / "sender.json").write_text(json.dumps(sender))
+    capsys.readouterr()
+    assert main(["open", *common]) == 2
+    assert "'rounds[0].x_set' is malformed" in capsys.readouterr().err

@@ -12,11 +12,9 @@ from qotlab.ot12 import (
     HONEST,
     TAIL_LOG_MARGIN,
     USD,
-    CurveRow,
     _tail_window,
     binomial_tail,
     choose_index_sets,
-    curve_csv,
     k_of,
     monte_carlo_estimate,
     p1_exact,
@@ -172,7 +170,6 @@ class TestTailProbabilities:
         assert p1_exact(n).value == pytest.approx(
             scipy.stats.binom.sf(k_of(n) - 1, n, 0.25), rel=1e-10
         )
-        assert p1_exact(n).method == "exact-binomial"
 
     @pytest.mark.parametrize("theta", [0.3, 0.5, 1.2, np.pi / 2])
     def test_p1_sums_at_the_honest_rate_of_theta(self, theta):
@@ -219,7 +216,6 @@ class TestEstimators:
     def test_monte_carlo_estimate_fields(self):
         est = monte_carlo_estimate(25, 100)
         assert est.value == 0.25
-        assert est.method == "monte-carlo"
         assert est.ci_low <= est.value <= est.ci_high
 
 
@@ -375,10 +371,3 @@ class TestCurve:
         ss_tot = float(np.sum((logs - logs.mean()) ** 2))
         assert 1 - ss_res / ss_tot > 0.99
         assert slope < 0
-
-    def test_curve_csv_format(self):
-        rows = [CurveRow(n=64, k=12, p1=0.5, p2=0.25)]
-        text = curve_csv(rows)
-        lines = text.strip().splitlines()
-        assert lines[0] == "n,k,p1,p2"
-        assert lines[1].startswith("64,12,")

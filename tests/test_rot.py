@@ -7,7 +7,6 @@ from qotlab.qsim import RngStream
 from qotlab.rot import (
     BASIS_0,
     BASIS_1,
-    BASIS_USD,
     HONEST,
     USD,
     ReceiverRecord,
@@ -17,7 +16,6 @@ from qotlab.rot import (
     bob_measure_usd,
     encoding_states,
     run_rot,
-    transcript_dict,
 )
 
 
@@ -131,17 +129,3 @@ def test_measure_functions_reject_length_mismatch():
         bob_measure_honest(amps[:3], cfg, rng)
     with pytest.raises(ValueError):
         bob_measure_usd(np.concatenate([amps, amps]), cfg, rng)
-
-
-def test_transcript_dict_round_trip_shape():
-    cfg = RotConfig(8)
-    rng = RngStream(13, 0)
-    sender, receiver = run_rot(cfg, USD, rng)
-    doc = transcript_dict(cfg, sender, receiver)
-    assert doc["n"] == 8
-    assert doc["strategy"] == USD
-    assert len(doc["r"]) == 8
-    assert doc["basis_choices"] == [BASIS_USD] * 8
-    for entry in doc["conclusive"]:
-        assert set(entry) == {"pos", "val"}
-        assert doc["r"][entry["pos"] - 1] == entry["val"]
