@@ -34,7 +34,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .ot12 import DEFAULT_ALPHA, IndexSets, Ot12Transcript, k_of, run_masked_transfer
+from .ot12 import DEFAULT_ALPHA, IndexSets, k_of, run_masked_transfer
 from .qsim import (
     ProjectiveBasis,
     RngStream,
@@ -293,20 +293,48 @@ def _reject(reason: str) -> VerifyResult:
     return VerifyResult(accepted=False, recovered_bit=None, first_inconsistency=reason)
 
 
+def _split_rounds(
+    sender: SenderRecord, receiver: ReceiverRecord, rounds: int, n: int
+) -> list[tuple[SenderRecord, ReceiverRecord]]:
+    """Cut one pass over rounds * n qubits into per-round records, each with
+    its positions renumbered 1..n."""
+    bits = sender.bits.reshape(rounds, n)
+    conclusive: list[list[tuple[int, int]]] = [[] for _ in range(rounds)]
+    for pos, val in receiver.conclusive:
+        r, offset = divmod(pos - 1, n)
+        conclusive[r].append((offset + 1, val))
+    tags = receiver.basis_choices
+    return [
+        (
+            SenderRecord(bits=bits[r]),
+            ReceiverRecord(
+                strategy=receiver.strategy,
+                basis_choices=tags[r * n : (r + 1) * n],
+                conclusive=tuple(conclusive[r]),
+            ),
+        )
+        for r in range(rounds)
+    ]
+
+
 def _ot_channel(
-    variant: str, n: int, theta: float, rng: RngStream
-) -> tuple[SenderRecord, ReceiverRecord]:
+    variant: str, rounds: int, n: int, theta: float, rng: RngStream
+) -> list[tuple[SenderRecord, ReceiverRecord]]:
+    """The qubit phase of `rounds` transfer rounds, sampled as one pass."""
+    size = rounds * n
     if variant == PROTOCOL_P2BC:
-        return run_rot(RotConfig(n=n, theta=theta), HONEST, rng)
-    if variant == PROTOCOL_P3:
-        bits = rng.bits(n)
-        return SenderRecord(bits=bits), p3_measure(p3_prepare_and_encode(bits), rng)
-    if variant == PROTOCOL_P4:
-        record, blinded = p4_prepare_blinded(n, rng)
-        bits = rng.bits(n)
+        sender, receiver = run_rot(RotConfig(n=size, theta=theta), HONEST, rng)
+    elif variant == PROTOCOL_P3:
+        bits = rng.bits(size)
+        sender, receiver = SenderRecord(bits=bits), p3_measure(p3_prepare_and_encode(bits), rng)
+    elif variant == PROTOCOL_P4:
+        record, blinded = p4_prepare_blinded(size, rng)
+        bits = rng.bits(size)
         encoded = p4_encode(blinded, bits)
-        return SenderRecord(bits=bits), p4_unblind_and_measure(encoded, record, rng)
-    raise ValueError(f"unknown commitment variant {variant!r}")
+        sender, receiver = SenderRecord(bits=bits), p4_unblind_and_measure(encoded, record, rng)
+    else:
+        raise ValueError(f"unknown commitment variant {variant!r}")
+    return _split_rounds(sender, receiver, rounds, n)
 
 
 def bc_commit_over_ot(
@@ -319,7 +347,12 @@ def bc_commit_over_ot(
     alpha: Fraction = DEFAULT_ALPHA,
     max_attempts_per_round: int = 1000,
 ) -> CommitTranscript:
-    """Commit bit b over l transfer rounds; aborted rounds are redrawn fresh."""
+    """Commit bit b over l transfer rounds.
+
+    The rounds run in waves: each wave draws the shares and one channel pass
+    for every round still missing, and only the rounds that aborted go into
+    the next wave. Completed rounds are kept in the order they completed.
+    """
     if b not in (0, 1):
         raise ValueError("the committed value must be a bit")
     if l < 1:
@@ -333,39 +366,39 @@ def bc_commit_over_ot(
         raise ValueError(f"n={n} gives k={k} announced positions; hiding needs k >= 1")
     sender_rounds = []
     receiver_rounds = []
-    for _ in range(l):
-        transcript: Optional[Ot12Transcript] = None
-        for _attempt in range(max_attempts_per_round):
-            share0 = rng.bit()
+    for _wave in range(max_attempts_per_round):
+        missing = l - len(sender_rounds)
+        shares0 = rng.bits(missing).tolist()
+        channels = _ot_channel(variant, missing, n, theta, rng)
+        for share0, (sender_rec, receiver_rec) in zip(shares0, channels):
             share1 = share0 ^ b
-            sender_rec, receiver_rec = _ot_channel(variant, n, theta, rng)
             t = run_masked_transfer(sender_rec, receiver_rec, n, k, share0, share1, rng, theta)
-            if not t.aborted:
-                transcript = t
-                break
-        if transcript is None:
-            raise RuntimeError("transfer round kept aborting; n is too small for k")
-        sets = transcript.sets
-        sender_rounds.append(
-            SenderCommitRound(
-                share0=share0,
-                share1=share1,
-                bits=transcript.sender.bits,
-                x_set=sets.x_set,
-                y_set=sets.y_set,
-                c0=transcript.c0,
-                c1=transcript.c1,
+            if t.aborted:
+                continue
+            sender_rounds.append(
+                SenderCommitRound(
+                    share0=share0,
+                    share1=share1,
+                    bits=t.sender.bits,
+                    x_set=t.sets.x_set,
+                    y_set=t.sets.y_set,
+                    c0=t.c0,
+                    c1=t.c1,
+                )
             )
-        )
-        receiver_rounds.append(
-            ReceiverCommitRound(
-                sets=sets,
-                conclusive=transcript.receiver.conclusive,
-                c0=transcript.c0,
-                c1=transcript.c1,
-                received_share=transcript.b_received,
+            receiver_rounds.append(
+                ReceiverCommitRound(
+                    sets=t.sets,
+                    conclusive=t.receiver.conclusive,
+                    c0=t.c0,
+                    c1=t.c1,
+                    received_share=t.b_received,
+                )
             )
-        )
+        if len(sender_rounds) == l:
+            break
+    else:
+        raise RuntimeError("transfer round kept aborting; n is too small for k")
     return CommitTranscript(
         sender=CommitSenderState(
             protocol_id=variant, bit=b, l=l, n=n, k=k, theta=theta, rounds=tuple(sender_rounds)

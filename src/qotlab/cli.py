@@ -224,8 +224,8 @@ def cmd_ot12(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     rows.append(_mc_row("ot12", params, "received_correct_rate", correct, max(completed, 1)))
     rows.append(_exact_row("ot12", params, "p1_exact", p1.value))
     rows.append(_exact_row("ot12", params, "p2_exact", p2.value))
-    for curve in security_curve(list(CURVE_N_LIST), cfg.alpha):
-        cparams = f"alpha={cfg.alpha};n={curve.n}"
+    for curve in security_curve(list(CURVE_N_LIST), cfg.alpha, cfg.theta):
+        cparams = f"alpha={cfg.alpha};n={curve.n};theta={_g(cfg.theta)}"
         rows.append(_exact_row("ot12-curve", cparams, "k", float(curve.k)))
         rows.append(_exact_row("ot12-curve", cparams, "p1_exact", curve.p1))
         rows.append(_exact_row("ot12-curve", cparams, "p2_exact", curve.p2))
@@ -439,8 +439,8 @@ _COMMAND_FLAGS = {
     "rot": _CAMPAIGN_FLAGS,
     "ot12": _CAMPAIGN_FLAGS + ("--alpha",),
     "commit": ("--protocol", "--n", "--l", "--m", "--seed", "--theta", "--alpha", "--out"),
-    "open": ("--protocol", "--seed", "--out"),
-    "verify": ("--protocol", "--seed", "--out"),
+    "open": ("--seed", "--out"),
+    "verify": ("--seed", "--out"),
     "attack": _CAMPAIGN_FLAGS + ("--attack", "--alpha", "--m", "--perfect-detectors"),
 }
 

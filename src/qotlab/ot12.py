@@ -405,10 +405,11 @@ class CurveRow:
     p2: float
 
 
-def security_curve(n_list: Sequence[int], alpha: Fraction = DEFAULT_ALPHA) -> list[CurveRow]:
+def security_curve(
+    n_list: Sequence[int], alpha: Fraction = DEFAULT_ALPHA, theta: float = float(np.pi / 4)
+) -> list[CurveRow]:
     rows = []
     for n in n_list:
-        rows.append(
-            CurveRow(n=n, k=k_of(n, alpha), p1=p1_exact(n, alpha).value, p2=p2_exact(n, alpha).value)
-        )
+        p1, p2 = p1_exact(n, alpha, theta).value, p2_exact(n, alpha, theta).value
+        rows.append(CurveRow(n=n, k=k_of(n, alpha), p1=p1, p2=p2))
     return rows

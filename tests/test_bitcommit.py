@@ -1,11 +1,13 @@
 """Bit commitment over the transfer channel, in all four variants."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from qotlab import bitcommit
 from qotlab.bitcommit import (
     OT_VARIANTS,
     PROTOCOL_P2BC,
@@ -44,7 +46,7 @@ from qotlab.bitcommit import (
     sender_state_to_dict,
     verify_from_states,
 )
-from qotlab.ot12 import k_of
+from qotlab.ot12 import k_of, p1_exact
 from qotlab.qsim import RngStream, StateVector, born_probabilities
 
 
@@ -274,6 +276,100 @@ class TestTamperRejection:
         )
         result = bc_verify(transcript.receiver, dataclasses.replace(msg, rounds=tuple(rounds)))
         assert not result.accepted
+
+
+# the samplers the P2-BC, P3 and P4 channel passes draw from
+_SAMPLERS = ("run_rot", "p3_measure", "p4_unblind_and_measure")
+
+
+class TestCommitWaves:
+    """A commitment samples every missing round in one channel pass per wave."""
+
+    @pytest.fixture()
+    def log(self, monkeypatch):
+        """("sample", qubits) per sampler call, ("transfer", aborted) per round tail."""
+        events = []
+        for name in _SAMPLERS:
+            original = getattr(bitcommit, name)
+
+            def sample(*args, _name=name, _original=original):
+                events.append(("sample", args[0].n if _name == "run_rot" else len(args[0])))
+                return _original(*args)
+
+            monkeypatch.setattr(bitcommit, name, sample)
+        transfer = bitcommit.run_masked_transfer
+
+        def logged_transfer(*args, **kwargs):
+            t = transfer(*args, **kwargs)
+            events.append(("transfer", t.aborted))
+            return t
+
+        monkeypatch.setattr(bitcommit, "run_masked_transfer", logged_transfer)
+        return events
+
+    @pytest.mark.parametrize("variant", sorted(OT_VARIANTS))
+    def test_one_sampler_call_per_wave_over_the_missing_rounds(self, log, variant):
+        l, n = 8, 16
+        wave_counts = []
+        for seed in range(20):
+            log.clear()
+            bc_commit_over_ot(seed % 2, l=l, n=n, variant=variant, rng=RngStream(700 + seed, 0))
+            waves = []  # [qubits sampled, round tails run, aborts] per wave
+            for kind, value in log:
+                if kind == "sample":
+                    waves.append([value, 0, 0])
+                else:
+                    waves[-1][1] += 1
+                    waves[-1][2] += value
+            # each wave is one pass over exactly the rounds still missing
+            missing = l
+            for qubits, tails, aborts in waves:
+                assert (qubits, tails) == (missing * n, missing)
+                missing = aborts
+            assert missing == 0
+            wave_counts.append(len(waves))
+        # a round-by-round loop would make at least l calls per commit
+        assert max(wave_counts) < l
+        assert np.mean(wave_counts) < 3
+
+    def test_pooled_round_abort_rate_matches_the_exact_tail(self, log):
+        n = 16
+        for variant in OT_VARIANTS:
+            for seed in range(100):
+                bc_commit_over_ot(seed % 2, l=8, n=n, variant=variant, rng=RngStream(800 + seed, 1))
+        aborted = [value for kind, value in log if kind == "transfer"]
+        expected = 1.0 - p1_exact(n).value
+        sigma = math.sqrt(expected * (1.0 - expected) / len(aborted))
+        assert abs(np.mean(aborted) - expected) < 5 * sigma
+
+    @pytest.mark.parametrize("variant", sorted(OT_VARIANTS))
+    def test_every_round_keeps_its_own_sent_bits(self, variant):
+        n = 16
+        for seed in range(10):
+            t = bc_commit_over_ot(1, l=8, n=n, variant=variant, rng=RngStream(900 + seed, 0))
+            for s_rnd, r_rnd in zip(t.sender.rounds, t.receiver.rounds):
+                assert s_rnd.bits.shape == (n,)
+                assert r_rnd.conclusive
+                for pos, val in r_rnd.conclusive:
+                    assert 1 <= pos <= n
+                    assert s_rnd.bits[pos - 1] == val
+                assert set(r_rnd.sets.i_set) <= {pos for pos, _ in r_rnd.conclusive}
+
+    def test_a_channel_that_never_clicks_raises_after_the_last_wave(self, monkeypatch):
+        qubits = []
+        run_rot = bitcommit.run_rot
+
+        def never_conclusive(config, strategy, rng):
+            qubits.append(config.n)
+            sender, receiver = run_rot(config, strategy, rng)
+            return sender, dataclasses.replace(receiver, conclusive=())
+
+        monkeypatch.setattr(bitcommit, "run_rot", never_conclusive)
+        with pytest.raises(RuntimeError, match="transfer round kept aborting; n is too small for k"):
+            bc_commit_over_ot(
+                0, l=3, n=16, variant=PROTOCOL_P2BC, rng=RngStream(46, 0), max_attempts_per_round=7
+            )
+        assert qubits == [3 * 16] * 7
 
 
 class TestBooleanFunctions:

@@ -72,9 +72,17 @@ class TestExitCodes:
         assert result.returncode == 2
 
     def test_flag_of_another_command_is_a_usage_error(self):
-        result = run_cli(["open", "--protocol", "p2bc", "--trials", "5", "--out", "x"])
+        result = run_cli(["open", "--trials", "5", "--out", "x"])
         assert result.returncode == 2
         assert "--trials" in result.stderr
+
+    @pytest.mark.parametrize("command", ["open", "verify"])
+    def test_protocol_flag_on_open_or_verify_is_a_usage_error(self, command, tmp_path):
+        # the transcript files name their protocol; open and verify take no other
+        assert run_cli(["commit", "--protocol", "p2bc", "--out", str(tmp_path)]).returncode == 0
+        result = run_cli([command, "--protocol", "p5", "--out", str(tmp_path)])
+        assert result.returncode == 2
+        assert "--protocol" in result.stderr
 
     def test_non_integer_seed_variable_is_a_usage_error(self):
         result = run_cli(["rot", "--n", "8", "--trials", "1"], env_extra={"QOT_SEED": "abc"})
@@ -120,8 +128,10 @@ def test_flag_overrides_environment():
 @pytest.mark.parametrize("protocol", ["p2bc", "p3", "p4", "p5"])
 def test_commit_open_verify_round_trip(protocol, tmp_path, capsys):
     workdir = str(tmp_path)
-    common = ["--protocol", protocol, "--seed", "21", "--out", workdir]
-    assert main(["commit", "--n", "8", "--l", "2", "--m", "2", *common]) == 0
+    common = ["--seed", "21", "--out", workdir]
+    assert main(
+        ["commit", "--protocol", protocol, "--n", "8", "--l", "2", "--m", "2", *common]
+    ) == 0
     assert main(["open", *common]) == 0
     assert main(["verify", *common]) == 0
     out = capsys.readouterr().out
@@ -132,8 +142,8 @@ def test_commit_open_verify_round_trip(protocol, tmp_path, capsys):
 
 def test_tampered_opening_is_rejected(tmp_path, capsys):
     workdir = str(tmp_path)
-    common = ["--protocol", "p2bc", "--seed", "22", "--out", workdir]
-    assert main(["commit", "--n", "8", "--l", "2", *common]) == 0
+    common = ["--seed", "22", "--out", workdir]
+    assert main(["commit", "--protocol", "p2bc", "--n", "8", "--l", "2", *common]) == 0
     assert main(["open", *common]) == 0
     opening = json.loads((tmp_path / "open.json").read_text())
     opening["rounds"][0]["share0"] ^= 1
@@ -146,8 +156,9 @@ def test_tampered_opening_is_rejected(tmp_path, capsys):
 
 def test_verify_rejects_an_opening_with_a_missing_field(tmp_path):
     workdir = str(tmp_path)
-    common = ["--protocol", "p2bc", "--seed", "23", "--out", workdir]
-    assert run_cli(["commit", "--n", "8", "--l", "2", *common]).returncode == 0
+    common = ["--seed", "23", "--out", workdir]
+    result = run_cli(["commit", "--protocol", "p2bc", "--n", "8", "--l", "2", *common])
+    assert result.returncode == 0
     assert run_cli(["open", *common]).returncode == 0
     opening = json.loads((tmp_path / "open.json").read_text())
     del opening["rounds"][0]["share0"]
@@ -164,8 +175,10 @@ def test_verify_names_every_missing_or_mistyped_field(protocol, name, tmp_path, 
     """Each field of a valid transcript, deleted or replaced by a value of
     the wrong type, is refused with a usage error that names it."""
     workdir = str(tmp_path)
-    common = ["--protocol", protocol, "--seed", "24", "--out", workdir]
-    assert main(["commit", "--n", "8", "--l", "2", "--m", "2", *common]) == 0
+    common = ["--seed", "24", "--out", workdir]
+    assert main(
+        ["commit", "--protocol", protocol, "--n", "8", "--l", "2", "--m", "2", *common]
+    ) == 0
     assert main(["open", *common]) == 0
     original = json.loads((tmp_path / name).read_text())
 
@@ -190,7 +203,7 @@ def test_verify_names_every_missing_or_mistyped_field(protocol, name, tmp_path, 
 
 
 def test_verify_without_files_is_a_usage_error(tmp_path):
-    result = run_cli(["verify", "--protocol", "p2bc", "--out", str(tmp_path)])
+    result = run_cli(["verify", "--out", str(tmp_path)])
     assert result.returncode == 2
 
 
@@ -206,6 +219,23 @@ def test_abort_rate_exact_follows_theta():
     # at theta = 0.5 the honest rate is sin(0.5)**2 / 2, about 0.115, not 1/4
     result = run_cli(["ot12", "--n", "256", "--trials", "200", "--theta", "0.5", "--check"])
     assert result.returncode == 0, result.stderr
+
+
+def test_curve_rows_follow_theta(capsys):
+    """At theta = 1.2 the curve row at the run's n repeats the run's exact tails."""
+    assert main(["ot12", "--n", "256", "--trials", "5", "--seed", "7", "--theta", "1.2"]) == 0
+    rows = {}
+    for line in capsys.readouterr().out.strip().splitlines()[1:]:
+        experiment, params, metric, value = line.split(",")[:4]
+        rows[experiment, params, metric] = value
+    run = ("ot12", "alpha=1/16;n=256;theta=1.2")
+    curve = ("ot12-curve", "alpha=1/16;n=256;theta=1.2")
+    for metric in ("p1_exact", "p2_exact"):
+        assert rows[(*curve, metric)] == rows[(*run, metric)]
+    assert float(rows[(*run, "p2_exact")]) == 1.0
+    curve_params = {params for experiment, params, _ in rows if experiment == "ot12-curve"}
+    assert len(curve_params) == 5
+    assert all(params.endswith(";theta=1.2") for params in curve_params)
 
 
 def test_attack_nogo_reports_exact_numbers(capsys):
@@ -249,8 +279,9 @@ def test_attack_omission_perfect_flag(capsys):
 
 
 def _commit_and_open(tmp_path, seed):
-    common = ["--protocol", "p2bc", "--seed", str(seed), "--out", str(tmp_path)]
-    assert run_cli(["commit", "--l", "2", "--n", "16", *common]).returncode == 0
+    common = ["--seed", str(seed), "--out", str(tmp_path)]
+    result = run_cli(["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", *common])
+    assert result.returncode == 0
     assert run_cli(["open", *common]).returncode == 0
     return common
 
@@ -336,8 +367,8 @@ def _position_past_n(rnd):
     ],
 )
 def test_verify_refuses_a_malformed_announcement(mutate, reason, tmp_path, capsys):
-    common = ["--protocol", "p2bc", "--seed", "25", "--out", str(tmp_path)]
-    assert main(["commit", "--l", "2", "--n", "16", *common]) == 0
+    common = ["--seed", "25", "--out", str(tmp_path)]
+    assert main(["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", *common]) == 0
     assert main(["open", *common]) == 0
     receiver = json.loads((tmp_path / "receiver.json").read_text())
     mutate(receiver["rounds"][1])
@@ -357,8 +388,8 @@ def test_verify_refuses_a_malformed_announcement(mutate, reason, tmp_path, capsy
     ],
 )
 def test_transcript_counts_must_agree(name, field, value, reason, tmp_path, capsys):
-    common = ["--protocol", "p2bc", "--seed", "25", "--out", str(tmp_path)]
-    assert main(["commit", "--l", "2", "--n", "16", *common]) == 0
+    common = ["--seed", "25", "--out", str(tmp_path)]
+    assert main(["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", *common]) == 0
     assert main(["open", *common]) == 0
     doc = json.loads((tmp_path / name).read_text())
     doc[field] = value
@@ -369,8 +400,8 @@ def test_transcript_counts_must_agree(name, field, value, reason, tmp_path, caps
 
 
 def test_open_refuses_a_sender_position_out_of_range(tmp_path, capsys):
-    common = ["--protocol", "p2bc", "--seed", "25", "--out", str(tmp_path)]
-    assert main(["commit", "--l", "2", "--n", "16", *common]) == 0
+    common = ["--seed", "25", "--out", str(tmp_path)]
+    assert main(["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", *common]) == 0
     sender = json.loads((tmp_path / "sender.json").read_text())
     sender["rounds"][0]["x_set"][-1] = 99
     (tmp_path / "sender.json").write_text(json.dumps(sender))

@@ -22,6 +22,7 @@ from qotlab.bitcommit import (
     receiver_state_to_dict,
     sender_state_from_dict,
     sender_state_to_dict,
+    verify_from_states,
 )
 from qotlab.qsim import RngStream
 
@@ -54,6 +55,51 @@ def test_json_round_trip_re_encodes_to_the_same_dict(protocol_id, bit, seed, l, 
         again = to_dict(from_dict(json.loads(json.dumps(encoded))))
         assert again == encoded
         assert json.dumps(again, sort_keys=True) == json.dumps(encoded, sort_keys=True)
+
+
+def _opening_bits(opening: dict):
+    """Key path of every bit an opening declares: the P5 bit and string bits,
+    or every round's two shares and declared values."""
+    if opening["protocol_id"] == PROTOCOL_P5:
+        yield ("bit",)
+        for i, string in enumerate(opening["strings"]):
+            yield from (("strings", i, j) for j in range(len(string)))
+        return
+    for i, rnd in enumerate(opening["rounds"]):
+        yield ("rounds", i, "share0")
+        yield ("rounds", i, "share1")
+        for side in ("declared_x", "declared_y"):
+            yield from (("rounds", i, side, j, "val") for j in range(len(rnd[side])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    protocol_id=st.sampled_from(sorted(PROTOCOL_FAMILIES)),
+    bit=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+    l=st.integers(1, 4),
+    n=st.integers(6, 24),
+    m=st.integers(1, 4),
+)
+def test_every_single_bit_flip_of_an_opening_is_rejected(protocol_id, bit, seed, l, n, m):
+    """The honest opening is accepted; flipping any one of its bits is
+    rejected with a reason, whatever the round or position."""
+    t = _commit(protocol_id, bit, seed, l, n, m)
+    receiver = receiver_state_from_dict(json.loads(json.dumps(receiver_state_to_dict(t.receiver))))
+    opening = open_message_to_dict(protocol_family(protocol_id).open(t.sender))
+    honest = verify_from_states(receiver, open_message_from_dict(opening))
+    assert honest.accepted and honest.recovered_bit == bit
+    paths = list(_opening_bits(opening))
+    assert paths
+    for path in paths:
+        bad = json.loads(json.dumps(opening))
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] ^= 1
+        result = verify_from_states(receiver, open_message_from_dict(bad))
+        assert not result.accepted, path
+        assert result.first_inconsistency, path
 
 
 # any JSON value, biased towards ones a transcript field could plausibly hold
@@ -98,9 +144,10 @@ def transcripts(tmp_path_factory):
     out = {}
     for name in ("p2bc", "p3", "p4", "p5"):
         workdir = tmp_path_factory.mktemp(name)
-        common = ["--protocol", name, "--seed", "26", "--out", str(workdir)]
+        common = ["--seed", "26", "--out", str(workdir)]
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["commit", "--n", "8", "--l", "2", "--m", "2", *common]) == 0
+            commit = ["commit", "--protocol", name, "--n", "8", "--l", "2", "--m", "2"]
+            assert cli.main([*commit, *common]) == 0
             assert cli.main(["open", *common]) == 0
         out[name] = (
             workdir,
