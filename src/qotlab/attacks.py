@@ -35,6 +35,7 @@ from .bitcommit import (
     p5_measure_record,
     p5_verify_records,
     parity_function,
+    unblind_outcomes,
 )
 from .ot12 import SecurityEstimate, monte_carlo_estimate
 from .qsim import (
@@ -42,7 +43,6 @@ from .qsim import (
     RngStream,
     StateVector,
     apply_on_qubit,
-    batch_probabilities,
     bell_state,
     born_probabilities,
     fidelity,
@@ -50,7 +50,6 @@ from .qsim import (
     rotate_rows,
     rotation_plane,
 )
-from .rot import PERP_INDEX, measurement_bases
 
 _SUPPORT_TOL = 1e-9
 
@@ -93,13 +92,6 @@ class CheatReport:
                 raise ValueError(f"{name} must be a probability-like value in [0, 1]")
         if abs(self.achieved_overlap - self.fidelity) > 1e-8:
             raise ValueError("constructed unitary fails to attain the fidelity")
-
-    def to_dict(self) -> dict:
-        return {
-            "fidelity": self.fidelity,
-            "achieved_overlap": self.achieved_overlap,
-            "detection_probability": self.detection_probability,
-        }
 
 
 def nogo_reduced_states(inst: NoGoInstance) -> tuple[DensityMatrix, DensityMatrix]:
@@ -180,16 +172,6 @@ class ProbeAttackReport:
         sigma_run = math.sqrt(envelope * (1.0 - envelope) / self.trials)
         if self.run_success.value > envelope + 5.0 * sigma_run + 1e-12:
             raise ValueError("run success exceeds the per-qubit sanity envelope")
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "per_qubit_detection": self.per_qubit_detection.value,
-            "per_qubit_ci": [self.per_qubit_detection.ci_low, self.per_qubit_detection.ci_high],
-            "run_success": self.run_success.value,
-            "run_success_ci": [self.run_success.ci_low, self.run_success.ci_high],
-        }
 
 
 def entangle_probe_rows(amps: np.ndarray) -> np.ndarray:
@@ -326,20 +308,11 @@ def probe_attack_p4(
     else:
         alphas = np.full(size, float(alpha))
     r = rng.bits(size)
-    x = rng.bits(size)
     amps = blinded_amps(alphas)
     if apply_probe:
         amps = entangle_probe_rows(amps)
-    amps = rotate_rows(amps, ENCODE_ANGLE * r)
-    amps = rotate_rows(amps, -alphas)
-    probs = batch_probabilities(
-        amps,
-        measurement_bases(ENCODE_ANGLE),
-        choice=x,
-        qubits=(0,) if apply_probe else None,
-    )
-    conclusive = rng.choice_indices(probs) == PERP_INDEX
-    detected = (conclusive & ((x ^ 1) != r)).reshape(trials, n)
+    _, decoded = unblind_outcomes(rotate_rows(amps, ENCODE_ANGLE * r), alphas, rng)
+    detected = ((decoded >= 0) & (decoded != r)).reshape(trials, n)
     qubit_hits = int(detected.sum())
     run_successes = int((~detected.any(axis=1)).sum())
     return ProbeAttackReport(
@@ -371,17 +344,6 @@ class OmissionAttackReport:
             and self.open_one_accepted
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "perfect_detectors": self.perfect_detectors,
-            "detected_at_commit": self.detected_at_commit,
-            "open_zero_accepted": self.open_zero_accepted,
-            "open_one_accepted": self.open_one_accepted,
-            "succeeded": self.succeeded,
-        }
-
 
 def omission_attack_p5(
     n: int, m: int, perfect_detectors: bool, rng: RngStream
@@ -405,9 +367,9 @@ def omission_attack_p5(
     sent_bits = rng.bits(m * n).reshape(m, n)
     alphas = rng.gen.uniform(0.0, 2 * np.pi, size=(m, n))
     present = np.arange(n) != withheld[:, np.newaxis]
-    records = p5_measure_record(blinded_amps(alphas, sent_bits), alphas, rng, present)
+    basis, decoded = p5_measure_record(blinded_amps(alphas, sent_bits), alphas, rng, present)
     if perfect_detectors:
-        detected = any(rec is None for row in records for rec in row)
+        detected = bool((basis < 0).any())
         return OmissionAttackReport(
             n=n,
             m=m,
@@ -426,7 +388,7 @@ def omission_attack_p5(
             declared[w] = partial ^ target
             strings.append(tuple(declared))
         msg = P5OpenMessage(protocol_id=PROTOCOL_P5, bit=target, strings=tuple(strings))
-        accepted[target] = p5_verify_records(msg, records, function).accepted
+        accepted[target] = p5_verify_records(msg, decoded, function).accepted
     return OmissionAttackReport(
         n=n,
         m=m,

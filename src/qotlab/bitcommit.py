@@ -45,19 +45,7 @@ from .qsim import (
     rotate_rows,
     rotation_plane,
 )
-from .rot import (
-    BASIS_0,
-    HONEST,
-    PERP_OUTCOME,
-    ReceiverRecord,
-    RotConfig,
-    SenderRecord,
-    basis_tags,
-    bob_measure_honest,
-    honest_outcomes,
-    measurement_bases,
-    run_rot,
-)
+from .rot import HONEST, ReceiverRecord, RotConfig, SenderRecord, honest_outcomes, run_rot
 
 # Not used below (the channels sample through the batched kernel), but
 # bench/tracing.py wraps the per-state engine under this name here.
@@ -145,27 +133,11 @@ def p3_measure(amps: np.ndarray, rng: RngStream) -> ReceiverRecord:
     """Measure each returned pair in a uniformly chosen pair basis."""
     x = rng.bits(len(amps))
     outcomes = rng.choice_indices(batch_probabilities(amps, p3_bases(), choice=x))
-    return ReceiverRecord.from_decoded(HONEST, basis_tags(x), _p3_decode()[x, outcomes])
+    return ReceiverRecord.from_decoded(HONEST, x, _p3_decode()[x, outcomes])
 
 
 # ---------------------------------------------------------------------------
 # blinded single-qubit channel ("P4", also the qubit layer of "P5")
-
-
-@dataclass(frozen=True)
-class BlindedQubitRecord:
-    """The receiver's secret blinding angles, one per transit qubit."""
-
-    alphas: np.ndarray
-
-    def __post_init__(self):
-        alphas = np.asarray(self.alphas, dtype=np.float64).copy()
-        if alphas.ndim != 1 or alphas.size < 1:
-            raise ValueError("alphas must be a nonempty vector")
-        if np.any(alphas < 0.0) or np.any(alphas >= 2 * np.pi):
-            raise ValueError("alphas must lie in [0, 2*pi)")
-        alphas.flags.writeable = False
-        object.__setattr__(self, "alphas", alphas)
 
 
 def blinded_amps(alphas, bits=0) -> np.ndarray:
@@ -175,33 +147,25 @@ def blinded_amps(alphas, bits=0) -> np.ndarray:
     return np.stack((np.cos(angle), np.sin(angle)), axis=-1)
 
 
-def p4_prepare_blinded(n: int, rng: RngStream) -> tuple[BlindedQubitRecord, np.ndarray]:
-    """Receiver-side preparation: |0> rotated by a fresh uniform angle each."""
-    alphas = rng.gen.uniform(0.0, 2 * np.pi, size=n)
-    return BlindedQubitRecord(alphas=alphas), blinded_amps(alphas)
-
-
-def p4_encode(amps: np.ndarray, r_bits: np.ndarray) -> np.ndarray:
-    """Committer action: rotate by pi/4 exactly where her bit is 1."""
-    r_bits = np.asarray(r_bits)
-    if r_bits.shape != (len(amps),):
-        raise ValueError("need one bit per qubit")
-    return rotate_rows(amps, ENCODE_ANGLE * r_bits)
-
-
-def p4_unblind_and_measure(
-    amps: np.ndarray, record: BlindedQubitRecord, rng: RngStream
-) -> ReceiverRecord:
-    """Undo the blinding, then measure exactly like the plain honest receiver.
+def unblind_outcomes(
+    amps: np.ndarray, alphas: np.ndarray, rng: RngStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate each row back by its blinding angle, then measure qubit 0 like
+    the plain honest receiver: the basis bits and decoded bits of
+    `honest_outcomes`.
 
     After unblinding, an encoded 0 is |0> and an encoded 1 is |+>, so the
     statistics carry no trace of the blinding angles.
     """
-    if len(amps) != record.alphas.size:
-        raise ValueError("state count does not match the blinding record")
-    unblinded = rotate_rows(amps, -record.alphas)
-    config = RotConfig(n=len(amps), theta=ENCODE_ANGLE)
-    return bob_measure_honest(unblinded, config, rng)
+    alphas = np.asarray(alphas)
+    if alphas.shape != (len(amps),):
+        raise ValueError("need one blinding angle per row")
+    return honest_outcomes(rotate_rows(amps, -alphas), ENCODE_ANGLE, rng)
+
+
+def p4_unblind_and_measure(amps: np.ndarray, alphas: np.ndarray, rng: RngStream) -> ReceiverRecord:
+    """The blinded receiver's record of the returned qubits."""
+    return ReceiverRecord.from_decoded(HONEST, *unblind_outcomes(amps, alphas, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +267,13 @@ def _split_rounds(
     for pos, val in receiver.conclusive:
         r, offset = divmod(pos - 1, n)
         conclusive[r].append((offset + 1, val))
-    tags = receiver.basis_choices
+    basis = receiver.basis_choices.reshape(rounds, n)
     return [
         (
             SenderRecord(bits=bits[r]),
             ReceiverRecord(
                 strategy=receiver.strategy,
-                basis_choices=tags[r * n : (r + 1) * n],
+                basis_choices=basis[r],
                 conclusive=tuple(conclusive[r]),
             ),
         )
@@ -328,10 +292,11 @@ def _ot_channel(
         bits = rng.bits(size)
         sender, receiver = SenderRecord(bits=bits), p3_measure(p3_prepare_and_encode(bits), rng)
     elif variant == PROTOCOL_P4:
-        record, blinded = p4_prepare_blinded(size, rng)
+        # the receiver blinds |0> by a uniform angle, the committer encodes
+        alphas = rng.gen.uniform(0.0, 2 * np.pi, size=size)
         bits = rng.bits(size)
-        encoded = p4_encode(blinded, bits)
-        sender, receiver = SenderRecord(bits=bits), p4_unblind_and_measure(encoded, record, rng)
+        encoded = rotate_rows(blinded_amps(alphas), ENCODE_ANGLE * bits)
+        sender, receiver = SenderRecord(bits=bits), p4_unblind_and_measure(encoded, alphas, rng)
     else:
         raise ValueError(f"unknown commitment variant {variant!r}")
     return _split_rounds(sender, receiver, rounds, n)
@@ -560,14 +525,29 @@ class P5SenderState:
     strings: tuple[tuple[int, ...], ...]
 
 
+class P5Grids(NamedTuple):
+    """The outcomes of an (m, n) qubit grid as two read-only int8 grids: the
+    basis bit of each qubit, and its decoded bit. Both are -1 where the
+    qubit never arrived; the decoded bit is also -1 where the outcome was
+    inconclusive."""
+
+    basis: np.ndarray
+    decoded: np.ndarray
+
+
+def _p5_grids(basis: np.ndarray, decoded: np.ndarray) -> P5Grids:
+    basis.flags.writeable = False
+    decoded.flags.writeable = False
+    return P5Grids(basis, decoded)
+
+
 @dataclass(frozen=True)
 class P5ReceiverState:
-    """Blinding grid plus either held qubits or commit-time outcome records.
+    """Blinding grid plus either held qubits or commit-time outcome grids.
 
-    records[i][j] is a (basis_tag, outcome_label) pair once qubit (i, j) has
-    been measured, or None for a qubit that never clicked; states holds the
-    live qubits as an (m, n, 2) amplitude array while measurement is
-    deferred to open time.
+    states holds the live qubits as an (m, n, 2) amplitude array while
+    measurement is deferred to open time; records holds the outcomes once
+    the grid has been measured.
     """
 
     protocol_id: str
@@ -576,7 +556,7 @@ class P5ReceiverState:
     function: BooleanFunctionSpec
     alphas: np.ndarray
     states: Optional[np.ndarray]
-    records: Optional[list[list[Optional[tuple[str, str]]]]]
+    records: Optional[P5Grids]
 
 
 @dataclass(frozen=True)
@@ -588,31 +568,22 @@ class P5OpenMessage:
 
 def p5_measure_record(
     amps: np.ndarray, alphas: np.ndarray, rng: RngStream, present: Optional[np.ndarray] = None
-) -> list[list[Optional[tuple[str, str]]]]:
+) -> P5Grids:
     """Unblind every qubit of an (m, n) grid and measure each in a uniformly
     chosen basis.
 
     `amps` is (m, n, 2), `alphas` (m, n). Where the optional (m, n) mask
-    `present` is False the qubit never arrived and its record is None.
+    `present` is False the qubit never arrived and both its grid cells are -1.
     """
     alphas = np.asarray(alphas)
     if amps.shape != alphas.shape + (2,):
         raise ValueError("need one blinding angle per qubit of the grid")
     if present is None:
         present = np.ones(alphas.shape, dtype=bool)
-    unblinded = rotate_rows(amps[present], -alphas[present])
-    x, outcomes = honest_outcomes(unblinded, ENCODE_ANGLE, rng)
-    labels = measurement_bases(ENCODE_ANGLE)[0].labels
-    measured = iter(zip(basis_tags(x), [labels[o] for o in outcomes.tolist()]))
-    return [[next(measured) if arrived else None for arrived in row] for row in present.tolist()]
-
-
-def p5_record_value(record: tuple[str, str]) -> Optional[int]:
-    """Decoded bit of a conclusive outcome record, None if inconclusive."""
-    basis_tag, label = record
-    if label != PERP_OUTCOME:
-        return None
-    return 1 if basis_tag == BASIS_0 else 0
+    basis = np.full(alphas.shape, -1, dtype=np.int8)
+    decoded = basis.copy()
+    basis[present], decoded[present] = unblind_outcomes(amps[present], alphas[present], rng)
+    return _p5_grids(basis, decoded)
 
 
 def p5_commit(
@@ -631,7 +602,7 @@ def p5_commit(
     strings = p5_sample_strings(b, m, function, rng)
     alphas = rng.gen.uniform(0.0, 2 * np.pi, size=(m, n))
     states: Optional[np.ndarray] = blinded_amps(alphas, np.array(strings))
-    records: Optional[list[list[Optional[tuple[str, str]]]]] = None
+    records: Optional[P5Grids] = None
     if measure_at_commit:
         records = p5_measure_record(states, alphas, rng)
         states = None
@@ -661,20 +632,19 @@ def p5_open(sender_state: P5SenderState) -> P5OpenMessage:
 
 
 def p5_verify_records(
-    open_msg: P5OpenMessage,
-    records: list[list[Optional[tuple[str, str]]]],
-    function: BooleanFunctionSpec,
+    open_msg: P5OpenMessage, decoded: np.ndarray, function: BooleanFunctionSpec
 ) -> VerifyResult:
     """Check declared strings against function value and conclusive outcomes.
 
-    A None record means the detector never clicked for that qubit; nothing
-    can be checked there, so it is skipped.
+    `decoded` is the receiver's (m, n) grid of decoded bits; a -1 cell (a
+    qubit that never arrived, or an inconclusive outcome) checks nothing.
+    The first contradicted qubit in row-major order is reported.
     """
     if open_msg.protocol_id != PROTOCOL_P5:
         return _reject("protocol identifier mismatch")
     if open_msg.bit not in (0, 1):
         return _reject("declared value is not a bit")
-    if len(open_msg.strings) != len(records):
+    if len(open_msg.strings) != len(decoded):
         return _reject("string count mismatch")
     for i, string in enumerate(open_msg.strings, start=1):
         if len(string) != function.arity:
@@ -683,15 +653,11 @@ def p5_verify_records(
             return _reject(f"string {i}: holds a value other than 0 and 1")
         if function(string) != open_msg.bit:
             return _reject(f"string {i}: function value does not match the declared bit")
-    for i, (string, row) in enumerate(zip(open_msg.strings, records), start=1):
-        for j, record in enumerate(row, start=1):
-            if record is None:
-                continue
-            value = p5_record_value(record)
-            if value is not None and value != string[j - 1]:
-                return _reject(
-                    f"qubit ({i},{j}): conclusive outcome contradicts the declared bit"
-                )
+    # a decoded bit contradicts a declared one iff it is the other bit; -1 is neither
+    contradicted = np.flatnonzero(decoded == 1 - np.array(open_msg.strings, dtype=np.int8))
+    if contradicted.size:
+        i, j = divmod(int(contradicted[0]), decoded.shape[1])
+        return _reject(f"qubit ({i + 1},{j + 1}): conclusive outcome contradicts the declared bit")
     return VerifyResult(accepted=True, recovered_bit=open_msg.bit, first_inconsistency=None)
 
 
@@ -711,7 +677,7 @@ def _p5_verify(
         if rng is None:
             raise ValueError("deferred measurement needs an rng at open time")
         records = p5_measure_record(receiver_state.states, receiver_state.alphas, rng)
-    return p5_verify_records(open_msg, records, receiver_state.function)
+    return p5_verify_records(open_msg, records.decoded, receiver_state.function)
 
 
 # ---------------------------------------------------------------------------
@@ -789,6 +755,12 @@ def _p5_sender_to_dict(state: P5SenderState) -> dict:
     }
 
 
+# a P5 outcome record in JSON: [basis tag, outcome label], or null for a
+# qubit that never arrived; these strings appear nowhere else
+_P5_BASIS_TAGS = ("B0", "B1")
+_P5_OUTCOME_LABELS = ("psi", "perp")  # inconclusive, conclusive
+
+
 def _p5_receiver_to_dict(state: P5ReceiverState) -> dict:
     if state.records is None:
         raise ValueError("only commit-time-measured runs serialize; qubits are not JSON")
@@ -799,7 +771,11 @@ def _p5_receiver_to_dict(state: P5ReceiverState) -> dict:
         "function": state.function.name,
         "alphas": [[float(a) for a in row] for row in state.alphas],
         "records": [
-            [list(rec) if rec is not None else None for rec in row] for row in state.records
+            [
+                None if x < 0 else [_P5_BASIS_TAGS[x], _P5_OUTCOME_LABELS[d >= 0]]
+                for x, d in zip(basis_row, decoded_row)
+            ]
+            for basis_row, decoded_row in zip(*(grid.tolist() for grid in state.records))
         ],
     }
 
@@ -909,15 +885,20 @@ def _pos_vals(x) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _record(x) -> Optional[tuple[str, str]]:
+def _record(x) -> tuple[int, int]:
+    """(basis bit, decoded bit) of one outcome record; null is (-1, -1)."""
     if x is None:
-        return None
+        return -1, -1
     if len(_list(x)) != 2:
         raise ValueError("an outcome record is a [basis, outcome] pair")
-    return (_str(x[0]), _str(x[1]))
+    tag, label = _str(x[0]), _str(x[1])
+    if tag not in _P5_BASIS_TAGS or label not in _P5_OUTCOME_LABELS:
+        raise ValueError(f"unknown outcome record {[tag, label]}")
+    basis = _P5_BASIS_TAGS.index(tag)
+    return basis, (basis ^ 1 if label == _P5_OUTCOME_LABELS[1] else -1)
 
 
-def _records(x) -> list[list[Optional[tuple[str, str]]]]:
+def _records(x) -> list[list[tuple[int, int]]]:
     return [[_record(rec) for rec in _list(row)] for row in _list(x)]
 
 
@@ -1025,6 +1006,7 @@ def _p5_receiver_from_dict(d: dict) -> P5ReceiverState:
         raise ValueError(f"field 'alphas' must hold m x n = {m} x {n} angles")
     if [len(row) for row in records] != [n] * m:
         raise ValueError(f"field 'records' must hold m x n = {m} x {n} entries")
+    cells = np.array(records, dtype=np.int8).reshape(m, n, 2)
     return P5ReceiverState(
         protocol_id=PROTOCOL_P5,
         m=m,
@@ -1032,7 +1014,7 @@ def _p5_receiver_from_dict(d: dict) -> P5ReceiverState:
         function=_function_from_name(_field(d, "function", _str), n),
         alphas=alphas,
         states=None,
-        records=records,
+        records=_p5_grids(cells[..., 0], cells[..., 1]),
     )
 
 

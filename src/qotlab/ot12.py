@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .qsim import RngStream
-from .rot import HONEST, USD, ReceiverRecord, RotConfig, SenderRecord, run_rot
+from .rot import USD, ReceiverRecord, RotConfig, SenderRecord, run_rot
 
 DEFAULT_ALPHA = Fraction(1, 16)
 BASE_RATE = Fraction(1, 4)

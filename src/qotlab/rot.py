@@ -35,13 +35,6 @@ from .qsim import measure_povm, measure_projective  # noqa: F401
 HONEST = "honest"
 USD = "usd"
 
-BASIS_0 = "B0"
-BASIS_1 = "B1"
-BASIS_USD = "USD"
-
-PERP_OUTCOME = "perp"
-ALONG_OUTCOME = "psi"
-
 
 @dataclass(frozen=True)
 class RotConfig:
@@ -81,18 +74,23 @@ class SenderRecord:
 
 @dataclass(frozen=True)
 class ReceiverRecord:
-    """Per-qubit basis tags plus the conclusive (position, value) pairs.
+    """Per-qubit basis bits plus the conclusive (position, value) pairs.
 
-    Positions are 1-based and strictly increasing; a value is the decoded
-    sender bit, which for both receiver strategies is never wrong.
+    basis_choices holds the basis bit x of each qubit, or -1 for the
+    discriminating receiver, which chooses no basis. Positions are 1-based
+    and strictly increasing; a value is the decoded sender bit, which for
+    both receiver strategies is never wrong.
     """
 
     strategy: str
-    basis_choices: tuple[str, ...]
+    basis_choices: np.ndarray
     conclusive: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        n = len(self.basis_choices)
+        basis = np.array(self.basis_choices, dtype=np.int8)
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis_choices", basis)
+        n = len(basis)
         last = 0
         for pos, val in self.conclusive:
             if not last < pos <= n:
@@ -103,7 +101,7 @@ class ReceiverRecord:
 
     @classmethod
     def from_decoded(
-        cls, strategy: str, basis_choices: tuple[str, ...], decoded: np.ndarray
+        cls, strategy: str, basis_choices: np.ndarray, decoded: np.ndarray
     ) -> "ReceiverRecord":
         """Record from one decoded bit per qubit, -1 where inconclusive."""
         pos = np.flatnonzero(decoded >= 0)
@@ -135,19 +133,13 @@ def encoding_amps(theta: float) -> np.ndarray:
 def measurement_bases(theta: float) -> tuple[ProjectiveBasis, ProjectiveBasis]:
     """Basis x = {Psi_x, Psi_x perp}; the perp outcome decodes the bit x xor 1."""
     psi0, psi1 = make_nonorthogonal_pair(theta)
-    b0 = ProjectiveBasis(states=(psi0, perp(psi0)), labels=(ALONG_OUTCOME, PERP_OUTCOME))
-    b1 = ProjectiveBasis(states=(psi1, perp(psi1)), labels=(ALONG_OUTCOME, PERP_OUTCOME))
+    b0 = ProjectiveBasis(states=(psi0, perp(psi0)), labels=("psi", "perp"))
+    b1 = ProjectiveBasis(states=(psi1, perp(psi1)), labels=("psi", "perp"))
     return b0, b1
 
 
-# position of PERP_OUTCOME in each of measurement_bases
+# position of the perp outcome in each of measurement_bases
 PERP_INDEX = 1
-_BASIS_TAGS = (BASIS_0, BASIS_1)
-
-
-def basis_tags(x: np.ndarray) -> tuple[str, ...]:
-    """The tag of each basis bit in x."""
-    return tuple(map(_BASIS_TAGS.__getitem__, x.tolist()))
 
 
 def alice_send(config: RotConfig, rng: RngStream) -> tuple[SenderRecord, np.ndarray]:
@@ -164,21 +156,22 @@ def _check_length(amps: np.ndarray, n: int) -> None:
 
 
 def honest_outcomes(amps: np.ndarray, theta: float, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Basis bits and outcome indices of the honest measurement of each row.
+    """Basis bits and decoded bits of the honest measurement of each row.
 
-    Row i is measured in basis x[i] = {Psi_x, Psi_x perp}, x uniform;
-    outcome PERP_INDEX is conclusive and decodes the bit x xor 1.
+    Row i is measured in basis x[i] = {Psi_x, Psi_x perp}, x uniform; the
+    perp outcome is conclusive and decodes the bit x xor 1, the other one
+    decodes to -1. A row of several qubits is measured on qubit 0 with the
+    rest traced out.
     """
     x = rng.bits(len(amps))
-    probs = batch_probabilities(amps, measurement_bases(theta), choice=x)
-    return x, rng.choice_indices(probs)
+    qubits = (0,) if amps.shape[1] > 2 else None
+    probs = batch_probabilities(amps, measurement_bases(theta), choice=x, qubits=qubits)
+    return x, np.where(rng.choice_indices(probs) == PERP_INDEX, x ^ 1, -1)
 
 
 def bob_measure_honest(amps: np.ndarray, config: RotConfig, rng: RngStream) -> ReceiverRecord:
     _check_length(amps, config.n)
-    x, outcomes = honest_outcomes(amps, config.theta, rng)
-    decoded = np.where(outcomes == PERP_INDEX, x ^ 1, -1)
-    return ReceiverRecord.from_decoded(HONEST, basis_tags(x), decoded)
+    return ReceiverRecord.from_decoded(HONEST, *honest_outcomes(amps, config.theta, rng))
 
 
 # outcome index of usd_povm -> decoded bit
@@ -190,7 +183,7 @@ def bob_measure_usd(amps: np.ndarray, config: RotConfig, rng: RngStream) -> Rece
     povm = usd_povm(config.theta)
     values = np.array([_USD_VALUES.get(label, -1) for label in povm.labels])
     decoded = values[rng.choice_indices(batch_probabilities(amps, povm))]
-    return ReceiverRecord.from_decoded(USD, (BASIS_USD,) * config.n, decoded)
+    return ReceiverRecord.from_decoded(USD, np.full(config.n, -1), decoded)
 
 
 def run_rot(

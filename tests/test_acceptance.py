@@ -28,15 +28,13 @@ from qotlab.attacks import (
 )
 from qotlab.bitcommit import (
     OT_VARIANTS,
+    ENCODE_ANGLE,
     PROTOCOL_P2BC,
-    BlindedQubitRecord,
     bc_commit_over_ot,
     bc_open,
     bc_verify,
     bell_state,
     blinded_amps,
-    p4_encode,
-    p4_prepare_blinded,
     p4_unblind_and_measure,
     p5_commit,
     p5_open,
@@ -52,6 +50,7 @@ from qotlab.qsim import (
     fidelity,
     partial_trace,
     purify,
+    rotate_rows,
     rotation_plane,
     usd_povm,
 )
@@ -223,7 +222,7 @@ def test_criterion_07_commitment_round_trips():
     strings[0][0] ^= 1
     flipped_string = dataclasses.replace(msg5, strings=tuple(tuple(s) for s in strings))
     for bad in (flipped_bit, flipped_string):
-        rejections += not p5_verify_records(bad, t5.receiver.records, spec).accepted
+        rejections += not p5_verify_records(bad, t5.receiver.records.decoded, spec).accepted
 
     ok = accepted == total == 400 and rejections == 7
     report(7, ok, f"{accepted}/{total} honest accepts, {rejections}/7 tampered fields rejected")
@@ -291,15 +290,15 @@ def test_criterion_10_blinding_equivalence():
         for run in range(runs):
             rng = RngStream(110 if arm == "uniform" else 111, run)
             if arm == "uniform":
-                record, states = p4_prepare_blinded(n_per_run, rng)
+                alphas = rng.gen.uniform(0.0, 2 * np.pi, size=n_per_run)
             else:
-                record = BlindedQubitRecord(alphas=np.zeros(n_per_run))
-                states = blinded_amps(record.alphas)
+                alphas = np.zeros(n_per_run)
             bits = np.array([rng.bit() for _ in range(n_per_run)], dtype=np.int8)
-            received = p4_unblind_and_measure(p4_encode(states, bits), record, rng)
+            encoded = rotate_rows(blinded_amps(alphas), ENCODE_ANGLE * bits)
+            received = p4_unblind_and_measure(encoded, alphas, rng)
             conclusive = set(received.conclusive_positions)
-            for pos, tag in enumerate(received.basis_choices, start=1):
-                idx = 2 * (tag == "B1") + (pos in conclusive)
+            for pos, basis in enumerate(received.basis_choices.tolist(), start=1):
+                idx = 2 * (basis == 1) + (pos in conclusive)
                 counts[arm][idx] += 1
     table = np.stack([counts["uniform"], counts["zero"]])
     _, p_value, _, _ = scipy.stats.chi2_contingency(table)

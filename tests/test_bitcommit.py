@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qotlab import bitcommit
 from qotlab.bitcommit import (
@@ -14,6 +16,7 @@ from qotlab.bitcommit import (
     PROTOCOL_P3,
     PROTOCOL_P4,
     PROTOCOL_P5,
+    ENCODE_ANGLE,
     BooleanFunctionSpec,
     OpenMessage,
     OpenRound,
@@ -29,14 +32,12 @@ from qotlab.bitcommit import (
     p3_measure,
     p3_pair_states,
     p3_prepare_and_encode,
-    p4_encode,
-    p4_prepare_blinded,
     p4_unblind_and_measure,
     p5_commit,
     p5_measure_record,
     p5_open,
+    P5OpenMessage,
     p5_open_verify,
-    p5_record_value,
     p5_sample_strings,
     p5_verify_records,
     parity_function,
@@ -44,10 +45,11 @@ from qotlab.bitcommit import (
     receiver_state_to_dict,
     sender_state_from_dict,
     sender_state_to_dict,
+    unblind_outcomes,
     verify_from_states,
 )
 from qotlab.ot12 import k_of, p1_exact
-from qotlab.qsim import RngStream, StateVector, born_probabilities
+from qotlab.qsim import RngStream, StateVector, born_probabilities, rotate_rows
 
 
 class TestEntangledEncoding:
@@ -106,21 +108,22 @@ class TestBlindedEncoding:
         assert grid.shape == (1, 2, 2)
         np.testing.assert_allclose(grid[0, 0], shifted, atol=1e-12)
 
-    def test_blinding_angles_are_validated(self):
-        from qotlab.bitcommit import BlindedQubitRecord
-
-        with pytest.raises(ValueError):
-            BlindedQubitRecord(alphas=np.array([0.5, -0.1]))
-        with pytest.raises(ValueError):
-            BlindedQubitRecord(alphas=np.array([2 * np.pi]))
+    def test_blinded_receiver_refuses_an_angle_count_mismatch(self):
+        rng = RngStream(34, 0)
+        amps = blinded_amps(np.zeros(4))
+        for alphas in (np.zeros(3), np.zeros(5), np.zeros(1), np.zeros((4, 1))):
+            with pytest.raises(ValueError, match="one blinding angle per row"):
+                unblind_outcomes(amps, alphas, rng)
+            with pytest.raises(ValueError, match="one blinding angle per row"):
+                p4_unblind_and_measure(amps, alphas, rng)
 
     def test_unblinding_recovers_honest_statistics(self):
         rng = RngStream(33, 0)
         n = 400
-        record, states = p4_prepare_blinded(n, rng)
+        alphas = rng.gen.uniform(0.0, 2 * np.pi, size=n)
         bits = np.array([rng.bit() for _ in range(n)], dtype=np.int8)
-        encoded = p4_encode(states, bits)
-        received = p4_unblind_and_measure(encoded, record, rng)
+        encoded = rotate_rows(blinded_amps(alphas), ENCODE_ANGLE * bits)
+        received = p4_unblind_and_measure(encoded, alphas, rng)
         for pos, val in received.conclusive:
             assert bits[pos - 1] == val
         rate = len(received.conclusive) / n
@@ -425,20 +428,30 @@ class TestStringSampling:
 
 
 class TestGridCommitment:
-    def test_record_value_mapping(self):
-        assert p5_record_value(("B0", "perp")) == 1
-        assert p5_record_value(("B1", "perp")) == 0
-        assert p5_record_value(("B0", "along")) is None
-
     def test_measurement_record_never_contradicts_the_encoding(self):
         rng = RngStream(48, 0)
         bits = rng.bits(2 * 300).reshape(2, 300)
         alphas = rng.gen.uniform(0, 2 * np.pi, size=bits.shape)
-        records = p5_measure_record(blinded_amps(alphas, bits), alphas, rng)
-        values = [p5_record_value(rec) for row in records for rec in row]
+        _, decoded = p5_measure_record(blinded_amps(alphas, bits), alphas, rng)
+        values = decoded.ravel().tolist()
         for bit, value in zip(bits.ravel().tolist(), values):
-            assert value in (None, bit)
-        assert values.count(None) < len(values)
+            assert value in (-1, bit)
+        assert values.count(-1) < len(values)
+
+    def test_grids_are_read_only_bits(self):
+        rng = RngStream(48, 1)
+        alphas = rng.gen.uniform(0, 2 * np.pi, size=(3, 5))
+        present = np.ones(alphas.shape, dtype=bool)
+        present[1, 2] = False
+        basis, decoded = p5_measure_record(blinded_amps(alphas), alphas, rng, present)
+        for grid in (basis, decoded):
+            assert grid.shape == (3, 5) and grid.dtype == np.int8
+            assert not grid.flags.writeable
+        assert basis[1, 2] == decoded[1, 2] == -1
+        assert set(basis[present].tolist()) <= {0, 1}
+        conclusive = decoded >= 0
+        # a conclusive outcome in basis x decodes x xor 1
+        np.testing.assert_array_equal(decoded[conclusive], basis[conclusive] ^ 1)
 
     @pytest.mark.parametrize("measure_at_commit", [False, True])
     @pytest.mark.parametrize("b", [0, 1])
@@ -464,12 +477,11 @@ class TestGridCommitment:
             bad = dataclasses.replace(
                 msg, strings=tuple(tuple(s) for s in strings)
             )
-            result = p5_verify_records(bad, t.receiver.records, spec)
+            result = p5_verify_records(bad, t.receiver.records.decoded, spec)
             expectations = []
             for j in (0, 1):
-                record = t.receiver.records[0][j]
-                value = None if record is None else p5_record_value(record)
-                expectations.append(value is not None and value != strings[0][j])
+                value = int(t.receiver.records.decoded[0, j])
+                expectations.append(value >= 0 and value != strings[0][j])
             assert result.accepted == (not any(expectations))
             caught += not result.accepted
         assert caught > 0
@@ -481,7 +493,7 @@ class TestGridCommitment:
         strings = [list(s) for s in msg.strings]
         strings[1][2] ^= 1  # now parity of string 1 is 0, not the declared 1
         bad = dataclasses.replace(msg, strings=tuple(tuple(s) for s in strings))
-        result = p5_verify_records(bad, t.receiver.records, spec)
+        result = p5_verify_records(bad, t.receiver.records.decoded, spec)
         assert not result.accepted
         assert "does not match the declared bit" in result.first_inconsistency
 
@@ -493,15 +505,107 @@ class TestGridCommitment:
         t = p5_commit(0, 3, 6, spec, RngStream(58, 0), measure_at_commit=True)
         msg = p5_open(t.sender)
         strings = [list(s) for s in msg.strings]
-        records = t.receiver.records[0]
-        a, b = [j for j, rec in enumerate(records) if p5_record_value(rec) is None][:2]
+        decoded = t.receiver.records.decoded[0].tolist()
+        a, b = [j for j, value in enumerate(decoded) if value < 0][:2]
         strings[0][a] += 2
         strings[0][b] += 2
         bad = dataclasses.replace(msg, strings=tuple(tuple(s) for s in strings))
         assert spec(strings[0]) == 0
-        result = p5_verify_records(bad, t.receiver.records, spec)
+        result = p5_verify_records(bad, t.receiver.records.decoded, spec)
         assert not result.accepted
         assert "other than 0 and 1" in result.first_inconsistency
+
+
+def _loop_verify(open_msg, records, function):
+    """The per-record P5 verifier the grids replaced, kept as a reference.
+
+    records[i][j] is a [basis, label] pair, or None for a qubit that never
+    arrived; a "perp" label in basis "B0" decodes to 1, in "B1" to 0, and any
+    other label is inconclusive.
+    """
+    if open_msg.bit not in (0, 1):
+        return bitcommit._reject("declared value is not a bit")
+    if len(open_msg.strings) != len(records):
+        return bitcommit._reject("string count mismatch")
+    for i, string in enumerate(open_msg.strings, start=1):
+        if len(string) != function.arity:
+            return bitcommit._reject(f"string {i}: wrong length")
+        if not set(string) <= {0, 1}:
+            return bitcommit._reject(f"string {i}: holds a value other than 0 and 1")
+        if function(string) != open_msg.bit:
+            return bitcommit._reject(f"string {i}: function value does not match the declared bit")
+    for i, (string, row) in enumerate(zip(open_msg.strings, records), start=1):
+        for j, record in enumerate(row, start=1):
+            if record is None or record[1] != "perp":
+                continue
+            value = 1 if record[0] == "B0" else 0
+            if value != string[j - 1]:
+                return bitcommit._reject(
+                    f"qubit ({i},{j}): conclusive outcome contradicts the declared bit"
+                )
+    return bitcommit.VerifyResult(accepted=True, recovered_bit=open_msg.bit, first_inconsistency=None)
+
+
+@st.composite
+def _grid_and_opening(draw):
+    """A receiver's (basis, decoded) grids with absent, inconclusive and
+    conclusive cells, the same grids as [basis, label] records, and an
+    opening of the sent strings with some of these faults: flipped bits
+    (one flip changes the string's parity, a pair keeps it), a flipped
+    conclusive bit, a value other than a bit, a string too short or too long,
+    a string too many or too few, and the wrong declared bit."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    bit = draw(st.integers(0, 1))
+    sent = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=m, max_size=m)))
+    sent[:, -1] ^= (sent.sum(axis=1) & 1) ^ bit  # every string has parity `bit`
+    kinds = np.array(draw(st.lists(st.lists(st.sampled_from("aic"), min_size=n, max_size=n), min_size=m, max_size=m)))
+    guesses = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=m, max_size=m)))
+    # a conclusive outcome in basis x decodes x xor 1, and never errs
+    basis = np.where(kinds == "a", -1, np.where(kinds == "c", sent ^ 1, guesses)).astype(np.int8)
+    decoded = np.where(kinds == "c", sent, -1).astype(np.int8)
+    records = [
+        [None if k == "a" else (f"B{x}", "perp" if k == "c" else "psi") for k, x in zip(krow, xrow)]
+        for krow, xrow in zip(kinds.tolist(), basis.tolist())
+    ]
+    strings = sent.tolist()
+    for i, j in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 2)), max_size=4)):
+        strings[i][j] ^= 1
+        strings[i][j + 1] ^= 1
+    if draw(st.integers(0, 3)) == 3:
+        strings[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] ^= 1
+    fault = draw(st.sampled_from(["none", "contradict", "value", "short", "long", "fewer", "more", "bit"]))
+    i = draw(st.integers(0, m - 1))
+    conclusive = np.argwhere(kinds == "c").tolist()
+    if fault == "contradict" and conclusive:
+        # flip a conclusive cell and its neighbour, which keeps the parity
+        i, j = conclusive[draw(st.integers(0, len(conclusive) - 1))]
+        strings[i][j] ^= 1
+        strings[i][j - 1] ^= 1
+    elif fault == "value":
+        strings[i][draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1, 2, 3]))
+    elif fault == "short":
+        strings[i].pop()
+    elif fault == "long":
+        strings[i].append(0)
+    elif fault == "fewer":
+        strings.pop(i)
+    elif fault == "more":
+        strings.append(list(strings[i]))
+    elif fault == "bit":
+        bit ^= 1
+    opening = P5OpenMessage(protocol_id=PROTOCOL_P5, bit=bit, strings=tuple(map(tuple, strings)))
+    return basis, decoded, records, opening
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_grid_and_opening())
+def test_grid_verifier_matches_the_record_loop(case):
+    basis, decoded, records, opening = case
+    function = parity_function(basis.shape[1])
+    decoded.flags.writeable = False
+    got = p5_verify_records(opening, decoded, function)
+    want = _loop_verify(opening, records, function)
+    assert got == want
 
 
 class TestSerialization:

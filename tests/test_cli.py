@@ -408,3 +408,20 @@ def test_open_refuses_a_sender_position_out_of_range(tmp_path, capsys):
     capsys.readouterr()
     assert main(["open", *common]) == 2
     assert "'rounds[0].x_set' is malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record", [["B7", "maybe"], ["B7", "perp"], ["B0", "maybe"]])
+def test_verify_refuses_an_unknown_p5_outcome_record(record, tmp_path, capsys):
+    """Only the two basis tags and the two outcome labels the commit writes
+    are read; anything else is a malformed transcript, not an outcome."""
+    common = ["--seed", "3", "--out", str(tmp_path)]
+    assert main(["commit", "--protocol", "p5", *common]) == 0
+    assert main(["open", *common]) == 0
+    capsys.readouterr()
+    receiver = json.loads((tmp_path / "receiver.json").read_text())
+    receiver["records"] = [[record for _ in row] for row in receiver["records"]]
+    (tmp_path / "receiver.json").write_text(json.dumps(receiver))
+    result = run_cli(["verify", *common])
+    assert result.returncode == 2, result.stdout
+    assert result.stderr.startswith("error: field 'records' is malformed: ")
+    assert "Traceback" not in result.stderr

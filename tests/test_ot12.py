@@ -9,7 +9,6 @@ import pytest
 import scipy.stats
 
 from qotlab.ot12 import (
-    HONEST,
     TAIL_LOG_MARGIN,
     USD,
     _tail_window,
@@ -26,7 +25,7 @@ from qotlab.ot12 import (
     wilson_interval,
 )
 from qotlab.qsim import RngStream
-from qotlab.rot import BASIS_0, ReceiverRecord
+from qotlab.rot import HONEST, ReceiverRecord
 
 
 def test_k_of_reference_values():
@@ -222,7 +221,7 @@ class TestEstimators:
 def make_record(n, conclusive):
     return ReceiverRecord(
         strategy=HONEST,
-        basis_choices=tuple(BASIS_0 for _ in range(n)),
+        basis_choices=np.zeros(n, dtype=np.int8),
         conclusive=tuple(conclusive),
     )
 

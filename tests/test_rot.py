@@ -5,8 +5,6 @@ import pytest
 
 from qotlab.qsim import RngStream
 from qotlab.rot import (
-    BASIS_0,
-    BASIS_1,
     HONEST,
     USD,
     ReceiverRecord,
@@ -100,17 +98,28 @@ def test_honest_basis_choice_determines_learnable_bit():
     assert len(receiver.conclusive) > 0
     for pos, val in receiver.conclusive:
         choice = receiver.basis_choices[pos - 1]
-        assert val == (0 if choice == BASIS_1 else 1)
+        assert val == (0 if choice == 1 else 1)
 
 
 def test_receiver_record_helpers():
     record = ReceiverRecord(
         strategy=HONEST,
-        basis_choices=(BASIS_0, BASIS_1, BASIS_0),
+        basis_choices=(0, 1, 0),
         conclusive=((1, 0), (2, 1)),
     )
     assert record.conclusive_positions == (1, 2)
     assert record.conclusive_map() == {1: 0, 2: 1}
+    assert record.basis_choices.dtype == np.int8
+    assert not record.basis_choices.flags.writeable
+
+
+def test_receivers_record_basis_bits():
+    cfg = RotConfig(200)
+    _, honest = run_rot(cfg, HONEST, RngStream(10, 1))
+    _, usd = run_rot(cfg, USD, RngStream(10, 2))
+    assert set(honest.basis_choices.tolist()) == {0, 1}
+    # the discriminating receiver chooses no basis
+    assert set(usd.basis_choices.tolist()) == {-1}
 
 
 def test_sender_record_reveals_nothing_about_outcomes():
