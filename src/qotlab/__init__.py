@@ -28,7 +28,6 @@ from .bitcommit import (
     bc_open,
     bc_verify,
     p5_commit,
-    p5_open_verify,
     parity_function,
 )
 from .ot12 import Ot12Transcript, k_of, p1_exact, p2_exact, run_ot12, security_curve
@@ -66,7 +65,6 @@ __all__ = [
     "p1_exact",
     "p2_exact",
     "p5_commit",
-    "p5_open_verify",
     "parity_function",
     "probe_attack_p3",
     "probe_attack_p4",

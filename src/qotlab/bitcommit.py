@@ -302,6 +302,12 @@ def _ot_channel(
     return _split_rounds(sender, receiver, rounds, n)
 
 
+def check_theta(protocol_id: str, theta: float) -> None:
+    """Refuse any angle but pi/4 on every channel except the plain one."""
+    if protocol_id != PROTOCOL_P2BC and abs(theta - ENCODE_ANGLE) > 1e-12:
+        raise ValueError("the pair and blinded channels fix theta at pi/4")
+
+
 def bc_commit_over_ot(
     b: int,
     l: int,
@@ -324,8 +330,7 @@ def bc_commit_over_ot(
         raise ValueError("need at least one round")
     if variant not in OT_VARIANTS:
         raise ValueError(f"variant must be one of {OT_VARIANTS}")
-    if variant != PROTOCOL_P2BC and abs(theta - ENCODE_ANGLE) > 1e-12:
-        raise ValueError("the pair and blinded channels fix theta at pi/4")
+    check_theta(variant, theta)
     k = k_of(n, alpha)
     if k < 1:
         raise ValueError(f"n={n} gives k={k} announced positions; hiding needs k >= 1")
@@ -543,20 +548,14 @@ def _p5_grids(basis: np.ndarray, decoded: np.ndarray) -> P5Grids:
 
 @dataclass(frozen=True)
 class P5ReceiverState:
-    """Blinding grid plus either held qubits or commit-time outcome grids.
-
-    states holds the live qubits as an (m, n, 2) amplitude array while
-    measurement is deferred to open time; records holds the outcomes once
-    the grid has been measured.
-    """
+    """Blinding grid plus the outcome grids measured at commit."""
 
     protocol_id: str
     m: int
     n: int
     function: BooleanFunctionSpec
     alphas: np.ndarray
-    states: Optional[np.ndarray]
-    records: Optional[P5Grids]
+    records: P5Grids
 
 
 @dataclass(frozen=True)
@@ -592,35 +591,27 @@ def p5_commit(
     n: int,
     function: BooleanFunctionSpec,
     rng: RngStream,
-    measure_at_commit: bool = False,
+    measure_at_commit: bool = True,
 ) -> CommitTranscript:
-    """Commit b by encoding m preimage strings on the receiver's blinded grid."""
+    """Commit b by encoding m preimage strings on the receiver's blinded grid;
+    the receiver measures the returned grid at once."""
+    # measuring at open gives the same statistics; bench/ still passes the keyword
+    if not measure_at_commit:
+        raise ValueError("the P5 receiver always measures at commit")
     if m < 1:
         raise ValueError("need at least one string")
     if function.arity != n:
         raise ValueError("function arity must equal the string length n")
     strings = p5_sample_strings(b, m, function, rng)
     alphas = rng.gen.uniform(0.0, 2 * np.pi, size=(m, n))
-    states: Optional[np.ndarray] = blinded_amps(alphas, np.array(strings))
-    records: Optional[P5Grids] = None
-    if measure_at_commit:
-        records = p5_measure_record(states, alphas, rng)
-        states = None
-    else:
-        states.flags.writeable = False
+    records = p5_measure_record(blinded_amps(alphas, np.array(strings)), alphas, rng)
     alphas.flags.writeable = False
     return CommitTranscript(
         sender=P5SenderState(
             protocol_id=PROTOCOL_P5, bit=b, m=m, n=n, function=function, strings=strings
         ),
         receiver=P5ReceiverState(
-            protocol_id=PROTOCOL_P5,
-            m=m,
-            n=n,
-            function=function,
-            alphas=alphas,
-            states=states,
-            records=records,
+            protocol_id=PROTOCOL_P5, m=m, n=n, function=function, alphas=alphas, records=records
         ),
     )
 
@@ -661,23 +652,8 @@ def p5_verify_records(
     return VerifyResult(accepted=True, recovered_bit=open_msg.bit, first_inconsistency=None)
 
 
-def p5_open_verify(
-    sender_state: P5SenderState, receiver_state: P5ReceiverState, rng: RngStream
-) -> VerifyResult:
-    """Open and verify in one step, measuring now if measurement was deferred."""
-    return _p5_verify(receiver_state, p5_open(sender_state), rng)
-
-
-def _p5_verify(
-    receiver_state: P5ReceiverState, open_msg: P5OpenMessage, rng: Optional[RngStream]
-) -> VerifyResult:
-    """Verify against the commit-time records, or the held qubits measured now."""
-    records = receiver_state.records
-    if records is None:
-        if rng is None:
-            raise ValueError("deferred measurement needs an rng at open time")
-        records = p5_measure_record(receiver_state.states, receiver_state.alphas, rng)
-    return p5_verify_records(open_msg, records.decoded, receiver_state.function)
+def _p5_verify(receiver_state: P5ReceiverState, open_msg: P5OpenMessage) -> VerifyResult:
+    return p5_verify_records(open_msg, receiver_state.records.decoded, receiver_state.function)
 
 
 # ---------------------------------------------------------------------------
@@ -762,8 +738,6 @@ _P5_OUTCOME_LABELS = ("psi", "perp")  # inconclusive, conclusive
 
 
 def _p5_receiver_to_dict(state: P5ReceiverState) -> dict:
-    if state.records is None:
-        raise ValueError("only commit-time-measured runs serialize; qubits are not JSON")
     return {
         "protocol_id": state.protocol_id,
         "m": state.m,
@@ -1013,7 +987,6 @@ def _p5_receiver_from_dict(d: dict) -> P5ReceiverState:
         n=n,
         function=_function_from_name(_field(d, "function", _str), n),
         alphas=alphas,
-        states=None,
         records=_p5_grids(cells[..., 0], cells[..., 1]),
     )
 
@@ -1042,7 +1015,7 @@ class ProtocolFamily(NamedTuple):
     receiver: Codec
     opening: Codec
     open: Callable[[Any], Any]
-    verify: Callable[[Any, Any, Optional[RngStream]], VerifyResult]
+    verify: Callable[[Any, Any], VerifyResult]
 
 
 # the three commitments built on the transfer split the bit into shares
@@ -1051,8 +1024,7 @@ _SHARE_SPLIT = ProtocolFamily(
     receiver=Codec(_bc_receiver_to_dict, _bc_receiver_from_dict),
     opening=Codec(_bc_open_to_dict, _bc_open_from_dict),
     open=bc_open,
-    # no qubit outlives a transfer round, so there is nothing left to measure
-    verify=lambda receiver_state, open_msg, rng: bc_verify(receiver_state, open_msg),
+    verify=bc_verify,
 )
 
 # the grid commitment encodes preimage strings directly
@@ -1099,6 +1071,6 @@ def open_message_from_dict(d: dict):
     return _field(d, "protocol_id", protocol_family).opening.from_dict(d)
 
 
-def verify_from_states(receiver_state, open_msg, rng: Optional[RngStream] = None) -> VerifyResult:
+def verify_from_states(receiver_state, open_msg) -> VerifyResult:
     """Verify with the verifier of the receiver's protocol family."""
-    return protocol_family(receiver_state.protocol_id).verify(receiver_state, open_msg, rng)
+    return protocol_family(receiver_state.protocol_id).verify(receiver_state, open_msg)

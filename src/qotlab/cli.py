@@ -36,6 +36,7 @@ from .bitcommit import (
     PROTOCOL_FAMILIES,
     PROTOCOL_P5,
     bc_commit_over_ot,
+    check_theta,
     open_message_from_dict,
     open_message_to_dict,
     p5_commit,
@@ -80,32 +81,6 @@ _DEFAULT_N = {
     "probe-p4": 4,
     "omission": 8,
 }
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    command: str
-    n: int
-    l: int
-    m: int
-    trials: int
-    seed: int
-    theta: float
-    alpha: Fraction
-    protocol_id: Optional[str]
-    attack_id: Optional[str]
-    perfect_detectors: bool
-    output_path: Optional[str]
-    output_format: str
-    check: bool
-
-    def __post_init__(self):
-        if self.n < 1 or self.l < 1 or self.m < 1 or self.trials < 1:
-            raise ValueError("n, l, m and trials must be positive")
-        if not 0.0 < self.theta <= np.pi / 2:
-            raise ValueError("theta must lie in (0, pi/2]")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
 
 
 @dataclass(frozen=True)
@@ -167,7 +142,7 @@ def _sigma(p: float, trials: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
 
 
-def cmd_rot(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
+def cmd_rot(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     rows: list[ResultRow] = []
     fails: list[str] = []
     config = RotConfig(n=cfg.n, theta=cfg.theta)
@@ -199,7 +174,7 @@ def cmd_rot(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     return rows, fails
 
 
-def cmd_ot12(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
+def cmd_ot12(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     rows: list[ResultRow] = []
     fails: list[str] = []
     camp = RngStream(cfg.seed, _STREAM_OT12)
@@ -239,7 +214,7 @@ def cmd_ot12(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     return rows, fails
 
 
-def _attack_usd(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
+def _attack_usd(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     rows: list[ResultRow] = []
     fails: list[str] = []
     camp = RngStream(cfg.seed, _STREAM_ATTACK_USD)
@@ -276,7 +251,7 @@ def _attack_usd(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     return rows, fails
 
 
-def _attack_nogo(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
+def _attack_nogo(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     inst = NoGoInstance(two_k=cfg.n, theta=cfg.theta)
     report = nogo_cheat_report(inst)
     params = f"attack=nogo;theta={_g(cfg.theta)};two_k={cfg.n}"
@@ -288,7 +263,7 @@ def _attack_nogo(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     return rows, []
 
 
-def _attack_probe_p3(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
+def _attack_probe_p3(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     rows: list[ResultRow] = []
     fails: list[str] = []
     rng = RngStream(cfg.seed, _STREAM_PROBE_P3)
@@ -313,7 +288,7 @@ def _attack_probe_p3(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]
     return rows, fails
 
 
-def _attack_probe_p4(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
+def _attack_probe_p4(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     rows: list[ResultRow] = []
     fails: list[str] = []
     rng = RngStream(cfg.seed, _STREAM_PROBE_P4)
@@ -330,7 +305,7 @@ def _attack_probe_p4(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]
     return rows, fails
 
 
-def _attack_omission(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
+def _attack_omission(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     rows: list[ResultRow] = []
     fails: list[str] = []
     camp = RngStream(cfg.seed, _STREAM_OMISSION)
@@ -354,7 +329,7 @@ def _attack_omission(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]
     return rows, fails
 
 
-def cmd_attack(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
+def cmd_attack(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     dispatch = {
         "usd": _attack_usd,
         "nogo": _attack_nogo,
@@ -362,29 +337,28 @@ def cmd_attack(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
         "probe-p4": _attack_probe_p4,
         "omission": _attack_omission,
     }
-    return dispatch[cfg.attack_id](cfg)
+    return dispatch[cfg.attack](cfg)
 
 
-def _transcript_dir(cfg: ExperimentConfig, parser: argparse.ArgumentParser) -> Path:
-    if cfg.output_path is None:
+def _transcript_dir(cfg: argparse.Namespace, parser: argparse.ArgumentParser) -> Path:
+    if cfg.out is None:
         parser.error(f"{cfg.command} requires --out DIR for the transcript files")
-    return Path(cfg.output_path)
+    return Path(cfg.out)
 
 
 def _dump(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_commit(cfg: ExperimentConfig, parser: argparse.ArgumentParser) -> int:
+def cmd_commit(cfg: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     out = _transcript_dir(cfg, parser)
+    protocol_id = _PROTOCOLS[cfg.protocol]
+    check_theta(protocol_id, cfg.theta)
     out.mkdir(parents=True, exist_ok=True)
     rng = RngStream(cfg.seed, _STREAM_COMMIT)
     b = rng.bit()
-    protocol_id = _PROTOCOLS[cfg.protocol_id]
     if protocol_id == PROTOCOL_P5:
-        transcript = p5_commit(
-            b, cfg.m, cfg.n, parity_function(cfg.n), rng, measure_at_commit=True
-        )
+        transcript = p5_commit(b, cfg.m, cfg.n, parity_function(cfg.n), rng)
     else:
         transcript = bc_commit_over_ot(
             b, cfg.l, cfg.n, protocol_id, rng, theta=cfg.theta, alpha=cfg.alpha
@@ -395,7 +369,7 @@ def cmd_commit(cfg: ExperimentConfig, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def cmd_open(cfg: ExperimentConfig, parser: argparse.ArgumentParser) -> int:
+def cmd_open(cfg: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     out = _transcript_dir(cfg, parser)
     sender = sender_state_from_dict(json.loads((out / "sender.json").read_text()))
     msg = protocol_family(sender.protocol_id).open(sender)
@@ -404,7 +378,7 @@ def cmd_open(cfg: ExperimentConfig, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def cmd_verify(cfg: ExperimentConfig, parser: argparse.ArgumentParser) -> int:
+def cmd_verify(cfg: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     out = _transcript_dir(cfg, parser)
     receiver = receiver_state_from_dict(json.loads((out / "receiver.json").read_text()))
     msg = open_message_from_dict(json.loads((out / "open.json").read_text()))
@@ -416,8 +390,7 @@ def cmd_verify(cfg: ExperimentConfig, parser: argparse.ArgumentParser) -> int:
     return 3
 
 
-# every flag: (argparse keyword arguments, default); a subcommand that does
-# not take a flag still gets its default in the parsed namespace
+# every flag: (argparse keyword arguments, default)
 _FLAGS = {
     "--n": (dict(type=int, help="qubits per run / string length"), None),
     "--l": (dict(type=int, help="commitment rounds"), 8),
@@ -439,8 +412,8 @@ _COMMAND_FLAGS = {
     "rot": _CAMPAIGN_FLAGS,
     "ot12": _CAMPAIGN_FLAGS + ("--alpha",),
     "commit": ("--protocol", "--n", "--l", "--m", "--seed", "--theta", "--alpha", "--out"),
-    "open": ("--seed", "--out"),
-    "verify": ("--seed", "--out"),
+    "open": ("--out",),
+    "verify": ("--out",),
     "attack": _CAMPAIGN_FLAGS + ("--attack", "--alpha", "--m", "--perfect-detectors"),
 }
 
@@ -452,9 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qotlab",
         description="simulation experiments for quantum oblivious transfer and bit commitment",
     )
-    parser.set_defaults(
-        **{flag[2:].replace("-", "_"): default for flag, (_, default) in _FLAGS.items()}
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, flags in _COMMAND_FLAGS.items():
         p = sub.add_parser(name)
@@ -464,50 +434,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_n(command: str, protocol_id: Optional[str], attack_id: Optional[str]) -> int:
-    if command == "attack":
-        return _DEFAULT_N[attack_id]
-    if command in ("commit", "open", "verify"):
-        return _DEFAULT_N["commit-p5" if protocol_id == "p5" else "commit-ot"]
-    return _DEFAULT_N[command]
+def _default_n(args: argparse.Namespace) -> int:
+    if args.command == "attack":
+        return _DEFAULT_N[args.attack]
+    if args.command == "commit":
+        return _DEFAULT_N["commit-p5" if args.protocol == "p5" else "commit-ot"]
+    return _DEFAULT_N[args.command]
 
 
-def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ExperimentConfig:
+def _resolve_config(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> argparse.Namespace:
+    """Check the parsed flags and fill in n, seed and alpha where the command
+    takes them; the namespace then holds exactly the command's settings."""
     if args.command == "attack" and args.attack is None:
         parser.error("attack requires --attack {usd|nogo|probe-p3|probe-p4|omission}")
     if args.command == "commit" and args.protocol not in _PROTOCOLS:
         parser.error(f"commit requires --protocol {{{'|'.join(_PROTOCOLS)}}}")
-    seed = args.seed
-    if seed is None:
+    flags = vars(args)
+    if flags.get("seed", 0) is None:
         raw = os.environ.get("QOT_SEED", str(DEFAULT_SEED))
         try:
-            seed = int(raw)
+            args.seed = int(raw)
         except ValueError:
             parser.error(f"QOT_SEED={raw!r} is not an integer seed")
-    try:
-        alpha = Fraction(args.alpha)
-    except (ValueError, ZeroDivisionError):
-        parser.error(f"--alpha {args.alpha!r} is not a fraction")
-    n = args.n if args.n is not None else _default_n(args.command, args.protocol, args.attack)
-    try:
-        return ExperimentConfig(
-            command=args.command,
-            n=n,
-            l=args.l,
-            m=args.m,
-            trials=args.trials,
-            seed=seed,
-            theta=args.theta,
-            alpha=alpha,
-            protocol_id=args.protocol,
-            attack_id=args.attack,
-            perfect_detectors=args.perfect_detectors,
-            output_path=args.out,
-            output_format=args.format,
-            check=args.check,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    if "alpha" in flags:
+        try:
+            args.alpha = Fraction(args.alpha)
+        except (ValueError, ZeroDivisionError):
+            parser.error(f"--alpha {args.alpha!r} is not a fraction")
+    if flags.get("n", 0) is None:
+        args.n = _default_n(args)
+    if any(flags.get(name, 1) < 1 for name in ("n", "l", "m", "trials")):
+        parser.error("n, l, m and trials must be positive")
+    if not 0.0 < flags.get("theta", np.pi / 4) <= np.pi / 2:
+        parser.error("theta must lie in (0, pi/2]")
+    return args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -526,9 +488,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = rows_to_csv(rows) if cfg.output_format == "csv" else rows_to_json(rows)
-    if cfg.output_path is not None:
-        Path(cfg.output_path).write_text(text)
+    text = rows_to_csv(rows) if cfg.format == "csv" else rows_to_json(rows)
+    if cfg.out is not None:
+        Path(cfg.out).write_text(text)
     else:
         sys.stdout.write(text)
     for line in fails:

@@ -65,12 +65,6 @@ class RngStream:
     def bits(self, n: int) -> np.ndarray:
         return self.gen.integers(0, 2, size=n, dtype=np.int8)
 
-    def random(self) -> float:
-        return float(self.gen.random())
-
-    def uniform(self, low: float, high: float) -> float:
-        return float(self.gen.uniform(low, high))
-
     def choice_index(self, probabilities: np.ndarray) -> int:
         """Sample an index from a probability vector (assumed to sum to 1)."""
         u = self.gen.random()

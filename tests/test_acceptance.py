@@ -6,14 +6,12 @@ runs with output capture disabled.
 """
 
 import dataclasses
-import json
 import math
 import os
 import subprocess
 import sys
 
 import numpy as np
-import pytest
 import scipy.stats
 
 from qotlab.attacks import (
@@ -38,9 +36,9 @@ from qotlab.bitcommit import (
     p4_unblind_and_measure,
     p5_commit,
     p5_open,
-    p5_open_verify,
     p5_verify_records,
     parity_function,
+    verify_from_states,
 )
 from qotlab.ot12 import k_of, p1_exact, p2_exact, run_ot12, security_curve
 from qotlab.qsim import (
@@ -178,8 +176,8 @@ def test_criterion_07_commitment_round_trips():
             total += 1
     spec = parity_function(4)
     for rep in range(100):
-        t = p5_commit(rep % 2, 2, 4, spec, RngStream(207, rep), measure_at_commit=True)
-        result = p5_open_verify(t.sender, t.receiver, RngStream(208, rep))
+        t = p5_commit(rep % 2, 2, 4, spec, RngStream(207, rep))
+        result = verify_from_states(t.receiver, p5_open(t.sender))
         accepted += result.accepted and result.recovered_bit == rep % 2
         total += 1
 
@@ -215,7 +213,7 @@ def test_criterion_07_commitment_round_trips():
         bad = dataclasses.replace(msg, rounds=(bad_round,) + msg.rounds[1:])
         rejections += not bc_verify(t.receiver, bad).accepted
 
-    t5 = p5_commit(0, 2, 4, spec, RngStream(407, 0), measure_at_commit=True)
+    t5 = p5_commit(0, 2, 4, spec, RngStream(407, 0))
     msg5 = p5_open(t5.sender)
     flipped_bit = dataclasses.replace(msg5, bit=1)
     strings = [list(s) for s in msg5.strings]

@@ -26,7 +26,6 @@ from qotlab.qsim import (
     DensityMatrix,
     RngStream,
     StateVector,
-    bell_state,
     born_probabilities,
     fidelity,
     make_nonorthogonal_pair,

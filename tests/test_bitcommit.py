@@ -19,7 +19,6 @@ from qotlab.bitcommit import (
     ENCODE_ANGLE,
     BooleanFunctionSpec,
     OpenMessage,
-    OpenRound,
     bc_commit_over_ot,
     bc_open,
     bc_verify,
@@ -37,7 +36,6 @@ from qotlab.bitcommit import (
     p5_measure_record,
     p5_open,
     P5OpenMessage,
-    p5_open_verify,
     p5_sample_strings,
     p5_verify_records,
     parity_function,
@@ -49,7 +47,7 @@ from qotlab.bitcommit import (
     verify_from_states,
 )
 from qotlab.ot12 import k_of, p1_exact
-from qotlab.qsim import RngStream, StateVector, born_probabilities, rotate_rows
+from qotlab.qsim import RngStream, born_probabilities, rotate_rows
 
 
 class TestEntangledEncoding:
@@ -453,14 +451,17 @@ class TestGridCommitment:
         # a conclusive outcome in basis x decodes x xor 1
         np.testing.assert_array_equal(decoded[conclusive], basis[conclusive] ^ 1)
 
-    @pytest.mark.parametrize("measure_at_commit", [False, True])
     @pytest.mark.parametrize("b", [0, 1])
-    def test_round_trip(self, b, measure_at_commit):
+    def test_round_trip(self, b):
         spec = parity_function(6)
-        t = p5_commit(b, 4, 6, spec, RngStream(49, b), measure_at_commit=measure_at_commit)
-        result = p5_open_verify(t.sender, t.receiver, RngStream(50, b))
+        t = p5_commit(b, 4, 6, spec, RngStream(49, b))
+        result = verify_from_states(t.receiver, p5_open(t.sender))
         assert result.accepted
         assert result.recovered_bit == b
+
+    def test_deferred_measurement_is_refused(self):
+        with pytest.raises(ValueError, match="measures at commit"):
+            p5_commit(0, 2, 6, parity_function(6), RngStream(55, 0), measure_at_commit=False)
 
     def test_flipped_declared_bit_is_caught_or_silent_never_wrongly_blamed(self):
         """Opening a tampered string either trips a conclusive record or passes unseen;
@@ -469,7 +470,7 @@ class TestGridCommitment:
         caught = 0
         reps = 60
         for rep in range(reps):
-            t = p5_commit(0, 4, 6, spec, RngStream(51, rep), measure_at_commit=True)
+            t = p5_commit(0, 4, 6, spec, RngStream(51, rep))
             msg = p5_open(t.sender)
             strings = [list(s) for s in msg.strings]
             strings[0][0] ^= 1
@@ -488,7 +489,7 @@ class TestGridCommitment:
 
     def test_declared_function_value_must_match_every_string(self):
         spec = parity_function(6)
-        t = p5_commit(1, 3, 6, spec, RngStream(52, 0), measure_at_commit=True)
+        t = p5_commit(1, 3, 6, spec, RngStream(52, 0))
         msg = p5_open(t.sender)
         strings = [list(s) for s in msg.strings]
         strings[1][2] ^= 1  # now parity of string 1 is 0, not the declared 1
@@ -502,7 +503,7 @@ class TestGridCommitment:
         at the declared bit and contradicts no conclusive outcome, so only a
         check on the values catches it."""
         spec = parity_function(6)
-        t = p5_commit(0, 3, 6, spec, RngStream(58, 0), measure_at_commit=True)
+        t = p5_commit(0, 3, 6, spec, RngStream(58, 0))
         msg = p5_open(t.sender)
         strings = [list(s) for s in msg.strings]
         decoded = t.receiver.records.decoded[0].tolist()
@@ -621,7 +622,7 @@ class TestSerialization:
 
     def test_grid_state_round_trip(self):
         spec = parity_function(6)
-        t = p5_commit(0, 3, 6, spec, RngStream(54, 0), measure_at_commit=True)
+        t = p5_commit(0, 3, 6, spec, RngStream(54, 0))
         sender = sender_state_from_dict(sender_state_to_dict(t.sender))
         receiver = receiver_state_from_dict(receiver_state_to_dict(t.receiver))
         msg = open_message_from_dict(open_message_to_dict(p5_open(sender)))
@@ -629,16 +630,10 @@ class TestSerialization:
         assert result.accepted
         assert result.recovered_bit == 0
 
-    def test_grid_receiver_with_live_qubits_does_not_serialize(self):
-        spec = parity_function(6)
-        t = p5_commit(0, 2, 6, spec, RngStream(55, 0), measure_at_commit=False)
-        with pytest.raises(ValueError):
-            receiver_state_to_dict(t.receiver)
-
     def test_protocol_mismatch_is_rejected(self):
         t_ot = bc_commit_over_ot(0, l=2, n=16, variant=PROTOCOL_P2BC, rng=RngStream(56, 0))
         spec = parity_function(6)
-        t_p5 = p5_commit(0, 2, 6, spec, RngStream(57, 0), measure_at_commit=True)
+        t_p5 = p5_commit(0, 2, 6, spec, RngStream(57, 0))
         result = verify_from_states(t_ot.receiver, p5_open(t_p5.sender))
         assert not result.accepted
         assert "protocol" in result.first_inconsistency

@@ -76,13 +76,27 @@ class TestExitCodes:
         assert result.returncode == 2
         assert "--trials" in result.stderr
 
+    @pytest.mark.parametrize(
+        "flag", [["--protocol", "p5"], ["--seed", "21"]], ids=["protocol", "seed"]
+    )
     @pytest.mark.parametrize("command", ["open", "verify"])
-    def test_protocol_flag_on_open_or_verify_is_a_usage_error(self, command, tmp_path):
-        # the transcript files name their protocol; open and verify take no other
+    def test_protocol_flag_on_open_or_verify_is_a_usage_error(self, command, flag, tmp_path):
+        # the transcript files name their protocol and hold every random draw;
+        # open and verify take neither a protocol nor a seed
         assert run_cli(["commit", "--protocol", "p2bc", "--out", str(tmp_path)]).returncode == 0
-        result = run_cli([command, "--protocol", "p5", "--out", str(tmp_path)])
+        result = run_cli([command, *flag, "--out", str(tmp_path)])
         assert result.returncode == 2
-        assert "--protocol" in result.stderr
+        assert flag[0] in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_p5_commit_refuses_another_theta(self, tmp_path):
+        # P5 encodes on the blinded channel, which fixes the angle like P3 and P4
+        result = run_cli(
+            ["commit", "--protocol", "p5", "--theta", "0.3", "--seed", "3", "--out", str(tmp_path)]
+        )
+        assert result.returncode == 2
+        assert "the pair and blinded channels fix theta at pi/4" in result.stderr
+        assert not (tmp_path / "receiver.json").exists()
 
     def test_non_integer_seed_variable_is_a_usage_error(self):
         result = run_cli(["rot", "--n", "8", "--trials", "1"], env_extra={"QOT_SEED": "abc"})
@@ -128,10 +142,9 @@ def test_flag_overrides_environment():
 @pytest.mark.parametrize("protocol", ["p2bc", "p3", "p4", "p5"])
 def test_commit_open_verify_round_trip(protocol, tmp_path, capsys):
     workdir = str(tmp_path)
-    common = ["--seed", "21", "--out", workdir]
-    assert main(
-        ["commit", "--protocol", protocol, "--n", "8", "--l", "2", "--m", "2", *common]
-    ) == 0
+    common = ["--out", workdir]
+    commit = ["commit", "--protocol", protocol, "--n", "8", "--l", "2", "--m", "2"]
+    assert main([*commit, "--seed", "21", *common]) == 0
     assert main(["open", *common]) == 0
     assert main(["verify", *common]) == 0
     out = capsys.readouterr().out
@@ -142,8 +155,10 @@ def test_commit_open_verify_round_trip(protocol, tmp_path, capsys):
 
 def test_tampered_opening_is_rejected(tmp_path, capsys):
     workdir = str(tmp_path)
-    common = ["--seed", "22", "--out", workdir]
-    assert main(["commit", "--protocol", "p2bc", "--n", "8", "--l", "2", *common]) == 0
+    common = ["--out", workdir]
+    assert main(
+        ["commit", "--protocol", "p2bc", "--n", "8", "--l", "2", "--seed", "22", *common]
+    ) == 0
     assert main(["open", *common]) == 0
     opening = json.loads((tmp_path / "open.json").read_text())
     opening["rounds"][0]["share0"] ^= 1
@@ -156,8 +171,10 @@ def test_tampered_opening_is_rejected(tmp_path, capsys):
 
 def test_verify_rejects_an_opening_with_a_missing_field(tmp_path):
     workdir = str(tmp_path)
-    common = ["--seed", "23", "--out", workdir]
-    result = run_cli(["commit", "--protocol", "p2bc", "--n", "8", "--l", "2", *common])
+    common = ["--out", workdir]
+    result = run_cli(
+        ["commit", "--protocol", "p2bc", "--n", "8", "--l", "2", "--seed", "23", *common]
+    )
     assert result.returncode == 0
     assert run_cli(["open", *common]).returncode == 0
     opening = json.loads((tmp_path / "open.json").read_text())
@@ -175,10 +192,9 @@ def test_verify_names_every_missing_or_mistyped_field(protocol, name, tmp_path, 
     """Each field of a valid transcript, deleted or replaced by a value of
     the wrong type, is refused with a usage error that names it."""
     workdir = str(tmp_path)
-    common = ["--seed", "24", "--out", workdir]
-    assert main(
-        ["commit", "--protocol", protocol, "--n", "8", "--l", "2", "--m", "2", *common]
-    ) == 0
+    common = ["--out", workdir]
+    commit = ["commit", "--protocol", protocol, "--n", "8", "--l", "2", "--m", "2"]
+    assert main([*commit, "--seed", "24", *common]) == 0
     assert main(["open", *common]) == 0
     original = json.loads((tmp_path / name).read_text())
 
@@ -279,8 +295,10 @@ def test_attack_omission_perfect_flag(capsys):
 
 
 def _commit_and_open(tmp_path, seed):
-    common = ["--seed", str(seed), "--out", str(tmp_path)]
-    result = run_cli(["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", *common])
+    common = ["--out", str(tmp_path)]
+    result = run_cli(
+        ["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", "--seed", str(seed), *common]
+    )
     assert result.returncode == 0
     assert run_cli(["open", *common]).returncode == 0
     return common
@@ -367,8 +385,10 @@ def _position_past_n(rnd):
     ],
 )
 def test_verify_refuses_a_malformed_announcement(mutate, reason, tmp_path, capsys):
-    common = ["--seed", "25", "--out", str(tmp_path)]
-    assert main(["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", *common]) == 0
+    common = ["--out", str(tmp_path)]
+    assert main(
+        ["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", "--seed", "25", *common]
+    ) == 0
     assert main(["open", *common]) == 0
     receiver = json.loads((tmp_path / "receiver.json").read_text())
     mutate(receiver["rounds"][1])
@@ -388,8 +408,10 @@ def test_verify_refuses_a_malformed_announcement(mutate, reason, tmp_path, capsy
     ],
 )
 def test_transcript_counts_must_agree(name, field, value, reason, tmp_path, capsys):
-    common = ["--seed", "25", "--out", str(tmp_path)]
-    assert main(["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", *common]) == 0
+    common = ["--out", str(tmp_path)]
+    assert main(
+        ["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", "--seed", "25", *common]
+    ) == 0
     assert main(["open", *common]) == 0
     doc = json.loads((tmp_path / name).read_text())
     doc[field] = value
@@ -400,8 +422,10 @@ def test_transcript_counts_must_agree(name, field, value, reason, tmp_path, caps
 
 
 def test_open_refuses_a_sender_position_out_of_range(tmp_path, capsys):
-    common = ["--seed", "25", "--out", str(tmp_path)]
-    assert main(["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", *common]) == 0
+    common = ["--out", str(tmp_path)]
+    assert main(
+        ["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", "--seed", "25", *common]
+    ) == 0
     sender = json.loads((tmp_path / "sender.json").read_text())
     sender["rounds"][0]["x_set"][-1] = 99
     (tmp_path / "sender.json").write_text(json.dumps(sender))
@@ -414,8 +438,8 @@ def test_open_refuses_a_sender_position_out_of_range(tmp_path, capsys):
 def test_verify_refuses_an_unknown_p5_outcome_record(record, tmp_path, capsys):
     """Only the two basis tags and the two outcome labels the commit writes
     are read; anything else is a malformed transcript, not an outcome."""
-    common = ["--seed", "3", "--out", str(tmp_path)]
-    assert main(["commit", "--protocol", "p5", *common]) == 0
+    common = ["--out", str(tmp_path)]
+    assert main(["commit", "--protocol", "p5", "--seed", "3", *common]) == 0
     assert main(["open", *common]) == 0
     capsys.readouterr()
     receiver = json.loads((tmp_path / "receiver.json").read_text())

@@ -30,7 +30,7 @@ from qotlab.qsim import RngStream
 def _commit(protocol_id, bit, seed, l, n, m):
     rng = RngStream(seed, 0)
     if protocol_id == PROTOCOL_P5:
-        return p5_commit(bit, m, n, parity_function(n), rng, measure_at_commit=True)
+        return p5_commit(bit, m, n, parity_function(n), rng)
     return bc_commit_over_ot(bit, l, n, protocol_id, rng)
 
 
@@ -144,10 +144,10 @@ def transcripts(tmp_path_factory):
     out = {}
     for name in ("p2bc", "p3", "p4", "p5"):
         workdir = tmp_path_factory.mktemp(name)
-        common = ["--seed", "26", "--out", str(workdir)]
+        common = ["--out", str(workdir)]
         with contextlib.redirect_stdout(io.StringIO()):
             commit = ["commit", "--protocol", name, "--n", "8", "--l", "2", "--m", "2"]
-            assert cli.main([*commit, *common]) == 0
+            assert cli.main([*commit, "--seed", "26", *common]) == 0
             assert cli.main(["open", *common]) == 0
         out[name] = (
             workdir,

@@ -1,12 +1,13 @@
-"""Every name imported into a qotlab module is used in that module."""
+"""Every name imported into a qotlab module or a test module is used there."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qotlab"
-MODULES = sorted(SRC.rglob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qotlab"
+MODULES = sorted(SRC.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 # the future import, and the per-state samplers that bench/tracing.py wraps
 # under these module names although the modules themselves never call them
@@ -40,8 +41,13 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(tree) == ["HONEST", "np"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def _name(path: Path) -> str:
+    """A module's path below src/qotlab, or below the root for a test module."""
+    return str(path.relative_to(SRC if path.is_relative_to(SRC) else ROOT))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_name)
 def test_no_unused_import(path):
-    allowed = ALLOWED | ALLOWED_IN.get(str(path.relative_to(SRC)), set())
+    allowed = ALLOWED | ALLOWED_IN.get(_name(path), set())
     unused = [n for n in unused_imports(ast.parse(path.read_text())) if n not in allowed]
-    assert unused == [], f"{path.relative_to(SRC)} imports {unused} and never uses them"
+    assert unused == [], f"{_name(path)} imports {unused} and never uses them"
