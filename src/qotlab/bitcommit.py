@@ -295,7 +295,7 @@ def _ot_channel(
         # the receiver blinds |0> by a uniform angle, the committer encodes
         alphas = rng.gen.uniform(0.0, 2 * np.pi, size=size)
         bits = rng.bits(size)
-        encoded = rotate_rows(blinded_amps(alphas), ENCODE_ANGLE * bits)
+        encoded = blinded_amps(alphas, bits)
         sender, receiver = SenderRecord(bits=bits), p4_unblind_and_measure(encoded, alphas, rng)
     else:
         raise ValueError(f"unknown commitment variant {variant!r}")

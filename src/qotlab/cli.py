@@ -1,13 +1,13 @@
 """Command-line experiment runner.
 
-Subcommands: `rot` (conclusive-rate campaigns for the honest and the
-discrimination receiver), `ot12` (end-to-end transfer runs plus the exact
-security values and curve), `commit` / `open` / `verify` (the two-phase
-commitment flow over JSON transcript files), and `attack` (the adversarial
-campaigns). Results are rows of (experiment, params, metric, value, ci_low,
-ci_high, trials) emitted as CSV or JSON, sorted so that a fixed seed gives
-byte-identical output. `--check` additionally asserts the documented
-statistical claims and exits 3 when one fails.
+`EXPERIMENTS` is the one table of what a command line can run, keyed by
+(subcommand, --attack or --protocol value): `rot`, `ot12`, the attacks, the
+commit protocols, `open` and `verify`. Each entry names its runner and the
+flags it reads with their defaults; the parser, the defaults, the dispatch
+and the refusal of a flag the experiment does not read all come from it.
+Campaigns emit rows of (experiment, params, metric, value, ci_low, ci_high,
+trials) as CSV or JSON, sorted so that a fixed seed gives byte-identical
+output; `--check` exits 3 when one of their statistical guards fails.
 """
 from __future__ import annotations
 
@@ -17,10 +17,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .bitcommit import (
     sender_state_to_dict,
     verify_from_states,
 )
-from .ot12 import monte_carlo_estimate, p1_exact, p2_exact, run_ot12, security_curve
+from .ot12 import DEFAULT_ALPHA, monte_carlo_estimate, p1_exact, p2_exact, run_ot12, security_curve
 from .qsim.rng import DEFAULT_SEED, RngStream
 from .rot import HONEST, USD, RotConfig, run_rot
 
@@ -58,7 +58,6 @@ CURVE_N_LIST = (64, 128, 256, 512, 1024)
 
 # --protocol name of each protocol id, e.g. "p2bc" for "P2-BC"
 _PROTOCOLS = {pid.lower().replace("-", ""): pid for pid in PROTOCOL_FAMILIES}
-_ATTACK_CHOICES = ("usd", "nogo", "probe-p3", "probe-p4", "omission")
 
 # fixed stream offsets per campaign so reruns and partial runs never collide
 _STREAM_ROT_HONEST = 0
@@ -69,18 +68,6 @@ _STREAM_PROBE_P3 = 5
 _STREAM_PROBE_P4 = 6
 _STREAM_OMISSION = 7
 _STREAM_COMMIT = 8
-
-_DEFAULT_N = {
-    "rot": 64,
-    "ot12": 64,
-    "commit-ot": 16,
-    "commit-p5": 8,
-    "usd": 64,
-    "nogo": 4,
-    "probe-p3": 8,
-    "probe-p4": 4,
-    "omission": 8,
-}
 
 
 @dataclass(frozen=True)
@@ -123,23 +110,22 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 
 def rows_to_json(rows: list[ResultRow]) -> str:
-    payload = [
-        {
-            "experiment": r.experiment,
-            "params": r.params,
-            "metric": r.metric,
-            "value": r.value,
-            "ci_low": r.ci_low,
-            "ci_high": r.ci_high,
-            "trials": r.trials,
-        }
-        for r in sorted(rows, key=lambda r: (r.experiment, r.params, r.metric))
-    ]
+    payload = [asdict(r) for r in sorted(rows, key=lambda r: (r.experiment, r.params, r.metric))]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _sigma(p: float, trials: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+
+
+def _agree(fails: list[str], label: str, value: float, exact: float, trials: int) -> None:
+    """Record a failure when a measured rate lies more than 5 sigma from its
+    exact value; at sigma = 0 (an exact value of 0 or 1) any gap fails."""
+    sigma = _sigma(exact, trials)
+    gap = value - exact
+    if abs(gap) > 5.0 * sigma:
+        spread = f"sigma {sigma:.6g}, z {gap / sigma:.2f}" if sigma else f"sigma 0, gap {gap:.6g}"
+        fails.append(f"{label} {value:.6f} off exact {exact:.6f}: {spread}")
 
 
 def cmd_rot(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
@@ -165,12 +151,9 @@ def cmd_rot(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
         )
         rows.append(_exact_row("rot", params, "conclusive_rate_exact", exact))
         rows.append(_mc_row("rot", params, "conclusive_error_rate", errors, max(conclusive, 1)))
-        if cfg.check:
-            mc = conclusive / qubits
-            if abs(mc - exact) > 5.0 * _sigma(exact, qubits):
-                fails.append(f"rot {strategy}: conclusive rate {mc:.6f} off exact {exact:.6f}")
-            if errors != 0:
-                fails.append(f"rot {strategy}: {errors} conclusive errors, expected none")
+        _agree(fails, f"rot {strategy}: conclusive rate", conclusive / qubits, exact, qubits)
+        checked = max(conclusive, 1)
+        _agree(fails, f"rot {strategy}: conclusive error rate", errors / checked, 0.0, checked)
     return rows, fails
 
 
@@ -179,7 +162,6 @@ def cmd_ot12(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     fails: list[str] = []
     camp = RngStream(cfg.seed, _STREAM_OT12)
     aborts = 0
-    completed = 0
     correct = 0
     for t in range(cfg.trials):
         rng = camp.substream(t)
@@ -187,10 +169,9 @@ def cmd_ot12(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
         tr = run_ot12(cfg.n, b0, b1, HONEST, rng, theta=cfg.theta, alpha=cfg.alpha)
         if tr.aborted:
             aborts += 1
-        else:
-            completed += 1
-            if tr.b_received == (b0 if tr.m == 0 else b1):
-                correct += 1
+        elif tr.b_received == (b0 if tr.m == 0 else b1):
+            correct += 1
+    completed = cfg.trials - aborts
     p1 = p1_exact(cfg.n, cfg.alpha, cfg.theta)
     p2 = p2_exact(cfg.n, cfg.alpha, cfg.theta)
     params = f"alpha={cfg.alpha};n={cfg.n};theta={_g(cfg.theta)}"
@@ -204,13 +185,9 @@ def cmd_ot12(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
         rows.append(_exact_row("ot12-curve", cparams, "k", float(curve.k)))
         rows.append(_exact_row("ot12-curve", cparams, "p1_exact", curve.p1))
         rows.append(_exact_row("ot12-curve", cparams, "p2_exact", curve.p2))
-    if cfg.check:
-        expected_abort = 1.0 - p1.value
-        mc = aborts / cfg.trials
-        if abs(mc - expected_abort) > 5.0 * _sigma(expected_abort, cfg.trials):
-            fails.append(f"ot12: abort rate {mc:.6f} off exact {expected_abort:.6f}")
-        if correct != completed:
-            fails.append(f"ot12: {completed - correct} completed runs returned the wrong bit")
+    _agree(fails, "ot12: abort rate", aborts / cfg.trials, 1.0 - p1.value, cfg.trials)
+    checked = max(completed, 1)
+    _agree(fails, "ot12: wrong-bit rate", (completed - correct) / checked, 0.0, checked)
     return rows, fails
 
 
@@ -241,13 +218,8 @@ def _attack_usd(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     rows.append(_mc_row("attack", params, "abort_rate", aborts, cfg.trials))
     rows.append(_mc_row("attack", params, "learned_both_rate", learned_both, cfg.trials))
     rows.append(_exact_row("attack", params, "learned_both_exact", p2.value))
-    if cfg.check:
-        mc = conclusive / qubits
-        if abs(mc - exact_rate) > 5.0 * _sigma(exact_rate, qubits):
-            fails.append(f"attack usd: conclusive rate {mc:.6f} off exact {exact_rate:.6f}")
-        lb = learned_both / cfg.trials
-        if abs(lb - p2.value) > 5.0 * _sigma(p2.value, cfg.trials):
-            fails.append(f"attack usd: learned-both rate {lb:.6f} off exact {p2.value:.6f}")
+    _agree(fails, "attack usd: conclusive rate", conclusive / qubits, exact_rate, qubits)
+    _agree(fails, "attack usd: learned-both rate", learned_both / cfg.trials, p2.value, cfg.trials)
     return rows, fails
 
 
@@ -280,11 +252,8 @@ def _attack_probe_p3(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str
     rows.append(_exact_row("attack", params, "per_qubit_detection_exact", exact_pq))
     rows.append(ResultRow("attack", params, "run_success", run.value, run.ci_low, run.ci_high, cfg.trials))
     rows.append(_exact_row("attack", params, "run_success_exact", exact_run))
-    if cfg.check:
-        if abs(pq.value - exact_pq) > 5.0 * _sigma(exact_pq, qubits):
-            fails.append(f"probe-p3: per-qubit detection {pq.value:.6f} off exact {exact_pq:.6f}")
-        if abs(run.value - exact_run) > 5.0 * _sigma(exact_run, cfg.trials):
-            fails.append(f"probe-p3: run success {run.value:.6f} off exact {exact_run:.6f}")
+    _agree(fails, "probe-p3: per-qubit detection", pq.value, exact_pq, qubits)
+    _agree(fails, "probe-p3: run success", run.value, exact_run, cfg.trials)
     return rows, fails
 
 
@@ -299,9 +268,8 @@ def _attack_probe_p4(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str
     qubits = cfg.trials * cfg.n
     rows.append(ResultRow("attack", params, "per_qubit_detection", pq.value, pq.ci_low, pq.ci_high, qubits))
     rows.append(ResultRow("attack", params, "run_success", run.value, run.ci_low, run.ci_high, cfg.trials))
-    if cfg.check:
-        if pq.value <= 5.0 * _sigma(pq.value, qubits):
-            fails.append(f"probe-p4: detection {pq.value:.6f} not significantly above zero")
+    if pq.value <= 5.0 * _sigma(pq.value, qubits):
+        fails.append(f"probe-p4: detection {pq.value:.6f} not significantly above zero")
     return rows, fails
 
 
@@ -321,40 +289,21 @@ def _attack_omission(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str
     )
     rows.append(_mc_row("attack", params, "detected_at_commit_rate", detected, cfg.trials))
     rows.append(_mc_row("attack", params, "both_openings_accepted_rate", both_accepted, cfg.trials))
-    if cfg.check:
-        if cfg.perfect_detectors and detected != cfg.trials:
-            fails.append(f"omission: only {detected}/{cfg.trials} runs detected at commit")
-        if not cfg.perfect_detectors and both_accepted != cfg.trials:
-            fails.append(f"omission: only {both_accepted}/{cfg.trials} runs opened both ways")
+    # perfect detectors catch every omission; with imperfect ones every run opens both ways
+    perfect = float(cfg.perfect_detectors)
+    _agree(fails, "omission: detected-at-commit rate", detected / cfg.trials, perfect, cfg.trials)
+    _agree(fails, "omission: opened-both-ways rate", both_accepted / cfg.trials, 1 - perfect, cfg.trials)
     return rows, fails
-
-
-def cmd_attack(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
-    dispatch = {
-        "usd": _attack_usd,
-        "nogo": _attack_nogo,
-        "probe-p3": _attack_probe_p3,
-        "probe-p4": _attack_probe_p4,
-        "omission": _attack_omission,
-    }
-    return dispatch[cfg.attack](cfg)
-
-
-def _transcript_dir(cfg: argparse.Namespace, parser: argparse.ArgumentParser) -> Path:
-    if cfg.out is None:
-        parser.error(f"{cfg.command} requires --out DIR for the transcript files")
-    return Path(cfg.out)
 
 
 def _dump(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_commit(cfg: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    out = _transcript_dir(cfg, parser)
+def cmd_commit(cfg: argparse.Namespace) -> int:
     protocol_id = _PROTOCOLS[cfg.protocol]
     check_theta(protocol_id, cfg.theta)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg.out.mkdir(parents=True, exist_ok=True)
     rng = RngStream(cfg.seed, _STREAM_COMMIT)
     b = rng.bit()
     if protocol_id == PROTOCOL_P5:
@@ -363,25 +312,23 @@ def cmd_commit(cfg: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         transcript = bc_commit_over_ot(
             b, cfg.l, cfg.n, protocol_id, rng, theta=cfg.theta, alpha=cfg.alpha
         )
-    _dump(out / "sender.json", sender_state_to_dict(transcript.sender))
-    _dump(out / "receiver.json", receiver_state_to_dict(transcript.receiver))
-    print(f"committed under {transcript.sender.protocol_id}; transcripts in {out}")
+    _dump(cfg.out / "sender.json", sender_state_to_dict(transcript.sender))
+    _dump(cfg.out / "receiver.json", receiver_state_to_dict(transcript.receiver))
+    print(f"committed under {transcript.sender.protocol_id}; transcripts in {cfg.out}")
     return 0
 
 
-def cmd_open(cfg: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    out = _transcript_dir(cfg, parser)
-    sender = sender_state_from_dict(json.loads((out / "sender.json").read_text()))
+def cmd_open(cfg: argparse.Namespace) -> int:
+    sender = sender_state_from_dict(json.loads((cfg.out / "sender.json").read_text()))
     msg = protocol_family(sender.protocol_id).open(sender)
-    _dump(out / "open.json", open_message_to_dict(msg))
+    _dump(cfg.out / "open.json", open_message_to_dict(msg))
     print(f"open message written for {sender.protocol_id}")
     return 0
 
 
-def cmd_verify(cfg: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    out = _transcript_dir(cfg, parser)
-    receiver = receiver_state_from_dict(json.loads((out / "receiver.json").read_text()))
-    msg = open_message_from_dict(json.loads((out / "open.json").read_text()))
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    receiver = receiver_state_from_dict(json.loads((cfg.out / "receiver.json").read_text()))
+    msg = open_message_from_dict(json.loads((cfg.out / "open.json").read_text()))
     result = verify_from_states(receiver, msg)
     if result.accepted:
         print(f"accepted: committed bit {result.recovered_bit}")
@@ -390,68 +337,97 @@ def cmd_verify(cfg: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 3
 
 
-# every flag: (argparse keyword arguments, default)
-_FLAGS = {
-    "--n": (dict(type=int, help="qubits per run / string length"), None),
-    "--l": (dict(type=int, help="commitment rounds"), 8),
-    "--m": (dict(type=int, help="strings per direct commitment"), 3),
-    "--trials": (dict(type=int), 200),
-    "--seed": (dict(type=int), None),
-    "--theta": (dict(type=float), float(np.pi / 4)),
-    "--alpha": (dict(type=str, help="rate margin for k"), "1/16"),
-    "--protocol": (dict(choices=tuple(_PROTOCOLS)), None),
-    "--attack": (dict(choices=_ATTACK_CHOICES), None),
-    "--perfect-detectors": (dict(action="store_true"), False),
-    "--out": (dict(), None),
-    "--format": (dict(choices=("csv", "json")), "csv"),
-    "--check": (dict(action="store_true"), False),
+class Experiment(NamedTuple):
+    """A runner and the flags it reads, each with its default. A runner that
+    reads --format returns (rows, fails); any other returns its exit code."""
+
+    runner: Callable[[argparse.Namespace], object]
+    flags: dict[str, object]
+
+
+_REQUIRED = object()  # the default of a flag the experiment cannot run without
+_THETA = {"--theta": float(np.pi / 4)}
+_ALPHA = {"--alpha": str(DEFAULT_ALPHA)}
+# a seed of None is read from QOT_SEED, else DEFAULT_SEED
+_CAMPAIGN = {"--trials": 200, "--seed": None, "--out": None, "--format": "csv", "--check": False}
+_COMMIT = {"--seed": None, **_THETA, "--out": _REQUIRED}
+
+# every experiment a command line can name, keyed by (subcommand, value of
+# its --attack or --protocol selector)
+EXPERIMENTS = {
+    ("rot", None): Experiment(cmd_rot, {"--n": 64, **_THETA, **_CAMPAIGN}),
+    ("ot12", None): Experiment(cmd_ot12, {"--n": 64, **_THETA, **_ALPHA, **_CAMPAIGN}),
+    ("attack", "usd"): Experiment(_attack_usd, {"--n": 64, **_THETA, **_ALPHA, **_CAMPAIGN}),
+    ("attack", "nogo"): Experiment(_attack_nogo, {"--n": 4, **_THETA, "--out": None, "--format": "csv"}),
+    ("attack", "probe-p3"): Experiment(_attack_probe_p3, {"--n": 8, **_CAMPAIGN}),
+    ("attack", "probe-p4"): Experiment(_attack_probe_p4, {"--n": 4, **_CAMPAIGN}),
+    ("attack", "omission"): Experiment(
+        _attack_omission, {"--n": 8, "--m": 3, "--perfect-detectors": False, **_CAMPAIGN}
+    ),
+    ("commit", "p2bc"): Experiment(cmd_commit, {"--n": 16, "--l": 8, **_ALPHA, **_COMMIT}),
+    ("commit", "p3"): Experiment(cmd_commit, {"--n": 16, "--l": 8, **_ALPHA, **_COMMIT}),
+    ("commit", "p4"): Experiment(cmd_commit, {"--n": 16, "--l": 8, **_ALPHA, **_COMMIT}),
+    ("commit", "p5"): Experiment(cmd_commit, {"--n": 8, "--m": 3, **_COMMIT}),
+    ("open", None): Experiment(cmd_open, {"--out": _REQUIRED}),
+    ("verify", None): Experiment(cmd_verify, {"--out": _REQUIRED}),
 }
 
-_CAMPAIGN_FLAGS = ("--n", "--trials", "--seed", "--theta", "--out", "--format", "--check")
-_COMMAND_FLAGS = {
-    "rot": _CAMPAIGN_FLAGS,
-    "ot12": _CAMPAIGN_FLAGS + ("--alpha",),
-    "commit": ("--protocol", "--n", "--l", "--m", "--seed", "--theta", "--alpha", "--out"),
-    "open": ("--out",),
-    "verify": ("--out",),
-    "attack": _CAMPAIGN_FLAGS + ("--attack", "--alpha", "--m", "--perfect-detectors"),
+_SELECTORS = {"attack": "--attack", "commit": "--protocol"}
+
+# argparse keyword arguments of every flag an experiment can read
+_FLAGS = {
+    "--n": dict(type=int, help="qubits per run / string length"),
+    "--l": dict(type=int, help="commitment rounds"),
+    "--m": dict(type=int, help="strings per direct commitment"),
+    "--trials": dict(type=int),
+    "--seed": dict(type=int),
+    "--theta": dict(type=float),
+    "--alpha": dict(type=str, help="rate margin for k"),
+    "--perfect-detectors": dict(action="store_true"),
+    "--out": dict(type=Path),
+    "--format": dict(choices=("csv", "json")),
+    "--check": dict(action="store_true"),
 }
+_DEST = {flag: flag[2:].replace("-", "_") for flag in _FLAGS}
 
 
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; each subcommand takes only its flags."""
+    """The parser, built once per process from EXPERIMENTS: each subcommand
+    takes the flags its experiments read and records only those given."""
     parser = argparse.ArgumentParser(
         prog="qotlab",
         description="simulation experiments for quantum oblivious transfer and bit commitment",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in _COMMAND_FLAGS.items():
-        p = sub.add_parser(name)
-        for flag in flags:
-            kwargs, default = _FLAGS[flag]
-            p.add_argument(flag, default=default, **kwargs)
+    for command in dict.fromkeys(command for command, _ in EXPERIMENTS):
+        entries = {choice: e for (c, choice), e in EXPERIMENTS.items() if c == command}
+        p = sub.add_parser(command, argument_default=argparse.SUPPRESS)
+        if command in _SELECTORS:
+            p.add_argument(_SELECTORS[command], choices=tuple(entries), required=True)
+        read = {flag for e in entries.values() for flag in e.flags}
+        for flag in (f for f in _FLAGS if f in read):
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-def _default_n(args: argparse.Namespace) -> int:
-    if args.command == "attack":
-        return _DEFAULT_N[args.attack]
-    if args.command == "commit":
-        return _DEFAULT_N["commit-p5" if args.protocol == "p5" else "commit-ot"]
-    return _DEFAULT_N[args.command]
 
 
 def _resolve_config(
     args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> argparse.Namespace:
-    """Check the parsed flags and fill in n, seed and alpha where the command
-    takes them; the namespace then holds exactly the command's settings."""
-    if args.command == "attack" and args.attack is None:
-        parser.error("attack requires --attack {usd|nogo|probe-p3|probe-p4|omission}")
-    if args.command == "commit" and args.protocol not in _PROTOCOLS:
-        parser.error(f"commit requires --protocol {{{'|'.join(_PROTOCOLS)}}}")
+) -> tuple[argparse.Namespace, Experiment]:
+    """Find the experiment the command line names, refuse the flags it does not
+    read and fill in the rest; the namespace then holds exactly its settings."""
+    selector = _SELECTORS.get(args.command)
+    choice = getattr(args, selector[2:]) if selector else None
+    experiment = EXPERIMENTS[args.command, choice]
+    label = " ".join(filter(None, (args.command, choice)))
     flags = vars(args)
+    unread = [f for f in _FLAGS if _DEST[f] in flags and f not in experiment.flags]
+    if unread:
+        parser.error(f"{label} does not read {', '.join(unread)}")
+    for flag, default in experiment.flags.items():
+        if default is _REQUIRED and _DEST[flag] not in flags:
+            parser.error(f"{label} requires {flag}")
+        flags.setdefault(_DEST[flag], default)
     if flags.get("seed", 0) is None:
         raw = os.environ.get("QOT_SEED", str(DEFAULT_SEED))
         try:
@@ -463,36 +439,30 @@ def _resolve_config(
             args.alpha = Fraction(args.alpha)
         except (ValueError, ZeroDivisionError):
             parser.error(f"--alpha {args.alpha!r} is not a fraction")
-    if flags.get("n", 0) is None:
-        args.n = _default_n(args)
     if any(flags.get(name, 1) < 1 for name in ("n", "l", "m", "trials")):
         parser.error("n, l, m and trials must be positive")
     if not 0.0 < flags.get("theta", np.pi / 4) <= np.pi / 2:
         parser.error("theta must lie in (0, pi/2]")
-    return args
+    return args, experiment
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = _resolve_config(args, parser)
+    cfg, experiment = _resolve_config(parser.parse_args(argv), parser)
     try:
-        if cfg.command == "commit":
-            return cmd_commit(cfg, parser)
-        if cfg.command == "open":
-            return cmd_open(cfg, parser)
-        if cfg.command == "verify":
-            return cmd_verify(cfg, parser)
-        table = {"rot": cmd_rot, "ot12": cmd_ot12, "attack": cmd_attack}
-        rows, fails = table[cfg.command](cfg)
+        outcome = experiment.runner(cfg)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if "--format" not in experiment.flags:
+        return outcome
+    rows, fails = outcome
     text = rows_to_csv(rows) if cfg.format == "csv" else rows_to_json(rows)
     if cfg.out is not None:
-        Path(cfg.out).write_text(text)
+        cfg.out.write_text(text)
     else:
         sys.stdout.write(text)
+    fails = fails if vars(cfg).get("check") else []
     for line in fails:
         print(f"CHECK FAIL: {line}", file=sys.stderr)
     return 3 if fails else 0

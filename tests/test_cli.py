@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from qotlab import cli
 from qotlab.cli import CSV_HEADER, main
+from qotlab.ot12 import SecurityEstimate
 
 
 def run_cli(args, env_extra=None):
@@ -143,7 +145,8 @@ def test_flag_overrides_environment():
 def test_commit_open_verify_round_trip(protocol, tmp_path, capsys):
     workdir = str(tmp_path)
     common = ["--out", workdir]
-    commit = ["commit", "--protocol", protocol, "--n", "8", "--l", "2", "--m", "2"]
+    rounds = ["--m", "2"] if protocol == "p5" else ["--l", "2"]
+    commit = ["commit", "--protocol", protocol, "--n", "8", *rounds]
     assert main([*commit, "--seed", "21", *common]) == 0
     assert main(["open", *common]) == 0
     assert main(["verify", *common]) == 0
@@ -193,7 +196,8 @@ def test_verify_names_every_missing_or_mistyped_field(protocol, name, tmp_path, 
     the wrong type, is refused with a usage error that names it."""
     workdir = str(tmp_path)
     common = ["--out", workdir]
-    commit = ["commit", "--protocol", protocol, "--n", "8", "--l", "2", "--m", "2"]
+    rounds = ["--m", "2"] if protocol == "p5" else ["--l", "2"]
+    commit = ["commit", "--protocol", protocol, "--n", "8", *rounds]
     assert main([*commit, "--seed", "24", *common]) == 0
     assert main(["open", *common]) == 0
     original = json.loads((tmp_path / name).read_text())
@@ -255,7 +259,7 @@ def test_curve_rows_follow_theta(capsys):
 
 
 def test_attack_nogo_reports_exact_numbers(capsys):
-    assert main(["attack", "--attack", "nogo", "--n", "4", "--seed", "30"]) == 0
+    assert main(["attack", "--attack", "nogo", "--n", "4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     metrics = {line.split(",")[2]: float(line.split(",")[3]) for line in lines[1:]}
     assert {"fidelity", "achieved_overlap", "detection_probability"} <= set(metrics)
@@ -449,3 +453,118 @@ def test_verify_refuses_an_unknown_p5_outcome_record(record, tmp_path, capsys):
     assert result.returncode == 2, result.stdout
     assert result.stderr.startswith("error: field 'records' is malformed: ")
     assert "Traceback" not in result.stderr
+
+
+def _run(argv, capsys):
+    """In-process run: (exit code, stdout, stderr); a usage error is exit 2."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "p1, spread",
+    [(0.5, "sigma 0.05, z -"), (0.0, "sigma 0, gap -")],
+    ids=["z", "sigma-zero"],
+)
+def test_a_failing_check_reports_its_spread(p1, spread, monkeypatch, capsys):
+    """A wrong exact p1 moves the expected abort rate to 1 - p1: the failing
+    line carries sigma and z, or the bare gap when sigma is 0."""
+    monkeypatch.setattr(cli, "p1_exact", lambda n, alpha, theta: SecurityEstimate(p1, p1, p1))
+    argv = ["ot12", "--n", "64", "--trials", "100", "--seed", "2"]
+    code, out, err = _run([*argv, "--check"], capsys)
+    assert code == 3
+    (line,) = [line for line in err.splitlines() if line.startswith("CHECK FAIL: ot12: abort rate")]
+    assert spread in line
+    assert (" z " in line) == (p1 != 0.0)
+    # without --check the same run passes, prints the same rows and no CHECK line
+    assert _run(argv, capsys) == (0, out, "")
+
+
+# a value other than the default for each flag but --n; none for a store_true flag
+_OTHER = {
+    "--l": ["2"],
+    "--m": ["2"],
+    "--trials": ["3"],
+    "--seed": ["5"],
+    "--theta": ["0.7"],
+    "--alpha": ["1/8"],
+    "--perfect-detectors": [],
+    "--check": [],
+}
+
+
+def _subcommand_flags(command):
+    return {flag for (c, _), e in cli.EXPERIMENTS.items() if c == command for flag in e.flags}
+
+
+def _experiment_argv(command, choice, out):
+    argv = [command, *([cli._SELECTORS[command], choice] if choice else [])]
+    if cli.EXPERIMENTS[command, choice].flags.get("--out", None) is not None:
+        argv += ["--out", str(out)]  # the transcript commands require a directory
+    return argv
+
+
+def _other_value(flag, experiment):
+    return [str(experiment.flags["--n"] - 2)] if flag == "--n" else _OTHER[flag]
+
+
+_UNREAD = [
+    (key, flag)
+    for key, e in cli.EXPERIMENTS.items()
+    for flag in sorted(_subcommand_flags(key[0]) - set(e.flags))
+]
+
+
+@pytest.mark.parametrize("key, flag", _UNREAD, ids=[f"{c}-{x}{f}" for (c, x), f in _UNREAD])
+def test_an_unread_flag_is_a_usage_error(key, flag, tmp_path, capsys):
+    out = tmp_path / "t"
+    code, _, err = _run([*_experiment_argv(*key, out), flag, *_OTHER[flag]], capsys)
+    assert code == 2
+    assert f"does not read {flag}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+_READ = [
+    (key, flag)
+    for key, e in cli.EXPERIMENTS.items()
+    for flag in e.flags
+    if flag not in ("--out", "--format", "--check")
+    # every omission run is caught at commit (perfect detectors) or opens
+    # both ways (imperfect ones), so its rows are the same at every seed
+    and (key, flag) != (("attack", "omission"), "--seed")
+]
+
+
+@pytest.mark.parametrize("key, flag", _READ, ids=[f"{c}-{x}{f}" for (c, x), f in _READ])
+def test_a_read_flag_changes_the_output(key, flag, tmp_path, capsys, monkeypatch):
+    """Each flag an experiment reads changes its rows or transcripts at a
+    non-default value. Runs take 2 trials, except when --trials is under
+    test (default against 3) or --seed is (at 2 trials the rates can tie)."""
+    monkeypatch.delenv("QOT_SEED", raising=False)
+    experiment = cli.EXPERIMENTS[key]
+    few = "--trials" in experiment.flags and flag not in ("--trials", "--seed")
+    small = ["--trials", "2"] if few else []
+
+    def run(name, extra):
+        out = tmp_path / name
+        code, stdout, err = _run([*_experiment_argv(*key, out), *small, *extra], capsys)
+        if key[0] != "commit":
+            return code, stdout, err
+        files = [(out / f).read_bytes() for f in ("sender.json", "receiver.json") if code == 0]
+        return code, files, err
+
+    base = run("base", [])
+    assert base[0] == 0, base[2]
+    changed = run("changed", [flag, *_other_value(flag, experiment)])
+    if key[0] == "commit" and key[1] != "p2bc" and flag == "--theta":
+        assert changed[0] == 2
+        assert "fix theta at pi/4" in changed[2]
+        assert not (tmp_path / "changed").exists()
+    else:
+        assert changed[0] == 0, changed[2]
+        assert changed[1] != base[1]

@@ -146,7 +146,8 @@ def transcripts(tmp_path_factory):
         workdir = tmp_path_factory.mktemp(name)
         common = ["--out", str(workdir)]
         with contextlib.redirect_stdout(io.StringIO()):
-            commit = ["commit", "--protocol", name, "--n", "8", "--l", "2", "--m", "2"]
+            rounds = ["--m", "2"] if name == "p5" else ["--l", "2"]
+            commit = ["commit", "--protocol", name, "--n", "8", *rounds]
             assert cli.main([*commit, "--seed", "26", *common]) == 0
             assert cli.main(["open", *common]) == 0
         out[name] = (
