@@ -30,6 +30,7 @@ from .bitcommit import (
     P5OpenMessage,
     PROTOCOL_P5,
     blinded_amps,
+    blinding_angles,
     p3_bases,
     p3_pair_states,
     p5_measure_record,
@@ -304,7 +305,7 @@ def probe_attack_p4(
         raise ValueError("need a positive qubit count and trial count")
     size = trials * n
     if alpha is None:
-        alphas = rng.gen.uniform(0.0, 2 * np.pi, size=size)
+        alphas = blinding_angles(rng, size)
     else:
         alphas = np.full(size, float(alpha))
     r = rng.bits(size)
@@ -365,7 +366,7 @@ def omission_attack_p5(
     function = parity_function(n)
     withheld = rng.gen.integers(0, n, size=m)
     sent_bits = rng.bits(m * n).reshape(m, n)
-    alphas = rng.gen.uniform(0.0, 2 * np.pi, size=(m, n))
+    alphas = blinding_angles(rng, (m, n))
     present = np.arange(n) != withheld[:, np.newaxis]
     basis, decoded = p5_measure_record(blinded_amps(alphas, sent_bits), alphas, rng, present)
     if perfect_detectors:

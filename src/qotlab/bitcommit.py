@@ -34,7 +34,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .ot12 import DEFAULT_ALPHA, IndexSets, k_of, run_masked_transfer
+from .ot12 import DEFAULT_ALPHA, IndexSets, mask, run_masked_transfer, transfer_k
 from .qsim import (
     ProjectiveBasis,
     RngStream,
@@ -138,6 +138,11 @@ def p3_measure(amps: np.ndarray, rng: RngStream) -> ReceiverRecord:
 
 # ---------------------------------------------------------------------------
 # blinded single-qubit channel ("P4", also the qubit layer of "P5")
+
+
+def blinding_angles(rng: RngStream, shape) -> np.ndarray:
+    """The receiver's secret blinding angles, uniform on [0, 2 pi)."""
+    return rng.gen.uniform(0.0, 2 * np.pi, size=shape)
 
 
 def blinded_amps(alphas, bits=0) -> np.ndarray:
@@ -293,7 +298,7 @@ def _ot_channel(
         sender, receiver = SenderRecord(bits=bits), p3_measure(p3_prepare_and_encode(bits), rng)
     elif variant == PROTOCOL_P4:
         # the receiver blinds |0> by a uniform angle, the committer encodes
-        alphas = rng.gen.uniform(0.0, 2 * np.pi, size=size)
+        alphas = blinding_angles(rng, size)
         bits = rng.bits(size)
         encoded = blinded_amps(alphas, bits)
         sender, receiver = SenderRecord(bits=bits), p4_unblind_and_measure(encoded, alphas, rng)
@@ -331,9 +336,7 @@ def bc_commit_over_ot(
     if variant not in OT_VARIANTS:
         raise ValueError(f"variant must be one of {OT_VARIANTS}")
     check_theta(variant, theta)
-    k = k_of(n, alpha)
-    if k < 1:
-        raise ValueError(f"n={n} gives k={k} announced positions; hiding needs k >= 1")
+    k = transfer_k(n, alpha)
     sender_rounds = []
     receiver_rounds = []
     for _wave in range(max_attempts_per_round):
@@ -399,9 +402,10 @@ def bc_verify(receiver_state: CommitReceiverState, open_msg: OpenMessage) -> Ver
 
     Checks per round: the declared positions are the announced sets, no
     declared bit contradicts a conclusive measurement, both ciphertexts
-    reproduce under the declared shares and masks, and the declared share in
-    the receiver's slot matches the share actually transferred. All rounds
-    must decode to one and the same bit.
+    reproduce under the declared shares and the transfer's mask rule, and
+    the declared share in the receiver's slot (the transfer's slot rule)
+    matches the share actually transferred. All rounds must decode to one
+    and the same bit.
     """
     if open_msg.protocol_id != receiver_state.protocol_id:
         return _reject("protocol identifier mismatch")
@@ -423,18 +427,11 @@ def bc_verify(receiver_state: CommitReceiverState, open_msg: OpenMessage) -> Ver
                 return _reject(
                     f"round {idx}: declared bit at position {pos} contradicts a conclusive outcome"
                 )
-        s_x = 0
-        for _, val in orec.declared_x:
-            s_x ^= val
-        s_y = 0
-        for _, val in orec.declared_y:
-            s_y ^= val
-        if rrec.c0 != orec.share0 ^ s_x:
+        if rrec.c0 != orec.share0 ^ mask([val for _, val in orec.declared_x]):
             return _reject(f"round {idx}: ciphertext c0 inconsistent with the declared opening")
-        if rrec.c1 != orec.share1 ^ s_y:
+        if rrec.c1 != orec.share1 ^ mask([val for _, val in orec.declared_y]):
             return _reject(f"round {idx}: ciphertext c1 inconsistent with the declared opening")
-        declared_received = orec.share0 if rrec.sets.m == 0 else orec.share1
-        if declared_received != rrec.received_share:
+        if rrec.sets.pick(orec.share0, orec.share1) != rrec.received_share:
             return _reject(f"round {idx}: declared share differs from the transferred share")
         decoded_bits.append(orec.share0 ^ orec.share1)
     if len(set(decoded_bits)) != 1:
@@ -463,16 +460,7 @@ def parity_function(n: int) -> BooleanFunctionSpec:
     """XOR of all n inputs: balanced and correlation immune of order n - 1."""
     if n < 1:
         raise ValueError("arity must be at least 1")
-
-    def xor_all(bits: tuple[int, ...]) -> int:
-        out = 0
-        for b in bits:
-            out ^= b
-        return out
-
-    return BooleanFunctionSpec(
-        arity=n, func=xor_all, correlation_immunity_order=n - 1, name="parity"
-    )
+    return BooleanFunctionSpec(arity=n, func=mask, correlation_immunity_order=n - 1, name="parity")
 
 
 def correlation_immunity_order(func: Callable, arity: int) -> int:
@@ -548,13 +536,12 @@ def _p5_grids(basis: np.ndarray, decoded: np.ndarray) -> P5Grids:
 
 @dataclass(frozen=True)
 class P5ReceiverState:
-    """Blinding grid plus the outcome grids measured at commit."""
+    """The outcome grids measured at commit."""
 
     protocol_id: str
     m: int
     n: int
     function: BooleanFunctionSpec
-    alphas: np.ndarray
     records: P5Grids
 
 
@@ -603,15 +590,14 @@ def p5_commit(
     if function.arity != n:
         raise ValueError("function arity must equal the string length n")
     strings = p5_sample_strings(b, m, function, rng)
-    alphas = rng.gen.uniform(0.0, 2 * np.pi, size=(m, n))
+    alphas = blinding_angles(rng, (m, n))
     records = p5_measure_record(blinded_amps(alphas, np.array(strings)), alphas, rng)
-    alphas.flags.writeable = False
     return CommitTranscript(
         sender=P5SenderState(
             protocol_id=PROTOCOL_P5, bit=b, m=m, n=n, function=function, strings=strings
         ),
         receiver=P5ReceiverState(
-            protocol_id=PROTOCOL_P5, m=m, n=n, function=function, alphas=alphas, records=records
+            protocol_id=PROTOCOL_P5, m=m, n=n, function=function, records=records
         ),
     )
 
@@ -743,7 +729,6 @@ def _p5_receiver_to_dict(state: P5ReceiverState) -> dict:
         "m": state.m,
         "n": state.n,
         "function": state.function.name,
-        "alphas": [[float(a) for a in row] for row in state.alphas],
         "records": [
             [
                 None if x < 0 else [_P5_BASIS_TAGS[x], _P5_OUTCOME_LABELS[d >= 0]]
@@ -840,10 +825,6 @@ def _positions(n: int, x) -> tuple[int, ...]:
 
 def _int_rows(x) -> tuple[tuple[int, ...], ...]:
     return tuple(_ints(row) for row in _list(x))
-
-
-def _float_rows(x) -> np.ndarray:
-    return np.array([[_float(v) for v in _list(row)] for row in _list(x)], dtype=np.float64)
 
 
 def _pos_vals(x) -> tuple[tuple[int, int], ...]:
@@ -974,10 +955,7 @@ def _p5_sender_from_dict(d: dict) -> P5SenderState:
 
 def _p5_receiver_from_dict(d: dict) -> P5ReceiverState:
     m, n = _field(d, "m", _int), _field(d, "n", _int)
-    alphas = _field(d, "alphas", _float_rows)
     records = _field(d, "records", _records)
-    if alphas.shape != (m, n):
-        raise ValueError(f"field 'alphas' must hold m x n = {m} x {n} angles")
     if [len(row) for row in records] != [n] * m:
         raise ValueError(f"field 'records' must hold m x n = {m} x {n} entries")
     cells = np.array(records, dtype=np.int8).reshape(m, n, 2)
@@ -986,7 +964,6 @@ def _p5_receiver_from_dict(d: dict) -> P5ReceiverState:
         m=m,
         n=n,
         function=_function_from_name(_field(d, "function", _str), n),
-        alphas=alphas,
         records=_p5_grids(cells[..., 0], cells[..., 1]),
     )
 

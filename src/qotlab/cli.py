@@ -169,7 +169,7 @@ def cmd_ot12(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
         tr = run_ot12(cfg.n, b0, b1, HONEST, rng, theta=cfg.theta, alpha=cfg.alpha)
         if tr.aborted:
             aborts += 1
-        elif tr.b_received == (b0 if tr.m == 0 else b1):
+        elif tr.b_received == tr.sets.pick(b0, b1):
             correct += 1
     completed = cfg.trials - aborts
     p1 = p1_exact(cfg.n, cfg.alpha, cfg.theta)
@@ -451,17 +451,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     cfg, experiment = _resolve_config(parser.parse_args(argv), parser)
     try:
         outcome = experiment.runner(cfg)
+        if "--format" not in experiment.flags:
+            return outcome
+        rows, fails = outcome
+        text = rows_to_csv(rows) if cfg.format == "csv" else rows_to_json(rows)
+        if cfg.out is not None:
+            cfg.out.write_text(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if "--format" not in experiment.flags:
-        return outcome
-    rows, fails = outcome
-    text = rows_to_csv(rows) if cfg.format == "csv" else rows_to_json(rows)
-    if cfg.out is not None:
-        cfg.out.write_text(text)
-    else:
-        sys.stdout.write(text)
     fails = fails if vars(cfg).get("check") else []
     for line in fails:
         print(f"CHECK FAIL: {line}", file=sys.stderr)

@@ -42,6 +42,15 @@ def k_of(n: int, alpha: Fraction = DEFAULT_ALPHA) -> int:
     return int((BASE_RATE - alpha) * n)
 
 
+def transfer_k(n: int, alpha: Fraction = DEFAULT_ALPHA) -> int:
+    """k_of(n, alpha), refused when it is 0: empty announced sets leave both
+    messages unmasked."""
+    k = k_of(n, alpha)
+    if k < 1:
+        raise ValueError(f"n={n} gives k={k} announced positions; the transfer needs k >= 1")
+    return k
+
+
 @dataclass(frozen=True)
 class IndexSets:
     """The receiver's announcement: I (conclusive), J (decoy), slot bit m.
@@ -65,13 +74,20 @@ class IndexSets:
         if set(self.i_set) & set(self.j_set):
             raise ValueError("index sets must be disjoint")
 
+    def pick(self, first, second):
+        """The slot rule: first when m = 0 (I announced first), else second.
+
+        So X = pick(I, J), and the receiver's ciphertext is pick(c0, c1).
+        """
+        return first if self.m == 0 else second
+
     @property
     def x_set(self) -> tuple[int, ...]:
-        return self.i_set if self.m == 0 else self.j_set
+        return self.pick(self.i_set, self.j_set)
 
     @property
     def y_set(self) -> tuple[int, ...]:
-        return self.j_set if self.m == 0 else self.i_set
+        return self.pick(self.j_set, self.i_set)
 
 
 @dataclass(frozen=True)
@@ -107,10 +123,6 @@ class Ot12Transcript:
             raise ValueError("an aborted run carries no announcement or ciphertexts")
         if not self.aborted and any(v is None for v in populated):
             raise ValueError("a completed run must carry sets, ciphertexts and b_received")
-
-    @property
-    def m(self) -> Optional[int]:
-        return None if self.sets is None else self.sets.m
 
 
 def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
@@ -269,10 +281,19 @@ def choose_index_sets(
     return IndexSets(i_set=tuple(i_set), j_set=tuple(j_set), m=rng.bit())
 
 
+def mask(values: Iterable[int]) -> int:
+    """The mask rule: the XOR of the bits over a set. A ciphertext is its
+    message XOR the mask over the message's announced set."""
+    out = 0
+    for v in values:
+        out ^= v
+    return out
+
+
 def sender_encrypt(
     bits: np.ndarray, x_set: Sequence[int], y_set: Sequence[int], b0: int, b1: int
 ) -> tuple[int, int]:
-    """Mask b0 with the XOR of the sent bits over X and b1 with it over Y."""
+    """Mask b0 with the sent bits over X and b1 with those over Y."""
     if b0 not in (0, 1) or b1 not in (0, 1):
         raise ValueError("messages must be bits")
     if set(x_set) & set(y_set):
@@ -280,12 +301,8 @@ def sender_encrypt(
     for p in list(x_set) + list(y_set):
         if not 1 <= p <= len(bits):
             raise ValueError("announced position out of range")
-    s_x = 0
-    for p in x_set:
-        s_x ^= int(bits[p - 1])
-    s_y = 0
-    for p in y_set:
-        s_y ^= int(bits[p - 1])
+    s_x = mask([int(bits[p - 1]) for p in x_set])
+    s_y = mask([int(bits[p - 1]) for p in y_set])
     return b0 ^ s_x, b1 ^ s_y
 
 
@@ -293,12 +310,10 @@ def receiver_decrypt(c_m: int, values: Iterable[Optional[int]]) -> int:
     """Strip the mask from the chosen ciphertext using conclusive values."""
     if c_m not in (0, 1):
         raise ValueError("ciphertext must be a bit")
-    out = c_m
-    for v in values:
-        if v is None:
-            raise ValueError("missing conclusive value over I")
-        out ^= int(v)
-    return out
+    values = list(values)
+    if None in values:
+        raise ValueError("missing conclusive value over I")
+    return c_m ^ mask([int(v) for v in values])
 
 
 def run_masked_transfer(
@@ -330,8 +345,7 @@ def run_masked_transfer(
         )
     c0, c1 = sender_encrypt(sender.bits, sets.x_set, sets.y_set, b0, b1)
     cmap = receiver.conclusive_map()
-    chosen = c0 if sets.m == 0 else c1
-    b_received = receiver_decrypt(chosen, [cmap.get(p) for p in sets.i_set])
+    b_received = receiver_decrypt(sets.pick(c0, c1), [cmap.get(p) for p in sets.i_set])
     return Ot12Transcript(
         n=n,
         k=k,
@@ -358,9 +372,7 @@ def run_ot12(
 ) -> Ot12Transcript:
     """One full run: qubit phase, announcement, masking, decryption."""
     config = RotConfig(n=n, theta=theta)
-    k = k_of(n, alpha)
-    if k < 1:
-        raise ValueError(f"n={n} gives k={k} announced positions; the transfer needs k >= 1")
+    k = transfer_k(n, alpha)
     sender, receiver = run_rot(config, strategy, rng)
     return run_masked_transfer(
         sender,

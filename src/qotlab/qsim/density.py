@@ -1,9 +1,9 @@
-"""Density matrices: ensembles, partial trace, fidelity, purification."""
+"""Density matrices: partial trace, fidelity, purification."""
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,26 +48,6 @@ class DensityMatrix:
             num_qubits=state.num_qubits,
             entries=np.outer(state.amps, state.amps.conj()),
         )
-
-
-def density_from_ensemble(members: Iterable[tuple[float, StateVector]]) -> DensityMatrix:
-    """Mix (probability, state) members; probabilities must sum to 1."""
-    members = list(members)
-    if not members:
-        raise ValueError("ensemble is empty")
-    n = members[0][1].num_qubits
-    total_p = 0.0
-    acc = np.zeros((2**n, 2**n), dtype=np.complex128)
-    for p, state in members:
-        if p < 0:
-            raise ValueError("ensemble probabilities must be nonnegative")
-        if state.num_qubits != n:
-            raise ValueError("ensemble states must share a qubit count")
-        total_p += p
-        acc += p * np.outer(state.amps, state.amps.conj())
-    if abs(total_p - 1.0) > CONSTRUCTION_ATOL:
-        raise ValueError("ensemble probabilities must sum to 1")
-    return DensityMatrix(num_qubits=n, entries=acc)
 
 
 def partial_trace(dm: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

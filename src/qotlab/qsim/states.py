@@ -2,8 +2,7 @@
 
 Amplitude ordering is big-endian: basis index i encodes qubit 0 in its most
 significant bit, so a two-qubit vector is ordered |00>, |01>, |10>, |11>.
-States validate to unit norm on construction and are treated as immutable;
-equality assertions elsewhere compare states up to global phase.
+States validate to unit norm on construction and are treated as immutable.
 """
 from __future__ import annotations
 
@@ -38,12 +37,6 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
     @classmethod
-    def from_amplitudes(cls, amps) -> "StateVector":
-        arr = np.asarray(amps, dtype=np.complex128)
-        n = int(round(np.log2(arr.shape[0])))
-        return cls(num_qubits=n, amps=arr)
-
-    @classmethod
     def computational(cls, bits: Sequence[int]) -> "StateVector":
         n = len(bits)
         amps = np.zeros(2**n, dtype=np.complex128)
@@ -52,29 +45,6 @@ class StateVector:
             index = (index << 1) | int(b)
         amps[index] = 1.0
         return cls(num_qubits=n, amps=amps)
-
-    def inner(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        return complex(np.vdot(self.amps, other.amps))
-
-    def tensor(self, other: "StateVector") -> "StateVector":
-        return StateVector(
-            num_qubits=self.num_qubits + other.num_qubits,
-            amps=np.kron(self.amps, other.amps),
-        )
-
-
-def equal_up_to_phase(a: StateVector, b: StateVector, atol: float = 1e-10) -> bool:
-    if a.num_qubits != b.num_qubits:
-        return False
-    return abs(abs(a.inner(b)) - 1.0) <= atol
-
-
-def tensor_of(states: Sequence[StateVector]) -> StateVector:
-    out = states[0]
-    for s in states[1:]:
-        out = out.tensor(s)
-    return out
 
 
 @dataclass(frozen=True)
@@ -91,9 +61,6 @@ class Unitary2x2:
         if np.max(np.abs(defect)) > CONSTRUCTION_ATOL:
             raise ValueError("matrix is not unitary")
         object.__setattr__(self, "entries", entries)
-
-    def dagger(self) -> "Unitary2x2":
-        return Unitary2x2(entries=self.entries.conj().T)
 
 
 def rotation_plane(angle: float) -> Unitary2x2:

@@ -56,6 +56,16 @@ def test_output_file(tmp_path, capsys):
     assert text.startswith(CSV_HEADER)
 
 
+@pytest.mark.parametrize("target", ["missing/rows.csv", "."])
+def test_an_unwritable_output_file_is_a_usage_error(target, tmp_path, capsys):
+    # a directory that does not exist, and a path that is a directory
+    out = tmp_path / target
+    assert main(["rot", "--n", "8", "--trials", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_a_usage_error(self):
         result = run_cli(["frobnicate"])

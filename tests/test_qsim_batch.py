@@ -32,7 +32,7 @@ ENCODE = np.pi / 4
 
 
 def rows_as_states(amps):
-    return [StateVector.from_amplitudes(row) for row in amps]
+    return [StateVector(num_qubits=len(row).bit_length() - 1, amps=row) for row in amps]
 
 
 @pytest.mark.parametrize("theta", [0.3, np.pi / 4, 1.1, np.pi / 2])

@@ -8,7 +8,6 @@ from qotlab.qsim import (
     DensityMatrix,
     StateVector,
     bell_state,
-    density_from_ensemble,
     fidelity,
     make_nonorthogonal_pair,
     partial_trace,
@@ -43,21 +42,6 @@ def test_from_pure_is_projector():
     np.testing.assert_allclose(dm.entries @ dm.entries, dm.entries, atol=1e-12)
 
 
-def test_ensemble_of_two_nonorthogonal_states():
-    theta = np.pi / 4
-    psi0, psi1 = make_nonorthogonal_pair(theta)
-    dm = density_from_ensemble([(0.5, psi0), (0.5, psi1)])
-    expected = 0.5 * (
-        np.outer(psi0.amps, psi0.amps.conj()) + np.outer(psi1.amps, psi1.amps.conj())
-    )
-    np.testing.assert_allclose(dm.entries, expected, atol=1e-12)
-
-
-def test_ensemble_weights_must_sum_to_one():
-    with pytest.raises(ValueError):
-        density_from_ensemble([(0.7, StateVector.computational([0]))])
-
-
 def test_partial_trace_of_bell_pair_is_maximally_mixed():
     for kind in ("phi+", "phi-", "psi+", "psi-"):
         dm = DensityMatrix.from_pure(bell_state(kind))
@@ -69,7 +53,7 @@ def test_partial_trace_of_bell_pair_is_maximally_mixed():
 def test_partial_trace_of_product_state():
     a = StateVector(num_qubits=1, amps=np.array([0.6, 0.8]))
     b = StateVector(num_qubits=1, amps=np.array([INV_SQRT2, -INV_SQRT2]))
-    dm = DensityMatrix.from_pure(a.tensor(b))
+    dm = DensityMatrix.from_pure(StateVector(num_qubits=2, amps=np.kron(a.amps, b.amps)))
     np.testing.assert_allclose(
         partial_trace(dm, (0,)).entries, DensityMatrix.from_pure(a).entries, atol=1e-12
     )

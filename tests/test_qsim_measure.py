@@ -18,7 +18,6 @@ from qotlab.qsim import (
     perp,
     povm_probabilities,
     rotation_plane,
-    tensor_of,
     usd_povm,
 )
 
@@ -49,7 +48,7 @@ def test_born_probabilities_subsystem():
     # measuring only qubit 1 of |0>(a|0>+b|1>) sees the marginal of qubit 1
     a, b = 0.6, 0.8
     inner = StateVector(num_qubits=1, amps=np.array([a, b]))
-    state = StateVector.computational([0]).tensor(inner)
+    state = StateVector(num_qubits=2, amps=np.kron([1.0, 0.0], inner.amps))
     np.testing.assert_allclose(
         born_probabilities(state, comp_basis(1), qubits=(1,)), [a * a, b * b], atol=1e-12
     )
@@ -164,7 +163,7 @@ def test_four_outcome_entangled_basis_measurement():
     basis = ProjectiveBasis(states=bases, labels=("phi+", "phi-", "psi+", "psi-"))
     probs = born_probabilities(bell_state("psi+"), basis)
     np.testing.assert_allclose(probs, [0, 0, 1, 0], atol=1e-12)
-    mixed = tensor_of([StateVector.computational([0]), StateVector.computational([1])])
+    mixed = StateVector.computational([0, 1])
     np.testing.assert_allclose(born_probabilities(mixed, basis), [0, 0, 0.5, 0.5], atol=1e-12)
 
 
