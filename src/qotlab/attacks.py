@@ -66,8 +66,6 @@ class NoGoInstance:
 
     two_k: int
     theta: float = ENCODE_ANGLE
-    parity0: int = 0
-    parity1: int = 1
 
     def __post_init__(self):
         if self.two_k < 2 or self.two_k % 2 != 0:
@@ -76,8 +74,6 @@ class NoGoInstance:
             raise ValueError("two_k above 10 needs more than dense matrices")
         if not 0.0 <= self.theta <= np.pi / 2:
             raise ValueError("theta must lie in [0, pi/2]")
-        if self.parity0 not in (0, 1) or self.parity1 not in (0, 1):
-            raise ValueError("target parities must be bits")
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,7 @@ def nogo_reduced_states(inst: NoGoInstance) -> tuple[DensityMatrix, DensityMatri
     half_diff = functools.reduce(np.kron, [(p0 - p1) / 2] * inst.two_k)
     return tuple(
         DensityMatrix(num_qubits=inst.two_k, entries=mean + (-1) ** parity * half_diff)
-        for parity in (inst.parity0, inst.parity1)
+        for parity in (0, 1)
     )
 
 
@@ -330,9 +326,6 @@ def probe_attack_p4(
 
 @dataclass(frozen=True)
 class OmissionAttackReport:
-    n: int
-    m: int
-    perfect_detectors: bool
     detected_at_commit: bool
     open_zero_accepted: bool
     open_one_accepted: bool
@@ -372,9 +365,6 @@ def omission_attack_p5(
     if perfect_detectors:
         detected = bool((basis < 0).any())
         return OmissionAttackReport(
-            n=n,
-            m=m,
-            perfect_detectors=True,
             detected_at_commit=detected,
             open_zero_accepted=False,
             open_one_accepted=False,
@@ -391,9 +381,6 @@ def omission_attack_p5(
         msg = P5OpenMessage(protocol_id=PROTOCOL_P5, bit=target, strings=tuple(strings))
         accepted[target] = p5_verify_records(msg, decoded, function).accepted
     return OmissionAttackReport(
-        n=n,
-        m=m,
-        perfect_detectors=False,
         detected_at_commit=False,
         open_zero_accepted=accepted[0],
         open_one_accepted=accepted[1],

@@ -60,6 +60,9 @@ OT_VARIANTS = (PROTOCOL_P2BC, PROTOCOL_P3, PROTOCOL_P4)
 
 ENCODE_ANGLE = float(np.pi / 4)
 
+# channel passes a share-split commitment makes before it stops retrying
+MAX_WAVES = 1000
+
 # ---------------------------------------------------------------------------
 # entangled-pair channel ("P3")
 
@@ -206,7 +209,6 @@ class ReceiverCommitRound:
 class CommitSenderState:
     protocol_id: str
     bit: int
-    l: int
     n: int
     k: int
     theta: float
@@ -216,7 +218,6 @@ class CommitSenderState:
 @dataclass(frozen=True)
 class CommitReceiverState:
     protocol_id: str
-    l: int
     n: int
     k: int
     theta: float
@@ -296,21 +297,13 @@ def _ot_channel(
     elif variant == PROTOCOL_P3:
         bits = rng.bits(size)
         sender, receiver = SenderRecord(bits=bits), p3_measure(p3_prepare_and_encode(bits), rng)
-    elif variant == PROTOCOL_P4:
-        # the receiver blinds |0> by a uniform angle, the committer encodes
+    else:
+        # P4: the receiver blinds |0> by a uniform angle, the committer encodes
         alphas = blinding_angles(rng, size)
         bits = rng.bits(size)
         encoded = blinded_amps(alphas, bits)
         sender, receiver = SenderRecord(bits=bits), p4_unblind_and_measure(encoded, alphas, rng)
-    else:
-        raise ValueError(f"unknown commitment variant {variant!r}")
     return _split_rounds(sender, receiver, rounds, n)
-
-
-def check_theta(protocol_id: str, theta: float) -> None:
-    """Refuse any angle but pi/4 on every channel except the plain one."""
-    if protocol_id != PROTOCOL_P2BC and abs(theta - ENCODE_ANGLE) > 1e-12:
-        raise ValueError("the pair and blinded channels fix theta at pi/4")
 
 
 def bc_commit_over_ot(
@@ -321,13 +314,13 @@ def bc_commit_over_ot(
     rng: RngStream,
     theta: float = ENCODE_ANGLE,
     alpha: Fraction = DEFAULT_ALPHA,
-    max_attempts_per_round: int = 1000,
 ) -> CommitTranscript:
     """Commit bit b over l transfer rounds.
 
     The rounds run in waves: each wave draws the shares and one channel pass
     for every round still missing, and only the rounds that aborted go into
-    the next wave. Completed rounds are kept in the order they completed.
+    the next wave, for at most MAX_WAVES waves. Completed rounds are kept in
+    the order they completed.
     """
     if b not in (0, 1):
         raise ValueError("the committed value must be a bit")
@@ -335,17 +328,18 @@ def bc_commit_over_ot(
         raise ValueError("need at least one round")
     if variant not in OT_VARIANTS:
         raise ValueError(f"variant must be one of {OT_VARIANTS}")
-    check_theta(variant, theta)
+    if variant != PROTOCOL_P2BC and abs(theta - ENCODE_ANGLE) > 1e-12:
+        raise ValueError("the pair and blinded channels fix theta at pi/4")
     k = transfer_k(n, alpha)
     sender_rounds = []
     receiver_rounds = []
-    for _wave in range(max_attempts_per_round):
+    for _wave in range(MAX_WAVES):
         missing = l - len(sender_rounds)
         shares0 = rng.bits(missing).tolist()
         channels = _ot_channel(variant, missing, n, theta, rng)
         for share0, (sender_rec, receiver_rec) in zip(shares0, channels):
             share1 = share0 ^ b
-            t = run_masked_transfer(sender_rec, receiver_rec, n, k, share0, share1, rng, theta)
+            t = run_masked_transfer(sender_rec, receiver_rec, n, k, share0, share1, rng)
             if t.aborted:
                 continue
             sender_rounds.append(
@@ -374,10 +368,10 @@ def bc_commit_over_ot(
         raise RuntimeError("transfer round kept aborting; n is too small for k")
     return CommitTranscript(
         sender=CommitSenderState(
-            protocol_id=variant, bit=b, l=l, n=n, k=k, theta=theta, rounds=tuple(sender_rounds)
+            protocol_id=variant, bit=b, n=n, k=k, theta=theta, rounds=tuple(sender_rounds)
         ),
         receiver=CommitReceiverState(
-            protocol_id=variant, l=l, n=n, k=k, theta=theta, rounds=tuple(receiver_rounds)
+            protocol_id=variant, n=n, k=k, theta=theta, rounds=tuple(receiver_rounds)
         ),
     )
 
@@ -445,11 +439,10 @@ def bc_verify(receiver_state: CommitReceiverState, open_msg: OpenMessage) -> Ver
 
 @dataclass(frozen=True)
 class BooleanFunctionSpec:
-    """A public boolean function together with its declared immunity order."""
+    """A public boolean function of a fixed number of bits."""
 
     arity: int
     func: Callable[[tuple[int, ...]], int]
-    correlation_immunity_order: int
     name: str
 
     def __call__(self, bits) -> int:
@@ -460,7 +453,7 @@ def parity_function(n: int) -> BooleanFunctionSpec:
     """XOR of all n inputs: balanced and correlation immune of order n - 1."""
     if n < 1:
         raise ValueError("arity must be at least 1")
-    return BooleanFunctionSpec(arity=n, func=mask, correlation_immunity_order=n - 1, name="parity")
+    return BooleanFunctionSpec(arity=n, func=mask, name="parity")
 
 
 def correlation_immunity_order(func: Callable, arity: int) -> int:
@@ -650,7 +643,7 @@ def _bc_sender_to_dict(state: CommitSenderState) -> dict:
     return {
         "protocol_id": state.protocol_id,
         "bit": state.bit,
-        "l": state.l,
+        "l": len(state.rounds),
         "n": state.n,
         "k": state.k,
         "theta": state.theta,
@@ -672,7 +665,7 @@ def _bc_sender_to_dict(state: CommitSenderState) -> dict:
 def _bc_receiver_to_dict(state: CommitReceiverState) -> dict:
     return {
         "protocol_id": state.protocol_id,
-        "l": state.l,
+        "l": len(state.rounds),
         "n": state.n,
         "k": state.k,
         "theta": state.theta,
@@ -898,7 +891,6 @@ def _bc_sender_from_dict(d: dict) -> CommitSenderState:
     return CommitSenderState(
         protocol_id=d["protocol_id"],
         bit=_field(d, "bit", _int),
-        l=l,
         n=n,
         k=_field(d, "k", _int),
         theta=_field(d, "theta", _float),
@@ -920,7 +912,6 @@ def _bc_receiver_from_dict(d: dict) -> CommitReceiverState:
     )
     return CommitReceiverState(
         protocol_id=d["protocol_id"],
-        l=l,
         n=n,
         k=k,
         theta=_field(d, "theta", _float),

@@ -33,10 +33,10 @@ from .attacks import (
     probe_attack_p4,
 )
 from .bitcommit import (
+    ENCODE_ANGLE,
     PROTOCOL_FAMILIES,
     PROTOCOL_P5,
     bc_commit_over_ot,
-    check_theta,
     open_message_from_dict,
     open_message_to_dict,
     p5_commit,
@@ -48,7 +48,16 @@ from .bitcommit import (
     sender_state_to_dict,
     verify_from_states,
 )
-from .ot12 import DEFAULT_ALPHA, monte_carlo_estimate, p1_exact, p2_exact, run_ot12, security_curve
+from .ot12 import (
+    DEFAULT_ALPHA,
+    binomial_tail,
+    k_of,
+    monte_carlo_estimate,
+    p1_exact,
+    p2_exact,
+    run_ot12,
+    security_curve,
+)
 from .qsim.rng import DEFAULT_SEED, RngStream
 from .rot import HONEST, USD, RotConfig, run_rot
 
@@ -212,13 +221,17 @@ def _attack_usd(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     qubits = cfg.trials * cfg.n
     params = f"alpha={cfg.alpha};attack=usd;n={cfg.n};theta={_g(cfg.theta)}"
     exact_rate = RotConfig(n=cfg.n, theta=cfg.theta).usd_conclusive_rate
+    # the run aborts when fewer than k qubits came out conclusive
+    abort_exact = 1.0 - binomial_tail(cfg.n, exact_rate, k_of(cfg.n, cfg.alpha))
     p2 = p2_exact(cfg.n, cfg.alpha, cfg.theta)
     rows.append(_mc_row("attack", params, "conclusive_rate", conclusive, qubits))
     rows.append(_exact_row("attack", params, "conclusive_rate_exact", exact_rate))
     rows.append(_mc_row("attack", params, "abort_rate", aborts, cfg.trials))
+    rows.append(_exact_row("attack", params, "abort_rate_exact", abort_exact))
     rows.append(_mc_row("attack", params, "learned_both_rate", learned_both, cfg.trials))
     rows.append(_exact_row("attack", params, "learned_both_exact", p2.value))
     _agree(fails, "attack usd: conclusive rate", conclusive / qubits, exact_rate, qubits)
+    _agree(fails, "attack usd: abort rate", aborts / cfg.trials, abort_exact, cfg.trials)
     _agree(fails, "attack usd: learned-both rate", learned_both / cfg.trials, p2.value, cfg.trials)
     return rows, fails
 
@@ -302,15 +315,16 @@ def _dump(path: Path, payload: dict) -> None:
 
 def cmd_commit(cfg: argparse.Namespace) -> int:
     protocol_id = _PROTOCOLS[cfg.protocol]
-    check_theta(protocol_id, cfg.theta)
     cfg.out.mkdir(parents=True, exist_ok=True)
     rng = RngStream(cfg.seed, _STREAM_COMMIT)
     b = rng.bit()
     if protocol_id == PROTOCOL_P5:
         transcript = p5_commit(b, cfg.m, cfg.n, parity_function(cfg.n), rng)
     else:
+        # only the plain channel reads --theta; the others fix the angle at pi/4
+        theta = vars(cfg).get("theta", ENCODE_ANGLE)
         transcript = bc_commit_over_ot(
-            b, cfg.l, cfg.n, protocol_id, rng, theta=cfg.theta, alpha=cfg.alpha
+            b, cfg.l, cfg.n, protocol_id, rng, theta=theta, alpha=cfg.alpha
         )
     _dump(cfg.out / "sender.json", sender_state_to_dict(transcript.sender))
     _dump(cfg.out / "receiver.json", receiver_state_to_dict(transcript.receiver))
@@ -350,7 +364,7 @@ _THETA = {"--theta": float(np.pi / 4)}
 _ALPHA = {"--alpha": str(DEFAULT_ALPHA)}
 # a seed of None is read from QOT_SEED, else DEFAULT_SEED
 _CAMPAIGN = {"--trials": 200, "--seed": None, "--out": None, "--format": "csv", "--check": False}
-_COMMIT = {"--seed": None, **_THETA, "--out": _REQUIRED}
+_COMMIT = {"--seed": None, "--out": _REQUIRED}
 
 # every experiment a command line can name, keyed by (subcommand, value of
 # its --attack or --protocol selector)
@@ -364,7 +378,7 @@ EXPERIMENTS = {
     ("attack", "omission"): Experiment(
         _attack_omission, {"--n": 8, "--m": 3, "--perfect-detectors": False, **_CAMPAIGN}
     ),
-    ("commit", "p2bc"): Experiment(cmd_commit, {"--n": 16, "--l": 8, **_ALPHA, **_COMMIT}),
+    ("commit", "p2bc"): Experiment(cmd_commit, {"--n": 16, "--l": 8, **_THETA, **_ALPHA, **_COMMIT}),
     ("commit", "p3"): Experiment(cmd_commit, {"--n": 16, "--l": 8, **_ALPHA, **_COMMIT}),
     ("commit", "p4"): Experiment(cmd_commit, {"--n": 16, "--l": 8, **_ALPHA, **_COMMIT}),
     ("commit", "p5"): Experiment(cmd_commit, {"--n": 8, "--m": 3, **_COMMIT}),

@@ -103,13 +103,9 @@ class SecurityEstimate:
 
 @dataclass(frozen=True)
 class Ot12Transcript:
-    """Full classical record of one run; quantum data never leaves the run."""
+    """What one run produced; quantum data never leaves the run. An aborted
+    run has no announcement, ciphertexts or received bit."""
 
-    n: int
-    k: int
-    theta: float
-    strategy: str
-    aborted: bool
     sender: SenderRecord
     receiver: ReceiverRecord
     sets: Optional[IndexSets]
@@ -118,19 +114,26 @@ class Ot12Transcript:
     b_received: Optional[int]
 
     def __post_init__(self):
-        populated = (self.sets, self.c0, self.c1, self.b_received)
-        if self.aborted and any(v is not None for v in populated):
-            raise ValueError("an aborted run carries no announcement or ciphertexts")
-        if not self.aborted and any(v is None for v in populated):
-            raise ValueError("a completed run must carry sets, ciphertexts and b_received")
+        missing = [v is None for v in (self.sets, self.c0, self.c1, self.b_received)]
+        if any(missing) and not all(missing):
+            raise ValueError("sets, ciphertexts and b_received are all set or all None")
+
+    @property
+    def aborted(self) -> bool:
+        return self.sets is None
+
+    @property
+    def strategy(self) -> str:
+        return self.receiver.strategy
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at 95%."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes out of range")
+    z = _WILSON_Z
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -253,17 +256,16 @@ def choose_index_sets(
     n: int,
     k: int,
     rng: RngStream,
-    prefer_conclusive_j: bool = False,
 ) -> Optional[IndexSets]:
     """Draw I from the conclusive positions and J from the rest; None = abort.
 
     The run aborts when fewer than k positions came out conclusive. The
     honest receiver draws J from the inconclusive positions, so he knows
     none of the bits under the other mask; only when fewer than k of those
-    exist is J topped up from the conclusive leftovers. With
-    prefer_conclusive_j (the discrimination attacker's choice) the roles
-    swap: J is filled from leftover conclusive positions first, so that 2k
-    conclusive bits make both masks known to the receiver.
+    exist is J topped up from the conclusive leftovers. The discriminating
+    receiver (strategy USD) swaps the roles: J is filled from leftover
+    conclusive positions first, so that 2k conclusive bits make both masks
+    known to him.
     """
     conclusive = list(receiver.conclusive_positions)
     if len(conclusive) < k:
@@ -273,7 +275,7 @@ def choose_index_sets(
     leftovers = [p for p in conclusive if p not in taken]
     known = set(conclusive)
     unknown = [p for p in range(1, n + 1) if p not in known]
-    first, second = (leftovers, unknown) if prefer_conclusive_j else (unknown, leftovers)
+    first, second = (leftovers, unknown) if receiver.strategy == USD else (unknown, leftovers)
     if len(first) >= k:
         j_set = rng.subset(first, k)
     else:
@@ -324,18 +326,11 @@ def run_masked_transfer(
     b0: int,
     b1: int,
     rng: RngStream,
-    theta: float,
-    prefer_conclusive_j: bool = False,
 ) -> Ot12Transcript:
     """The classical tail of the protocol, applied to a finished qubit phase."""
-    sets = choose_index_sets(receiver, n, k, rng, prefer_conclusive_j)
+    sets = choose_index_sets(receiver, n, k, rng)
     if sets is None:
         return Ot12Transcript(
-            n=n,
-            k=k,
-            theta=theta,
-            strategy=receiver.strategy,
-            aborted=True,
             sender=sender,
             receiver=receiver,
             sets=None,
@@ -347,11 +342,6 @@ def run_masked_transfer(
     cmap = receiver.conclusive_map()
     b_received = receiver_decrypt(sets.pick(c0, c1), [cmap.get(p) for p in sets.i_set])
     return Ot12Transcript(
-        n=n,
-        k=k,
-        theta=theta,
-        strategy=receiver.strategy,
-        aborted=False,
         sender=sender,
         receiver=receiver,
         sets=sets,
@@ -374,17 +364,7 @@ def run_ot12(
     config = RotConfig(n=n, theta=theta)
     k = transfer_k(n, alpha)
     sender, receiver = run_rot(config, strategy, rng)
-    return run_masked_transfer(
-        sender,
-        receiver,
-        n,
-        k,
-        b0,
-        b1,
-        rng,
-        theta,
-        prefer_conclusive_j=(strategy == USD),
-    )
+    return run_masked_transfer(sender, receiver, n, k, b0, b1, rng)
 
 
 def p1_exact(

@@ -21,7 +21,6 @@ from .qsim import (
     CONCLUSIVE_1,
     ProjectiveBasis,
     RngStream,
-    StateVector,
     batch_probabilities,
     make_nonorthogonal_pair,
     perp,
@@ -117,14 +116,9 @@ class ReceiverRecord:
 
 
 @functools.lru_cache(maxsize=None)
-def encoding_states(theta: float) -> tuple[StateVector, StateVector]:
-    return make_nonorthogonal_pair(theta)
-
-
-@functools.lru_cache(maxsize=None)
 def encoding_amps(theta: float) -> np.ndarray:
     """The coding pair as a read-only (2, 2) array, row b encoding bit b."""
-    amps = np.stack([s.amps for s in encoding_states(theta)])
+    amps = np.stack([s.amps for s in make_nonorthogonal_pair(theta)])
     amps.flags.writeable = False
     return amps
 
@@ -150,11 +144,6 @@ def alice_send(config: RotConfig, rng: RngStream) -> tuple[SenderRecord, np.ndar
     return SenderRecord(bits=bits), encoding_amps(config.theta)[bits]
 
 
-def _check_length(amps: np.ndarray, n: int) -> None:
-    if len(amps) != n:
-        raise ValueError("state count does not match the configuration")
-
-
 def honest_outcomes(amps: np.ndarray, theta: float, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Basis bits and decoded bits of the honest measurement of each row.
 
@@ -169,21 +158,19 @@ def honest_outcomes(amps: np.ndarray, theta: float, rng: RngStream) -> tuple[np.
     return x, np.where(rng.choice_indices(probs) == PERP_INDEX, x ^ 1, -1)
 
 
-def bob_measure_honest(amps: np.ndarray, config: RotConfig, rng: RngStream) -> ReceiverRecord:
-    _check_length(amps, config.n)
-    return ReceiverRecord.from_decoded(HONEST, *honest_outcomes(amps, config.theta, rng))
+def bob_measure_honest(amps: np.ndarray, theta: float, rng: RngStream) -> ReceiverRecord:
+    return ReceiverRecord.from_decoded(HONEST, *honest_outcomes(amps, theta, rng))
 
 
 # outcome index of usd_povm -> decoded bit
 _USD_VALUES = {CONCLUSIVE_0: 0, CONCLUSIVE_1: 1}
 
 
-def bob_measure_usd(amps: np.ndarray, config: RotConfig, rng: RngStream) -> ReceiverRecord:
-    _check_length(amps, config.n)
-    povm = usd_povm(config.theta)
+def bob_measure_usd(amps: np.ndarray, theta: float, rng: RngStream) -> ReceiverRecord:
+    povm = usd_povm(theta)
     values = np.array([_USD_VALUES.get(label, -1) for label in povm.labels])
     decoded = values[rng.choice_indices(batch_probabilities(amps, povm))]
-    return ReceiverRecord.from_decoded(USD, np.full(config.n, -1), decoded)
+    return ReceiverRecord.from_decoded(USD, np.full(len(amps), -1), decoded)
 
 
 def run_rot(
@@ -192,9 +179,9 @@ def run_rot(
     """One sender pass followed by one receiver pass over the n qubits."""
     sender, amps = alice_send(config, rng)
     if strategy == HONEST:
-        receiver = bob_measure_honest(amps, config, rng)
+        receiver = bob_measure_honest(amps, config.theta, rng)
     elif strategy == USD:
-        receiver = bob_measure_usd(amps, config, rng)
+        receiver = bob_measure_usd(amps, config.theta, rng)
     else:
         raise ValueError(f"unknown receiver strategy {strategy!r}")
     return sender, receiver

@@ -278,6 +278,49 @@ class TestTamperRejection:
         result = bc_verify(transcript.receiver, dataclasses.replace(msg, rounds=tuple(rounds)))
         assert not result.accepted
 
+    @staticmethod
+    def _first_round_replaced(msg, **changes):
+        first = dataclasses.replace(msg.rounds[0], **changes)
+        return dataclasses.replace(msg, rounds=(first, *msg.rounds[1:]))
+
+    def test_a_share_other_than_a_bit_is_named(self, transcript):
+        bad = self._first_round_replaced(bc_open(transcript.sender), share0=2)
+        result = bc_verify(transcript.receiver, bad)
+        assert result.first_inconsistency == "round 1: shares are not bits"
+
+    def test_a_declared_value_other_than_a_bit_is_named(self, transcript):
+        msg = bc_open(transcript.sender)
+        (pos, _), *rest = msg.rounds[0].declared_x
+        bad = self._first_round_replaced(msg, declared_x=((pos, 2), *rest))
+        result = bc_verify(transcript.receiver, bad)
+        assert result.first_inconsistency == f"round 1: declared value at position {pos} is not a bit"
+
+    def test_a_changed_transferred_share_is_named(self, transcript):
+        # a receiver file whose received share was edited: the opening is honest
+        receiver = transcript.receiver
+        first = receiver.rounds[0]
+        edited = dataclasses.replace(first, received_share=first.received_share ^ 1)
+        receiver = dataclasses.replace(receiver, rounds=(edited, *receiver.rounds[1:]))
+        result = bc_verify(receiver, bc_open(transcript.sender))
+        assert result.first_inconsistency == "round 1: declared share differs from the transferred share"
+
+    def test_a_round_that_decodes_to_the_other_bit_is_named(self, transcript):
+        # flip the share the receiver does not hold together with one declared
+        # bit of the set J that masks it, at a position the receiver did not
+        # learn: the round passes its own checks, only the bits disagree
+        msg = bc_open(transcript.sender)
+        s_rnd, r_rnd = msg.rounds[0], transcript.receiver.rounds[0]
+        side, share = r_rnd.sets.pick(("declared_y", "share1"), ("declared_x", "share0"))
+        known = dict(r_rnd.conclusive)
+        declared = list(getattr(s_rnd, side))
+        i = next(i for i, (pos, _) in enumerate(declared) if pos not in known)
+        declared[i] = (declared[i][0], declared[i][1] ^ 1)
+        bad = self._first_round_replaced(
+            msg, **{side: tuple(declared), share: getattr(s_rnd, share) ^ 1}
+        )
+        result = bc_verify(transcript.receiver, bad)
+        assert result.first_inconsistency == "rounds decode to different bits"
+
 
 # the samplers the P2-BC, P3 and P4 channel passes draw from
 _SAMPLERS = ("run_rot", "p3_measure", "p4_unblind_and_measure")
@@ -366,10 +409,9 @@ class TestCommitWaves:
             return sender, dataclasses.replace(receiver, conclusive=())
 
         monkeypatch.setattr(bitcommit, "run_rot", never_conclusive)
+        monkeypatch.setattr(bitcommit, "MAX_WAVES", 7)
         with pytest.raises(RuntimeError, match="transfer round kept aborting; n is too small for k"):
-            bc_commit_over_ot(
-                0, l=3, n=16, variant=PROTOCOL_P2BC, rng=RngStream(46, 0), max_attempts_per_round=7
-            )
+            bc_commit_over_ot(0, l=3, n=16, variant=PROTOCOL_P2BC, rng=RngStream(46, 0))
         assert qubits == [3 * 16] * 7
 
 
@@ -377,7 +419,6 @@ class TestBooleanFunctions:
     def test_parity_spec(self):
         spec = parity_function(4)
         assert spec.arity == 4
-        assert spec.correlation_immunity_order == 3
         assert spec((1, 1, 0, 1)) == 1
         assert spec((1, 1, 0, 0)) == 0
 
@@ -408,9 +449,7 @@ class TestStringSampling:
                 assert spec(s) == b
 
     def test_unsatisfiable_value_raises(self):
-        dead = BooleanFunctionSpec(
-            arity=3, func=lambda bits: 0, correlation_immunity_order=0, name="zero"
-        )
+        dead = BooleanFunctionSpec(arity=3, func=lambda bits: 0, name="zero")
         with pytest.raises(ValueError):
             p5_sample_strings(1, 2, dead, RngStream(46, 0))
 

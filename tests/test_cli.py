@@ -1,15 +1,17 @@
 """Command-line entry point: flags, exit codes, output formats, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+import scipy.stats
 
 from qotlab import cli
 from qotlab.cli import CSV_HEADER, main
-from qotlab.ot12 import SecurityEstimate
+from qotlab.ot12 import SecurityEstimate, k_of
 
 
 def run_cli(args, env_extra=None):
@@ -107,7 +109,7 @@ class TestExitCodes:
             ["commit", "--protocol", "p5", "--theta", "0.3", "--seed", "3", "--out", str(tmp_path)]
         )
         assert result.returncode == 2
-        assert "the pair and blinded channels fix theta at pi/4" in result.stderr
+        assert "commit p5 does not read --theta" in result.stderr
         assert not (tmp_path / "receiver.json").exists()
 
     def test_non_integer_seed_variable_is_a_usage_error(self):
@@ -249,6 +251,18 @@ def test_abort_rate_exact_follows_theta():
     # at theta = 0.5 the honest rate is sin(0.5)**2 / 2, about 0.115, not 1/4
     result = run_cli(["ot12", "--n", "256", "--trials", "200", "--theta", "0.5", "--check"])
     assert result.returncode == 0, result.stderr
+
+
+def test_usd_abort_rate_has_an_exact_twin(capsys):
+    """The discriminating receiver aborts when fewer than k of its qubits come
+    out conclusive, with probability P[Bin(n, 1 - cos theta) < k]."""
+    argv = ["attack", "--attack", "usd", "--n", "64", "--trials", "400", "--seed", "4"]
+    assert main([*argv, "--theta", "0.6", "--check"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    rows = {line.split(",")[2]: float(line.split(",")[3]) for line in lines[1:]}
+    expected = scipy.stats.binom.cdf(k_of(64) - 1, 64, 1 - math.cos(0.6))
+    assert rows["abort_rate_exact"] == pytest.approx(expected, rel=1e-9)
+    assert abs(rows["abort_rate"] - expected) < 5 * math.sqrt(expected * (1 - expected) / 400)
 
 
 def test_curve_rows_follow_theta(capsys):
@@ -571,10 +585,11 @@ def test_a_read_flag_changes_the_output(key, flag, tmp_path, capsys, monkeypatch
     base = run("base", [])
     assert base[0] == 0, base[2]
     changed = run("changed", [flag, *_other_value(flag, experiment)])
-    if key[0] == "commit" and key[1] != "p2bc" and flag == "--theta":
-        assert changed[0] == 2
-        assert "fix theta at pi/4" in changed[2]
-        assert not (tmp_path / "changed").exists()
-    else:
-        assert changed[0] == 0, changed[2]
-        assert changed[1] != base[1]
+    assert changed[0] == 0, changed[2]
+    assert changed[1] != base[1]
+
+
+def test_the_settable_flags_are_counted():
+    """Every flag of every experiment, once per experiment that reads it; a
+    flag added or dropped has to change this count on purpose."""
+    assert sum(len(e.flags) for e in cli.EXPERIMENTS.values()) == 69

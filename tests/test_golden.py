@@ -27,15 +27,27 @@ CAMPAIGNS = {
     "probe-p3": ["attack", "--attack", "probe-p3", "--n", "8", "--trials", "50", *SEEDED],
     "probe-p4": ["attack", "--attack", "probe-p4", "--n", "4", "--trials", "50", *SEEDED],
     "omission": ["attack", "--attack", "omission", "--n", "8", "--m", "3", "--trials", "3", *SEEDED],
+    # off pi/4, so the angle has to reach the measurements and the transfer
+    "ot12-theta": ["ot12", "--n", "64", "--trials", "4", "--theta", "0.7", *SEEDED],
+    "rot-theta": ["rot", "--n", "16", "--trials", "4", "--theta", "0.5", *SEEDED],
 }
-PROTOCOLS = ("p2bc", "p3", "p4", "p5")
+# commit flags of each pinned transcript directory
+COMMITS = {
+    "p2bc": ["--protocol", "p2bc"],
+    "p3": ["--protocol", "p3"],
+    "p4": ["--protocol", "p4"],
+    "p5": ["--protocol", "p5"],
+    "p2bc-theta": ["--protocol", "p2bc", "--theta", "0.7"],
+}
 FILES = ("sender.json", "receiver.json", "open.json")
 
 DIGESTS = {
     "rot": "cd9b3bc0f190a190e71939f2ea3136bf6ce33bb5ac60cffb52ece595bba7f494",
     "ot12": "eebcb5adc5bf0df52b94dcc33d22f5e121977c888961066c8dd807a914e05771",
     "ot12-json": "0e441791e6bfbc7ca9372e367d5c7d3c5be40a958008288d6fd0f601a27b2d2a",
-    "usd": "8648e1ccfa802adf46244e09777618de260312caa1899321774b85a1061fbc95",
+    # recorded after attack usd gained its abort_rate_exact row; the output is
+    # the earlier one with only that row added
+    "usd": "9e1b11e39fe11393cd8bee193de86dbf8ed210ae509cd27be29c63893bf02bd4",
     "nogo": "af4e3860881449a8cf8286b355052433e54eb6be82bc21f4f711a5ea4ead3f1e",
     "probe-p3": "2ba9a4f0a8701e4a030b0621c268d63f35d3ed81fe1031e63d99c6e9a9c99e92",
     "probe-p4": "a32231479dc7732557f58aaa6823f93c0aa602add053bc16a13a0f4232dc3123",
@@ -54,6 +66,11 @@ DIGESTS = {
     # the file is the earlier one with only its "alphas" key removed
     "p5/receiver.json": "3297fead4b6dfa97e3f7987d5d4dc8727ee349ae635215fbfae27e982f1bed66",
     "p5/open.json": "574917924ee44901d3ed10fe7fe8e765e7d171818b9e9dc012afb99c93376a81",
+    "ot12-theta": "669265e6ce62e29150ee76cdf8c4b2b72f98e9a52ba258b8dbaa739f8ac5f836",
+    "rot-theta": "e45f0085363a90e9636f95b94f70422a38977769a970f8a10360aab11d59872e",
+    "p2bc-theta/sender.json": "21af68f778d8a924a856aab39d9915923bfdef93305ef4337b909705ef9c1271",
+    "p2bc-theta/receiver.json": "225998d8197951a2ddc80ebb97586268b26850d596b9da345494214c52600d60",
+    "p2bc-theta/open.json": "9c37aaf6db6e04793c47761bbbb2584bb330e7853f59cb022fda77720a1622ec",
 }
 
 # A P5 receiver.json written before the receiver stopped storing its blinding
@@ -73,12 +90,12 @@ def outputs(workdir: Path) -> dict[str, bytes]:
         path = workdir / f"{name}.out"
         _run([*argv, "--out", str(path)])
         out[name] = path.read_bytes()
-    for protocol in PROTOCOLS:
-        transcripts = workdir / protocol
-        _run(["commit", "--protocol", protocol, *SEEDED, "--out", str(transcripts)])
+    for name, flags in COMMITS.items():
+        transcripts = workdir / name
+        _run(["commit", *flags, *SEEDED, "--out", str(transcripts)])
         _run(["open", "--out", str(transcripts)])
         for f in FILES:
-            out[f"{protocol}/{f}"] = (transcripts / f).read_bytes()
+            out[f"{name}/{f}"] = (transcripts / f).read_bytes()
     return out
 
 

@@ -218,9 +218,9 @@ class TestEstimators:
         assert est.ci_low <= est.value <= est.ci_high
 
 
-def make_record(n, conclusive):
+def make_record(n, conclusive, strategy=HONEST):
     return ReceiverRecord(
-        strategy=HONEST,
+        strategy=strategy,
         basis_choices=np.zeros(n, dtype=np.int8),
         conclusive=tuple(conclusive),
     )
@@ -249,7 +249,7 @@ class TestIndexSets:
         conclusive = set(t.receiver.conclusive_positions)
         assert set(t.sets.i_set) <= conclusive
         assert not set(t.sets.j_set) & conclusive
-        assert len(t.sets.i_set) == len(t.sets.j_set) == t.k
+        assert len(t.sets.i_set) == len(t.sets.j_set) == k_of(64)
 
     def test_honest_j_is_topped_up_only_when_inconclusive_positions_run_out(self):
         n, k = 16, k_of(16)
@@ -278,8 +278,9 @@ class TestIndexSets:
 
     def test_prefer_conclusive_j_fills_both_sets_when_possible(self):
         n, k = 64, k_of(64)
-        record = make_record(n, [(pos, 0) for pos in range(1, 2 * k + 1)])
-        sets = choose_index_sets(record, n, k, RngStream(4, 0), prefer_conclusive_j=True)
+        # the discriminating receiver draws J from its leftover conclusive positions
+        record = make_record(n, [(pos, 0) for pos in range(1, 2 * k + 1)], strategy=USD)
+        sets = choose_index_sets(record, n, k, RngStream(4, 0))
         conclusive = set(p for p, _ in record.conclusive)
         assert set(sets.i_set) <= conclusive
         assert set(sets.j_set) <= conclusive

@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
-from qotlab.qsim import RngStream
+from qotlab.qsim import RngStream, make_nonorthogonal_pair
 from qotlab.rot import (
     HONEST,
     USD,
     ReceiverRecord,
     RotConfig,
     alice_send,
-    bob_measure_honest,
-    bob_measure_usd,
-    encoding_states,
     run_rot,
 )
 
@@ -40,7 +37,7 @@ def test_alice_send_encodes_her_bits():
     rng = RngStream(21, 0)
     sender, amps = alice_send(cfg, rng)
     assert amps.shape == (cfg.n, 2)
-    psi0, psi1 = encoding_states(cfg.theta)
+    psi0, psi1 = make_nonorthogonal_pair(cfg.theta)
     for bit, row in zip(sender.bits, amps):
         expected = psi1 if bit else psi0
         np.testing.assert_allclose(row, expected.amps, atol=1e-12)
@@ -128,13 +125,3 @@ def test_sender_record_reveals_nothing_about_outcomes():
     sender, _ = run_rot(cfg, HONEST, RngStream(11, 0))
     assert set(vars(sender)) == {"bits"}
     assert all(b in (0, 1) for b in sender.bits)
-
-
-def test_measure_functions_reject_length_mismatch():
-    cfg = RotConfig(4)
-    rng = RngStream(12, 0)
-    _, amps = alice_send(cfg, rng)
-    with pytest.raises(ValueError):
-        bob_measure_honest(amps[:3], cfg, rng)
-    with pytest.raises(ValueError):
-        bob_measure_usd(np.concatenate([amps, amps]), cfg, rng)
