@@ -19,26 +19,24 @@ Four families:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .bitcommit import (
     ENCODE_ANGLE,
     P5OpenMessage,
+    P5ReceiverState,
     PROTOCOL_P5,
     blinded_amps,
     blinding_angles,
     p3_bases,
     p3_pair_states,
     p5_measure_record,
-    p5_verify_records,
+    p5_verify,
     parity_function,
     unblind_outcomes,
 )
-from .ot12 import SecurityEstimate, monte_carlo_estimate
 from .qsim import (
     DensityMatrix,
     RngStream,
@@ -51,6 +49,7 @@ from .qsim import (
     rotate_rows,
     rotation_plane,
 )
+from .rot import PERP_INDEX, honest_probabilities
 
 _SUPPORT_TOL = 1e-9
 
@@ -153,24 +152,6 @@ def nogo_cheat_report(inst: NoGoInstance) -> CheatReport:
 # probe attack on the entangled-pair commitment
 
 
-@dataclass(frozen=True)
-class ProbeAttackReport:
-    per_qubit_detection: SecurityEstimate
-    n: int
-    run_success: SecurityEstimate
-    trials: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.trials < 1:
-            raise ValueError("need a positive qubit count and trial count")
-        p = self.per_qubit_detection.value
-        sigma_qubit = math.sqrt(max(p * (1.0 - p), 0.0) / (self.trials * self.n))
-        envelope = (min(1.0, 1.0 - p + 5.0 * sigma_qubit)) ** self.n
-        sigma_run = math.sqrt(envelope * (1.0 - envelope) / self.trials)
-        if self.run_success.value > envelope + 5.0 * sigma_run + 1e-12:
-            raise ValueError("run success exceeds the per-qubit sanity envelope")
-
-
 def entangle_probe_rows(amps: np.ndarray) -> np.ndarray:
     """Append a fresh probe qubit copying qubit 0 in the standard basis, to
     every row of an (N, 2**n) amplitude array; the probe comes last."""
@@ -246,13 +227,13 @@ def p3_probe_detection_probability(r: int, basis_index: int) -> float:
     return float(probs[2 * r + basis_index] @ masks[2 * r + basis_index])
 
 
-def probe_attack_p3(n: int, trials: int, rng: RngStream) -> ProbeAttackReport:
+def probe_attack_p3(n: int, trials: int, rng: RngStream) -> np.ndarray:
     """Monte-Carlo campaign of the copy-probe attack over full runs.
 
     Per qubit the committer entangles a probe, then encodes a uniform bit;
     the receiver picks a pair basis uniformly and an honestly-impossible
-    outcome counts as detection. A run succeeds when none of its n qubits
-    is detected.
+    outcome counts as detection. Returns the (trials, n) detection grid; a
+    run succeeds when its row holds no detection.
     """
     if n < 1 or trials < 1:
         raise ValueError("need a positive qubit count and trial count")
@@ -268,56 +249,47 @@ def probe_attack_p3(n: int, trials: int, rng: RngStream) -> ProbeAttackReport:
     # raises the process's peak memory by about 0.5 MB
     cells *= masks.shape[1]
     cells += outcomes
-    detected = masks.ravel()[cells]
-    qubit_hits = int(detected.sum())
-    run_successes = int((~detected.any(axis=1)).sum())
-    return ProbeAttackReport(
-        per_qubit_detection=monte_carlo_estimate(qubit_hits, trials * n),
-        n=n,
-        run_success=monte_carlo_estimate(run_successes, trials),
-        trials=trials,
-    )
+    return masks.ravel()[cells]
 
 
 # ---------------------------------------------------------------------------
 # the same probe against the blinded channel
 
 
-def probe_attack_p4(
-    n: int,
-    trials: int,
-    rng: RngStream,
-    alpha: Optional[float] = None,
-    apply_probe: bool = True,
-) -> ProbeAttackReport:
+def probe_attack_p4(n: int, trials: int, rng: RngStream) -> np.ndarray:
     """The copy probe against blinded qubits, caught at open time.
 
     Detection means a conclusive outcome contradicting the bit the committer
-    later declares. Fresh uniform blinding per qubit unless a fixed angle is
-    given; apply_probe False is the honest control run, which never triggers
-    a detection.
+    later declares; every qubit gets a fresh uniform blinding angle. Returns
+    the (trials, n) detection grid.
     """
     if n < 1 or trials < 1:
         raise ValueError("need a positive qubit count and trial count")
     size = trials * n
-    if alpha is None:
-        alphas = blinding_angles(rng, size)
-    else:
-        alphas = np.full(size, float(alpha))
+    alphas = blinding_angles(rng, size)
     r = rng.bits(size)
-    amps = blinded_amps(alphas)
-    if apply_probe:
-        amps = entangle_probe_rows(amps)
+    amps = entangle_probe_rows(blinded_amps(alphas))
     _, decoded = unblind_outcomes(rotate_rows(amps, ENCODE_ANGLE * r), alphas, rng)
-    detected = ((decoded >= 0) & (decoded != r)).reshape(trials, n)
-    qubit_hits = int(detected.sum())
-    run_successes = int((~detected.any(axis=1)).sum())
-    return ProbeAttackReport(
-        per_qubit_detection=monte_carlo_estimate(qubit_hits, trials * n),
-        n=n,
-        run_success=monte_carlo_estimate(run_successes, trials),
-        trials=trials,
-    )
+    return ((decoded >= 0) & (decoded != r)).reshape(trials, n)
+
+
+def p4_probe_detection_probability(alphas) -> np.ndarray:
+    """Exact per-qubit detection of the copy probe at each blinding angle.
+
+    The sampled path without the sampling: the probed blinded qubit is
+    encoded with bit r, unblinded and put through the honest Born step, and
+    the result is averaged over the uniform r and basis bit x. The
+    conclusive outcome in basis x decodes x xor 1, so it contradicts r only
+    when x = r.
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    probed = entangle_probe_rows(blinded_amps(alphas))
+    total = np.zeros(len(alphas))
+    for r in (0, 1):
+        unblinded = rotate_rows(rotate_rows(probed, ENCODE_ANGLE * r), -alphas)
+        basis = np.full(len(alphas), r)
+        total += honest_probabilities(unblinded, ENCODE_ANGLE, basis)[:, PERP_INDEX]
+    return total / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +328,21 @@ def omission_attack_p5(
         raise ValueError("need strings of length at least 2")
     if m < 1:
         raise ValueError("need at least one string")
-    function = parity_function(n)
     withheld = rng.gen.integers(0, n, size=m)
     sent_bits = rng.bits(m * n).reshape(m, n)
     alphas = blinding_angles(rng, (m, n))
     present = np.arange(n) != withheld[:, np.newaxis]
-    basis, decoded = p5_measure_record(blinded_amps(alphas, sent_bits), alphas, rng, present)
+    records = p5_measure_record(blinded_amps(alphas, sent_bits), alphas, rng, present)
     if perfect_detectors:
-        detected = bool((basis < 0).any())
+        detected = bool((records.basis < 0).any())
         return OmissionAttackReport(
             detected_at_commit=detected,
             open_zero_accepted=False,
             open_one_accepted=False,
         )
+    receiver = P5ReceiverState(
+        protocol_id=PROTOCOL_P5, function=parity_function(n), records=records
+    )
     accepted = {}
     for target in (0, 1):
         strings = []
@@ -379,7 +353,7 @@ def omission_attack_p5(
             declared[w] = partial ^ target
             strings.append(tuple(declared))
         msg = P5OpenMessage(protocol_id=PROTOCOL_P5, bit=target, strings=tuple(strings))
-        accepted[target] = p5_verify_records(msg, decoded, function).accepted
+        accepted[target] = p5_verify(receiver, msg).accepted
     return OmissionAttackReport(
         detected_at_commit=False,
         open_zero_accepted=accepted[0],

@@ -505,8 +505,6 @@ def p5_sample_strings(
 class P5SenderState:
     protocol_id: str
     bit: int
-    m: int
-    n: int
     function: BooleanFunctionSpec
     strings: tuple[tuple[int, ...], ...]
 
@@ -532,8 +530,6 @@ class P5ReceiverState:
     """The outcome grids measured at commit."""
 
     protocol_id: str
-    m: int
-    n: int
     function: BooleanFunctionSpec
     records: P5Grids
 
@@ -586,12 +582,8 @@ def p5_commit(
     alphas = blinding_angles(rng, (m, n))
     records = p5_measure_record(blinded_amps(alphas, np.array(strings)), alphas, rng)
     return CommitTranscript(
-        sender=P5SenderState(
-            protocol_id=PROTOCOL_P5, bit=b, m=m, n=n, function=function, strings=strings
-        ),
-        receiver=P5ReceiverState(
-            protocol_id=PROTOCOL_P5, m=m, n=n, function=function, records=records
-        ),
+        sender=P5SenderState(protocol_id=PROTOCOL_P5, bit=b, function=function, strings=strings),
+        receiver=P5ReceiverState(protocol_id=PROTOCOL_P5, function=function, records=records),
     )
 
 
@@ -601,15 +593,14 @@ def p5_open(sender_state: P5SenderState) -> P5OpenMessage:
     )
 
 
-def p5_verify_records(
-    open_msg: P5OpenMessage, decoded: np.ndarray, function: BooleanFunctionSpec
-) -> VerifyResult:
+def p5_verify(receiver_state: P5ReceiverState, open_msg: P5OpenMessage) -> VerifyResult:
     """Check declared strings against function value and conclusive outcomes.
 
-    `decoded` is the receiver's (m, n) grid of decoded bits; a -1 cell (a
-    qubit that never arrived, or an inconclusive outcome) checks nothing.
-    The first contradicted qubit in row-major order is reported.
+    A -1 cell of the receiver's decoded grid (a qubit that never arrived, or
+    an inconclusive outcome) checks nothing. The first contradicted qubit in
+    row-major order is reported.
     """
+    decoded, function = receiver_state.records.decoded, receiver_state.function
     if open_msg.protocol_id != PROTOCOL_P5:
         return _reject("protocol identifier mismatch")
     if open_msg.bit not in (0, 1):
@@ -629,10 +620,6 @@ def p5_verify_records(
         i, j = divmod(int(contradicted[0]), decoded.shape[1])
         return _reject(f"qubit ({i + 1},{j + 1}): conclusive outcome contradicts the declared bit")
     return VerifyResult(accepted=True, recovered_bit=open_msg.bit, first_inconsistency=None)
-
-
-def _p5_verify(receiver_state: P5ReceiverState, open_msg: P5OpenMessage) -> VerifyResult:
-    return p5_verify_records(open_msg, receiver_state.records.decoded, receiver_state.function)
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +690,8 @@ def _p5_sender_to_dict(state: P5SenderState) -> dict:
     return {
         "protocol_id": state.protocol_id,
         "bit": state.bit,
-        "m": state.m,
-        "n": state.n,
+        "m": len(state.strings),
+        "n": state.function.arity,
         "function": state.function.name,
         "strings": [list(s) for s in state.strings],
     }
@@ -717,10 +704,11 @@ _P5_OUTCOME_LABELS = ("psi", "perp")  # inconclusive, conclusive
 
 
 def _p5_receiver_to_dict(state: P5ReceiverState) -> dict:
+    m, n = state.records.basis.shape
     return {
         "protocol_id": state.protocol_id,
-        "m": state.m,
-        "n": state.n,
+        "m": m,
+        "n": n,
         "function": state.function.name,
         "records": [
             [
@@ -933,14 +921,18 @@ def _bc_open_from_dict(d: dict) -> OpenMessage:
 
 
 def _p5_sender_from_dict(d: dict) -> P5SenderState:
-    n = _field(d, "n", _int)
+    m, n = _field(d, "m", _int), _field(d, "n", _int)
+    strings = _field(d, "strings", _int_rows)
+    if len(strings) != m:
+        raise ValueError(f"field 'strings' holds {len(strings)} strings, but field 'm' is {m}")
+    for i, string in enumerate(strings):
+        if len(string) != n:
+            raise ValueError(f"field 'strings[{i}]' has length {len(string)}, but field 'n' is {n}")
     return P5SenderState(
         protocol_id=PROTOCOL_P5,
         bit=_field(d, "bit", _int),
-        m=_field(d, "m", _int),
-        n=n,
         function=_function_from_name(_field(d, "function", _str), n),
-        strings=_field(d, "strings", _int_rows),
+        strings=strings,
     )
 
 
@@ -952,8 +944,6 @@ def _p5_receiver_from_dict(d: dict) -> P5ReceiverState:
     cells = np.array(records, dtype=np.int8).reshape(m, n, 2)
     return P5ReceiverState(
         protocol_id=PROTOCOL_P5,
-        m=m,
-        n=n,
         function=_function_from_name(_field(d, "function", _str), n),
         records=_p5_grids(cells[..., 0], cells[..., 1]),
     )
@@ -1001,7 +991,7 @@ _DIRECT = ProtocolFamily(
     receiver=Codec(_p5_receiver_to_dict, _p5_receiver_from_dict),
     opening=Codec(_p5_open_to_dict, _p5_open_from_dict),
     open=p5_open,
-    verify=_p5_verify,
+    verify=p5_verify,
 )
 
 PROTOCOL_FAMILIES = {**dict.fromkeys(OT_VARIANTS, _SHARE_SPLIT), PROTOCOL_P5: _DIRECT}

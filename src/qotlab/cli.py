@@ -29,6 +29,7 @@ from .attacks import (
     nogo_cheat_report,
     omission_attack_p5,
     p3_probe_detection_probability,
+    p4_probe_detection_probability,
     probe_attack_p3,
     probe_attack_p4,
 )
@@ -52,11 +53,10 @@ from .ot12 import (
     DEFAULT_ALPHA,
     binomial_tail,
     k_of,
-    monte_carlo_estimate,
     p1_exact,
     p2_exact,
     run_ot12,
-    security_curve,
+    wilson_interval,
 )
 from .qsim.rng import DEFAULT_SEED, RngStream
 from .rot import HONEST, USD, RotConfig, run_rot
@@ -99,8 +99,9 @@ def _g(x: float) -> str:
 
 
 def _mc_row(experiment: str, params: str, metric: str, successes: int, trials: int) -> ResultRow:
-    est = monte_carlo_estimate(successes, trials)
-    return ResultRow(experiment, params, metric, est.value, est.ci_low, est.ci_high, trials)
+    """A Monte-Carlo rate with its 95% Wilson interval."""
+    low, high = wilson_interval(successes, trials)
+    return ResultRow(experiment, params, metric, successes / trials, low, high, trials)
 
 
 def _exact_row(experiment: str, params: str, metric: str, value: float) -> ResultRow:
@@ -123,14 +124,10 @@ def rows_to_json(rows: list[ResultRow]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _sigma(p: float, trials: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-
-
 def _agree(fails: list[str], label: str, value: float, exact: float, trials: int) -> None:
     """Record a failure when a measured rate lies more than 5 sigma from its
     exact value; at sigma = 0 (an exact value of 0 or 1) any gap fails."""
-    sigma = _sigma(exact, trials)
+    sigma = math.sqrt(exact * (1.0 - exact) / trials)
     gap = value - exact
     if abs(gap) > 5.0 * sigma:
         spread = f"sigma {sigma:.6g}, z {gap / sigma:.2f}" if sigma else f"sigma 0, gap {gap:.6g}"
@@ -189,11 +186,12 @@ def cmd_ot12(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     rows.append(_mc_row("ot12", params, "received_correct_rate", correct, max(completed, 1)))
     rows.append(_exact_row("ot12", params, "p1_exact", p1.value))
     rows.append(_exact_row("ot12", params, "p2_exact", p2.value))
-    for curve in security_curve(list(CURVE_N_LIST), cfg.alpha, cfg.theta):
-        cparams = f"alpha={cfg.alpha};n={curve.n};theta={_g(cfg.theta)}"
-        rows.append(_exact_row("ot12-curve", cparams, "k", float(curve.k)))
-        rows.append(_exact_row("ot12-curve", cparams, "p1_exact", curve.p1))
-        rows.append(_exact_row("ot12-curve", cparams, "p2_exact", curve.p2))
+    for n in CURVE_N_LIST:
+        cparams = f"alpha={cfg.alpha};n={n};theta={_g(cfg.theta)}"
+        rows.append(_exact_row("ot12-curve", cparams, "k", float(k_of(n, cfg.alpha))))
+        for metric, tail in (("p1_exact", p1_exact), ("p2_exact", p2_exact)):
+            value = tail(n, cfg.alpha, cfg.theta).value
+            rows.append(_exact_row("ot12-curve", cparams, metric, value))
     _agree(fails, "ot12: abort rate", aborts / cfg.trials, 1.0 - p1.value, cfg.trials)
     checked = max(completed, 1)
     _agree(fails, "ot12: wrong-bit rate", (completed - correct) / checked, 0.0, checked)
@@ -248,42 +246,44 @@ def _attack_nogo(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     return rows, []
 
 
-def _attack_probe_p3(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
-    rows: list[ResultRow] = []
+def _probe_rows(
+    attack: str, detected: np.ndarray, exact_pq: float
+) -> tuple[list[ResultRow], list[str]]:
+    """Rows and checks of a probe campaign from its (trials, n) detection
+    grid, each rate beside its exact twin: a run succeeds when none of its
+    n qubits is detected."""
+    trials, n = detected.shape
+    hits = int(detected.sum())
+    successes = int((~detected.any(axis=1)).sum())
+    exact_run = (1.0 - exact_pq) ** n
+    params = f"attack={attack};n={n}"
+    rows = [
+        _mc_row("attack", params, "per_qubit_detection", hits, detected.size),
+        _exact_row("attack", params, "per_qubit_detection_exact", exact_pq),
+        _mc_row("attack", params, "run_success", successes, trials),
+        _exact_row("attack", params, "run_success_exact", exact_run),
+    ]
     fails: list[str] = []
-    rng = RngStream(cfg.seed, _STREAM_PROBE_P3)
-    report = probe_attack_p3(cfg.n, cfg.trials, rng)
+    _agree(fails, f"{attack}: per-qubit detection", hits / detected.size, exact_pq, detected.size)
+    _agree(fails, f"{attack}: run success", successes / trials, exact_run, trials)
+    return rows, fails
+
+
+def _attack_probe_p3(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
+    detected = probe_attack_p3(cfg.n, cfg.trials, RngStream(cfg.seed, _STREAM_PROBE_P3))
     exact_pq = sum(
         p3_probe_detection_probability(r, x) for r in (0, 1) for x in (0, 1)
     ) / 4.0
-    exact_run = (1.0 - exact_pq) ** cfg.n
-    params = f"attack=probe-p3;n={cfg.n}"
-    pq = report.per_qubit_detection
-    run = report.run_success
-    qubits = cfg.trials * cfg.n
-    rows.append(ResultRow("attack", params, "per_qubit_detection", pq.value, pq.ci_low, pq.ci_high, qubits))
-    rows.append(_exact_row("attack", params, "per_qubit_detection_exact", exact_pq))
-    rows.append(ResultRow("attack", params, "run_success", run.value, run.ci_low, run.ci_high, cfg.trials))
-    rows.append(_exact_row("attack", params, "run_success_exact", exact_run))
-    _agree(fails, "probe-p3: per-qubit detection", pq.value, exact_pq, qubits)
-    _agree(fails, "probe-p3: run success", run.value, exact_run, cfg.trials)
-    return rows, fails
+    return _probe_rows("probe-p3", detected, exact_pq)
 
 
 def _attack_probe_p4(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
-    rows: list[ResultRow] = []
-    fails: list[str] = []
-    rng = RngStream(cfg.seed, _STREAM_PROBE_P4)
-    report = probe_attack_p4(cfg.n, cfg.trials, rng)
-    params = f"attack=probe-p4;n={cfg.n}"
-    pq = report.per_qubit_detection
-    run = report.run_success
-    qubits = cfg.trials * cfg.n
-    rows.append(ResultRow("attack", params, "per_qubit_detection", pq.value, pq.ci_low, pq.ci_high, qubits))
-    rows.append(ResultRow("attack", params, "run_success", run.value, run.ci_low, run.ci_high, cfg.trials))
-    if pq.value <= 5.0 * _sigma(pq.value, qubits):
-        fails.append(f"probe-p4: detection {pq.value:.6f} not significantly above zero")
-    return rows, fails
+    detected = probe_attack_p4(cfg.n, cfg.trials, RngStream(cfg.seed, _STREAM_PROBE_P4))
+    # detection is a trigonometric polynomial of degree 4 in the blinding
+    # angle, so its mean over 8 equispaced angles is its exact uniform average
+    nodes = 2 * np.pi * np.arange(8) / 8
+    exact_pq = float(np.mean(p4_probe_detection_probability(nodes)))
+    return _probe_rows("probe-p4", detected, exact_pq)
 
 
 def _attack_omission(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:

@@ -143,11 +143,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
-def monte_carlo_estimate(successes: int, trials: int) -> SecurityEstimate:
-    low, high = wilson_interval(successes, trials)
-    return SecurityEstimate(value=successes / trials, ci_low=low, ci_high=high)
-
-
 # terms of a tail more than this far (in log) below its largest term, plus
 # log(n + 1), are dropped: together they weigh less than e**-60 of the tail
 TAIL_LOG_MARGIN = 60.0
@@ -388,20 +383,3 @@ def p2_exact(
     value = binomial_tail(n, rate, 2 * k_of(n, alpha))
     return SecurityEstimate(value=value, ci_low=value, ci_high=value)
 
-
-@dataclass(frozen=True)
-class CurveRow:
-    n: int
-    k: int
-    p1: float
-    p2: float
-
-
-def security_curve(
-    n_list: Sequence[int], alpha: Fraction = DEFAULT_ALPHA, theta: float = float(np.pi / 4)
-) -> list[CurveRow]:
-    rows = []
-    for n in n_list:
-        p1, p2 = p1_exact(n, alpha, theta).value, p2_exact(n, alpha, theta).value
-        rows.append(CurveRow(n=n, k=k_of(n, alpha), p1=p1, p2=p2))
-    return rows

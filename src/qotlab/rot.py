@@ -144,17 +144,24 @@ def alice_send(config: RotConfig, rng: RngStream) -> tuple[SenderRecord, np.ndar
     return SenderRecord(bits=bits), encoding_amps(config.theta)[bits]
 
 
+def honest_probabilities(amps: np.ndarray, theta: float, x: np.ndarray) -> np.ndarray:
+    """The Born step of the honest measurement: row i's outcome probabilities
+    in basis x[i] = {Psi_x, Psi_x perp}, column PERP_INDEX the conclusive
+    outcome, which decodes the bit x xor 1. A row of several qubits is
+    measured on qubit 0 with the rest traced out.
+    """
+    qubits = (0,) if amps.shape[1] > 2 else None
+    return batch_probabilities(amps, measurement_bases(theta), choice=x, qubits=qubits)
+
+
 def honest_outcomes(amps: np.ndarray, theta: float, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Basis bits and decoded bits of the honest measurement of each row.
 
-    Row i is measured in basis x[i] = {Psi_x, Psi_x perp}, x uniform; the
-    perp outcome is conclusive and decodes the bit x xor 1, the other one
-    decodes to -1. A row of several qubits is measured on qubit 0 with the
-    rest traced out.
+    Row i is measured in a uniform basis x[i] by `honest_probabilities`; the
+    perp outcome decodes the bit x xor 1, the other one decodes to -1.
     """
     x = rng.bits(len(amps))
-    qubits = (0,) if amps.shape[1] > 2 else None
-    probs = batch_probabilities(amps, measurement_bases(theta), choice=x, qubits=qubits)
+    probs = honest_probabilities(amps, theta, x)
     return x, np.where(rng.choice_indices(probs) == PERP_INDEX, x ^ 1, -1)
 
 

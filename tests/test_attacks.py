@@ -17,11 +17,19 @@ from qotlab.attacks import (
     p3_probe_detection_probability,
     p3_probe_outcome_table,
     p3_probe_pre_state,
+    p4_probe_detection_probability,
     probe_attack_p3,
     probe_attack_p4,
     uhlmann_overlap,
 )
-from qotlab.bitcommit import p3_bases, p3_pair_states
+from qotlab.bitcommit import (
+    blinded_amps,
+    blinding_angles,
+    p3_bases,
+    p3_pair_states,
+    p4_unblind_and_measure,
+)
+from qotlab.ot12 import wilson_interval
 from qotlab.qsim import (
     DensityMatrix,
     RngStream,
@@ -208,45 +216,53 @@ class TestProbeCopies:
 
     def test_probe_attack_statistics(self):
         n, trials = 4, 40_000
-        report = probe_attack_p3(n, trials, RngStream(60, 0))
-        assert report.n == n and report.trials == trials
+        detected = probe_attack_p3(n, trials, RngStream(60, 0))
+        assert detected.shape == (trials, n)
         qubits = n * trials
         sigma_q = np.sqrt(0.25 / qubits)
-        assert abs(report.per_qubit_detection.value - 0.5) < 5 * sigma_q
+        assert abs(detected.mean() - 0.5) < 5 * sigma_q
         expected_run = 0.5**n
         sigma_r = np.sqrt(expected_run * (1 - expected_run) / trials)
-        assert abs(report.run_success.value - expected_run) < 5 * sigma_r
+        assert abs((~detected.any(axis=1)).mean() - expected_run) < 5 * sigma_r
 
     def test_probe_attack_is_reproducible(self):
         a = probe_attack_p3(4, 2000, RngStream(61, 0))
         b = probe_attack_p3(4, 2000, RngStream(61, 0))
-        assert a == b
+        assert np.array_equal(a, b)
 
 
 class TestProbeOnBlindedQubits:
     def test_zero_blinding_angle_never_detects(self):
-        report = probe_attack_p4(6, 400, RngStream(62, 0), alpha=0.0)
-        assert report.per_qubit_detection.value == 0.0
+        # at a multiple of pi/2 the blinding is a relabelling, and the probe copies nothing
+        detection = p4_probe_detection_probability(np.arange(4) * np.pi / 2)
+        np.testing.assert_allclose(detection, 0.0, atol=1e-12)
 
     def test_no_probe_control_never_detects(self):
-        report = probe_attack_p4(6, 400, RngStream(63, 0), apply_probe=False)
-        assert report.per_qubit_detection.value == 0.0
+        """Honest blinded qubits never come out conclusive on the wrong bit."""
+        rng = RngStream(63, 0)
+        alphas = blinding_angles(rng, 6 * 400)
+        r = rng.bits(6 * 400)
+        record = p4_unblind_and_measure(blinded_amps(alphas, r), alphas, rng)
+        assert record.conclusive
+        assert all(val == r[pos - 1] for pos, val in record.conclusive)
 
     @pytest.mark.parametrize("alpha", [np.pi / 8, np.pi / 4, 1.0])
     def test_fixed_angle_detection_rate(self, alpha):
         expected = np.sin(2 * alpha) ** 2 / 4
-        n, trials = 8, 3000
-        report = probe_attack_p4(n, trials, RngStream(64, int(alpha * 100)), alpha=alpha)
-        sigma = np.sqrt(expected * (1 - expected) / (n * trials))
-        assert abs(report.per_qubit_detection.value - expected) < 5 * sigma
+        (detection,) = p4_probe_detection_probability([alpha])
+        assert detection == pytest.approx(expected, abs=1e-12)
 
     def test_uniform_blinding_detects_at_the_angle_average(self):
-        # the average of sin^2(2a)/4 over a uniform angle is 1/8
+        # the average of sin^2(2a)/4 over a uniform angle is 1/8; a degree-4
+        # trigonometric polynomial averages exactly over 8 equispaced angles
+        nodes = 2 * np.pi * np.arange(8) / 8
+        assert p4_probe_detection_probability(nodes).mean() == pytest.approx(0.125, abs=1e-12)
         n, trials = 8, 4000
-        report = probe_attack_p4(n, trials, RngStream(65, 0))
+        detected = probe_attack_p4(n, trials, RngStream(65, 0))
+        assert detected.shape == (trials, n)
         sigma = np.sqrt(0.125 * 0.875 / (n * trials))
-        assert abs(report.per_qubit_detection.value - 0.125) < 5 * sigma
-        assert report.per_qubit_detection.ci_low > 0.0
+        assert abs(detected.mean() - 0.125) < 5 * sigma
+        assert wilson_interval(int(detected.sum()), detected.size)[0] > 0.0
 
 
 class TestWithheldQubits:

@@ -35,9 +35,11 @@ from qotlab.bitcommit import (
     p5_commit,
     p5_measure_record,
     p5_open,
+    P5Grids,
     P5OpenMessage,
+    P5ReceiverState,
     p5_sample_strings,
-    p5_verify_records,
+    p5_verify,
     parity_function,
     receiver_state_from_dict,
     receiver_state_to_dict,
@@ -517,7 +519,7 @@ class TestGridCommitment:
             bad = dataclasses.replace(
                 msg, strings=tuple(tuple(s) for s in strings)
             )
-            result = p5_verify_records(bad, t.receiver.records.decoded, spec)
+            result = p5_verify(t.receiver, bad)
             expectations = []
             for j in (0, 1):
                 value = int(t.receiver.records.decoded[0, j])
@@ -533,7 +535,7 @@ class TestGridCommitment:
         strings = [list(s) for s in msg.strings]
         strings[1][2] ^= 1  # now parity of string 1 is 0, not the declared 1
         bad = dataclasses.replace(msg, strings=tuple(tuple(s) for s in strings))
-        result = p5_verify_records(bad, t.receiver.records.decoded, spec)
+        result = p5_verify(t.receiver, bad)
         assert not result.accepted
         assert "does not match the declared bit" in result.first_inconsistency
 
@@ -551,7 +553,7 @@ class TestGridCommitment:
         strings[0][b] += 2
         bad = dataclasses.replace(msg, strings=tuple(tuple(s) for s in strings))
         assert spec(strings[0]) == 0
-        result = p5_verify_records(bad, t.receiver.records.decoded, spec)
+        result = p5_verify(t.receiver, bad)
         assert not result.accepted
         assert "other than 0 and 1" in result.first_inconsistency
 
@@ -643,7 +645,10 @@ def test_grid_verifier_matches_the_record_loop(case):
     basis, decoded, records, opening = case
     function = parity_function(basis.shape[1])
     decoded.flags.writeable = False
-    got = p5_verify_records(opening, decoded, function)
+    receiver = P5ReceiverState(
+        protocol_id=PROTOCOL_P5, function=function, records=P5Grids(basis, decoded)
+    )
+    got = p5_verify(receiver, opening)
     want = _loop_verify(opening, records, function)
     assert got == want
 

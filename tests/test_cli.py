@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import scipy.stats
 
@@ -426,6 +427,10 @@ def test_verify_refuses_a_malformed_announcement(mutate, reason, tmp_path, capsy
     assert reason in capsys.readouterr().err
 
 
+# commit flags per protocol; a transcript name without a protocol is p2bc's
+_COUNTED_COMMITS = {"p2bc": ["--l", "2", "--n", "16"], "p5": []}
+
+
 @pytest.mark.parametrize(
     "name, field, value, reason",
     [
@@ -433,12 +438,16 @@ def test_verify_refuses_a_malformed_announcement(mutate, reason, tmp_path, capsy
         ("receiver.json", "l", 3, "field 'rounds' holds 2 rounds, but field 'l' is 3"),
         ("sender.json", "l", 1, "field 'rounds' holds 2 rounds, but field 'l' is 1"),
         ("sender.json", "n", 8, "'rounds[0].r' is malformed: expected a list of n = 8 bits"),
+        ("p5/sender.json", "m", 7, "field 'strings' holds 3 strings, but field 'm' is 7"),
+        ("p5/sender.json", "n", 6, "field 'strings[0]' has length 8, but field 'n' is 6"),
     ],
 )
 def test_transcript_counts_must_agree(name, field, value, reason, tmp_path, capsys):
+    protocol, _, name = name.rpartition("/")
+    protocol = protocol or "p2bc"
     common = ["--out", str(tmp_path)]
     assert main(
-        ["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", "--seed", "25", *common]
+        ["commit", "--protocol", protocol, *_COUNTED_COMMITS[protocol], "--seed", "25", *common]
     ) == 0
     assert main(["open", *common]) == 0
     doc = json.loads((tmp_path / name).read_text())
@@ -489,23 +498,45 @@ def _run(argv, capsys):
     return code, out, err
 
 
+_OT12 = ["ot12", "--n", "64", "--trials", "100", "--seed", "2"]
+_PROBE_P4 = ["attack", "--attack", "probe-p4", "--trials", "100", "--seed", "2"]
+
+
 @pytest.mark.parametrize(
-    "p1, spread",
-    [(0.5, "sigma 0.05, z -"), (0.0, "sigma 0, gap -")],
-    ids=["z", "sigma-zero"],
+    "argv, name, fake, label, spread",
+    [
+        (_OT12, "p1_exact", lambda n, alpha, theta: SecurityEstimate(0.5, 0.5, 0.5),
+         "ot12: abort rate", "sigma 0.05, z -"),
+        (_OT12, "p1_exact", lambda n, alpha, theta: SecurityEstimate(0.0, 0.0, 0.0),
+         "ot12: abort rate", "sigma 0, gap -"),
+        (_PROBE_P4, "p4_probe_detection_probability", lambda alphas: np.full(len(alphas), 0.5),
+         "probe-p4: per-qubit detection", "sigma 0.025, z -"),
+    ],
+    ids=["z", "sigma-zero", "probe-p4-twin"],
 )
-def test_a_failing_check_reports_its_spread(p1, spread, monkeypatch, capsys):
-    """A wrong exact p1 moves the expected abort rate to 1 - p1: the failing
-    line carries sigma and z, or the bare gap when sigma is 0."""
-    monkeypatch.setattr(cli, "p1_exact", lambda n, alpha, theta: SecurityEstimate(p1, p1, p1))
-    argv = ["ot12", "--n", "64", "--trials", "100", "--seed", "2"]
+def test_a_failing_check_reports_its_spread(argv, name, fake, label, spread, monkeypatch, capsys):
+    """A wrong exact value (p1, which moves the expected abort rate to
+    1 - p1, or the probe-p4 twin) fails the check: the failing line carries
+    sigma and z, or the bare gap when sigma is 0."""
+    monkeypatch.setattr(cli, name, fake)
     code, out, err = _run([*argv, "--check"], capsys)
     assert code == 3
-    (line,) = [line for line in err.splitlines() if line.startswith("CHECK FAIL: ot12: abort rate")]
+    (line,) = [line for line in err.splitlines() if line.startswith(f"CHECK FAIL: {label}")]
     assert spread in line
-    assert (" z " in line) == (p1 != 0.0)
+    assert (" z " in line) == ("sigma 0," not in spread)
     # without --check the same run passes, prints the same rows and no CHECK line
     assert _run(argv, capsys) == (0, out, "")
+
+
+_CHECKED = [key for key, e in cli.EXPERIMENTS.items() if "--check" in e.flags]
+
+
+@pytest.mark.parametrize("key", _CHECKED, ids=["-".join(filter(None, key)) for key in _CHECKED])
+def test_every_check_passes_at_its_defaults(key, capsys):
+    """Each campaign's measured rates agree with their exact twins at the
+    experiment's default sizes."""
+    code, _, err = _run([*_experiment_argv(*key, None), "--seed", "5", "--check"], capsys)
+    assert code == 0, err
 
 
 # a value other than the default for each flag but --n; none for a store_true flag

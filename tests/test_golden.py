@@ -50,7 +50,9 @@ DIGESTS = {
     "usd": "9e1b11e39fe11393cd8bee193de86dbf8ed210ae509cd27be29c63893bf02bd4",
     "nogo": "af4e3860881449a8cf8286b355052433e54eb6be82bc21f4f711a5ea4ead3f1e",
     "probe-p3": "2ba9a4f0a8701e4a030b0621c268d63f35d3ed81fe1031e63d99c6e9a9c99e92",
-    "probe-p4": "a32231479dc7732557f58aaa6823f93c0aa602add053bc16a13a0f4232dc3123",
+    # recorded after attack probe-p4 gained its per_qubit_detection_exact and
+    # run_success_exact rows; the output is the earlier one with only those added
+    "probe-p4": "0e391e22429fa421267a4f04eac868155487b53d8ccbedf8d145f78247af3503",
     "omission": "4b84cc90941428c426583008a53bc26f52abe03fd8a75a3842d0d1e23ffa1987",
     "p2bc/sender.json": "511bb309a730befee44d98f5d03f79aca2ccc0fdfb31d3675dc1bcd24282757a",
     "p2bc/receiver.json": "355eeba8ecb6dded2cbe06ad02f783c06d8a5adf818dd0e11c2d9e0fddb4a4aa",

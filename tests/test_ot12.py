@@ -15,12 +15,10 @@ from qotlab.ot12 import (
     binomial_tail,
     choose_index_sets,
     k_of,
-    monte_carlo_estimate,
     p1_exact,
     p2_exact,
     receiver_decrypt,
     run_ot12,
-    security_curve,
     sender_encrypt,
     wilson_interval,
 )
@@ -212,11 +210,6 @@ class TestEstimators:
         low2, high2 = wilson_interval(5000, 10000)
         assert (high2 - low2) < (high1 - low1)
 
-    def test_monte_carlo_estimate_fields(self):
-        est = monte_carlo_estimate(25, 100)
-        assert est.value == 0.25
-        assert est.ci_low <= est.value <= est.ci_high
-
 
 def make_record(n, conclusive, strategy=HONEST):
     return ReceiverRecord(
@@ -351,20 +344,18 @@ class TestFullRuns:
 
 
 class TestCurve:
+    NS = (64, 128, 256, 512, 1024)
+
     def test_rows_and_monotonicity(self):
-        rows = security_curve((64, 128, 256, 512, 1024))
-        assert [r.n for r in rows] == [64, 128, 256, 512, 1024]
-        for row in rows:
-            assert row.k == k_of(row.n)
-        p1s = [r.p1 for r in rows]
-        p2s = [r.p2 for r in rows]
+        assert [k_of(n) for n in self.NS] == [12, 24, 48, 96, 192]
+        p1s = [p1_exact(n).value for n in self.NS]
+        p2s = [p2_exact(n).value for n in self.NS]
         assert all(a < b for a, b in zip(p1s, p1s[1:]))
         assert all(a > b for a, b in zip(p2s, p2s[1:]))
 
     def test_attack_success_decays_exponentially(self):
-        rows = security_curve((64, 128, 256, 512, 1024))
-        ns = np.array([r.n for r in rows], dtype=float)
-        logs = np.log([r.p2 for r in rows])
+        ns = np.array(self.NS, dtype=float)
+        logs = np.log([p2_exact(n).value for n in self.NS])
         slope, intercept = np.polyfit(ns, logs, 1)
         fitted = slope * ns + intercept
         ss_res = float(np.sum((logs - fitted) ** 2))
