@@ -241,15 +241,16 @@ def probe_attack_p3(n: int, trials: int, rng: RngStream) -> np.ndarray:
     cum = np.cumsum(probs, axis=1)
     cells = rng.gen.integers(0, 4, size=(trials, n))
     u = rng.gen.random(size=(trials, n))
-    # one outcome column at a time, so no (trials, n, 4) array is built
-    outcomes = np.zeros(cells.shape, dtype=np.intp)
-    for j in range(cum.shape[1]):
-        outcomes += u >= cum[:, j][cells]
-    # flat (cell, outcome) index, built in place: a temporary of this size
-    # raises the process's peak memory by about 0.5 MB
-    cells *= masks.shape[1]
-    cells += outcomes
-    return masks.ravel()[cells]
+    # inverse-CDF sampling passes the running sum cum[cell, j] on its way to
+    # outcome j + 1, so detection flips from mask[0] at each such crossing
+    # where the mask differs between outcomes j and j + 1
+    detected = np.zeros(cells.shape, dtype=bool)
+    for cell, (mask, edges) in enumerate(zip(masks, cum)):
+        hit = np.full(cells.shape, mask[0])
+        for j in np.flatnonzero(mask[:-1] != mask[1:]):
+            hit ^= u >= edges[j]
+        detected |= hit & (cells == cell)
+    return detected
 
 
 # ---------------------------------------------------------------------------

@@ -178,21 +178,27 @@ def cmd_ot12(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
         elif tr.b_received == tr.sets.pick(b0, b1):
             correct += 1
     completed = cfg.trials - aborts
-    p1 = p1_exact(cfg.n, cfg.alpha, cfg.theta)
-    p2 = p2_exact(cfg.n, cfg.alpha, cfg.theta)
+    # both tails at the run's n and along the curve, each n computed once
+    tails = {
+        n: {
+            "p1_exact": p1_exact(n, cfg.alpha, cfg.theta).value,
+            "p2_exact": p2_exact(n, cfg.alpha, cfg.theta).value,
+        }
+        for n in {cfg.n, *CURVE_N_LIST}
+    }
+    p1 = tails[cfg.n]["p1_exact"]
     params = f"alpha={cfg.alpha};n={cfg.n};theta={_g(cfg.theta)}"
     rows.append(_mc_row("ot12", params, "abort_rate", aborts, cfg.trials))
-    rows.append(_exact_row("ot12", params, "abort_rate_exact", 1.0 - p1.value))
+    rows.append(_exact_row("ot12", params, "abort_rate_exact", 1.0 - p1))
     rows.append(_mc_row("ot12", params, "received_correct_rate", correct, max(completed, 1)))
-    rows.append(_exact_row("ot12", params, "p1_exact", p1.value))
-    rows.append(_exact_row("ot12", params, "p2_exact", p2.value))
+    for metric, value in tails[cfg.n].items():
+        rows.append(_exact_row("ot12", params, metric, value))
     for n in CURVE_N_LIST:
         cparams = f"alpha={cfg.alpha};n={n};theta={_g(cfg.theta)}"
         rows.append(_exact_row("ot12-curve", cparams, "k", float(k_of(n, cfg.alpha))))
-        for metric, tail in (("p1_exact", p1_exact), ("p2_exact", p2_exact)):
-            value = tail(n, cfg.alpha, cfg.theta).value
+        for metric, value in tails[n].items():
             rows.append(_exact_row("ot12-curve", cparams, metric, value))
-    _agree(fails, "ot12: abort rate", aborts / cfg.trials, 1.0 - p1.value, cfg.trials)
+    _agree(fails, "ot12: abort rate", aborts / cfg.trials, 1.0 - p1, cfg.trials)
     checked = max(completed, 1)
     _agree(fails, "ot12: wrong-bit rate", (completed - correct) / checked, 0.0, checked)
     return rows, fails

@@ -15,6 +15,7 @@ least 2k and could decode both messages.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,14 +33,21 @@ BASE_RATE = Fraction(1, 4)
 _WILSON_Z = 1.959963984540054
 
 
+@functools.lru_cache(maxsize=None)
+def _margin(alpha: Fraction) -> Fraction:
+    """BASE_RATE - alpha, checked once per alpha."""
+    alpha = Fraction(alpha)
+    if not 0 < alpha < BASE_RATE:
+        raise ValueError("alpha must lie strictly between 0 and the base rate")
+    return BASE_RATE - alpha
+
+
 def k_of(n: int, alpha: Fraction = DEFAULT_ALPHA) -> int:
     """floor((BASE_RATE - alpha) * n), computed exactly for rational inputs."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    alpha = Fraction(alpha)
-    if not 0 < alpha < BASE_RATE:
-        raise ValueError("alpha must lie strictly between 0 and the base rate")
-    return int((BASE_RATE - alpha) * n)
+    margin = _margin(alpha)
+    return n * margin.numerator // margin.denominator
 
 
 def transfer_k(n: int, alpha: Fraction = DEFAULT_ALPHA) -> int:

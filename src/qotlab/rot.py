@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qsim import (
-    CONCLUSIVE_0,
-    CONCLUSIVE_1,
     ProjectiveBasis,
     RngStream,
     batch_probabilities,
@@ -135,13 +133,8 @@ def measurement_bases(theta: float) -> tuple[ProjectiveBasis, ProjectiveBasis]:
 # position of the perp outcome in each of measurement_bases
 PERP_INDEX = 1
 
-
-def alice_send(config: RotConfig, rng: RngStream) -> tuple[SenderRecord, np.ndarray]:
-    """Draw the bit string and produce the qubits, one amplitude row each,
-    before any receiver action; nothing the receiver later does can reach
-    back into this record."""
-    bits = rng.bits(config.n)
-    return SenderRecord(bits=bits), encoding_amps(config.theta)[bits]
+# decoded bit of each usd_povm outcome: conclusive-0, conclusive-1, inconclusive
+_USD_DECODED = np.array([0, 1, -1])
 
 
 def honest_probabilities(amps: np.ndarray, theta: float, x: np.ndarray) -> np.ndarray:
@@ -154,41 +147,51 @@ def honest_probabilities(amps: np.ndarray, theta: float, x: np.ndarray) -> np.nd
     return batch_probabilities(amps, measurement_bases(theta), choice=x, qubits=qubits)
 
 
+def _decode_honest(x: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """The perp outcome in basis x decodes the bit x xor 1; the other
+    outcome is inconclusive and decodes to -1."""
+    return np.where(outcomes == PERP_INDEX, x ^ 1, -1)
+
+
 def honest_outcomes(amps: np.ndarray, theta: float, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Basis bits and decoded bits of the honest measurement of each row.
-
-    Row i is measured in a uniform basis x[i] by `honest_probabilities`; the
-    perp outcome decodes the bit x xor 1, the other one decodes to -1.
-    """
+    """Basis bits and decoded bits of the honest measurement of each row,
+    each row in a uniform basis x[i], sampled from `honest_probabilities`."""
     x = rng.bits(len(amps))
-    probs = honest_probabilities(amps, theta, x)
-    return x, np.where(rng.choice_indices(probs) == PERP_INDEX, x ^ 1, -1)
+    return x, _decode_honest(x, rng.choice_indices(honest_probabilities(amps, theta, x)))
 
 
-def bob_measure_honest(amps: np.ndarray, theta: float, rng: RngStream) -> ReceiverRecord:
-    return ReceiverRecord.from_decoded(HONEST, *honest_outcomes(amps, theta, rng))
+@functools.lru_cache(maxsize=None)
+def born_table(theta: float, strategy: str) -> np.ndarray:
+    """The plain channel's outcome probabilities at one angle, read-only.
 
-
-# outcome index of usd_povm -> decoded bit
-_USD_VALUES = {CONCLUSIVE_0: 0, CONCLUSIVE_1: 1}
-
-
-def bob_measure_usd(amps: np.ndarray, theta: float, rng: RngStream) -> ReceiverRecord:
-    povm = usd_povm(theta)
-    values = np.array([_USD_VALUES.get(label, -1) for label in povm.labels])
-    decoded = values[rng.choice_indices(batch_probabilities(amps, povm))]
-    return ReceiverRecord.from_decoded(USD, np.full(len(amps), -1), decoded)
+    HONEST: row 2*bit + x measures the state encoding `bit` in basis x, as
+    `honest_probabilities` does. USD: row `bit` is that state under
+    usd_povm(theta). A receiver gathers one row per qubit from here instead
+    of running the Born rule once per qubit.
+    """
+    amps = encoding_amps(theta)
+    if strategy == HONEST:
+        table = honest_probabilities(amps[[0, 0, 1, 1]], theta, np.array([0, 1, 0, 1]))
+    elif strategy == USD:
+        table = batch_probabilities(amps, usd_povm(theta))
+    else:
+        raise ValueError(f"unknown receiver strategy {strategy!r}")
+    table.flags.writeable = False
+    return table
 
 
 def run_rot(
     config: RotConfig, strategy: str, rng: RngStream
 ) -> tuple[SenderRecord, ReceiverRecord]:
-    """One sender pass followed by one receiver pass over the n qubits."""
-    sender, amps = alice_send(config, rng)
+    """One sender pass followed by one receiver pass over the n qubits: the
+    sender's bits are drawn before any receiver draw, then each receiver
+    samples its n outcomes from the `born_table` rows its qubits select."""
+    table = born_table(config.theta, strategy)
+    bits = rng.bits(config.n)
     if strategy == HONEST:
-        receiver = bob_measure_honest(amps, config.theta, rng)
-    elif strategy == USD:
-        receiver = bob_measure_usd(amps, config.theta, rng)
+        x = rng.bits(config.n)
+        decoded = _decode_honest(x, rng.choice_indices(table[2 * bits + x]))
     else:
-        raise ValueError(f"unknown receiver strategy {strategy!r}")
-    return sender, receiver
+        x = np.full(config.n, -1)
+        decoded = _USD_DECODED[rng.choice_indices(table[bits])]
+    return SenderRecord(bits=bits), ReceiverRecord.from_decoded(strategy, x, decoded)

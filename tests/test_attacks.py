@@ -8,6 +8,7 @@ import pytest
 from qotlab.attacks import (
     CheatReport,
     NoGoInstance,
+    _p3_probe_tables,
     entangle_probe,
     nogo_cheat_report,
     nogo_cheating_unitary,
@@ -150,6 +151,20 @@ class TestEquivocationAttack:
             assert achieved == pytest.approx(fidelity(a, b), abs=1e-8)
 
 
+def reference_probe_attack_p3(n: int, trials: int, rng: RngStream) -> np.ndarray:
+    """The outcome-index kernel `probe_attack_p3` replaced: sample each
+    qubit's outcome by inverse CDF, then look its (cell, outcome) up in the
+    detection masks. Same draws, same order."""
+    probs, masks = _p3_probe_tables()
+    cum = np.cumsum(probs, axis=1)
+    cells = rng.gen.integers(0, 4, size=(trials, n))
+    u = rng.gen.random(size=(trials, n))
+    outcomes = np.zeros(cells.shape, dtype=np.intp)
+    for j in range(cum.shape[1]):
+        outcomes += u >= cum[:, j][cells]
+    return masks.ravel()[cells * masks.shape[1] + outcomes]
+
+
 class TestProbeCopies:
     def test_probe_appends_a_correlated_qubit(self):
         state = StateVector(num_qubits=1, amps=np.array([0.6, 0.8]))
@@ -229,6 +244,32 @@ class TestProbeCopies:
         a = probe_attack_p3(4, 2000, RngStream(61, 0))
         b = probe_attack_p3(4, 2000, RngStream(61, 0))
         assert np.array_equal(a, b)
+
+    def test_a_uniform_above_every_running_sum_is_the_last_outcome(self):
+        """Every cell's running sums end just below 1, so a uniform can lie
+        above all of them; like `inverse_cdf`, the probe then takes the
+        cell's last outcome rather than reading past the cell's mask."""
+        probs, masks = _p3_probe_tables()
+        last = np.nextafter(1.0, 0.0)
+        assert (np.cumsum(probs, axis=1)[:, -1] <= last).all()
+
+        class Draws:
+            def integers(self, low, high, size):
+                return np.arange(4).reshape(size)
+
+            def random(self, size):
+                return np.full(size, last)
+
+        class Stream:
+            gen = Draws()
+
+        assert np.array_equal(probe_attack_p3(4, 1, Stream())[0], masks[:, -1])
+
+    @pytest.mark.parametrize("n, trials", [(8, 50), (8, 20000), (3, 1000)])
+    def test_crossing_rule_matches_the_outcome_index(self, n, trials):
+        for seed in range(3):
+            got = probe_attack_p3(n, trials, RngStream(seed, 5))
+            assert np.array_equal(got, reference_probe_attack_p3(n, trials, RngStream(seed, 5)))
 
 
 class TestProbeOnBlindedQubits:

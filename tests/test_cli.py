@@ -283,6 +283,21 @@ def test_curve_rows_follow_theta(capsys):
     assert all(params.endswith(";theta=1.2") for params in curve_params)
 
 
+@pytest.mark.parametrize("n", [64, 100])
+def test_ot12_computes_each_tail_once(n, monkeypatch, capsys):
+    """Whether or not the run's n lies on the curve, each (n, tail) is
+    computed once per call."""
+    calls = []
+    for name in ("p1_exact", "p2_exact"):
+        tail = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda m, *rest, _tail=tail, _name=name: calls.append((_name, m)) or _tail(m, *rest)
+        )
+    assert main(["ot12", "--n", str(n), "--trials", "2", "--seed", "3"]) == 0
+    expected = {(name, m) for name in ("p1_exact", "p2_exact") for m in (n, *cli.CURVE_N_LIST)}
+    assert sorted(calls) == sorted(expected)
+
+
 def test_attack_nogo_reports_exact_numbers(capsys):
     assert main(["attack", "--attack", "nogo", "--n", "4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -1,4 +1,5 @@
-"""Seeded small-n outputs pinned by their sha256 digests.
+"""Seeded outputs pinned by their sha256 digests: small-n runs, and the
+benchmark's campaign command lines at full size.
 
 A change meant to keep seeded output byte-identical must leave every digest
 here as it is; a change that alters an output on purpose updates its digest
@@ -30,6 +31,16 @@ CAMPAIGNS = {
     # off pi/4, so the angle has to reach the measurements and the transfer
     "ot12-theta": ["ot12", "--n", "64", "--trials", "4", "--theta", "0.7", *SEEDED],
     "rot-theta": ["rot", "--n", "16", "--trials", "4", "--theta", "0.5", *SEEDED],
+    # the benchmark's campaign command lines at its sizes (n = 64, the
+    # 160,000-qubit probe-p3 grid), seed 5
+    "bench-rot": ["rot", "--n", "64", "--trials", "6", "--seed", "5"],
+    "bench-ot12": ["ot12", "--n", "64", "--trials", "12", "--seed", "5"],
+    "bench-usd": ["attack", "--attack", "usd", "--n", "64", "--trials", "10", "--seed", "5"],
+    "bench-probe-p4": ["attack", "--attack", "probe-p4", "--n", "4", "--trials", "25", "--seed", "5"],
+    "bench-probe-p3": ["attack", "--attack", "probe-p3", "--n", "8", "--trials", "20000", "--seed", "5"],
+    "bench-omission": [
+        "attack", "--attack", "omission", "--n", "8", "--m", "3", "--trials", "8", "--seed", "5",
+    ],
 }
 # commit flags of each pinned transcript directory
 COMMITS = {
@@ -73,6 +84,12 @@ DIGESTS = {
     "p2bc-theta/sender.json": "21af68f778d8a924a856aab39d9915923bfdef93305ef4337b909705ef9c1271",
     "p2bc-theta/receiver.json": "225998d8197951a2ddc80ebb97586268b26850d596b9da345494214c52600d60",
     "p2bc-theta/open.json": "9c37aaf6db6e04793c47761bbbb2584bb330e7853f59cb022fda77720a1622ec",
+    "bench-rot": "b45d1945132d165ce919e3fc2f04e3d8b8139c237cd0ece649e9a7924515d3b2",
+    "bench-ot12": "b8c396fe6dd584c173807eeefb6a13dd3ea7cc10a687b044294bbd7369011631",
+    "bench-usd": "a7cdbfe6ce38a0698aa7bef7d5d891f672784808524a33004e4b9722b55a1f03",
+    "bench-probe-p4": "9198a948fa09ab2295801d34ac44dce602ffa1e36694dc9790dcaedb152a2d5f",
+    "bench-probe-p3": "e60a35eb7c7248098be54178b6e11e3638ea79fe2de6a6a5f8c1e29788ce3003",
+    "bench-omission": "3696d0d5003704adb2ef9b8942204cb7128ee408a15f793e1e6455494be87141",
 }
 
 # A P5 receiver.json written before the receiver stopped storing its blinding

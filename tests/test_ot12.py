@@ -9,6 +9,7 @@ import pytest
 import scipy.stats
 
 from qotlab.ot12 import (
+    BASE_RATE,
     TAIL_LOG_MARGIN,
     USD,
     _tail_window,
@@ -20,6 +21,7 @@ from qotlab.ot12 import (
     receiver_decrypt,
     run_ot12,
     sender_encrypt,
+    transfer_k,
     wilson_interval,
 )
 from qotlab.qsim import RngStream
@@ -42,10 +44,26 @@ def test_k_of_is_exact_rational_arithmetic():
 
 def test_k_of_rejects_bad_arguments():
     assert k_of(0) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
         k_of(-1)
-    with pytest.raises(ValueError):
-        k_of(64, alpha=Fraction(1, 4))  # leaves no conclusive margin
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        k_of(-1, Fraction(1, 2))  # n is checked before alpha
+
+
+@pytest.mark.parametrize("alpha", ["1/16", "1/32", "3/16", "1/5"])
+def test_k_of_is_the_floor_of_the_rational_product(alpha):
+    """The integer route against the Fraction product it replaced, with alpha
+    as a Fraction and in the CLI's string form."""
+    for given in (Fraction(alpha), alpha):
+        for n in [*range(4097), 10**5, 10**6]:
+            assert k_of(n, given) == int((BASE_RATE - Fraction(alpha)) * n)
+
+
+# Fraction(1, 4) leaves no conclusive margin
+@pytest.mark.parametrize("alpha", [Fraction(0), Fraction(-1, 16), "0", Fraction(1, 4), "1/4", Fraction(1, 2)])
+def test_k_of_refuses_an_alpha_outside_the_margin(alpha):
+    with pytest.raises(ValueError, match="^alpha must lie strictly between 0 and the base rate$"):
+        k_of(64, alpha)
 
 
 def lgamma_log_terms(n, p, first, last):
@@ -256,8 +274,10 @@ class TestIndexSets:
 
     def test_runs_that_would_announce_empty_sets_are_refused(self):
         assert k_of(5) == 0
-        with pytest.raises(ValueError):
+        refusal = r"^n=5 gives k=0 announced positions; the transfer needs k >= 1$"
+        with pytest.raises(ValueError, match=refusal):
             run_ot12(5, 0, 1, HONEST, RngStream(6, 0))
+        assert transfer_k(6) == 1
 
     def test_mapping_choice_is_balanced(self):
         n, k = 64, k_of(64)

@@ -3,15 +3,58 @@
 import numpy as np
 import pytest
 
-from qotlab.qsim import RngStream, make_nonorthogonal_pair
+from qotlab.qsim import (
+    CONCLUSIVE_0,
+    CONCLUSIVE_1,
+    RngStream,
+    batch_probabilities,
+    make_nonorthogonal_pair,
+    usd_povm,
+)
 from qotlab.rot import (
     HONEST,
+    PERP_INDEX,
     USD,
     ReceiverRecord,
     RotConfig,
-    alice_send,
+    SenderRecord,
+    born_table,
+    encoding_amps,
+    honest_probabilities,
     run_rot,
 )
+
+# the angles the golden digests pin (pi/4, 0.5, 0.7) and three more
+THETAS = (0.3, 0.5, 0.7, np.pi / 4, 1.2, np.pi / 2)
+
+
+# The per-row reference route: the sender's qubits as one amplitude row
+# each, and the receivers' Born rule run over every row. `run_rot` gathers
+# the same probabilities from `born_table` and must agree with it draw by draw.
+
+
+def alice_send(config: RotConfig, rng: RngStream) -> tuple[SenderRecord, np.ndarray]:
+    bits = rng.bits(config.n)
+    return SenderRecord(bits=bits), encoding_amps(config.theta)[bits]
+
+
+def bob_measure_honest(amps: np.ndarray, theta: float, rng: RngStream) -> ReceiverRecord:
+    x = rng.bits(len(amps))
+    outcomes = rng.choice_indices(honest_probabilities(amps, theta, x))
+    return ReceiverRecord.from_decoded(HONEST, x, np.where(outcomes == PERP_INDEX, x ^ 1, -1))
+
+
+def bob_measure_usd(amps: np.ndarray, theta: float, rng: RngStream) -> ReceiverRecord:
+    povm = usd_povm(theta)
+    values = np.array([{CONCLUSIVE_0: 0, CONCLUSIVE_1: 1}.get(label, -1) for label in povm.labels])
+    decoded = values[rng.choice_indices(batch_probabilities(amps, povm))]
+    return ReceiverRecord.from_decoded(USD, np.full(len(amps), -1), decoded)
+
+
+def reference_rot(config: RotConfig, strategy: str, rng: RngStream):
+    sender, amps = alice_send(config, rng)
+    measure = bob_measure_honest if strategy == HONEST else bob_measure_usd
+    return sender, measure(amps, config.theta, rng)
 
 
 def test_config_rates():
@@ -125,3 +168,54 @@ def test_sender_record_reveals_nothing_about_outcomes():
     sender, _ = run_rot(cfg, HONEST, RngStream(11, 0))
     assert set(vars(sender)) == {"bits"}
     assert all(b in (0, 1) for b in sender.bits)
+
+
+@pytest.mark.parametrize("strategy", [HONEST, USD])
+@pytest.mark.parametrize("theta", THETAS)
+def test_run_rot_matches_the_per_row_route(theta, strategy):
+    for n in (1, 64, 1000):
+        for seed in range(3):
+            sender, receiver = run_rot(RotConfig(n, theta), strategy, RngStream(seed, 4))
+            ref_sender, ref_receiver = reference_rot(RotConfig(n, theta), strategy, RngStream(seed, 4))
+            assert np.array_equal(sender.bits, ref_sender.bits)
+            assert np.array_equal(receiver.basis_choices, ref_receiver.basis_choices)
+            assert receiver.conclusive == ref_receiver.conclusive
+            assert receiver.strategy == strategy
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_born_table_rows_are_the_per_row_probabilities(theta):
+    """Bit for bit, not to a tolerance: a table row and the kernel's row for
+    the same (bit, x) must sample the same outcome from the same uniform."""
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2, size=64)
+    x = rng.integers(0, 2, size=64)
+    amps = encoding_amps(theta)[bits]
+    honest = honest_probabilities(amps, theta, x)
+    assert np.array_equal(born_table(theta, HONEST)[2 * bits + x], honest)
+    usd = batch_probabilities(amps, usd_povm(theta))
+    assert np.array_equal(born_table(theta, USD)[bits], usd)
+
+
+def test_born_table_is_read_only_and_built_once():
+    for strategy, shape in ((HONEST, (4, 2)), (USD, (2, 3))):
+        table = born_table(0.7, strategy)
+        assert table.shape == shape
+        assert born_table(0.7, strategy) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.1, np.pi / 2 + 1e-9, np.pi])
+def test_angles_outside_the_range_are_refused(theta):
+    with pytest.raises(ValueError, match=r"^theta must lie in \(0, pi/2\]$"):
+        RotConfig(8, theta=theta)
+    distinct = r"^theta must lie in \(0, pi/2\]: the pair must be distinct$"
+    for build in (usd_povm, lambda theta: born_table(theta, USD)):
+        with pytest.raises(ValueError, match=distinct):
+            build(theta)
+
+
+def test_unknown_strategy_is_refused():
+    with pytest.raises(ValueError, match="unknown receiver strategy 'guess'"):
+        run_rot(RotConfig(8), "guess", RngStream(1, 0))
