@@ -31,7 +31,7 @@ from .bitcommit import (
     blinded_amps,
     blinding_angles,
     p3_bases,
-    p3_pair_states,
+    p3_possible,
     p5_measure_record,
     p5_verify,
     parity_function,
@@ -50,8 +50,6 @@ from .qsim import (
     rotation_plane,
 )
 from .rot import PERP_INDEX, honest_probabilities
-
-_SUPPORT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -163,27 +161,13 @@ def entangle_probe_rows(amps: np.ndarray) -> np.ndarray:
     return new.reshape(rows, 2 * dim)
 
 
-def entangle_probe(state: StateVector, control_qubit: int) -> StateVector:
-    """Append a fresh probe qubit copying the control in the standard basis."""
-    n = state.num_qubits
-    if not 0 <= control_qubit < n:
-        raise ValueError("control qubit out of range")
-    old = state.amps.reshape([2] * n)
-    new = np.zeros([2] * (n + 1), dtype=np.complex128)
-    take = [slice(None)] * n
-    for c in (0, 1):
-        sl = list(take)
-        sl[control_qubit] = c
-        new[tuple(sl) + (c,)] = old[tuple(sl)]
-    return StateVector(num_qubits=n + 1, amps=new.reshape(-1))
-
-
 def p3_probe_pre_state() -> StateVector:
     """Transit qubit copied onto the probe before any encoding.
 
     Qubit order: transit, receiver's half, probe.
     """
-    return entangle_probe(bell_state("phi-"), 0)
+    amps = entangle_probe_rows(bell_state("phi-").amps[np.newaxis])[0]
+    return StateVector(num_qubits=3, amps=amps)
 
 
 @functools.lru_cache(maxsize=1)
@@ -196,27 +180,12 @@ def _p3_probe_tables() -> tuple[np.ndarray, np.ndarray]:
     """
     bases = p3_bases()
     pre = p3_probe_pre_state()
-    encode = rotation_plane(ENCODE_ANGLE)
-    attacked = (pre, apply_on_qubit(pre, 0, encode))
-    honest = p3_pair_states()
-    probs = np.zeros((4, 4))
-    masks = np.zeros((4, 4), dtype=bool)
-    for r in (0, 1):
-        for x in (0, 1):
-            probs[2 * r + x] = born_probabilities(attacked[r], bases[x], qubits=(0, 1))
-            support = np.zeros(4, dtype=bool)
-            for state in honest:
-                support |= born_probabilities(state, bases[x]) > _SUPPORT_TOL
-            masks[2 * r + x] = ~support
-    return probs, masks
-
-
-def p3_probe_outcome_table(r: int, basis_index: int) -> np.ndarray:
-    """Outcome probabilities of the probed state in one (r, basis) cell."""
-    if r not in (0, 1) or basis_index not in (0, 1):
-        raise ValueError("r and basis_index are bits")
-    probs, _ = _p3_probe_tables()
-    return probs[2 * r + basis_index].copy()
+    attacked = (pre, apply_on_qubit(pre, 0, rotation_plane(ENCODE_ANGLE)))
+    probs = np.array(
+        [born_probabilities(attacked[r], bases[x], qubits=(0, 1)) for r in (0, 1) for x in (0, 1)]
+    )
+    impossible = ~p3_possible().any(axis=0)
+    return probs, np.tile(impossible, (2, 1))
 
 
 def p3_probe_detection_probability(r: int, basis_index: int) -> float:

@@ -45,7 +45,16 @@ from .qsim import (
     rotate_rows,
     rotation_plane,
 )
-from .rot import HONEST, ReceiverRecord, RotConfig, SenderRecord, honest_outcomes, run_rot
+from .rot import (
+    HONEST,
+    ReceiverRecord,
+    RotConfig,
+    SenderRecord,
+    _decode_honest,
+    check_conclusive,
+    honest_outcomes,
+    run_rot,
+)
 
 # Not used below (the channels sample through the batched kernel), but
 # bench/tracing.py wraps the per-state engine under this name here.
@@ -66,8 +75,8 @@ MAX_WAVES = 1000
 # ---------------------------------------------------------------------------
 # entangled-pair channel ("P3")
 
-_P3_CONCLUSIVE_1 = "psi+"
-_P3_CONCLUSIVE_0 = "phi-minus-psi+"
+# a table entry at or below this is an outcome the pair state cannot give
+_SUPPORT_TOL = 1e-9
 
 
 @functools.lru_cache(maxsize=1)
@@ -91,7 +100,7 @@ def p3_bases() -> tuple[ProjectiveBasis, ProjectiveBasis]:
     )
     basis1 = ProjectiveBasis(
         states=(mix(phim, psip, 1.0), mix(phim, psip, -1.0), mix(phip, psim, 1.0), mix(phip, psim, -1.0)),
-        labels=("phi-plus-psi+", _P3_CONCLUSIVE_0, "phi+plus-psi-", "phi+minus-psi-"),
+        labels=("phi-plus-psi+", "phi-minus-psi+", "phi+plus-psi-", "phi+minus-psi-"),
     )
     return basis0, basis1
 
@@ -110,32 +119,38 @@ def p3_pair_states() -> tuple[StateVector, StateVector]:
 
 
 @functools.lru_cache(maxsize=1)
-def _p3_pair_amps() -> np.ndarray:
-    amps = np.stack([s.amps for s in p3_pair_states()])
-    amps.flags.writeable = False
-    return amps
+def p3_born_table() -> np.ndarray:
+    """The pair channel's outcome probabilities, read-only: row 2*r + x
+    measures the pair state for bit r in pair basis x, the layout of
+    `rot.born_table`. A receiver gathers one row per pair from here."""
+    amps = np.stack([s.amps for s in p3_pair_states()])[[0, 0, 1, 1]]
+    table = batch_probabilities(amps, p3_bases(), choice=np.array([0, 1, 0, 1]))
+    table.flags.writeable = False
+    return table
 
 
-def p3_prepare_and_encode(r_bits: np.ndarray) -> np.ndarray:
-    """The returned pairs, one (4,) amplitude row per bit of r_bits."""
-    return _p3_pair_amps()[np.asarray(r_bits, dtype=np.intp)]
+def p3_possible() -> np.ndarray:
+    """possible[r, x, o]: the pair state for bit r can give outcome o in
+    pair basis x, read off `p3_born_table`."""
+    return (p3_born_table() > _SUPPORT_TOL).reshape(2, 2, 4)
 
 
 @functools.lru_cache(maxsize=1)
 def _p3_decode() -> np.ndarray:
-    """Decoded bit per (basis, outcome index), -1 where inconclusive."""
-    decode = np.full((2, 4), -1, dtype=np.int8)
-    basis0, basis1 = p3_bases()
-    decode[0, basis0.labels.index(_P3_CONCLUSIVE_1)] = 1
-    decode[1, basis1.labels.index(_P3_CONCLUSIVE_0)] = 0
+    """Decoded bit per (basis, outcome index): r where only the pair state
+    for bit r can give the outcome, else -1."""
+    possible = p3_possible()
+    only = possible & ~possible[::-1]
+    decode = np.where(only.any(axis=0), only[1], -1).astype(np.int8)
     decode.flags.writeable = False
     return decode
 
 
-def p3_measure(amps: np.ndarray, rng: RngStream) -> ReceiverRecord:
-    """Measure each returned pair in a uniformly chosen pair basis."""
-    x = rng.bits(len(amps))
-    outcomes = rng.choice_indices(batch_probabilities(amps, p3_bases(), choice=x))
+def p3_measure(r_bits: np.ndarray, rng: RngStream) -> ReceiverRecord:
+    """Measure the returned pair of each bit of r_bits in a uniformly chosen
+    pair basis, sampled from its `p3_born_table` row."""
+    x = rng.bits(len(r_bits))
+    outcomes = rng.choice_indices(p3_born_table()[2 * np.asarray(r_bits) + x])
     return ReceiverRecord.from_decoded(HONEST, x, _p3_decode()[x, outcomes])
 
 
@@ -269,19 +284,15 @@ def _split_rounds(
     """Cut one pass over rounds * n qubits into per-round records, each with
     its positions renumbered 1..n."""
     bits = sender.bits.reshape(rounds, n)
-    conclusive: list[list[tuple[int, int]]] = [[] for _ in range(rounds)]
-    for pos, val in receiver.conclusive:
-        r, offset = divmod(pos - 1, n)
-        conclusive[r].append((offset + 1, val))
     basis = receiver.basis_choices.reshape(rounds, n)
+    pairs = np.array(receiver.conclusive, dtype=np.intp).reshape(-1, 2)
+    decoded = np.full(rounds * n, -1, dtype=np.int8)
+    decoded[pairs[:, 0] - 1] = pairs[:, 1]
+    decoded = decoded.reshape(rounds, n)
     return [
         (
             SenderRecord(bits=bits[r]),
-            ReceiverRecord(
-                strategy=receiver.strategy,
-                basis_choices=basis[r],
-                conclusive=tuple(conclusive[r]),
-            ),
+            ReceiverRecord.from_decoded(receiver.strategy, basis[r], decoded[r]),
         )
         for r in range(rounds)
     ]
@@ -296,7 +307,7 @@ def _ot_channel(
         sender, receiver = run_rot(RotConfig(n=size, theta=theta), HONEST, rng)
     elif variant == PROTOCOL_P3:
         bits = rng.bits(size)
-        sender, receiver = SenderRecord(bits=bits), p3_measure(p3_prepare_and_encode(bits), rng)
+        sender, receiver = SenderRecord(bits=bits), p3_measure(bits, rng)
     else:
         # P4: the receiver blinds |0> by a uniform angle, the committer encodes
         alphas = blinding_angles(rng, size)
@@ -700,7 +711,7 @@ def _p5_sender_to_dict(state: P5SenderState) -> dict:
 # a P5 outcome record in JSON: [basis tag, outcome label], or null for a
 # qubit that never arrived; these strings appear nowhere else
 _P5_BASIS_TAGS = ("B0", "B1")
-_P5_OUTCOME_LABELS = ("psi", "perp")  # inconclusive, conclusive
+_P5_OUTCOME_LABELS = ("psi", "perp")  # by outcome index, as in rot.measurement_bases
 
 
 def _p5_receiver_to_dict(state: P5ReceiverState) -> dict:
@@ -821,8 +832,19 @@ def _pos_vals(x) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _conclusive(n: int, i_set: tuple[int, ...], x) -> tuple[tuple[int, int], ...]:
+    """A round's conclusive pairs, checked as a receiver record checks them;
+    every announced I position must be among them."""
+    pairs = _pos_vals(x)
+    check_conclusive(pairs, n)
+    missing = set(i_set).difference(pos for pos, _ in pairs)
+    if missing:
+        raise ValueError(f"announced I position {min(missing)} is not conclusive")
+    return pairs
+
+
 def _record(x) -> tuple[int, int]:
-    """(basis bit, decoded bit) of one outcome record; null is (-1, -1)."""
+    """(basis bit, outcome index) of one outcome record; null is (-1, -1)."""
     if x is None:
         return -1, -1
     if len(_list(x)) != 2:
@@ -830,8 +852,7 @@ def _record(x) -> tuple[int, int]:
     tag, label = _str(x[0]), _str(x[1])
     if tag not in _P5_BASIS_TAGS or label not in _P5_OUTCOME_LABELS:
         raise ValueError(f"unknown outcome record {[tag, label]}")
-    basis = _P5_BASIS_TAGS.index(tag)
-    return basis, (basis ^ 1 if label == _P5_OUTCOME_LABELS[1] else -1)
+    return _P5_BASIS_TAGS.index(tag), _P5_OUTCOME_LABELS.index(label)
 
 
 def _records(x) -> list[list[tuple[int, int]]]:
@@ -886,18 +907,20 @@ def _bc_sender_from_dict(d: dict) -> CommitSenderState:
     )
 
 
+def _bc_receiver_round(rnd: dict, at: str, n: int, k: int) -> ReceiverCommitRound:
+    sets = _announcement(rnd, at, n, k)
+    return ReceiverCommitRound(
+        sets=sets,
+        conclusive=_field(rnd, "conclusive", functools.partial(_conclusive, n, sets.i_set), at),
+        c0=_field(rnd, "c0", _int, at),
+        c1=_field(rnd, "c1", _int, at),
+        received_share=_field(rnd, "received_share", _int, at),
+    )
+
+
 def _bc_receiver_from_dict(d: dict) -> CommitReceiverState:
     l, n, k = _field(d, "l", _int), _field(d, "n", _int), _field(d, "k", _int)
-    rounds = tuple(
-        ReceiverCommitRound(
-            sets=_announcement(rnd, at, n, k),
-            conclusive=_field(rnd, "conclusive", _pos_vals, at),
-            c0=_field(rnd, "c0", _int, at),
-            c1=_field(rnd, "c1", _int, at),
-            received_share=_field(rnd, "received_share", _int, at),
-        )
-        for rnd, at in _rounds(d, l)
-    )
+    rounds = tuple(_bc_receiver_round(rnd, at, n, k) for rnd, at in _rounds(d, l))
     return CommitReceiverState(
         protocol_id=d["protocol_id"],
         n=n,
@@ -942,10 +965,13 @@ def _p5_receiver_from_dict(d: dict) -> P5ReceiverState:
     if [len(row) for row in records] != [n] * m:
         raise ValueError(f"field 'records' must hold m x n = {m} x {n} entries")
     cells = np.array(records, dtype=np.int8).reshape(m, n, 2)
+    basis = cells[..., 0]
+    # a missing qubit's outcome index -1 is no perp outcome, so it decodes -1
+    decoded = _decode_honest(basis, cells[..., 1])
     return P5ReceiverState(
         protocol_id=PROTOCOL_P5,
         function=_function_from_name(_field(d, "function", _str), n),
-        records=_p5_grids(cells[..., 0], cells[..., 1]),
+        records=_p5_grids(basis, decoded),
     )
 
 

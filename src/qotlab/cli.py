@@ -146,9 +146,8 @@ def cmd_rot(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
             rng = camp.substream(t)
             sender, receiver = run_rot(config, strategy, rng)
             conclusive += len(receiver.conclusive)
-            errors += sum(
-                1 for pos, val in receiver.conclusive if val != int(sender.bits[pos - 1])
-            )
+            sent = sender.bits.tolist()
+            errors += sum(1 for pos, val in receiver.conclusive if val != sent[pos - 1])
         qubits = cfg.trials * cfg.n
         params = f"n={cfg.n};strategy={strategy};theta={_g(cfg.theta)}"
         rows.append(_mc_row("rot", params, "conclusive_rate", conclusive, qubits))

@@ -101,12 +101,6 @@ class IndexSets:
 @dataclass(frozen=True)
 class SecurityEstimate:
     value: float
-    ci_low: float
-    ci_high: float
-
-    def __post_init__(self):
-        if not self.ci_low <= self.value <= self.ci_high:
-            raise ValueError("confidence bounds must bracket the value")
 
 
 @dataclass(frozen=True)
@@ -380,7 +374,7 @@ def p1_exact(
     """
     rate = RotConfig(n=n, theta=theta).honest_conclusive_rate
     value = binomial_tail(n, rate, k_of(n, alpha))
-    return SecurityEstimate(value=value, ci_low=value, ci_high=value)
+    return SecurityEstimate(value=value)
 
 
 def p2_exact(
@@ -389,5 +383,5 @@ def p2_exact(
     """Probability a discrimination receiver reaches 2k and learns both bits."""
     rate = RotConfig(n=n, theta=theta).usd_conclusive_rate
     value = binomial_tail(n, rate, 2 * k_of(n, alpha))
-    return SecurityEstimate(value=value, ci_low=value, ci_high=value)
+    return SecurityEstimate(value=value)
 

@@ -69,6 +69,18 @@ class SenderRecord:
         object.__setattr__(self, "bits", bits)
 
 
+def check_conclusive(conclusive, n: int) -> None:
+    """Refuse conclusive (position, value) pairs unless the positions
+    strictly increase within 1..n and every value is a bit."""
+    last = 0
+    for pos, val in conclusive:
+        if not last < pos <= n:
+            raise ValueError("conclusive positions must be increasing and in [1, n]")
+        if val not in (0, 1):
+            raise ValueError("conclusive values must be bits")
+        last = pos
+
+
 @dataclass(frozen=True)
 class ReceiverRecord:
     """Per-qubit basis bits plus the conclusive (position, value) pairs.
@@ -87,14 +99,7 @@ class ReceiverRecord:
         basis = np.array(self.basis_choices, dtype=np.int8)
         basis.flags.writeable = False
         object.__setattr__(self, "basis_choices", basis)
-        n = len(basis)
-        last = 0
-        for pos, val in self.conclusive:
-            if not last < pos <= n:
-                raise ValueError("conclusive positions must be increasing and in [1, n]")
-            if val not in (0, 1):
-                raise ValueError("conclusive values must be bits")
-            last = pos
+        check_conclusive(self.conclusive, len(basis))
 
     @classmethod
     def from_decoded(

@@ -16,11 +16,11 @@ import scipy.stats
 
 from qotlab.attacks import (
     NoGoInstance,
+    _p3_probe_tables,
     nogo_cheat_report,
     nogo_cheating_unitary,
     nogo_reduced_states,
     omission_attack_p5,
-    p3_probe_outcome_table,
     probe_attack_p3,
     uhlmann_overlap,
 )
@@ -94,7 +94,7 @@ def test_criterion_03_encoding_identity():
 
 
 def test_criterion_04_probe_attack_expansion():
-    table = p3_probe_outcome_table(1, 0)
+    table = _p3_probe_tables()[0][2]  # row 2*r + x: r = 1, basis 0
     table_gap = float(np.abs(table - 0.25).max())
 
     n, trials = 8, 125_000  # 10^6 qubits, >= 10^5 runs

@@ -9,14 +9,12 @@ from qotlab.attacks import (
     CheatReport,
     NoGoInstance,
     _p3_probe_tables,
-    entangle_probe,
     nogo_cheat_report,
     nogo_cheating_unitary,
     nogo_fidelity,
     nogo_reduced_states,
     omission_attack_p5,
     p3_probe_detection_probability,
-    p3_probe_outcome_table,
     p3_probe_pre_state,
     p4_probe_detection_probability,
     probe_attack_p3,
@@ -34,7 +32,6 @@ from qotlab.ot12 import wilson_interval
 from qotlab.qsim import (
     DensityMatrix,
     RngStream,
-    StateVector,
     born_probabilities,
     fidelity,
     make_nonorthogonal_pair,
@@ -166,11 +163,6 @@ def reference_probe_attack_p3(n: int, trials: int, rng: RngStream) -> np.ndarray
 
 
 class TestProbeCopies:
-    def test_probe_appends_a_correlated_qubit(self):
-        state = StateVector(num_qubits=1, amps=np.array([0.6, 0.8]))
-        probed = entangle_probe(state, 0)
-        np.testing.assert_allclose(probed.amps, [0.6, 0, 0, 0.8], atol=1e-12)
-
     def test_pre_state_is_a_three_way_correlation(self):
         pre = p3_probe_pre_state()
         expected = np.zeros(8)
@@ -188,33 +180,26 @@ class TestProbeCopies:
             0: pre,
             1: apply_on_qubit(pre, 0, rotation_plane(np.pi / 4)),
         }
+        probs, _ = _p3_probe_tables()
         for r in (0, 1):
             for x in (0, 1):
                 expected = born_probabilities(attacked[r], bases[x], qubits=(0, 1))
-                np.testing.assert_allclose(
-                    p3_probe_outcome_table(r, x), expected, atol=1e-12
-                )
+                np.testing.assert_allclose(probs[2 * r + x], expected, atol=1e-12)
 
     def test_exact_outcome_table_values(self):
-        np.testing.assert_allclose(
-            p3_probe_outcome_table(0, 0), [0.5, 0.5, 0, 0], atol=1e-12
-        )
-        np.testing.assert_allclose(
-            p3_probe_outcome_table(1, 1), [0.5, 0, 0, 0.5], atol=1e-12
-        )
-        np.testing.assert_allclose(
-            p3_probe_outcome_table(0, 1), [0.25, 0.25, 0.25, 0.25], atol=1e-12
-        )
-        np.testing.assert_allclose(
-            p3_probe_outcome_table(1, 0), [0.25, 0.25, 0.25, 0.25], atol=1e-12
-        )
+        probs, _ = _p3_probe_tables()  # row 2*r + x
+        np.testing.assert_allclose(probs[0], [0.5, 0.5, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(probs[3], [0.5, 0, 0, 0.5], atol=1e-12)
+        np.testing.assert_allclose(probs[1], [0.25, 0.25, 0.25, 0.25], atol=1e-12)
+        np.testing.assert_allclose(probs[2], [0.25, 0.25, 0.25, 0.25], atol=1e-12)
 
     def test_detection_only_counts_honestly_impossible_outcomes(self):
         bases = p3_bases()
         honest = dict(enumerate(p3_pair_states()))
+        probs, _ = _p3_probe_tables()
         for r in (0, 1):
             for x in (0, 1):
-                table = p3_probe_outcome_table(r, x)
+                table = probs[2 * r + x]
                 detect = 0.0
                 for idx in range(4):
                     honestly_possible = any(

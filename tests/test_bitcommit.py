@@ -28,9 +28,9 @@ from qotlab.bitcommit import (
     open_message_from_dict,
     open_message_to_dict,
     p3_bases,
+    p3_born_table,
     p3_measure,
     p3_pair_states,
-    p3_prepare_and_encode,
     p4_unblind_and_measure,
     p5_commit,
     p5_measure_record,
@@ -49,18 +49,17 @@ from qotlab.bitcommit import (
     verify_from_states,
 )
 from qotlab.ot12 import k_of, p1_exact
-from qotlab.qsim import RngStream, born_probabilities, rotate_rows
+from qotlab.qsim import RngStream, batch_probabilities, born_probabilities, rotate_rows
+from qotlab.rot import HONEST, ReceiverRecord
 
 
 class TestEntangledEncoding:
     def test_encoding_rotation_identity(self):
         """Rotating the transit half of the pair lands exactly between two pair states."""
-        amps = p3_prepare_and_encode(np.array([0, 1], dtype=np.int8))
-        np.testing.assert_allclose(amps[0], bell_state("phi-").amps, atol=1e-12)
+        state0, state1 = p3_pair_states()
+        np.testing.assert_allclose(state0.amps, bell_state("phi-").amps, atol=1e-12)
         expected = (bell_state("phi-").amps + bell_state("psi+").amps) / np.sqrt(2.0)
-        np.testing.assert_allclose(amps[1], expected, atol=1e-12)
-        for amp, state in zip(amps, p3_pair_states()):
-            np.testing.assert_allclose(amp, state.amps, atol=1e-12)
+        np.testing.assert_allclose(state1.amps, expected, atol=1e-12)
 
     def test_both_bases_are_orthonormal(self):
         for basis in p3_bases():
@@ -89,13 +88,63 @@ class TestEntangledEncoding:
         total = 0
         for rep in range(reps):
             bits = np.array([rng.bit() for _ in range(n)], dtype=np.int8)
-            record = p3_measure(p3_prepare_and_encode(bits), RngStream(32, rep))
+            record = p3_measure(bits, RngStream(32, rep))
             for pos, val in record.conclusive:
                 assert bits[pos - 1] == val
             total += len(record.conclusive)
         rate = total / (n * reps)
         sigma = np.sqrt(0.25 * 0.75 / (n * reps))
         assert abs(rate - 0.25) < 5 * sigma
+
+
+def _p3_pair_amps(r_bits: np.ndarray) -> np.ndarray:
+    """The returned pairs, one (4,) amplitude row per bit."""
+    return np.stack([state.amps for state in p3_pair_states()])[r_bits]
+
+
+def reference_p3_measure(r_bits: np.ndarray, rng: RngStream):
+    """The per-row route `p3_measure` replaced: run the batched Born rule on
+    every returned pair, then decode the one conclusive label of each basis.
+    Same draws, same order."""
+    x = rng.bits(len(r_bits))
+    outcomes = rng.choice_indices(batch_probabilities(_p3_pair_amps(r_bits), p3_bases(), choice=x))
+    labels = [p3_bases()[xi].labels[o] for xi, o in zip(x.tolist(), outcomes.tolist())]
+    decoded = np.array([{"psi+": 1, "phi-minus-psi+": 0}.get(label, -1) for label in labels])
+    return ReceiverRecord.from_decoded(HONEST, x, decoded)
+
+
+class TestPairBornTable:
+    """The P3 channel samples, decodes and marks impossible outcomes from
+    one table; each test pins it to the route it replaced."""
+
+    def test_table_rows_are_the_per_row_probabilities(self):
+        """Bit for bit, not to a tolerance: a table row and the kernel's row
+        for the same (r, x) must sample the same outcome from the same uniform."""
+        gen = np.random.default_rng(19)
+        r = gen.integers(0, 2, size=1000)
+        x = gen.integers(0, 2, size=1000)
+        kernel = batch_probabilities(_p3_pair_amps(r), p3_bases(), choice=x)
+        assert np.array_equal(p3_born_table()[2 * r + x], kernel)
+
+    def test_table_is_read_only_and_built_once(self):
+        table = p3_born_table()
+        assert table is p3_born_table()
+        assert table.shape == (4, 4)
+        assert not table.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 16, 128])
+    def test_measure_matches_the_per_row_route_draw_for_draw(self, n):
+        for seed in range(3):
+            bits = RngStream(seed, 9).bits(n)
+            got = p3_measure(bits, RngStream(seed, 10))
+            want = reference_p3_measure(bits, RngStream(seed, 10))
+            assert np.array_equal(got.basis_choices, want.basis_choices)
+            assert got.conclusive == want.conclusive
+            assert got.strategy == want.strategy == HONEST
+
+    def test_derived_decoder(self):
+        """Only psi+ in basis 0 and phi- minus psi+ in basis 1 are conclusive."""
+        assert bitcommit._p3_decode().tolist() == [[-1, -1, 1, -1], [-1, 0, -1, -1]]
 
 
 class TestBlindedEncoding:

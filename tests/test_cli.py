@@ -442,6 +442,37 @@ def test_verify_refuses_a_malformed_announcement(mutate, reason, tmp_path, capsy
     assert reason in capsys.readouterr().err
 
 
+_CONCLUSIVE = "'rounds[0].conclusive' is malformed: "
+_CONCLUSIVE_ORDER = _CONCLUSIVE + "conclusive positions must be increasing"
+
+
+@pytest.mark.parametrize(
+    "mutate, reason",
+    [
+        (lambda pairs: pairs.append({"pos": 999, "val": 1}), _CONCLUSIVE_ORDER),
+        (lambda pairs: pairs.append({"pos": -5, "val": 1}), _CONCLUSIVE_ORDER),
+        (lambda pairs: pairs[0].update(val=7), _CONCLUSIVE + "conclusive values must be bits"),
+        (lambda pairs: pairs.append(dict(pairs[-1])), _CONCLUSIVE_ORDER),
+        (lambda pairs: pairs.clear(), _CONCLUSIVE + "announced I position"),
+    ],
+    ids=["past-n", "negative", "not-a-bit", "repeated", "emptied"],
+)
+def test_verify_refuses_a_forged_conclusive_record(mutate, reason, tmp_path, capsys):
+    """The receiver file's conclusive pairs pass the check a receiver record
+    makes in memory, and every I position must be one of them."""
+    common = ["--out", str(tmp_path)]
+    assert main(
+        ["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", "--seed", "3", *common]
+    ) == 0
+    assert main(["open", *common]) == 0
+    receiver = json.loads((tmp_path / "receiver.json").read_text())
+    mutate(receiver["rounds"][0]["conclusive"])
+    (tmp_path / "receiver.json").write_text(json.dumps(receiver))
+    capsys.readouterr()
+    assert main(["verify", *common]) == 2
+    assert reason in capsys.readouterr().err
+
+
 # commit flags per protocol; a transcript name without a protocol is p2bc's
 _COUNTED_COMMITS = {"p2bc": ["--l", "2", "--n", "16"], "p5": []}
 
@@ -520,9 +551,9 @@ _PROBE_P4 = ["attack", "--attack", "probe-p4", "--trials", "100", "--seed", "2"]
 @pytest.mark.parametrize(
     "argv, name, fake, label, spread",
     [
-        (_OT12, "p1_exact", lambda n, alpha, theta: SecurityEstimate(0.5, 0.5, 0.5),
+        (_OT12, "p1_exact", lambda n, alpha, theta: SecurityEstimate(0.5),
          "ot12: abort rate", "sigma 0.05, z -"),
-        (_OT12, "p1_exact", lambda n, alpha, theta: SecurityEstimate(0.0, 0.0, 0.0),
+        (_OT12, "p1_exact", lambda n, alpha, theta: SecurityEstimate(0.0),
          "ot12: abort rate", "sigma 0, gap -"),
         (_PROBE_P4, "p4_probe_detection_probability", lambda alphas: np.full(len(alphas), 0.5),
          "probe-p4: per-qubit detection", "sigma 0.025, z -"),

@@ -41,14 +41,18 @@ CAMPAIGNS = {
     "bench-omission": [
         "attack", "--attack", "omission", "--n", "8", "--m", "3", "--trials", "8", "--seed", "5",
     ],
+    # the P3 probe at n = 3, where runs see few qubits each
+    "probe-p3-n3": ["attack", "--attack", "probe-p3", "--n", "3", "--trials", "1000", "--seed", "2"],
 }
 # commit flags of each pinned transcript directory
 COMMITS = {
-    "p2bc": ["--protocol", "p2bc"],
-    "p3": ["--protocol", "p3"],
-    "p4": ["--protocol", "p4"],
-    "p5": ["--protocol", "p5"],
-    "p2bc-theta": ["--protocol", "p2bc", "--theta", "0.7"],
+    "p2bc": ["--protocol", "p2bc", *SEEDED],
+    "p3": ["--protocol", "p3", *SEEDED],
+    "p4": ["--protocol", "p4", *SEEDED],
+    "p5": ["--protocol", "p5", *SEEDED],
+    "p2bc-theta": ["--protocol", "p2bc", "--theta", "0.7", *SEEDED],
+    # a P3 pass over more rounds of a longer string, seed 5
+    "p3-l3-n24": ["--protocol", "p3", "--l", "3", "--n", "24", "--seed", "5"],
 }
 FILES = ("sender.json", "receiver.json", "open.json")
 
@@ -90,6 +94,11 @@ DIGESTS = {
     "bench-probe-p4": "9198a948fa09ab2295801d34ac44dce602ffa1e36694dc9790dcaedb152a2d5f",
     "bench-probe-p3": "e60a35eb7c7248098be54178b6e11e3638ea79fe2de6a6a5f8c1e29788ce3003",
     "bench-omission": "3696d0d5003704adb2ef9b8942204cb7128ee408a15f793e1e6455494be87141",
+    # recorded before the pair channel sampled from its Born table
+    "probe-p3-n3": "0280a13b4152ba518ac11eb3ec90057ba13298b9b00c32a0b383b016b0ebec92",
+    "p3-l3-n24/sender.json": "4ef42898af5cafea43bebb85bc0b2178a32887e311d275d193af2340029fbe98",
+    "p3-l3-n24/receiver.json": "0c5a04ab67238cbfa138b15e8a65db8302b9e33a3339c3a2d65cec46443523c3",
+    "p3-l3-n24/open.json": "67d7ac601d4a4aebbe793bec8750879e0bed535557e3324608e8d8af9783cfd3",
 }
 
 # A P5 receiver.json written before the receiver stopped storing its blinding
@@ -111,7 +120,7 @@ def outputs(workdir: Path) -> dict[str, bytes]:
         out[name] = path.read_bytes()
     for name, flags in COMMITS.items():
         transcripts = workdir / name
-        _run(["commit", *flags, *SEEDED, "--out", str(transcripts)])
+        _run(["commit", *flags, "--out", str(transcripts)])
         _run(["open", "--out", str(transcripts)])
         for f in FILES:
             out[f"{name}/{f}"] = (transcripts / f).read_bytes()

@@ -9,8 +9,8 @@ requires agreement to 1e-12.
 import numpy as np
 import pytest
 
-from qotlab.attacks import entangle_probe, entangle_probe_rows
-from qotlab.bitcommit import blinded_amps, p3_bases, p3_prepare_and_encode
+from qotlab.attacks import _p3_probe_tables, entangle_probe_rows, p3_probe_pre_state
+from qotlab.bitcommit import blinded_amps, p3_bases, p3_pair_states
 from qotlab.qsim import (
     ProjectiveBasis,
     RngStream,
@@ -35,6 +35,28 @@ def rows_as_states(amps):
     return [StateVector(num_qubits=len(row).bit_length() - 1, amps=row) for row in amps]
 
 
+def entangle_probe(state: StateVector, control_qubit: int) -> StateVector:
+    """The per-state probe copier: append a fresh probe qubit copying the
+    control in the standard basis."""
+    n = state.num_qubits
+    if not 0 <= control_qubit < n:
+        raise ValueError("control qubit out of range")
+    old = state.amps.reshape([2] * n)
+    new = np.zeros([2] * (n + 1), dtype=np.complex128)
+    take = [slice(None)] * n
+    for c in (0, 1):
+        sl = list(take)
+        sl[control_qubit] = c
+        new[tuple(sl) + (c,)] = old[tuple(sl)]
+    return StateVector(num_qubits=n + 1, amps=new.reshape(-1))
+
+
+def test_reference_probe_appends_a_correlated_qubit():
+    state = StateVector(num_qubits=1, amps=np.array([0.6, 0.8]))
+    probed = entangle_probe(state, 0)
+    np.testing.assert_allclose(probed.amps, [0.6, 0, 0, 0.8], atol=1e-12)
+
+
 @pytest.mark.parametrize("theta", [0.3, np.pi / 4, 1.1, np.pi / 2])
 def test_honest_and_usd_channels_match_the_single_state_rule(theta):
     gen = np.random.default_rng(1)
@@ -54,7 +76,7 @@ def test_pair_channel_matches_the_single_state_rule():
     gen = np.random.default_rng(2)
     bits = gen.integers(0, 2, size=40)
     x = gen.integers(0, 2, size=40)
-    amps = p3_prepare_and_encode(bits)
+    amps = np.stack([state.amps for state in p3_pair_states()])[bits]
     bases = p3_bases()
     probs = batch_probabilities(amps, bases, choice=x)
     for i, state in enumerate(rows_as_states(amps)):
@@ -107,6 +129,28 @@ def test_probe_on_blinded_qubits_matches_the_single_state_rule(apply_probe):
         np.testing.assert_allclose(amps[i], state.amps, atol=ATOL)
         expected = born_probabilities(state, bases[x[i]], qubits=qubits)
         np.testing.assert_allclose(probs[i], expected, atol=ATOL)
+
+
+def test_probe_tables_are_the_per_state_construction_bit_for_bit():
+    """The P3 probe's outcome table and detection masks, rebuilt state by
+    state: the pre-state from the per-state copier, and a mask entry set
+    where no honest pair state gives the outcome in that basis."""
+    pre = entangle_probe(bell_state("phi-"), 0)
+    assert np.array_equal(p3_probe_pre_state().amps, pre.amps)
+    bases = p3_bases()
+    attacked = (pre, apply_on_qubit(pre, 0, rotation_plane(ENCODE)))
+    probs = np.zeros((4, 4))
+    masks = np.zeros((4, 4), dtype=bool)
+    for r in (0, 1):
+        for x in (0, 1):
+            probs[2 * r + x] = born_probabilities(attacked[r], bases[x], qubits=(0, 1))
+            support = np.zeros(4, dtype=bool)
+            for state in p3_pair_states():
+                support |= born_probabilities(state, bases[x]) > 1e-9
+            masks[2 * r + x] = ~support
+    got_probs, got_masks = _p3_probe_tables()
+    assert np.array_equal(got_probs, probs)
+    assert np.array_equal(got_masks, masks)
 
 
 def test_rotate_rows_acts_on_qubit_zero():

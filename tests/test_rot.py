@@ -153,6 +153,22 @@ def test_receiver_record_helpers():
     assert not record.basis_choices.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "conclusive, reason",
+    [
+        (((0, 1),), "increasing and in"),
+        (((4, 1),), "increasing and in"),
+        (((2, 1), (2, 1)), "increasing and in"),
+        (((3, 0), (2, 1)), "increasing and in"),
+        (((1, 2),), "must be bits"),
+    ],
+    ids=["position-zero", "position-n-plus-1", "repeated", "decreasing", "value-two"],
+)
+def test_receiver_record_refuses_a_bad_conclusive_pair(conclusive, reason):
+    with pytest.raises(ValueError, match=reason):
+        ReceiverRecord(strategy=HONEST, basis_choices=(0, 1, 0), conclusive=conclusive)
+
+
 def test_receivers_record_basis_bits():
     cfg = RotConfig(200)
     _, honest = run_rot(cfg, HONEST, RngStream(10, 1))
