@@ -88,6 +88,16 @@ class CheatReport:
             raise ValueError("constructed unitary fails to attain the fidelity")
 
 
+def _tensor_power(m: np.ndarray, n: int) -> np.ndarray:
+    """m (x) m (x) ... (x) m with n factors of a 2x2 matrix, each factor
+    appended by broadcast and reshape (what np.kron does, without its
+    general-shape bookkeeping)."""
+    out = m
+    for _ in range(n - 1):
+        out = (out[:, None, :, None] * m[:, None, :]).reshape(2 * len(out), -1)
+    return out
+
+
 def nogo_reduced_states(inst: NoGoInstance) -> tuple[DensityMatrix, DensityMatrix]:
     """Receiver-side states for commit 0 and commit 1.
 
@@ -98,11 +108,10 @@ def nogo_reduced_states(inst: NoGoInstance) -> tuple[DensityMatrix, DensityMatri
     mean = (P0 + P1) / 2 and half_diff = (P0 - P1) / 2 for the signal
     projectors P_b = |psi_b><psi_b|.
     """
-    psi0, psi1 = make_nonorthogonal_pair(inst.theta)
-    p0 = np.outer(psi0.amps, psi0.amps.conj())
-    p1 = np.outer(psi1.amps, psi1.amps.conj())
-    mean = functools.reduce(np.kron, [(p0 + p1) / 2] * inst.two_k)
-    half_diff = functools.reduce(np.kron, [(p0 - p1) / 2] * inst.two_k)
+    # the pair comes from a real plane rotation, so its amplitudes are real
+    p0, p1 = (np.outer(psi.amps.real, psi.amps.real) for psi in make_nonorthogonal_pair(inst.theta))
+    mean = _tensor_power((p0 + p1) / 2, inst.two_k)
+    half_diff = _tensor_power((p0 - p1) / 2, inst.two_k)
     return tuple(
         DensityMatrix(num_qubits=inst.two_k, entries=mean + (-1) ** parity * half_diff)
         for parity in (0, 1)

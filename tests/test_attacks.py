@@ -1,6 +1,7 @@
 """Cheating strategies: equivocation by purification, probe copies, withheld qubits."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ class TestEquivocationAttack:
         with pytest.raises(ValueError):
             NoGoInstance(12)
 
-    @pytest.mark.parametrize("two_k", [2, 4, 6, 8])
+    @pytest.mark.parametrize("two_k", [2, 4, 6, 8, 10])
     def test_optimal_rotation_achieves_the_fidelity(self, two_k):
         """The two routes to the overlap agree: trace-norm fidelity and the
         explicitly constructed ancilla rotation."""
@@ -102,6 +103,51 @@ class TestEquivocationAttack:
         unitary = nogo_cheating_unitary(rho0, rho1)
         achieved = uhlmann_overlap(rho0, rho1, unitary)
         assert achieved == pytest.approx(fidelity(rho0, rho1), abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "two_k, theta",
+        [(two_k, theta) for two_k in (2, 4, 6, 8) for theta in (0.05, 0.3, np.pi / 4, 1.2)]
+        + [(10, 0.3), (10, np.pi / 4)],
+    )
+    def test_both_routes_match_the_block_closed_form(self, two_k, theta):
+        """In the eigenbasis of the mean state, each parity state splits into
+        rank-one 2x2 blocks on complementary words, so
+        F = 1/2 sum_h C(N, h) |a_h - b_h| with a_h = c^(2(N-h)) s^(2h),
+        b_h = c^(2h) s^(2(N-h)), c = cos(theta/2), s = sin(theta/2). At small
+        theta many terms are far below 1e-6 and must all be kept."""
+        c2, s2 = math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2
+        closed = 0.5 * sum(
+            math.comb(two_k, h) * abs(c2 ** (two_k - h) * s2**h - c2**h * s2 ** (two_k - h))
+            for h in range(two_k + 1)
+        )
+        rho0, rho1 = nogo_reduced_states(NoGoInstance(two_k, theta=theta))
+        assert fidelity(rho0, rho1) == pytest.approx(closed, rel=0, abs=1e-12)
+        overlap = uhlmann_overlap(rho0, rho1, nogo_cheating_unitary(rho0, rho1))
+        assert overlap == pytest.approx(closed, rel=0, abs=1e-12)
+
+    def test_a_report_decomposes_each_state_once(self, monkeypatch):
+        """One eigh per state at construction, serving the positivity check
+        and the purification; the fidelity's own eigh calls come on top."""
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        inst = NoGoInstance(6)
+        rho0, rho1 = nogo_reduced_states(inst)
+        assert calls == {"eigh": 2, "eigvalsh": 0}
+        calls["eigh"] = 0
+        fidelity(rho0, rho1)
+        # its own square roots, not the states' cached decompositions
+        in_fidelity = calls["eigh"]
+        assert in_fidelity == 2
+        calls["eigh"] = 0
+        nogo_cheat_report(inst)
+        assert calls == {"eigh": 2 + in_fidelity, "eigvalsh": 0}
 
     def test_no_rotation_does_better_than_the_optimum(self):
         inst = NoGoInstance(4)

@@ -43,6 +43,12 @@ CAMPAIGNS = {
     ],
     # the P3 probe at n = 3, where runs see few qubits each
     "probe-p3-n3": ["attack", "--attack", "probe-p3", "--n", "3", "--trials", "1000", "--seed", "2"],
+    # the dense no-go report: the benchmark's exact command line, a larger
+    # instance, and two angles off pi/4, one of them at full JSON precision
+    "bench-nogo": ["attack", "--attack", "nogo", "--n", "6"],
+    "nogo-n8": ["attack", "--attack", "nogo", "--n", "8"],
+    "nogo-theta": ["attack", "--attack", "nogo", "--n", "4", "--theta", "0.4"],
+    "nogo-theta-json": ["attack", "--attack", "nogo", "--n", "6", "--theta", "1.2", "--format", "json"],
 }
 # commit flags of each pinned transcript directory
 COMMITS = {
@@ -96,6 +102,18 @@ DIGESTS = {
     "bench-omission": "3696d0d5003704adb2ef9b8942204cb7128ee408a15f793e1e6455494be87141",
     # recorded before the pair channel sampled from its Born table
     "probe-p3-n3": "0280a13b4152ba518ac11eb3ec90057ba13298b9b00c32a0b383b016b0ebec92",
+    # recorded before the no-go algebra ran in real arithmetic; the CSV rows
+    # print 12 digits and none of them moved
+    "bench-nogo": "b224b5977c83dfebb94e93075e5438a3e26dbe4bd866cb0d8998749ba45bd02b",
+    "nogo-n8": "60afecec7d927c747b7ac802fd81a88fb6c39dbdb81c8d0702359c6a830fddd3",
+    "nogo-theta": "1c4d1950434d38b490dcb1896fe6e313a1823c6abd578d8249e3491afff3c7da",
+    # recorded after the no-go algebra went to real arithmetic and the
+    # fidelity to a sum of singular values: the full-precision fidelity row
+    # moved from 0.6222901128109828 to 0.6222901128109835, 1.5e-16 below and
+    # 5.5e-16 above the closed form 1/2 sum_h C(6,h)|a_h - b_h| =
+    # 0.62229011281098295; the digest before was
+    # 1e35699a0661962366865b28a85183803b8bfdf6122246945f37fcc95abc1a57
+    "nogo-theta-json": "1e9d5001265811745f659a8ff2cac13336d00f72ccf84f39e4333851e5fccf5c",
     "p3-l3-n24/sender.json": "4ef42898af5cafea43bebb85bc0b2178a32887e311d275d193af2340029fbe98",
     "p3-l3-n24/receiver.json": "0c5a04ab67238cbfa138b15e8a65db8302b9e33a3339c3a2d65cec46443523c3",
     "p3-l3-n24/open.json": "67d7ac601d4a4aebbe793bec8750879e0bed535557e3324608e8d8af9783cfd3",

@@ -35,6 +35,32 @@ def test_construction_rejects_bad_matrices():
         DensityMatrix(num_qubits=2, entries=np.eye(2) / 2)  # dimension mismatch
 
 
+def test_construction_refuses_non_finite_entries():
+    # every comparison with NaN is false, so no other check would catch it
+    for bad in (np.nan, np.inf):
+        entries = np.eye(2) / 2
+        entries[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(num_qubits=1, entries=entries)
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(num_qubits=1, entries=np.full((2, 2), complex(np.nan, 0.0)))
+
+
+def test_entries_are_real_exactly_when_their_imaginary_part_is_zero():
+    plus = np.full((2, 2), 0.5)
+    for given in (plus, plus.astype(np.complex128), [[0.5, 0.5], [0.5, 0.5]]):
+        dm = DensityMatrix(num_qubits=1, entries=given)
+        assert dm.entries.dtype == np.float64
+        assert dm.purification_amps.dtype == np.float64
+        np.testing.assert_array_equal(dm.entries, plus)
+    # |+i><+i| has a nonzero imaginary part, so it stays complex
+    plus_i = np.array([[0.5, -0.5j], [0.5j, 0.5]])
+    dm = DensityMatrix(num_qubits=1, entries=plus_i)
+    assert dm.entries.dtype == np.complex128
+    np.testing.assert_array_equal(dm.entries, plus_i)
+    assert not dm.entries.flags.writeable and not dm.purification_amps.flags.writeable
+
+
 def test_from_pure_is_projector():
     state = StateVector(num_qubits=1, amps=np.array([INV_SQRT2, INV_SQRT2]))
     dm = DensityMatrix.from_pure(state)
