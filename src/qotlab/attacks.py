@@ -127,7 +127,8 @@ def nogo_cheating_unitary(rho0: DensityMatrix, rho1: DensityMatrix) -> np.ndarra
     """Ancilla unitary steering the purification of rho0 onto that of rho1.
 
     Built from the singular value decomposition of the cross-Gram matrix of
-    the two eigen-purifications; the achieved overlap equals the fidelity.
+    the two eigen-purifications (the conjugate of the one `fidelity` reads);
+    the achieved overlap equals the fidelity.
     The purifications are laid out ancilla index by rows, so the unitary
     acts on them by left multiplication.
     """

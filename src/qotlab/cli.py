@@ -51,7 +51,7 @@ from .bitcommit import (
 )
 from .ot12 import (
     DEFAULT_ALPHA,
-    binomial_tail,
+    abort_rate_exact,
     k_of,
     p1_exact,
     p2_exact,
@@ -185,10 +185,11 @@ def cmd_ot12(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
         }
         for n in {cfg.n, *CURVE_N_LIST}
     }
-    p1 = tails[cfg.n]["p1_exact"]
+    honest_rate = RotConfig(n=cfg.n, theta=cfg.theta).honest_conclusive_rate
+    abort_exact = abort_rate_exact(cfg.n, honest_rate, cfg.alpha)
     params = f"alpha={cfg.alpha};n={cfg.n};theta={_g(cfg.theta)}"
     rows.append(_mc_row("ot12", params, "abort_rate", aborts, cfg.trials))
-    rows.append(_exact_row("ot12", params, "abort_rate_exact", 1.0 - p1))
+    rows.append(_exact_row("ot12", params, "abort_rate_exact", abort_exact))
     rows.append(_mc_row("ot12", params, "received_correct_rate", correct, max(completed, 1)))
     for metric, value in tails[cfg.n].items():
         rows.append(_exact_row("ot12", params, metric, value))
@@ -197,7 +198,7 @@ def cmd_ot12(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
         rows.append(_exact_row("ot12-curve", cparams, "k", float(k_of(n, cfg.alpha))))
         for metric, value in tails[n].items():
             rows.append(_exact_row("ot12-curve", cparams, metric, value))
-    _agree(fails, "ot12: abort rate", aborts / cfg.trials, 1.0 - p1, cfg.trials)
+    _agree(fails, "ot12: abort rate", aborts / cfg.trials, abort_exact, cfg.trials)
     checked = max(completed, 1)
     _agree(fails, "ot12: wrong-bit rate", (completed - correct) / checked, 0.0, checked)
     return rows, fails
@@ -224,8 +225,7 @@ def _attack_usd(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     qubits = cfg.trials * cfg.n
     params = f"alpha={cfg.alpha};attack=usd;n={cfg.n};theta={_g(cfg.theta)}"
     exact_rate = RotConfig(n=cfg.n, theta=cfg.theta).usd_conclusive_rate
-    # the run aborts when fewer than k qubits came out conclusive
-    abort_exact = 1.0 - binomial_tail(cfg.n, exact_rate, k_of(cfg.n, cfg.alpha))
+    abort_exact = abort_rate_exact(cfg.n, exact_rate, cfg.alpha)
     p2 = p2_exact(cfg.n, cfg.alpha, cfg.theta)
     rows.append(_mc_row("attack", params, "conclusive_rate", conclusive, qubits))
     rows.append(_exact_row("attack", params, "conclusive_rate_exact", exact_rate))

@@ -364,6 +364,13 @@ def run_ot12(
     return run_masked_transfer(sender, receiver, n, k, b0, b1, rng)
 
 
+def abort_rate_exact(n: int, rate: float, alpha: Fraction) -> float:
+    """P[Binomial(n, rate) < k], the chance that fewer than k qubits come out
+    conclusive and the run aborts, summed as the upper tail of the
+    inconclusive count: 1 - P[... >= k] would round a tiny rate to 0 or eps."""
+    return binomial_tail(n, 1.0 - rate, n - k_of(n, alpha) + 1)
+
+
 def p1_exact(
     n: int, alpha: Fraction = DEFAULT_ALPHA, theta: float = float(np.pi / 4)
 ) -> SecurityEstimate:

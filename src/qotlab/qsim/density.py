@@ -3,8 +3,8 @@
 Entries are stored real (float64) when their imaginary part is exactly zero,
 and complex128 otherwise. States with real amplitudes, such as the coding
 pair and its tensor powers, then run numpy's real routines with no flag and
-no second code path: every later eigh, svd and product dispatches on the
-dtype.
+no second code path: the one eigh at construction, and every svd and
+product on the cached purification, dispatch on the dtype.
 """
 from __future__ import annotations
 
@@ -23,10 +23,9 @@ class DensityMatrix:
     One eigendecomposition at construction serves both the positivity check
     and `purification_amps`: the amplitudes sqrt(w_k) v_k[i] of the
     eigen-purification, system index i by rows and ancilla index k by
-    columns. They are not renormalised after eigenvalues far below the top
-    one are clipped to zero, so the Uhlmann overlap built from them sums the
-    same terms as `fidelity`; renormalising would inflate the overlap by the
-    clipped mass (1.1e-11 at 2k = 8, theta = 0.05).
+    columns, after `_clipped_eigvals` has zeroed the noise. `fidelity` and
+    the Uhlmann overlap both read them. They are not renormalised after the
+    clip, which would inflate both by the clipped mass.
     """
 
     num_qubits: int
@@ -79,38 +78,29 @@ def partial_trace(dm: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 
 
 def _clipped_eigvals(vals: np.ndarray) -> np.ndarray:
-    """Zero out eigenvalues that are numerical noise around zero.
-
-    Rank-deficient inputs come back from eigh with junk of order eps where
-    exact zeros belong; the square roots taken downstream would amplify that
-    junk to sqrt(eps), so everything far below the top eigenvalue is dropped.
-    """
+    """Zero out eigenvalues below 1e-14 times the largest: eigh's junk where
+    exact zeros belong (at most 2.2e-17 on the no-go states), which square
+    roots would amplify to about 1e-8, lies below the cut, and the no-go
+    states' smallest genuine eigenvalues (1.5e-13 at 2k = 10, theta = 0.05)
+    lie above it."""
     vals = np.clip(vals, 0.0, None)
-    vals[vals < vals.max() * 1e-12] = 0.0
+    vals[vals < vals.max() * 1e-14] = 0.0
     return vals
 
 
-def _psd_sqrt(entries: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(entries)
-    vals = _clipped_eigvals(vals)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Tr|sqrt(a) sqrt(b)|, the sum of the singular values of sqrt(a) sqrt(b);
-    equals |<x|y>| when both states are pure.
+    """Tr|sqrt(a) sqrt(b)|; equals |<x|y>| when both states are pure.
 
-    This is Tr sqrt(sqrt(a) b sqrt(a)) without its square root: the
-    eigenvalues of sqrt(a) b sqrt(a) are the squares of the terms summed
-    here, so clipping them near zero would drop genuine terms below about
-    1e-6. The square roots come from eigendecompositions of their own, not
-    from the states' cached ones, so the Uhlmann overlap built from those
-    stays a second computation of the same number.
+    For the cached purifications P = V diag(sqrt(w)), sqrt(a) sqrt(b) =
+    V_a (P_a^H P_b) V_b^H, so the singular values summed are those of the
+    cross-Gram matrix P_a^H P_b and neither state is decomposed again. The
+    eigenvalues of sqrt(a) b sqrt(a) are their squares, so summing their
+    square roots after a clip near zero would drop terms below about 1e-6.
     """
     if a.num_qubits != b.num_qubits:
         raise ValueError("dimension mismatch")
-    product = _psd_sqrt(a.entries) @ _psd_sqrt(b.entries)
-    return float(min(1.0, np.linalg.svd(product, compute_uv=False).sum()))
+    cross_gram = a.purification_amps.conj().T @ b.purification_amps
+    return float(min(1.0, np.linalg.svd(cross_gram, compute_uv=False).sum()))
 
 
 def purify(dm: DensityMatrix) -> StateVector:

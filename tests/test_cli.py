@@ -12,7 +12,7 @@ import scipy.stats
 
 from qotlab import cli
 from qotlab.cli import CSV_HEADER, main
-from qotlab.ot12 import SecurityEstimate, k_of
+from qotlab.ot12 import k_of
 
 
 def run_cli(args, env_extra=None):
@@ -241,10 +241,15 @@ def test_verify_without_files_is_a_usage_error(tmp_path):
 
 
 def test_abort_rate_exact_is_never_negative(capsys):
+    """Far below 1e-16 the abort rate keeps its relative accuracy: it is the
+    lower tail itself, not 1 - p1."""
     assert main(["ot12", "--n", "20000", "--trials", "1", "--seed", "33"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     rows = {line.split(",")[2]: float(line.split(",")[3]) for line in lines[1:] if ";n=20000;" in line}
-    assert rows["abort_rate_exact"] == 0.0
+    assert rows["abort_rate_exact"] >= 0.0
+    expected = scipy.stats.binom.cdf(k_of(20000) - 1, 20000, 0.25)
+    assert 0.0 < expected < 1e-90
+    assert rows["abort_rate_exact"] == pytest.approx(expected, rel=1e-10)
     assert rows["p1_exact"] == 1.0
 
 
@@ -551,9 +556,9 @@ _PROBE_P4 = ["attack", "--attack", "probe-p4", "--trials", "100", "--seed", "2"]
 @pytest.mark.parametrize(
     "argv, name, fake, label, spread",
     [
-        (_OT12, "p1_exact", lambda n, alpha, theta: SecurityEstimate(0.5),
+        (_OT12, "abort_rate_exact", lambda n, rate, alpha: 0.5,
          "ot12: abort rate", "sigma 0.05, z -"),
-        (_OT12, "p1_exact", lambda n, alpha, theta: SecurityEstimate(0.0),
+        (_OT12, "abort_rate_exact", lambda n, rate, alpha: 1.0,
          "ot12: abort rate", "sigma 0, gap -"),
         (_PROBE_P4, "p4_probe_detection_probability", lambda alphas: np.full(len(alphas), 0.5),
          "probe-p4: per-qubit detection", "sigma 0.025, z -"),
@@ -561,9 +566,9 @@ _PROBE_P4 = ["attack", "--attack", "probe-p4", "--trials", "100", "--seed", "2"]
     ids=["z", "sigma-zero", "probe-p4-twin"],
 )
 def test_a_failing_check_reports_its_spread(argv, name, fake, label, spread, monkeypatch, capsys):
-    """A wrong exact value (p1, which moves the expected abort rate to
-    1 - p1, or the probe-p4 twin) fails the check: the failing line carries
-    sigma and z, or the bare gap when sigma is 0."""
+    """A wrong exact value (the abort rate's twin, or the probe-p4 twin)
+    fails the check: the failing line carries sigma and z, or the bare gap
+    when sigma is 0."""
     monkeypatch.setattr(cli, name, fake)
     code, out, err = _run([*argv, "--check"], capsys)
     assert code == 3

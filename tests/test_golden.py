@@ -65,7 +65,13 @@ FILES = ("sender.json", "receiver.json", "open.json")
 DIGESTS = {
     "rot": "cd9b3bc0f190a190e71939f2ea3136bf6ce33bb5ac60cffb52ece595bba7f494",
     "ot12": "eebcb5adc5bf0df52b94dcc33d22f5e121977c888961066c8dd807a914e05771",
-    "ot12-json": "0e441791e6bfbc7ca9372e367d5c7d3c5be40a958008288d6fd0f601a27b2d2a",
+    # recorded after abort_rate_exact became the lower tail summed directly
+    # instead of 1 - p1: its full-precision row moved from
+    # 0.09348581596861649 to 0.0934858159686167 (mpmath at the same float
+    # rate 0.24999999999999994: 0.0934858159686168);
+    # the digest before was
+    # 0e441791e6bfbc7ca9372e367d5c7d3c5be40a958008288d6fd0f601a27b2d2a
+    "ot12-json": "fa8f157ae64099710a69d49ed3efff0514962111bf2239941b17c54fbabd000c",
     # recorded after attack usd gained its abort_rate_exact row; the output is
     # the earlier one with only that row added
     "usd": "9e1b11e39fe11393cd8bee193de86dbf8ed210ae509cd27be29c63893bf02bd4",
@@ -107,13 +113,16 @@ DIGESTS = {
     "bench-nogo": "b224b5977c83dfebb94e93075e5438a3e26dbe4bd866cb0d8998749ba45bd02b",
     "nogo-n8": "60afecec7d927c747b7ac802fd81a88fb6c39dbdb81c8d0702359c6a830fddd3",
     "nogo-theta": "1c4d1950434d38b490dcb1896fe6e313a1823c6abd578d8249e3491afff3c7da",
-    # recorded after the no-go algebra went to real arithmetic and the
-    # fidelity to a sum of singular values: the full-precision fidelity row
-    # moved from 0.6222901128109828 to 0.6222901128109835, 1.5e-16 below and
-    # 5.5e-16 above the closed form 1/2 sum_h C(6,h)|a_h - b_h| =
-    # 0.62229011281098295; the digest before was
+    # recorded after the fidelity became the singular-value sum of the
+    # cross-Gram matrix of the cached eigen-purifications: the full-precision
+    # fidelity row moved from 0.6222901128109835 to 0.6222901128109832,
+    # 5.5e-16 and 2.5e-16 above the closed form 1/2 sum_h C(6,h)|a_h - b_h| =
+    # 0.62229011281098295, and now equals the achieved overlap row; the
+    # digests before were
+    # 1e9d5001265811745f659a8ff2cac13336d00f72ccf84f39e4333851e5fccf5c
+    # (real arithmetic, square roots decomposed again) and
     # 1e35699a0661962366865b28a85183803b8bfdf6122246945f37fcc95abc1a57
-    "nogo-theta-json": "1e9d5001265811745f659a8ff2cac13336d00f72ccf84f39e4333851e5fccf5c",
+    "nogo-theta-json": "a33c5469832a132674b699506a66d141f671b3fde3cb30dc1bb7d83b445fca07",
     "p3-l3-n24/sender.json": "4ef42898af5cafea43bebb85bc0b2178a32887e311d275d193af2340029fbe98",
     "p3-l3-n24/receiver.json": "0c5a04ab67238cbfa138b15e8a65db8302b9e33a3339c3a2d65cec46443523c3",
     "p3-l3-n24/open.json": "67d7ac601d4a4aebbe793bec8750879e0bed535557e3324608e8d8af9783cfd3",

@@ -1,4 +1,5 @@
-"""Every name imported into a qotlab module or a test module is used there."""
+"""Every name imported into a qotlab module, a test module or a benchmark
+module is used there. The benchmark files are only read, never changed."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qotlab"
-MODULES = sorted(SRC.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+MODULES = (
+    sorted(SRC.rglob("*.py"))
+    + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "bench").rglob("*.py"))
+)
 
 # the future import, and the per-state samplers that bench/tracing.py wraps
 # under these module names although the modules themselves never call them
@@ -42,7 +47,8 @@ def test_the_check_sees_an_unused_import():
 
 
 def _name(path: Path) -> str:
-    """A module's path below src/qotlab, or below the root for a test module."""
+    """A module's path below src/qotlab, or below the root for a test or
+    benchmark module."""
     return str(path.relative_to(SRC if path.is_relative_to(SRC) else ROOT))
 
 

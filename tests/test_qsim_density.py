@@ -144,6 +144,30 @@ class TestFidelity:
             expected = np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0, None))).real
             assert fidelity(a, b) == pytest.approx(expected, abs=1e-8)
 
+    def test_pure_against_rank_deficient_complex_mixtures(self):
+        """F(psi, rho) = sqrt(<psi|rho|psi>) for a mixture rho of r complex
+        pure states, at every rank r up to the dimension: the clipped zero
+        eigenvalues of both states leave the cross-Gram sum exact."""
+        rng = np.random.default_rng(2718)
+
+        def unit(dim):
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            return v / np.linalg.norm(v)
+
+        for num_qubits in (1, 2, 3):
+            dim = 2**num_qubits
+            for rank in range(1, dim + 1):
+                psi = unit(dim)
+                weights = rng.random(rank) + 0.1
+                weights /= weights.sum()
+                vecs = [unit(dim) for _ in range(rank)]
+                mixture = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
+                pure = DensityMatrix(num_qubits=num_qubits, entries=np.outer(psi, psi.conj()))
+                mixed = DensityMatrix(num_qubits=num_qubits, entries=mixture)
+                expected = np.sqrt(np.vdot(psi, mixture @ psi).real)
+                assert fidelity(pure, mixed) == pytest.approx(expected, rel=0, abs=1e-12)
+                assert fidelity(mixed, pure) == pytest.approx(expected, rel=0, abs=1e-12)
+
     def test_dimension_mismatch_rejected(self):
         one = DensityMatrix.from_pure(StateVector.computational([0]))
         two = DensityMatrix.from_pure(StateVector.computational([0, 0]))
