@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bitcommit import (
     ENCODE_ANGLE,
+    P5Grids,
     P5OpenMessage,
     P5ReceiverState,
     PROTOCOL_P5,
@@ -49,7 +51,7 @@ from .qsim import (
     rotate_rows,
     rotation_plane,
 )
-from .rot import PERP_INDEX, honest_probabilities
+from .rot import PERP_INDEX, honest_draws, honest_probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -276,25 +278,22 @@ def p4_probe_detection_probability(alphas) -> np.ndarray:
 # qubit omission against the direct commitment
 
 
-@dataclass(frozen=True)
-class OmissionAttackReport:
-    detected_at_commit: bool
-    open_zero_accepted: bool
-    open_one_accepted: bool
+class OmissionAttackReport(NamedTuple):
+    """Per-trial outcomes of an omission campaign, each a (trials,) bool array."""
+
+    detected_at_commit: np.ndarray
+    open_zero_accepted: np.ndarray
+    open_one_accepted: np.ndarray
 
     @property
-    def succeeded(self) -> bool:
-        return (
-            not self.detected_at_commit
-            and self.open_zero_accepted
-            and self.open_one_accepted
-        )
+    def succeeded(self) -> np.ndarray:
+        return ~self.detected_at_commit & self.open_zero_accepted & self.open_one_accepted
 
 
 def omission_attack_p5(
-    n: int, m: int, perfect_detectors: bool, rng: RngStream
+    n: int, m: int, trials: int, perfect_detectors: bool, camp: RngStream
 ) -> OmissionAttackReport:
-    """Withhold one qubit per string, then open either bit.
+    """Withhold one qubit per string, then open either bit; `trials` runs.
 
     The committer encodes every string position honestly except one withheld
     qubit per string, which never reaches the receiver. With perfect
@@ -303,39 +302,49 @@ def omission_attack_p5(
     time the committer declares the withheld bits to give the strings
     whichever parity she wants; nothing contradicts the holes, so both
     openings pass.
+
+    Trial t draws its withheld positions, bits, blinding angles and the
+    receiver's draws from `camp.substream(t)`; the receiver then measures the
+    (trials * m, n) grid of every trial's strings in one pass.
     """
     if n < 2:
         raise ValueError("need strings of length at least 2")
     if m < 1:
         raise ValueError("need at least one string")
-    withheld = rng.gen.integers(0, n, size=m)
-    sent_bits = rng.bits(m * n).reshape(m, n)
-    alphas = blinding_angles(rng, (m, n))
+    if trials < 1:
+        raise ValueError("need a positive trial count")
+    draws = []
+    for t in range(trials):
+        rng = camp.substream(t)
+        withheld = rng.gen.integers(0, n, size=m)
+        sent_bits = rng.bits(m * n)
+        alphas = blinding_angles(rng, (m, n))
+        draws.append((withheld, sent_bits, alphas, *honest_draws(rng, m * (n - 1))))
+    withheld, sent_bits, alphas, x, u = (np.concatenate(column) for column in zip(*draws))
+    sent_bits = sent_bits.reshape(trials * m, n)
     present = np.arange(n) != withheld[:, np.newaxis]
-    records = p5_measure_record(blinded_amps(alphas, sent_bits), alphas, rng, present)
+    records = p5_measure_record(blinded_amps(alphas, sent_bits), alphas, x, u, present)
     if perfect_detectors:
-        detected = bool((records.basis < 0).any())
-        return OmissionAttackReport(
-            detected_at_commit=detected,
-            open_zero_accepted=False,
-            open_one_accepted=False,
-        )
-    receiver = P5ReceiverState(
-        protocol_id=PROTOCOL_P5, function=parity_function(n), records=records
-    )
-    accepted = {}
+        detected = (records.basis < 0).reshape(trials, m * n).any(axis=1)
+        never = np.zeros(trials, dtype=bool)
+        return OmissionAttackReport(detected, never, never)
+    # the withheld bit of each string sets its parity to the target
+    rows = np.arange(trials * m)
+    partial = (sent_bits.sum(axis=1) - sent_bits[rows, withheld]) & 1
+    accepted = np.zeros((2, trials), dtype=bool)
     for target in (0, 1):
-        strings = []
-        for i in range(m):
-            declared = sent_bits[i].tolist()
-            w = int(withheld[i])
-            partial = (sum(declared) - declared[w]) & 1
-            declared[w] = partial ^ target
-            strings.append(tuple(declared))
-        msg = P5OpenMessage(protocol_id=PROTOCOL_P5, bit=target, strings=tuple(strings))
-        accepted[target] = p5_verify(receiver, msg).accepted
-    return OmissionAttackReport(
-        detected_at_commit=False,
-        open_zero_accepted=accepted[0],
-        open_one_accepted=accepted[1],
-    )
+        declared = sent_bits.copy()
+        declared[rows, withheld] = partial ^ target
+        strings = declared.reshape(trials, m, n).tolist()
+        for t in range(trials):
+            cut = slice(t * m, (t + 1) * m)
+            receiver = P5ReceiverState(
+                protocol_id=PROTOCOL_P5,
+                function=parity_function(n),
+                records=P5Grids(records.basis[cut], records.decoded[cut]),
+            )
+            msg = P5OpenMessage(
+                protocol_id=PROTOCOL_P5, bit=target, strings=tuple(map(tuple, strings[t]))
+            )
+            accepted[target, t] = p5_verify(receiver, msg).accepted
+    return OmissionAttackReport(np.zeros(trials, dtype=bool), accepted[0], accepted[1])

@@ -44,6 +44,7 @@ from .qsim import (
     bell_state,
     rotate_rows,
     rotation_plane,
+    running_sums,
 )
 from .rot import (
     HONEST,
@@ -51,8 +52,10 @@ from .rot import (
     RotConfig,
     SenderRecord,
     _decode_honest,
+    _unchecked,
     check_conclusive,
-    honest_outcomes,
+    honest_decode,
+    honest_draws,
     run_rot,
 )
 
@@ -129,6 +132,12 @@ def p3_born_table() -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=1)
+def p3_born_sums() -> np.ndarray:
+    """The `running_sums` of `p3_born_table`, built once."""
+    return running_sums(p3_born_table())
+
+
 def p3_possible() -> np.ndarray:
     """possible[r, x, o]: the pair state for bit r can give outcome o in
     pair basis x, read off `p3_born_table`."""
@@ -148,9 +157,9 @@ def _p3_decode() -> np.ndarray:
 
 def p3_measure(r_bits: np.ndarray, rng: RngStream) -> ReceiverRecord:
     """Measure the returned pair of each bit of r_bits in a uniformly chosen
-    pair basis, sampled from its `p3_born_table` row."""
+    pair basis, sampled from its `p3_born_sums` column."""
     x = rng.bits(len(r_bits))
-    outcomes = rng.choice_indices(p3_born_table()[2 * np.asarray(r_bits) + x])
+    outcomes = rng.choice_from_sums(p3_born_sums()[:, 2 * np.asarray(r_bits) + x])
     return ReceiverRecord.from_decoded(HONEST, x, _p3_decode()[x, outcomes])
 
 
@@ -174,8 +183,8 @@ def unblind_outcomes(
     amps: np.ndarray, alphas: np.ndarray, rng: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rotate each row back by its blinding angle, then measure qubit 0 like
-    the plain honest receiver: the basis bits and decoded bits of
-    `honest_outcomes`.
+    the plain honest receiver, in a uniform basis per row: the basis bits and
+    the decoded bits.
 
     After unblinding, an encoded 0 is |0> and an encoded 1 is |+>, so the
     statistics carry no trace of the blinding angles.
@@ -183,7 +192,8 @@ def unblind_outcomes(
     alphas = np.asarray(alphas)
     if alphas.shape != (len(amps),):
         raise ValueError("need one blinding angle per row")
-    return honest_outcomes(rotate_rows(amps, -alphas), ENCODE_ANGLE, rng)
+    x, u = honest_draws(rng, len(amps))
+    return x, honest_decode(rotate_rows(amps, -alphas), ENCODE_ANGLE, x, u)
 
 
 def p4_unblind_and_measure(amps: np.ndarray, alphas: np.ndarray, rng: RngStream) -> ReceiverRecord:
@@ -282,17 +292,23 @@ def _split_rounds(
     sender: SenderRecord, receiver: ReceiverRecord, rounds: int, n: int
 ) -> list[tuple[SenderRecord, ReceiverRecord]]:
     """Cut one pass over rounds * n qubits into per-round records, each with
-    its positions renumbered 1..n."""
+    its positions renumbered 1..n. The rows are views of the pass's frozen,
+    checked arrays and are taken as they are."""
     bits = sender.bits.reshape(rounds, n)
     basis = receiver.basis_choices.reshape(rounds, n)
-    pairs = np.array(receiver.conclusive, dtype=np.intp).reshape(-1, 2)
-    decoded = np.full(rounds * n, -1, dtype=np.int8)
-    decoded[pairs[:, 0] - 1] = pairs[:, 1]
-    decoded = decoded.reshape(rounds, n)
+    conclusive = [[] for _ in range(rounds)]
+    for pos, val in receiver.conclusive:
+        r, i = divmod(pos - 1, n)
+        conclusive[r].append((i + 1, val))
     return [
         (
-            SenderRecord(bits=bits[r]),
-            ReceiverRecord.from_decoded(receiver.strategy, basis[r], decoded[r]),
+            _unchecked(SenderRecord, bits=bits[r]),
+            _unchecked(
+                ReceiverRecord,
+                strategy=receiver.strategy,
+                basis_choices=basis[r],
+                conclusive=tuple(conclusive[r]),
+            ),
         )
         for r in range(rounds)
     ]
@@ -553,22 +569,32 @@ class P5OpenMessage:
 
 
 def p5_measure_record(
-    amps: np.ndarray, alphas: np.ndarray, rng: RngStream, present: Optional[np.ndarray] = None
+    amps: np.ndarray,
+    alphas: np.ndarray,
+    x: np.ndarray,
+    u: np.ndarray,
+    present: Optional[np.ndarray] = None,
 ) -> P5Grids:
-    """Unblind every qubit of an (m, n) grid and measure each in a uniformly
-    chosen basis.
+    """Unblind every qubit of an (m, n) grid and measure each in its basis.
 
     `amps` is (m, n, 2), `alphas` (m, n). Where the optional (m, n) mask
     `present` is False the qubit never arrived and both its grid cells are -1.
+    The arriving qubits, in row-major order, take their basis bits from `x`
+    and their uniforms from `u`, the draws of `honest_draws`.
     """
     alphas = np.asarray(alphas)
     if amps.shape != alphas.shape + (2,):
         raise ValueError("need one blinding angle per qubit of the grid")
     if present is None:
         present = np.ones(alphas.shape, dtype=bool)
+    count = np.count_nonzero(present)
+    if len(x) != count or len(u) != count:
+        raise ValueError("need one basis bit and one uniform per arriving qubit")
     basis = np.full(alphas.shape, -1, dtype=np.int8)
     decoded = basis.copy()
-    basis[present], decoded[present] = unblind_outcomes(amps[present], alphas[present], rng)
+    basis[present] = x
+    unblinded = rotate_rows(amps[present], -alphas[present])
+    decoded[present] = honest_decode(unblinded, ENCODE_ANGLE, x, u)
     return _p5_grids(basis, decoded)
 
 
@@ -591,7 +617,9 @@ def p5_commit(
         raise ValueError("function arity must equal the string length n")
     strings = p5_sample_strings(b, m, function, rng)
     alphas = blinding_angles(rng, (m, n))
-    records = p5_measure_record(blinded_amps(alphas, np.array(strings)), alphas, rng)
+    records = p5_measure_record(
+        blinded_amps(alphas, np.array(strings)), alphas, *honest_draws(rng, m * n)
+    )
     return CommitTranscript(
         sender=P5SenderState(protocol_id=PROTOCOL_P5, bit=b, function=function, strings=strings),
         receiver=P5ReceiverState(protocol_id=PROTOCOL_P5, function=function, records=records),

@@ -264,7 +264,7 @@ def choose_index_sets(
     conclusive positions first, so that 2k conclusive bits make both masks
     known to him.
     """
-    conclusive = list(receiver.conclusive_positions)
+    conclusive = [pos for pos, _ in receiver.conclusive]
     if len(conclusive) < k:
         return None
     i_set = rng.subset(conclusive, k)
@@ -297,12 +297,11 @@ def sender_encrypt(
         raise ValueError("messages must be bits")
     if set(x_set) & set(y_set):
         raise ValueError("announced sets must be disjoint")
-    for p in list(x_set) + list(y_set):
-        if not 1 <= p <= len(bits):
-            raise ValueError("announced position out of range")
-    s_x = mask([int(bits[p - 1]) for p in x_set])
-    s_y = mask([int(bits[p - 1]) for p in y_set])
-    return b0 ^ s_x, b1 ^ s_y
+    sent = np.asarray(bits).tolist()
+    positions = (*x_set, *y_set)
+    if positions and not (1 <= min(positions) and max(positions) <= len(sent)):
+        raise ValueError("announced position out of range")
+    return b0 ^ mask([sent[p - 1] for p in x_set]), b1 ^ mask([sent[p - 1] for p in y_set])
 
 
 def receiver_decrypt(c_m: int, values: Iterable[Optional[int]]) -> int:

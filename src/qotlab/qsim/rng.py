@@ -22,18 +22,38 @@ def _check_index(index: int) -> int:
     return index
 
 
-def inverse_cdf(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise inverse-CDF sampling of an (N, K) probability array.
+def running_sums(probabilities: np.ndarray) -> np.ndarray:
+    """The running sums an inverse-CDF draw compares its uniform against, for
+    each row of an (N, K) probability array: all but the last, laid out
+    (K - 1, N) and read-only, so a table channel gathers one column per row.
 
-    Row i picks the first index whose running sum exceeds u[i], or the last
-    index if none does: the rule of `RngStream.choice_index`, so equal rows
-    and uniforms give equal indices.
+    A running sum is kept from falling below the one before it (a tiny
+    negative table entry can make it dip); the first sum a uniform lies
+    below stays the same one.
     """
-    cum = np.cumsum(probabilities, axis=1)
-    above = np.asarray(u)[:, np.newaxis] < cum
-    idx = above.argmax(axis=1)
-    idx[~above.any(axis=1)] = cum.shape[1] - 1
+    cum = np.maximum.accumulate(np.cumsum(probabilities, axis=1), axis=1)
+    sums = np.ascontiguousarray(cum[:, :-1].T)
+    sums.flags.writeable = False
+    return sums
+
+
+def passed_sums(sums: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The one sampling rule: outcome j of column i is the number of running
+    sums in sums[:, i] (all but the last) that u[i] has passed, u >= sum.
+
+    Row-wise that is the first index whose running sum exceeds u, or the last
+    index if none does, as in `RngStream.choice_index`.
+    """
+    idx = np.zeros(len(u), dtype=np.intp)
+    for row in sums:
+        idx += u >= row
     return idx
+
+
+def inverse_cdf(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise inverse-CDF sampling of an (N, K) probability array, one
+    uniform per row: `passed_sums` of the rows' `running_sums`."""
+    return passed_sums(running_sums(probabilities), np.asarray(u))
 
 
 class RngStream:
@@ -75,14 +95,15 @@ class RngStream:
                 return i
         return len(probabilities) - 1
 
-    def choice_indices(self, probabilities: np.ndarray) -> np.ndarray:
-        """One index per row of an (N, K) probability array, one uniform per row."""
-        return inverse_cdf(probabilities, self.gen.random(len(probabilities)))
+    def choice_from_sums(self, sums: np.ndarray) -> np.ndarray:
+        """One index per column of (K - 1, N) `running_sums`, one uniform per
+        column: `inverse_cdf` of the rows they came from."""
+        return passed_sums(sums, self.gen.random(sums.shape[1]))
 
-    def subset(self, population, k: int) -> list:
-        """Uniform k-subset, returned sorted."""
-        picked = self.gen.choice(len(population), size=k, replace=False)
-        return sorted(population[i] for i in picked)
+    def subset(self, population: list, k: int) -> list:
+        """Uniform k-subset of a list, returned as a sorted list."""
+        picked = self.gen.choice(len(population), size=k, replace=False).tolist()
+        return sorted([population[i] for i in picked])
 
     def __repr__(self) -> str:
         path = f", path={self._path}" if self._path else ""

@@ -20,8 +20,10 @@ from .qsim import (
     ProjectiveBasis,
     RngStream,
     batch_probabilities,
+    inverse_cdf,
     make_nonorthogonal_pair,
     perp,
+    running_sums,
     usd_povm,
 )
 
@@ -53,6 +55,15 @@ class RotConfig:
         return 1.0 - float(np.cos(self.theta))
 
 
+def _unchecked(cls, **fields):
+    """A frozen record of `cls` from fields that already passed its checks,
+    such as rows of a checked pass, without copying or checking them again."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
 @dataclass(frozen=True)
 class SenderRecord:
     """The sender's only secret: the transmitted bit string."""
@@ -60,10 +71,10 @@ class SenderRecord:
     bits: np.ndarray
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.int8).copy()
+        bits = np.array(self.bits, dtype=np.int8)
         if bits.ndim != 1 or bits.size < 1:
             raise ValueError("bits must be a nonempty vector")
-        if np.any((bits != 0) & (bits != 1)):
+        if np.count_nonzero(bits & -2):
             raise ValueError("bits must be 0 or 1")
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
@@ -105,10 +116,22 @@ class ReceiverRecord:
     def from_decoded(
         cls, strategy: str, basis_choices: np.ndarray, decoded: np.ndarray
     ) -> "ReceiverRecord":
-        """Record from one decoded bit per qubit, -1 where inconclusive."""
+        """Record from one decoded bit per qubit, -1 where inconclusive.
+
+        Positions read off the decoded vector increase and lie in 1..n by
+        construction, so only its values are checked, in one pass.
+        """
+        basis = np.array(basis_choices, dtype=np.int8)
+        basis.flags.writeable = False
+        decoded = np.asarray(decoded)
+        if decoded.shape != basis.shape or basis.ndim != 1:
+            raise ValueError("need one decoded value per basis choice")
         pos = np.flatnonzero(decoded >= 0)
-        conclusive = tuple(zip((pos + 1).tolist(), decoded[pos].tolist()))
-        return cls(strategy=strategy, basis_choices=basis_choices, conclusive=conclusive)
+        values = decoded[pos]
+        if np.count_nonzero(values & -2):
+            raise ValueError("conclusive values must be bits")
+        conclusive = tuple(zip((pos + 1).tolist(), values.tolist()))
+        return _unchecked(cls, strategy=strategy, basis_choices=basis, conclusive=conclusive)
 
     @property
     def conclusive_positions(self) -> tuple[int, ...]:
@@ -158,11 +181,16 @@ def _decode_honest(x: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
     return np.where(outcomes == PERP_INDEX, x ^ 1, -1)
 
 
-def honest_outcomes(amps: np.ndarray, theta: float, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Basis bits and decoded bits of the honest measurement of each row,
-    each row in a uniform basis x[i], sampled from `honest_probabilities`."""
-    x = rng.bits(len(amps))
-    return x, _decode_honest(x, rng.choice_indices(honest_probabilities(amps, theta, x)))
+def honest_draws(rng: RngStream, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The honest receiver's draws for `count` qubits, in the order he makes
+    them: every basis bit, then one uniform per qubit."""
+    return rng.bits(count), rng.gen.random(count)
+
+
+def honest_decode(amps: np.ndarray, theta: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Decoded bits of the honest measurement of each row in basis x[i],
+    sampled with uniform u[i] from `honest_probabilities`."""
+    return _decode_honest(x, inverse_cdf(honest_probabilities(amps, theta, x), u))
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,18 +213,25 @@ def born_table(theta: float, strategy: str) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=None)
+def born_sums(theta: float, strategy: str) -> np.ndarray:
+    """The `running_sums` of `born_table(theta, strategy)`, built once: the
+    columns a receiver gathers and samples its outcomes from."""
+    return running_sums(born_table(theta, strategy))
+
+
 def run_rot(
     config: RotConfig, strategy: str, rng: RngStream
 ) -> tuple[SenderRecord, ReceiverRecord]:
     """One sender pass followed by one receiver pass over the n qubits: the
     sender's bits are drawn before any receiver draw, then each receiver
-    samples its n outcomes from the `born_table` rows its qubits select."""
-    table = born_table(config.theta, strategy)
+    samples its n outcomes from the `born_sums` columns its qubits select."""
+    sums = born_sums(config.theta, strategy)
     bits = rng.bits(config.n)
     if strategy == HONEST:
         x = rng.bits(config.n)
-        decoded = _decode_honest(x, rng.choice_indices(table[2 * bits + x]))
+        decoded = _decode_honest(x, rng.choice_from_sums(sums[:, 2 * bits + x]))
     else:
         x = np.full(config.n, -1)
-        decoded = _USD_DECODED[rng.choice_indices(table[bits])]
+        decoded = _USD_DECODED[rng.choice_from_sums(sums[:, bits])]
     return SenderRecord(bits=bits), ReceiverRecord.from_decoded(strategy, x, decoded)

@@ -305,12 +305,9 @@ def test_criterion_10_blinding_equivalence():
 
 
 def test_criterion_11_omission_attack():
-    lossy = sum(
-        omission_attack_p5(6, 3, False, RngStream(112, rep)).succeeded for rep in range(100)
-    )
-    caught = sum(
-        not omission_attack_p5(6, 3, True, RngStream(113, rep)).succeeded for rep in range(100)
-    )
+    lossy = omission_attack_p5(6, 3, 100, False, RngStream(112, 0)).succeeded
+    caught = ~omission_attack_p5(6, 3, 100, True, RngStream(113, 0)).succeeded
+    lossy, caught = int(np.count_nonzero(lossy)), int(np.count_nonzero(caught))
     ok = lossy == 100 and caught == 100
     report(11, ok, f"lossy detectors: {lossy}/100 dual openings, perfect: {caught}/100 rejected")
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qotlab import attacks
 from qotlab.attacks import (
     CheatReport,
     NoGoInstance,
@@ -23,11 +24,18 @@ from qotlab.attacks import (
     uhlmann_overlap,
 )
 from qotlab.bitcommit import (
+    PROTOCOL_P5,
+    P5Grids,
+    P5OpenMessage,
+    P5ReceiverState,
     blinded_amps,
     blinding_angles,
     p3_bases,
     p3_pair_states,
     p4_unblind_and_measure,
+    p5_verify,
+    parity_function,
+    unblind_outcomes,
 )
 from qotlab.ot12 import wilson_interval
 from qotlab.qsim import (
@@ -335,32 +343,94 @@ class TestProbeOnBlindedQubits:
         assert wilson_interval(int(detected.sum()), detected.size)[0] > 0.0
 
 
+def reference_omission_trial(n: int, m: int, perfect_detectors: bool, rng: RngStream):
+    """One omission trial measured on its own, as `omission_attack_p5` ran
+    each trial before the trials shared one pass: the trial's grids and its
+    (detected, open 0 accepted, open 1 accepted) outcome."""
+    withheld = rng.gen.integers(0, n, size=m)
+    sent_bits = rng.bits(m * n).reshape(m, n)
+    alphas = blinding_angles(rng, (m, n))
+    present = np.arange(n) != withheld[:, np.newaxis]
+    amps = blinded_amps(alphas, sent_bits)
+    basis = np.full((m, n), -1, dtype=np.int8)
+    decoded = basis.copy()
+    basis[present], decoded[present] = unblind_outcomes(amps[present], alphas[present], rng)
+    if perfect_detectors:
+        return basis, decoded, (bool((basis < 0).any()), False, False)
+    receiver = P5ReceiverState(
+        protocol_id=PROTOCOL_P5, function=parity_function(n), records=P5Grids(basis, decoded)
+    )
+    accepted = {}
+    for target in (0, 1):
+        strings = []
+        for i in range(m):
+            declared = sent_bits[i].tolist()
+            w = int(withheld[i])
+            partial = (sum(declared) - declared[w]) & 1
+            declared[w] = partial ^ target
+            strings.append(tuple(declared))
+        msg = P5OpenMessage(protocol_id=PROTOCOL_P5, bit=target, strings=tuple(strings))
+        accepted[target] = p5_verify(receiver, msg).accepted
+    return basis, decoded, (False, accepted[0], accepted[1])
+
+
+class TestStackedOmissionPass:
+    """The omission campaign measures every trial's grid in one pass; the
+    golden digests cannot see its sampling, since its rows are 0 or 1 by
+    construction, so the grids are compared here draw for draw."""
+
+    @pytest.mark.parametrize("perfect", [False, True])
+    @pytest.mark.parametrize("trials", [1, 8])
+    @pytest.mark.parametrize("n, m", [(8, 3), (2, 1), (5, 4)])
+    def test_grids_equal_the_per_trial_reference(self, monkeypatch, perfect, trials, n, m):
+        passes = []
+        measure = attacks.p5_measure_record
+
+        def kept(*args):
+            passes.append(measure(*args))
+            return passes[-1]
+
+        monkeypatch.setattr(attacks, "p5_measure_record", kept)
+        for seed in (0, 5, 901):
+            passes.clear()
+            report = omission_attack_p5(n, m, trials, perfect, RngStream(seed, 7))
+            (stacked,) = passes
+            camp = RngStream(seed, 7)
+            refs = [reference_omission_trial(n, m, perfect, camp.substream(t)) for t in range(trials)]
+            np.testing.assert_array_equal(stacked.basis, np.concatenate([r[0] for r in refs]))
+            np.testing.assert_array_equal(stacked.decoded, np.concatenate([r[1] for r in refs]))
+            assert np.array_equal(np.array(report).T, [r[2] for r in refs])
+
+    def test_a_trial_count_below_one_is_refused(self):
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match="trial count"):
+                omission_attack_p5(8, 3, trials, False, RngStream(70, 0))
+
+
 class TestWithheldQubits:
     def test_perfect_detectors_catch_the_gap_at_commit(self):
-        for rep in range(20):
-            report = omission_attack_p5(6, 3, True, RngStream(66, rep))
-            assert report.detected_at_commit
-            assert not report.open_zero_accepted
-            assert not report.open_one_accepted
-            assert not report.succeeded
+        report = omission_attack_p5(6, 3, 20, True, RngStream(66, 0))
+        assert report.detected_at_commit.all()
+        assert not report.open_zero_accepted.any()
+        assert not report.open_one_accepted.any()
+        assert not report.succeeded.any()
 
     def test_lossy_detectors_let_both_openings_pass(self):
-        for rep in range(20):
-            report = omission_attack_p5(6, 3, False, RngStream(67, rep))
-            assert not report.detected_at_commit
-            assert report.open_zero_accepted
-            assert report.open_one_accepted
-            assert report.succeeded
+        report = omission_attack_p5(6, 3, 20, False, RngStream(67, 0))
+        assert not report.detected_at_commit.any()
+        assert report.open_zero_accepted.all()
+        assert report.open_one_accepted.all()
+        assert report.succeeded.all()
 
     def test_minimal_grid(self):
-        report = omission_attack_p5(2, 1, False, RngStream(68, 0))
-        assert report.succeeded
+        report = omission_attack_p5(2, 1, 1, False, RngStream(68, 0))
+        assert report.succeeded.all()
 
     def test_rejects_degenerate_sizes(self):
         with pytest.raises(ValueError):
-            omission_attack_p5(1, 3, False, RngStream(69, 0))
+            omission_attack_p5(1, 3, 1, False, RngStream(69, 0))
         with pytest.raises(ValueError):
-            omission_attack_p5(4, 0, False, RngStream(69, 1))
+            omission_attack_p5(4, 0, 1, False, RngStream(69, 1))
 
 
 def test_nonorthogonal_pair_feeds_the_parity_mixture():

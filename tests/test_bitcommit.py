@@ -49,8 +49,14 @@ from qotlab.bitcommit import (
     verify_from_states,
 )
 from qotlab.ot12 import k_of, p1_exact
-from qotlab.qsim import RngStream, batch_probabilities, born_probabilities, rotate_rows
-from qotlab.rot import HONEST, ReceiverRecord
+from qotlab.qsim import (
+    RngStream,
+    batch_probabilities,
+    born_probabilities,
+    inverse_cdf,
+    rotate_rows,
+)
+from qotlab.rot import HONEST, ReceiverRecord, honest_draws
 
 
 class TestEntangledEncoding:
@@ -107,7 +113,8 @@ def reference_p3_measure(r_bits: np.ndarray, rng: RngStream):
     every returned pair, then decode the one conclusive label of each basis.
     Same draws, same order."""
     x = rng.bits(len(r_bits))
-    outcomes = rng.choice_indices(batch_probabilities(_p3_pair_amps(r_bits), p3_bases(), choice=x))
+    probs = batch_probabilities(_p3_pair_amps(r_bits), p3_bases(), choice=x)
+    outcomes = inverse_cdf(probs, rng.gen.random(len(probs)))
     labels = [p3_bases()[xi].labels[o] for xi, o in zip(x.tolist(), outcomes.tolist())]
     decoded = np.array([{"psi+": 1, "phi-minus-psi+": 0}.get(label, -1) for label in labels])
     return ReceiverRecord.from_decoded(HONEST, x, decoded)
@@ -520,7 +527,9 @@ class TestGridCommitment:
         rng = RngStream(48, 0)
         bits = rng.bits(2 * 300).reshape(2, 300)
         alphas = rng.gen.uniform(0, 2 * np.pi, size=bits.shape)
-        _, decoded = p5_measure_record(blinded_amps(alphas, bits), alphas, rng)
+        _, decoded = p5_measure_record(
+            blinded_amps(alphas, bits), alphas, *honest_draws(rng, bits.size)
+        )
         values = decoded.ravel().tolist()
         for bit, value in zip(bits.ravel().tolist(), values):
             assert value in (-1, bit)
@@ -531,7 +540,8 @@ class TestGridCommitment:
         alphas = rng.gen.uniform(0, 2 * np.pi, size=(3, 5))
         present = np.ones(alphas.shape, dtype=bool)
         present[1, 2] = False
-        basis, decoded = p5_measure_record(blinded_amps(alphas), alphas, rng, present)
+        draws = honest_draws(rng, int(present.sum()))
+        basis, decoded = p5_measure_record(blinded_amps(alphas), alphas, *draws, present)
         for grid in (basis, decoded):
             assert grid.shape == (3, 5) and grid.dtype == np.int8
             assert not grid.flags.writeable

@@ -675,3 +675,32 @@ def test_the_settable_flags_are_counted():
     """Every flag of every experiment, once per experiment that reads it; a
     flag added or dropped has to change this count on purpose."""
     assert sum(len(e.flags) for e in cli.EXPERIMENTS.values()) == 69
+
+
+@pytest.mark.parametrize(
+    "argv, name, calls",
+    [
+        (["ot12", "--n", "64", "--trials", "12"], "run_ot12", 12),
+        (["attack", "--attack", "usd", "--n", "64", "--trials", "10"], "run_ot12", 10),
+        (["rot", "--n", "64", "--trials", "6"], "run_rot", 12),
+    ],
+)
+def test_transfer_campaigns_call_the_module_global_once_per_trial(
+    argv, name, calls, monkeypatch, capsys
+):
+    """Callers that wrap `cli.run_ot12` or `cli.run_rot` see every trial:
+    one call per trial, and for `rot` one per trial per receiver strategy."""
+    seen = []
+    original = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    assert main([*argv, "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert len(seen) == calls
+    if name == "run_rot":
+        strategies = [args[1] for args in seen]
+        assert strategies.count("honest") == strategies.count("usd") == calls // 2

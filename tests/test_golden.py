@@ -49,6 +49,17 @@ CAMPAIGNS = {
     "nogo-n8": ["attack", "--attack", "nogo", "--n", "8"],
     "nogo-theta": ["attack", "--attack", "nogo", "--n", "4", "--theta", "0.4"],
     "nogo-theta-json": ["attack", "--attack", "nogo", "--n", "6", "--theta", "1.2", "--format", "json"],
+    # the omission campaign at the benchmark's size with perfect detectors,
+    # a long plain channel, and the discriminating receiver at a theta whose
+    # Born table holds a tiny negative entry (-2.8e-17 at [1, 0])
+    "bench-omission-perfect": [
+        "attack", "--attack", "omission", "--n", "8", "--m", "3", "--trials", "8",
+        "--perfect-detectors", "--seed", "5",
+    ],
+    "rot-n1000": ["rot", "--n", "1000", "--trials", "3", *SEEDED],
+    "usd-theta": [
+        "attack", "--attack", "usd", "--n", "256", "--trials", "20", "--theta", "0.7", *SEEDED,
+    ],
 }
 # commit flags of each pinned transcript directory
 COMMITS = {
@@ -126,6 +137,11 @@ DIGESTS = {
     "p3-l3-n24/sender.json": "4ef42898af5cafea43bebb85bc0b2178a32887e311d275d193af2340029fbe98",
     "p3-l3-n24/receiver.json": "0c5a04ab67238cbfa138b15e8a65db8302b9e33a3339c3a2d65cec46443523c3",
     "p3-l3-n24/open.json": "67d7ac601d4a4aebbe793bec8750879e0bed535557e3324608e8d8af9783cfd3",
+    # recorded before the omission trials were measured in one stacked pass
+    # and the table channels sampled from cached running sums
+    "bench-omission-perfect": "66ac31a45ef14b7b23d19fa164709d7730708565e88ccc4445092ba217a91a0b",
+    "rot-n1000": "adef1da13e21c4f6cb45b8b35727191be92791d65683a996c326e9e90dab292e",
+    "usd-theta": "c14fef42798e432459374969415edca636f963ef15e1902dc71669b454a8fdce",
 }
 
 # A P5 receiver.json written before the receiver stopped storing its blinding

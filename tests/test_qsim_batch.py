@@ -1,13 +1,15 @@
 """The batched channel kernel against the per-state engine, channel by channel.
 
 Every channel samples its qubits through `batch_probabilities` and
-`RngStream.choice_indices`; each test here rebuilds the same states one at a
+`inverse_cdf`; each test here rebuilds the same states one at a
 time with `StateVector`, `apply_on_qubit` and the single-state Born rule and
 requires agreement to 1e-12.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qotlab.attacks import _p3_probe_tables, entangle_probe_rows, p3_probe_pre_state
 from qotlab.bitcommit import blinded_amps, p3_bases, p3_pair_states
@@ -20,12 +22,14 @@ from qotlab.qsim import (
     bell_state,
     born_probabilities,
     inverse_cdf,
+    passed_sums,
     povm_probabilities,
     rotate_rows,
     rotation_plane,
+    running_sums,
     usd_povm,
 )
-from qotlab.rot import encoding_amps, measurement_bases
+from qotlab.rot import USD, born_table, encoding_amps, measurement_bases
 
 ATOL = 1e-12
 ENCODE = np.pi / 4
@@ -195,7 +199,7 @@ def test_sampler_agrees_with_choice_index_for_the_same_uniforms():
     gen = np.random.default_rng(7)
     probs = gen.dirichlet(np.ones(4), size=500)
     probs[:50] = [0.0, 1.0, 0.0, 0.0]
-    batched = RngStream(8, 0).choice_indices(probs)
+    batched = inverse_cdf(probs, RngStream(8, 0).gen.random(len(probs)))
     single = RngStream(8, 0)
     expected = [single.choice_index(row) for row in probs]
     np.testing.assert_array_equal(batched, expected)
@@ -209,6 +213,91 @@ def test_sampler_falls_back_to_the_last_index():
     # rows summing to slightly below one, with a uniform above the total
     probs = np.array([[0.5, 0.5 - 1e-9]])
     assert inverse_cdf(probs, np.array([1.0 - 1e-10]))[0] == 1
+
+
+def reference_inverse_cdf(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The first-exceeding rule as the sampler read before running sums were
+    cached: the first index whose running sum exceeds u, else the last."""
+    cum = np.cumsum(probabilities, axis=1)
+    above = np.asarray(u)[:, np.newaxis] < cum
+    idx = above.argmax(axis=1)
+    idx[~above.any(axis=1)] = cum.shape[1] - 1
+    return idx
+
+
+@st.composite
+def rows_and_uniforms(draw):
+    """Probability rows with the edge cases of a Born table, each with a
+    uniform: zero entries, rows summing just below 1, tiny negative entries
+    (first or later), and uniforms exactly on a running sum or one ulp
+    either side of it."""
+    k = draw(st.integers(1, 5))
+    weights = draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=k, max_size=k)
+    )
+    row = np.array(weights) / sum(weights) if sum(weights) > 0 else np.eye(k)[-1]
+    row = row * draw(st.sampled_from([1.0, 1.0 - 1e-12, 1.0 - 2**-52]))
+    if draw(st.booleans()):
+        row[draw(st.integers(0, k - 1))] = -draw(st.sampled_from([8.3e-17, 2.8e-17, 1e-300]))
+    on = float(np.cumsum(row)[draw(st.integers(0, k - 1))])
+    # on the running sum or one ulp either side, kept inside [0, 1)
+    near = (on, np.nextafter(on, 0.0), np.nextafter(on, 1.0))
+    near = [min(max(v, 0.0), np.nextafter(1.0, 0.0)) for v in near]
+    u = draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(near)))
+    return row, u
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(rows_and_uniforms(), min_size=1, max_size=20))
+def test_running_sum_rule_is_the_first_exceeding_rule_draw_for_draw(cases):
+    """One sampler rule, three routes: counting the running sums u has
+    passed equals the first-exceeding rule, batched and per state."""
+    k = max(len(row) for row, _ in cases)
+    # pad short rows with zero-probability outcomes so the batch is square
+    probs = np.array([np.concatenate([row, np.zeros(k - len(row))]) for row, _ in cases])
+    u = np.array([ui for _, ui in cases])
+    want = reference_inverse_cdf(probs, u)
+    np.testing.assert_array_equal(inverse_cdf(probs, u), want)
+    np.testing.assert_array_equal(passed_sums(running_sums(probs), u), want)
+
+    class Uniforms:
+        def __init__(self):
+            self.left = iter(u.tolist())
+
+        def random(self, size=None):
+            return u.copy() if size is not None else next(self.left)
+
+    stream = RngStream(0, 0)
+    stream.gen = Uniforms()
+    np.testing.assert_array_equal(stream.choice_from_sums(running_sums(probs)), want)
+    stream.gen = Uniforms()
+    np.testing.assert_array_equal([stream.choice_index(row) for row in probs], want)
+
+
+@pytest.mark.parametrize("theta", [0.7, 0.7125641025641026, 1.1023076923076924])
+def test_a_negative_table_entry_samples_like_the_first_exceeding_rule(theta):
+    """The discriminating table holds a tiny negative entry at [1, 0] at
+    these angles, so its first running sum lies below 0."""
+    table = born_table(theta, USD)
+    assert table[1, 0] < 0.0
+    sums = running_sums(table)
+    cum = np.cumsum(table, axis=1)
+    u = np.concatenate([[0.0], cum[:, :-1].ravel(), np.nextafter(cum[:, :-1].ravel(), 1.0)])
+    for row in (0, 1):
+        rows = np.full(len(u), row)
+        np.testing.assert_array_equal(
+            passed_sums(sums[:, rows], u), reference_inverse_cdf(table[rows], u)
+        )
+
+
+def test_running_sums_are_read_only_columns():
+    probs = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
+    sums = running_sums(probs)
+    assert sums.shape == (2, 2)
+    assert not sums.flags.writeable
+    np.testing.assert_array_equal(sums, [[0.2, 1.0], [0.5, 1.0]])
+    # a running sum that dips is held at the one before it
+    np.testing.assert_array_equal(running_sums(np.array([[0.5, -1e-17, 0.5]])), [[0.5], [0.5]])
 
 
 class TestStreams:

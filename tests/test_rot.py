@@ -8,6 +8,7 @@ from qotlab.qsim import (
     CONCLUSIVE_1,
     RngStream,
     batch_probabilities,
+    inverse_cdf,
     make_nonorthogonal_pair,
     usd_povm,
 )
@@ -40,14 +41,16 @@ def alice_send(config: RotConfig, rng: RngStream) -> tuple[SenderRecord, np.ndar
 
 def bob_measure_honest(amps: np.ndarray, theta: float, rng: RngStream) -> ReceiverRecord:
     x = rng.bits(len(amps))
-    outcomes = rng.choice_indices(honest_probabilities(amps, theta, x))
+    probs = honest_probabilities(amps, theta, x)
+    outcomes = inverse_cdf(probs, rng.gen.random(len(probs)))
     return ReceiverRecord.from_decoded(HONEST, x, np.where(outcomes == PERP_INDEX, x ^ 1, -1))
 
 
 def bob_measure_usd(amps: np.ndarray, theta: float, rng: RngStream) -> ReceiverRecord:
     povm = usd_povm(theta)
     values = np.array([{CONCLUSIVE_0: 0, CONCLUSIVE_1: 1}.get(label, -1) for label in povm.labels])
-    decoded = values[rng.choice_indices(batch_probabilities(amps, povm))]
+    probs = batch_probabilities(amps, povm)
+    decoded = values[inverse_cdf(probs, rng.gen.random(len(probs)))]
     return ReceiverRecord.from_decoded(USD, np.full(len(amps), -1), decoded)
 
 

@@ -1,0 +1,102 @@
+"""A/B timing of one benchmark workload across two source trees, in one process.
+
+    python3 tools/ab.py BASE NEW --workload campaign --pairs 250 --seed 7
+
+BASE and NEW are roots of two qotlab source checkouts (a clone of the parent
+commit and this one, say). Each tree's `src/` and `bench/` are imported
+under their own module objects, so both packages live side by side. Then
+the ops of `bench/workloads.py` alternate between the trees, BASE first in
+even pairs and NEW first in odd ones, both ops of a pair on the same op
+seed; each op's output goes through the workload's own check, untimed, and
+the pooled checks run at the end.
+
+It prints each tree's median op time with its quartiles, the ratio of the
+medians as BASE / NEW (above 1 means NEW is faster), and how many pairs
+NEW won. Alternating ops in one process cancels most of the machine's
+drift, which moves one op's time by +-20% within seconds; `bench/run.py`
+times the two trees in separate processes minutes apart. Nothing under
+`bench/` is written.
+"""
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import statistics
+import sys
+import time
+from pathlib import Path
+
+# modules a tree brings: its package, and the benchmark modules workloads imports
+_TREE_MODULES = ("qotlab", "workloads", "oracles")
+
+
+def _owned(name: str) -> bool:
+    return any(name == m or name.startswith(m + ".") for m in _TREE_MODULES)
+
+
+def load_workloads(root: Path):
+    """`bench/workloads.py` of one tree, bound to that tree's qotlab."""
+    if not (root / "src" / "qotlab" / "__init__.py").is_file():
+        raise SystemExit(f"error: no qotlab sources under {root / 'src'}")
+    saved_path = list(sys.path)
+    # no __pycache__ written next to the tree's sources
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    try:
+        for name in [n for n in sys.modules if _owned(n)]:
+            del sys.modules[name]
+        module = importlib.import_module("workloads")
+    finally:
+        sys.path[:] = saved_path
+        # the loaded modules keep their own references; the next tree imports afresh
+        for name in [n for n in sys.modules if _owned(n)]:
+            del sys.modules[name]
+    return module
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("new", type=Path)
+    parser.add_argument("--workload", default="campaign")
+    parser.add_argument("--pairs", type=int, default=250)
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+
+    sides = {}
+    for label, root in (("base", args.base), ("new", args.new)):
+        module = load_workloads(root.resolve())
+        wl = module.make(args.workload)
+        wl.check(wl.op(module.op_seed(args.seed, 0)))
+        sides[label] = (module, wl)
+    times: dict[str, list[float]] = {"base": [], "new": []}
+    gc.collect()
+    for index in range(1, args.pairs + 1):
+        order = ("base", "new") if index % 2 == 0 else ("new", "base")
+        for label in order:
+            module, wl = sides[label]
+            seed = module.op_seed(args.seed, index)
+            t = time.perf_counter()
+            out = wl.op(seed)
+            times[label].append(time.perf_counter() - t)
+            wl.check(out)
+    for label, (_, wl) in sides.items():
+        wl.finish()
+        for problem in wl.problems:
+            print(f"CHECK FAIL ({label}): {problem}")
+
+    for label in ("base", "new"):
+        q1, med, q3 = statistics.quantiles(times[label], n=4)
+        print(f"{label:4s} {args.workload}: median {med * 1e3:.3f} ms/op "
+              f"(q1 {q1 * 1e3:.3f}, q3 {q3 * 1e3:.3f}) over {args.pairs} ops")
+    ratio = statistics.median(times["base"]) / statistics.median(times["new"])
+    wins = sum(b > n for b, n in zip(times["base"], times["new"]))
+    print(f"ratio base/new of the medians: x{ratio:.3f}; new faster in {wins}/{args.pairs} pairs")
+    return 1 if any(wl.problems for _, wl in sides.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
