@@ -220,7 +220,11 @@ def probe_attack_p3(n: int, trials: int, rng: RngStream) -> np.ndarray:
         raise ValueError("need a positive qubit count and trial count")
     probs, masks = _p3_probe_tables()
     cum = np.cumsum(probs, axis=1)
-    cells = rng.gen.integers(0, 4, size=(trials, n))
+    # the draw's dtype sets how many generator bits it takes, so the cells are
+    # drawn as int64 and narrowed at once: each of the kernel's four cell
+    # comparisons then reads an eighth of the bytes, and the wide array is
+    # freed before the uniforms are drawn
+    cells = rng.gen.integers(0, 4, size=(trials, n)).astype(np.int8)
     u = rng.gen.random(size=(trials, n))
     # inverse-CDF sampling passes the running sum cum[cell, j] on its way to
     # outcome j + 1, so detection flips from mask[0] at each such crossing
@@ -331,20 +335,26 @@ def omission_attack_p5(
     # the withheld bit of each string sets its parity to the target
     rows = np.arange(trials * m)
     partial = (sent_bits.sum(axis=1) - sent_bits[rows, withheld]) & 1
+    function = parity_function(n)
+    stacked = P5ReceiverState(protocol_id=PROTOCOL_P5, function=function, records=records)
     accepted = np.zeros((2, trials), dtype=bool)
     for target in (0, 1):
         declared = sent_bits.copy()
         declared[rows, withheld] = partial ^ target
-        strings = declared.reshape(trials, m, n).tolist()
+        strings = tuple(map(tuple, declared.tolist()))
+        # every check of p5_verify reads one string or one cell, so the
+        # stacked opening passes iff every trial's opening passes
+        opening = P5OpenMessage(protocol_id=PROTOCOL_P5, bit=target, strings=strings)
+        if p5_verify(stacked, opening).accepted:
+            accepted[target] = True
+            continue
         for t in range(trials):
             cut = slice(t * m, (t + 1) * m)
             receiver = P5ReceiverState(
                 protocol_id=PROTOCOL_P5,
-                function=parity_function(n),
+                function=function,
                 records=P5Grids(records.basis[cut], records.decoded[cut]),
             )
-            msg = P5OpenMessage(
-                protocol_id=PROTOCOL_P5, bit=target, strings=tuple(map(tuple, strings[t]))
-            )
+            msg = P5OpenMessage(protocol_id=PROTOCOL_P5, bit=target, strings=strings[cut])
             accepted[target, t] = p5_verify(receiver, msg).accepted
     return OmissionAttackReport(np.zeros(trials, dtype=bool), accepted[0], accepted[1])

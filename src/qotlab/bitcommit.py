@@ -803,6 +803,15 @@ def _int(x) -> int:
     return x
 
 
+def _count(x) -> int:
+    """A round, string or position count. Zero rounds or an empty announced
+    set would commit nothing, so a count must be at least 1."""
+    x = _int(x)
+    if x < 1:
+        raise ValueError(f"expected a count of at least 1, got {x}")
+    return x
+
+
 def _float(x) -> float:
     if type(x) not in (int, float):
         raise TypeError(f"expected a number, got {type(x).__name__}")
@@ -911,7 +920,7 @@ def _announcement(rnd: dict, at: str, n: int, k: int) -> IndexSets:
 
 
 def _bc_sender_from_dict(d: dict) -> CommitSenderState:
-    l, n = _field(d, "l", _int), _field(d, "n", _int)
+    l, n, k = _field(d, "l", _count), _field(d, "n", _int), _field(d, "k", _count)
     positions = functools.partial(_positions, n)
     rounds = tuple(
         SenderCommitRound(
@@ -929,7 +938,7 @@ def _bc_sender_from_dict(d: dict) -> CommitSenderState:
         protocol_id=d["protocol_id"],
         bit=_field(d, "bit", _int),
         n=n,
-        k=_field(d, "k", _int),
+        k=k,
         theta=_field(d, "theta", _float),
         rounds=rounds,
     )
@@ -947,7 +956,7 @@ def _bc_receiver_round(rnd: dict, at: str, n: int, k: int) -> ReceiverCommitRoun
 
 
 def _bc_receiver_from_dict(d: dict) -> CommitReceiverState:
-    l, n, k = _field(d, "l", _int), _field(d, "n", _int), _field(d, "k", _int)
+    l, n, k = _field(d, "l", _count), _field(d, "n", _int), _field(d, "k", _count)
     rounds = tuple(_bc_receiver_round(rnd, at, n, k) for rnd, at in _rounds(d, l))
     return CommitReceiverState(
         protocol_id=d["protocol_id"],
@@ -972,7 +981,7 @@ def _bc_open_from_dict(d: dict) -> OpenMessage:
 
 
 def _p5_sender_from_dict(d: dict) -> P5SenderState:
-    m, n = _field(d, "m", _int), _field(d, "n", _int)
+    m, n = _field(d, "m", _count), _field(d, "n", _int)
     strings = _field(d, "strings", _int_rows)
     if len(strings) != m:
         raise ValueError(f"field 'strings' holds {len(strings)} strings, but field 'm' is {m}")
@@ -988,7 +997,7 @@ def _p5_sender_from_dict(d: dict) -> P5SenderState:
 
 
 def _p5_receiver_from_dict(d: dict) -> P5ReceiverState:
-    m, n = _field(d, "m", _int), _field(d, "n", _int)
+    m, n = _field(d, "m", _count), _field(d, "n", _int)
     records = _field(d, "records", _records)
     if [len(row) for row in records] != [n] * m:
         raise ValueError(f"field 'records' must hold m x n = {m} x {n} entries")

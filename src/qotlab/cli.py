@@ -318,6 +318,15 @@ def _dump(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _load(path: Path):
+    """A transcript file's JSON. The decoder gives up on nesting deeper than
+    the interpreter's recursion limit; such a file is malformed like any other."""
+    try:
+        return json.loads(path.read_text())
+    except RecursionError:
+        raise ValueError(f"{path.name} is nested too deeply to read") from None
+
+
 def cmd_commit(cfg: argparse.Namespace) -> int:
     protocol_id = _PROTOCOLS[cfg.protocol]
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -338,7 +347,7 @@ def cmd_commit(cfg: argparse.Namespace) -> int:
 
 
 def cmd_open(cfg: argparse.Namespace) -> int:
-    sender = sender_state_from_dict(json.loads((cfg.out / "sender.json").read_text()))
+    sender = sender_state_from_dict(_load(cfg.out / "sender.json"))
     msg = protocol_family(sender.protocol_id).open(sender)
     _dump(cfg.out / "open.json", open_message_to_dict(msg))
     print(f"open message written for {sender.protocol_id}")
@@ -346,8 +355,8 @@ def cmd_open(cfg: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
-    receiver = receiver_state_from_dict(json.loads((cfg.out / "receiver.json").read_text()))
-    msg = open_message_from_dict(json.loads((cfg.out / "open.json").read_text()))
+    receiver = receiver_state_from_dict(_load(cfg.out / "receiver.json"))
+    msg = open_message_from_dict(_load(cfg.out / "open.json"))
     result = verify_from_states(receiver, msg)
     if result.accepted:
         print(f"accepted: committed bit {result.recovered_bit}")

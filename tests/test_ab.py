@@ -1,0 +1,48 @@
+"""tools/ab.py: the two trees of an A/B run must return the same op outputs."""
+
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
+_SPEC = importlib.util.spec_from_file_location("ab", _PATH)
+ab = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab)
+
+
+def _result(accepted, bit, reason):
+    return SimpleNamespace(accepted=accepted, recovered_bit=bit, first_inconsistency=reason)
+
+
+def _roundtrip(reason="round 1: shares are not bits", path=("rounds", 0, "share0")):
+    honest = _result(True, 1, None)
+    return {"results": [("P2-BC", 1, honest, path, _result(False, None, reason))], "codec_bytes": 9}
+
+
+_CAMPAIGN = {"csv": {"rot": "header\nrow\n", "omission": "header\n"}, "transcripts": []}
+_EXACT = {"csv": "header\n", "n": 20000, "p1": 0.25, "p2": 1e-90}
+
+
+@pytest.mark.parametrize(
+    "workload, base, new, key",
+    [
+        ("campaign", _CAMPAIGN, {**_CAMPAIGN, "transcripts": [object()]}, None),
+        ("campaign", _CAMPAIGN, {**_CAMPAIGN, "csv": {"rot": "header\nrow\n"}}, "csv[omission]"),
+        ("exact", _EXACT, dict(_EXACT), None),
+        ("exact", _EXACT, {**_EXACT, "p2": np.nextafter(1e-90, 1.0)}, "p2"),
+        ("exact", _EXACT, {**_EXACT, "n": 20001}, "n"),
+        ("commit-roundtrip", _roundtrip(), _roundtrip(), None),
+        ("commit-roundtrip", _roundtrip(), _roundtrip(reason="other"), "results[0].tampered.reason"),
+        (
+            "commit-roundtrip",
+            _roundtrip(),
+            _roundtrip(path=("rounds", 0, "share1")),
+            "results[0].tampered_path",
+        ),
+    ],
+)
+def test_the_first_output_difference_is_named(workload, base, new, key):
+    assert ab.first_difference(workload, base, new) == key

@@ -343,10 +343,12 @@ class TestProbeOnBlindedQubits:
         assert wilson_interval(int(detected.sum()), detected.size)[0] > 0.0
 
 
-def reference_omission_trial(n: int, m: int, perfect_detectors: bool, rng: RngStream):
-    """One omission trial measured on its own, as `omission_attack_p5` ran
-    each trial before the trials shared one pass: the trial's grids and its
-    (detected, open 0 accepted, open 1 accepted) outcome."""
+def reference_omission_trial(n: int, m: int, perfect_detectors: bool, rng: RngStream, flip=None):
+    """One omission trial measured and verified on its own, as
+    `omission_attack_p5` ran each trial before the trials shared one pass:
+    the trial's grids and its (detected, open 0 accepted, open 1 accepted)
+    outcome. `flip`, a (row, column) cell, has its decoded bit flipped
+    before the openings are verified."""
     withheld = rng.gen.integers(0, n, size=m)
     sent_bits = rng.bits(m * n).reshape(m, n)
     alphas = blinding_angles(rng, (m, n))
@@ -355,6 +357,8 @@ def reference_omission_trial(n: int, m: int, perfect_detectors: bool, rng: RngSt
     basis = np.full((m, n), -1, dtype=np.int8)
     decoded = basis.copy()
     basis[present], decoded[present] = unblind_outcomes(amps[present], alphas[present], rng)
+    if flip is not None:
+        decoded[flip] ^= 1
     if perfect_detectors:
         return basis, decoded, (bool((basis < 0).any()), False, False)
     receiver = P5ReceiverState(
@@ -400,6 +404,64 @@ class TestStackedOmissionPass:
             np.testing.assert_array_equal(stacked.basis, np.concatenate([r[0] for r in refs]))
             np.testing.assert_array_equal(stacked.decoded, np.concatenate([r[1] for r in refs]))
             assert np.array_equal(np.array(report).T, [r[2] for r in refs])
+
+    def test_each_target_is_verified_once(self, monkeypatch):
+        """Every check of `p5_verify` reads one string or one cell, so one
+        call on the stacked grid answers a target for every trial."""
+        calls = []
+        verify = attacks.p5_verify
+
+        def counted(*args):
+            calls.append(verify(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(attacks, "p5_verify", counted)
+        report = omission_attack_p5(8, 3, 8, False, RngStream(7, 7))
+        assert len(calls) == 2
+        assert report.succeeded.all()
+
+    @pytest.mark.parametrize("seed", [0, 901])
+    @pytest.mark.parametrize("trials, chosen", [(8, 0), (8, 5), (1, 0)])
+    def test_a_rejected_stacked_opening_falls_back_to_each_trial(
+        self, monkeypatch, seed, trials, chosen
+    ):
+        """One trial's decoded grid gets a contradicted cell: the stacked
+        opening then fails for both targets, and each trial is verified on
+        its own, giving the report the per-trial reference gives."""
+        n, m = 8, 3
+        measure, verify = attacks.p5_measure_record, attacks.p5_verify
+        flipped, calls = [], []
+
+        def tampered(*args):
+            grids = measure(*args)
+            decoded = grids.decoded.copy()
+            rows = slice(chosen * m, (chosen + 1) * m)
+            i, j = np.argwhere(decoded[rows] >= 0)[0]
+            decoded[chosen * m + i, j] ^= 1
+            flipped.append((i, j))
+            return P5Grids(grids.basis, decoded)
+
+        def counted(*args):
+            calls.append(verify(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(attacks, "p5_measure_record", tampered)
+        monkeypatch.setattr(attacks, "p5_verify", counted)
+        report = omission_attack_p5(n, m, trials, False, RngStream(seed, 7))
+        camp = RngStream(seed, 7)
+        refs = [
+            reference_omission_trial(
+                n, m, False, camp.substream(t), flipped[0] if t == chosen else None
+            )[2]
+            for t in range(trials)
+        ]
+        assert np.array(report).T.tolist() == [list(r) for r in refs]
+        assert refs[chosen] == (False, False, False)
+        assert all(r == (False, True, True) for t, r in enumerate(refs) if t != chosen)
+        assert len(calls) == 2 + 2 * trials
+        assert not calls[0].accepted and calls[0].first_inconsistency.startswith(
+            f"qubit ({chosen * m + flipped[0][0] + 1},"
+        )
 
     def test_a_trial_count_below_one_is_refused(self):
         for trials in (0, -1):

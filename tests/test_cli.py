@@ -539,6 +539,78 @@ def test_verify_refuses_an_unknown_p5_outcome_record(record, tmp_path, capsys):
     assert "Traceback" not in result.stderr
 
 
+# a round that announces nothing: with k = 0 every check of the opening holds
+_EMPTY_ROUND = {
+    "m": 0, "i_set": [], "j_set": [], "conclusive": [], "c0": 1, "c1": 0, "received_share": 1
+}
+_EMPTY_OPEN_ROUND = {"share0": 1, "share1": 0, "declared_x": [], "declared_y": []}
+_SHARE_SPLIT = {"protocol_id": "P2-BC", "n": 16, "theta": math.pi / 4}
+
+
+@pytest.mark.parametrize(
+    "field, receiver, opening",
+    [
+        (
+            "k",
+            {**_SHARE_SPLIT, "l": 1, "k": 0, "rounds": [_EMPTY_ROUND]},
+            {"protocol_id": "P2-BC", "rounds": [_EMPTY_OPEN_ROUND]},
+        ),
+        (
+            "l",
+            {**_SHARE_SPLIT, "l": 0, "k": 3, "rounds": []},
+            {"protocol_id": "P2-BC", "rounds": []},
+        ),
+        (
+            "m",
+            {"protocol_id": "P5", "m": 0, "n": 8, "function": "parity", "records": []},
+            {"protocol_id": "P5", "bit": 1, "strings": []},
+        ),
+    ],
+)
+def test_verify_refuses_a_transcript_that_commits_nothing(field, receiver, opening, tmp_path):
+    """Forged transcripts with zero rounds, an empty announcement or no
+    strings leave the opening nothing to contradict; the reader refuses the
+    count, naming it, instead of accepting whatever bit the opening claims."""
+    (tmp_path / "receiver.json").write_text(json.dumps(receiver))
+    (tmp_path / "open.json").write_text(json.dumps(opening))
+    result = run_cli(["verify", "--out", str(tmp_path)])
+    assert result.returncode == 2, result.stdout
+    assert result.stderr == (
+        f"error: field '{field}' is malformed: expected a count of at least 1, got 0\n"
+    )
+
+
+@pytest.mark.parametrize("protocol, field", [("p2bc", "k"), ("p2bc", "l"), ("p5", "m")])
+def test_open_refuses_a_sender_that_commits_nothing(protocol, field, tmp_path, capsys):
+    common = ["--out", str(tmp_path)]
+    assert main(["commit", "--protocol", protocol, "--seed", "25", *common]) == 0
+    sender = json.loads((tmp_path / "sender.json").read_text())
+    sender[field] = 0
+    (tmp_path / "sender.json").write_text(json.dumps(sender))
+    capsys.readouterr()
+    assert main(["open", *common]) == 2
+    assert f"field '{field}' is malformed: expected a count of at least 1, got 0" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("verify", "receiver.json"), ("verify", "open.json"), ("open", "sender.json")],
+)
+def test_a_deeply_nested_transcript_is_a_usage_error(command, name, tmp_path):
+    """The JSON decoder gives up on deep nesting with a RecursionError; the
+    command refuses the file like any other malformed transcript."""
+    common = ["--out", str(tmp_path)]
+    assert main(["commit", "--protocol", "p2bc", "--seed", "25", *common]) == 0
+    assert main(["open", *common]) == 0
+    depth = 200_000
+    (tmp_path / name).write_text("[" * depth + "]" * depth)
+    result = run_cli([command, *common])
+    assert result.returncode == 2, result.stdout
+    assert result.stderr == f"error: {name} is nested too deeply to read\n"
+
+
 def _run(argv, capsys):
     """In-process run: (exit code, stdout, stderr); a usage error is exit 2."""
     try:

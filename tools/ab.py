@@ -8,7 +8,9 @@ under their own module objects, so both packages live side by side. Then
 the ops of `bench/workloads.py` alternate between the trees, BASE first in
 even pairs and NEW first in odd ones, both ops of a pair on the same op
 seed; each op's output goes through the workload's own check, untimed, and
-the pooled checks run at the end.
+the pooled checks run at the end. The two ops of a pair must also return
+the same output (`op_output`): the first difference is printed with its
+workload, op seed and key, and the run exits 1.
 
 It prints each tree's median op time with its quartiles, the ratio of the
 medians as BASE / NEW (above 1 means NEW is faster), and how many pairs
@@ -55,6 +57,33 @@ def load_workloads(root: Path):
     return module
 
 
+def op_output(workload: str, out) -> dict[str, object]:
+    """What an op returned that both trees must reproduce exactly, by key."""
+    if workload == "campaign":
+        return {f"csv[{key}]": text for key, text in out["csv"].items()}
+    if workload == "exact":
+        return {key: out[key] for key in ("csv", "n", "p1", "p2")}
+    fields = {}
+    for i, (protocol, bit, honest, path, tampered) in enumerate(out["results"]):
+        at = f"results[{i}]"
+        fields.update({f"{at}.protocol": protocol, f"{at}.bit": bit, f"{at}.tampered_path": path})
+        for label, result in (("honest", honest), ("tampered", tampered)):
+            fields[f"{at}.{label}.accepted"] = result.accepted
+            fields[f"{at}.{label}.recovered_bit"] = result.recovered_bit
+            fields[f"{at}.{label}.reason"] = result.first_inconsistency
+    return fields
+
+
+def first_difference(workload: str, base_out, new_out) -> str | None:
+    """The first key whose value differs between the trees' outputs, if any;
+    values are compared by repr, so floats must agree to the last bit."""
+    base, new = op_output(workload, base_out), op_output(workload, new_out)
+    for key in dict.fromkeys([*base, *new]):
+        if repr(base.get(key)) != repr(new.get(key)):
+            return key
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path)
@@ -69,20 +98,24 @@ def main(argv=None) -> int:
     sides = {}
     for label, root in (("base", args.base), ("new", args.new)):
         module = load_workloads(root.resolve())
-        wl = module.make(args.workload)
-        wl.check(wl.op(module.op_seed(args.seed, 0)))
-        sides[label] = (module, wl)
+        sides[label] = (module, module.make(args.workload))
     times: dict[str, list[float]] = {"base": [], "new": []}
     gc.collect()
-    for index in range(1, args.pairs + 1):
+    for index in range(args.pairs + 1):  # op 0 warms both trees up, untimed
         order = ("base", "new") if index % 2 == 0 else ("new", "base")
+        outs = {}
         for label in order:
             module, wl = sides[label]
             seed = module.op_seed(args.seed, index)
             t = time.perf_counter()
-            out = wl.op(seed)
-            times[label].append(time.perf_counter() - t)
-            wl.check(out)
+            outs[label] = wl.op(seed)
+            if index:
+                times[label].append(time.perf_counter() - t)
+            wl.check(outs[label])
+        key = first_difference(args.workload, outs["base"], outs["new"])
+        if key is not None:
+            print(f"OUTPUT DIFFERS: {args.workload} op {index} (op seed {seed}): {key}")
+            return 1
     for label, (_, wl) in sides.items():
         wl.finish()
         for problem in wl.problems:
