@@ -50,10 +50,7 @@ from .rot import (
     HONEST,
     ReceiverRecord,
     RotConfig,
-    SenderRecord,
     _decode_honest,
-    _unchecked,
-    check_conclusive,
     honest_decode,
     honest_draws,
     run_rot,
@@ -207,6 +204,9 @@ def p4_unblind_and_measure(amps: np.ndarray, alphas: np.ndarray, rng: RngStream)
 
 @dataclass(frozen=True)
 class SenderCommitRound:
+    """One completed round on the committer's side; `bits` is the round's
+    read-only int8 row of sent bits."""
+
     share0: int
     share1: int
     bits: np.ndarray
@@ -214,11 +214,6 @@ class SenderCommitRound:
     y_set: tuple[int, ...]
     c0: int
     c1: int
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.int8).copy()
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
 
 
 @dataclass(frozen=True)
@@ -288,49 +283,40 @@ def _reject(reason: str) -> VerifyResult:
     return VerifyResult(accepted=False, recovered_bit=None, first_inconsistency=reason)
 
 
-def _split_rounds(
-    sender: SenderRecord, receiver: ReceiverRecord, rounds: int, n: int
-) -> list[tuple[SenderRecord, ReceiverRecord]]:
-    """Cut one pass over rounds * n qubits into per-round records, each with
-    its positions renumbered 1..n. The rows are views of the pass's frozen,
-    checked arrays and are taken as they are."""
-    bits = sender.bits.reshape(rounds, n)
-    basis = receiver.basis_choices.reshape(rounds, n)
-    conclusive = [[] for _ in range(rounds)]
-    for pos, val in receiver.conclusive:
-        r, i = divmod(pos - 1, n)
-        conclusive[r].append((i + 1, val))
-    return [
-        (
-            _unchecked(SenderRecord, bits=bits[r]),
-            _unchecked(
-                ReceiverRecord,
-                strategy=receiver.strategy,
-                basis_choices=basis[r],
-                conclusive=tuple(conclusive[r]),
-            ),
-        )
-        for r in range(rounds)
-    ]
-
-
 def _ot_channel(
     variant: str, rounds: int, n: int, theta: float, rng: RngStream
-) -> list[tuple[SenderRecord, ReceiverRecord]]:
-    """The qubit phase of `rounds` transfer rounds, sampled as one pass."""
+) -> tuple[np.ndarray, list[list[tuple[int, int]]]]:
+    """The qubit phase of `rounds` transfer rounds, sampled as one pass: the
+    sent bits as a read-only (rounds, n) int8 array, and each round's
+    conclusive (position, value) pairs with positions renumbered 1..n."""
     size = rounds * n
     if variant == PROTOCOL_P2BC:
         sender, receiver = run_rot(RotConfig(n=size, theta=theta), HONEST, rng)
+        bits = sender.bits
     elif variant == PROTOCOL_P3:
         bits = rng.bits(size)
-        sender, receiver = SenderRecord(bits=bits), p3_measure(bits, rng)
+        receiver = p3_measure(bits, rng)
     else:
         # P4: the receiver blinds |0> by a uniform angle, the committer encodes
         alphas = blinding_angles(rng, size)
         bits = rng.bits(size)
-        encoded = blinded_amps(alphas, bits)
-        sender, receiver = SenderRecord(bits=bits), p4_unblind_and_measure(encoded, alphas, rng)
-    return _split_rounds(sender, receiver, rounds, n)
+        receiver = p4_unblind_and_measure(blinded_amps(alphas, bits), alphas, rng)
+    bits.flags.writeable = False
+    conclusive = [[] for _ in range(rounds)]
+    for pos, val in receiver.conclusive:
+        r, i = divmod(pos - 1, n)
+        conclusive[r].append((i + 1, val))
+    return bits.reshape(rounds, n), conclusive
+
+
+def check_channel_angle(variant: str, theta: float) -> float:
+    """theta, refused unless it lies in (0, pi/2] and, for the pair and
+    blinded channels, within 1e-12 of the pi/4 they fix."""
+    if not 0.0 < theta <= np.pi / 2:  # also refuses nan
+        raise ValueError(f"theta must lie in (0, pi/2], got {theta!r}")
+    if variant != PROTOCOL_P2BC and abs(theta - ENCODE_ANGLE) > 1e-12:
+        raise ValueError(f"the pair and blinded channels fix theta at pi/4, got {theta!r}")
+    return theta
 
 
 def bc_commit_over_ot(
@@ -355,39 +341,25 @@ def bc_commit_over_ot(
         raise ValueError("need at least one round")
     if variant not in OT_VARIANTS:
         raise ValueError(f"variant must be one of {OT_VARIANTS}")
-    if variant != PROTOCOL_P2BC and abs(theta - ENCODE_ANGLE) > 1e-12:
-        raise ValueError("the pair and blinded channels fix theta at pi/4")
+    check_channel_angle(variant, theta)
     k = transfer_k(n, alpha)
     sender_rounds = []
     receiver_rounds = []
     for _wave in range(MAX_WAVES):
         missing = l - len(sender_rounds)
         shares0 = rng.bits(missing).tolist()
-        channels = _ot_channel(variant, missing, n, theta, rng)
-        for share0, (sender_rec, receiver_rec) in zip(shares0, channels):
+        bits, conclusive = _ot_channel(variant, missing, n, theta, rng)
+        for share0, row, sent, pairs in zip(shares0, bits, bits.tolist(), conclusive):
             share1 = share0 ^ b
-            t = run_masked_transfer(sender_rec, receiver_rec, n, k, share0, share1, rng)
+            t = run_masked_transfer(sent, pairs, n, k, share0, share1, rng)
             if t.aborted:
                 continue
+            sets = t.sets
             sender_rounds.append(
-                SenderCommitRound(
-                    share0=share0,
-                    share1=share1,
-                    bits=t.sender.bits,
-                    x_set=t.sets.x_set,
-                    y_set=t.sets.y_set,
-                    c0=t.c0,
-                    c1=t.c1,
-                )
+                SenderCommitRound(share0, share1, row, sets.x_set, sets.y_set, t.c0, t.c1)
             )
             receiver_rounds.append(
-                ReceiverCommitRound(
-                    sets=t.sets,
-                    conclusive=t.receiver.conclusive,
-                    c0=t.c0,
-                    c1=t.c1,
-                    received_share=t.b_received,
-                )
+                ReceiverCommitRound(sets, tuple(pairs), t.c0, t.c1, t.b_received)
             )
         if len(sender_rounds) == l:
             break
@@ -407,12 +379,13 @@ def bc_open(sender_state: CommitSenderState) -> OpenMessage:
     """Declare every round's shares and the sent bits over both announced sets."""
     rounds = []
     for rnd in sender_state.rounds:
+        sent = rnd.bits.tolist()
         rounds.append(
             OpenRound(
                 share0=rnd.share0,
                 share1=rnd.share1,
-                declared_x=tuple((p, int(rnd.bits[p - 1])) for p in rnd.x_set),
-                declared_y=tuple((p, int(rnd.bits[p - 1])) for p in rnd.y_set),
+                declared_x=tuple((p, sent[p - 1]) for p in rnd.x_set),
+                declared_y=tuple((p, sent[p - 1]) for p in rnd.y_set),
             )
         )
     return OpenMessage(protocol_id=sender_state.protocol_id, rounds=tuple(rounds))
@@ -677,7 +650,7 @@ def _bc_sender_to_dict(state: CommitSenderState) -> dict:
             {
                 "share0": rnd.share0,
                 "share1": rnd.share1,
-                "r": [int(x) for x in rnd.bits],
+                "r": (rnd.bits + ord("0")).tobytes().decode("ascii"),
                 "x_set": list(rnd.x_set),
                 "y_set": list(rnd.y_set),
                 "c0": rnd.c0,
@@ -686,6 +659,20 @@ def _bc_sender_to_dict(state: CommitSenderState) -> dict:
             for rnd in state.rounds
         ],
     }
+
+
+# a share-split round's strings in JSON: one cell per position, the sent bit
+# ("r") or the decoded bit ("conclusive"), and this cell where no bit was learned
+_NOT_LEARNED = "-"
+
+
+def _decoded_text(conclusive: tuple[tuple[int, int], ...], n: int) -> str:
+    """The decoded vector of a round as n cells: the value at each conclusive
+    position, _NOT_LEARNED elsewhere."""
+    cells = [_NOT_LEARNED] * n
+    for pos, val in conclusive:
+        cells[pos - 1] = "01"[val]
+    return "".join(cells)
 
 
 def _bc_receiver_to_dict(state: CommitReceiverState) -> dict:
@@ -700,7 +687,7 @@ def _bc_receiver_to_dict(state: CommitReceiverState) -> dict:
                 "m": rnd.sets.m,
                 "i_set": list(rnd.sets.i_set),
                 "j_set": list(rnd.sets.j_set),
-                "conclusive": [{"pos": pos, "val": val} for pos, val in rnd.conclusive],
+                "conclusive": _decoded_text(rnd.conclusive, state.n),
                 "c0": rnd.c0,
                 "c1": rnd.c1,
                 "received_share": rnd.received_share,
@@ -776,25 +763,31 @@ def _function_from_name(name: str, arity: int) -> BooleanFunctionSpec:
     return _FUNCTION_REGISTRY[name](arity)
 
 
-def _field(d, key: str, read, where: str = ""):
-    """read(d[key]) for a transcript read from untrusted JSON.
+def _field(d, key: str, read, round_index: Optional[int] = None):
+    """read(d[key]) for a transcript read from untrusted JSON; d is round
+    `round_index` of the transcript when that is given.
 
     A missing field, or one that `read` refuses with a TypeError or
-    ValueError, raises a ValueError naming the field (`where.key`).
+    ValueError, raises a ValueError naming the field (`rounds[i].key`).
+    The name is built only then.
     """
-    name = f"{where}.{key}" if where else key
     try:
         value = d[key]
     except KeyError:
-        raise ValueError(f"missing field {name!r}") from None
+        raise ValueError(f"missing field {_field_name(key, round_index)!r}") from None
     except (TypeError, IndexError):
         raise ValueError(
-            f"expected a JSON object with field {name!r}, got {type(d).__name__}"
+            f"expected a JSON object with field {_field_name(key, round_index)!r}, "
+            f"got {type(d).__name__}"
         ) from None
     try:
         return read(value)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"field {name!r} is malformed: {exc}") from None
+        raise ValueError(f"field {_field_name(key, round_index)!r} is malformed: {exc}") from None
+
+
+def _field_name(key: str, round_index: Optional[int]) -> str:
+    return key if round_index is None else f"rounds[{round_index}].{key}"
 
 
 def _int(x) -> int:
@@ -815,7 +808,10 @@ def _count(x) -> int:
 def _float(x) -> float:
     if type(x) not in (int, float):
         raise TypeError(f"expected a number, got {type(x).__name__}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("expected a number, got an integer too large for a float") from None
 
 
 def _str(x) -> str:
@@ -838,17 +834,33 @@ def _ints(x) -> tuple[int, ...]:
     return values
 
 
+def _cells(n: int, alphabet: str, x) -> str:
+    """A string of n cells, each one of the characters of `alphabet`."""
+    if not isinstance(x, str):
+        raise TypeError(f"expected a string of n = {n} cells, got {type(x).__name__}")
+    if len(x) != n:
+        raise ValueError(f"expected a string of n = {n} cells, got {len(x)}")
+    # strip leaves the string from its first cell outside the alphabet on
+    rest = x.strip(alphabet)
+    if rest:
+        raise ValueError(f"cell {rest[0]!r} is not one of {alphabet!r}")
+    return x
+
+
 def _bits(n: int, x) -> np.ndarray:
-    bits = _ints(x)
-    if len(bits) != n or not set(bits) <= {0, 1}:
-        raise ValueError(f"expected a list of n = {n} bits")
-    return np.array(bits, dtype=np.int8)
+    """A round's sent bits: a string of n cells 0 or 1, as a read-only int8 row."""
+    bits = np.frombuffer(_cells(n, "01", x).encode("ascii"), dtype=np.int8) - ord("0")
+    bits.flags.writeable = False
+    return bits
 
 
 def _positions(n: int, x) -> tuple[int, ...]:
-    positions = _ints(x)
-    if not all(1 <= p <= n for p in positions):
-        raise ValueError(f"positions must lie in 1..{n}")
+    positions = tuple(_list(x))
+    for p in positions:
+        if type(p) is not int:
+            raise TypeError(f"expected a list of integers, got a {type(p).__name__}")
+        if not 1 <= p <= n:
+            raise ValueError(f"positions must lie in 1..{n}")
     return positions
 
 
@@ -870,14 +882,13 @@ def _pos_vals(x) -> tuple[tuple[int, int], ...]:
 
 
 def _conclusive(n: int, i_set: tuple[int, ...], x) -> tuple[tuple[int, int], ...]:
-    """A round's conclusive pairs, checked as a receiver record checks them;
-    every announced I position must be among them."""
-    pairs = _pos_vals(x)
-    check_conclusive(pairs, n)
-    missing = set(i_set).difference(pos for pos, _ in pairs)
-    if missing:
-        raise ValueError(f"announced I position {min(missing)} is not conclusive")
-    return pairs
+    """A round's conclusive pairs, read from its n decoded cells; every
+    announced I position (sorted, in 1..n) must be conclusive."""
+    cells = _cells(n, "01" + _NOT_LEARNED, x)
+    for p in i_set:
+        if cells[p - 1] == _NOT_LEARNED:
+            raise ValueError(f"announced I position {p} is not conclusive")
+    return tuple([(pos, int(c)) for pos, c in enumerate(cells, start=1) if c != _NOT_LEARNED])
 
 
 def _record(x) -> tuple[int, int]:
@@ -896,16 +907,16 @@ def _records(x) -> list[list[tuple[int, int]]]:
     return [[_record(rec) for rec in _list(row)] for row in _list(x)]
 
 
-def _rounds(d: dict, l: Optional[int] = None) -> list[tuple[dict, str]]:
-    """(round, its name) for every entry of d["rounds"], which must hold l if given."""
+def _rounds(d: dict, l: Optional[int] = None) -> list:
+    """d["rounds"], which must hold l rounds if l is given."""
     rounds = _field(d, "rounds", _list)
     if l is not None and len(rounds) != l:
         raise ValueError(f"field 'rounds' holds {len(rounds)} rounds, but field 'l' is {l}")
-    return [(rnd, f"rounds[{i}]") for i, rnd in enumerate(rounds)]
+    return rounds
 
 
-def _announcement(rnd: dict, at: str, n: int, k: int) -> IndexSets:
-    """A round's announced sets: k positions each in I and J, all in 1..n."""
+def _announcement(rnd: dict, at: int, n: int, k: int) -> IndexSets:
+    """Round `at`'s announced sets: k positions each in I and J, all in 1..n."""
     positions = functools.partial(_positions, n)
     i_set = _field(rnd, "i_set", positions, at)
     j_set = _field(rnd, "j_set", positions, at)
@@ -913,10 +924,16 @@ def _announcement(rnd: dict, at: str, n: int, k: int) -> IndexSets:
     try:
         sets = IndexSets(i_set=i_set, j_set=j_set, m=m)
     except ValueError as exc:
-        raise ValueError(f"{at}: {exc}") from None
+        raise ValueError(f"rounds[{at}]: {exc}") from None
     if len(i_set) != k:
-        raise ValueError(f"{at}: the announced sets hold {len(i_set)} positions each, not k = {k}")
+        raise ValueError(
+            f"rounds[{at}]: the announced sets hold {len(i_set)} positions each, not k = {k}"
+        )
     return sets
+
+
+def _angle(protocol_id: str, x) -> float:
+    return check_channel_angle(protocol_id, _float(x))
 
 
 def _bc_sender_from_dict(d: dict) -> CommitSenderState:
@@ -932,19 +949,19 @@ def _bc_sender_from_dict(d: dict) -> CommitSenderState:
             c0=_field(rnd, "c0", _int, at),
             c1=_field(rnd, "c1", _int, at),
         )
-        for rnd, at in _rounds(d, l)
+        for at, rnd in enumerate(_rounds(d, l))
     )
     return CommitSenderState(
         protocol_id=d["protocol_id"],
         bit=_field(d, "bit", _int),
         n=n,
         k=k,
-        theta=_field(d, "theta", _float),
+        theta=_field(d, "theta", functools.partial(_angle, d["protocol_id"])),
         rounds=rounds,
     )
 
 
-def _bc_receiver_round(rnd: dict, at: str, n: int, k: int) -> ReceiverCommitRound:
+def _bc_receiver_round(rnd: dict, at: int, n: int, k: int) -> ReceiverCommitRound:
     sets = _announcement(rnd, at, n, k)
     return ReceiverCommitRound(
         sets=sets,
@@ -957,12 +974,12 @@ def _bc_receiver_round(rnd: dict, at: str, n: int, k: int) -> ReceiverCommitRoun
 
 def _bc_receiver_from_dict(d: dict) -> CommitReceiverState:
     l, n, k = _field(d, "l", _count), _field(d, "n", _int), _field(d, "k", _count)
-    rounds = tuple(_bc_receiver_round(rnd, at, n, k) for rnd, at in _rounds(d, l))
+    rounds = tuple(_bc_receiver_round(rnd, at, n, k) for at, rnd in enumerate(_rounds(d, l)))
     return CommitReceiverState(
         protocol_id=d["protocol_id"],
         n=n,
         k=k,
-        theta=_field(d, "theta", _float),
+        theta=_field(d, "theta", functools.partial(_angle, d["protocol_id"])),
         rounds=rounds,
     )
 
@@ -975,7 +992,7 @@ def _bc_open_from_dict(d: dict) -> OpenMessage:
             declared_x=_field(rnd, "declared_x", _pos_vals, at),
             declared_y=_field(rnd, "declared_y", _pos_vals, at),
         )
-        for rnd, at in _rounds(d)
+        for at, rnd in enumerate(_rounds(d))
     )
     return OpenMessage(protocol_id=d["protocol_id"], rounds=rounds)
 
@@ -999,7 +1016,7 @@ def _p5_sender_from_dict(d: dict) -> P5SenderState:
 def _p5_receiver_from_dict(d: dict) -> P5ReceiverState:
     m, n = _field(d, "m", _count), _field(d, "n", _int)
     records = _field(d, "records", _records)
-    if [len(row) for row in records] != [n] * m:
+    if len(records) != m or any(len(row) != n for row in records):
         raise ValueError(f"field 'records' must hold m x n = {m} x {n} entries")
     cells = np.array(records, dtype=np.int8).reshape(m, n, 2)
     basis = cells[..., 0]

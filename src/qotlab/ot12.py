@@ -19,12 +19,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .qsim import RngStream
-from .rot import USD, ReceiverRecord, RotConfig, SenderRecord, run_rot
+from .rot import HONEST, USD, ReceiverRecord, RotConfig, SenderRecord, run_rot
 
 DEFAULT_ALPHA = Fraction(1, 16)
 BASE_RATE = Fraction(1, 4)
@@ -249,10 +249,11 @@ def binomial_tail(n: int, p: float, threshold: int) -> float:
 
 
 def choose_index_sets(
-    receiver: ReceiverRecord,
+    conclusive: Sequence[int],
     n: int,
     k: int,
     rng: RngStream,
+    strategy: str = HONEST,
 ) -> Optional[IndexSets]:
     """Draw I from the conclusive positions and J from the rest; None = abort.
 
@@ -262,9 +263,8 @@ def choose_index_sets(
     exist is J topped up from the conclusive leftovers. The discriminating
     receiver (strategy USD) swaps the roles: J is filled from leftover
     conclusive positions first, so that 2k conclusive bits make both masks
-    known to him.
+    known to him. The draws are I, then J, then the slot bit m.
     """
-    conclusive = [pos for pos, _ in receiver.conclusive]
     if len(conclusive) < k:
         return None
     i_set = rng.subset(conclusive, k)
@@ -272,7 +272,7 @@ def choose_index_sets(
     leftovers = [p for p in conclusive if p not in taken]
     known = set(conclusive)
     unknown = [p for p in range(1, n + 1) if p not in known]
-    first, second = (leftovers, unknown) if receiver.strategy == USD else (unknown, leftovers)
+    first, second = (leftovers, unknown) if strategy == USD else (unknown, leftovers)
     if len(first) >= k:
         j_set = rng.subset(first, k)
     else:
@@ -290,18 +290,18 @@ def mask(values: Iterable[int]) -> int:
 
 
 def sender_encrypt(
-    bits: np.ndarray, x_set: Sequence[int], y_set: Sequence[int], b0: int, b1: int
+    bits: Sequence[int], x_set: Sequence[int], y_set: Sequence[int], b0: int, b1: int
 ) -> tuple[int, int]:
-    """Mask b0 with the sent bits over X and b1 with those over Y."""
+    """Mask b0 with the sent bits over X and b1 with those over Y; `bits` is
+    the sent string as a list of ints, position p at index p - 1."""
     if b0 not in (0, 1) or b1 not in (0, 1):
         raise ValueError("messages must be bits")
     if set(x_set) & set(y_set):
         raise ValueError("announced sets must be disjoint")
-    sent = np.asarray(bits).tolist()
     positions = (*x_set, *y_set)
-    if positions and not (1 <= min(positions) and max(positions) <= len(sent)):
+    if positions and not (1 <= min(positions) and max(positions) <= len(bits)):
         raise ValueError("announced position out of range")
-    return b0 ^ mask([sent[p - 1] for p in x_set]), b1 ^ mask([sent[p - 1] for p in y_set])
+    return b0 ^ mask([bits[p - 1] for p in x_set]), b1 ^ mask([bits[p - 1] for p in y_set])
 
 
 def receiver_decrypt(c_m: int, values: Iterable[Optional[int]]) -> int:
@@ -314,37 +314,43 @@ def receiver_decrypt(c_m: int, values: Iterable[Optional[int]]) -> int:
     return c_m ^ mask([int(v) for v in values])
 
 
+class MaskedTransfer(NamedTuple):
+    """What the classical tail produced: the announcement, both ciphertexts
+    and the received bit, all None when the run aborted."""
+
+    sets: Optional[IndexSets]
+    c0: Optional[int]
+    c1: Optional[int]
+    b_received: Optional[int]
+
+    @property
+    def aborted(self) -> bool:
+        return self.sets is None
+
+
+_ABORTED = MaskedTransfer(None, None, None, None)
+
+
 def run_masked_transfer(
-    sender: SenderRecord,
-    receiver: ReceiverRecord,
+    bits: Sequence[int],
+    conclusive: Sequence[tuple[int, int]],
     n: int,
     k: int,
     b0: int,
     b1: int,
     rng: RngStream,
-) -> Ot12Transcript:
-    """The classical tail of the protocol, applied to a finished qubit phase."""
-    sets = choose_index_sets(receiver, n, k, rng)
+    strategy: str = HONEST,
+) -> MaskedTransfer:
+    """The classical tail of the protocol, applied to a finished qubit phase:
+    the sent bits as a list and the receiver's conclusive (position, value)
+    pairs, positions increasing in 1..n."""
+    sets = choose_index_sets([pos for pos, _ in conclusive], n, k, rng, strategy)
     if sets is None:
-        return Ot12Transcript(
-            sender=sender,
-            receiver=receiver,
-            sets=None,
-            c0=None,
-            c1=None,
-            b_received=None,
-        )
-    c0, c1 = sender_encrypt(sender.bits, sets.x_set, sets.y_set, b0, b1)
-    cmap = receiver.conclusive_map()
-    b_received = receiver_decrypt(sets.pick(c0, c1), [cmap.get(p) for p in sets.i_set])
-    return Ot12Transcript(
-        sender=sender,
-        receiver=receiver,
-        sets=sets,
-        c0=c0,
-        c1=c1,
-        b_received=b_received,
-    )
+        return _ABORTED
+    c0, c1 = sender_encrypt(bits, sets.x_set, sets.y_set, b0, b1)
+    values = dict(conclusive)
+    b_received = receiver_decrypt(sets.pick(c0, c1), [values.get(p) for p in sets.i_set])
+    return MaskedTransfer(sets, c0, c1, b_received)
 
 
 def run_ot12(
@@ -360,7 +366,10 @@ def run_ot12(
     config = RotConfig(n=n, theta=theta)
     k = transfer_k(n, alpha)
     sender, receiver = run_rot(config, strategy, rng)
-    return run_masked_transfer(sender, receiver, n, k, b0, b1, rng)
+    tail = run_masked_transfer(
+        sender.bits.tolist(), receiver.conclusive, n, k, b0, b1, rng, strategy
+    )
+    return Ot12Transcript(sender, receiver, *tail)
 
 
 def abort_rate_exact(n: int, rate: float, alpha: Fraction) -> float:

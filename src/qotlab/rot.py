@@ -80,18 +80,6 @@ class SenderRecord:
         object.__setattr__(self, "bits", bits)
 
 
-def check_conclusive(conclusive, n: int) -> None:
-    """Refuse conclusive (position, value) pairs unless the positions
-    strictly increase within 1..n and every value is a bit."""
-    last = 0
-    for pos, val in conclusive:
-        if not last < pos <= n:
-            raise ValueError("conclusive positions must be increasing and in [1, n]")
-        if val not in (0, 1):
-            raise ValueError("conclusive values must be bits")
-        last = pos
-
-
 @dataclass(frozen=True)
 class ReceiverRecord:
     """Per-qubit basis bits plus the conclusive (position, value) pairs.
@@ -110,7 +98,14 @@ class ReceiverRecord:
         basis = np.array(self.basis_choices, dtype=np.int8)
         basis.flags.writeable = False
         object.__setattr__(self, "basis_choices", basis)
-        check_conclusive(self.conclusive, len(basis))
+        # positions strictly increase within 1..n, and every value is a bit
+        last = 0
+        for pos, val in self.conclusive:
+            if not last < pos <= len(basis):
+                raise ValueError("conclusive positions must be increasing and in [1, n]")
+            if val not in (0, 1):
+                raise ValueError("conclusive values must be bits")
+            last = pos
 
     @classmethod
     def from_decoded(

@@ -383,7 +383,7 @@ def test_verify_refuses_a_forged_announcement(tmp_path):
     opening = json.loads((tmp_path / "open.json").read_text())
     rnd, orn = receiver["rounds"][0], opening["rounds"][0]
     assert receiver["k"] == 3
-    known = {c["pos"]: c["val"] for c in rnd["conclusive"]}
+    known = {p: int(c) for p, c in enumerate(rnd["conclusive"], start=1) if c != "-"}
     rnd["i_set"] = [11, 7, 4, 11]
     declared = [{"pos": p, "val": known.get(p, 0)} for p in rnd["i_set"]]
     # the masked slot: X (c0, share0) when m = 0, Y (c1, share1) when m = 1
@@ -448,30 +448,44 @@ def test_verify_refuses_a_malformed_announcement(mutate, reason, tmp_path, capsy
 
 
 _CONCLUSIVE = "'rounds[0].conclusive' is malformed: "
-_CONCLUSIVE_ORDER = _CONCLUSIVE + "conclusive positions must be increasing"
+
+
+def _first_cell(cells: str, want_conclusive: bool) -> int:
+    return next(i for i, c in enumerate(cells) if (c != "-") == want_conclusive)
+
+
+def _set_cell(cells: str, i: int, value: str) -> str:
+    return cells[:i] + value + cells[i + 1:]
 
 
 @pytest.mark.parametrize(
     "mutate, reason",
     [
-        (lambda pairs: pairs.append({"pos": 999, "val": 1}), _CONCLUSIVE_ORDER),
-        (lambda pairs: pairs.append({"pos": -5, "val": 1}), _CONCLUSIVE_ORDER),
-        (lambda pairs: pairs[0].update(val=7), _CONCLUSIVE + "conclusive values must be bits"),
-        (lambda pairs: pairs.append(dict(pairs[-1])), _CONCLUSIVE_ORDER),
-        (lambda pairs: pairs.clear(), _CONCLUSIVE + "announced I position"),
+        (lambda cells: cells + "1", _CONCLUSIVE + "expected a string of n = 16 cells, got 17"),
+        (lambda cells: cells[:-1], _CONCLUSIVE + "expected a string of n = 16 cells, got 15"),
+        (
+            lambda cells: _set_cell(cells, _first_cell(cells, True), "7"),
+            _CONCLUSIVE + "cell '7' is not one of '01-'",
+        ),
+        (
+            lambda cells: _set_cell(cells, _first_cell(cells, False), "?"),
+            _CONCLUSIVE + "cell '?' is not one of '01-'",
+        ),
+        (lambda cells: "-" * len(cells), _CONCLUSIVE + "announced I position"),
     ],
-    ids=["past-n", "negative", "not-a-bit", "repeated", "emptied"],
+    ids=["past-n", "short", "not-a-bit", "bad-character", "emptied"],
 )
 def test_verify_refuses_a_forged_conclusive_record(mutate, reason, tmp_path, capsys):
-    """The receiver file's conclusive pairs pass the check a receiver record
-    makes in memory, and every I position must be one of them."""
+    """The receiver file's decoded cells hold one bit or "-" per position,
+    and every I position must be conclusive."""
     common = ["--out", str(tmp_path)]
     assert main(
         ["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", "--seed", "3", *common]
     ) == 0
     assert main(["open", *common]) == 0
     receiver = json.loads((tmp_path / "receiver.json").read_text())
-    mutate(receiver["rounds"][0]["conclusive"])
+    rnd = receiver["rounds"][0]
+    rnd["conclusive"] = mutate(rnd["conclusive"])
     (tmp_path / "receiver.json").write_text(json.dumps(receiver))
     capsys.readouterr()
     assert main(["verify", *common]) == 2
@@ -488,7 +502,7 @@ _COUNTED_COMMITS = {"p2bc": ["--l", "2", "--n", "16"], "p5": []}
         ("receiver.json", "k", 2, "rounds[0]: the announced sets hold 3 positions each, not k = 2"),
         ("receiver.json", "l", 3, "field 'rounds' holds 2 rounds, but field 'l' is 3"),
         ("sender.json", "l", 1, "field 'rounds' holds 2 rounds, but field 'l' is 1"),
-        ("sender.json", "n", 8, "'rounds[0].r' is malformed: expected a list of n = 8 bits"),
+        ("sender.json", "n", 8, "'rounds[0].r' is malformed: expected a string of n = 8 cells, got 16"),
         ("p5/sender.json", "m", 7, "field 'strings' holds 3 strings, but field 'm' is 7"),
         ("p5/sender.json", "n", 6, "field 'strings[0]' has length 8, but field 'n' is 6"),
     ],
@@ -541,7 +555,7 @@ def test_verify_refuses_an_unknown_p5_outcome_record(record, tmp_path, capsys):
 
 # a round that announces nothing: with k = 0 every check of the opening holds
 _EMPTY_ROUND = {
-    "m": 0, "i_set": [], "j_set": [], "conclusive": [], "c0": 1, "c1": 0, "received_share": 1
+    "m": 0, "i_set": [], "j_set": [], "conclusive": "-" * 16, "c0": 1, "c1": 0, "received_share": 1
 }
 _EMPTY_OPEN_ROUND = {"share0": 1, "share1": 0, "declared_x": [], "declared_y": []}
 _SHARE_SPLIT = {"protocol_id": "P2-BC", "n": 16, "theta": math.pi / 4}
@@ -591,6 +605,59 @@ def test_open_refuses_a_sender_that_commits_nothing(protocol, field, tmp_path, c
     assert main(["open", *common]) == 2
     assert f"field '{field}' is malformed: expected a count of at least 1, got 0" in (
         capsys.readouterr().err
+    )
+
+
+_THETA = "field 'theta' is malformed: "
+_RANGE = _THETA + "theta must lie in (0, pi/2], got "
+_FIXED = _THETA + "the pair and blinded channels fix theta at pi/4, got "
+
+
+@pytest.mark.parametrize(
+    "protocol, name, theta, reason",
+    [
+        ("p2bc", "receiver.json", math.nan, _RANGE + "nan"),
+        ("p2bc", "receiver.json", math.inf, _RANGE + "inf"),
+        ("p2bc", "receiver.json", 0.0, _RANGE + "0.0"),
+        ("p2bc", "receiver.json", 2.0, _RANGE + "2.0"),
+        ("p2bc", "sender.json", -5.0, _RANGE + "-5.0"),
+        ("p3", "receiver.json", 0.7, _FIXED + "0.7"),
+        ("p4", "sender.json", 0.7, _FIXED + "0.7"),
+        ("p3", "receiver.json", 10**400, _THETA + "expected a number, got an integer too large for a float"),
+    ],
+    ids=["nan", "inf", "zero", "past-pi/2", "negative", "p3-off-pi/4", "p4-off-pi/4", "400-digits"],
+)
+def test_a_transcript_angle_the_channel_cannot_run_at_is_refused(
+    protocol, name, theta, reason, tmp_path, capsys
+):
+    """theta is read as bc_commit_over_ot takes it: finite, in (0, pi/2],
+    and pi/4 on the pair and blinded channels. Unchecked, a NaN receiver
+    angle would verify, a negative sender angle would open, and a 400-digit
+    integer would end in an OverflowError."""
+    common = ["--out", str(tmp_path)]
+    assert main(["commit", "--protocol", protocol, "--seed", "3", *common]) == 0
+    assert main(["open", *common]) == 0
+    doc = json.loads((tmp_path / name).read_text())
+    doc["theta"] = theta
+    (tmp_path / name).write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["open" if name == "sender.json" else "verify", *common]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+def test_a_p5_receiver_with_a_huge_string_count_is_refused(tmp_path, capsys):
+    """The record shape is checked without building an m-long list, which
+    for m = 10**30 would end in an OverflowError."""
+    common = ["--out", str(tmp_path)]
+    assert main(["commit", "--protocol", "p5", "--seed", "3", *common]) == 0
+    assert main(["open", *common]) == 0
+    doc = json.loads((tmp_path / "receiver.json").read_text())
+    doc["m"] = 10**30
+    (tmp_path / "receiver.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", *common]) == 2
+    assert capsys.readouterr().err == (
+        f"error: field 'records' must hold m x n = {10**30} x 8 entries\n"
     )
 
 

@@ -111,6 +111,8 @@ _scalars = st.one_of(
     st.floats(),
     st.text(max_size=6),
     st.sampled_from(sorted(PROTOCOL_FAMILIES) + ["parity", "B0", "B1", "perp", "psi"]),
+    # the share-split cells: sent bits and decoded vectors
+    st.text(alphabet="01-", max_size=26),
     st.just([]),
     st.just({}),
 )

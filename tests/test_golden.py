@@ -73,6 +73,12 @@ COMMITS = {
 }
 FILES = ("sender.json", "receiver.json", "open.json")
 
+# The share-split sender.json and receiver.json digests (p2bc, p3, p4,
+# p2bc-theta, p3-l3-n24) were recorded at version 0.2.0, which writes a
+# round's sent bits "r" and its decoded vector "conclusive" as strings of n
+# cells; the files hold the same content as before (see
+# test_the_share_split_files_hold_the_0_1_0_content), and each entry keeps
+# its 0.1.0 digest in a comment. No open.json, P5 or campaign digest moved.
 DIGESTS = {
     "rot": "cd9b3bc0f190a190e71939f2ea3136bf6ce33bb5ac60cffb52ece595bba7f494",
     "ot12": "eebcb5adc5bf0df52b94dcc33d22f5e121977c888961066c8dd807a914e05771",
@@ -92,14 +98,20 @@ DIGESTS = {
     # run_success_exact rows; the output is the earlier one with only those added
     "probe-p4": "0e391e22429fa421267a4f04eac868155487b53d8ccbedf8d145f78247af3503",
     "omission": "4b84cc90941428c426583008a53bc26f52abe03fd8a75a3842d0d1e23ffa1987",
-    "p2bc/sender.json": "511bb309a730befee44d98f5d03f79aca2ccc0fdfb31d3675dc1bcd24282757a",
-    "p2bc/receiver.json": "355eeba8ecb6dded2cbe06ad02f783c06d8a5adf818dd0e11c2d9e0fddb4a4aa",
+    # 0.1.0, before the string fields: 511bb309a730befee44d98f5d03f79aca2ccc0fdfb31d3675dc1bcd24282757a
+    "p2bc/sender.json": "1e4b304f44b1adef8da46d46c72e95bd9425d0ecc1c71fb9544b9464b61e74f5",
+    # 0.1.0, before the string fields: 355eeba8ecb6dded2cbe06ad02f783c06d8a5adf818dd0e11c2d9e0fddb4a4aa
+    "p2bc/receiver.json": "6075a86587e264e9cba8657f496b634bebbf68fe6e4095fabba3e5d8b1dff5c1",
     "p2bc/open.json": "f871e23a406a9c8dc0e46ec695ca0ee7625537da00edc109bc6a32d201d4af0d",
-    "p3/sender.json": "8abc9334d4232c0dcb49aea8292cef8702618a478a90e1c226d1652918f9f81b",
-    "p3/receiver.json": "3bc8632880ef1476e9204cba7cc073c882ccec6234da5a1343b9826432df0fef",
+    # 0.1.0, before the string fields: 8abc9334d4232c0dcb49aea8292cef8702618a478a90e1c226d1652918f9f81b
+    "p3/sender.json": "2078f3268de29943df1a6a98a08c5179ec0e81033b33bd92258300d69d96d425",
+    # 0.1.0, before the string fields: 3bc8632880ef1476e9204cba7cc073c882ccec6234da5a1343b9826432df0fef
+    "p3/receiver.json": "ecb1db086418a45abd705a78a6a8cc4a626e94fd5c3387b2769325ed9fd1d825",
     "p3/open.json": "fde22e2cad4b3ec321fed2f32014753700df31d570ca768b012d7ac11c090eb0",
-    "p4/sender.json": "94e447becc4201d90d16b927f7f99b7f2a2b2b018d4a411088bf87b7c9c1471f",
-    "p4/receiver.json": "74f7b62aa3986c067b63ed6199794d0fe38dcb40439235d6e0f0f28578d6a923",
+    # 0.1.0, before the string fields: 94e447becc4201d90d16b927f7f99b7f2a2b2b018d4a411088bf87b7c9c1471f
+    "p4/sender.json": "ad4aa8c6237a9ac5fec2029c2a218eceb55e28be9ebd2dc7d1cad701c2bb185e",
+    # 0.1.0, before the string fields: 74f7b62aa3986c067b63ed6199794d0fe38dcb40439235d6e0f0f28578d6a923
+    "p4/receiver.json": "ec4b57dc5e5c24fa95f23005758d3630df01764e927503c4bf4ce9dba3d21f7f",
     "p4/open.json": "727d7a2de4c6bcb1519bd41e92357124ed9fb53d4f5828a37a43ad49fc793636",
     "p5/sender.json": "fcd2a07753541d59c0e9c16a12cce0e48e8ebc4f337a64a28bd9e5bca791c964",
     # recorded after the P5 receiver stopped storing its blinding angles;
@@ -108,8 +120,10 @@ DIGESTS = {
     "p5/open.json": "574917924ee44901d3ed10fe7fe8e765e7d171818b9e9dc012afb99c93376a81",
     "ot12-theta": "669265e6ce62e29150ee76cdf8c4b2b72f98e9a52ba258b8dbaa739f8ac5f836",
     "rot-theta": "e45f0085363a90e9636f95b94f70422a38977769a970f8a10360aab11d59872e",
-    "p2bc-theta/sender.json": "21af68f778d8a924a856aab39d9915923bfdef93305ef4337b909705ef9c1271",
-    "p2bc-theta/receiver.json": "225998d8197951a2ddc80ebb97586268b26850d596b9da345494214c52600d60",
+    # 0.1.0, before the string fields: 21af68f778d8a924a856aab39d9915923bfdef93305ef4337b909705ef9c1271
+    "p2bc-theta/sender.json": "294c46f4b1d4f5fd4536ec7d83657fe382e2b66e156ee0da406060b58c8a9331",
+    # 0.1.0, before the string fields: 225998d8197951a2ddc80ebb97586268b26850d596b9da345494214c52600d60
+    "p2bc-theta/receiver.json": "606df28a449738af66ef24cd17001755e1331fa9bcce3aed442e5857bb93b806",
     "p2bc-theta/open.json": "9c37aaf6db6e04793c47761bbbb2584bb330e7853f59cb022fda77720a1622ec",
     "bench-rot": "b45d1945132d165ce919e3fc2f04e3d8b8139c237cd0ece649e9a7924515d3b2",
     "bench-ot12": "b8c396fe6dd584c173807eeefb6a13dd3ea7cc10a687b044294bbd7369011631",
@@ -134,14 +148,24 @@ DIGESTS = {
     # (real arithmetic, square roots decomposed again) and
     # 1e35699a0661962366865b28a85183803b8bfdf6122246945f37fcc95abc1a57
     "nogo-theta-json": "a33c5469832a132674b699506a66d141f671b3fde3cb30dc1bb7d83b445fca07",
-    "p3-l3-n24/sender.json": "4ef42898af5cafea43bebb85bc0b2178a32887e311d275d193af2340029fbe98",
-    "p3-l3-n24/receiver.json": "0c5a04ab67238cbfa138b15e8a65db8302b9e33a3339c3a2d65cec46443523c3",
+    # 0.1.0, before the string fields: 4ef42898af5cafea43bebb85bc0b2178a32887e311d275d193af2340029fbe98
+    "p3-l3-n24/sender.json": "207cda527a5571f7f2ea23a82e4827a55a9bf4688fc26a01f6eab220ea9ede7f",
+    # 0.1.0, before the string fields: 0c5a04ab67238cbfa138b15e8a65db8302b9e33a3339c3a2d65cec46443523c3
+    "p3-l3-n24/receiver.json": "5926705c32732f7ddfd8b0c029c148623715cdeadfa915b4a7599396b0bbe2a3",
     "p3-l3-n24/open.json": "67d7ac601d4a4aebbe793bec8750879e0bed535557e3324608e8d8af9783cfd3",
     # recorded before the omission trials were measured in one stacked pass
     # and the table channels sampled from cached running sums
     "bench-omission-perfect": "66ac31a45ef14b7b23d19fa164709d7730708565e88ccc4445092ba217a91a0b",
     "rot-n1000": "adef1da13e21c4f6cb45b8b35727191be92791d65683a996c326e9e90dab292e",
     "usd-theta": "c14fef42798e432459374969415edca636f963ef15e1902dc71669b454a8fdce",
+}
+
+# A P2-BC sender.json and receiver.json written by version 0.1.0, where a
+# round's "r" was a list of bits and its "conclusive" a list of {"pos", "val"}
+# objects: commit --protocol p2bc --seed 11, the "p2bc" files pinned above.
+OLD_P2BC = {
+    name: Path(__file__).parent / "data" / f"p2bc_{name.removesuffix('.json')}_0.1.0.json"
+    for name in ("sender.json", "receiver.json")
 }
 
 # A P5 receiver.json written before the receiver stopped storing its blinding
@@ -219,3 +243,53 @@ def test_an_old_p5_receiver_file_verifies_like_the_new_one(p5_small, tmp_path, t
     else:
         assert new_result == (0, "accepted: committed bit 0\n")
     assert _verify(old) == new_result
+
+
+@pytest.fixture
+def p2bc_seeded(tmp_path):
+    """The P2-BC commit and opening that OLD_P2BC came from."""
+    workdir = tmp_path / "new"
+    _run(["commit", *COMMITS["p2bc"], "--out", str(workdir)])
+    _run(["open", "--out", str(workdir)])
+    return workdir
+
+
+def _as_cells(old_round: dict, field: str, n: int) -> str:
+    """A 0.1.0 round's list field as the string 0.2.0 writes for it."""
+    if field == "r":
+        return "".join(str(bit) for bit in old_round["r"])
+    cells = ["-"] * n
+    for pair in old_round["conclusive"]:
+        cells[pair["pos"] - 1] = str(pair["val"])
+    return "".join(cells)
+
+
+@pytest.mark.parametrize("name, field", [("sender.json", "r"), ("receiver.json", "conclusive")])
+def test_the_share_split_files_hold_the_0_1_0_content(p2bc_seeded, name, field):
+    """Each string holds the old list's bits, or the old pairs' values at
+    their positions and "-" elsewhere; every other field is equal."""
+    old = json.loads(OLD_P2BC[name].read_text())
+    new = json.loads((p2bc_seeded / name).read_text())
+    assert {**old, "rounds": None} == {**new, "rounds": None}
+    assert len(old["rounds"]) == len(new["rounds"]) == 8
+    for old_round, new_round in zip(old["rounds"], new["rounds"]):
+        cells = new_round[field]
+        assert isinstance(cells, str) and len(cells) == new["n"]
+        assert cells == _as_cells(old_round, field, new["n"])
+        assert {**old_round, field: cells} == new_round
+
+
+@pytest.mark.parametrize(
+    "command, name, field", [("open", "sender.json", "r"), ("verify", "receiver.json", "conclusive")]
+)
+def test_a_0_1_0_share_split_file_is_refused(p2bc_seeded, command, name, field):
+    """The list form is a malformed field, named, and no traceback."""
+    (p2bc_seeded / name).write_text(OLD_P2BC[name].read_text())
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([command, "--out", str(p2bc_seeded)])
+    assert (code, stdout.getvalue()) == (2, "")
+    assert stderr.getvalue() == (
+        f"error: field 'rounds[0].{field}' is malformed: "
+        "expected a string of n = 16 cells, got list\n"
+    )

@@ -237,16 +237,21 @@ def make_record(n, conclusive, strategy=HONEST):
     )
 
 
+def draw_sets(record, n, k, rng):
+    """The announcement drawn for a receiver record's conclusive positions."""
+    return choose_index_sets(record.conclusive_positions, n, k, rng, record.strategy)
+
+
 class TestIndexSets:
     def test_too_few_conclusive_aborts(self):
         n, k = 64, k_of(64)
         record = make_record(n, [(pos, 0) for pos in range(1, k)])  # k-1 conclusive
-        assert choose_index_sets(record, n, k, RngStream(1, 0)) is None
+        assert draw_sets(record, n, k, RngStream(1, 0)) is None
 
     def test_exactly_k_conclusive_succeeds(self):
         n, k = 64, k_of(64)
         record = make_record(n, [(pos, 0) for pos in range(1, k + 1)])
-        sets = choose_index_sets(record, n, k, RngStream(1, 0))
+        sets = draw_sets(record, n, k, RngStream(1, 0))
         assert sets is not None
         assert set(sets.i_set) == set(range(1, k + 1))
         assert len(sets.j_set) == k
@@ -267,7 +272,7 @@ class TestIndexSets:
         # 14 conclusive positions leave 2 inconclusive ones for a J of size 3
         record = make_record(n, [(pos, 0) for pos in range(1, 15)])
         for seed in range(20):
-            sets = choose_index_sets(record, n, k, RngStream(5, seed))
+            sets = draw_sets(record, n, k, RngStream(5, seed))
             assert {15, 16} <= set(sets.j_set)
             assert len(sets.j_set) == k
             assert not set(sets.i_set) & set(sets.j_set)
@@ -284,7 +289,7 @@ class TestIndexSets:
         record = make_record(n, [(pos, 0) for pos in range(1, 2 * k)])
         trials = 4000
         ones = sum(
-            choose_index_sets(record, n, k, RngStream(3, t)).m for t in range(trials)
+            draw_sets(record, n, k, RngStream(3, t)).m for t in range(trials)
         )
         sigma = math.sqrt(0.25 / trials)
         assert abs(ones / trials - 0.5) < 5 * sigma
@@ -293,14 +298,14 @@ class TestIndexSets:
         n, k = 64, k_of(64)
         # the discriminating receiver draws J from its leftover conclusive positions
         record = make_record(n, [(pos, 0) for pos in range(1, 2 * k + 1)], strategy=USD)
-        sets = choose_index_sets(record, n, k, RngStream(4, 0))
+        sets = draw_sets(record, n, k, RngStream(4, 0))
         conclusive = set(p for p, _ in record.conclusive)
         assert set(sets.i_set) <= conclusive
         assert set(sets.j_set) <= conclusive
 
 
 def test_encrypt_decrypt_round_trip():
-    bits = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.int8)
+    bits = [1, 0, 1, 1, 0, 0, 1, 0]
     x_set, y_set = (1, 3, 5), (2, 4, 8)
     c0, c1 = sender_encrypt(bits, x_set, y_set, b0=1, b1=0)
     s_x = bits[0] ^ bits[2] ^ bits[4]
