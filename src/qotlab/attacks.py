@@ -26,7 +26,6 @@ import numpy as np
 
 from .bitcommit import (
     ENCODE_ANGLE,
-    P5Grids,
     P5OpenMessage,
     P5ReceiverState,
     PROTOCOL_P5,
@@ -325,18 +324,19 @@ def omission_attack_p5(
         alphas = blinding_angles(rng, (m, n))
         draws.append((withheld, sent_bits, alphas, *honest_draws(rng, m * (n - 1))))
     withheld, sent_bits, alphas, x, u = (np.concatenate(column) for column in zip(*draws))
-    sent_bits = sent_bits.reshape(trials * m, n)
     present = np.arange(n) != withheld[:, np.newaxis]
-    records = p5_measure_record(blinded_amps(alphas, sent_bits), alphas, x, u, present)
     if perfect_detectors:
-        detected = (records.basis < 0).reshape(trials, m * n).any(axis=1)
+        # the missing clicks reject the commit before anything is measured
+        detected = ~present.reshape(trials, m * n).all(axis=1)
         never = np.zeros(trials, dtype=bool)
         return OmissionAttackReport(detected, never, never)
+    sent_bits = sent_bits.reshape(trials * m, n)
+    decoded = p5_measure_record(blinded_amps(alphas, sent_bits), alphas, x, u, present)
     # the withheld bit of each string sets its parity to the target
     rows = np.arange(trials * m)
     partial = (sent_bits.sum(axis=1) - sent_bits[rows, withheld]) & 1
     function = parity_function(n)
-    stacked = P5ReceiverState(protocol_id=PROTOCOL_P5, function=function, records=records)
+    stacked = P5ReceiverState(protocol_id=PROTOCOL_P5, function=function, decoded=decoded)
     accepted = np.zeros((2, trials), dtype=bool)
     for target in (0, 1):
         declared = sent_bits.copy()
@@ -351,9 +351,7 @@ def omission_attack_p5(
         for t in range(trials):
             cut = slice(t * m, (t + 1) * m)
             receiver = P5ReceiverState(
-                protocol_id=PROTOCOL_P5,
-                function=function,
-                records=P5Grids(records.basis[cut], records.decoded[cut]),
+                protocol_id=PROTOCOL_P5, function=function, decoded=decoded[cut]
             )
             msg = P5OpenMessage(protocol_id=PROTOCOL_P5, bit=target, strings=strings[cut])
             accepted[target, t] = p5_verify(receiver, msg).accepted

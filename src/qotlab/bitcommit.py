@@ -50,7 +50,6 @@ from .rot import (
     HONEST,
     ReceiverRecord,
     RotConfig,
-    _decode_honest,
     honest_decode,
     honest_draws,
     run_rot,
@@ -218,8 +217,11 @@ class SenderCommitRound:
 
 @dataclass(frozen=True)
 class ReceiverCommitRound:
+    """One completed round on the receiver's side; `decoded` is the round's
+    read-only int8 row of decoded bits, -1 where nothing was learned."""
+
     sets: IndexSets
-    conclusive: tuple[tuple[int, int], ...]
+    decoded: np.ndarray
     c0: int
     c1: int
     received_share: int
@@ -285,10 +287,10 @@ def _reject(reason: str) -> VerifyResult:
 
 def _ot_channel(
     variant: str, rounds: int, n: int, theta: float, rng: RngStream
-) -> tuple[np.ndarray, list[list[tuple[int, int]]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The qubit phase of `rounds` transfer rounds, sampled as one pass: the
-    sent bits as a read-only (rounds, n) int8 array, and each round's
-    conclusive (position, value) pairs with positions renumbered 1..n."""
+    sent bits and the receiver's decoded bits (-1 where inconclusive), each
+    a read-only (rounds, n) int8 array."""
     size = rounds * n
     if variant == PROTOCOL_P2BC:
         sender, receiver = run_rot(RotConfig(n=size, theta=theta), HONEST, rng)
@@ -302,11 +304,11 @@ def _ot_channel(
         bits = rng.bits(size)
         receiver = p4_unblind_and_measure(blinded_amps(alphas, bits), alphas, rng)
     bits.flags.writeable = False
-    conclusive = [[] for _ in range(rounds)]
+    cells = bytearray(b"\xff") * size  # -1 as int8 bytes: nothing learned
     for pos, val in receiver.conclusive:
-        r, i = divmod(pos - 1, n)
-        conclusive[r].append((i + 1, val))
-    return bits.reshape(rounds, n), conclusive
+        cells[pos - 1] = val
+    decoded = np.frombuffer(bytes(cells), dtype=np.int8)
+    return bits.reshape(rounds, n), decoded.reshape(rounds, n)
 
 
 def check_channel_angle(variant: str, theta: float) -> float:
@@ -348,18 +350,19 @@ def bc_commit_over_ot(
     for _wave in range(MAX_WAVES):
         missing = l - len(sender_rounds)
         shares0 = rng.bits(missing).tolist()
-        bits, conclusive = _ot_channel(variant, missing, n, theta, rng)
-        for share0, row, sent, pairs in zip(shares0, bits, bits.tolist(), conclusive):
+        bits, decoded = _ot_channel(variant, missing, n, theta, rng)
+        for r, (share0, sent, cells) in enumerate(zip(shares0, bits.tolist(), decoded.tolist())):
             share1 = share0 ^ b
+            pairs = [(pos, val) for pos, val in enumerate(cells, start=1) if val >= 0]
             t = run_masked_transfer(sent, pairs, n, k, share0, share1, rng)
             if t.aborted:
                 continue
             sets = t.sets
             sender_rounds.append(
-                SenderCommitRound(share0, share1, row, sets.x_set, sets.y_set, t.c0, t.c1)
+                SenderCommitRound(share0, share1, bits[r], sets.x_set, sets.y_set, t.c0, t.c1)
             )
             receiver_rounds.append(
-                ReceiverCommitRound(sets, tuple(pairs), t.c0, t.c1, t.b_received)
+                ReceiverCommitRound(sets, decoded[r], t.c0, t.c1, t.b_received)
             )
         if len(sender_rounds) == l:
             break
@@ -413,11 +416,12 @@ def bc_verify(receiver_state: CommitReceiverState, open_msg: OpenMessage) -> Ver
             return _reject(f"round {idx}: declared X positions differ from the announcement")
         if tuple(p for p, _ in orec.declared_y) != rrec.sets.y_set:
             return _reject(f"round {idx}: declared Y positions differ from the announcement")
-        cmap = dict(rrec.conclusive)
+        cells = rrec.decoded.tolist()
         for pos, val in orec.declared_x + orec.declared_y:
             if val not in (0, 1):
                 return _reject(f"round {idx}: declared value at position {pos} is not a bit")
-            if pos in cmap and cmap[pos] != val:
+            # a decoded cell contradicts a declared bit iff it is the other bit; -1 is neither
+            if cells[pos - 1] == val ^ 1:
                 return _reject(
                     f"round {idx}: declared bit at position {pos} contradicts a conclusive outcome"
                 )
@@ -509,29 +513,14 @@ class P5SenderState:
     strings: tuple[tuple[int, ...], ...]
 
 
-class P5Grids(NamedTuple):
-    """The outcomes of an (m, n) qubit grid as two read-only int8 grids: the
-    basis bit of each qubit, and its decoded bit. Both are -1 where the
-    qubit never arrived; the decoded bit is also -1 where the outcome was
-    inconclusive."""
-
-    basis: np.ndarray
-    decoded: np.ndarray
-
-
-def _p5_grids(basis: np.ndarray, decoded: np.ndarray) -> P5Grids:
-    basis.flags.writeable = False
-    decoded.flags.writeable = False
-    return P5Grids(basis, decoded)
-
-
 @dataclass(frozen=True)
 class P5ReceiverState:
-    """The outcome grids measured at commit."""
+    """The grid measured at commit: a read-only (m, n) int8 array of decoded
+    bits, -1 where a qubit never arrived or its outcome was inconclusive."""
 
     protocol_id: str
     function: BooleanFunctionSpec
-    records: P5Grids
+    decoded: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -547,11 +536,12 @@ def p5_measure_record(
     x: np.ndarray,
     u: np.ndarray,
     present: Optional[np.ndarray] = None,
-) -> P5Grids:
-    """Unblind every qubit of an (m, n) grid and measure each in its basis.
+) -> np.ndarray:
+    """Unblind every qubit of an (m, n) grid and measure each in its basis:
+    the read-only (m, n) int8 grid of decoded bits.
 
     `amps` is (m, n, 2), `alphas` (m, n). Where the optional (m, n) mask
-    `present` is False the qubit never arrived and both its grid cells are -1.
+    `present` is False the qubit never arrived and its cell is -1.
     The arriving qubits, in row-major order, take their basis bits from `x`
     and their uniforms from `u`, the draws of `honest_draws`.
     """
@@ -563,12 +553,11 @@ def p5_measure_record(
     count = np.count_nonzero(present)
     if len(x) != count or len(u) != count:
         raise ValueError("need one basis bit and one uniform per arriving qubit")
-    basis = np.full(alphas.shape, -1, dtype=np.int8)
-    decoded = basis.copy()
-    basis[present] = x
+    decoded = np.full(alphas.shape, -1, dtype=np.int8)
     unblinded = rotate_rows(amps[present], -alphas[present])
     decoded[present] = honest_decode(unblinded, ENCODE_ANGLE, x, u)
-    return _p5_grids(basis, decoded)
+    decoded.flags.writeable = False
+    return decoded
 
 
 def p5_commit(
@@ -590,12 +579,12 @@ def p5_commit(
         raise ValueError("function arity must equal the string length n")
     strings = p5_sample_strings(b, m, function, rng)
     alphas = blinding_angles(rng, (m, n))
-    records = p5_measure_record(
+    decoded = p5_measure_record(
         blinded_amps(alphas, np.array(strings)), alphas, *honest_draws(rng, m * n)
     )
     return CommitTranscript(
         sender=P5SenderState(protocol_id=PROTOCOL_P5, bit=b, function=function, strings=strings),
-        receiver=P5ReceiverState(protocol_id=PROTOCOL_P5, function=function, records=records),
+        receiver=P5ReceiverState(protocol_id=PROTOCOL_P5, function=function, decoded=decoded),
     )
 
 
@@ -612,7 +601,7 @@ def p5_verify(receiver_state: P5ReceiverState, open_msg: P5OpenMessage) -> Verif
     an inconclusive outcome) checks nothing. The first contradicted qubit in
     row-major order is reported.
     """
-    decoded, function = receiver_state.records.decoded, receiver_state.function
+    decoded, function = receiver_state.decoded, receiver_state.function
     if open_msg.protocol_id != PROTOCOL_P5:
         return _reject("protocol identifier mismatch")
     if open_msg.bit not in (0, 1):
@@ -650,7 +639,7 @@ def _bc_sender_to_dict(state: CommitSenderState) -> dict:
             {
                 "share0": rnd.share0,
                 "share1": rnd.share1,
-                "r": (rnd.bits + ord("0")).tobytes().decode("ascii"),
+                "r": _cells_text(rnd.bits),
                 "x_set": list(rnd.x_set),
                 "y_set": list(rnd.y_set),
                 "c0": rnd.c0,
@@ -661,18 +650,16 @@ def _bc_sender_to_dict(state: CommitSenderState) -> dict:
     }
 
 
-# a share-split round's strings in JSON: one cell per position, the sent bit
-# ("r") or the decoded bit ("conclusive"), and this cell where no bit was learned
-_NOT_LEARNED = "-"
+# an int8 row in JSON: one cell per position, the sent bit ("r") or the
+# decoded bit ("conclusive"), and "-" where no bit was learned (-1, the byte 0xff)
+_DECODED_CELLS = "01-"
+_TO_CELLS = bytes.maketrans(b"\x00\x01\xff", _DECODED_CELLS.encode("ascii"))
+_FROM_CELLS = bytes.maketrans(_DECODED_CELLS.encode("ascii"), b"\x00\x01\xff")
 
 
-def _decoded_text(conclusive: tuple[tuple[int, int], ...], n: int) -> str:
-    """The decoded vector of a round as n cells: the value at each conclusive
-    position, _NOT_LEARNED elsewhere."""
-    cells = [_NOT_LEARNED] * n
-    for pos, val in conclusive:
-        cells[pos - 1] = "01"[val]
-    return "".join(cells)
+def _cells_text(row: np.ndarray) -> str:
+    """An int8 row of 0, 1 and -1 as its string of cells."""
+    return row.tobytes().translate(_TO_CELLS).decode("ascii")
 
 
 def _bc_receiver_to_dict(state: CommitReceiverState) -> dict:
@@ -687,7 +674,7 @@ def _bc_receiver_to_dict(state: CommitReceiverState) -> dict:
                 "m": rnd.sets.m,
                 "i_set": list(rnd.sets.i_set),
                 "j_set": list(rnd.sets.j_set),
-                "conclusive": _decoded_text(rnd.conclusive, state.n),
+                "conclusive": _cells_text(rnd.decoded),
                 "c0": rnd.c0,
                 "c1": rnd.c1,
                 "received_share": rnd.received_share,
@@ -723,26 +710,14 @@ def _p5_sender_to_dict(state: P5SenderState) -> dict:
     }
 
 
-# a P5 outcome record in JSON: [basis tag, outcome label], or null for a
-# qubit that never arrived; these strings appear nowhere else
-_P5_BASIS_TAGS = ("B0", "B1")
-_P5_OUTCOME_LABELS = ("psi", "perp")  # by outcome index, as in rot.measurement_bases
-
-
 def _p5_receiver_to_dict(state: P5ReceiverState) -> dict:
-    m, n = state.records.basis.shape
+    m, n = state.decoded.shape
     return {
         "protocol_id": state.protocol_id,
         "m": m,
         "n": n,
         "function": state.function.name,
-        "records": [
-            [
-                None if x < 0 else [_P5_BASIS_TAGS[x], _P5_OUTCOME_LABELS[d >= 0]]
-                for x, d in zip(basis_row, decoded_row)
-            ]
-            for basis_row, decoded_row in zip(*(grid.tolist() for grid in state.records))
-        ],
+        "conclusive": [_cells_text(row) for row in state.decoded],
     }
 
 
@@ -757,10 +732,11 @@ def _p5_open_to_dict(msg: P5OpenMessage) -> dict:
 _FUNCTION_REGISTRY = {"parity": parity_function}
 
 
-def _function_from_name(name: str, arity: int) -> BooleanFunctionSpec:
-    if name not in _FUNCTION_REGISTRY:
-        raise ValueError(f"unknown boolean function {name!r}")
-    return _FUNCTION_REGISTRY[name](arity)
+def _function(arity: int, x) -> BooleanFunctionSpec:
+    """The registered function named x, of the given arity."""
+    if _str(x) not in _FUNCTION_REGISTRY:
+        raise ValueError(f"unknown boolean function {x!r}")
+    return _FUNCTION_REGISTRY[x](arity)
 
 
 def _field(d, key: str, read, round_index: Optional[int] = None):
@@ -834,8 +810,9 @@ def _ints(x) -> tuple[int, ...]:
     return values
 
 
-def _cells(n: int, alphabet: str, x) -> str:
-    """A string of n cells, each one of the characters of `alphabet`."""
+def _cells(n: int, alphabet: str, x) -> np.ndarray:
+    """A string of n cells, each one of the characters of `alphabet`, read
+    back into the read-only int8 row `_cells_text` writes it from."""
     if not isinstance(x, str):
         raise TypeError(f"expected a string of n = {n} cells, got {type(x).__name__}")
     if len(x) != n:
@@ -844,14 +821,7 @@ def _cells(n: int, alphabet: str, x) -> str:
     rest = x.strip(alphabet)
     if rest:
         raise ValueError(f"cell {rest[0]!r} is not one of {alphabet!r}")
-    return x
-
-
-def _bits(n: int, x) -> np.ndarray:
-    """A round's sent bits: a string of n cells 0 or 1, as a read-only int8 row."""
-    bits = np.frombuffer(_cells(n, "01", x).encode("ascii"), dtype=np.int8) - ord("0")
-    bits.flags.writeable = False
-    return bits
+    return np.frombuffer(x.encode("ascii").translate(_FROM_CELLS), dtype=np.int8)
 
 
 def _positions(n: int, x) -> tuple[int, ...]:
@@ -881,30 +851,14 @@ def _pos_vals(x) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _conclusive(n: int, i_set: tuple[int, ...], x) -> tuple[tuple[int, int], ...]:
-    """A round's conclusive pairs, read from its n decoded cells; every
-    announced I position (sorted, in 1..n) must be conclusive."""
-    cells = _cells(n, "01" + _NOT_LEARNED, x)
+def _conclusive(n: int, i_set: tuple[int, ...], x) -> np.ndarray:
+    """A round's decoded row, read from its n cells; every announced I
+    position (sorted, in 1..n) must be conclusive."""
+    decoded = _cells(n, _DECODED_CELLS, x)
     for p in i_set:
-        if cells[p - 1] == _NOT_LEARNED:
+        if decoded[p - 1] < 0:
             raise ValueError(f"announced I position {p} is not conclusive")
-    return tuple([(pos, int(c)) for pos, c in enumerate(cells, start=1) if c != _NOT_LEARNED])
-
-
-def _record(x) -> tuple[int, int]:
-    """(basis bit, outcome index) of one outcome record; null is (-1, -1)."""
-    if x is None:
-        return -1, -1
-    if len(_list(x)) != 2:
-        raise ValueError("an outcome record is a [basis, outcome] pair")
-    tag, label = _str(x[0]), _str(x[1])
-    if tag not in _P5_BASIS_TAGS or label not in _P5_OUTCOME_LABELS:
-        raise ValueError(f"unknown outcome record {[tag, label]}")
-    return _P5_BASIS_TAGS.index(tag), _P5_OUTCOME_LABELS.index(label)
-
-
-def _records(x) -> list[list[tuple[int, int]]]:
-    return [[_record(rec) for rec in _list(row)] for row in _list(x)]
+    return decoded
 
 
 def _rounds(d: dict, l: Optional[int] = None) -> list:
@@ -937,13 +891,13 @@ def _angle(protocol_id: str, x) -> float:
 
 
 def _bc_sender_from_dict(d: dict) -> CommitSenderState:
-    l, n, k = _field(d, "l", _count), _field(d, "n", _int), _field(d, "k", _count)
+    l, n, k = _field(d, "l", _count), _field(d, "n", _count), _field(d, "k", _count)
     positions = functools.partial(_positions, n)
     rounds = tuple(
         SenderCommitRound(
             share0=_field(rnd, "share0", _int, at),
             share1=_field(rnd, "share1", _int, at),
-            bits=_field(rnd, "r", functools.partial(_bits, n), at),
+            bits=_field(rnd, "r", functools.partial(_cells, n, "01"), at),
             x_set=_field(rnd, "x_set", positions, at),
             y_set=_field(rnd, "y_set", positions, at),
             c0=_field(rnd, "c0", _int, at),
@@ -965,7 +919,7 @@ def _bc_receiver_round(rnd: dict, at: int, n: int, k: int) -> ReceiverCommitRoun
     sets = _announcement(rnd, at, n, k)
     return ReceiverCommitRound(
         sets=sets,
-        conclusive=_field(rnd, "conclusive", functools.partial(_conclusive, n, sets.i_set), at),
+        decoded=_field(rnd, "conclusive", functools.partial(_conclusive, n, sets.i_set), at),
         c0=_field(rnd, "c0", _int, at),
         c1=_field(rnd, "c1", _int, at),
         received_share=_field(rnd, "received_share", _int, at),
@@ -973,7 +927,7 @@ def _bc_receiver_round(rnd: dict, at: int, n: int, k: int) -> ReceiverCommitRoun
 
 
 def _bc_receiver_from_dict(d: dict) -> CommitReceiverState:
-    l, n, k = _field(d, "l", _count), _field(d, "n", _int), _field(d, "k", _count)
+    l, n, k = _field(d, "l", _count), _field(d, "n", _count), _field(d, "k", _count)
     rounds = tuple(_bc_receiver_round(rnd, at, n, k) for at, rnd in enumerate(_rounds(d, l)))
     return CommitReceiverState(
         protocol_id=d["protocol_id"],
@@ -998,7 +952,7 @@ def _bc_open_from_dict(d: dict) -> OpenMessage:
 
 
 def _p5_sender_from_dict(d: dict) -> P5SenderState:
-    m, n = _field(d, "m", _count), _field(d, "n", _int)
+    m, n = _field(d, "m", _count), _field(d, "n", _count)
     strings = _field(d, "strings", _int_rows)
     if len(strings) != m:
         raise ValueError(f"field 'strings' holds {len(strings)} strings, but field 'm' is {m}")
@@ -1008,24 +962,28 @@ def _p5_sender_from_dict(d: dict) -> P5SenderState:
     return P5SenderState(
         protocol_id=PROTOCOL_P5,
         bit=_field(d, "bit", _int),
-        function=_function_from_name(_field(d, "function", _str), n),
+        function=_field(d, "function", functools.partial(_function, n)),
         strings=strings,
     )
 
 
 def _p5_receiver_from_dict(d: dict) -> P5ReceiverState:
-    m, n = _field(d, "m", _count), _field(d, "n", _int)
-    records = _field(d, "records", _records)
-    if len(records) != m or any(len(row) != n for row in records):
-        raise ValueError(f"field 'records' must hold m x n = {m} x {n} entries")
-    cells = np.array(records, dtype=np.int8).reshape(m, n, 2)
-    basis = cells[..., 0]
-    # a missing qubit's outcome index -1 is no perp outcome, so it decodes -1
-    decoded = _decode_honest(basis, cells[..., 1])
+    m, n = _field(d, "m", _count), _field(d, "n", _count)
+    rows = _field(d, "conclusive", _list)
+    if len(rows) != m:
+        raise ValueError(f"field 'conclusive' holds {len(rows)} strings, but field 'm' is {m}")
+    cells = []
+    for i, row in enumerate(rows):
+        try:
+            cells.append(_cells(n, _DECODED_CELLS, row))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"field 'conclusive[{i}]' is malformed: {exc}") from None
+    decoded = np.stack(cells)
+    decoded.flags.writeable = False
     return P5ReceiverState(
         protocol_id=PROTOCOL_P5,
-        function=_function_from_name(_field(d, "function", _str), n),
-        records=_p5_grids(basis, decoded),
+        function=_field(d, "function", functools.partial(_function, n)),
+        decoded=decoded,
     )
 
 

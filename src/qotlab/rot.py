@@ -128,10 +128,6 @@ class ReceiverRecord:
         conclusive = tuple(zip((pos + 1).tolist(), values.tolist()))
         return _unchecked(cls, strategy=strategy, basis_choices=basis, conclusive=conclusive)
 
-    @property
-    def conclusive_positions(self) -> tuple[int, ...]:
-        return tuple(pos for pos, _ in self.conclusive)
-
     def conclusive_map(self) -> dict[int, int]:
         return {pos: val for pos, val in self.conclusive}
 

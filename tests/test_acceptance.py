@@ -295,7 +295,7 @@ def test_criterion_10_blinding_equivalence():
             bits = np.array([rng.bit() for _ in range(n_per_run)], dtype=np.int8)
             encoded = rotate_rows(blinded_amps(alphas), ENCODE_ANGLE * bits)
             received = p4_unblind_and_measure(encoded, alphas, rng)
-            conclusive = set(received.conclusive_positions)
+            conclusive = {pos for pos, _ in received.conclusive}
             for pos, basis in enumerate(received.basis_choices.tolist(), start=1):
                 idx = 2 * (basis == 1) + (pos in conclusive)
                 counts[arm][idx] += 1

@@ -25,7 +25,6 @@ from qotlab.attacks import (
 )
 from qotlab.bitcommit import (
     PROTOCOL_P5,
-    P5Grids,
     P5OpenMessage,
     P5ReceiverState,
     blinded_amps,
@@ -346,24 +345,22 @@ class TestProbeOnBlindedQubits:
 def reference_omission_trial(n: int, m: int, perfect_detectors: bool, rng: RngStream, flip=None):
     """One omission trial measured and verified on its own, as
     `omission_attack_p5` ran each trial before the trials shared one pass:
-    the trial's grids and its (detected, open 0 accepted, open 1 accepted)
-    outcome. `flip`, a (row, column) cell, has its decoded bit flipped
-    before the openings are verified."""
+    the trial's decoded grid and its (detected, open 0 accepted, open 1
+    accepted) outcome. `flip`, a (row, column) cell, has its decoded bit
+    flipped before the openings are verified."""
     withheld = rng.gen.integers(0, n, size=m)
     sent_bits = rng.bits(m * n).reshape(m, n)
     alphas = blinding_angles(rng, (m, n))
     present = np.arange(n) != withheld[:, np.newaxis]
     amps = blinded_amps(alphas, sent_bits)
-    basis = np.full((m, n), -1, dtype=np.int8)
-    decoded = basis.copy()
-    basis[present], decoded[present] = unblind_outcomes(amps[present], alphas[present], rng)
+    decoded = np.full((m, n), -1, dtype=np.int8)
+    _, decoded[present] = unblind_outcomes(amps[present], alphas[present], rng)
     if flip is not None:
         decoded[flip] ^= 1
     if perfect_detectors:
-        return basis, decoded, (bool((basis < 0).any()), False, False)
-    receiver = P5ReceiverState(
-        protocol_id=PROTOCOL_P5, function=parity_function(n), records=P5Grids(basis, decoded)
-    )
+        return decoded, (bool((~present).any()), False, False)
+    function = parity_function(n)
+    receiver = P5ReceiverState(protocol_id=PROTOCOL_P5, function=function, decoded=decoded)
     accepted = {}
     for target in (0, 1):
         strings = []
@@ -375,13 +372,15 @@ def reference_omission_trial(n: int, m: int, perfect_detectors: bool, rng: RngSt
             strings.append(tuple(declared))
         msg = P5OpenMessage(protocol_id=PROTOCOL_P5, bit=target, strings=tuple(strings))
         accepted[target] = p5_verify(receiver, msg).accepted
-    return basis, decoded, (False, accepted[0], accepted[1])
+    return decoded, (False, accepted[0], accepted[1])
 
 
 class TestStackedOmissionPass:
     """The omission campaign measures every trial's grid in one pass; the
     golden digests cannot see its sampling, since its rows are 0 or 1 by
-    construction, so the grids are compared here draw for draw."""
+    construction, so the grids are compared here draw for draw. With
+    perfect detectors the missing clicks reject every commit, and nothing
+    is measured."""
 
     @pytest.mark.parametrize("perfect", [False, True])
     @pytest.mark.parametrize("trials", [1, 8])
@@ -398,12 +397,14 @@ class TestStackedOmissionPass:
         for seed in (0, 5, 901):
             passes.clear()
             report = omission_attack_p5(n, m, trials, perfect, RngStream(seed, 7))
-            (stacked,) = passes
             camp = RngStream(seed, 7)
             refs = [reference_omission_trial(n, m, perfect, camp.substream(t)) for t in range(trials)]
-            np.testing.assert_array_equal(stacked.basis, np.concatenate([r[0] for r in refs]))
-            np.testing.assert_array_equal(stacked.decoded, np.concatenate([r[1] for r in refs]))
-            assert np.array_equal(np.array(report).T, [r[2] for r in refs])
+            if perfect:
+                assert passes == []
+            else:
+                (stacked,) = passes
+                np.testing.assert_array_equal(stacked, np.concatenate([r[0] for r in refs]))
+            assert np.array_equal(np.array(report).T, [r[1] for r in refs])
 
     def test_each_target_is_verified_once(self, monkeypatch):
         """Every check of `p5_verify` reads one string or one cell, so one
@@ -433,13 +434,12 @@ class TestStackedOmissionPass:
         flipped, calls = [], []
 
         def tampered(*args):
-            grids = measure(*args)
-            decoded = grids.decoded.copy()
+            decoded = measure(*args).copy()
             rows = slice(chosen * m, (chosen + 1) * m)
             i, j = np.argwhere(decoded[rows] >= 0)[0]
             decoded[chosen * m + i, j] ^= 1
             flipped.append((i, j))
-            return P5Grids(grids.basis, decoded)
+            return decoded
 
         def counted(*args):
             calls.append(verify(*args))
@@ -452,7 +452,7 @@ class TestStackedOmissionPass:
         refs = [
             reference_omission_trial(
                 n, m, False, camp.substream(t), flipped[0] if t == chosen else None
-            )[2]
+            )[1]
             for t in range(trials)
         ]
         assert np.array(report).T.tolist() == [list(r) for r in refs]

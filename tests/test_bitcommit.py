@@ -35,7 +35,6 @@ from qotlab.bitcommit import (
     p5_commit,
     p5_measure_record,
     p5_open,
-    P5Grids,
     P5OpenMessage,
     P5ReceiverState,
     p5_sample_strings,
@@ -57,6 +56,11 @@ from qotlab.qsim import (
     rotate_rows,
 )
 from qotlab.rot import HONEST, ReceiverRecord, honest_draws
+
+
+def known_bits(rnd) -> dict[int, int]:
+    """A receiver round's decoded bits by position, where one was learned."""
+    return {pos: val for pos, val in enumerate(rnd.decoded.tolist(), start=1) if val >= 0}
 
 
 class TestEntangledEncoding:
@@ -271,7 +275,7 @@ class TestTamperRejection:
         msg = bc_open(transcript.sender)
         flipped = None
         for ri, (s_rnd, r_rnd) in enumerate(zip(msg.rounds, transcript.receiver.rounds)):
-            known = dict(r_rnd.conclusive)
+            known = known_bits(r_rnd)
             for side in ("declared_x", "declared_y"):
                 declared = list(getattr(s_rnd, side))
                 hit = next((si for si, (pos, _) in enumerate(declared) if pos in known), None)
@@ -300,7 +304,7 @@ class TestTamperRejection:
             t = bc_commit_over_ot(0, l=1, n=64, variant=PROTOCOL_P2BC, rng=RngStream(600 + seed, 0))
             s_rnd, r_rnd = bc_open(t.sender).rounds[0], t.receiver.rounds[0]
             side, share = ("declared_y", "share1") if r_rnd.sets.m == 0 else ("declared_x", "share0")
-            known = dict(r_rnd.conclusive)
+            known = known_bits(r_rnd)
             for i, (pos, val) in enumerate(getattr(s_rnd, side)):
                 declared = list(getattr(s_rnd, side))
                 declared[i] = (pos, val ^ 1)
@@ -369,7 +373,7 @@ class TestTamperRejection:
         msg = bc_open(transcript.sender)
         s_rnd, r_rnd = msg.rounds[0], transcript.receiver.rounds[0]
         side, share = r_rnd.sets.pick(("declared_y", "share1"), ("declared_x", "share0"))
-        known = dict(r_rnd.conclusive)
+        known = known_bits(r_rnd)
         declared = list(getattr(s_rnd, side))
         i = next(i for i, (pos, _) in enumerate(declared) if pos not in known)
         declared[i] = (declared[i][0], declared[i][1] ^ 1)
@@ -450,12 +454,13 @@ class TestCommitWaves:
         for seed in range(10):
             t = bc_commit_over_ot(1, l=8, n=n, variant=variant, rng=RngStream(900 + seed, 0))
             for s_rnd, r_rnd in zip(t.sender.rounds, t.receiver.rounds):
-                assert s_rnd.bits.shape == (n,)
-                assert r_rnd.conclusive
-                for pos, val in r_rnd.conclusive:
-                    assert 1 <= pos <= n
+                assert s_rnd.bits.shape == r_rnd.decoded.shape == (n,)
+                assert r_rnd.decoded.dtype == np.int8 and not r_rnd.decoded.flags.writeable
+                known = known_bits(r_rnd)
+                assert known
+                for pos, val in known.items():
                     assert s_rnd.bits[pos - 1] == val
-                assert set(r_rnd.sets.i_set) <= {pos for pos, _ in r_rnd.conclusive}
+                assert set(r_rnd.sets.i_set) <= set(known)
 
     def test_a_channel_that_never_clicks_raises_after_the_last_wave(self, monkeypatch):
         qubits = []
@@ -527,7 +532,7 @@ class TestGridCommitment:
         rng = RngStream(48, 0)
         bits = rng.bits(2 * 300).reshape(2, 300)
         alphas = rng.gen.uniform(0, 2 * np.pi, size=bits.shape)
-        _, decoded = p5_measure_record(
+        decoded = p5_measure_record(
             blinded_amps(alphas, bits), alphas, *honest_draws(rng, bits.size)
         )
         values = decoded.ravel().tolist()
@@ -535,21 +540,21 @@ class TestGridCommitment:
             assert value in (-1, bit)
         assert values.count(-1) < len(values)
 
-    def test_grids_are_read_only_bits(self):
+    def test_the_grid_is_read_only_bits(self):
         rng = RngStream(48, 1)
         alphas = rng.gen.uniform(0, 2 * np.pi, size=(3, 5))
         present = np.ones(alphas.shape, dtype=bool)
         present[1, 2] = False
-        draws = honest_draws(rng, int(present.sum()))
-        basis, decoded = p5_measure_record(blinded_amps(alphas), alphas, *draws, present)
-        for grid in (basis, decoded):
-            assert grid.shape == (3, 5) and grid.dtype == np.int8
-            assert not grid.flags.writeable
-        assert basis[1, 2] == decoded[1, 2] == -1
-        assert set(basis[present].tolist()) <= {0, 1}
-        conclusive = decoded >= 0
+        x, u = honest_draws(rng, int(present.sum()))
+        decoded = p5_measure_record(blinded_amps(alphas), alphas, x, u, present)
+        assert decoded.shape == (3, 5) and decoded.dtype == np.int8
+        assert not decoded.flags.writeable
+        assert decoded[1, 2] == -1
+        arrived = decoded[present]
+        conclusive = arrived >= 0
+        assert conclusive.any() and set(arrived.tolist()) <= {-1, 0, 1}
         # a conclusive outcome in basis x decodes x xor 1
-        np.testing.assert_array_equal(decoded[conclusive], basis[conclusive] ^ 1)
+        np.testing.assert_array_equal(arrived[conclusive], x[conclusive] ^ 1)
 
     @pytest.mark.parametrize("b", [0, 1])
     def test_round_trip(self, b):
@@ -581,7 +586,7 @@ class TestGridCommitment:
             result = p5_verify(t.receiver, bad)
             expectations = []
             for j in (0, 1):
-                value = int(t.receiver.records.decoded[0, j])
+                value = int(t.receiver.decoded[0, j])
                 expectations.append(value >= 0 and value != strings[0][j])
             assert result.accepted == (not any(expectations))
             caught += not result.accepted
@@ -606,7 +611,7 @@ class TestGridCommitment:
         t = p5_commit(0, 3, 6, spec, RngStream(58, 0))
         msg = p5_open(t.sender)
         strings = [list(s) for s in msg.strings]
-        decoded = t.receiver.records.decoded[0].tolist()
+        decoded = t.receiver.decoded[0].tolist()
         a, b = [j for j, value in enumerate(decoded) if value < 0][:2]
         strings[0][a] += 2
         strings[0][b] += 2
@@ -617,16 +622,15 @@ class TestGridCommitment:
         assert "other than 0 and 1" in result.first_inconsistency
 
 
-def _loop_verify(open_msg, records, function):
-    """The per-record P5 verifier the grids replaced, kept as a reference.
+def _loop_verify(open_msg, rows, function):
+    """The per-qubit P5 verifier the grid replaced, kept as a reference.
 
-    records[i][j] is a [basis, label] pair, or None for a qubit that never
-    arrived; a "perp" label in basis "B0" decodes to 1, in "B1" to 0, and any
-    other label is inconclusive.
+    rows[i][j] is the decoded bit of qubit (i, j), or -1 for a qubit that
+    never arrived or came out inconclusive.
     """
     if open_msg.bit not in (0, 1):
         return bitcommit._reject("declared value is not a bit")
-    if len(open_msg.strings) != len(records):
+    if len(open_msg.strings) != len(rows):
         return bitcommit._reject("string count mismatch")
     for i, string in enumerate(open_msg.strings, start=1):
         if len(string) != function.arity:
@@ -635,12 +639,9 @@ def _loop_verify(open_msg, records, function):
             return bitcommit._reject(f"string {i}: holds a value other than 0 and 1")
         if function(string) != open_msg.bit:
             return bitcommit._reject(f"string {i}: function value does not match the declared bit")
-    for i, (string, row) in enumerate(zip(open_msg.strings, records), start=1):
-        for j, record in enumerate(row, start=1):
-            if record is None or record[1] != "perp":
-                continue
-            value = 1 if record[0] == "B0" else 0
-            if value != string[j - 1]:
+    for i, (string, row) in enumerate(zip(open_msg.strings, rows), start=1):
+        for j, value in enumerate(row, start=1):
+            if value >= 0 and value != string[j - 1]:
                 return bitcommit._reject(
                     f"qubit ({i},{j}): conclusive outcome contradicts the declared bit"
                 )
@@ -649,8 +650,7 @@ def _loop_verify(open_msg, records, function):
 
 @st.composite
 def _grid_and_opening(draw):
-    """A receiver's (basis, decoded) grids with absent, inconclusive and
-    conclusive cells, the same grids as [basis, label] records, and an
+    """A receiver's decoded grid with learned and unlearned cells, and an
     opening of the sent strings with some of these faults: flipped bits
     (one flip changes the string's parity, a pair keeps it), a flipped
     conclusive bit, a value other than a bit, a string too short or too long,
@@ -659,15 +659,9 @@ def _grid_and_opening(draw):
     bit = draw(st.integers(0, 1))
     sent = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=m, max_size=m)))
     sent[:, -1] ^= (sent.sum(axis=1) & 1) ^ bit  # every string has parity `bit`
-    kinds = np.array(draw(st.lists(st.lists(st.sampled_from("aic"), min_size=n, max_size=n), min_size=m, max_size=m)))
-    guesses = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=m, max_size=m)))
-    # a conclusive outcome in basis x decodes x xor 1, and never errs
-    basis = np.where(kinds == "a", -1, np.where(kinds == "c", sent ^ 1, guesses)).astype(np.int8)
-    decoded = np.where(kinds == "c", sent, -1).astype(np.int8)
-    records = [
-        [None if k == "a" else (f"B{x}", "perp" if k == "c" else "psi") for k, x in zip(krow, xrow)]
-        for krow, xrow in zip(kinds.tolist(), basis.tolist())
-    ]
+    learned = np.array(draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=m, max_size=m)))
+    # a conclusive outcome never errs; a missing or inconclusive qubit decodes -1
+    decoded = np.where(learned, sent, -1).astype(np.int8)
     strings = sent.tolist()
     for i, j in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 2)), max_size=4)):
         strings[i][j] ^= 1
@@ -676,7 +670,7 @@ def _grid_and_opening(draw):
         strings[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] ^= 1
     fault = draw(st.sampled_from(["none", "contradict", "value", "short", "long", "fewer", "more", "bit"]))
     i = draw(st.integers(0, m - 1))
-    conclusive = np.argwhere(kinds == "c").tolist()
+    conclusive = np.argwhere(learned).tolist()
     if fault == "contradict" and conclusive:
         # flip a conclusive cell and its neighbour, which keeps the parity
         i, j = conclusive[draw(st.integers(0, len(conclusive) - 1))]
@@ -695,20 +689,18 @@ def _grid_and_opening(draw):
     elif fault == "bit":
         bit ^= 1
     opening = P5OpenMessage(protocol_id=PROTOCOL_P5, bit=bit, strings=tuple(map(tuple, strings)))
-    return basis, decoded, records, opening
+    return decoded, opening
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=_grid_and_opening())
-def test_grid_verifier_matches_the_record_loop(case):
-    basis, decoded, records, opening = case
-    function = parity_function(basis.shape[1])
+def test_grid_verifier_matches_the_per_qubit_loop(case):
+    decoded, opening = case
+    function = parity_function(decoded.shape[1])
     decoded.flags.writeable = False
-    receiver = P5ReceiverState(
-        protocol_id=PROTOCOL_P5, function=function, records=P5Grids(basis, decoded)
-    )
+    receiver = P5ReceiverState(protocol_id=PROTOCOL_P5, function=function, decoded=decoded)
     got = p5_verify(receiver, opening)
-    want = _loop_verify(opening, records, function)
+    want = _loop_verify(opening, decoded.tolist(), function)
     assert got == want
 
 

@@ -536,21 +536,64 @@ def test_open_refuses_a_sender_position_out_of_range(tmp_path, capsys):
     assert "'rounds[0].x_set' is malformed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("record", [["B7", "maybe"], ["B7", "perp"], ["B0", "maybe"]])
-def test_verify_refuses_an_unknown_p5_outcome_record(record, tmp_path, capsys):
-    """Only the two basis tags and the two outcome labels the commit writes
-    are read; anything else is a malformed transcript, not an outcome."""
+@pytest.mark.parametrize(
+    "mutate, reason",
+    [
+        (lambda cells: cells + "-", "expected a string of n = 8 cells, got 9"),
+        (lambda cells: cells[:-1], "expected a string of n = 8 cells, got 7"),
+        (lambda cells: "perp" + cells[4:], "cell 'p' is not one of '01-'"),
+        (lambda cells: list(cells), "expected a string of n = 8 cells, got list"),
+        (lambda cells: None, "expected a string of n = 8 cells, got NoneType"),
+    ],
+    ids=["long", "short", "bad-character", "list", "null"],
+)
+def test_verify_refuses_a_forged_p5_conclusive_string(mutate, reason, tmp_path, capsys):
+    """A P5 receiver file holds one string of n decoded cells per string the
+    committer encoded; anything else is refused, naming the string's index."""
     common = ["--out", str(tmp_path)]
     assert main(["commit", "--protocol", "p5", "--seed", "3", *common]) == 0
     assert main(["open", *common]) == 0
-    capsys.readouterr()
     receiver = json.loads((tmp_path / "receiver.json").read_text())
-    receiver["records"] = [[record for _ in row] for row in receiver["records"]]
+    receiver["conclusive"][1] = mutate(receiver["conclusive"][1])
     (tmp_path / "receiver.json").write_text(json.dumps(receiver))
-    result = run_cli(["verify", *common])
-    assert result.returncode == 2, result.stdout
-    assert result.stderr.startswith("error: field 'records' is malformed: ")
-    assert "Traceback" not in result.stderr
+    capsys.readouterr()
+    assert main(["verify", *common]) == 2
+    assert capsys.readouterr().err == f"error: field 'conclusive[1]' is malformed: {reason}\n"
+
+
+_NO_N = "field 'n' is malformed: expected a count of at least 1, got 0"
+
+
+@pytest.mark.parametrize(
+    "protocol, name, field, value, reason",
+    [
+        ("p2bc", "receiver.json", "n", 0, _NO_N),
+        ("p5", "receiver.json", "n", 0, _NO_N),
+        (
+            "p5", "sender.json", "function", "majority",
+            "field 'function' is malformed: unknown boolean function 'majority'",
+        ),
+        (
+            "p5", "receiver.json", "function", "majority",
+            "field 'function' is malformed: unknown boolean function 'majority'",
+        ),
+    ],
+)
+def test_every_header_refusal_names_its_field(
+    protocol, name, field, value, reason, tmp_path, capsys
+):
+    """A string length of 0 or an unknown function is refused as the header
+    field that holds it, not as the round or arity it would break; the
+    sender files' `n` is refused with the other counts below."""
+    common = ["--out", str(tmp_path)]
+    assert main(["commit", "--protocol", protocol, "--seed", "3", *common]) == 0
+    assert main(["open", *common]) == 0
+    doc = json.loads((tmp_path / name).read_text())
+    doc[field] = value
+    (tmp_path / name).write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["open" if name == "sender.json" else "verify", *common]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
 
 
 # a round that announces nothing: with k = 0 every check of the opening holds
@@ -576,7 +619,7 @@ _SHARE_SPLIT = {"protocol_id": "P2-BC", "n": 16, "theta": math.pi / 4}
         ),
         (
             "m",
-            {"protocol_id": "P5", "m": 0, "n": 8, "function": "parity", "records": []},
+            {"protocol_id": "P5", "m": 0, "n": 8, "function": "parity", "conclusive": []},
             {"protocol_id": "P5", "bit": 1, "strings": []},
         ),
     ],
@@ -594,7 +637,9 @@ def test_verify_refuses_a_transcript_that_commits_nothing(field, receiver, openi
     )
 
 
-@pytest.mark.parametrize("protocol, field", [("p2bc", "k"), ("p2bc", "l"), ("p5", "m")])
+@pytest.mark.parametrize(
+    "protocol, field", [("p2bc", "k"), ("p2bc", "l"), ("p2bc", "n"), ("p5", "m"), ("p5", "n")]
+)
 def test_open_refuses_a_sender_that_commits_nothing(protocol, field, tmp_path, capsys):
     common = ["--out", str(tmp_path)]
     assert main(["commit", "--protocol", protocol, "--seed", "25", *common]) == 0
@@ -646,7 +691,7 @@ def test_a_transcript_angle_the_channel_cannot_run_at_is_refused(
 
 
 def test_a_p5_receiver_with_a_huge_string_count_is_refused(tmp_path, capsys):
-    """The record shape is checked without building an m-long list, which
+    """The string count is checked without building anything m long, which
     for m = 10**30 would end in an OverflowError."""
     common = ["--out", str(tmp_path)]
     assert main(["commit", "--protocol", "p5", "--seed", "3", *common]) == 0
@@ -657,7 +702,7 @@ def test_a_p5_receiver_with_a_huge_string_count_is_refused(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", *common]) == 2
     assert capsys.readouterr().err == (
-        f"error: field 'records' must hold m x n = {10**30} x 8 entries\n"
+        f"error: field 'conclusive' holds 3 strings, but field 'm' is {10**30}\n"
     )
 
 

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,11 @@ from hypothesis import strategies as st
 from qotlab import cli
 from qotlab.bitcommit import (
     PROTOCOL_FAMILIES,
+    PROTOCOL_P2BC,
     PROTOCOL_P5,
+    CommitReceiverState,
+    P5ReceiverState,
+    ReceiverCommitRound,
     bc_commit_over_ot,
     open_message_from_dict,
     open_message_to_dict,
@@ -24,6 +30,7 @@ from qotlab.bitcommit import (
     sender_state_to_dict,
     verify_from_states,
 )
+from qotlab.ot12 import IndexSets
 from qotlab.qsim import RngStream
 
 
@@ -110,8 +117,8 @@ _scalars = st.one_of(
     st.integers(-(2**70), 2**70),
     st.floats(),
     st.text(max_size=6),
-    st.sampled_from(sorted(PROTOCOL_FAMILIES) + ["parity", "B0", "B1", "perp", "psi"]),
-    # the share-split cells: sent bits and decoded vectors
+    st.sampled_from(sorted(PROTOCOL_FAMILIES) + ["parity"]),
+    # cells: sent bits and decoded rows
     st.text(alphabet="01-", max_size=26),
     st.just([]),
     st.just({}),
@@ -184,3 +191,86 @@ def test_verify_is_total_on_any_single_replaced_value(transcripts, protocol, nam
     assert code in (0, 2, 3), (code, stdout.getvalue(), stderr.getvalue())
     if code == 2:
         assert stderr.getvalue().startswith("error: ")
+
+
+# a decoded row: the decoded bit at each position, -1 where nothing was learned
+_decoded_rows = st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n)
+)
+
+
+def _receiver_files(row: list[int]) -> list[tuple[dict, list, int, str]]:
+    """The receiver files that hold `row`, each as (its dict, the list that
+    holds the row's string, the string's index there, the name a refusal
+    gives it): a P5 file with the row as its one string, and a one-round
+    share-split file announcing I at the row's first conclusive position,
+    when it has one and n > 1."""
+    n = len(row)
+    decoded = np.array(row, dtype=np.int8)
+    p5 = receiver_state_to_dict(
+        P5ReceiverState(PROTOCOL_P5, parity_function(n), decoded[np.newaxis])
+    )
+    files = [(p5, p5["conclusive"], 0, "conclusive[0]")]
+    learned = [pos for pos, val in enumerate(row, start=1) if val >= 0]
+    if learned and n > 1:
+        i_pos = learned[0]
+        j_pos = 2 if i_pos == 1 else 1
+        sets = IndexSets(i_set=(i_pos,), j_set=(j_pos,), m=0)
+        rnd = ReceiverCommitRound(sets, decoded, 0, 0, 0)
+        state = CommitReceiverState(PROTOCOL_P2BC, n, 1, math.pi / 4, (rnd,))
+        split = receiver_state_to_dict(state)
+        files.append((split, split["rounds"][0], "conclusive", "rounds[0].conclusive"))
+    return files
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=_decoded_rows)
+def test_any_decoded_row_round_trips_through_both_receiver_files(row):
+    """One writer and one reader serve both families: each cell is "0", "1"
+    or "-" (nothing learned), and reading it back gives the read-only int8
+    row that was written."""
+    text = "".join("01-"[val] for val in row)
+    for doc, holder, key, _ in _receiver_files(row):
+        assert holder[key] == text
+        state = receiver_state_from_dict(json.loads(json.dumps(doc)))
+        rows = [rnd.decoded for rnd in state.rounds] if "rounds" in doc else list(state.decoded)
+        assert [r.tolist() for r in rows] == [row]
+        assert all(r.dtype == np.int8 and not r.flags.writeable for r in rows)
+
+
+def _forgeries(text: str):
+    """Anything but a string of len(text) cells from "01-": one cell replaced
+    by another character, a string of another length, or a non-string."""
+    n = len(text)
+    return st.one_of(
+        st.tuples(
+            st.integers(0, n - 1), st.characters(exclude_characters="01-")
+        ).map(lambda cut: text[:cut[0]] + cut[1] + text[cut[0] + 1:]),
+        st.text(alphabet="01-", max_size=45).filter(lambda s: len(s) != n),
+        _json_values.filter(lambda v: not isinstance(v, str)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=_decoded_rows, data=st.data())
+def test_a_forged_cell_string_is_refused_naming_it(row, data):
+    text = "".join("01-"[val] for val in row)
+    forged = data.draw(_forgeries(text), label="forged")
+    for doc, holder, key, name in _receiver_files(row):
+        holder[key] = forged
+        with pytest.raises(ValueError) as refusal:
+            receiver_state_from_dict(doc)
+        assert str(refusal.value).startswith(f"field '{name}' is malformed: ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(row=_decoded_rows)
+def test_an_unlearned_cell_at_an_announced_i_position_is_refused(row):
+    for doc, holder, key, name in _receiver_files(row)[1:]:
+        i_pos = doc["rounds"][0]["i_set"][0]
+        holder[key] = holder[key][:i_pos - 1] + "-" + holder[key][i_pos:]
+        with pytest.raises(ValueError) as refusal:
+            receiver_state_from_dict(doc)
+        assert str(refusal.value) == (
+            f"field '{name}' is malformed: announced I position {i_pos} is not conclusive"
+        )

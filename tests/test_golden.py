@@ -79,6 +79,10 @@ FILES = ("sender.json", "receiver.json", "open.json")
 # cells; the files hold the same content as before (see
 # test_the_share_split_files_hold_the_0_1_0_content), and each entry keeps
 # its 0.1.0 digest in a comment. No open.json, P5 or campaign digest moved.
+# The P5 receiver.json digest was recorded at version 0.3.0, which writes the
+# decoded grid as m strings of n cells, "conclusive", in place of the
+# [basis, outcome] "records" (see test_the_p5_receiver_file_holds_the_0_2_0_content);
+# it keeps its 0.2.0 digest in a comment.
 DIGESTS = {
     "rot": "cd9b3bc0f190a190e71939f2ea3136bf6ce33bb5ac60cffb52ece595bba7f494",
     "ot12": "eebcb5adc5bf0df52b94dcc33d22f5e121977c888961066c8dd807a914e05771",
@@ -114,9 +118,8 @@ DIGESTS = {
     "p4/receiver.json": "ec4b57dc5e5c24fa95f23005758d3630df01764e927503c4bf4ce9dba3d21f7f",
     "p4/open.json": "727d7a2de4c6bcb1519bd41e92357124ed9fb53d4f5828a37a43ad49fc793636",
     "p5/sender.json": "fcd2a07753541d59c0e9c16a12cce0e48e8ebc4f337a64a28bd9e5bca791c964",
-    # recorded after the P5 receiver stopped storing its blinding angles;
-    # the file is the earlier one with only its "alphas" key removed
-    "p5/receiver.json": "3297fead4b6dfa97e3f7987d5d4dc8727ee349ae635215fbfae27e982f1bed66",
+    # 0.2.0, before the decoded cells: 3297fead4b6dfa97e3f7987d5d4dc8727ee349ae635215fbfae27e982f1bed66
+    "p5/receiver.json": "845914e7538b2ef7b5febd929c5ebfb0cbf06f90580d40cfda65ad7c0a69d20a",
     "p5/open.json": "574917924ee44901d3ed10fe7fe8e765e7d171818b9e9dc012afb99c93376a81",
     "ot12-theta": "669265e6ce62e29150ee76cdf8c4b2b72f98e9a52ba258b8dbaa739f8ac5f836",
     "rot-theta": "e45f0085363a90e9636f95b94f70422a38977769a970f8a10360aab11d59872e",
@@ -168,9 +171,12 @@ OLD_P2BC = {
     for name in ("sender.json", "receiver.json")
 }
 
-# A P5 receiver.json written before the receiver stopped storing its blinding
-# angles: commit --protocol p5 --n 4 --m 2 --seed 11. It still holds "alphas".
-OLD_P5_RECEIVER = Path(__file__).parent / "data" / "p5_receiver_with_alphas.json"
+# Two older P5 receiver.json files of commit --protocol p5 --n 4 --m 2
+# --seed 11, both holding the grid as [basis, outcome] "records": one from
+# version 0.2.0, and one from before the receiver stopped storing its
+# blinding angles, which still holds "alphas".
+OLD_P5_RECEIVER = Path(__file__).parent / "data" / "p5_receiver_0.2.0.json"
+OLD_P5_RECEIVER_WITH_ALPHAS = Path(__file__).parent / "data" / "p5_receiver_with_alphas.json"
 
 
 def _run(argv: list[str]) -> None:
@@ -199,11 +205,12 @@ def test_seeded_outputs_match_their_digests(tmp_path):
     assert got == DIGESTS
 
 
-def _verify(workdir: Path) -> tuple[int, str]:
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = cli.main(["verify", "--out", str(workdir)])
-    return code, stdout.getvalue()
+def _main(command: str, workdir: Path) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one command on a transcript directory."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([command, "--out", str(workdir)])
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 @pytest.fixture
@@ -215,34 +222,31 @@ def p5_small(tmp_path):
     return workdir
 
 
-def test_the_p5_receiver_file_only_loses_its_blinding_angles(p5_small):
+def _decoded_cell(record) -> str:
+    """A 0.2.0 outcome record as the cell 0.3.0 writes for it: a perp
+    outcome in basis x decodes x xor 1, anything else is "-"."""
+    if record is None or record[1] != "perp":
+        return "-"
+    return "1" if record[0] == "B0" else "0"
+
+
+def test_the_p5_receiver_file_holds_the_0_2_0_content(p5_small):
+    """Each string holds the old records' decoded bits, and every other
+    field is equal."""
     old = json.loads(OLD_P5_RECEIVER.read_text())
-    assert "alphas" in old
-    del old["alphas"]
-    expected = json.dumps(old, indent=2, sort_keys=True) + "\n"
-    assert (p5_small / "receiver.json").read_text() == expected
+    new = json.loads((p5_small / "receiver.json").read_text())
+    records = old.pop("records")
+    assert new.pop("conclusive") == ["".join(map(_decoded_cell, row)) for row in records]
+    assert old == new
 
 
-@pytest.mark.parametrize("tamper", [False, True])
-def test_an_old_p5_receiver_file_verifies_like_the_new_one(p5_small, tmp_path, tamper):
-    if tamper:
-        opening = json.loads((p5_small / "open.json").read_text())
-        # two flips keep the string's parity, so only the conclusive outcome
-        # at qubit (2,4) can reject it
-        opening["strings"][1][0] ^= 1
-        opening["strings"][1][3] ^= 1
-        (p5_small / "open.json").write_text(json.dumps(opening))
-    old = tmp_path / "old"
-    old.mkdir()
-    (old / "receiver.json").write_text(OLD_P5_RECEIVER.read_text())
-    (old / "open.json").write_text((p5_small / "open.json").read_text())
-    new_result = _verify(p5_small)
-    if tamper:
-        reason = "qubit (2,4): conclusive outcome contradicts the declared bit"
-        assert new_result == (3, f"rejected: {reason}\n")
-    else:
-        assert new_result == (0, "accepted: committed bit 0\n")
-    assert _verify(old) == new_result
+@pytest.mark.parametrize(
+    "path", [OLD_P5_RECEIVER, OLD_P5_RECEIVER_WITH_ALPHAS], ids=["0.2.0", "with-alphas"]
+)
+def test_an_old_p5_receiver_file_is_refused(p5_small, path):
+    """The records form is a missing "conclusive" field, and no traceback."""
+    (p5_small / "receiver.json").write_text(path.read_text())
+    assert _main("verify", p5_small) == (2, "", "error: missing field 'conclusive'\n")
 
 
 @pytest.fixture
@@ -285,11 +289,9 @@ def test_the_share_split_files_hold_the_0_1_0_content(p2bc_seeded, name, field):
 def test_a_0_1_0_share_split_file_is_refused(p2bc_seeded, command, name, field):
     """The list form is a malformed field, named, and no traceback."""
     (p2bc_seeded / name).write_text(OLD_P2BC[name].read_text())
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main([command, "--out", str(p2bc_seeded)])
-    assert (code, stdout.getvalue()) == (2, "")
-    assert stderr.getvalue() == (
+    assert _main(command, p2bc_seeded) == (
+        2,
+        "",
         f"error: field 'rounds[0].{field}' is malformed: "
-        "expected a string of n = 16 cells, got list\n"
+        "expected a string of n = 16 cells, got list\n",
     )

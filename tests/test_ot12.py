@@ -239,7 +239,8 @@ def make_record(n, conclusive, strategy=HONEST):
 
 def draw_sets(record, n, k, rng):
     """The announcement drawn for a receiver record's conclusive positions."""
-    return choose_index_sets(record.conclusive_positions, n, k, rng, record.strategy)
+    positions = [pos for pos, _ in record.conclusive]
+    return choose_index_sets(positions, n, k, rng, record.strategy)
 
 
 class TestIndexSets:
@@ -262,7 +263,7 @@ class TestIndexSets:
         rng = RngStream(2, 0)
         t = run_ot12(64, 0, 1, HONEST, rng)
         assert not t.aborted
-        conclusive = set(t.receiver.conclusive_positions)
+        conclusive = {pos for pos, _ in t.receiver.conclusive}
         assert set(t.sets.i_set) <= conclusive
         assert not set(t.sets.j_set) & conclusive
         assert len(t.sets.i_set) == len(t.sets.j_set) == k_of(64)

@@ -150,7 +150,6 @@ def test_receiver_record_helpers():
         basis_choices=(0, 1, 0),
         conclusive=((1, 0), (2, 1)),
     )
-    assert record.conclusive_positions == (1, 2)
     assert record.conclusive_map() == {1: 0, 2: 1}
     assert record.basis_choices.dtype == np.int8
     assert not record.basis_choices.flags.writeable

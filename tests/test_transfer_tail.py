@@ -1,7 +1,9 @@
 """The classical tail on plain data against the per-record path it replaced.
 
 `run_masked_transfer` takes a run's sent bits as a list and its conclusive
-pairs, and a commitment hands it row slices of each wave's one channel pass.
+pairs, and a commitment hands it the rows of each wave's one channel pass.
+A completed round keeps its rows: the sent bits and the decoded bits, -1
+where nothing was learned.
 The reference below is the earlier route: per-round `SenderRecord` and
 `ReceiverRecord` built and checked from the pass, the announcement drawn
 from the receiver record, then `sender_encrypt` and `receiver_decrypt`.
@@ -108,9 +110,10 @@ def reference_commit_over_ot(b, l, n, variant, rng, theta=ENCODE_ANGLE, alpha=DE
             sender_rounds.append(
                 SenderCommitRound(share0, share1, round_sender.bits, sets.x_set, sets.y_set, c0, c1)
             )
-            receiver_rounds.append(
-                ReceiverCommitRound(sets, round_receiver.conclusive, c0, c1, received)
-            )
+            decoded = [-1] * n
+            for pos, val in round_receiver.conclusive:
+                decoded[pos - 1] = val
+            receiver_rounds.append(ReceiverCommitRound(sets, decoded, c0, c1, received))
         if len(sender_rounds) == l:
             break
     return (
@@ -127,6 +130,12 @@ def _sender_fields(state: CommitSenderState):
     return head, rounds
 
 
+def _receiver_fields(state: CommitReceiverState):
+    head = (state.protocol_id, state.n, state.k, state.theta)
+    rounds = [(r.sets, list(r.decoded), r.c0, r.c1, r.received_share) for r in state.rounds]
+    return head, rounds
+
+
 @pytest.mark.parametrize("n", [6, 16, 24])
 @pytest.mark.parametrize("l", [1, 3, 8])
 @pytest.mark.parametrize(
@@ -140,10 +149,10 @@ def test_a_commitment_equals_the_per_record_reference(variant, theta, l, n):
         t = bc_commit_over_ot(b, l, n, variant, rng, theta=theta)
         ref_sender, ref_receiver = reference_commit_over_ot(b, l, n, variant, ref_rng, theta=theta)
         assert _sender_fields(t.sender) == _sender_fields(ref_sender), seed
-        assert t.receiver == ref_receiver, seed
+        assert _receiver_fields(t.receiver) == _receiver_fields(ref_receiver), seed
         assert rng.gen.bit_generator.state == ref_rng.gen.bit_generator.state, seed
-        for rnd in t.sender.rounds:
-            assert rnd.bits.dtype == "int8" and not rnd.bits.flags.writeable
+        for row in [r.bits for r in t.sender.rounds] + [r.decoded for r in t.receiver.rounds]:
+            assert row.dtype == "int8" and not row.flags.writeable
 
 
 @pytest.mark.parametrize("theta", [math.pi / 4, 0.7])
