@@ -36,7 +36,6 @@ from .bitcommit import (
     p5_measure_record,
     p5_verify,
     parity_function,
-    unblind_outcomes,
 )
 from .qsim import (
     DensityMatrix,
@@ -46,11 +45,12 @@ from .qsim import (
     bell_state,
     born_probabilities,
     fidelity,
+    inverse_cdf,
     make_nonorthogonal_pair,
     rotate_rows,
     rotation_plane,
 )
-from .rot import PERP_INDEX, honest_draws, honest_probabilities
+from .rot import HONEST_DECODE, PERP_INDEX, honest_draws, honest_probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +253,11 @@ def probe_attack_p4(n: int, trials: int, rng: RngStream) -> np.ndarray:
     size = trials * n
     alphas = blinding_angles(rng, size)
     r = rng.bits(size)
-    amps = entangle_probe_rows(blinded_amps(alphas))
-    _, decoded = unblind_outcomes(rotate_rows(amps, ENCODE_ANGLE * r), alphas, rng)
+    probed = rotate_rows(entangle_probe_rows(blinded_amps(alphas)), ENCODE_ANGLE * r)
+    # the probe leaves the turned-back qubit off the coding pair: no table, a Born step per row
+    x, u = honest_draws(rng, size)
+    probs = honest_probabilities(rotate_rows(probed, -alphas), ENCODE_ANGLE, x)
+    decoded = HONEST_DECODE[x, inverse_cdf(probs, u)]
     return ((decoded >= 0) & (decoded != r)).reshape(trials, n)
 
 
@@ -321,9 +324,10 @@ def omission_attack_p5(
         rng = camp.substream(t)
         withheld = rng.gen.integers(0, n, size=m)
         sent_bits = rng.bits(m * n)
-        alphas = blinding_angles(rng, (m, n))
-        draws.append((withheld, sent_bits, alphas, *honest_draws(rng, m * (n - 1))))
-    withheld, sent_bits, alphas, x, u = (np.concatenate(column) for column in zip(*draws))
+        # the receiver's secret angles; unblinding cancels them (p4_unblind_and_measure)
+        blinding_angles(rng, (m, n))
+        draws.append((withheld, sent_bits, *honest_draws(rng, m * (n - 1))))
+    withheld, sent_bits, x, u = (np.concatenate(column) for column in zip(*draws))
     present = np.arange(n) != withheld[:, np.newaxis]
     if perfect_detectors:
         # the missing clicks reject the commit before anything is measured
@@ -331,7 +335,7 @@ def omission_attack_p5(
         never = np.zeros(trials, dtype=bool)
         return OmissionAttackReport(detected, never, never)
     sent_bits = sent_bits.reshape(trials * m, n)
-    decoded = p5_measure_record(blinded_amps(alphas, sent_bits), alphas, x, u, present)
+    decoded = p5_measure_record(sent_bits, x, u, present)
     # the withheld bit of each string sets its parity to the target
     rows = np.arange(trials * m)
     partial = (sent_bits.sum(axis=1) - sent_bits[rows, withheld]) & 1

@@ -42,22 +42,15 @@ from .qsim import (
     apply_on_qubit,
     batch_probabilities,
     bell_state,
-    rotate_rows,
     rotation_plane,
     running_sums,
 )
-from .rot import (
-    HONEST,
-    ReceiverRecord,
-    RotConfig,
-    honest_decode,
-    honest_draws,
-    run_rot,
-)
+from .rot import ChannelPass, honest_channel, honest_draws, sample_table
 
-# Not used below (the channels sample through the batched kernel), but
-# bench/tracing.py wraps the per-state engine under this name here.
+# Not used below (the channels sample cached tables), but bench/tracing.py
+# wraps the per-state engine and the plain run under these names here.
 from .qsim import measure_projective  # noqa: F401
+from .rot import run_rot  # noqa: F401
 
 PROTOCOL_P2BC = "P2-BC"
 PROTOCOL_P3 = "P3"
@@ -151,12 +144,10 @@ def _p3_decode() -> np.ndarray:
     return decode
 
 
-def p3_measure(r_bits: np.ndarray, rng: RngStream) -> ReceiverRecord:
-    """Measure the returned pair of each bit of r_bits in a uniformly chosen
-    pair basis, sampled from its `p3_born_sums` column."""
-    x = rng.bits(len(r_bits))
-    outcomes = rng.choice_from_sums(p3_born_sums()[:, 2 * np.asarray(r_bits) + x])
-    return ReceiverRecord.from_decoded(HONEST, x, _p3_decode()[x, outcomes])
+def p3_measure(r_bits: np.ndarray, x: np.ndarray, u: np.ndarray) -> ChannelPass:
+    """Measure the returned pair of each bit of r_bits in pair basis x[i],
+    sampled from its `p3_born_sums` column with uniform u[i]."""
+    return sample_table(p3_born_sums(), _p3_decode(), r_bits, x, u)
 
 
 # ---------------------------------------------------------------------------
@@ -175,26 +166,17 @@ def blinded_amps(alphas, bits=0) -> np.ndarray:
     return np.stack((np.cos(angle), np.sin(angle)), axis=-1)
 
 
-def unblind_outcomes(
-    amps: np.ndarray, alphas: np.ndarray, rng: RngStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate each row back by its blinding angle, then measure qubit 0 like
-    the plain honest receiver, in a uniform basis per row: the basis bits and
-    the decoded bits.
+def p4_unblind_and_measure(bits: np.ndarray, x: np.ndarray, u: np.ndarray) -> ChannelPass:
+    """The blinded receiver's pass over the returned qubits.
 
-    After unblinding, an encoded 0 is |0> and an encoded 1 is |+>, so the
-    statistics carry no trace of the blinding angles.
+    The receiver turns |0> by a secret angle, the committer turns it by the
+    encoding angle iff her bit is 1, and the receiver turns it back. The
+    encoding rotation commutes with the blinding, so after unblinding an
+    encoded 0 is |0> and an encoded 1 is |+>: the plain coding pair at pi/4,
+    whatever the angles were. So the honest receiver samples the plain
+    channel's table at `ENCODE_ANGLE`, with the draws of `honest_draws`.
     """
-    alphas = np.asarray(alphas)
-    if alphas.shape != (len(amps),):
-        raise ValueError("need one blinding angle per row")
-    x, u = honest_draws(rng, len(amps))
-    return x, honest_decode(rotate_rows(amps, -alphas), ENCODE_ANGLE, x, u)
-
-
-def p4_unblind_and_measure(amps: np.ndarray, alphas: np.ndarray, rng: RngStream) -> ReceiverRecord:
-    """The blinded receiver's record of the returned qubits."""
-    return ReceiverRecord.from_decoded(HONEST, *unblind_outcomes(amps, alphas, rng))
+    return honest_channel(bits, x, u, ENCODE_ANGLE)
 
 
 # ---------------------------------------------------------------------------
@@ -290,25 +272,22 @@ def _ot_channel(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The qubit phase of `rounds` transfer rounds, sampled as one pass: the
     sent bits and the receiver's decoded bits (-1 where inconclusive), each
-    a read-only (rounds, n) int8 array."""
+    a read-only (rounds, n) int8 array. The draws are the P4 receiver's
+    blinding angles, the sent bits, then the receiver's `honest_draws`."""
     size = rounds * n
+    if variant == PROTOCOL_P4:
+        # the receiver's secret angles; unblinding cancels them (p4_unblind_and_measure)
+        blinding_angles(rng, size)
+    bits = rng.bits(size)
+    x, u = honest_draws(rng, size)
     if variant == PROTOCOL_P2BC:
-        sender, receiver = run_rot(RotConfig(n=size, theta=theta), HONEST, rng)
-        bits = sender.bits
+        received = honest_channel(bits, x, u, theta)
     elif variant == PROTOCOL_P3:
-        bits = rng.bits(size)
-        receiver = p3_measure(bits, rng)
+        received = p3_measure(bits, x, u)
     else:
-        # P4: the receiver blinds |0> by a uniform angle, the committer encodes
-        alphas = blinding_angles(rng, size)
-        bits = rng.bits(size)
-        receiver = p4_unblind_and_measure(blinded_amps(alphas, bits), alphas, rng)
+        received = p4_unblind_and_measure(bits, x, u)
     bits.flags.writeable = False
-    cells = bytearray(b"\xff") * size  # -1 as int8 bytes: nothing learned
-    for pos, val in receiver.conclusive:
-        cells[pos - 1] = val
-    decoded = np.frombuffer(bytes(cells), dtype=np.int8)
-    return bits.reshape(rounds, n), decoded.reshape(rounds, n)
+    return bits.reshape(rounds, n), received.decoded.reshape(rounds, n)
 
 
 def check_channel_angle(variant: str, theta: float) -> float:
@@ -353,8 +332,7 @@ def bc_commit_over_ot(
         bits, decoded = _ot_channel(variant, missing, n, theta, rng)
         for r, (share0, sent, cells) in enumerate(zip(shares0, bits.tolist(), decoded.tolist())):
             share1 = share0 ^ b
-            pairs = [(pos, val) for pos, val in enumerate(cells, start=1) if val >= 0]
-            t = run_masked_transfer(sent, pairs, n, k, share0, share1, rng)
+            t = run_masked_transfer(sent, cells, n, k, share0, share1, rng)
             if t.aborted:
                 continue
             sets = t.sets
@@ -449,8 +427,8 @@ class BooleanFunctionSpec:
     func: Callable[[tuple[int, ...]], int]
     name: str
 
-    def __call__(self, bits) -> int:
-        return int(self.func(tuple(int(b) for b in bits)))
+    def __call__(self, bits: tuple[int, ...]) -> int:
+        return int(self.func(bits))
 
 
 def parity_function(n: int) -> BooleanFunctionSpec:
@@ -496,7 +474,7 @@ def p5_sample_strings(
     strings = []
     draws = 0
     while len(strings) < m:
-        candidate = tuple(int(x) for x in rng.bits(function.arity))
+        candidate = tuple(rng.bits(function.arity).tolist())
         draws += 1
         if function(candidate) == b:
             strings.append(candidate)
@@ -531,31 +509,24 @@ class P5OpenMessage:
 
 
 def p5_measure_record(
-    amps: np.ndarray,
-    alphas: np.ndarray,
+    bits: np.ndarray,
     x: np.ndarray,
     u: np.ndarray,
     present: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Unblind every qubit of an (m, n) grid and measure each in its basis:
-    the read-only (m, n) int8 grid of decoded bits.
+    """Measure every qubit of an (m, n) grid of encoded bits like the P4
+    receiver, after unblinding: the read-only (m, n) int8 grid of decoded bits.
 
-    `amps` is (m, n, 2), `alphas` (m, n). Where the optional (m, n) mask
-    `present` is False the qubit never arrived and its cell is -1.
-    The arriving qubits, in row-major order, take their basis bits from `x`
-    and their uniforms from `u`, the draws of `honest_draws`.
+    Where the optional (m, n) mask `present` is False the qubit never arrived
+    and its cell is -1. The arriving qubits, in row-major order, take their
+    basis bits from `x` and their uniforms from `u`, the draws of
+    `honest_draws`.
     """
-    alphas = np.asarray(alphas)
-    if amps.shape != alphas.shape + (2,):
-        raise ValueError("need one blinding angle per qubit of the grid")
+    bits = np.asarray(bits)
     if present is None:
-        present = np.ones(alphas.shape, dtype=bool)
-    count = np.count_nonzero(present)
-    if len(x) != count or len(u) != count:
-        raise ValueError("need one basis bit and one uniform per arriving qubit")
-    decoded = np.full(alphas.shape, -1, dtype=np.int8)
-    unblinded = rotate_rows(amps[present], -alphas[present])
-    decoded[present] = honest_decode(unblinded, ENCODE_ANGLE, x, u)
+        return honest_channel(bits.ravel(), x, u, ENCODE_ANGLE).decoded.reshape(bits.shape)
+    decoded = np.full(bits.shape, -1, dtype=np.int8)
+    decoded[present] = honest_channel(bits[present], x, u, ENCODE_ANGLE).decoded
     decoded.flags.writeable = False
     return decoded
 
@@ -578,10 +549,9 @@ def p5_commit(
     if function.arity != n:
         raise ValueError("function arity must equal the string length n")
     strings = p5_sample_strings(b, m, function, rng)
-    alphas = blinding_angles(rng, (m, n))
-    decoded = p5_measure_record(
-        blinded_amps(alphas, np.array(strings)), alphas, *honest_draws(rng, m * n)
-    )
+    # the receiver's secret angles; unblinding cancels them (p4_unblind_and_measure)
+    blinding_angles(rng, (m, n))
+    decoded = p5_measure_record(np.array(strings), *honest_draws(rng, m * n))
     return CommitTranscript(
         sender=P5SenderState(protocol_id=PROTOCOL_P5, bit=b, function=function, strings=strings),
         receiver=P5ReceiverState(protocol_id=PROTOCOL_P5, function=function, decoded=decoded),

@@ -249,13 +249,13 @@ def binomial_tail(n: int, p: float, threshold: int) -> float:
 
 
 def choose_index_sets(
-    conclusive: Sequence[int],
-    n: int,
+    decoded: Sequence[int],
     k: int,
     rng: RngStream,
     strategy: str = HONEST,
 ) -> Optional[IndexSets]:
-    """Draw I from the conclusive positions and J from the rest; None = abort.
+    """Draw I from the conclusive positions of the receiver's decoded row
+    (-1 where nothing was learned) and J from the rest; None = abort.
 
     The run aborts when fewer than k positions came out conclusive. The
     honest receiver draws J from the inconclusive positions, so he knows
@@ -265,13 +265,13 @@ def choose_index_sets(
     conclusive positions first, so that 2k conclusive bits make both masks
     known to him. The draws are I, then J, then the slot bit m.
     """
+    conclusive = [p for p, v in enumerate(decoded, start=1) if v >= 0]
     if len(conclusive) < k:
         return None
     i_set = rng.subset(conclusive, k)
     taken = set(i_set)
     leftovers = [p for p in conclusive if p not in taken]
-    known = set(conclusive)
-    unknown = [p for p in range(1, n + 1) if p not in known]
+    unknown = [p for p, v in enumerate(decoded, start=1) if v < 0]
     first, second = (leftovers, unknown) if strategy == USD else (unknown, leftovers)
     if len(first) >= k:
         j_set = rng.subset(first, k)
@@ -304,14 +304,14 @@ def sender_encrypt(
     return b0 ^ mask([bits[p - 1] for p in x_set]), b1 ^ mask([bits[p - 1] for p in y_set])
 
 
-def receiver_decrypt(c_m: int, values: Iterable[Optional[int]]) -> int:
+def receiver_decrypt(c_m: int, values: Iterable[int]) -> int:
     """Strip the mask from the chosen ciphertext using conclusive values."""
     if c_m not in (0, 1):
         raise ValueError("ciphertext must be a bit")
     values = list(values)
-    if None in values:
+    if not set(values) <= {0, 1}:
         raise ValueError("missing conclusive value over I")
-    return c_m ^ mask([int(v) for v in values])
+    return c_m ^ mask(values)
 
 
 class MaskedTransfer(NamedTuple):
@@ -333,7 +333,7 @@ _ABORTED = MaskedTransfer(None, None, None, None)
 
 def run_masked_transfer(
     bits: Sequence[int],
-    conclusive: Sequence[tuple[int, int]],
+    decoded: Sequence[int],
     n: int,
     k: int,
     b0: int,
@@ -342,14 +342,14 @@ def run_masked_transfer(
     strategy: str = HONEST,
 ) -> MaskedTransfer:
     """The classical tail of the protocol, applied to a finished qubit phase:
-    the sent bits as a list and the receiver's conclusive (position, value)
-    pairs, positions increasing in 1..n."""
-    sets = choose_index_sets([pos for pos, _ in conclusive], n, k, rng, strategy)
+    the n sent bits and the receiver's decoded row, each as a list."""
+    if len(bits) != n or len(decoded) != n:
+        raise ValueError("need n sent bits and n decoded cells")
+    sets = choose_index_sets(decoded, k, rng, strategy)
     if sets is None:
         return _ABORTED
     c0, c1 = sender_encrypt(bits, sets.x_set, sets.y_set, b0, b1)
-    values = dict(conclusive)
-    b_received = receiver_decrypt(sets.pick(c0, c1), [values.get(p) for p in sets.i_set])
+    b_received = receiver_decrypt(sets.pick(c0, c1), [decoded[p - 1] for p in sets.i_set])
     return MaskedTransfer(sets, c0, c1, b_received)
 
 
@@ -367,7 +367,7 @@ def run_ot12(
     k = transfer_k(n, alpha)
     sender, receiver = run_rot(config, strategy, rng)
     tail = run_masked_transfer(
-        sender.bits.tolist(), receiver.conclusive, n, k, b0, b1, rng, strategy
+        sender.bits.tolist(), receiver.decoded.tolist(), n, k, b0, b1, rng, strategy
     )
     return Ot12Transcript(sender, receiver, *tail)
 

@@ -95,11 +95,6 @@ class RngStream:
                 return i
         return len(probabilities) - 1
 
-    def choice_from_sums(self, sums: np.ndarray) -> np.ndarray:
-        """One index per column of (K - 1, N) `running_sums`, one uniform per
-        column: `inverse_cdf` of the rows they came from."""
-        return passed_sums(sums, self.gen.random(sums.shape[1]))
-
     def subset(self, population: list, k: int) -> list:
         """Uniform k-subset of a list, returned as a sorted list."""
         picked = self.gen.choice(len(population), size=k, replace=False).tolist()

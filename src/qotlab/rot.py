@@ -12,7 +12,8 @@ at the optimal rate 1 - cos(theta), still without errors.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +21,8 @@ from .qsim import (
     ProjectiveBasis,
     RngStream,
     batch_probabilities,
-    inverse_cdf,
     make_nonorthogonal_pair,
+    passed_sums,
     perp,
     running_sums,
     usd_povm,
@@ -87,25 +88,31 @@ class ReceiverRecord:
     basis_choices holds the basis bit x of each qubit, or -1 for the
     discriminating receiver, which chooses no basis. Positions are 1-based
     and strictly increasing; a value is the decoded sender bit, which for
-    both receiver strategies is never wrong.
+    both receiver strategies is never wrong. `decoded` holds the same as a
+    read-only int8 row, -1 where inconclusive.
     """
 
     strategy: str
     basis_choices: np.ndarray
     conclusive: tuple[tuple[int, int], ...]
+    decoded: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = np.array(self.basis_choices, dtype=np.int8)
         basis.flags.writeable = False
         object.__setattr__(self, "basis_choices", basis)
         # positions strictly increase within 1..n, and every value is a bit
+        decoded = np.full(len(basis), -1, dtype=np.int8)
         last = 0
         for pos, val in self.conclusive:
             if not last < pos <= len(basis):
                 raise ValueError("conclusive positions must be increasing and in [1, n]")
             if val not in (0, 1):
                 raise ValueError("conclusive values must be bits")
+            decoded[pos - 1] = val
             last = pos
+        decoded.flags.writeable = False
+        object.__setattr__(self, "decoded", decoded)
 
     @classmethod
     def from_decoded(
@@ -125,8 +132,10 @@ class ReceiverRecord:
         values = decoded[pos]
         if np.count_nonzero(values & -2):
             raise ValueError("conclusive values must be bits")
-        conclusive = tuple(zip((pos + 1).tolist(), values.tolist()))
-        return _unchecked(cls, strategy=strategy, basis_choices=basis, conclusive=conclusive)
+        row = decoded.astype(np.int8)
+        row.flags.writeable = False
+        pairs = tuple(zip((pos + 1).tolist(), values.tolist()))
+        return _unchecked(cls, strategy=strategy, basis_choices=basis, conclusive=pairs, decoded=row)
 
     def conclusive_map(self) -> dict[int, int]:
         return {pos: val for pos, val in self.conclusive}
@@ -152,6 +161,11 @@ def measurement_bases(theta: float) -> tuple[ProjectiveBasis, ProjectiveBasis]:
 # position of the perp outcome in each of measurement_bases
 PERP_INDEX = 1
 
+# decoded bit of each honest outcome, by basis x and outcome index: the perp
+# outcome decodes x xor 1, the other one nothing (-1)
+HONEST_DECODE = np.array([[-1, 1], [-1, 0]], dtype=np.int8)
+HONEST_DECODE.flags.writeable = False
+
 # decoded bit of each usd_povm outcome: conclusive-0, conclusive-1, inconclusive
 _USD_DECODED = np.array([0, 1, -1])
 
@@ -166,22 +180,10 @@ def honest_probabilities(amps: np.ndarray, theta: float, x: np.ndarray) -> np.nd
     return batch_probabilities(amps, measurement_bases(theta), choice=x, qubits=qubits)
 
 
-def _decode_honest(x: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """The perp outcome in basis x decodes the bit x xor 1; the other
-    outcome is inconclusive and decodes to -1."""
-    return np.where(outcomes == PERP_INDEX, x ^ 1, -1)
-
-
 def honest_draws(rng: RngStream, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The honest receiver's draws for `count` qubits, in the order he makes
     them: every basis bit, then one uniform per qubit."""
     return rng.bits(count), rng.gen.random(count)
-
-
-def honest_decode(amps: np.ndarray, theta: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Decoded bits of the honest measurement of each row in basis x[i],
-    sampled with uniform u[i] from `honest_probabilities`."""
-    return _decode_honest(x, inverse_cdf(honest_probabilities(amps, theta, x), u))
 
 
 @functools.lru_cache(maxsize=None)
@@ -211,6 +213,35 @@ def born_sums(theta: float, strategy: str) -> np.ndarray:
     return running_sums(born_table(theta, strategy))
 
 
+class ChannelPass(NamedTuple):
+    """A receiver's pass over a channel: each qubit's basis bit and the
+    read-only int8 row of decoded bits, -1 where nothing was learned."""
+
+    basis: np.ndarray
+    decoded: np.ndarray
+
+
+def sample_table(
+    sums: np.ndarray, decode: np.ndarray, bits: np.ndarray, x: np.ndarray, u: np.ndarray
+) -> ChannelPass:
+    """The one channel interface: qubit i, sent for bits[i] and measured in
+    basis x[i], samples column 2 * bits[i] + x[i] of a cached `running_sums`
+    table with uniform u[i], and outcome o decodes to decode[x[i], o]."""
+    if len(x) != len(bits) or len(u) != len(bits):
+        raise ValueError("need one basis bit and one uniform per qubit")
+    decoded = decode[x, passed_sums(sums[:, 2 * bits + x], u)]
+    decoded.flags.writeable = False
+    return ChannelPass(x, decoded)
+
+
+def honest_channel(
+    bits: np.ndarray, x: np.ndarray, u: np.ndarray, theta: float = float(np.pi / 4)
+) -> ChannelPass:
+    """The plain channel at angle theta and the honest receiver, sampled from
+    `born_sums(theta, HONEST)` with the draws of `honest_draws`."""
+    return sample_table(born_sums(theta, HONEST), HONEST_DECODE, bits, x, u)
+
+
 def run_rot(
     config: RotConfig, strategy: str, rng: RngStream
 ) -> tuple[SenderRecord, ReceiverRecord]:
@@ -220,9 +251,8 @@ def run_rot(
     sums = born_sums(config.theta, strategy)
     bits = rng.bits(config.n)
     if strategy == HONEST:
-        x = rng.bits(config.n)
-        decoded = _decode_honest(x, rng.choice_from_sums(sums[:, 2 * bits + x]))
+        x, decoded = honest_channel(bits, *honest_draws(rng, config.n), config.theta)
     else:
         x = np.full(config.n, -1)
-        decoded = _USD_DECODED[rng.choice_from_sums(sums[:, bits])]
+        decoded = _USD_DECODED[passed_sums(sums[:, bits], rng.gen.random(config.n))]
     return SenderRecord(bits=bits), ReceiverRecord.from_decoded(strategy, x, decoded)

@@ -33,7 +33,6 @@ from qotlab.bitcommit import (
     bc_verify,
     bell_state,
     blinded_amps,
-    p4_unblind_and_measure,
     p5_commit,
     p5_open,
     p5_verify,
@@ -52,7 +51,8 @@ from qotlab.qsim import (
     rotation_plane,
     usd_povm,
 )
-from qotlab.rot import HONEST, USD, RotConfig, run_rot
+from qotlab.rot import HONEST, USD, RotConfig, honest_draws, run_rot
+from rotation_route import unblind_and_measure
 
 
 def report(index, ok, detail):
@@ -294,11 +294,10 @@ def test_criterion_10_blinding_equivalence():
                 alphas = np.zeros(n_per_run)
             bits = np.array([rng.bit() for _ in range(n_per_run)], dtype=np.int8)
             encoded = rotate_rows(blinded_amps(alphas), ENCODE_ANGLE * bits)
-            received = p4_unblind_and_measure(encoded, alphas, rng)
-            conclusive = {pos for pos, _ in received.conclusive}
-            for pos, basis in enumerate(received.basis_choices.tolist(), start=1):
-                idx = 2 * (basis == 1) + (pos in conclusive)
-                counts[arm][idx] += 1
+            x, u = honest_draws(rng, n_per_run)
+            conclusive = unblind_and_measure(encoded, alphas, x, u) >= 0
+            for basis, hit in zip(x.tolist(), conclusive.tolist()):
+                counts[arm][2 * basis + hit] += 1
     table = np.stack([counts["uniform"], counts["zero"]])
     _, p_value, _, _ = scipy.stats.chi2_contingency(table)
     report(10, p_value > 0.01, f"chi-square p={p_value:.4f} on {table.sum()} qubits")

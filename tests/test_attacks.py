@@ -31,10 +31,8 @@ from qotlab.bitcommit import (
     blinding_angles,
     p3_bases,
     p3_pair_states,
-    p4_unblind_and_measure,
     p5_verify,
     parity_function,
-    unblind_outcomes,
 )
 from qotlab.ot12 import wilson_interval
 from qotlab.qsim import (
@@ -44,6 +42,8 @@ from qotlab.qsim import (
     fidelity,
     make_nonorthogonal_pair,
 )
+from qotlab.rot import honest_draws
+from rotation_route import unblind_and_measure
 
 
 class TestEquivocationAttack:
@@ -319,9 +319,10 @@ class TestProbeOnBlindedQubits:
         rng = RngStream(63, 0)
         alphas = blinding_angles(rng, 6 * 400)
         r = rng.bits(6 * 400)
-        record = p4_unblind_and_measure(blinded_amps(alphas, r), alphas, rng)
-        assert record.conclusive
-        assert all(val == r[pos - 1] for pos, val in record.conclusive)
+        decoded = unblind_and_measure(blinded_amps(alphas, r), alphas, *honest_draws(rng, r.size))
+        conclusive = decoded >= 0
+        assert conclusive.any()
+        assert np.array_equal(decoded[conclusive], r[conclusive])
 
     @pytest.mark.parametrize("alpha", [np.pi / 8, np.pi / 4, 1.0])
     def test_fixed_angle_detection_rate(self, alpha):
@@ -354,7 +355,8 @@ def reference_omission_trial(n: int, m: int, perfect_detectors: bool, rng: RngSt
     present = np.arange(n) != withheld[:, np.newaxis]
     amps = blinded_amps(alphas, sent_bits)
     decoded = np.full((m, n), -1, dtype=np.int8)
-    _, decoded[present] = unblind_outcomes(amps[present], alphas[present], rng)
+    x, u = honest_draws(rng, int(present.sum()))
+    decoded[present] = unblind_and_measure(amps[present], alphas[present], x, u)
     if flip is not None:
         decoded[flip] ^= 1
     if perfect_detectors:

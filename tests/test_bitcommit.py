@@ -44,7 +44,6 @@ from qotlab.bitcommit import (
     receiver_state_to_dict,
     sender_state_from_dict,
     sender_state_to_dict,
-    unblind_outcomes,
     verify_from_states,
 )
 from qotlab.ot12 import k_of, p1_exact
@@ -55,7 +54,8 @@ from qotlab.qsim import (
     inverse_cdf,
     rotate_rows,
 )
-from qotlab.rot import HONEST, ReceiverRecord, honest_draws
+from qotlab.rot import ChannelPass, honest_channel, honest_draws
+from rotation_route import unblind_and_measure
 
 
 def known_bits(rnd) -> dict[int, int]:
@@ -98,10 +98,10 @@ class TestEntangledEncoding:
         total = 0
         for rep in range(reps):
             bits = np.array([rng.bit() for _ in range(n)], dtype=np.int8)
-            record = p3_measure(bits, RngStream(32, rep))
-            for pos, val in record.conclusive:
-                assert bits[pos - 1] == val
-            total += len(record.conclusive)
+            decoded = p3_measure(bits, *honest_draws(RngStream(32, rep), n)).decoded
+            conclusive = decoded >= 0
+            assert np.array_equal(decoded[conclusive], bits[conclusive])
+            total += np.count_nonzero(conclusive)
         rate = total / (n * reps)
         sigma = np.sqrt(0.25 * 0.75 / (n * reps))
         assert abs(rate - 0.25) < 5 * sigma
@@ -112,16 +112,14 @@ def _p3_pair_amps(r_bits: np.ndarray) -> np.ndarray:
     return np.stack([state.amps for state in p3_pair_states()])[r_bits]
 
 
-def reference_p3_measure(r_bits: np.ndarray, rng: RngStream):
+def reference_p3_measure(r_bits: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The per-row route `p3_measure` replaced: run the batched Born rule on
     every returned pair, then decode the one conclusive label of each basis.
-    Same draws, same order."""
-    x = rng.bits(len(r_bits))
+    Same draws."""
     probs = batch_probabilities(_p3_pair_amps(r_bits), p3_bases(), choice=x)
-    outcomes = inverse_cdf(probs, rng.gen.random(len(probs)))
+    outcomes = inverse_cdf(probs, u)
     labels = [p3_bases()[xi].labels[o] for xi, o in zip(x.tolist(), outcomes.tolist())]
-    decoded = np.array([{"psi+": 1, "phi-minus-psi+": 0}.get(label, -1) for label in labels])
-    return ReceiverRecord.from_decoded(HONEST, x, decoded)
+    return np.array([{"psi+": 1, "phi-minus-psi+": 0}.get(label, -1) for label in labels])
 
 
 class TestPairBornTable:
@@ -147,11 +145,11 @@ class TestPairBornTable:
     def test_measure_matches_the_per_row_route_draw_for_draw(self, n):
         for seed in range(3):
             bits = RngStream(seed, 9).bits(n)
-            got = p3_measure(bits, RngStream(seed, 10))
-            want = reference_p3_measure(bits, RngStream(seed, 10))
-            assert np.array_equal(got.basis_choices, want.basis_choices)
-            assert got.conclusive == want.conclusive
-            assert got.strategy == want.strategy == HONEST
+            x, u = honest_draws(RngStream(seed, 10), n)
+            got = p3_measure(bits, x, u)
+            assert got.basis is x
+            assert got.decoded.dtype == np.int8 and not got.decoded.flags.writeable
+            assert got.decoded.tolist() == reference_p3_measure(bits, x, u).tolist()
 
     def test_derived_decoder(self):
         """Only psi+ in basis 0 and phi- minus psi+ in basis 1 are conclusive."""
@@ -168,27 +166,109 @@ class TestBlindedEncoding:
         assert grid.shape == (1, 2, 2)
         np.testing.assert_allclose(grid[0, 0], shifted, atol=1e-12)
 
-    def test_blinded_receiver_refuses_an_angle_count_mismatch(self):
-        rng = RngStream(34, 0)
-        amps = blinded_amps(np.zeros(4))
-        for alphas in (np.zeros(3), np.zeros(5), np.zeros(1), np.zeros((4, 1))):
-            with pytest.raises(ValueError, match="one blinding angle per row"):
-                unblind_outcomes(amps, alphas, rng)
-            with pytest.raises(ValueError, match="one blinding angle per row"):
-                p4_unblind_and_measure(amps, alphas, rng)
-
     def test_unblinding_recovers_honest_statistics(self):
+        """On the rotation route: whatever the angles, the unblinded qubits
+        are conclusive at the honest rate 1/4 and never wrong."""
         rng = RngStream(33, 0)
         n = 400
         alphas = rng.gen.uniform(0.0, 2 * np.pi, size=n)
         bits = np.array([rng.bit() for _ in range(n)], dtype=np.int8)
         encoded = rotate_rows(blinded_amps(alphas), ENCODE_ANGLE * bits)
-        received = p4_unblind_and_measure(encoded, alphas, rng)
-        for pos, val in received.conclusive:
-            assert bits[pos - 1] == val
-        rate = len(received.conclusive) / n
+        decoded = unblind_and_measure(encoded, alphas, *honest_draws(rng, n))
+        conclusive = decoded >= 0
+        assert np.array_equal(decoded[conclusive], bits[conclusive])
+        rate = np.count_nonzero(conclusive) / n
         sigma = np.sqrt(0.25 * 0.75 / n)
         assert abs(rate - 0.25) < 5 * sigma
+
+
+# the commitment channels, each (bits, x, u) -> ChannelPass
+_CHANNELS = {
+    "plain": honest_channel,
+    "pair": p3_measure,
+    "blinded": p4_unblind_and_measure,
+}
+
+
+class TestChannelInterface:
+    """Every commitment channel takes the sent bits and the receiver's
+    draws, and returns the basis bits and a read-only decoded int8 row."""
+
+    @pytest.mark.parametrize("name", sorted(_CHANNELS))
+    def test_a_pass_is_the_basis_bits_and_a_read_only_row(self, name):
+        rng = RngStream(35, 0)
+        bits = rng.bits(64)
+        x, u = honest_draws(rng, 64)
+        received = _CHANNELS[name](bits, x, u)
+        assert isinstance(received, ChannelPass)
+        assert received.basis is x
+        assert received.decoded.shape == (64,) and received.decoded.dtype == np.int8
+        assert not received.decoded.flags.writeable
+        conclusive = received.decoded >= 0
+        assert conclusive.any() and not conclusive.all()
+        assert np.array_equal(received.decoded[conclusive], bits[conclusive])
+
+    @pytest.mark.parametrize("name", sorted(_CHANNELS))
+    def test_a_draw_count_mismatch_is_refused(self, name):
+        bits, x, u = np.zeros(4, dtype=np.int8), np.zeros(4, dtype=np.int8), np.zeros(4)
+        for draws in ((x[:3], u), (x, u[:3]), (x[:1], u[:1]), (np.zeros(5, np.int8), u)):
+            with pytest.raises(ValueError, match="one basis bit and one uniform per qubit"):
+                _CHANNELS[name](bits, *draws)
+
+
+def _blinded_draws(seed: int, shape):
+    """A blinded grid's draws in the commitment's order: the receiver's
+    angles, the sent bits, then the receiver's basis bits and uniforms."""
+    rng = RngStream(seed, 36)
+    alphas = rng.gen.uniform(0.0, 2 * np.pi, size=shape)
+    bits = rng.bits(int(np.prod(shape))).reshape(shape)
+    return alphas, bits, rng
+
+
+class TestBlindedTable:
+    """The honest P4 and P5 receivers sample the plain table at pi/4; the
+    rotation route (tests/rotation_route.py) turns each qubit back and runs
+    its Born step. Both give the same cell for the same draws."""
+
+    SEEDS = range(1000)
+
+    @pytest.mark.parametrize("size", [1, 16, 128])
+    def test_p4_matches_the_rotation_route_cell_for_cell(self, size):
+        for seed in self.SEEDS:
+            alphas, bits, rng = _blinded_draws(seed, size)
+            x, u = honest_draws(rng, size)
+            got = p4_unblind_and_measure(bits, x, u).decoded
+            want = unblind_and_measure(blinded_amps(alphas, bits), alphas, x, u)
+            assert got.tolist() == want.tolist(), seed
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 8), (4, 5), (2, 16)])
+    def test_p5_matches_the_rotation_route_cell_for_cell(self, m, n):
+        for seed in self.SEEDS:
+            alphas, bits, rng = _blinded_draws(seed, (m, n))
+            x, u = honest_draws(rng, m * n)
+            got = p5_measure_record(bits, x, u)
+            want = unblind_and_measure(
+                blinded_amps(alphas, bits).reshape(-1, 2), alphas.ravel(), x, u
+            )
+            assert got.shape == (m, n) and not got.flags.writeable
+            assert got.ravel().tolist() == want.tolist(), seed
+
+    @pytest.mark.parametrize("m, n", [(1, 2), (3, 8), (4, 5)])
+    def test_p5_with_missing_qubits_matches_the_rotation_route(self, m, n):
+        """Qubits that never arrived hold -1 and take no draw; the arriving
+        ones, in row-major order, take the draws in turn."""
+        for seed in self.SEEDS:
+            alphas, bits, rng = _blinded_draws(seed, (m, n))
+            present = rng.gen.random((m, n)) < 0.7
+            count = int(present.sum())
+            x, u = honest_draws(rng, count)
+            got = p5_measure_record(bits, x, u, present)
+            want = np.full((m, n), -1, dtype=np.int8)
+            want[present] = unblind_and_measure(
+                blinded_amps(alphas, bits)[present], alphas[present], x, u
+            )
+            assert got.tolist() == want.tolist(), seed
+            assert not got.flags.writeable
 
 
 @pytest.mark.parametrize("variant", sorted(OT_VARIANTS))
@@ -384,8 +464,12 @@ class TestTamperRejection:
         assert result.first_inconsistency == "rounds decode to different bits"
 
 
-# the samplers the P2-BC, P3 and P4 channel passes draw from
-_SAMPLERS = ("run_rot", "p3_measure", "p4_unblind_and_measure")
+# the sampler each share-split variant's channel pass calls
+_SAMPLERS = {
+    PROTOCOL_P2BC: "honest_channel",
+    PROTOCOL_P3: "p3_measure",
+    PROTOCOL_P4: "p4_unblind_and_measure",
+}
 
 
 class TestCommitWaves:
@@ -393,13 +477,15 @@ class TestCommitWaves:
 
     @pytest.fixture()
     def log(self, monkeypatch):
-        """("sample", qubits) per sampler call, ("transfer", aborted) per round tail."""
+        """(sampler name, qubits) per sampler call, ("transfer", aborted) per
+        round tail; the P4 sampler reads the plain table through `honest_channel`,
+        so its pass logs both names."""
         events = []
-        for name in _SAMPLERS:
+        for name in _SAMPLERS.values():
             original = getattr(bitcommit, name)
 
             def sample(*args, _name=name, _original=original):
-                events.append(("sample", args[0].n if _name == "run_rot" else len(args[0])))
+                events.append((_name, len(args[0])))
                 return _original(*args)
 
             monkeypatch.setattr(bitcommit, name, sample)
@@ -422,9 +508,9 @@ class TestCommitWaves:
             bc_commit_over_ot(seed % 2, l=l, n=n, variant=variant, rng=RngStream(700 + seed, 0))
             waves = []  # [qubits sampled, round tails run, aborts] per wave
             for kind, value in log:
-                if kind == "sample":
+                if kind == _SAMPLERS[variant]:
                     waves.append([value, 0, 0])
-                else:
+                elif kind == "transfer":
                     waves[-1][1] += 1
                     waves[-1][2] += value
             # each wave is one pass over exactly the rounds still missing
@@ -464,14 +550,12 @@ class TestCommitWaves:
 
     def test_a_channel_that_never_clicks_raises_after_the_last_wave(self, monkeypatch):
         qubits = []
-        run_rot = bitcommit.run_rot
 
-        def never_conclusive(config, strategy, rng):
-            qubits.append(config.n)
-            sender, receiver = run_rot(config, strategy, rng)
-            return sender, dataclasses.replace(receiver, conclusive=())
+        def never_conclusive(bits, x, u, theta):
+            qubits.append(len(bits))
+            return ChannelPass(x, np.full(len(bits), -1, dtype=np.int8))
 
-        monkeypatch.setattr(bitcommit, "run_rot", never_conclusive)
+        monkeypatch.setattr(bitcommit, "honest_channel", never_conclusive)
         monkeypatch.setattr(bitcommit, "MAX_WAVES", 7)
         with pytest.raises(RuntimeError, match="transfer round kept aborting; n is too small for k"):
             bc_commit_over_ot(0, l=3, n=16, variant=PROTOCOL_P2BC, rng=RngStream(46, 0))
@@ -531,10 +615,7 @@ class TestGridCommitment:
     def test_measurement_record_never_contradicts_the_encoding(self):
         rng = RngStream(48, 0)
         bits = rng.bits(2 * 300).reshape(2, 300)
-        alphas = rng.gen.uniform(0, 2 * np.pi, size=bits.shape)
-        decoded = p5_measure_record(
-            blinded_amps(alphas, bits), alphas, *honest_draws(rng, bits.size)
-        )
+        decoded = p5_measure_record(bits, *honest_draws(rng, bits.size))
         values = decoded.ravel().tolist()
         for bit, value in zip(bits.ravel().tolist(), values):
             assert value in (-1, bit)
@@ -542,11 +623,10 @@ class TestGridCommitment:
 
     def test_the_grid_is_read_only_bits(self):
         rng = RngStream(48, 1)
-        alphas = rng.gen.uniform(0, 2 * np.pi, size=(3, 5))
-        present = np.ones(alphas.shape, dtype=bool)
+        present = np.ones((3, 5), dtype=bool)
         present[1, 2] = False
         x, u = honest_draws(rng, int(present.sum()))
-        decoded = p5_measure_record(blinded_amps(alphas), alphas, x, u, present)
+        decoded = p5_measure_record(np.zeros((3, 5), dtype=np.int8), x, u, present)
         assert decoded.shape == (3, 5) and decoded.dtype == np.int8
         assert not decoded.flags.writeable
         assert decoded[1, 2] == -1

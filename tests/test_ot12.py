@@ -19,6 +19,7 @@ from qotlab.ot12 import (
     p1_exact,
     p2_exact,
     receiver_decrypt,
+    run_masked_transfer,
     run_ot12,
     sender_encrypt,
     transfer_k,
@@ -237,22 +238,21 @@ def make_record(n, conclusive, strategy=HONEST):
     )
 
 
-def draw_sets(record, n, k, rng):
-    """The announcement drawn for a receiver record's conclusive positions."""
-    positions = [pos for pos, _ in record.conclusive]
-    return choose_index_sets(positions, n, k, rng, record.strategy)
+def draw_sets(record, k, rng):
+    """The announcement drawn for a receiver record's decoded row."""
+    return choose_index_sets(record.decoded.tolist(), k, rng, record.strategy)
 
 
 class TestIndexSets:
     def test_too_few_conclusive_aborts(self):
         n, k = 64, k_of(64)
         record = make_record(n, [(pos, 0) for pos in range(1, k)])  # k-1 conclusive
-        assert draw_sets(record, n, k, RngStream(1, 0)) is None
+        assert draw_sets(record, k, RngStream(1, 0)) is None
 
     def test_exactly_k_conclusive_succeeds(self):
         n, k = 64, k_of(64)
         record = make_record(n, [(pos, 0) for pos in range(1, k + 1)])
-        sets = draw_sets(record, n, k, RngStream(1, 0))
+        sets = draw_sets(record, k, RngStream(1, 0))
         assert sets is not None
         assert set(sets.i_set) == set(range(1, k + 1))
         assert len(sets.j_set) == k
@@ -273,7 +273,7 @@ class TestIndexSets:
         # 14 conclusive positions leave 2 inconclusive ones for a J of size 3
         record = make_record(n, [(pos, 0) for pos in range(1, 15)])
         for seed in range(20):
-            sets = draw_sets(record, n, k, RngStream(5, seed))
+            sets = draw_sets(record, k, RngStream(5, seed))
             assert {15, 16} <= set(sets.j_set)
             assert len(sets.j_set) == k
             assert not set(sets.i_set) & set(sets.j_set)
@@ -290,7 +290,7 @@ class TestIndexSets:
         record = make_record(n, [(pos, 0) for pos in range(1, 2 * k)])
         trials = 4000
         ones = sum(
-            draw_sets(record, n, k, RngStream(3, t)).m for t in range(trials)
+            draw_sets(record, k, RngStream(3, t)).m for t in range(trials)
         )
         sigma = math.sqrt(0.25 / trials)
         assert abs(ones / trials - 0.5) < 5 * sigma
@@ -299,7 +299,7 @@ class TestIndexSets:
         n, k = 64, k_of(64)
         # the discriminating receiver draws J from its leftover conclusive positions
         record = make_record(n, [(pos, 0) for pos in range(1, 2 * k + 1)], strategy=USD)
-        sets = draw_sets(record, n, k, RngStream(4, 0))
+        sets = draw_sets(record, k, RngStream(4, 0))
         conclusive = set(p for p, _ in record.conclusive)
         assert set(sets.i_set) <= conclusive
         assert set(sets.j_set) <= conclusive
@@ -317,8 +317,15 @@ def test_encrypt_decrypt_round_trip():
 
 
 def test_receiver_decrypt_requires_every_value():
-    with pytest.raises(ValueError):
-        receiver_decrypt(0, [1, None, 0])
+    for values in ([1, None, 0], [1, -1, 0]):
+        with pytest.raises(ValueError, match="missing conclusive value over I"):
+            receiver_decrypt(0, values)
+
+
+def test_the_tail_refuses_rows_of_another_length():
+    for bits, decoded in (([0] * 5, [-1] * 6), ([0] * 6, [1] * 7)):
+        with pytest.raises(ValueError, match="need n sent bits and n decoded cells"):
+            run_masked_transfer(bits, decoded, 6, 1, 0, 1, RngStream(8, 0))
 
 
 class TestFullRuns:

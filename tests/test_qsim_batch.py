@@ -250,7 +250,7 @@ def rows_and_uniforms(draw):
 @settings(max_examples=400, deadline=None)
 @given(st.lists(rows_and_uniforms(), min_size=1, max_size=20))
 def test_running_sum_rule_is_the_first_exceeding_rule_draw_for_draw(cases):
-    """One sampler rule, three routes: counting the running sums u has
+    """One sampler rule, two routes: counting the running sums u has
     passed equals the first-exceeding rule, batched and per state."""
     k = max(len(row) for row, _ in cases)
     # pad short rows with zero-probability outcomes so the batch is square
@@ -264,12 +264,10 @@ def test_running_sum_rule_is_the_first_exceeding_rule_draw_for_draw(cases):
         def __init__(self):
             self.left = iter(u.tolist())
 
-        def random(self, size=None):
-            return u.copy() if size is not None else next(self.left)
+        def random(self):
+            return next(self.left)
 
     stream = RngStream(0, 0)
-    stream.gen = Uniforms()
-    np.testing.assert_array_equal(stream.choice_from_sums(running_sums(probs)), want)
     stream.gen = Uniforms()
     np.testing.assert_array_equal([stream.choice_index(row) for row in probs], want)
 

@@ -1,5 +1,7 @@
 """Random oblivious transfer rounds: honest receiver and the conclusive-rate ceiling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,13 @@ def test_receiver_record_helpers():
     assert record.conclusive_map() == {1: 0, 2: 1}
     assert record.basis_choices.dtype == np.int8
     assert not record.basis_choices.flags.writeable
+    for row, want in (
+        (record.decoded, [0, 1, -1]),
+        (dataclasses.replace(record, conclusive=((3, 1),)).decoded, [-1, -1, 1]),
+        (ReceiverRecord.from_decoded(HONEST, (0, 1, 0), np.array([-1, 0, 1])).decoded, [-1, 0, 1]),
+    ):
+        assert row.dtype == np.int8 and not row.flags.writeable
+        assert row.tolist() == want
 
 
 @pytest.mark.parametrize(
@@ -198,6 +207,7 @@ def test_run_rot_matches_the_per_row_route(theta, strategy):
             assert np.array_equal(sender.bits, ref_sender.bits)
             assert np.array_equal(receiver.basis_choices, ref_receiver.basis_choices)
             assert receiver.conclusive == ref_receiver.conclusive
+            assert receiver.decoded.tolist() == ref_receiver.decoded.tolist()
             assert receiver.strategy == strategy
 
 

@@ -1,7 +1,7 @@
 """The classical tail on plain data against the per-record path it replaced.
 
-`run_masked_transfer` takes a run's sent bits as a list and its conclusive
-pairs, and a commitment hands it the rows of each wave's one channel pass.
+`run_masked_transfer` takes a run's sent bits and its decoded row as lists,
+and a commitment hands it the rows of each wave's one channel pass.
 A completed round keeps its rows: the sent bits and the decoded bits, -1
 where nothing was learned.
 The reference below is the earlier route: per-round `SenderRecord` and
@@ -29,7 +29,6 @@ from qotlab.bitcommit import (
     blinded_amps,
     blinding_angles,
     p3_measure,
-    p4_unblind_and_measure,
 )
 from qotlab.ot12 import (
     DEFAULT_ALPHA,
@@ -40,7 +39,8 @@ from qotlab.ot12 import (
     transfer_k,
 )
 from qotlab.qsim import RngStream
-from qotlab.rot import HONEST, USD, ReceiverRecord, RotConfig, SenderRecord, run_rot
+from qotlab.rot import HONEST, USD, ReceiverRecord, RotConfig, SenderRecord, honest_draws, run_rot
+from rotation_route import unblind_and_measure
 
 SEEDS = range(100)
 
@@ -87,12 +87,18 @@ def reference_commit_over_ot(b, l, n, variant, rng, theta=ENCODE_ANGLE, alpha=DE
             sender, receiver = run_rot(RotConfig(n=size, theta=theta), HONEST, rng)
         elif variant == PROTOCOL_P3:
             bits = rng.bits(size)
-            sender, receiver = SenderRecord(bits=bits), p3_measure(bits, rng)
+            x, u = honest_draws(rng, size)
+            sender = SenderRecord(bits=bits)
+            receiver = ReceiverRecord.from_decoded(HONEST, *p3_measure(bits, x, u))
         else:
             alphas = blinding_angles(rng, size)
             bits = rng.bits(size)
             encoded = blinded_amps(alphas, bits)
-            sender, receiver = SenderRecord(bits=bits), p4_unblind_and_measure(encoded, alphas, rng)
+            x, u = honest_draws(rng, size)
+            sender = SenderRecord(bits=bits)
+            receiver = ReceiverRecord.from_decoded(
+                HONEST, x, unblind_and_measure(encoded, alphas, x, u)
+            )
         for r, share0 in enumerate(shares0):
             lo = r * n
             round_sender = SenderRecord(bits=sender.bits[lo:lo + n])
