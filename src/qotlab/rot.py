@@ -234,9 +234,7 @@ def sample_table(
     return ChannelPass(x, decoded)
 
 
-def honest_channel(
-    bits: np.ndarray, x: np.ndarray, u: np.ndarray, theta: float = float(np.pi / 4)
-) -> ChannelPass:
+def honest_channel(bits: np.ndarray, x: np.ndarray, u: np.ndarray, theta: float) -> ChannelPass:
     """The plain channel at angle theta and the honest receiver, sampled from
     `born_sums(theta, HONEST)` with the draws of `honest_draws`."""
     return sample_table(born_sums(theta, HONEST), HONEST_DECODE, bits, x, u)

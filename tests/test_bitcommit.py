@@ -184,7 +184,7 @@ class TestBlindedEncoding:
 
 # the commitment channels, each (bits, x, u) -> ChannelPass
 _CHANNELS = {
-    "plain": honest_channel,
+    "plain": lambda bits, x, u: honest_channel(bits, x, u, ENCODE_ANGLE),
     "pair": p3_measure,
     "blinded": p4_unblind_and_measure,
 }
