@@ -50,6 +50,7 @@ from .qsim import (
     rotate_rows,
     rotation_plane,
 )
+from .qsim.states import CONSTRUCTION_ATOL
 from .rot import HONEST_DECODE, PERP_INDEX, honest_draws, honest_probabilities
 
 
@@ -119,37 +120,63 @@ def nogo_reduced_states(inst: NoGoInstance) -> tuple[DensityMatrix, DensityMatri
     )
 
 
+def nogo_purifications(inst: NoGoInstance) -> tuple[np.ndarray, np.ndarray]:
+    """The committer's own purifications of the two receiver-side states.
+
+    For parity p, column s of the (2**N, 2**(N - 1)) real array is the
+    product state psi_s of one N-bit string s of parity p, scaled by
+    2**(-(N - 1) / 2), so A_p A_p^T is the parity state rho_p and the
+    ancilla index is the committed string itself. The product states of
+    all 2**N strings are the columns of the N-th tensor power of the 2x2
+    matrix [psi_0 psi_1], in np.kron's order.
+    """
+    # the pair comes from a real plane rotation, so its amplitudes are real
+    pair = np.stack([psi.amps.real for psi in make_nonorthogonal_pair(inst.theta)], axis=1)
+    products = _tensor_power(pair, inst.two_k)
+    # odd[s] is the parity of string s: prepending a bit of 1 flips it
+    odd = np.zeros(1, dtype=bool)
+    for _ in range(inst.two_k):
+        odd = np.concatenate([odd, ~odd])
+    scale = 2.0 ** (-(inst.two_k - 1) / 2)
+    amps = (products[:, ~odd] * scale, products[:, odd] * scale)
+    for a in amps:
+        if abs(np.linalg.norm(a) - 1.0) > CONSTRUCTION_ATOL:
+            raise ValueError("parity purification does not have unit norm")
+    return amps
+
+
 def nogo_fidelity(inst: NoGoInstance) -> float:
     rho0, rho1 = nogo_reduced_states(inst)
     return fidelity(rho0, rho1)
 
 
-def nogo_cheating_unitary(rho0: DensityMatrix, rho1: DensityMatrix) -> np.ndarray:
-    """Ancilla unitary steering the purification of rho0 onto that of rho1.
+def nogo_cheating_unitary(amps0: np.ndarray, amps1: np.ndarray) -> tuple[np.ndarray, float]:
+    """Ancilla unitary steering purification amps0 onto amps1, and the
+    fidelity it attains.
 
-    Built from the singular value decomposition of the cross-Gram matrix of
-    the two eigen-purifications (the conjugate of the one `fidelity` reads);
-    the achieved overlap equals the fidelity.
-    The purifications are laid out ancilla index by rows, so the unitary
-    acts on them by left multiplication.
+    Each purification holds the system index by rows and the ancilla index
+    by columns (`nogo_purifications`, or a state's `purification_amps`).
+    One singular value decomposition of the cross-Gram matrix serves both
+    (Uhlmann): the fidelity is the sum of its singular values and the
+    unitary is built from its factors. The unitary acts on the ancilla by
+    left multiplication of the transposed purifications.
     """
-    if rho0.entries.shape != rho1.entries.shape:
-        raise ValueError("the two states must share one dimension")
-    cross_gram = rho0.purification_amps.T @ rho1.purification_amps.conj()
-    u, _, vh = np.linalg.svd(cross_gram)
-    return vh.conj().T @ u.conj().T
+    if amps0.shape != amps1.shape:
+        raise ValueError("the two purifications must share one shape")
+    cross_gram = amps0.T @ amps1.conj()
+    u, singular_values, vh = np.linalg.svd(cross_gram)
+    return vh.conj().T @ u.conj().T, float(min(1.0, singular_values.sum()))
 
 
-def uhlmann_overlap(rho0: DensityMatrix, rho1: DensityMatrix, unitary: np.ndarray) -> float:
-    """|<purification1 | (U x I) purification0>| for the eigen-purifications."""
-    return float(abs(np.vdot(rho1.purification_amps.T, unitary @ rho0.purification_amps.T)))
+def uhlmann_overlap(amps0: np.ndarray, amps1: np.ndarray, unitary: np.ndarray) -> float:
+    """|<purification1 | (I x U) purification0>|, the ancilla rotated by U."""
+    return float(abs(np.vdot(amps1.T, unitary @ amps0.T)))
 
 
 def nogo_cheat_report(inst: NoGoInstance) -> CheatReport:
-    rho0, rho1 = nogo_reduced_states(inst)
-    f = fidelity(rho0, rho1)
-    unitary = nogo_cheating_unitary(rho0, rho1)
-    overlap = uhlmann_overlap(rho0, rho1, unitary)
+    amps0, amps1 = nogo_purifications(inst)
+    unitary, f = nogo_cheating_unitary(amps0, amps1)
+    overlap = uhlmann_overlap(amps0, amps1, unitary)
     return CheatReport(
         fidelity=f,
         achieved_overlap=overlap,

@@ -234,7 +234,9 @@ def test_criterion_08_no_go_attack():
         inst = NoGoInstance(two_k)
         rho0, rho1 = nogo_reduced_states(inst)
         trace_formula = fidelity(rho0, rho1)
-        achieved = uhlmann_overlap(rho0, rho1, nogo_cheating_unitary(rho0, rho1))
+        amps0, amps1 = rho0.purification_amps, rho1.purification_amps
+        unitary, _ = nogo_cheating_unitary(amps0, amps1)
+        achieved = uhlmann_overlap(amps0, amps1, unitary)
         agree = agree and abs(trace_formula - achieved) < 1e-8
         fidelities.append(trace_formula)
     detections = [

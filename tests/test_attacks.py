@@ -14,6 +14,7 @@ from qotlab.attacks import (
     nogo_cheat_report,
     nogo_cheating_unitary,
     nogo_fidelity,
+    nogo_purifications,
     nogo_reduced_states,
     omission_attack_p5,
     p3_probe_detection_probability,
@@ -44,6 +45,16 @@ from qotlab.qsim import (
 )
 from qotlab.rot import honest_draws
 from rotation_route import unblind_and_measure
+
+
+def _pairwise_gram(amps: np.ndarray) -> np.ndarray:
+    """amps @ amps.T summed pairwise over the columns: one matmul over all
+    2^(N-1) columns rounds up to 1.6e-15 near the largest entries (2k = 8,
+    theta = 0.05), this stays below 6e-16."""
+    if amps.shape[1] <= 16:
+        return amps @ amps.T
+    half = amps.shape[1] // 2
+    return _pairwise_gram(amps[:, :half]) + _pairwise_gram(amps[:, half:])
 
 
 class TestEquivocationAttack:
@@ -107,9 +118,12 @@ class TestEquivocationAttack:
         explicitly constructed ancilla rotation."""
         inst = NoGoInstance(two_k)
         rho0, rho1 = nogo_reduced_states(inst)
-        unitary = nogo_cheating_unitary(rho0, rho1)
-        achieved = uhlmann_overlap(rho0, rho1, unitary)
+        amps0, amps1 = rho0.purification_amps, rho1.purification_amps
+        unitary, singular_sum = nogo_cheating_unitary(amps0, amps1)
+        achieved = uhlmann_overlap(amps0, amps1, unitary)
         assert achieved == pytest.approx(fidelity(rho0, rho1), abs=1e-8)
+        # the same cross-Gram matrix, transposed
+        assert singular_sum == pytest.approx(fidelity(rho0, rho1), rel=0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "two_k, theta",
@@ -121,22 +135,50 @@ class TestEquivocationAttack:
         rank-one 2x2 blocks on complementary words, so
         F = 1/2 sum_h C(N, h) |a_h - b_h| with a_h = c^(2(N-h)) s^(2h),
         b_h = c^(2h) s^(2(N-h)), c = cos(theta/2), s = sin(theta/2). At small
-        theta many terms are far below 1e-6 and must all be kept."""
+        theta many terms are far below 1e-6 and must all be kept. The eigen
+        route and the report's parity purifications both meet it, and the
+        purifications reduce to the eigen route's states."""
         c2, s2 = math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2
         closed = 0.5 * sum(
             math.comb(two_k, h) * abs(c2 ** (two_k - h) * s2**h - c2**h * s2 ** (two_k - h))
             for h in range(two_k + 1)
         )
-        rho0, rho1 = nogo_reduced_states(NoGoInstance(two_k, theta=theta))
+        inst = NoGoInstance(two_k, theta=theta)
+        rho0, rho1 = nogo_reduced_states(inst)
         assert fidelity(rho0, rho1) == pytest.approx(closed, rel=0, abs=1e-12)
-        overlap = uhlmann_overlap(rho0, rho1, nogo_cheating_unitary(rho0, rho1))
+        amps0, amps1 = rho0.purification_amps, rho1.purification_amps
+        unitary, _ = nogo_cheating_unitary(amps0, amps1)
+        overlap = uhlmann_overlap(amps0, amps1, unitary)
         assert overlap == pytest.approx(closed, rel=0, abs=1e-12)
+        report = nogo_cheat_report(inst)
+        assert report.fidelity == pytest.approx(closed, rel=0, abs=1e-12)
+        assert report.achieved_overlap == pytest.approx(closed, rel=0, abs=1e-12)
+        for amps, rho in zip(nogo_purifications(inst), (rho0, rho1)):
+            np.testing.assert_allclose(_pairwise_gram(amps), rho.entries, rtol=0, atol=1e-15)
 
-    def test_a_report_decomposes_each_state_once(self, monkeypatch):
-        """One eigh per state at construction, serving the positivity check
-        and the purification; the fidelity and the unitary read the cached
-        purifications and decompose nothing again."""
-        calls = {"eigh": 0, "eigvalsh": 0}
+    @pytest.mark.parametrize("two_k", [2, 4, 6, 8, 10])
+    @pytest.mark.parametrize("theta", [0.05, 0.3, 0.4, np.pi / 4, 1.0, 1.2, np.pi / 2])
+    def test_report_detection_meets_the_closed_form_in_absolute_terms(self, two_k, theta):
+        """Detection is 1 - F^2 = g(2 - g) with the gap g = 1 - F =
+        sum_h C(N, h) min(a_h, b_h), a sum of positive terms. The report
+        forms 1 - overlap^2 in float64, so it is accurate in absolute terms
+        only: at 2k = 10, theta = 0.05 the exact value is 4.79e-14 and the
+        report is off by about 4e-15."""
+        c2, s2 = math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2
+        gap = math.fsum(
+            math.comb(two_k, h) * min(c2 ** (two_k - h) * s2**h, c2**h * s2 ** (two_k - h))
+            for h in range(two_k + 1)
+        )
+        report = nogo_cheat_report(NoGoInstance(two_k, theta=theta))
+        assert report.detection_probability == pytest.approx(gap * (2 - gap), rel=0, abs=1e-14)
+
+    def test_a_report_decomposes_nothing_and_makes_one_svd(self, monkeypatch):
+        """The report reads the committer's parity purifications: no eigh, and
+        one svd that gives both the fidelity and the unitary. The reference
+        route still makes one eigh per state, at construction, serving the
+        positivity check and the purification; its fidelity reads the cached
+        purifications and decomposes nothing again."""
+        calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
         for name in calls:
             real = getattr(np.linalg, name)
 
@@ -146,24 +188,25 @@ class TestEquivocationAttack:
 
             monkeypatch.setattr(np.linalg, name, counted)
         inst = NoGoInstance(6)
+        nogo_cheat_report(inst)
+        assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 1}
+        calls["svd"] = 0
         rho0, rho1 = nogo_reduced_states(inst)
-        assert calls == {"eigh": 2, "eigvalsh": 0}
+        assert calls == {"eigh": 2, "eigvalsh": 0, "svd": 0}
         calls["eigh"] = 0
         fidelity(rho0, rho1)
-        assert calls == {"eigh": 0, "eigvalsh": 0}
-        nogo_cheat_report(inst)
-        assert calls == {"eigh": 2, "eigvalsh": 0}
+        assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 1}
 
     def test_no_rotation_does_better_than_the_optimum(self):
-        inst = NoGoInstance(4)
-        rho0, rho1 = nogo_reduced_states(inst)
-        best = uhlmann_overlap(rho0, rho1, nogo_cheating_unitary(rho0, rho1))
+        amps0, amps1 = nogo_purifications(NoGoInstance(4))
+        unitary, _ = nogo_cheating_unitary(amps0, amps1)
+        best = uhlmann_overlap(amps0, amps1, unitary)
         rng = np.random.default_rng(99)
-        dim = rho0.entries.shape[0]
+        dim = amps0.shape[1]
         for _ in range(10):
             raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             q, _ = np.linalg.qr(raw)
-            assert uhlmann_overlap(rho0, rho1, q) <= best + 1e-10
+            assert uhlmann_overlap(amps0, amps1, q) <= best + 1e-10
 
     def test_fidelity_grows_and_detection_shrinks_with_size(self):
         fids = [nogo_fidelity(NoGoInstance(two_k)) for two_k in (2, 4, 6, 8)]
@@ -194,9 +237,9 @@ class TestEquivocationAttack:
                 raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
                 mat = raw @ raw.conj().T
                 mats.append(DensityMatrix(num_qubits=2, entries=mat / np.trace(mat).real))
-            a, b = mats
-            achieved = uhlmann_overlap(a, b, nogo_cheating_unitary(a, b))
-            assert achieved == pytest.approx(fidelity(a, b), abs=1e-8)
+            a, b = (m.purification_amps for m in mats)
+            unitary, _ = nogo_cheating_unitary(a, b)
+            assert uhlmann_overlap(a, b, unitary) == pytest.approx(fidelity(*mats), abs=1e-8)
 
 
 def reference_probe_attack_p3(n: int, trials: int, rng: RngStream) -> np.ndarray:

@@ -150,7 +150,15 @@ DIGESTS = {
     # 1e9d5001265811745f659a8ff2cac13336d00f72ccf84f39e4333851e5fccf5c
     # (real arithmetic, square roots decomposed again) and
     # 1e35699a0661962366865b28a85183803b8bfdf6122246945f37fcc95abc1a57
-    "nogo-theta-json": "a33c5469832a132674b699506a66d141f671b3fde3cb30dc1bb7d83b445fca07",
+    # and, from the eigen-purifications,
+    # a33c5469832a132674b699506a66d141f671b3fde3cb30dc1bb7d83b445fca07.
+    # Recorded at version 0.3.1, after the report took one SVD of the
+    # committer's parity purifications: the fidelity and achieved overlap
+    # rows moved from 0.6222901128109832 to 0.622290112810983 (the stored
+    # doubles lie 2.8e-16 and 6.1e-17 above the closed form) and detection
+    # from 0.6127550154976937 to 0.6127550154976941, 1 - F^2 to the last
+    # printed digit; no CSV digest moved
+    "nogo-theta-json": "b6651d3a73168314ab746f5328b7e81169437ab3c2bca57c54f4c8e3b5e3bfbc",
     # 0.1.0, before the string fields: 4ef42898af5cafea43bebb85bc0b2178a32887e311d275d193af2340029fbe98
     "p3-l3-n24/sender.json": "207cda527a5571f7f2ea23a82e4827a55a9bf4688fc26a01f6eab220ea9ede7f",
     # 0.1.0, before the string fields: 0c5a04ab67238cbfa138b15e8a65db8302b9e33a3339c3a2d65cec46443523c3
