@@ -44,14 +44,16 @@ from .qsim import (
     apply_on_qubit,
     bell_state,
     born_probabilities,
-    fidelity,
     inverse_cdf,
-    make_nonorthogonal_pair,
     rotate_rows,
     rotation_plane,
 )
 from .qsim.states import CONSTRUCTION_ATOL
-from .rot import HONEST_DECODE, PERP_INDEX, honest_draws, honest_probabilities
+from .rot import HONEST_DECODE, PERP_INDEX, encoding_amps, honest_draws, honest_probabilities
+
+# Not used below (the report reads the purifications), but bench/tracing.py
+# wraps the mixed-state fidelity under this name here.
+from .qsim import fidelity  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +102,17 @@ def _tensor_power(m: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _odd_parity(num_bits: int) -> np.ndarray:
+    """Read-only mask of the num_bits-bit strings of odd parity, in np.kron's
+    order: prepending a bit of 1 flips the parity (the Thue-Morse sequence)."""
+    odd = np.zeros(1, dtype=bool)
+    for _ in range(num_bits):
+        odd = np.concatenate([odd, ~odd])
+    odd.flags.writeable = False
+    return odd
+
+
 def nogo_reduced_states(inst: NoGoInstance) -> tuple[DensityMatrix, DensityMatrix]:
     """Receiver-side states for commit 0 and commit 1.
 
@@ -111,7 +124,7 @@ def nogo_reduced_states(inst: NoGoInstance) -> tuple[DensityMatrix, DensityMatri
     projectors P_b = |psi_b><psi_b|.
     """
     # the pair comes from a real plane rotation, so its amplitudes are real
-    p0, p1 = (np.outer(psi.amps.real, psi.amps.real) for psi in make_nonorthogonal_pair(inst.theta))
+    p0, p1 = (np.outer(psi, psi) for psi in encoding_amps(inst.theta).real)
     mean = _tensor_power((p0 + p1) / 2, inst.two_k)
     half_diff = _tensor_power((p0 - p1) / 2, inst.two_k)
     return tuple(
@@ -130,24 +143,15 @@ def nogo_purifications(inst: NoGoInstance) -> tuple[np.ndarray, np.ndarray]:
     all 2**N strings are the columns of the N-th tensor power of the 2x2
     matrix [psi_0 psi_1], in np.kron's order.
     """
-    # the pair comes from a real plane rotation, so its amplitudes are real
-    pair = np.stack([psi.amps.real for psi in make_nonorthogonal_pair(inst.theta)], axis=1)
-    products = _tensor_power(pair, inst.two_k)
-    # odd[s] is the parity of string s: prepending a bit of 1 flips it
-    odd = np.zeros(1, dtype=bool)
-    for _ in range(inst.two_k):
-        odd = np.concatenate([odd, ~odd])
+    # the cached pair, column b encoding bit b; its amplitudes are real
+    products = _tensor_power(encoding_amps(inst.theta).T.real, inst.two_k)
+    odd = _odd_parity(inst.two_k)
     scale = 2.0 ** (-(inst.two_k - 1) / 2)
     amps = (products[:, ~odd] * scale, products[:, odd] * scale)
     for a in amps:
         if abs(np.linalg.norm(a) - 1.0) > CONSTRUCTION_ATOL:
             raise ValueError("parity purification does not have unit norm")
     return amps
-
-
-def nogo_fidelity(inst: NoGoInstance) -> float:
-    rho0, rho1 = nogo_reduced_states(inst)
-    return fidelity(rho0, rho1)
 
 
 def nogo_cheating_unitary(amps0: np.ndarray, amps1: np.ndarray) -> tuple[np.ndarray, float]:

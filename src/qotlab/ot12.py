@@ -200,27 +200,45 @@ def _tail_window(n: int, p: float, threshold: int) -> tuple[int, int, int, float
 
     top is the largest term in [threshold, n]; [lo, hi] holds every term
     whose log is within TAIL_LOG_MARGIN + log(n + 1) of it. The pmf is
-    log-concave, so those terms form one interval and both ends are found by
-    bisection; the at most n + 1 terms outside weigh less than e**-60 of
-    the term at top.
+    log-concave, so those terms form one interval; the at most n + 1 terms
+    outside weigh less than e**-60 of the term at top.
+
+    Each end is bracketed by bisection on the lgamma form of the log pmf,
+    a fraction of the cost of a saddle-point call, and then confirmed by
+    saddle-point calls at and next to it, stepping while the guess fails
+    the cut or its outer neighbour clears it. The lgamma form only errs by
+    rounding, so the ends are those of the saddle-point form, and a tail
+    makes at most five saddle-point calls: one for top and two per end,
+    plus one for each term by which that rounding misplaces an end.
     """
     top = max(threshold, min(n, math.floor((n + 1) * p)))
     log_top = _log_pmf(n, top, p)
     cut = log_top - TAIL_LOG_MARGIN - math.log(n + 1)
+    log_n_fact, log_p, log_q = math.lgamma(n + 1.0), math.log(p), math.log1p(-p)
 
-    def edge(inside: int, outside: int) -> int:
-        # the term at `inside` clears the cut: the farthest one towards `outside` that does
-        if _log_pmf(n, outside, p) >= cut:
-            return outside
+    def clears_roughly(j: int) -> bool:
+        return log_n_fact - math.lgamma(j + 1.0) - math.lgamma(n - j + 1.0) + j * log_p + (n - j) * log_q >= cut
+
+    def edge(bound: int) -> int:
+        # the farthest term from top towards `bound` that clears the cut
+        step = 1 if bound > top else -1
+        inside, outside = top, bound + step
         while abs(outside - inside) > 1:
             mid = (inside + outside) // 2
-            if _log_pmf(n, mid, p) >= cut:
+            if clears_roughly(mid):
                 inside = mid
             else:
                 outside = mid
+        if inside != top and _log_pmf(n, inside, p) < cut:
+            inside -= step
+            while inside != top and _log_pmf(n, inside, p) < cut:
+                inside -= step
+            return inside
+        while inside != bound and _log_pmf(n, inside + step, p) >= cut:
+            inside += step
         return inside
 
-    return edge(top, threshold), top, edge(top, n), log_top
+    return edge(threshold), top, edge(n), log_top
 
 
 def binomial_tail(n: int, p: float, threshold: int) -> float:

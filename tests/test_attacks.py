@@ -13,7 +13,6 @@ from qotlab.attacks import (
     _p3_probe_tables,
     nogo_cheat_report,
     nogo_cheating_unitary,
-    nogo_fidelity,
     nogo_purifications,
     nogo_reduced_states,
     omission_attack_p5,
@@ -43,7 +42,8 @@ from qotlab.qsim import (
     fidelity,
     make_nonorthogonal_pair,
 )
-from qotlab.rot import honest_draws
+from qotlab.qsim import states
+from qotlab.rot import encoding_amps, honest_draws
 from rotation_route import unblind_and_measure
 
 
@@ -55,6 +55,23 @@ def _pairwise_gram(amps: np.ndarray) -> np.ndarray:
         return amps @ amps.T
     half = amps.shape[1] // 2
     return _pairwise_gram(amps[:, :half]) + _pairwise_gram(amps[:, half:])
+
+
+def nogo_fidelity(inst):
+    """The eigen route: the two parity states as density matrices, compared
+    by qsim.fidelity; the report's purification route must agree with it."""
+    rho0, rho1 = nogo_reduced_states(inst)
+    return fidelity(rho0, rho1)
+
+
+def statevector_purifications(inst):
+    """The parity purifications built from make_nonorthogonal_pair's
+    validated states, with each string's parity counted bit by bit."""
+    pair = np.stack([psi.amps.real for psi in make_nonorthogonal_pair(inst.theta)], axis=1)
+    products = attacks._tensor_power(pair, inst.two_k)
+    odd = np.array([bin(s).count("1") % 2 == 1 for s in range(2**inst.two_k)])
+    scale = 2.0 ** (-(inst.two_k - 1) / 2)
+    return products[:, ~odd] * scale, products[:, odd] * scale
 
 
 class TestEquivocationAttack:
@@ -196,6 +213,37 @@ class TestEquivocationAttack:
         calls["eigh"] = 0
         fidelity(rho0, rho1)
         assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 1}
+
+    @pytest.mark.parametrize("two_k", [2, 4, 6, 8, 10])
+    @pytest.mark.parametrize("theta", [0.05, 0.3, np.pi / 4, 1.2, np.pi / 2])
+    def test_purifications_read_the_cached_coding_pair(self, two_k, theta):
+        """The pair cached for the channel tables and the parity mask cached
+        per 2k give, bit for bit, the purifications built from the pair's
+        validated states."""
+        inst = NoGoInstance(two_k, theta=theta)
+        for got, want in zip(nogo_purifications(inst), statevector_purifications(inst)):
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    def test_a_report_builds_no_state_vector(self, monkeypatch):
+        """Once the channel tables have cached the pair for an angle, a
+        report at that angle validates no state."""
+        inst = NoGoInstance(6, theta=0.7)
+        encoding_amps(inst.theta)
+        built = 0
+        real = states.StateVector.__post_init__
+
+        def counted(self):
+            nonlocal built
+            built += 1
+            real(self)
+
+        monkeypatch.setattr(states.StateVector, "__post_init__", counted)
+        nogo_cheat_report(inst)
+        assert built == 0
+        # the counter does see the validated route
+        statevector_purifications(inst)
+        assert built == 2
 
     def test_no_rotation_does_better_than_the_optimum(self):
         amps0, amps1 = nogo_purifications(NoGoInstance(4))

@@ -7,11 +7,15 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qotlab import ot12
 from qotlab.ot12 import (
     BASE_RATE,
     TAIL_LOG_MARGIN,
     USD,
+    _log_pmf,
     _tail_window,
     binomial_tail,
     choose_index_sets,
@@ -94,6 +98,29 @@ def full_sum_tail(n, p, threshold):
     return min(1.0, max(0.0, total))
 
 
+def bisected_tail_window(n, p, threshold, log_pmf=_log_pmf):
+    """Reference window: both ends found by bisecting on the saddle-point
+    log pmf itself, up to 27 calls a tail where `_tail_window` makes at
+    most 5. `log_pmf` may be a table of the same saddle-point values."""
+    top = max(threshold, min(n, math.floor((n + 1) * p)))
+    log_top = log_pmf(n, top, p)
+    cut = log_top - TAIL_LOG_MARGIN - math.log(n + 1)
+
+    def edge(inside, outside):
+        # the term at `inside` clears the cut: the farthest one towards `outside` that does
+        if log_pmf(n, outside, p) >= cut:
+            return outside
+        while abs(outside - inside) > 1:
+            mid = (inside + outside) // 2
+            if log_pmf(n, mid, p) >= cut:
+                inside = mid
+            else:
+                outside = mid
+        return inside
+
+    return edge(top, threshold), top, edge(top, n), log_top
+
+
 _ANGLES = (0.3, np.pi / 4, 1.2)
 TAIL_RATES = (
     (0.25, 0.01, 0.9)
@@ -158,6 +185,82 @@ class TestWindowedTail:
         assert log_pmf(hi) >= cut > log_pmf(hi + 1)
         # the saddle-point anchor keeps full relative accuracy at the mode
         assert log_top == pytest.approx(log_pmf(top), rel=1e-15, abs=0)
+
+
+# rates where the window search must agree with bisection: near 0 and 1,
+# the honest rate at pi/4 and at 0.5, the discriminating rate at pi/4, and 3/4
+WINDOW_RATES = (1e-3, 0.25, 1 - math.cos(math.pi / 4), math.sin(0.5) ** 2 / 2, 0.75, 0.999)
+
+
+class TestTailWindow:
+    """The bracket-and-confirm search against bisection on the saddle-point
+    form: the same (lo, top, hi, log_top), so every summed tail is the same."""
+
+    @pytest.mark.parametrize("p", WINDOW_RATES)
+    def test_every_threshold_up_to_400(self, p):
+        for n in range(1, 401):
+            logs = [_log_pmf(n, j, p) for j in range(n + 1)]
+
+            def table(n_, j, p_):
+                return logs[j]
+
+            for t in range(1, n + 1):
+                assert _tail_window(n, p, t) == bisected_tail_window(n, p, t, table), (n, p, t)
+
+    @pytest.mark.parametrize("n", [1024, 20000, 10**6])
+    @pytest.mark.parametrize("p", WINDOW_RATES)
+    def test_large_n(self, n, p):
+        mode = math.floor((n + 1) * p)
+        spread = math.isqrt(n) + 1
+        thresholds = {1, 2, n - 1, n, k_of(n), 2 * k_of(n), mode - 1, mode, mode + 1}
+        thresholds |= {mode + d * spread for d in (-40, -12, -3, 3, 12, 40)}
+        thresholds |= set(range(1, n + 1, max(1, n // 97)))
+        for t in sorted(x for x in thresholds if 1 <= x <= n):
+            assert _tail_window(n, p, t) == bisected_tail_window(n, p, t), (n, p, t)
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [
+            # the lgamma form puts hi one term too far out, one term too far
+            # in, and lo one term too far out; the saddle-point steps mend each
+            (3110637553, 0.9763568732497784),
+            (2186907850, 0.4410426548697187),
+            (19491389930, 0.50412130590277),
+        ],
+    )
+    def test_rounding_in_the_lgamma_form_is_confirmed_away(self, n, p):
+        assert _tail_window(n, p, 1) == bisected_tail_window(n, p, 1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        case=st.integers(1, 10**6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.floats(1e-6, 1 - 1e-6),
+                st.integers(1, n),
+            )
+        )
+    )
+    def test_any_tail(self, case):
+        n, p, t = case
+        assert _tail_window(n, p, t) == bisected_tail_window(n, p, t)
+
+    @pytest.mark.parametrize("n", [64, 1024, 20000])
+    def test_a_tail_makes_at_most_six_saddle_point_calls(self, n, monkeypatch):
+        """One call for top and at most two for each end, where bisecting on
+        the saddle-point form made 8/8, 13/12 and 27/16 for p1/p2."""
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _log_pmf(*args)
+
+        monkeypatch.setattr(ot12, "_log_pmf", counted)
+        for tail in (p1_exact, p2_exact):
+            calls = 0
+            tail(n)
+            assert 3 <= calls <= 6, (tail.__name__, n, calls)
 
 
 class TestTailProbabilities:
