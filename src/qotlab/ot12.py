@@ -207,9 +207,10 @@ def _tail_window(n: int, p: float, threshold: int) -> tuple[int, int, int, float
     a fraction of the cost of a saddle-point call, and then confirmed by
     saddle-point calls at and next to it, stepping while the guess fails
     the cut or its outer neighbour clears it. The lgamma form only errs by
-    rounding, so the ends are those of the saddle-point form, and a tail
-    makes at most five saddle-point calls: one for top and two per end,
-    plus one for each term by which that rounding misplaces an end.
+    rounding, so the ends are those of the saddle-point form. A tail makes
+    one saddle-point call for top and two per end, plus one for each term
+    by which that rounding misplaces an end: none for n up to about 10**9,
+    tens at 10**12.
     """
     top = max(threshold, min(n, math.floor((n + 1) * p)))
     log_top = _log_pmf(n, top, p)
