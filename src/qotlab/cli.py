@@ -140,14 +140,15 @@ def cmd_rot(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     config = RotConfig(n=cfg.n, theta=cfg.theta)
     for strategy, offset in ((HONEST, _STREAM_ROT_HONEST), (USD, _STREAM_ROT_USD)):
         camp = RngStream(cfg.seed, offset)
-        conclusive = 0
-        errors = 0
+        sent, decoded = [], []
         for t in range(cfg.trials):
-            rng = camp.substream(t)
-            sender, receiver = run_rot(config, strategy, rng)
-            conclusive += len(receiver.conclusive)
-            sent = sender.bits.tolist()
-            errors += sum(1 for pos, val in receiver.conclusive if val != sent[pos - 1])
+            sender, receiver = run_rot(config, strategy, camp.substream(t))
+            sent.append(sender.bits)
+            decoded.append(receiver.decoded)
+        sent, decoded = np.stack(sent), np.stack(decoded)
+        conclusive = int(np.count_nonzero(decoded >= 0))
+        # a cell is wrong when it holds the other bit; -1 is neither
+        errors = int(np.count_nonzero(decoded == sent ^ 1))
         qubits = cfg.trials * cfg.n
         params = f"n={cfg.n};strategy={strategy};theta={_g(cfg.theta)}"
         rows.append(_mc_row("rot", params, "conclusive_rate", conclusive, qubits))
@@ -208,20 +209,21 @@ def _attack_usd(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     rows: list[ResultRow] = []
     fails: list[str] = []
     camp = RngStream(cfg.seed, _STREAM_ATTACK_USD)
-    conclusive = 0
+    decoded = []
     aborts = 0
     learned_both = 0
     for t in range(cfg.trials):
         rng = camp.substream(t)
         b0, b1 = rng.bit(), rng.bit()
         tr = run_ot12(cfg.n, b0, b1, USD, rng, theta=cfg.theta, alpha=cfg.alpha)
-        conclusive += len(tr.receiver.conclusive)
+        decoded.append(tr.receiver.decoded)
         if tr.aborted:
             aborts += 1
             continue
-        cmap = tr.receiver.conclusive_map()
-        if all(p in cmap for p in tr.sets.i_set) and all(p in cmap for p in tr.sets.j_set):
-            learned_both += 1
+        # both masks are known when every announced cell is conclusive
+        cells = tr.receiver.decoded.tolist()
+        learned_both += min([cells[p - 1] for p in tr.sets.i_set + tr.sets.j_set]) >= 0
+    conclusive = int(np.count_nonzero(np.stack(decoded) >= 0))
     qubits = cfg.trials * cfg.n
     params = f"alpha={cfg.alpha};attack=usd;n={cfg.n};theta={_g(cfg.theta)}"
     exact_rate = RotConfig(n=cfg.n, theta=cfg.theta).usd_conclusive_rate
@@ -259,9 +261,15 @@ def _probe_rows(
     n qubits is detected."""
     trials, n = detected.shape
     hits = int(np.count_nonzero(detected))
-    # a run is detected when any of its columns is: OR the n columns, which
-    # beats a row-wise any() on a grid of many short rows
-    successes = trials - int(np.count_nonzero(functools.reduce(np.bitwise_or, detected.T)))
+    # a run is detected when any of its columns is: pad the rows to whole
+    # 8-byte words and OR the word columns, which beats a row-wise any() on
+    # a grid of many short rows
+    grid = np.ascontiguousarray(detected, dtype=bool)
+    if n % 8:
+        grid = np.zeros((trials, n + 8 - n % 8), dtype=bool)
+        grid[:, :n] = detected
+    runs_detected = functools.reduce(np.bitwise_or, grid.view(np.uint64).T)
+    successes = trials - int(np.count_nonzero(runs_detected))
     exact_run = (1.0 - exact_pq) ** n
     params = f"attack={attack};n={n}"
     rows = [

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .qsim import RngStream
-from .rot import HONEST, USD, ReceiverRecord, RotConfig, SenderRecord, run_rot
+from .rot import HONEST, USD, ReceiverRecord, RotConfig, SenderRecord, _unchecked, run_rot
 
 DEFAULT_ALPHA = Fraction(1, 16)
 BASE_RATE = Fraction(1, 4)
@@ -283,20 +283,24 @@ def choose_index_sets(
     receiver (strategy USD) swaps the roles: J is filled from leftover
     conclusive positions first, so that 2k conclusive bits make both masks
     known to him. The draws are I, then J, then the slot bit m.
+
+    The sets are drawn sorted and disjoint, so they are built unchecked.
     """
-    conclusive = [p for p, v in enumerate(decoded, start=1) if v >= 0]
+    conclusive: list[int] = []
+    unknown: list[int] = []
+    for pos, cell in enumerate(decoded, start=1):
+        (conclusive if cell >= 0 else unknown).append(pos)
     if len(conclusive) < k:
         return None
     i_set = rng.subset(conclusive, k)
     taken = set(i_set)
     leftovers = [p for p in conclusive if p not in taken]
-    unknown = [p for p, v in enumerate(decoded, start=1) if v < 0]
     first, second = (leftovers, unknown) if strategy == USD else (unknown, leftovers)
     if len(first) >= k:
         j_set = rng.subset(first, k)
     else:
         j_set = sorted(first + rng.subset(second, k - len(first)))
-    return IndexSets(i_set=tuple(i_set), j_set=tuple(j_set), m=rng.bit())
+    return _unchecked(IndexSets, i_set=tuple(i_set), j_set=tuple(j_set), m=rng.bit())
 
 
 def mask(values: Iterable[int]) -> int:
@@ -306,31 +310,6 @@ def mask(values: Iterable[int]) -> int:
     for v in values:
         out ^= v
     return out
-
-
-def sender_encrypt(
-    bits: Sequence[int], x_set: Sequence[int], y_set: Sequence[int], b0: int, b1: int
-) -> tuple[int, int]:
-    """Mask b0 with the sent bits over X and b1 with those over Y; `bits` is
-    the sent string as a list of ints, position p at index p - 1."""
-    if b0 not in (0, 1) or b1 not in (0, 1):
-        raise ValueError("messages must be bits")
-    if set(x_set) & set(y_set):
-        raise ValueError("announced sets must be disjoint")
-    positions = (*x_set, *y_set)
-    if positions and not (1 <= min(positions) and max(positions) <= len(bits)):
-        raise ValueError("announced position out of range")
-    return b0 ^ mask([bits[p - 1] for p in x_set]), b1 ^ mask([bits[p - 1] for p in y_set])
-
-
-def receiver_decrypt(c_m: int, values: Iterable[int]) -> int:
-    """Strip the mask from the chosen ciphertext using conclusive values."""
-    if c_m not in (0, 1):
-        raise ValueError("ciphertext must be a bit")
-    values = list(values)
-    if not set(values) <= {0, 1}:
-        raise ValueError("missing conclusive value over I")
-    return c_m ^ mask(values)
 
 
 class MaskedTransfer(NamedTuple):
@@ -361,14 +340,23 @@ def run_masked_transfer(
     strategy: str = HONEST,
 ) -> MaskedTransfer:
     """The classical tail of the protocol, applied to a finished qubit phase:
-    the n sent bits and the receiver's decoded row, each as a list."""
+    the n sent bits and the receiver's decoded row, each as a list.
+
+    The sender masks b0 with her bits over X and b1 with those over Y; the
+    receiver strips the mask over I from the ciphertext in its slot with
+    its own decoded bits there, all conclusive since I was drawn from them.
+    Only the messages come from outside the run, so only they are checked.
+    """
     if len(bits) != n or len(decoded) != n:
         raise ValueError("need n sent bits and n decoded cells")
+    if b0 not in (0, 1) or b1 not in (0, 1):
+        raise ValueError("messages must be bits")
     sets = choose_index_sets(decoded, k, rng, strategy)
     if sets is None:
         return _ABORTED
-    c0, c1 = sender_encrypt(bits, sets.x_set, sets.y_set, b0, b1)
-    b_received = receiver_decrypt(sets.pick(c0, c1), [decoded[p - 1] for p in sets.i_set])
+    c0 = b0 ^ mask([bits[p - 1] for p in sets.x_set])
+    c1 = b1 ^ mask([bits[p - 1] for p in sets.y_set])
+    b_received = sets.pick(c0, c1) ^ mask([decoded[p - 1] for p in sets.i_set])
     return MaskedTransfer(sets, c0, c1, b_received)
 
 
@@ -381,14 +369,19 @@ def run_ot12(
     theta: float = float(np.pi / 4),
     alpha: Fraction = DEFAULT_ALPHA,
 ) -> Ot12Transcript:
-    """One full run: qubit phase, announcement, masking, decryption."""
+    """One full run: qubit phase, announcement, masking, decryption. The
+    tail sets the announcement, ciphertexts and received bit all or none,
+    so the transcript is built unchecked."""
     config = RotConfig(n=n, theta=theta)
     k = transfer_k(n, alpha)
     sender, receiver = run_rot(config, strategy, rng)
-    tail = run_masked_transfer(
+    sets, c0, c1, b_received = run_masked_transfer(
         sender.bits.tolist(), receiver.decoded.tolist(), n, k, b0, b1, rng, strategy
     )
-    return Ot12Transcript(sender, receiver, *tail)
+    return _unchecked(
+        Ot12Transcript,
+        sender=sender, receiver=receiver, sets=sets, c0=c0, c1=c1, b_received=b_received,
+    )
 
 
 def abort_rate_exact(n: int, rate: float, alpha: Fraction) -> float:

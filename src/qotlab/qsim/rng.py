@@ -69,15 +69,23 @@ class RngStream:
     ):
         if master_seed < 0 or master_seed >= 2**64:
             raise ValueError("master_seed must fit in 64 bits")
-        self.master_seed = int(master_seed)
-        self.stream_index = _check_index(stream_index)
-        self._path = tuple(_check_index(i) for i in _path)
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index, *self._path))
+        path = tuple(_check_index(i) for i in _path)
+        self._bind(int(master_seed), _check_index(stream_index), path)
+
+    def _bind(self, master_seed: int, stream_index: int, path: tuple[int, ...]) -> "RngStream":
+        self.master_seed = master_seed
+        self.stream_index = stream_index
+        self._path = path
+        seq = np.random.SeedSequence(master_seed, spawn_key=(stream_index, *path))
         self.gen = np.random.default_rng(seq)
+        return self
 
     def substream(self, index: int) -> "RngStream":
-        """Derive an independent stream; index 0 is not the parent stream."""
-        return RngStream(self.master_seed, self.stream_index, self._path + (index,))
+        """Derive an independent stream; index 0 is not the parent stream.
+        The parent's seed and path were checked when it was built, so only
+        the new index is."""
+        path = (*self._path, _check_index(index))
+        return object.__new__(RngStream)._bind(self.master_seed, self.stream_index, path)
 
     def bit(self) -> int:
         return int(self.gen.integers(0, 2))

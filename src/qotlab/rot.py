@@ -60,8 +60,7 @@ def _unchecked(cls, **fields):
     """A frozen record of `cls` from fields that already passed its checks,
     such as rows of a checked pass, without copying or checking them again."""
     record = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(record, name, value)
+    record.__dict__.update(fields)
     return record
 
 
@@ -121,24 +120,27 @@ class ReceiverRecord:
         """Record from one decoded bit per qubit, -1 where inconclusive.
 
         Positions read off the decoded vector increase and lie in 1..n by
-        construction, so only its values are checked, in one pass.
+        construction, so only its cells are checked, in one pass.
         """
         basis = np.array(basis_choices, dtype=np.int8)
         basis.flags.writeable = False
         decoded = np.asarray(decoded)
         if decoded.shape != basis.shape or basis.ndim != 1:
             raise ValueError("need one decoded value per basis choice")
-        pos = np.flatnonzero(decoded >= 0)
-        values = decoded[pos]
-        if np.count_nonzero(values & -2):
-            raise ValueError("conclusive values must be bits")
+        if not np.isin(decoded, (-1, 0, 1)).all():
+            raise ValueError("decoded cells must be -1 or a bit")
         row = decoded.astype(np.int8)
         row.flags.writeable = False
-        pairs = tuple(zip((pos + 1).tolist(), values.tolist()))
-        return _unchecked(cls, strategy=strategy, basis_choices=basis, conclusive=pairs, decoded=row)
+        return _drawn_receiver(strategy, basis, row)
 
-    def conclusive_map(self) -> dict[int, int]:
-        return {pos: val for pos, val in self.conclusive}
+
+def _drawn_receiver(strategy: str, basis: np.ndarray, decoded: np.ndarray) -> ReceiverRecord:
+    """The record of read-only int8 rows whose cells are -1 or a bit, as a
+    pass decodes them, with its conclusive pairs read off in one pass."""
+    pairs = tuple([(pos, val) for pos, val in enumerate(decoded.tolist(), start=1) if val >= 0])
+    return _unchecked(
+        ReceiverRecord, strategy=strategy, basis_choices=basis, conclusive=pairs, decoded=decoded
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,7 +169,8 @@ HONEST_DECODE = np.array([[-1, 1], [-1, 0]], dtype=np.int8)
 HONEST_DECODE.flags.writeable = False
 
 # decoded bit of each usd_povm outcome: conclusive-0, conclusive-1, inconclusive
-_USD_DECODED = np.array([0, 1, -1])
+_USD_DECODED = np.array([0, 1, -1], dtype=np.int8)
+_USD_DECODED.flags.writeable = False
 
 
 def honest_probabilities(amps: np.ndarray, theta: float, x: np.ndarray) -> np.ndarray:
@@ -245,12 +248,18 @@ def run_rot(
 ) -> tuple[SenderRecord, ReceiverRecord]:
     """One sender pass followed by one receiver pass over the n qubits: the
     sender's bits are drawn before any receiver draw, then each receiver
-    samples its n outcomes from the `born_sums` columns its qubits select."""
+    samples its n outcomes from the `born_sums` columns its qubits select.
+
+    Both records hold the drawn rows themselves, made read-only: each is
+    int8 and every decoded cell is -1 or a bit by construction, so nothing
+    is copied or checked again.
+    """
     sums = born_sums(config.theta, strategy)
     bits = rng.bits(config.n)
     if strategy == HONEST:
         x, decoded = honest_channel(bits, *honest_draws(rng, config.n), config.theta)
     else:
-        x = np.full(config.n, -1)
+        x = np.full(config.n, -1, dtype=np.int8)
         decoded = _USD_DECODED[passed_sums(sums[:, bits], rng.gen.random(config.n))]
-    return SenderRecord(bits=bits), ReceiverRecord.from_decoded(strategy, x, decoded)
+    bits.flags.writeable = x.flags.writeable = decoded.flags.writeable = False
+    return _unchecked(SenderRecord, bits=bits), _drawn_receiver(strategy, x, decoded)

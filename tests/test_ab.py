@@ -22,14 +22,54 @@ def _roundtrip(reason="round 1: shares are not bits", path=("rounds", 0, "share0
     return {"results": [("P2-BC", 1, honest, path, _result(False, None, reason))], "codec_bytes": 9}
 
 
-_CAMPAIGN = {"csv": {"rot": "header\nrow\n", "omission": "header\n"}, "transcripts": []}
+def _transcript(decoded=(-1, 0, 1), sets=((2,), (1,), 0)):
+    """A campaign transcript with the fields ab.py compares."""
+    aborted = sets is None
+    return SimpleNamespace(
+        sender=SimpleNamespace(bits=np.array([1, 0, 1], dtype=np.int8)),
+        receiver=SimpleNamespace(
+            decoded=np.array(decoded, dtype=np.int8),
+            conclusive=tuple((p, v) for p, v in enumerate(decoded, start=1) if v >= 0),
+        ),
+        sets=None if aborted else SimpleNamespace(i_set=sets[0], j_set=sets[1], m=sets[2]),
+        c0=None if aborted else 1,
+        c1=None if aborted else 0,
+        b_received=None if aborted else 1,
+    )
+
+
+_CAMPAIGN = {"csv": {"rot": "header\nrow\n", "omission": "header\n"}, "transcripts": [_transcript()]}
 _EXACT = {"csv": "header\n", "n": 20000, "p1": 0.25, "p2": 1e-90}
 
 
 @pytest.mark.parametrize(
     "workload, base, new, key",
     [
-        ("campaign", _CAMPAIGN, {**_CAMPAIGN, "transcripts": [object()]}, None),
+        ("campaign", _CAMPAIGN, {**_CAMPAIGN, "transcripts": [_transcript()]}, None),
+        (
+            "campaign",
+            _CAMPAIGN,
+            {**_CAMPAIGN, "transcripts": [_transcript(decoded=(-1, -1, 1))]},
+            "transcripts[0].decoded",
+        ),
+        (
+            "campaign",
+            _CAMPAIGN,
+            {**_CAMPAIGN, "transcripts": [_transcript(sets=((2,), (3,), 0))]},
+            "transcripts[0].sets",
+        ),
+        (
+            "campaign",
+            _CAMPAIGN,
+            {**_CAMPAIGN, "transcripts": [_transcript(sets=None)]},
+            "transcripts[0].sets",
+        ),
+        (
+            "campaign",
+            _CAMPAIGN,
+            {**_CAMPAIGN, "transcripts": [*_CAMPAIGN["transcripts"], _transcript()]},
+            "transcripts[1].sent",
+        ),
         ("campaign", _CAMPAIGN, {**_CAMPAIGN, "csv": {"rot": "header\nrow\n"}}, "csv[omission]"),
         ("exact", _EXACT, dict(_EXACT), None),
         ("exact", _EXACT, {**_EXACT, "p2": np.nextafter(1e-90, 1.0)}, "p2"),

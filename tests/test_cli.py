@@ -763,6 +763,19 @@ def test_a_failing_check_reports_its_spread(argv, name, fake, label, spread, mon
     assert _run(argv, capsys) == (0, out, "")
 
 
+@pytest.mark.parametrize("n", [1, 3, 8, 9, 17])
+def test_probe_run_success_counts_the_rows_without_a_detection(n):
+    """The word-column OR of the padded grid counts the same undetected runs
+    as a row-wise any(), whether or not n fills whole 8-byte words."""
+    rng = np.random.default_rng(n)
+    # sparse hits leave many rows clear; one hit in each column's own row
+    detected = rng.random((500, n)) < 0.2 / n
+    detected[np.arange(n), np.arange(n)] = True
+    rows, _ = cli._probe_rows("probe", detected, 0.2 / n)
+    (success,) = [r for r in rows if r.metric == "run_success"]
+    assert success.value == np.count_nonzero(~detected.any(axis=1)) / len(detected)
+
+
 _CHECKED = [key for key, e in cli.EXPERIMENTS.items() if "--check" in e.flags]
 
 

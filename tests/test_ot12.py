@@ -22,15 +22,14 @@ from qotlab.ot12 import (
     k_of,
     p1_exact,
     p2_exact,
-    receiver_decrypt,
     run_masked_transfer,
     run_ot12,
-    sender_encrypt,
     transfer_k,
     wilson_interval,
 )
 from qotlab.qsim import RngStream
 from qotlab.rot import HONEST, ReceiverRecord
+from masking_route import receiver_decrypt, sender_encrypt
 
 
 def test_k_of_reference_values():
@@ -431,6 +430,17 @@ def test_the_tail_refuses_rows_of_another_length():
             run_masked_transfer(bits, decoded, 6, 1, 0, 1, RngStream(8, 0))
 
 
+def test_the_tail_refuses_messages_that_are_not_bits():
+    """The messages are the one input of the tail a run did not draw; they
+    are refused before any draw, whether or not the run would abort."""
+    for decoded in ([1] * 6, [-1] * 6):
+        for b0, b1 in ((2, 0), (0, -1)):
+            rng = RngStream(8, 0)
+            with pytest.raises(ValueError, match="^messages must be bits$"):
+                run_masked_transfer([0] * 6, decoded, 6, 1, b0, b1, rng)
+            assert rng.gen.bit_generator.state == RngStream(8, 0).gen.bit_generator.state
+
+
 class TestFullRuns:
     def test_honest_run_recovers_the_chosen_secret(self):
         for trial in range(30):
@@ -467,7 +477,7 @@ class TestFullRuns:
             t = run_ot12(n, 1, 1, USD, rng)
             if t.aborted:
                 continue
-            known = t.receiver.conclusive_map()
+            known = dict(t.receiver.conclusive)
             if all(p in known for p in t.sets.i_set) and all(
                 p in known for p in t.sets.j_set
             ):

@@ -152,7 +152,7 @@ def test_receiver_record_helpers():
         basis_choices=(0, 1, 0),
         conclusive=((1, 0), (2, 1)),
     )
-    assert record.conclusive_map() == {1: 0, 2: 1}
+    assert record.conclusive == ((1, 0), (2, 1))
     assert record.basis_choices.dtype == np.int8
     assert not record.basis_choices.flags.writeable
     for row, want in (
@@ -162,6 +162,10 @@ def test_receiver_record_helpers():
     ):
         assert row.dtype == np.int8 and not row.flags.writeable
         assert row.tolist() == want
+    # any cell outside {-1, 0, 1} is refused, negative ones too
+    for cells in ([-2, 1, -7], [0, 2, -1], [-1, -1, -128], [0.5, 0, 1]):
+        with pytest.raises(ValueError, match="^decoded cells must be -1 or a bit$"):
+            ReceiverRecord.from_decoded(HONEST, (0, 0, 1), np.array(cells))
 
 
 @pytest.mark.parametrize(

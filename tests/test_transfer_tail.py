@@ -33,13 +33,13 @@ from qotlab.bitcommit import (
 from qotlab.ot12 import (
     DEFAULT_ALPHA,
     IndexSets,
-    receiver_decrypt,
+    Ot12Transcript,
     run_ot12,
-    sender_encrypt,
     transfer_k,
 )
 from qotlab.qsim import RngStream
 from qotlab.rot import HONEST, USD, ReceiverRecord, RotConfig, SenderRecord, honest_draws, run_rot
+from masking_route import receiver_decrypt, sender_encrypt
 from rotation_route import unblind_and_measure
 
 SEEDS = range(100)
@@ -70,7 +70,7 @@ def reference_tail(sender: SenderRecord, receiver: ReceiverRecord, n, k, b0, b1,
     if sets is None:
         return None, None, None, None
     c0, c1 = sender_encrypt(sender.bits.tolist(), sets.x_set, sets.y_set, b0, b1)
-    cmap = receiver.conclusive_map()
+    cmap = dict(receiver.conclusive)
     received = receiver_decrypt(sets.pick(c0, c1), [cmap.get(p) for p in sets.i_set])
     return sets, c0, c1, received
 
@@ -179,3 +179,33 @@ def test_a_transfer_equals_the_per_record_reference(strategy, theta, n):
         assert t.sender.bits.tolist() == sender.bits.tolist()
         assert t.receiver.conclusive == receiver.conclusive and t.strategy == strategy
         assert rng.gen.bit_generator.state == ref_rng.gen.bit_generator.state, seed
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4, 0.7])
+@pytest.mark.parametrize("strategy", [HONEST, USD])
+@pytest.mark.parametrize("n", [6, 16, 64])
+def test_what_a_run_builds_unchecked_equals_the_checked_constructors(strategy, theta, n):
+    """A run builds its records and announcement once, from what it drew;
+    the checked constructors rebuild the same from the same fields."""
+    k = transfer_k(n)
+    topped_up = 0
+    for seed in SEEDS:
+        t = run_ot12(n, seed % 2, (seed // 2) % 2, strategy, RngStream(seed, 2), theta=theta)
+        sender = SenderRecord(bits=t.sender.bits)
+        receiver = ReceiverRecord(t.strategy, t.receiver.basis_choices, t.receiver.conclusive)
+        assert sender.bits.tolist() == t.sender.bits.tolist(), seed
+        assert receiver.basis_choices.tolist() == t.receiver.basis_choices.tolist(), seed
+        assert receiver.decoded.tolist() == t.receiver.decoded.tolist(), seed
+        for row in (t.sender.bits, t.receiver.basis_choices, t.receiver.decoded):
+            assert row.dtype == "int8" and not row.flags.writeable
+        # the transcript's checked constructor takes the tail's fields as they are
+        Ot12Transcript(t.sender, t.receiver, t.sets, t.c0, t.c1, t.b_received)
+        if t.aborted:
+            continue
+        assert IndexSets(t.sets.i_set, t.sets.j_set, t.sets.m) == t.sets, seed
+        assert len(t.sets.j_set) == k
+        known = {pos for pos, _ in t.receiver.conclusive}
+        topped_up += {pos in known for pos in t.sets.j_set} == {True, False}
+    if strategy == USD and k > 1:
+        # fewer than k leftover conclusive positions: J is drawn from both lists
+        assert topped_up > 0

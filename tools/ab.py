@@ -9,8 +9,9 @@ the ops of `bench/workloads.py` alternate between the trees, BASE first in
 even pairs and NEW first in odd ones, both ops of a pair on the same op
 seed; each op's output goes through the workload's own check, untimed, and
 the pooled checks run at the end. The two ops of a pair must also return
-the same output (`op_output`): the first difference is printed with its
-workload, op seed and key, and the run exits 1.
+the same output (`op_output`), a campaign's transcripts included: the
+first difference is printed with its workload, op seed and key, and the
+run exits 1.
 
 It prints each tree's median op time with its quartiles, the ratio of the
 medians as BASE / NEW (above 1 means NEW is faster), and how many pairs
@@ -58,9 +59,23 @@ def load_workloads(root: Path):
 
 
 def op_output(workload: str, out) -> dict[str, object]:
-    """What an op returned that both trees must reproduce exactly, by key."""
+    """What an op returned that both trees must reproduce exactly, by key.
+    A campaign's transcripts count as well as its CSV, since a change that
+    moves a run's draws need not move any rate."""
     if workload == "campaign":
-        return {f"csv[{key}]": text for key, text in out["csv"].items()}
+        fields = {f"csv[{key}]": text for key, text in out["csv"].items()}
+        for i, t in enumerate(out["transcripts"]):
+            sets = t.sets and (t.sets.i_set, t.sets.j_set, t.sets.m)
+            fields.update({
+                f"transcripts[{i}].sent": t.sender.bits.tolist(),
+                f"transcripts[{i}].decoded": t.receiver.decoded.tolist(),
+                f"transcripts[{i}].conclusive": t.receiver.conclusive,
+                f"transcripts[{i}].sets": sets,
+                f"transcripts[{i}].c0": t.c0,
+                f"transcripts[{i}].c1": t.c1,
+                f"transcripts[{i}].b_received": t.b_received,
+            })
+        return fields
     if workload == "exact":
         return {key: out[key] for key in ("csv", "n", "p1", "p2")}
     fields = {}
