@@ -7,7 +7,9 @@ Four families:
 * the purification attack on share-parity commitments: the two commitments
   reduce on the receiver's side to two highly overlapping mixed states, and
   a committer who keeps a purification can steer one onto the other with a
-  local unitary, switching her bit almost undetectably,
+  local unitary, switching her bit almost undetectably; in the
+  Walsh-Hadamard basis that unitary is one fixed matrix per size and the
+  fidelity a closed-form sum,
 * the probe attack on the entangled-pair commitment: the committer copies
   the transit qubit onto a probe before encoding, which the receiver's pair
   measurement detects with probability one half per qubit,
@@ -19,6 +21,7 @@ Four families:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -69,12 +72,16 @@ class NoGoInstance:
     theta: float = ENCODE_ANGLE
 
     def __post_init__(self):
-        if self.two_k < 2 or self.two_k % 2 != 0:
-            raise ValueError("two_k must be an even integer >= 2")
+        _check_parity_instance(self.two_k, self.theta)
         if self.two_k > 10:
             raise ValueError("two_k above 10 needs more than dense matrices")
-        if not 0.0 <= self.theta <= np.pi / 2:
-            raise ValueError("theta must lie in [0, pi/2]")
+
+
+def _check_parity_instance(two_k: int, theta: float) -> None:
+    if two_k < 2 or two_k % 2 != 0:
+        raise ValueError("two_k must be an even integer >= 2")
+    if not 0.0 <= theta <= np.pi / 2:
+        raise ValueError("theta must lie in [0, pi/2]")
 
 
 @dataclass(frozen=True)
@@ -103,12 +110,21 @@ def _tensor_power(m: np.ndarray, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def _bit_counts(num_bits: int) -> np.ndarray:
+    """Read-only table of the number of 1 bits of each num_bits-bit string,
+    in np.kron's order: prepending a bit of 1 adds one to every count."""
+    counts = np.zeros(1, dtype=np.intp)
+    for _ in range(num_bits):
+        counts = np.concatenate([counts, counts + 1])
+    counts.flags.writeable = False
+    return counts
+
+
+@functools.lru_cache(maxsize=None)
 def _odd_parity(num_bits: int) -> np.ndarray:
     """Read-only mask of the num_bits-bit strings of odd parity, in np.kron's
-    order: prepending a bit of 1 flips the parity (the Thue-Morse sequence)."""
-    odd = np.zeros(1, dtype=bool)
-    for _ in range(num_bits):
-        odd = np.concatenate([odd, ~odd])
+    order."""
+    odd = (_bit_counts(num_bits) & 1).astype(bool)
     odd.flags.writeable = False
     return odd
 
@@ -154,22 +170,108 @@ def nogo_purifications(inst: NoGoInstance) -> tuple[np.ndarray, np.ndarray]:
     return amps
 
 
-def nogo_cheating_unitary(amps0: np.ndarray, amps1: np.ndarray) -> tuple[np.ndarray, float]:
-    """Ancilla unitary steering purification amps0 onto amps1, and the
-    fidelity it attains.
+@functools.lru_cache(maxsize=None)
+def nogo_cheating_unitary(two_k: int) -> np.ndarray:
+    """The committer's optimal ancilla rotation for 2k = two_k qubits, the
+    same at every theta; read-only.
 
-    Each purification holds the system index by rows and the ancilla index
-    by columns (`nogo_purifications`, or a state's `purification_amps`).
-    One singular value decomposition of the cross-Gram matrix serves both
-    (Uhlmann): the fidelity is the sum of its singular values and the
-    unitary is built from its factors. The unitary acts on the ancilla by
-    left multiplication of the transposed purifications.
+    It maps the ancilla of the even-parity purification (columns: the even
+    strings, as in `nogo_purifications`) onto that of the odd one (rows:
+    the odd strings), acting by left multiplication of the transposed
+    purification. Entry (x, y) of the cross-Gram matrix A_0^T A_1 is
+    2**-(N-1) cos(theta)**d(x, y), a function of the Hamming distance
+    alone, so the Walsh-Hadamard characters chi_w diagonalise it. On the
+    even strings chi_w and chi_wbar agree (wbar = w xor 1...1), on the odd
+    ones they are opposite; so over the words w of first bit 0, the
+    normalised restrictions e_w (even) and f_w (odd) are two orthonormal
+    bases, and A_0^T A_1 = sum_w (a_h - b_h) e_w f_w^T with h = |w| (see
+    `nogo_fidelity_gap`). W = sum_w sign(a_h - b_h) f_w e_w^T attains the
+    sum of the |a_h - b_h|, the fidelity (Uhlmann), and a_h >= b_h exactly
+    when h <= N/2, at every theta. Since chi_w(x) chi_w(y) = chi_w(x xor y),
+    entry (y, x) of W is a kernel of x xor y; its entries are dyadic, so W
+    is orthogonal to the last bit.
     """
-    if amps0.shape != amps1.shape:
-        raise ValueError("the two purifications must share one shape")
-    cross_gram = amps0.T @ amps1.conj()
-    u, singular_values, vh = np.linalg.svd(cross_gram)
-    return vh.conj().T @ u.conj().T, float(min(1.0, singular_values.sum()))
+    half = 2 ** (two_k - 1)
+    words = np.arange(2 * half)
+    counts = _bit_counts(two_k)
+    # the characters of the words of first bit 0, one row each
+    characters = 1.0 - 2.0 * (counts[words[:half, np.newaxis] & words] & 1)
+    signs = np.where(2 * counts[:half] <= two_k, 1.0, -1.0)
+    kernel = signs @ characters / half
+    odd = _odd_parity(two_k)
+    unitary = kernel[words[odd, np.newaxis] ^ words[~odd]]
+    unitary.flags.writeable = False
+    return unitary
+
+
+def nogo_fidelity_gap(two_k: int, theta: float) -> tuple[float, float]:
+    """The fidelity F of the two parity states of two_k = N coded qubits,
+    and the gap g = 1 - F, for any even N.
+
+    The singular values of the cross-Gram matrix are |a_h - b_h| with
+    a_h = c**(2(N-h)) s**(2h), b_h = c**(2h) s**(2(N-h)), c = cos(theta/2),
+    s = sin(theta/2), each C(N-1, h) times (`nogo_cheating_unitary`).
+    Pairing h with N - h, and since sum_h C(N, h) a_h = 1,
+
+        F = sum_{h < N/2} C(N, h) a_h (1 - tan(theta/2)**(2(N-2h))),
+        g = sum_{h < N/2} 2 C(N, h) b_h + C(N, N/2) a_{N/2},
+
+    both sums of non-negative terms, so neither is formed as a difference
+    of the other from 1. Each term is a product of the exact C(N, h) and
+    two powers, kept as a mantissa and a binary exponent so that none
+    overflows or underflows; the terms are summed relative to the largest.
+    The rounding of c and s, raised to the 2N-th power, bounds what either
+    can reach (a few ulp at 2k <= 10, about 1e-14 at 2k = 200); F is
+    capped at 1.
+    """
+    _check_parity_instance(two_k, theta)
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    if s == 0.0:
+        # one coding state: both commitments are the same pure state
+        return 1.0, 0.0
+    log_tan = math.log(math.tan(theta / 2))
+    f_terms, g_terms = [], []
+    for h in range(two_k // 2):
+        comb = math.comb(two_k, h)
+        a, a_exp = _binary_term(comb, c, 2 * (two_k - h), s, 2 * h)
+        b, b_exp = _binary_term(comb, c, 2 * h, s, 2 * (two_k - h))
+        f_terms.append((a * -math.expm1(2 * (two_k - 2 * h) * log_tan), a_exp))
+        g_terms.append((2 * b, b_exp))
+    g_terms.append(_binary_term(math.comb(two_k, two_k // 2), c, two_k, s, two_k))
+    return min(1.0, _binary_sum(f_terms)), _binary_sum(g_terms)
+
+
+# A term of the closed form as (m, e), the value m * 2**e with m of order
+# one (a mantissa in [1/2, 1), or a product of a few): wide enough for any
+# C(N, h) and any power of a coding amplitude, where a float would overflow
+# or underflow.
+
+
+def _binary_term(count: int, c: float, i: int, s: float, j: int) -> tuple[float, int]:
+    """count * c**i * s**j as (m, e), for a positive integer count and
+    positive c and s; count's mantissa is correctly rounded."""
+    e = count.bit_length()
+    (cm, ce), (sm, se) = _binary_power(c, i), _binary_power(s, j)
+    return count / (1 << e) * cm * sm, e + ce + se
+
+
+def _binary_power(x: float, k: int) -> tuple[float, int]:
+    """x**k for x > 0 as (m, e). The mantissa of x is at least 1/2, so its
+    powers up to the 512th stay normal: longer powers go in such steps."""
+    m, e = math.frexp(x)
+    out_m, out_e = 1.0, e * k
+    while k:
+        step = min(k, 512)
+        out_m, shift = math.frexp(out_m * m**step)
+        out_e += shift
+        k -= step
+    return out_m, out_e
+
+
+def _binary_sum(terms: list[tuple[float, int]]) -> float:
+    """The sum of the (m, e) terms, scaled by the largest exponent."""
+    top = max(e for _, e in terms)
+    return math.ldexp(math.fsum(math.ldexp(m, e - top) for m, e in terms), top)
 
 
 def uhlmann_overlap(amps0: np.ndarray, amps1: np.ndarray, unitary: np.ndarray) -> float:
@@ -178,14 +280,13 @@ def uhlmann_overlap(amps0: np.ndarray, amps1: np.ndarray, unitary: np.ndarray) -
 
 
 def nogo_cheat_report(inst: NoGoInstance) -> CheatReport:
+    """The closed-form fidelity and detection g(2 - g), beside the overlap
+    the fixed rotation attains on the committer's dense purifications; the
+    report refuses an overlap off the closed form."""
     amps0, amps1 = nogo_purifications(inst)
-    unitary, f = nogo_cheating_unitary(amps0, amps1)
-    overlap = uhlmann_overlap(amps0, amps1, unitary)
-    return CheatReport(
-        fidelity=f,
-        achieved_overlap=overlap,
-        detection_probability=max(0.0, 1.0 - overlap**2),
-    )
+    f, gap = nogo_fidelity_gap(inst.two_k, inst.theta)
+    overlap = uhlmann_overlap(amps0, amps1, nogo_cheating_unitary(inst.two_k))
+    return CheatReport(fidelity=f, achieved_overlap=overlap, detection_probability=gap * (2 - gap))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from qotlab.attacks import (
     NoGoInstance,
     _p3_probe_tables,
     nogo_cheat_report,
-    nogo_cheating_unitary,
     nogo_reduced_states,
     omission_attack_p5,
     probe_attack_p3,
@@ -53,6 +52,7 @@ from qotlab.qsim import (
 )
 from qotlab.rot import HONEST, USD, RotConfig, honest_draws, run_rot
 from rotation_route import unblind_and_measure
+from uhlmann_route import svd_cheating_unitary
 
 
 def report(index, ok, detail):
@@ -235,7 +235,7 @@ def test_criterion_08_no_go_attack():
         rho0, rho1 = nogo_reduced_states(inst)
         trace_formula = fidelity(rho0, rho1)
         amps0, amps1 = rho0.purification_amps, rho1.purification_amps
-        unitary, _ = nogo_cheating_unitary(amps0, amps1)
+        unitary, _ = svd_cheating_unitary(amps0, amps1)
         achieved = uhlmann_overlap(amps0, amps1, unitary)
         agree = agree and abs(trace_formula - achieved) < 1e-8
         fidelities.append(trace_formula)

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from qotlab.attacks import (
     _p3_probe_tables,
     nogo_cheat_report,
     nogo_cheating_unitary,
+    nogo_fidelity_gap,
     nogo_purifications,
     nogo_reduced_states,
     omission_attack_p5,
@@ -45,6 +47,7 @@ from qotlab.qsim import (
 from qotlab.qsim import states
 from qotlab.rot import encoding_amps, honest_draws
 from rotation_route import unblind_and_measure
+from uhlmann_route import svd_cheating_unitary
 
 
 def _pairwise_gram(amps: np.ndarray) -> np.ndarray:
@@ -62,6 +65,30 @@ def nogo_fidelity(inst):
     by qsim.fidelity; the report's purification route must agree with it."""
     rho0, rho1 = nogo_reduced_states(inst)
     return fidelity(rho0, rho1)
+
+
+def exact_fidelity_gap(two_k, theta):
+    """F and g = 1 - F from the block sums at 60 digits, at the float theta."""
+    with mpmath.workdps(60):
+        t = mpmath.mpf(theta)
+        c2, s2 = mpmath.cos(t / 2) ** 2, mpmath.sin(t / 2) ** 2
+        terms = [
+            (mpmath.binomial(two_k, h) * c2 ** (two_k - h) * s2**h,
+             mpmath.binomial(two_k, h) * c2**h * s2 ** (two_k - h))
+            for h in range(two_k + 1)
+        ]
+        f = mpmath.fsum(abs(a - b) for a, b in terms) / 2
+        g = mpmath.fsum(min(a, b) for a, b in terms)
+        return f, g
+
+
+def lifted_rotation(rotation, parity_amps, eigen_amps):
+    """The rotation of the parity purifications' ancilla carried onto the
+    eigen route's: eigen_amps[p] = parity_amps[p] @ R_p with R_p R_p^T = I,
+    so R_1^T W R_0 attains on the eigen route what W attains on the parity
+    route."""
+    r0, r1 = (np.linalg.lstsq(a, e, rcond=None)[0] for a, e in zip(parity_amps, eigen_amps))
+    return r1.T @ rotation @ r0
 
 
 def statevector_purifications(inst):
@@ -136,7 +163,7 @@ class TestEquivocationAttack:
         inst = NoGoInstance(two_k)
         rho0, rho1 = nogo_reduced_states(inst)
         amps0, amps1 = rho0.purification_amps, rho1.purification_amps
-        unitary, singular_sum = nogo_cheating_unitary(amps0, amps1)
+        unitary, singular_sum = svd_cheating_unitary(amps0, amps1)
         achieved = uhlmann_overlap(amps0, amps1, unitary)
         assert achieved == pytest.approx(fidelity(rho0, rho1), abs=1e-8)
         # the same cross-Gram matrix, transposed
@@ -164,7 +191,7 @@ class TestEquivocationAttack:
         rho0, rho1 = nogo_reduced_states(inst)
         assert fidelity(rho0, rho1) == pytest.approx(closed, rel=0, abs=1e-12)
         amps0, amps1 = rho0.purification_amps, rho1.purification_amps
-        unitary, _ = nogo_cheating_unitary(amps0, amps1)
+        unitary, _ = svd_cheating_unitary(amps0, amps1)
         overlap = uhlmann_overlap(amps0, amps1, unitary)
         assert overlap == pytest.approx(closed, rel=0, abs=1e-12)
         report = nogo_cheat_report(inst)
@@ -175,26 +202,118 @@ class TestEquivocationAttack:
 
     @pytest.mark.parametrize("two_k", [2, 4, 6, 8, 10])
     @pytest.mark.parametrize("theta", [0.05, 0.3, 0.4, np.pi / 4, 1.0, 1.2, np.pi / 2])
-    def test_report_detection_meets_the_closed_form_in_absolute_terms(self, two_k, theta):
+    def test_report_detection_meets_the_closed_form_to_relative_1e_12(self, two_k, theta):
         """Detection is 1 - F^2 = g(2 - g) with the gap g = 1 - F =
         sum_h C(N, h) min(a_h, b_h), a sum of positive terms. The report
-        forms 1 - overlap^2 in float64, so it is accurate in absolute terms
-        only: at 2k = 10, theta = 0.05 the exact value is 4.79e-14 and the
-        report is off by about 4e-15."""
-        c2, s2 = math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2
-        gap = math.fsum(
-            math.comb(two_k, h) * min(c2 ** (two_k - h) * s2**h, c2**h * s2 ** (two_k - h))
-            for h in range(two_k + 1)
-        )
+        forms it from the summed gap, so it is accurate in relative terms,
+        not only in absolute ones: at 2k = 10, theta = 0.05 it is 4.79e-14,
+        where 1 - overlap^2 in float64 is off by about 4e-15. F is summed
+        from its own terms to a few ulp (7 at most here; the SVD route
+        reached 52)."""
+        f, g = exact_fidelity_gap(two_k, theta)
         report = nogo_cheat_report(NoGoInstance(two_k, theta=theta))
-        assert report.detection_probability == pytest.approx(gap * (2 - gap), rel=0, abs=1e-14)
+        assert report.detection_probability == pytest.approx(float(g * (2 - g)), rel=1e-12, abs=0)
+        assert report.fidelity == pytest.approx(float(f), rel=0, abs=1e-15)
 
-    def test_a_report_decomposes_nothing_and_makes_one_svd(self, monkeypatch):
-        """The report reads the committer's parity purifications: no eigh, and
-        one svd that gives both the fidelity and the unitary. The reference
-        route still makes one eigh per state, at construction, serving the
-        positivity check and the purification; its fidelity reads the cached
-        purifications and decomposes nothing again."""
+    @pytest.mark.parametrize("two_k", [2, 4, 10, 80, 200])
+    @pytest.mark.parametrize("theta", [0.05, 0.3, np.pi / 4, 1.2, np.pi / 2])
+    def test_the_closed_form_sums_any_even_size_without_underflow(self, two_k, theta):
+        """F and g each meet the block sums from their own terms, beyond the
+        dense cap too: at 2k = 200, theta = pi/4 the gap is about 6e-32,
+        where 1 - F in float64 would read 0, and terms such as
+        sin(0.025)**400 would underflow as floats. F near 1 is good to the
+        rounding of cos(theta/2) raised to the 2N-th power (about 2e-14 at
+        2k = 200), and never exceeds 1."""
+        f, g = exact_fidelity_gap(two_k, theta)
+        got_f, got_g = nogo_fidelity_gap(two_k, theta)
+        assert got_g == pytest.approx(float(g), rel=1e-12, abs=0)
+        assert got_f == pytest.approx(float(f), rel=0, abs=1e-13)
+        assert 0.0 <= got_f <= 1.0
+
+    def test_the_report_needs_no_numpy_2_function(self, monkeypatch):
+        """The package supports NumPy 1.24: the rotation counts bits from a
+        cached table, not with np.bitwise_count (NumPy 2.0 on)."""
+        expected = nogo_cheating_unitary(6).copy()
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        for cached in (nogo_cheating_unitary, attacks._bit_counts, attacks._odd_parity):
+            cached.cache_clear()
+        np.testing.assert_array_equal(nogo_cheating_unitary(6), expected)
+        report = nogo_cheat_report(NoGoInstance(6))
+        assert report.achieved_overlap == pytest.approx(report.fidelity, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("num_bits", [1, 2, 5, 10])
+    def test_the_bit_count_table_counts_each_string(self, num_bits):
+        counts = attacks._bit_counts(num_bits)
+        assert counts.tolist() == [bin(s).count("1") for s in range(2**num_bits)]
+        assert not counts.flags.writeable
+        odd = attacks._odd_parity(num_bits)
+        assert odd.tolist() == [c % 2 == 1 for c in counts.tolist()]
+        assert not odd.flags.writeable
+
+    @pytest.mark.parametrize("two_k", [2, 4, 6, 8, 10])
+    def test_identical_coding_states_leave_nothing_to_detect(self, two_k):
+        """At theta = 0, where log sin(theta/2) is undefined, both
+        commitments are one pure state."""
+        report = nogo_cheat_report(NoGoInstance(two_k, theta=0.0))
+        assert (report.fidelity, report.detection_probability) == (1.0, 0.0)
+        assert report.achieved_overlap == pytest.approx(1.0, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("two_k", [2, 4, 6, 8, 10])
+    def test_orthogonal_coding_states_give_a_fidelity_no_less_than_zero(self, two_k):
+        """At theta = pi/2 the parity states are orthogonal up to cos(pi/2) =
+        6e-17 in float64; F summed from its own terms is not negative, where
+        1 - g read -8.9e-16."""
+        report = nogo_cheat_report(NoGoInstance(two_k, theta=np.pi / 2))
+        assert 0.0 <= report.fidelity < 1e-15
+        assert report.achieved_overlap < 1e-15
+        assert report.detection_probability == pytest.approx(1.0, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("two_k", [2, 4, 6, 8, 10])
+    def test_the_rotation_is_one_orthogonal_matrix_per_size(self, two_k):
+        """Built once per size, read-only and orthogonal; its entries are
+        dyadic rationals, so it is orthogonal to rounding."""
+        rotation = nogo_cheating_unitary(two_k)
+        assert rotation is nogo_cheating_unitary(two_k)
+        assert not rotation.flags.writeable
+        assert rotation.shape == (2 ** (two_k - 1),) * 2
+        np.testing.assert_allclose(rotation @ rotation.T, np.eye(len(rotation)), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("two_k", [2, 4, 6, 8, 10])
+    @pytest.mark.parametrize("theta", [0.05, 0.3, 0.4, np.pi / 4, 1.0, 1.2, np.pi / 2])
+    def test_the_rotation_attains_the_closed_form_on_both_routes(self, two_k, theta):
+        """The one rotation, at every angle, attains the closed-form
+        fidelity on the parity purifications and, carried across, on the
+        eigen route's."""
+        inst = NoGoInstance(two_k, theta=theta)
+        f, _ = nogo_fidelity_gap(two_k, theta)
+        rotation = nogo_cheating_unitary(two_k)
+        parity_amps = nogo_purifications(inst)
+        assert uhlmann_overlap(*parity_amps, rotation) == pytest.approx(f, rel=0, abs=1e-12)
+        eigen_amps = tuple(rho.purification_amps for rho in nogo_reduced_states(inst))
+        lifted = lifted_rotation(rotation, parity_amps, eigen_amps)
+        assert uhlmann_overlap(*eigen_amps, lifted) == pytest.approx(f, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("two_k", [2, 4, 6, 8, 10])
+    @pytest.mark.parametrize("theta", [0.05, 0.3, np.pi / 4, 1.2])
+    def test_the_rotation_agrees_with_the_svd_route(self, two_k, theta):
+        """Both rotations turn the cross-Gram matrix M into the same positive
+        semidefinite matrix. They may differ only on M's null space (the
+        words of weight N/2, where a_h = b_h), which M never reaches."""
+        amps0, amps1 = nogo_purifications(NoGoInstance(two_k, theta=theta))
+        cross_gram = amps0.T @ amps1
+        reference, singular_sum = svd_cheating_unitary(amps0, amps1)
+        turned = nogo_cheating_unitary(two_k) @ cross_gram
+        np.testing.assert_allclose(turned, reference @ cross_gram, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(turned, turned.T, rtol=0, atol=1e-15)
+        assert np.linalg.eigvalsh(turned).min() > -1e-15
+        assert singular_sum == pytest.approx(nogo_fidelity_gap(two_k, theta)[0], rel=0, abs=1e-13)
+
+    def test_a_report_decomposes_nothing(self, monkeypatch):
+        """The report reads the closed form and a fixed rotation, built
+        here afresh: no eigh and no svd. The reference route still makes
+        one eigh per state, at construction, serving the positivity check
+        and the purification; its fidelity reads the cached purifications
+        and makes one svd."""
         calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
         for name in calls:
             real = getattr(np.linalg, name)
@@ -205,9 +324,9 @@ class TestEquivocationAttack:
 
             monkeypatch.setattr(np.linalg, name, counted)
         inst = NoGoInstance(6)
+        nogo_cheating_unitary.cache_clear()
         nogo_cheat_report(inst)
-        assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 1}
-        calls["svd"] = 0
+        assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 0}
         rho0, rho1 = nogo_reduced_states(inst)
         assert calls == {"eigh": 2, "eigvalsh": 0, "svd": 0}
         calls["eigh"] = 0
@@ -247,8 +366,7 @@ class TestEquivocationAttack:
 
     def test_no_rotation_does_better_than_the_optimum(self):
         amps0, amps1 = nogo_purifications(NoGoInstance(4))
-        unitary, _ = nogo_cheating_unitary(amps0, amps1)
-        best = uhlmann_overlap(amps0, amps1, unitary)
+        best = uhlmann_overlap(amps0, amps1, nogo_cheating_unitary(4))
         rng = np.random.default_rng(99)
         dim = amps0.shape[1]
         for _ in range(10):
@@ -286,7 +404,7 @@ class TestEquivocationAttack:
                 mat = raw @ raw.conj().T
                 mats.append(DensityMatrix(num_qubits=2, entries=mat / np.trace(mat).real))
             a, b = (m.purification_amps for m in mats)
-            unitary, _ = nogo_cheating_unitary(a, b)
+            unitary, _ = svd_cheating_unitary(a, b)
             assert uhlmann_overlap(a, b, unitary) == pytest.approx(fidelity(*mats), abs=1e-8)
 
 
