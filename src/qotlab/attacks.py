@@ -100,13 +100,40 @@ class CheatReport:
 
 
 def _tensor_power(m: np.ndarray, n: int) -> np.ndarray:
-    """m (x) m (x) ... (x) m with n factors of a 2x2 matrix, each factor
-    appended by broadcast and reshape (what np.kron does, without its
-    general-shape bookkeeping)."""
-    out = m
+    """m (x) m (x) ... (x) m with n factors of a 2x2 matrix, bit for bit as
+    np.kron's fold builds it."""
+    return _factor_products(m, n).take(_kron_positions(n))
+
+
+def _factor_products(m: np.ndarray, n: int) -> np.ndarray:
+    """The entries of the n-th tensor power of a 2x2 matrix, flat, with
+    the last factor's entry as the most significant index.
+
+    Each step multiplies the products so far by one more factor, as
+    np.kron's fold does, so every entry rounds the same way; but here the
+    new factor goes in front, and a step is one (4, 1) by (L,) outer product
+    of contiguous rows, where appending it behind takes a four-axis
+    broadcast with inner rows of two. Entry (r, c) of the power, whose
+    bits r_t and c_t (t = 1 the most significant) pick factor t's entry,
+    sits at sum_t (2 r_t + c_t) 4**(t - 1) (`_kron_positions`).
+    """
+    entries = m.ravel()
+    column = entries[:, np.newaxis]
+    out = entries
     for _ in range(n - 1):
-        out = (out[:, None, :, None] * m[:, None, :]).reshape(2 * len(out), -1)
+        out = (column * out).ravel()
     return out
+
+
+def _kron_positions(num_bits: int) -> np.ndarray:
+    """The index in `_factor_products` of each entry of the tensor power,
+    as a (2**num_bits, 2**num_bits) array in np.kron's order: a string's
+    bits, reversed, spread to every other base-4 digit."""
+    strings = np.arange(2**num_bits)
+    spread = np.zeros_like(strings)
+    for bit in range(num_bits):
+        spread += ((strings >> bit) & 1) * 4 ** (num_bits - 1 - bit)
+    return 2 * spread[:, np.newaxis] + spread
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,12 +148,26 @@ def _bit_counts(num_bits: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _odd_parity(num_bits: int) -> np.ndarray:
-    """Read-only mask of the num_bits-bit strings of odd parity, in np.kron's
-    order."""
+def _parity_columns(num_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only indices of the num_bits-bit strings of even and of odd
+    parity, each ascending, in np.kron's order."""
     odd = (_bit_counts(num_bits) & 1).astype(bool)
-    odd.flags.writeable = False
-    return odd
+    columns = (np.flatnonzero(~odd), np.flatnonzero(odd))
+    for c in columns:
+        c.flags.writeable = False
+    return columns
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_positions(num_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only: for the even and for the odd strings, the index in
+    `_factor_products` of each entry of the tensor power's columns of that
+    parity, rows and columns in np.kron's order."""
+    positions = _kron_positions(num_bits)
+    split = tuple(positions[:, columns] for columns in _parity_columns(num_bits))
+    for p in split:
+        p.flags.writeable = False
+    return split
 
 
 def nogo_reduced_states(inst: NoGoInstance) -> tuple[DensityMatrix, DensityMatrix]:
@@ -157,15 +198,18 @@ def nogo_purifications(inst: NoGoInstance) -> tuple[np.ndarray, np.ndarray]:
     2**(-(N - 1) / 2), so A_p A_p^T is the parity state rho_p and the
     ancilla index is the committed string itself. The product states of
     all 2**N strings are the columns of the N-th tensor power of the 2x2
-    matrix [psi_0 psi_1], in np.kron's order.
+    matrix [psi_0 psi_1], in np.kron's order; each parity's columns are
+    gathered from the flat factor products through cached indices, and
+    the unit norm is checked with one dot per array.
     """
     # the cached pair, column b encoding bit b; its amplitudes are real
-    products = _tensor_power(encoding_amps(inst.theta).T.real, inst.two_k)
-    odd = _odd_parity(inst.two_k)
+    products = _factor_products(encoding_amps(inst.theta).T.real, inst.two_k)
     scale = 2.0 ** (-(inst.two_k - 1) / 2)
-    amps = (products[:, ~odd] * scale, products[:, odd] * scale)
+    amps = tuple(products.take(positions) for positions in _parity_positions(inst.two_k))
     for a in amps:
-        if abs(np.linalg.norm(a) - 1.0) > CONSTRUCTION_ATOL:
+        a *= scale
+        flat = a.ravel()
+        if abs(math.sqrt(flat @ flat) - 1.0) > CONSTRUCTION_ATOL:
             raise ValueError("parity purification does not have unit norm")
     return amps
 
@@ -198,8 +242,8 @@ def nogo_cheating_unitary(two_k: int) -> np.ndarray:
     characters = 1.0 - 2.0 * (counts[words[:half, np.newaxis] & words] & 1)
     signs = np.where(2 * counts[:half] <= two_k, 1.0, -1.0)
     kernel = signs @ characters / half
-    odd = _odd_parity(two_k)
-    unitary = kernel[words[odd, np.newaxis] ^ words[~odd]]
+    even, odd = _parity_columns(two_k)
+    unitary = kernel[odd[:, np.newaxis] ^ even]
     unitary.flags.writeable = False
     return unitary
 

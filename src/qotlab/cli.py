@@ -262,15 +262,15 @@ def _probe_rows(
     trials, n = detected.shape
     hits = int(np.count_nonzero(detected))
     # a run is detected when any of its columns is: read each row as whole
-    # words and OR the word columns, which beats a row-wise any() on a grid
-    # of many short rows. A row of 1, 2 or 4 bytes is one word as it
-    # stands; other rows are padded to 8-byte words, with a copy
-    width = n if n in (1, 2, 4) else -(-n // 8) * 8
+    # 8-byte words and OR the word columns, which beats a row-wise any() on
+    # a grid of many short rows; a row of another length is padded to whole
+    # words, with a copy
+    width = -(-n // 8) * 8
     grid = np.ascontiguousarray(detected, dtype=bool)
     if width != n:
         grid = np.zeros((trials, width), dtype=bool)
         grid[:, :n] = detected
-    runs_detected = functools.reduce(np.bitwise_or, grid.view(f"u{min(width, 8)}").T)
+    runs_detected = functools.reduce(np.bitwise_or, grid.view(np.uint64).T)
     successes = trials - int(np.count_nonzero(runs_detected))
     exact_run = (1.0 - exact_pq) ** n
     params = f"attack={attack};n={n}"

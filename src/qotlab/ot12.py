@@ -149,6 +149,11 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # log(n + 1), are dropped: together they weigh less than e**-60 of the tail
 TAIL_LOG_MARGIN = 60.0
 
+# the lgamma form of a log pmf is trusted against a tail's cut only farther
+# from it than this many ulp of S, the bound on its operands: four times the
+# most its rounding can err (`_tail_window`)
+_LGAMMA_FORM_ULPS = 32.0
+
 _LN_2PI = math.log(2.0 * math.pi)
 
 
@@ -203,39 +208,79 @@ def _tail_window(n: int, p: float, threshold: int) -> tuple[int, int, int, float
     log-concave, so those terms form one interval; the at most n + 1 terms
     outside weigh less than e**-60 of the term at top.
 
-    Each end is bracketed by bisection on the lgamma form of the log pmf,
-    a fraction of the cost of a saddle-point call, and then confirmed by
-    saddle-point calls at and next to it, stepping while the guess fails
-    the cut or its outer neighbour clears it. The lgamma form only errs by
-    rounding, so the ends are those of the saddle-point form. A tail makes
-    one saddle-point call for top and two per end, plus one for each term
-    by which that rounding misplaces an end: none for n up to about 10**9,
-    tens at 10**12.
+    Each end is searched for on the lgamma form of the log pmf, a fraction
+    of the cost of a saddle-point call, within a bracket of a term that
+    clears the cut and one that does not. The first probe lies a normal
+    width, sqrt(2 (log_top - cut) n p (1 - p)), from top; the next few
+    where the lgamma form's tangent meets the cut, at least a term on, which
+    soon lands next to the end; a probe outside the bracket, and every
+    probe after those, bisects it. The end is then confirmed at and next to
+    it, stepping while the guess fails the cut or its outer neighbour
+    clears it.
+
+    The lgamma form only errs by rounding. It adds five terms, none larger
+    than S = lgamma(n + 1) + n max(|log p|, |log(1 - p)|), each within a few
+    ulp of S, and the saddle-point form is accurate relative to its own,
+    smaller, value: the two differ by at most about 8 ulp(S), 3 measured
+    for n up to 10**12. So a term whose lgamma form lies more than
+    eps = _LGAMMA_FORM_ULPS ulp(S) from the cut is on the same side of it in
+    the saddle-point form; only a term within eps gets a saddle-point call,
+    and the ends are those of the saddle-point form. A tail makes one
+    saddle-point call, for top, plus one per end term within eps of the cut
+    (at n = 20000 eps is 1e-9, and neighbouring terms near the cut differ by
+    about 0.2 in log) and one per term by which rounding misplaces an end:
+    none for n up to about 10**9, tens at 10**12.
     """
     top = max(threshold, min(n, math.floor((n + 1) * p)))
     log_top = _log_pmf(n, top, p)
     cut = log_top - TAIL_LOG_MARGIN - math.log(n + 1)
     log_n_fact, log_p, log_q = math.lgamma(n + 1.0), math.log(p), math.log1p(-p)
+    eps = _LGAMMA_FORM_ULPS * math.ulp(log_n_fact + n * max(-log_p, -log_q))
+    normal_width = math.sqrt(2.0 * (log_top - cut) * n * p * (1.0 - p))
+    # each probed term's lgamma form: the confirmation rereads the bracket's ends
+    values: dict[int, float] = {}
 
-    def clears_roughly(j: int) -> bool:
-        return log_n_fact - math.lgamma(j + 1.0) - math.lgamma(n - j + 1.0) + j * log_p + (n - j) * log_q >= cut
+    def rough(j: int) -> float:
+        if j not in values:
+            values[j] = log_n_fact - math.lgamma(j + 1.0) - math.lgamma(n - j + 1.0) + j * log_p + (n - j) * log_q
+        return values[j]
+
+    def clears(j: int) -> bool:
+        # the saddle-point verdict, read off the lgamma form unless too close to call
+        value = rough(j)
+        if abs(value - cut) > eps:
+            return value > cut
+        return _log_pmf(n, j, p) >= cut
 
     def edge(bound: int) -> int:
         # the farthest term from top towards `bound` that clears the cut
         step = 1 if bound > top else -1
         inside, outside = top, bound + step
+        probe = top + step * math.ceil(normal_width)
+        tangents = 4
         while abs(outside - inside) > 1:
-            mid = (inside + outside) // 2
-            if clears_roughly(mid):
-                inside = mid
+            if not 0 < (probe - inside) * step < (outside - inside) * step:
+                probe = (inside + outside) // 2
+            value = rough(probe)
+            if value >= cut:
+                inside, toward = probe, step
             else:
-                outside = mid
-        if inside != top and _log_pmf(n, inside, p) < cut:
+                outside, toward = probe, -step
+            if tangents:
+                # next, the last term inside where the tangent here meets the
+                # cut, at least one term from this probe towards it
+                tangents -= 1
+                slope = math.log((n - probe + 0.5) / (probe + 0.5)) + log_p - log_q
+                if slope * step < 0:
+                    crossing = probe + (cut - value) / slope
+                    last = math.floor(crossing) if step > 0 else math.ceil(crossing)
+                    probe = last if (last - probe) * toward > 0 else probe + toward
+        if inside != top and not clears(inside):
             inside -= step
-            while inside != top and _log_pmf(n, inside, p) < cut:
+            while inside != top and not clears(inside):
                 inside -= step
             return inside
-        while inside != bound and _log_pmf(n, inside + step, p) >= cut:
+        while inside != bound and clears(inside + step):
             inside += step
         return inside
 
@@ -258,11 +303,20 @@ def binomial_tail(n: int, p: float, threshold: int) -> float:
     if p == 1.0:
         return 1.0
     lo, top, hi, log_top = _tail_window(n, p, threshold)
-    # log pmf(j + 1) - log pmf(j), for j from lo to hi - 1
-    j = np.arange(lo, hi, dtype=np.float64)
-    steps = np.log((n - j) / (j + 1)) + (math.log(p) - math.log1p(-p))
-    logs = np.concatenate(([0.0], np.cumsum(steps)))
-    total = math.exp(log_top) * float(np.sum(np.exp(logs - logs[top - lo])))
+    # logs[i] = log pmf(lo + i) - log pmf(lo), summed from the steps
+    # log pmf(j + 1) - log pmf(j) = log((n - j) / (j + 1)) + log(p / (1 - p)),
+    # all in one buffer; below 2**53 every count is exact in a float
+    logs = np.empty(hi - lo + 1)
+    logs[0] = 0.0
+    steps = logs[1:]
+    j_next = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    np.subtract(n + 1, j_next, out=steps)
+    np.divide(steps, j_next, out=steps)
+    np.log(steps, out=steps)
+    steps += math.log(p) - math.log1p(-p)
+    np.cumsum(steps, out=steps)
+    logs -= logs[top - lo]
+    total = math.exp(log_top) * float(np.sum(np.exp(logs, out=logs)))
     # rounding in the log terms can push a near-certain tail past 1
     return min(1.0, max(0.0, total))
 

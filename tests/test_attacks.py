@@ -1,5 +1,6 @@
 """Cheating strategies: equivocation by purification, probe copies, withheld qubits."""
 
+import functools
 import itertools
 import math
 
@@ -235,7 +236,8 @@ class TestEquivocationAttack:
         cached table, not with np.bitwise_count (NumPy 2.0 on)."""
         expected = nogo_cheating_unitary(6).copy()
         monkeypatch.delattr(np, "bitwise_count", raising=False)
-        for cached in (nogo_cheating_unitary, attacks._bit_counts, attacks._odd_parity):
+        cached_tables = (attacks._bit_counts, attacks._parity_columns, attacks._parity_positions)
+        for cached in (nogo_cheating_unitary, *cached_tables):
             cached.cache_clear()
         np.testing.assert_array_equal(nogo_cheating_unitary(6), expected)
         report = nogo_cheat_report(NoGoInstance(6))
@@ -246,9 +248,20 @@ class TestEquivocationAttack:
         counts = attacks._bit_counts(num_bits)
         assert counts.tolist() == [bin(s).count("1") for s in range(2**num_bits)]
         assert not counts.flags.writeable
-        odd = attacks._odd_parity(num_bits)
-        assert odd.tolist() == [c % 2 == 1 for c in counts.tolist()]
-        assert not odd.flags.writeable
+        even, odd = attacks._parity_columns(num_bits)
+        assert even.tolist() == [s for s, c in enumerate(counts.tolist()) if c % 2 == 0]
+        assert odd.tolist() == [s for s, c in enumerate(counts.tolist()) if c % 2 == 1]
+        assert not even.flags.writeable and not odd.flags.writeable
+        assert not any(p.flags.writeable for p in attacks._parity_positions(num_bits))
+
+    @pytest.mark.parametrize("theta", [0.0125, 0.3, np.pi / 4, 1.2, np.pi / 2])
+    def test_the_tensor_power_is_the_kron_fold_bit_for_bit(self, theta):
+        """Built front to back, the power multiplies each entry's factors in
+        np.kron's order, so no entry differs by even an ulp."""
+        pair = encoding_amps(theta).T.real
+        for n in range(1, 11):
+            want = functools.reduce(np.kron, [pair] * n)
+            assert np.array_equal(attacks._tensor_power(pair, n), want), (n, theta)
 
     @pytest.mark.parametrize("two_k", [2, 4, 6, 8, 10])
     def test_identical_coding_states_leave_nothing_to_detect(self, two_k):

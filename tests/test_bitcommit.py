@@ -24,7 +24,6 @@ from qotlab.bitcommit import (
     bc_verify,
     bell_state,
     blinded_amps,
-    correlation_immunity_order,
     open_message_from_dict,
     open_message_to_dict,
     p3_bases,
@@ -56,6 +55,7 @@ from qotlab.qsim import (
 )
 from qotlab.rot import ChannelPass, honest_channel, honest_draws
 from rotation_route import unblind_and_measure
+from walsh_route import correlation_immunity_order
 
 
 def known_bits(rnd) -> dict[int, int]:

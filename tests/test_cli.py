@@ -766,8 +766,7 @@ def test_a_failing_check_reports_its_spread(argv, name, fake, label, spread, mon
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9, 17])
 def test_probe_run_success_counts_the_rows_without_a_detection(n):
     """The word-column OR counts the same undetected runs as a row-wise
-    any(), whether a row is one word of 1, 2 or 4 bytes, whole 8-byte words,
-    or padded to them."""
+    any(), whether a row is whole 8-byte words or padded to them."""
     rng = np.random.default_rng(n)
     # sparse hits leave many rows clear; one hit in each column's own row
     detected = rng.random((500, n)) < 0.2 / n

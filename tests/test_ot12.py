@@ -99,8 +99,8 @@ def full_sum_tail(n, p, threshold):
 
 def bisected_tail_window(n, p, threshold, log_pmf=_log_pmf):
     """Reference window: both ends found by bisecting on the saddle-point
-    log pmf itself, up to 27 calls a tail where `_tail_window` makes at
-    most 5. `log_pmf` may be a table of the same saddle-point values."""
+    log pmf itself, up to 27 calls a tail where `_tail_window` makes one.
+    `log_pmf` may be a table of the same saddle-point values."""
     top = max(threshold, min(n, math.floor((n + 1) * p)))
     log_top = log_pmf(n, top, p)
     cut = log_top - TAIL_LOG_MARGIN - math.log(n + 1)
@@ -118,6 +118,18 @@ def bisected_tail_window(n, p, threshold, log_pmf=_log_pmf):
         return inside
 
     return edge(top, threshold), top, edge(top, n), log_top
+
+
+def count_saddle_point_calls(monkeypatch):
+    """A list that grows by the arguments of each `_log_pmf` call in ot12."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _log_pmf(*args)
+
+    monkeypatch.setattr(ot12, "_log_pmf", counted)
+    return calls
 
 
 _ANGLES = (0.3, np.pi / 4, 1.2)
@@ -191,6 +203,25 @@ class TestWindowedTail:
 WINDOW_RATES = (1e-3, 0.25, 1 - math.cos(math.pi / 4), math.sin(0.5) ** 2 / 2, 0.75, 0.999)
 
 
+def large_n_thresholds(n, p):
+    """Thresholds around the mode, k and 2k, the extremes and a grid."""
+    mode = math.floor((n + 1) * p)
+    spread = math.isqrt(n) + 1
+    thresholds = {1, 2, n - 1, n, k_of(n), 2 * k_of(n), mode - 1, mode, mode + 1}
+    thresholds |= {mode + d * spread for d in (-40, -12, -3, 3, 12, 40)}
+    thresholds |= set(range(1, n + 1, max(1, n // 97)))
+    return sorted(x for x in thresholds if 1 <= x <= n)
+
+
+ROUNDING_CASES = [
+    # the lgamma form puts hi one term too far out, one term too far in,
+    # and lo one term too far out; the saddle-point steps mend each
+    (3110637553, 0.9763568732497784),
+    (2186907850, 0.4410426548697187),
+    (19491389930, 0.50412130590277),
+]
+
+
 class TestTailWindow:
     """The bracket-and-confirm search against bisection on the saddle-point
     form: the same (lo, top, hi, log_top), so every summed tail is the same."""
@@ -209,24 +240,10 @@ class TestTailWindow:
     @pytest.mark.parametrize("n", [1024, 20000, 10**6])
     @pytest.mark.parametrize("p", WINDOW_RATES)
     def test_large_n(self, n, p):
-        mode = math.floor((n + 1) * p)
-        spread = math.isqrt(n) + 1
-        thresholds = {1, 2, n - 1, n, k_of(n), 2 * k_of(n), mode - 1, mode, mode + 1}
-        thresholds |= {mode + d * spread for d in (-40, -12, -3, 3, 12, 40)}
-        thresholds |= set(range(1, n + 1, max(1, n // 97)))
-        for t in sorted(x for x in thresholds if 1 <= x <= n):
+        for t in large_n_thresholds(n, p):
             assert _tail_window(n, p, t) == bisected_tail_window(n, p, t), (n, p, t)
 
-    @pytest.mark.parametrize(
-        "n, p",
-        [
-            # the lgamma form puts hi one term too far out, one term too far
-            # in, and lo one term too far out; the saddle-point steps mend each
-            (3110637553, 0.9763568732497784),
-            (2186907850, 0.4410426548697187),
-            (19491389930, 0.50412130590277),
-        ],
-    )
+    @pytest.mark.parametrize("n, p", ROUNDING_CASES)
     def test_rounding_in_the_lgamma_form_is_confirmed_away(self, n, p):
         assert _tail_window(n, p, 1) == bisected_tail_window(n, p, 1)
 
@@ -245,21 +262,75 @@ class TestTailWindow:
         assert _tail_window(n, p, t) == bisected_tail_window(n, p, t)
 
     @pytest.mark.parametrize("n", [64, 1024, 20000])
-    def test_a_tail_makes_at_most_six_saddle_point_calls(self, n, monkeypatch):
-        """One call for top and at most two for each end, where bisecting on
-        the saddle-point form made 8/8, 13/12 and 27/16 for p1/p2."""
-        calls = 0
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return _log_pmf(*args)
-
-        monkeypatch.setattr(ot12, "_log_pmf", counted)
+    def test_a_tail_makes_one_saddle_point_call(self, n, monkeypatch):
+        """The call for top: every end is read off the lgamma form, where
+        bisecting on the saddle-point form made 8/8, 13/12 and 27/16 calls
+        for p1/p2."""
+        calls = count_saddle_point_calls(monkeypatch)
         for tail in (p1_exact, p2_exact):
-            calls = 0
+            calls.clear()
             tail(n)
-            assert 3 <= calls <= 6, (tail.__name__, n, calls)
+            assert len(calls) == 1, (tail.__name__, n, calls)
+
+    @pytest.mark.parametrize("p", WINDOW_RATES)
+    def test_the_sweeps_make_at_most_five_saddle_point_calls(self, p, monkeypatch):
+        """One call for top plus one for each term the lgamma form's rounding
+        misplaces an end by, over the thresholds of the sweeps above."""
+        calls = count_saddle_point_calls(monkeypatch)
+        cases = [(n, t) for n in range(1, 401) for t in range(1, n + 1)]
+        cases += [(n, t) for n in (1024, 20000, 10**6) for t in large_n_thresholds(n, p)]
+        for n, t in cases:
+            calls.clear()
+            _tail_window(n, p, t)
+            assert len(calls) <= 5, (n, p, t, calls)
+
+    @pytest.mark.parametrize("n, p", ROUNDING_CASES)
+    def test_the_rounding_cases_make_at_most_five_saddle_point_calls(self, n, p, monkeypatch):
+        calls = count_saddle_point_calls(monkeypatch)
+        _tail_window(n, p, 1)
+        assert 1 < len(calls) <= 5, calls
+
+    @pytest.mark.parametrize("n", [7, 64, 300, 20000, 10**6])
+    @pytest.mark.parametrize("p", WINDOW_RATES)
+    def test_terms_too_close_to_call_are_confirmed_by_the_saddle_point_form(self, n, p, monkeypatch):
+        """With eps infinite every verdict at an end goes to the saddle-point
+        form, as when every end was confirmed by it: the windows stay."""
+        monkeypatch.setattr(ot12, "_LGAMMA_FORM_ULPS", math.inf)
+        calls = count_saddle_point_calls(monkeypatch)
+        thresholds = sorted({1, max(1, k_of(n)), max(1, 2 * k_of(n)), max(1, math.floor(n * p)), n})
+        for t in thresholds:
+            assert _tail_window(n, p, t) == bisected_tail_window(n, p, t), (n, p, t)
+        # beyond the one call for top per window
+        assert len(calls) > len(thresholds)
+
+
+# the rates of the eps premise: near 0 and 1, the honest and the
+# discriminating rate at pi/4, and one half
+PREMISE_RATES = (1e-4, 0.25, 1 - math.cos(math.pi / 4), 0.5, 0.999)
+
+
+def lgamma_form(n, j, p):
+    """The log pmf as `_tail_window` searches on it."""
+    log_n_fact, log_p, log_q = math.lgamma(n + 1.0), math.log(p), math.log1p(-p)
+    return log_n_fact - math.lgamma(j + 1.0) - math.lgamma(n - j + 1.0) + j * log_p + (n - j) * log_q
+
+
+@pytest.mark.parametrize("p", PREMISE_RATES)
+def test_the_lgamma_form_stays_within_a_quarter_of_eps(p):
+    """The premise of reading an end off the lgamma form: it differs from
+    the saddle-point form by under eps / 4 at each top, each end, the
+    neighbours of each end and random terms in between."""
+    rng = np.random.default_rng(17)
+    for n in [*range(1, 301), 10**4, 10**6, 10**9, 10**12]:
+        log_p, log_q = math.log(p), math.log1p(-p)
+        eps = ot12._LGAMMA_FORM_ULPS * math.ulp(math.lgamma(n + 1.0) + n * max(-log_p, -log_q))
+        for t in sorted({1, max(1, k_of(n)), max(1, math.floor(n * p)), n}):
+            lo, top, hi, _ = _tail_window(n, p, t)
+            terms = {top, lo - 1, lo, lo + 1, hi - 1, hi, hi + 1}
+            terms |= set(rng.integers(lo, hi + 1, size=8).tolist())
+            for j in sorted(j for j in terms if 0 <= j <= n):
+                gap = abs(lgamma_form(n, j, p) - _log_pmf(n, j, p))
+                assert gap < eps / 4, (n, p, t, j, gap, eps)
 
 
 class TestTailProbabilities:
