@@ -586,8 +586,7 @@ def _bc_sender_to_dict(state: CommitSenderState) -> dict:
                 "share0": rnd.share0,
                 "share1": rnd.share1,
                 "r": _cells_text(rnd.bits),
-                "x_set": list(rnd.x_set),
-                "y_set": list(rnd.y_set),
+                "sets": _sets_text(state.n, rnd.x_set, rnd.y_set),
                 "c0": rnd.c0,
                 "c1": rnd.c1,
             }
@@ -608,6 +607,21 @@ def _cells_text(row: np.ndarray) -> str:
     return row.tobytes().translate(_TO_CELLS).decode("ascii")
 
 
+# a round's announcement in JSON ("sets"): one cell per position, "x" in
+# the first announced set X, "y" in the second Y and "-" elsewhere
+_SET_CELLS = "xy-"
+
+
+def _sets_text(n: int, x_set: tuple[int, ...], y_set: tuple[int, ...]) -> str:
+    """The announced sets (X, Y) as their string of n cells."""
+    cells = ["-"] * n
+    for p in x_set:
+        cells[p - 1] = "x"
+    for p in y_set:
+        cells[p - 1] = "y"
+    return "".join(cells)
+
+
 def _bc_receiver_to_dict(state: CommitReceiverState) -> dict:
     return {
         "protocol_id": state.protocol_id,
@@ -618,8 +632,7 @@ def _bc_receiver_to_dict(state: CommitReceiverState) -> dict:
         "rounds": [
             {
                 "m": rnd.sets.m,
-                "i_set": list(rnd.sets.i_set),
-                "j_set": list(rnd.sets.j_set),
+                "sets": _sets_text(state.n, rnd.sets.x_set, rnd.sets.y_set),
                 "conclusive": _cells_text(rnd.decoded),
                 "c0": rnd.c0,
                 "c1": rnd.c1,
@@ -748,6 +761,14 @@ def _list(x) -> list:
     return x
 
 
+def _bit(x) -> int:
+    if type(x) is not int:  # a JSON bool is no bit here
+        raise TypeError(f"expected a bit, got {type(x).__name__}")
+    if x not in (0, 1):
+        raise ValueError(f"expected a bit, got {x}")
+    return x
+
+
 def _ints(x) -> tuple[int, ...]:
     values = tuple(_list(x))
     for v in values:
@@ -756,9 +777,9 @@ def _ints(x) -> tuple[int, ...]:
     return values
 
 
-def _cells(n: int, alphabet: str, x) -> np.ndarray:
-    """A string of n cells, each one of the characters of `alphabet`, read
-    back into the read-only int8 row `_cells_text` writes it from."""
+def _cell_string(n: int, alphabet: str, x) -> str:
+    """x, which must be a string of n cells, each one of the characters of
+    `alphabet`."""
     if not isinstance(x, str):
         raise TypeError(f"expected a string of n = {n} cells, got {type(x).__name__}")
     if len(x) != n:
@@ -767,17 +788,32 @@ def _cells(n: int, alphabet: str, x) -> np.ndarray:
     rest = x.strip(alphabet)
     if rest:
         raise ValueError(f"cell {rest[0]!r} is not one of {alphabet!r}")
-    return np.frombuffer(x.encode("ascii").translate(_FROM_CELLS), dtype=np.int8)
+    return x
 
 
-def _positions(n: int, x) -> tuple[int, ...]:
-    positions = tuple(_list(x))
-    for p in positions:
-        if type(p) is not int:
-            raise TypeError(f"expected a list of integers, got a {type(p).__name__}")
-        if not 1 <= p <= n:
-            raise ValueError(f"positions must lie in 1..{n}")
-    return positions
+def _cells(n: int, alphabet: str, x) -> np.ndarray:
+    """A string of n cells from `alphabet` (a part of "01-"), read back into
+    the read-only int8 row `_cells_text` writes it from."""
+    text = _cell_string(n, alphabet, x)
+    return np.frombuffer(text.encode("ascii").translate(_FROM_CELLS), dtype=np.int8)
+
+
+def _sets(n: int, k: int, x) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The announced sets (X, Y), read back from the string of n cells
+    `_sets_text` writes them as; each must hold k positions. The cells make
+    the sets disjoint, sorted and within 1..n."""
+    x_set: list[int] = []
+    y_set: list[int] = []
+    for p, cell in enumerate(_cell_string(n, _SET_CELLS, x), start=1):
+        if cell == "x":
+            x_set.append(p)
+        elif cell == "y":
+            y_set.append(p)
+    if len(x_set) != k or len(y_set) != k:
+        raise ValueError(
+            f"expected k = {k} cells each of 'x' and 'y', got {len(x_set)} and {len(y_set)}"
+        )
+    return tuple(x_set), tuple(y_set)
 
 
 def _int_rows(x) -> tuple[tuple[int, ...], ...]:
@@ -815,45 +851,29 @@ def _rounds(d: dict, l: Optional[int] = None) -> list:
     return rounds
 
 
-def _announcement(rnd: dict, at: int, n: int, k: int) -> IndexSets:
-    """Round `at`'s announced sets: k positions each in I and J, all in 1..n."""
-    positions = functools.partial(_positions, n)
-    i_set = _field(rnd, "i_set", positions, at)
-    j_set = _field(rnd, "j_set", positions, at)
-    m = _field(rnd, "m", _int, at)
-    try:
-        sets = IndexSets(i_set=i_set, j_set=j_set, m=m)
-    except ValueError as exc:
-        raise ValueError(f"rounds[{at}]: {exc}") from None
-    if len(i_set) != k:
-        raise ValueError(
-            f"rounds[{at}]: the announced sets hold {len(i_set)} positions each, not k = {k}"
-        )
-    return sets
-
-
 def _angle(protocol_id: str, x) -> float:
     return check_channel_angle(protocol_id, _float(x))
 
 
+def _bc_sender_round(rnd: dict, at: int, sent, sets) -> SenderCommitRound:
+    """Round `at` of a sender file, its sent bits and sets read by `sent`
+    and `sets`."""
+    share0, share1 = _field(rnd, "share0", _bit, at), _field(rnd, "share1", _bit, at)
+    bits = _field(rnd, "r", sent, at)
+    x_set, y_set = _field(rnd, "sets", sets, at)
+    c0, c1 = _field(rnd, "c0", _bit, at), _field(rnd, "c1", _bit, at)
+    return SenderCommitRound(share0, share1, bits, x_set, y_set, c0, c1)
+
+
 def _bc_sender_from_dict(d: dict) -> CommitSenderState:
     l, n, k = _field(d, "l", _count), _field(d, "n", _count), _field(d, "k", _count)
-    positions = functools.partial(_positions, n)
+    sent, sets = functools.partial(_cells, n, "01"), functools.partial(_sets, n, k)
     rounds = tuple(
-        SenderCommitRound(
-            share0=_field(rnd, "share0", _int, at),
-            share1=_field(rnd, "share1", _int, at),
-            bits=_field(rnd, "r", functools.partial(_cells, n, "01"), at),
-            x_set=_field(rnd, "x_set", positions, at),
-            y_set=_field(rnd, "y_set", positions, at),
-            c0=_field(rnd, "c0", _int, at),
-            c1=_field(rnd, "c1", _int, at),
-        )
-        for at, rnd in enumerate(_rounds(d, l))
+        _bc_sender_round(rnd, at, sent, sets) for at, rnd in enumerate(_rounds(d, l))
     )
     return CommitSenderState(
         protocol_id=d["protocol_id"],
-        bit=_field(d, "bit", _int),
+        bit=_field(d, "bit", _bit),
         n=n,
         k=k,
         theta=_field(d, "theta", functools.partial(_angle, d["protocol_id"])),
@@ -861,20 +881,24 @@ def _bc_sender_from_dict(d: dict) -> CommitSenderState:
     )
 
 
-def _bc_receiver_round(rnd: dict, at: int, n: int, k: int) -> ReceiverCommitRound:
-    sets = _announcement(rnd, at, n, k)
+def _bc_receiver_round(rnd: dict, at: int, n: int, sets) -> ReceiverCommitRound:
+    """Round `at` of a receiver file, its sets read by `sets`; every I
+    position must be conclusive."""
+    x_set, y_set = _field(rnd, "sets", sets, at)
+    announced = IndexSets.from_slots(x_set, y_set, _field(rnd, "m", _bit, at))
     return ReceiverCommitRound(
-        sets=sets,
-        decoded=_field(rnd, "conclusive", functools.partial(_conclusive, n, sets.i_set), at),
-        c0=_field(rnd, "c0", _int, at),
-        c1=_field(rnd, "c1", _int, at),
-        received_share=_field(rnd, "received_share", _int, at),
+        sets=announced,
+        decoded=_field(rnd, "conclusive", functools.partial(_conclusive, n, announced.i_set), at),
+        c0=_field(rnd, "c0", _bit, at),
+        c1=_field(rnd, "c1", _bit, at),
+        received_share=_field(rnd, "received_share", _bit, at),
     )
 
 
 def _bc_receiver_from_dict(d: dict) -> CommitReceiverState:
     l, n, k = _field(d, "l", _count), _field(d, "n", _count), _field(d, "k", _count)
-    rounds = tuple(_bc_receiver_round(rnd, at, n, k) for at, rnd in enumerate(_rounds(d, l)))
+    sets = functools.partial(_sets, n, k)
+    rounds = tuple(_bc_receiver_round(rnd, at, n, sets) for at, rnd in enumerate(_rounds(d, l)))
     return CommitReceiverState(
         protocol_id=d["protocol_id"],
         n=n,

@@ -89,6 +89,15 @@ class IndexSets:
         """
         return first if self.m == 0 else second
 
+    @classmethod
+    def from_slots(cls, x_set: tuple[int, ...], y_set: tuple[int, ...], m: int) -> "IndexSets":
+        """The announcement read back from its slots, built unchecked. The
+        slot rule only swaps the pair or not, so it undoes itself:
+        I = pick(X, Y) and J = pick(Y, X). The caller vouches for what the
+        constructor checks."""
+        i_set, j_set = (x_set, y_set) if m == 0 else (y_set, x_set)
+        return _unchecked(cls, i_set=i_set, j_set=j_set, m=m)
+
     @property
     def x_set(self) -> tuple[int, ...]:
         return self.pick(self.i_set, self.j_set)
@@ -330,15 +339,19 @@ def choose_index_sets(
     """Draw I from the conclusive positions of the receiver's decoded row
     (-1 where nothing was learned) and J from the rest; None = abort.
 
-    The run aborts when fewer than k positions came out conclusive. The
-    honest receiver draws J from the inconclusive positions, so he knows
-    none of the bits under the other mask; only when fewer than k of those
-    exist is J topped up from the conclusive leftovers. The discriminating
-    receiver (strategy USD) swaps the roles: J is filled from leftover
-    conclusive positions first, so that 2k conclusive bits make both masks
-    known to him. The draws are I, then J, then the slot bit m.
+    The run aborts, drawing nothing, when fewer than k positions came out
+    conclusive. Otherwise the announcement is one draw of n + 1 uniform
+    keys: key p belongs to position p, and the slot bit m is key 0 >= 1/2.
+    I is the k conclusive positions with the smallest keys, a uniform
+    k-subset. The honest receiver's J is the first k of its unlearned
+    positions by key, then its leftover conclusive positions by key, so it
+    knows none of the bits under the other mask unless fewer than k
+    positions went unlearned, and then the top-up is a uniform subset of
+    the leftovers. The discriminating receiver (strategy USD) swaps the two
+    groups, so that 2k conclusive bits make both masks known to it.
 
-    The sets are drawn sorted and disjoint, so they are built unchecked.
+    The sets are sorted and disjoint by construction, so they are built
+    unchecked.
     """
     conclusive: list[int] = []
     unknown: list[int] = []
@@ -346,15 +359,17 @@ def choose_index_sets(
         (conclusive if cell >= 0 else unknown).append(pos)
     if len(conclusive) < k:
         return None
-    i_set = rng.subset(conclusive, k)
-    taken = set(i_set)
-    leftovers = [p for p in conclusive if p not in taken]
-    first, second = (leftovers, unknown) if strategy == USD else (unknown, leftovers)
-    if len(first) >= k:
-        j_set = rng.subset(first, k)
-    else:
-        j_set = sorted(first + rng.subset(second, k - len(first)))
-    return _unchecked(IndexSets, i_set=tuple(i_set), j_set=tuple(j_set), m=rng.bit())
+    keys = rng.gen.random(len(decoded) + 1).tolist()
+    conclusive.sort(key=keys.__getitem__)
+    unknown.sort(key=keys.__getitem__)
+    leftovers = conclusive[k:]
+    j_pool = leftovers + unknown if strategy == USD else unknown + leftovers
+    return _unchecked(
+        IndexSets,
+        i_set=tuple(sorted(conclusive[:k])),
+        j_set=tuple(sorted(j_pool[:k])),
+        m=int(keys[0] >= 0.5),
+    )
 
 
 def mask(values: Iterable[int]) -> int:

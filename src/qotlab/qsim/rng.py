@@ -103,11 +103,6 @@ class RngStream:
                 return i
         return len(probabilities) - 1
 
-    def subset(self, population: list, k: int) -> list:
-        """Uniform k-subset of a list, returned as a sorted list."""
-        picked = self.gen.choice(len(population), size=k, replace=False).tolist()
-        return sorted([population[i] for i in picked])
-
     def __repr__(self) -> str:
         path = f", path={self._path}" if self._path else ""
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index}{path})"

@@ -1,6 +1,10 @@
-"""tools/ab.py: the two trees of an A/B run must return the same op outputs."""
+"""tools/ab.py: the two trees of an A/B run must return the same op outputs,
+or, with --count-differences, have the ops whose outputs differ counted."""
 
+import contextlib
 import importlib.util
+import io
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -86,3 +90,86 @@ _EXACT = {"csv": "header\n", "n": 20000, "p1": 0.25, "p2": 1e-90}
 )
 def test_the_first_output_difference_is_named(workload, base, new, key):
     assert ab.first_difference(workload, base, new) == key
+
+
+# a tree's bench/workloads.py, reduced to what ab.py calls: its `exact` ops
+# return n = 1, or on odd op seeds 1 + SHIFT; the per-op check counts the
+# ops it saw, and the pooled check fails when told to or when an op went
+# unchecked
+_FAKE_WORKLOADS = """
+def op_seed(seed, index):
+    return 1000 * seed + index
+
+
+class Workload:
+    def __init__(self):
+        self.problems = []
+        self.ops = self.checked = 0
+
+    def op(self, seed):
+        self.ops += 1
+        return {{"csv": "", "n": 1 + {shift} * (seed % 2), "p1": 0.5, "p2": 0.25}}
+
+    def check(self, out):
+        self.checked += 1
+
+    def finish(self):
+        if {fail} or self.checked != self.ops:
+            self.problems.append("pooled check failed")
+
+
+def make(name):
+    return Workload()
+"""
+
+
+def _fake_tree(root, shift=0, fail=False):
+    (root / "src" / "qotlab").mkdir(parents=True)
+    (root / "src" / "qotlab" / "__init__.py").write_text("")
+    (root / "bench").mkdir()
+    (root / "bench" / "workloads.py").write_text(_FAKE_WORKLOADS.format(shift=shift, fail=fail))
+    return root
+
+
+@pytest.fixture
+def trees(tmp_path):
+    """Builds fake trees; the modules ab.py unloads are put back afterwards."""
+    saved = {name: module for name, module in sys.modules.items() if ab._owned(name)}
+    yield lambda name, **kwargs: _fake_tree(tmp_path / name, **kwargs)
+    for name in [n for n in sys.modules if ab._owned(n)]:
+        del sys.modules[name]
+    sys.modules.update(saved)
+
+
+def _ab(base, new, *flags):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = ab.main([str(base), str(new), "--workload", "exact", "--pairs", "4", *flags])
+    return code, out.getvalue()
+
+
+def test_the_first_output_difference_ends_the_run(trees):
+    code, out = _ab(trees("base"), trees("new", shift=1))
+    assert code == 1
+    assert out == "OUTPUT DIFFERS: exact op 1 (op seed 7001): n\n"
+
+
+@pytest.mark.parametrize("shift, differing", [(0, "0/5 ops, warm-up included"), (1, "2/5 ops")])
+def test_counted_differences_are_printed_beside_the_timing_rows(trees, shift, differing):
+    code, out = _ab(trees("base"), trees("new", shift=shift), "--count-differences")
+    assert code == 0, out
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["base exact", "new  exact"]
+    assert lines[2].startswith("ratio base/new of the medians: x")
+    assert lines[3].startswith(f"outputs differ in {differing}")
+    if shift:
+        assert lines[3].endswith("; first: exact op 1 (op seed 7001): n")
+
+
+def test_counted_differences_keep_the_checks(trees):
+    """Every op goes through its tree's check, and a failing pooled check
+    still fails the run."""
+    code, out = _ab(trees("base", fail=True), trees("new", shift=1), "--count-differences")
+    assert code == 1
+    assert "CHECK FAIL (base): pooled check failed" in out
+    assert "CHECK FAIL (new)" not in out

@@ -1,5 +1,6 @@
 """Command-line entry point: flags, exit codes, output formats, reproducibility."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from qotlab import cli
+from qotlab import bitcommit, cli
 from qotlab.cli import CSV_HEADER, main
-from qotlab.ot12 import k_of
+from qotlab.ot12 import IndexSets, k_of
 
 
 def run_cli(args, env_extra=None):
@@ -374,73 +375,99 @@ def test_verify_refuses_an_unknown_protocol_id(tmp_path):
     refused("verify")  # now open.json is the bogus one
 
 
+def _set_cell(cells: str, i: int, value: str) -> str:
+    return cells[:i] + value + cells[i + 1:]
+
+
 def test_verify_refuses_a_forged_announcement(tmp_path):
-    """Round 0 announces I = [11, 7, 4, 11] at k = 3, with the opening and
-    the ciphertext adjusted to match: every check of the opening passes (the
-    repeated 11 cancels out of the mask), so only the reader can refuse it."""
-    common = _commit_and_open(tmp_path, 21)
+    """Round 0 announces a fourth I cell at k = 3, at a conclusive position,
+    with the opening and the ciphertext adjusted to match: every check of
+    the opening passes, so only the reader can refuse it."""
+    common = _commit_and_open(tmp_path, 22)
     receiver = json.loads((tmp_path / "receiver.json").read_text())
     opening = json.loads((tmp_path / "open.json").read_text())
+    honest = bitcommit.receiver_state_from_dict(receiver)
     rnd, orn = receiver["rounds"][0], opening["rounds"][0]
     assert receiver["k"] == 3
-    known = {p: int(c) for p, c in enumerate(rnd["conclusive"], start=1) if c != "-"}
-    rnd["i_set"] = [11, 7, 4, 11]
-    declared = [{"pos": p, "val": known.get(p, 0)} for p in rnd["i_set"]]
     # the masked slot: X (c0, share0) when m = 0, Y (c1, share1) when m = 1
     slot = rnd["m"]
-    orn[("declared_x", "declared_y")[slot]] = declared
-    rnd[f"c{slot}"] = orn[f"share{slot}"] ^ declared[1]["val"] ^ declared[2]["val"]
+    cells = zip(rnd["sets"], rnd["conclusive"])
+    extra = next(i for i, (a, c) in enumerate(cells) if a == "-" and c != "-")
+    val = int(rnd["conclusive"][extra])
+    rnd["sets"] = _set_cell(rnd["sets"], extra, "xy"[slot])
+    side = ("declared_x", "declared_y")[slot]
+    orn[side] = sorted([*orn[side], {"pos": extra + 1, "val": val}], key=lambda d: d["pos"])
+    rnd[f"c{slot}"] ^= val
+    # built past the reader, the forged round verifies
+    first = honest.rounds[0]
+    slots = [first.sets.x_set, first.sets.y_set]
+    slots[slot] = tuple(sorted((*slots[slot], extra + 1)))
+    sets = IndexSets.from_slots(*slots, first.sets.m)
+    forged = dataclasses.replace(first, sets=sets, c0=rnd["c0"], c1=rnd["c1"])
+    state = dataclasses.replace(honest, rounds=(forged, *honest.rounds[1:]))
+    assert bitcommit.bc_verify(state, bitcommit.open_message_from_dict(opening)).accepted
     (tmp_path / "receiver.json").write_text(json.dumps(receiver))
     (tmp_path / "open.json").write_text(json.dumps(opening))
     result = run_cli(["verify", *common])
     assert result.returncode == 2, result.stdout
-    assert "rounds[0]" in result.stderr
-    assert "Traceback" not in result.stderr
+    counts = ("4 and 3", "3 and 4")[slot]
+    assert result.stderr == (
+        "error: field 'rounds[0].sets' is malformed: "
+        f"expected k = 3 cells each of 'x' and 'y', got {counts}\n"
+    )
 
 
-def _unsorted(rnd):
-    rnd["i_set"].reverse()
+def _set_cell(cells: str, i: int, value: str) -> str:
+    return cells[:i] + value + cells[i + 1:]
 
 
-def _repeated(rnd):
-    rnd["i_set"][1] = rnd["i_set"][0]
+def _first_cell(cells: str, want: str) -> int:
+    return next(i for i, c in enumerate(cells) if c in want)
 
 
-def _unequal(rnd):
-    rnd["j_set"].pop()
+def _recelled(old: str, new: str):
+    """A mutation of a round's "sets" that makes its first `old` cell `new`."""
+    return lambda sets, rnd: _set_cell(sets, _first_cell(sets, old), new)
 
 
-def _overlapping(rnd):
-    rnd["j_set"] = sorted(rnd["j_set"][1:] + rnd["i_set"][:1])
+def _moved_i_cell(sets: str, rnd) -> str:
+    """One I cell moved to a position the receiver did not learn; X is I
+    when m = 0."""
+    i_cell = "xy"[rnd["m"]]
+    sets = _set_cell(sets, _first_cell(sets, i_cell), "-")
+    cells = zip(sets, rnd["conclusive"])
+    return _set_cell(sets, next(i for i, (a, c) in enumerate(cells) if a == c == "-"), i_cell)
 
 
-def _position_zero(rnd):
-    rnd["i_set"][0] = 0
-
-
-def _position_past_n(rnd):
-    rnd["j_set"][-1] = 17
+_SETS = "'rounds[1].sets' is malformed: "
+_K_CELLS = _SETS + "expected k = 3 cells each of 'x' and 'y', got "
 
 
 @pytest.mark.parametrize(
     "mutate, reason",
     [
-        (_unsorted, "rounds[1]: index sets must be sorted"),
-        (_repeated, "rounds[1]: index sets must be sorted without repeats"),
-        (_unequal, "rounds[1]: index sets must have equal size"),
-        (_overlapping, "rounds[1]: index sets must be disjoint"),
-        (_position_zero, "'rounds[1].i_set' is malformed: positions must lie in 1..16"),
-        (_position_past_n, "'rounds[1].j_set' is malformed: positions must lie in 1..16"),
+        (lambda sets, rnd: sets + "-", _SETS + "expected a string of n = 16 cells, got 17"),
+        (lambda sets, rnd: sets[1:], _SETS + "expected a string of n = 16 cells, got 15"),
+        (lambda sets, rnd: list(sets), _SETS + "expected a string of n = 16 cells, got list"),
+        (_recelled("x", "z"), _SETS + "cell 'z' is not one of 'xy-'"),
+        (_recelled("-", "1"), _SETS + "cell '1' is not one of 'xy-'"),
+        (_recelled("y", "-"), _K_CELLS + "3 and 2"),
+        (_recelled("y", "x"), _K_CELLS + "4 and 2"),
+        (_moved_i_cell, "'rounds[1].conclusive' is malformed: announced I position"),
     ],
+    ids=["long", "short", "list", "foreign-cell", "bit-cell", "k-short", "k-moved", "i-unlearned"],
 )
 def test_verify_refuses_a_malformed_announcement(mutate, reason, tmp_path, capsys):
+    """A round's "sets" is one string of n cells, k of them "x", k "y" and
+    the rest "-", and every cell of I must be conclusive."""
     common = ["--out", str(tmp_path)]
     assert main(
         ["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", "--seed", "25", *common]
     ) == 0
     assert main(["open", *common]) == 0
     receiver = json.loads((tmp_path / "receiver.json").read_text())
-    mutate(receiver["rounds"][1])
+    rnd = receiver["rounds"][1]
+    rnd["sets"] = mutate(rnd["sets"], rnd)
     (tmp_path / "receiver.json").write_text(json.dumps(receiver))
     capsys.readouterr()
     assert main(["verify", *common]) == 2
@@ -450,25 +477,17 @@ def test_verify_refuses_a_malformed_announcement(mutate, reason, tmp_path, capsy
 _CONCLUSIVE = "'rounds[0].conclusive' is malformed: "
 
 
-def _first_cell(cells: str, want_conclusive: bool) -> int:
-    return next(i for i, c in enumerate(cells) if (c != "-") == want_conclusive)
-
-
-def _set_cell(cells: str, i: int, value: str) -> str:
-    return cells[:i] + value + cells[i + 1:]
-
-
 @pytest.mark.parametrize(
     "mutate, reason",
     [
         (lambda cells: cells + "1", _CONCLUSIVE + "expected a string of n = 16 cells, got 17"),
         (lambda cells: cells[:-1], _CONCLUSIVE + "expected a string of n = 16 cells, got 15"),
         (
-            lambda cells: _set_cell(cells, _first_cell(cells, True), "7"),
+            lambda cells: _set_cell(cells, _first_cell(cells, "01"), "7"),
             _CONCLUSIVE + "cell '7' is not one of '01-'",
         ),
         (
-            lambda cells: _set_cell(cells, _first_cell(cells, False), "?"),
+            lambda cells: _set_cell(cells, _first_cell(cells, "-"), "?"),
             _CONCLUSIVE + "cell '?' is not one of '01-'",
         ),
         (lambda cells: "-" * len(cells), _CONCLUSIVE + "announced I position"),
@@ -499,7 +518,10 @@ _COUNTED_COMMITS = {"p2bc": ["--l", "2", "--n", "16"], "p5": []}
 @pytest.mark.parametrize(
     "name, field, value, reason",
     [
-        ("receiver.json", "k", 2, "rounds[0]: the announced sets hold 3 positions each, not k = 2"),
+        (
+            "receiver.json", "k", 2,
+            "'rounds[0].sets' is malformed: expected k = 2 cells each of 'x' and 'y', got 3 and 3",
+        ),
         ("receiver.json", "l", 3, "field 'rounds' holds 2 rounds, but field 'l' is 3"),
         ("sender.json", "l", 1, "field 'rounds' holds 2 rounds, but field 'l' is 1"),
         ("sender.json", "n", 8, "'rounds[0].r' is malformed: expected a string of n = 8 cells, got 16"),
@@ -523,17 +545,71 @@ def test_transcript_counts_must_agree(name, field, value, reason, tmp_path, caps
     assert reason in capsys.readouterr().err
 
 
-def test_open_refuses_a_sender_position_out_of_range(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "mutate, reason",
+    [
+        (lambda sets: sets + "-", "expected a string of n = 16 cells, got 17"),
+        (
+            lambda sets: sets.replace("y", "x", 1),
+            "expected k = 3 cells each of 'x' and 'y', got 4 and 2",
+        ),
+        (lambda sets: None, "expected a string of n = 16 cells, got NoneType"),
+    ],
+    ids=["long", "k-moved", "null"],
+)
+def test_open_refuses_a_malformed_sender_announcement(mutate, reason, tmp_path, capsys):
+    """The sender file's "sets" is read by the receiver file's reader."""
     common = ["--out", str(tmp_path)]
     assert main(
         ["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", "--seed", "25", *common]
     ) == 0
     sender = json.loads((tmp_path / "sender.json").read_text())
-    sender["rounds"][0]["x_set"][-1] = 99
+    sender["rounds"][0]["sets"] = mutate(sender["rounds"][0]["sets"])
     (tmp_path / "sender.json").write_text(json.dumps(sender))
     capsys.readouterr()
     assert main(["open", *common]) == 2
-    assert "'rounds[0].x_set' is malformed" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: field 'rounds[0].sets' is malformed: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    [
+        ("sender.json", ("bit",), 9),
+        ("sender.json", ("rounds", 0, "share0"), 7),
+        ("sender.json", ("rounds", 1, "share1"), -1),
+        ("sender.json", ("rounds", 0, "c0"), 2),
+        ("sender.json", ("rounds", 1, "c1"), 2),
+        ("receiver.json", ("rounds", 0, "m"), 2),
+        ("receiver.json", ("rounds", 0, "c0"), 2),
+        ("receiver.json", ("rounds", 1, "c1"), -1),
+        ("receiver.json", ("rounds", 1, "received_share"), 3),
+    ],
+    ids=[
+        "sender-bit", "sender-share0", "sender-share1", "sender-c0", "sender-c1",
+        "receiver-m", "receiver-c0", "receiver-c1", "receiver-received_share",
+    ],
+)
+def test_a_share_split_field_that_is_not_a_bit_is_refused(name, path, value, tmp_path, capsys):
+    """Every bit of a share-split sender or receiver file is read as a bit:
+    unchecked, a share of 7 would be declared at open, and a ciphertext of 2
+    would be blamed on the opening."""
+    common = ["--out", str(tmp_path)]
+    assert main(
+        ["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", "--seed", "25", *common]
+    ) == 0
+    assert main(["open", *common]) == 0
+    doc = json.loads((tmp_path / name).read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    (tmp_path / name).write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["open" if name == "sender.json" else "verify", *common]) == 2
+    field = path[0] if len(path) == 1 else f"rounds[{path[1]}].{path[2]}"
+    assert capsys.readouterr().err == (
+        f"error: field '{field}' is malformed: expected a bit, got {value}\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -598,7 +674,7 @@ def test_every_header_refusal_names_its_field(
 
 # a round that announces nothing: with k = 0 every check of the opening holds
 _EMPTY_ROUND = {
-    "m": 0, "i_set": [], "j_set": [], "conclusive": "-" * 16, "c0": 1, "c1": 0, "received_share": 1
+    "m": 0, "sets": "-" * 16, "conclusive": "-" * 16, "c0": 1, "c1": 0, "received_share": 1
 }
 _EMPTY_OPEN_ROUND = {"share0": 1, "share1": 0, "declared_x": [], "declared_y": []}
 _SHARE_SPLIT = {"protocol_id": "P2-BC", "n": 16, "theta": math.pi / 4}

@@ -118,8 +118,9 @@ _scalars = st.one_of(
     st.floats(),
     st.text(max_size=6),
     st.sampled_from(sorted(PROTOCOL_FAMILIES) + ["parity"]),
-    # cells: sent bits and decoded rows
+    # cells: sent bits and decoded rows, and announced sets
     st.text(alphabet="01-", max_size=26),
+    st.text(alphabet="xy-", max_size=26),
     st.just([]),
     st.just({}),
 )
@@ -267,7 +268,8 @@ def test_a_forged_cell_string_is_refused_naming_it(row, data):
 @given(row=_decoded_rows)
 def test_an_unlearned_cell_at_an_announced_i_position_is_refused(row):
     for doc, holder, key, name in _receiver_files(row)[1:]:
-        i_pos = doc["rounds"][0]["i_set"][0]
+        # m = 0 announces I first, as X
+        i_pos = doc["rounds"][0]["sets"].index("x") + 1
         holder[key] = holder[key][:i_pos - 1] + "-" + holder[key][i_pos:]
         with pytest.raises(ValueError) as refusal:
             receiver_state_from_dict(doc)

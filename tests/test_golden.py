@@ -12,9 +12,12 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qotlab import cli
+from qotlab import bitcommit, cli
+from qotlab.ot12 import k_of
+from qotlab.qsim import RngStream
 
 SEED = "11"
 SEEDED = ["--seed", SEED]
@@ -83,6 +86,14 @@ FILES = ("sender.json", "receiver.json", "open.json")
 # decoded grid as m strings of n cells, "conclusive", in place of the
 # [basis, outcome] "records" (see test_the_p5_receiver_file_holds_the_0_2_0_content);
 # it keeps its 0.2.0 digest in a comment.
+# The fifteen share-split digests (sender.json, receiver.json and open.json
+# of p2bc, p3, p4, p2bc-theta and p3-l3-n24) were recorded at version 0.4.0,
+# which draws each announcement from one draw of n + 1 keys and writes it as
+# one string of cells, "sets", in place of the listed sets; each keeps its
+# 0.3.2 digest in a comment. The first wave of a commitment draws its
+# channel before any announcement, so its rounds keep their shares and rows
+# (see test_the_share_split_files_hold_the_0_1_0_content). No campaign or P5
+# digest moved: every rate reads only conclusive counts.
 DIGESTS = {
     "rot": "cd9b3bc0f190a190e71939f2ea3136bf6ce33bb5ac60cffb52ece595bba7f494",
     "ot12": "eebcb5adc5bf0df52b94dcc33d22f5e121977c888961066c8dd807a914e05771",
@@ -103,20 +114,29 @@ DIGESTS = {
     "probe-p4": "0e391e22429fa421267a4f04eac868155487b53d8ccbedf8d145f78247af3503",
     "omission": "4b84cc90941428c426583008a53bc26f52abe03fd8a75a3842d0d1e23ffa1987",
     # 0.1.0, before the string fields: 511bb309a730befee44d98f5d03f79aca2ccc0fdfb31d3675dc1bcd24282757a
-    "p2bc/sender.json": "1e4b304f44b1adef8da46d46c72e95bd9425d0ecc1c71fb9544b9464b61e74f5",
+    # 0.3.2, before the "sets" cells: 1e4b304f44b1adef8da46d46c72e95bd9425d0ecc1c71fb9544b9464b61e74f5
+    "p2bc/sender.json": "c3c7660dfd2884975a7ec9cdcb1bb00a1112686be12a7b8f3963734214cd521e",
     # 0.1.0, before the string fields: 355eeba8ecb6dded2cbe06ad02f783c06d8a5adf818dd0e11c2d9e0fddb4a4aa
-    "p2bc/receiver.json": "6075a86587e264e9cba8657f496b634bebbf68fe6e4095fabba3e5d8b1dff5c1",
-    "p2bc/open.json": "f871e23a406a9c8dc0e46ec695ca0ee7625537da00edc109bc6a32d201d4af0d",
+    # 0.3.2, before the "sets" cells: 6075a86587e264e9cba8657f496b634bebbf68fe6e4095fabba3e5d8b1dff5c1
+    "p2bc/receiver.json": "fd2d0628d25f20eeaec37a7b8481e2b2572ce1410da41d71a002768f19f71140",
+    # 0.3.2, before the "sets" cells: f871e23a406a9c8dc0e46ec695ca0ee7625537da00edc109bc6a32d201d4af0d
+    "p2bc/open.json": "4bf7f2e665107a915d3ce4c2763219a86b1d2b507c778d869f4bb587f2f27647",
     # 0.1.0, before the string fields: 8abc9334d4232c0dcb49aea8292cef8702618a478a90e1c226d1652918f9f81b
-    "p3/sender.json": "2078f3268de29943df1a6a98a08c5179ec0e81033b33bd92258300d69d96d425",
+    # 0.3.2, before the "sets" cells: 2078f3268de29943df1a6a98a08c5179ec0e81033b33bd92258300d69d96d425
+    "p3/sender.json": "bbfbde0c978ab1787306d6a103accf0933492ac6c0892795486bbd5f4c7b87d8",
     # 0.1.0, before the string fields: 3bc8632880ef1476e9204cba7cc073c882ccec6234da5a1343b9826432df0fef
-    "p3/receiver.json": "ecb1db086418a45abd705a78a6a8cc4a626e94fd5c3387b2769325ed9fd1d825",
-    "p3/open.json": "fde22e2cad4b3ec321fed2f32014753700df31d570ca768b012d7ac11c090eb0",
+    # 0.3.2, before the "sets" cells: ecb1db086418a45abd705a78a6a8cc4a626e94fd5c3387b2769325ed9fd1d825
+    "p3/receiver.json": "f4c3a4cbca8df44e7eef3d9577e8b18f6ae9f99e70e2418118295a7b9df9211f",
+    # 0.3.2, before the "sets" cells: fde22e2cad4b3ec321fed2f32014753700df31d570ca768b012d7ac11c090eb0
+    "p3/open.json": "acba46dd6682e58f70fbd9a9591b92ac1664ae004128b3c6557365e6b374378f",
     # 0.1.0, before the string fields: 94e447becc4201d90d16b927f7f99b7f2a2b2b018d4a411088bf87b7c9c1471f
-    "p4/sender.json": "ad4aa8c6237a9ac5fec2029c2a218eceb55e28be9ebd2dc7d1cad701c2bb185e",
+    # 0.3.2, before the "sets" cells: ad4aa8c6237a9ac5fec2029c2a218eceb55e28be9ebd2dc7d1cad701c2bb185e
+    "p4/sender.json": "4653655e26055f2742b623d1c49d7d8846dbcfcafb360d21af2129936d441cd1",
     # 0.1.0, before the string fields: 74f7b62aa3986c067b63ed6199794d0fe38dcb40439235d6e0f0f28578d6a923
-    "p4/receiver.json": "ec4b57dc5e5c24fa95f23005758d3630df01764e927503c4bf4ce9dba3d21f7f",
-    "p4/open.json": "727d7a2de4c6bcb1519bd41e92357124ed9fb53d4f5828a37a43ad49fc793636",
+    # 0.3.2, before the "sets" cells: ec4b57dc5e5c24fa95f23005758d3630df01764e927503c4bf4ce9dba3d21f7f
+    "p4/receiver.json": "239b0944cbade7626ef25eeb5ee592cc9593d615713be1561b64e4af2eb40232",
+    # 0.3.2, before the "sets" cells: 727d7a2de4c6bcb1519bd41e92357124ed9fb53d4f5828a37a43ad49fc793636
+    "p4/open.json": "b65716281580d8d1897cd2beeecf3cf229e69ec88d153bc895b8a7f0a2b2d73b",
     "p5/sender.json": "fcd2a07753541d59c0e9c16a12cce0e48e8ebc4f337a64a28bd9e5bca791c964",
     # 0.2.0, before the decoded cells: 3297fead4b6dfa97e3f7987d5d4dc8727ee349ae635215fbfae27e982f1bed66
     "p5/receiver.json": "845914e7538b2ef7b5febd929c5ebfb0cbf06f90580d40cfda65ad7c0a69d20a",
@@ -124,10 +144,13 @@ DIGESTS = {
     "ot12-theta": "669265e6ce62e29150ee76cdf8c4b2b72f98e9a52ba258b8dbaa739f8ac5f836",
     "rot-theta": "e45f0085363a90e9636f95b94f70422a38977769a970f8a10360aab11d59872e",
     # 0.1.0, before the string fields: 21af68f778d8a924a856aab39d9915923bfdef93305ef4337b909705ef9c1271
-    "p2bc-theta/sender.json": "294c46f4b1d4f5fd4536ec7d83657fe382e2b66e156ee0da406060b58c8a9331",
+    # 0.3.2, before the "sets" cells: 294c46f4b1d4f5fd4536ec7d83657fe382e2b66e156ee0da406060b58c8a9331
+    "p2bc-theta/sender.json": "15431fb9822c2379401304690577bd9ba0f6397eafacba8f26217dd4411b1bff",
     # 0.1.0, before the string fields: 225998d8197951a2ddc80ebb97586268b26850d596b9da345494214c52600d60
-    "p2bc-theta/receiver.json": "606df28a449738af66ef24cd17001755e1331fa9bcce3aed442e5857bb93b806",
-    "p2bc-theta/open.json": "9c37aaf6db6e04793c47761bbbb2584bb330e7853f59cb022fda77720a1622ec",
+    # 0.3.2, before the "sets" cells: 606df28a449738af66ef24cd17001755e1331fa9bcce3aed442e5857bb93b806
+    "p2bc-theta/receiver.json": "654304be1dee645a320456723916ce5a7990d02917d4358001bef21f1c258d7b",
+    # 0.3.2, before the "sets" cells: 9c37aaf6db6e04793c47761bbbb2584bb330e7853f59cb022fda77720a1622ec
+    "p2bc-theta/open.json": "4f417a9286e6a9d6211c7d30233189f4e7727720cfec7e82d1ff1c7f0c9fddb7",
     "bench-rot": "b45d1945132d165ce919e3fc2f04e3d8b8139c237cd0ece649e9a7924515d3b2",
     "bench-ot12": "b8c396fe6dd584c173807eeefb6a13dd3ea7cc10a687b044294bbd7369011631",
     "bench-usd": "a7cdbfe6ce38a0698aa7bef7d5d891f672784808524a33004e4b9722b55a1f03",
@@ -169,10 +192,13 @@ DIGESTS = {
     # ulp where the closed form strays 7); no CSV digest moved
     "nogo-theta-json": "a96ccc90c8bde1afef76b5748b02249a027f0729eb716b696c7e199a78403315",
     # 0.1.0, before the string fields: 4ef42898af5cafea43bebb85bc0b2178a32887e311d275d193af2340029fbe98
-    "p3-l3-n24/sender.json": "207cda527a5571f7f2ea23a82e4827a55a9bf4688fc26a01f6eab220ea9ede7f",
+    # 0.3.2, before the "sets" cells: 207cda527a5571f7f2ea23a82e4827a55a9bf4688fc26a01f6eab220ea9ede7f
+    "p3-l3-n24/sender.json": "e5bf29a30108aa8b05770e5feca1389356571372d2f6e0d5bcee2b1a61f32322",
     # 0.1.0, before the string fields: 0c5a04ab67238cbfa138b15e8a65db8302b9e33a3339c3a2d65cec46443523c3
-    "p3-l3-n24/receiver.json": "5926705c32732f7ddfd8b0c029c148623715cdeadfa915b4a7599396b0bbe2a3",
-    "p3-l3-n24/open.json": "67d7ac601d4a4aebbe793bec8750879e0bed535557e3324608e8d8af9783cfd3",
+    # 0.3.2, before the "sets" cells: 5926705c32732f7ddfd8b0c029c148623715cdeadfa915b4a7599396b0bbe2a3
+    "p3-l3-n24/receiver.json": "6e31515e8d7f986704fb18d519315c17b45c8f3c220d4231a54a8951482f75a3",
+    # 0.3.2, before the "sets" cells: 67d7ac601d4a4aebbe793bec8750879e0bed535557e3324608e8d8af9783cfd3
+    "p3-l3-n24/open.json": "7321f5db4bce54ab1d1f11af7211f98535326c2611412a394c101ba45806cdac",
     # recorded before the omission trials were measured in one stacked pass
     # and the table channels sampled from cached running sums
     "bench-omission-perfect": "66ac31a45ef14b7b23d19fa164709d7730708565e88ccc4445092ba217a91a0b",
@@ -180,11 +206,16 @@ DIGESTS = {
     "usd-theta": "c14fef42798e432459374969415edca636f963ef15e1902dc71669b454a8fdce",
 }
 
-# A P2-BC sender.json and receiver.json written by version 0.1.0, where a
-# round's "r" was a list of bits and its "conclusive" a list of {"pos", "val"}
-# objects: commit --protocol p2bc --seed 11, the "p2bc" files pinned above.
+DATA = Path(__file__).parent / "data"
+
+# P2-BC sender.json and receiver.json files of commit --protocol p2bc
+# --seed 11, the "p2bc" files pinned above, as two older versions wrote
+# them: 0.1.0, where a round's "r" was a list of bits and its "conclusive" a
+# list of {"pos", "val"} objects, and 0.3.2, the last to list the announced
+# sets ("x_set"/"y_set", "i_set"/"j_set").
 OLD_P2BC = {
-    name: Path(__file__).parent / "data" / f"p2bc_{name.removesuffix('.json')}_0.1.0.json"
+    (version, name): DATA / f"p2bc_{name.removesuffix('.json')}_{version}.json"
+    for version in ("0.1.0", "0.3.2")
     for name in ("sender.json", "receiver.json")
 }
 
@@ -192,8 +223,8 @@ OLD_P2BC = {
 # --seed 11, both holding the grid as [basis, outcome] "records": one from
 # version 0.2.0, and one from before the receiver stopped storing its
 # blinding angles, which still holds "alphas".
-OLD_P5_RECEIVER = Path(__file__).parent / "data" / "p5_receiver_0.2.0.json"
-OLD_P5_RECEIVER_WITH_ALPHAS = Path(__file__).parent / "data" / "p5_receiver_with_alphas.json"
+OLD_P5_RECEIVER = DATA / "p5_receiver_0.2.0.json"
+OLD_P5_RECEIVER_WITH_ALPHAS = DATA / "p5_receiver_with_alphas.json"
 
 
 def _run(argv: list[str]) -> None:
@@ -275,6 +306,17 @@ def p2bc_seeded(tmp_path):
     return workdir
 
 
+def _first_wave_rounds() -> int:
+    """How many rounds the first wave of the "p2bc" commit completes. Its
+    draws (the committed bit, the shares, one channel pass) come before any
+    announcement draw, so no version's announcement rule can move them."""
+    rng = RngStream(int(SEED), cli._STREAM_COMMIT)
+    rng.bit()
+    rng.bits(8)
+    _, decoded = bitcommit._ot_channel(bitcommit.PROTOCOL_P2BC, 8, 16, bitcommit.ENCODE_ANGLE, rng)
+    return int(np.count_nonzero((decoded >= 0).sum(axis=1) >= k_of(16)))
+
+
 def _as_cells(old_round: dict, field: str, n: int) -> str:
     """A 0.1.0 round's list field as the string 0.2.0 writes for it."""
     if field == "r":
@@ -285,30 +327,40 @@ def _as_cells(old_round: dict, field: str, n: int) -> str:
     return "".join(cells)
 
 
-@pytest.mark.parametrize("name, field", [("sender.json", "r"), ("receiver.json", "conclusive")])
-def test_the_share_split_files_hold_the_0_1_0_content(p2bc_seeded, name, field):
-    """Each string holds the old list's bits, or the old pairs' values at
-    their positions and "-" elsewhere; every other field is equal."""
-    old = json.loads(OLD_P2BC[name].read_text())
+@pytest.mark.parametrize(
+    "name, fields",
+    [("sender.json", ("share0", "share1", "r")), ("receiver.json", ("conclusive",))],
+)
+def test_the_share_split_files_hold_the_0_1_0_content(p2bc_seeded, name, fields):
+    """The header is equal, and every round of the first wave holds the old
+    round's shares and row: the string holds the old list's bits, or the old
+    pairs' values at their positions and "-" elsewhere."""
+    old = json.loads(OLD_P2BC["0.1.0", name].read_text())
     new = json.loads((p2bc_seeded / name).read_text())
     assert {**old, "rounds": None} == {**new, "rounds": None}
     assert len(old["rounds"]) == len(new["rounds"]) == 8
-    for old_round, new_round in zip(old["rounds"], new["rounds"]):
-        cells = new_round[field]
-        assert isinstance(cells, str) and len(cells) == new["n"]
-        assert cells == _as_cells(old_round, field, new["n"])
-        assert {**old_round, field: cells} == new_round
+    first_wave = _first_wave_rounds()
+    assert first_wave > 0
+    for old_round, new_round in zip(old["rounds"][:first_wave], new["rounds"]):
+        for field in fields:
+            cells = field in ("r", "conclusive")
+            assert new_round[field] == (_as_cells(old_round, field, 16) if cells else old_round[field])
 
 
 @pytest.mark.parametrize(
-    "command, name, field", [("open", "sender.json", "r"), ("verify", "receiver.json", "conclusive")]
+    "version, command, name, reason",
+    [
+        (
+            "0.1.0", "open", "sender.json",
+            "field 'rounds[0].r' is malformed: expected a string of n = 16 cells, got list",
+        ),
+        ("0.1.0", "verify", "receiver.json", "missing field 'rounds[0].sets'"),
+        ("0.3.2", "open", "sender.json", "missing field 'rounds[0].sets'"),
+        ("0.3.2", "verify", "receiver.json", "missing field 'rounds[0].sets'"),
+    ],
 )
-def test_a_0_1_0_share_split_file_is_refused(p2bc_seeded, command, name, field):
-    """The list form is a malformed field, named, and no traceback."""
-    (p2bc_seeded / name).write_text(OLD_P2BC[name].read_text())
-    assert _main(command, p2bc_seeded) == (
-        2,
-        "",
-        f"error: field 'rounds[0].{field}' is malformed: "
-        "expected a string of n = 16 cells, got list\n",
-    )
+def test_an_old_share_split_file_is_refused(p2bc_seeded, version, command, name, reason):
+    """A list form of a field read as a string is a malformed field, and the
+    listed sets are a missing "sets"; each is named, with no traceback."""
+    (p2bc_seeded / name).write_text(OLD_P2BC[version, name].read_text())
+    assert _main(command, p2bc_seeded) == (2, "", f"error: {reason}\n")

@@ -1,5 +1,7 @@
 """One-out-of-two transfer built on the random-transfer rounds."""
 
+import collections
+import itertools
 import math
 from fractions import Fraction
 
@@ -467,6 +469,64 @@ class TestIndexSets:
         )
         sigma = math.sqrt(0.25 / trials)
         assert abs(ones / trials - 0.5) < 5 * sigma
+
+    @pytest.mark.parametrize(
+        "strategy, n, conclusive, k",
+        [(HONEST, 7, (1, 3, 4, 6), 2), (HONEST, 6, (1, 2, 4, 5, 6), 2), (USD, 7, (2, 5, 6), 2)],
+        ids=["unlearned-j", "honest-top-up", "usd-top-up"],
+    )
+    def test_the_keyed_draw_has_the_announcement_distribution(self, strategy, n, conclusive, k):
+        """Over 20000 draws from one fixed row, chi-square (p > 1e-3): I is
+        a uniform k-subset of the conclusive positions; (I, J) is uniform
+        over the pairs the strategy allows, so J takes its marginal and,
+        where J must be topped up, a uniform top-up; m is a fair bit,
+        independent of I. The rows cover an honest J from enough unlearned
+        positions, an honest J topped up from the leftovers and a
+        discriminating J topped up from the unlearned positions."""
+        decoded = [0 if p in conclusive else -1 for p in range(1, n + 1)]
+        unknown = [p for p in range(1, n + 1) if p not in conclusive]
+
+        def j_choices(i_set):
+            leftovers = [p for p in conclusive if p not in i_set]
+            first, second = (leftovers, unknown) if strategy == USD else (unknown, leftovers)
+            fill = max(0, k - len(first))
+            return [
+                tuple(sorted(head + tail))
+                for head in itertools.combinations(first, k - fill)
+                for tail in itertools.combinations(second, fill)
+            ]
+
+        i_sets = list(itertools.combinations(conclusive, k))
+        pairs = [(i, j) for i in i_sets for j in j_choices(i)]
+        j_sets = sorted({j for _, j in pairs})
+        rng = RngStream(9, n)
+        draws = [choose_index_sets(decoded, k, rng, strategy) for _ in range(20000)]
+        counts = collections.Counter((d.i_set, d.j_set, d.m) for d in draws)
+        assert {(i, j) for i, j, _ in counts} <= set(pairs)
+
+        def count(keep, support):
+            tally = collections.Counter()
+            for key, c in counts.items():
+                tally[keep(*key)] += c
+            return [tally[value] for value in support]
+
+        uniform = [
+            count(lambda i, j, m: i, i_sets),
+            count(lambda i, j, m: (i, j), pairs),
+            count(lambda i, j, m: m, (0, 1)),
+        ]
+        for observed in uniform:
+            assert scipy.stats.chisquare(observed).pvalue > 1e-3
+        # J's marginal: each I is equally likely, then each of its J choices
+        j_weight = collections.Counter()
+        for i in i_sets:
+            for j in j_choices(i):
+                j_weight[j] += 1 / (len(i_sets) * len(j_choices(i)))
+        expected = [j_weight[j] * len(draws) for j in j_sets]
+        observed = count(lambda i, j, m: j, j_sets)
+        assert scipy.stats.chisquare(observed, expected).pvalue > 1e-3
+        table = [count(lambda i, j, m: (i, m), [(i, m) for i in i_sets]) for m in (0, 1)]
+        assert scipy.stats.chi2_contingency(table).pvalue > 1e-3
 
     def test_prefer_conclusive_j_fills_both_sets_when_possible(self):
         n, k = 64, k_of(64)

@@ -6,13 +6,15 @@ A completed round keeps its rows: the sent bits and the decoded bits, -1
 where nothing was learned.
 The reference below is the earlier route: per-round `SenderRecord` and
 `ReceiverRecord` built and checked from the pass, the announcement drawn
-from the receiver record, then `sender_encrypt` and `receiver_decrypt`.
+from the receiver record (its keys ordered with `np.argsort`), then
+`sender_encrypt` and `receiver_decrypt`.
 Both must make the same draws in the same order, so every field and the
 generator's final state agree.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from qotlab.bitcommit import (
@@ -46,22 +48,26 @@ SEEDS = range(100)
 
 
 def reference_choose_index_sets(receiver: ReceiverRecord, n: int, k: int, rng: RngStream):
-    """The announcement as drawn from a receiver record: I from its
-    conclusive positions, J by its strategy, then the slot bit."""
+    """The announcement as drawn from a receiver record, from one draw of
+    n + 1 keys (key p for position p, key 0 for the slot bit): I the k
+    conclusive positions with the smallest keys, J the first k of the
+    strategy's two groups in order (the honest receiver's unlearned
+    positions, then its leftover conclusive ones; the discriminating
+    receiver's the other way round), each group ordered by key."""
     conclusive = [pos for pos, _ in receiver.conclusive]
     if len(conclusive) < k:
         return None
-    i_set = rng.subset(conclusive, k)
-    taken = set(i_set)
-    leftovers = [p for p in conclusive if p not in taken]
-    known = set(conclusive)
-    unknown = [p for p in range(1, n + 1) if p not in known]
-    first, second = (leftovers, unknown) if receiver.strategy == USD else (unknown, leftovers)
-    if len(first) >= k:
-        j_set = rng.subset(first, k)
-    else:
-        j_set = sorted(first + rng.subset(second, k - len(first)))
-    return IndexSets(i_set=tuple(i_set), j_set=tuple(j_set), m=rng.bit())
+    keys = rng.gen.random(n + 1)
+    by_key = np.argsort(keys[1:], kind="stable") + 1
+    known = np.isin(by_key, conclusive)
+    i_set, leftovers, unknown = by_key[known][:k], by_key[known][k:], by_key[~known]
+    groups = (leftovers, unknown) if receiver.strategy == USD else (unknown, leftovers)
+    j_set = np.concatenate(groups)[:k]
+    return IndexSets(
+        i_set=tuple(sorted(i_set.tolist())),
+        j_set=tuple(sorted(j_set.tolist())),
+        m=int(keys[0] >= 0.5),
+    )
 
 
 def reference_tail(sender: SenderRecord, receiver: ReceiverRecord, n, k, b0, b1, rng):
@@ -203,6 +209,8 @@ def test_what_a_run_builds_unchecked_equals_the_checked_constructors(strategy, t
         if t.aborted:
             continue
         assert IndexSets(t.sets.i_set, t.sets.j_set, t.sets.m) == t.sets, seed
+        # the slot rule undoes itself: the announcement reads back from its slots
+        assert IndexSets.from_slots(t.sets.x_set, t.sets.y_set, t.sets.m) == t.sets, seed
         assert len(t.sets.j_set) == k
         known = {pos for pos, _ in t.receiver.conclusive}
         topped_up += {pos in known for pos in t.sets.j_set} == {True, False}

@@ -1,6 +1,7 @@
 """A/B timing of one benchmark workload across two source trees, in one process.
 
     python3 tools/ab.py BASE NEW --workload campaign --pairs 250 --seed 7
+    python3 tools/ab.py BASE NEW --workload commit-roundtrip --count-differences
 
 BASE and NEW are roots of two qotlab source checkouts (a clone of the parent
 commit and this one, say). Each tree's `src/` and `bench/` are imported
@@ -11,7 +12,10 @@ seed; each op's output goes through the workload's own check, untimed, and
 the pooled checks run at the end. The two ops of a pair must also return
 the same output (`op_output`), a campaign's transcripts included: the
 first difference is printed with its workload, op seed and key, and the
-run exits 1.
+run exits 1. With `--count-differences`, for a change that moves seeded
+output on purpose, a difference does not end the run: every op still goes
+through its tree's own check and the pooled checks, and the number of ops
+whose outputs differed is printed beside the timing rows, with the first.
 
 It prints each tree's median op time with its quartiles, the ratio of the
 medians as BASE / NEW (above 1 means NEW is faster), and how many pairs
@@ -106,6 +110,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="campaign")
     parser.add_argument("--pairs", type=int, default=250)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument(
+        "--count-differences",
+        action="store_true",
+        help="count the ops whose outputs differ instead of stopping at the first",
+    )
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -115,6 +124,7 @@ def main(argv=None) -> int:
         module = load_workloads(root.resolve())
         sides[label] = (module, module.make(args.workload))
     times: dict[str, list[float]] = {"base": [], "new": []}
+    differing: list[str] = []
     gc.collect()
     for index in range(args.pairs + 1):  # op 0 warms both trees up, untimed
         order = ("base", "new") if index % 2 == 0 else ("new", "base")
@@ -129,8 +139,11 @@ def main(argv=None) -> int:
             wl.check(outs[label])
         key = first_difference(args.workload, outs["base"], outs["new"])
         if key is not None:
-            print(f"OUTPUT DIFFERS: {args.workload} op {index} (op seed {seed}): {key}")
-            return 1
+            where = f"{args.workload} op {index} (op seed {seed}): {key}"
+            if not args.count_differences:
+                print(f"OUTPUT DIFFERS: {where}")
+                return 1
+            differing.append(where)
     for label, (_, wl) in sides.items():
         wl.finish()
         for problem in wl.problems:
@@ -143,6 +156,9 @@ def main(argv=None) -> int:
     ratio = statistics.median(times["base"]) / statistics.median(times["new"])
     wins = sum(b > n for b, n in zip(times["base"], times["new"]))
     print(f"ratio base/new of the medians: x{ratio:.3f}; new faster in {wins}/{args.pairs} pairs")
+    if args.count_differences:
+        first = f"; first: {differing[0]}" if differing else ""
+        print(f"outputs differ in {len(differing)}/{args.pairs + 1} ops, warm-up included{first}")
     return 1 if any(wl.problems for _, wl in sides.values()) else 0
 
 
