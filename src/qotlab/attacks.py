@@ -32,7 +32,6 @@ from .bitcommit import (
     P5OpenMessage,
     P5ReceiverState,
     PROTOCOL_P5,
-    blinded_amps,
     blinding_angles,
     p3_bases,
     p3_possible,
@@ -47,12 +46,10 @@ from .qsim import (
     apply_on_qubit,
     bell_state,
     born_probabilities,
-    inverse_cdf,
-    rotate_rows,
     rotation_plane,
 )
 from .qsim.states import CONSTRUCTION_ATOL
-from .rot import HONEST_DECODE, PERP_INDEX, encoding_amps, honest_draws, honest_probabilities
+from .rot import encoding_amps, honest_draws
 
 # Not used below (the report reads the purifications), but bench/tracing.py
 # wraps the mixed-state fidelity under this name here.
@@ -395,11 +392,9 @@ def probe_attack_p3(n: int, trials: int, rng: RngStream) -> np.ndarray:
         raise ValueError("need a positive qubit count and trial count")
     probs, masks = _p3_probe_tables()
     cum = np.cumsum(probs, axis=1)
-    # the draw's dtype sets how many generator bits it takes, so the cells are
-    # drawn as int64 and narrowed at once: each of the kernel's four cell
-    # comparisons then reads an eighth of the bytes, and the wide array is
-    # freed before the uniforms are drawn
-    cells = rng.gen.integers(0, 4, size=(trials, n)).astype(np.int8)
+    # the two low bits of a random byte are uniform on 0..3: one byte per
+    # cell, and each of the kernel's four cell comparisons reads one byte
+    cells = (np.frombuffer(rng.gen.bytes(trials * n), np.uint8) & 3).reshape(trials, n)
     u = rng.gen.random(size=(trials, n))
     # inverse-CDF sampling passes the running sum cum[cell, j] on its way to
     # outcome j + 1, so detection flips from mask[0] at each such crossing
@@ -421,39 +416,33 @@ def probe_attack_p4(n: int, trials: int, rng: RngStream) -> np.ndarray:
     """The copy probe against blinded qubits, caught at open time.
 
     Detection means a conclusive outcome contradicting the bit the committer
-    later declares; every qubit gets a fresh uniform blinding angle. Returns
-    the (trials, n) detection grid.
+    later declares; every qubit gets a fresh uniform blinding angle a. The
+    copy dephases the blinded qubit cos a|0> + sin a|1> in the standard
+    basis, so once encoded with bit r and turned back by a it lands on the
+    perp element of basis x with probability
+
+        1/2 (1 - cos 2a cos(pi/2 (r - x) - 2a)).
+
+    The conclusive outcome in basis x decodes x xor 1, so it contradicts r
+    only when x = r, where that is 1/2 sin^2 2a: the uniform passes the
+    running sum 1/2 (1 + cos^2 2a) of the other outcome, as in
+    `passed_sums`. Returns the (trials, n) detection grid.
     """
     if n < 1 or trials < 1:
         raise ValueError("need a positive qubit count and trial count")
     size = trials * n
     alphas = blinding_angles(rng, size)
     r = rng.bits(size)
-    probed = rotate_rows(entangle_probe_rows(blinded_amps(alphas)), ENCODE_ANGLE * r)
-    # the probe leaves the turned-back qubit off the coding pair: no table, a Born step per row
     x, u = honest_draws(rng, size)
-    probs = honest_probabilities(rotate_rows(probed, -alphas), ENCODE_ANGLE, x)
-    decoded = HONEST_DECODE[x, inverse_cdf(probs, u)]
-    return ((decoded >= 0) & (decoded != r)).reshape(trials, n)
+    detected = (x == r) & (u >= (1.0 + np.cos(2 * alphas) ** 2) / 2)
+    return detected.reshape(trials, n)
 
 
 def p4_probe_detection_probability(alphas) -> np.ndarray:
-    """Exact per-qubit detection of the copy probe at each blinding angle.
-
-    The sampled path without the sampling: the probed blinded qubit is
-    encoded with bit r, unblinded and put through the honest Born step, and
-    the result is averaged over the uniform r and basis bit x. The
-    conclusive outcome in basis x decodes x xor 1, so it contradicts r only
-    when x = r.
-    """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    probed = entangle_probe_rows(blinded_amps(alphas))
-    total = np.zeros(len(alphas))
-    for r in (0, 1):
-        unblinded = rotate_rows(rotate_rows(probed, ENCODE_ANGLE * r), -alphas)
-        basis = np.full(len(alphas), r)
-        total += honest_probabilities(unblinded, ENCODE_ANGLE, basis)[:, PERP_INDEX]
-    return total / 4.0
+    """Exact per-qubit detection of the copy probe at each blinding angle a:
+    the sampled path's 1/2 sin^2 2a at x = r (`probe_attack_p4`), averaged
+    over the uniform r and basis bit x, 1/4 sin^2 2a."""
+    return np.sin(2 * np.asarray(alphas, dtype=np.float64)) ** 2 / 4
 
 
 # ---------------------------------------------------------------------------

@@ -159,13 +159,6 @@ def blinding_angles(rng: RngStream, shape) -> np.ndarray:
     return rng.gen.uniform(0.0, 2 * np.pi, size=shape)
 
 
-def blinded_amps(alphas, bits=0) -> np.ndarray:
-    """|0> rotated by each blinding angle, then by the encoding angle iff its
-    bit is 1; amplitudes on a trailing axis of length 2."""
-    angle = np.asarray(alphas, dtype=np.float64) + ENCODE_ANGLE * np.asarray(bits)
-    return np.stack((np.cos(angle), np.sin(angle)), axis=-1)
-
-
 def p4_unblind_and_measure(bits: np.ndarray, x: np.ndarray, u: np.ndarray) -> ChannelPass:
     """The blinded receiver's pass over the returned qubits.
 
@@ -820,6 +813,10 @@ def _int_rows(x) -> tuple[tuple[int, ...], ...]:
     return tuple(_ints(row) for row in _list(x))
 
 
+def _bit_rows(x) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(_bit(v) for v in _list(row)) for row in _list(x))
+
+
 def _pos_vals(x) -> tuple[tuple[int, int], ...]:
     pairs = []
     for c in _list(x):
@@ -923,7 +920,7 @@ def _bc_open_from_dict(d: dict) -> OpenMessage:
 
 def _p5_sender_from_dict(d: dict) -> P5SenderState:
     m, n = _field(d, "m", _count), _field(d, "n", _count)
-    strings = _field(d, "strings", _int_rows)
+    strings = _field(d, "strings", _bit_rows)
     if len(strings) != m:
         raise ValueError(f"field 'strings' holds {len(strings)} strings, but field 'm' is {m}")
     for i, string in enumerate(strings):
@@ -931,7 +928,7 @@ def _p5_sender_from_dict(d: dict) -> P5SenderState:
             raise ValueError(f"field 'strings[{i}]' has length {len(string)}, but field 'n' is {n}")
     return P5SenderState(
         protocol_id=PROTOCOL_P5,
-        bit=_field(d, "bit", _int),
+        bit=_field(d, "bit", _bit),
         function=_field(d, "function", functools.partial(_function, n)),
         strings=strings,
     )

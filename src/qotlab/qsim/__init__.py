@@ -13,7 +13,7 @@ from .measure import (
     povm_probabilities,
     usd_povm,
 )
-from .rng import DEFAULT_SEED, RngStream, inverse_cdf, passed_sums, running_sums
+from .rng import DEFAULT_SEED, RngStream, passed_sums, running_sums
 from .states import (
     StateVector,
     Unitary2x2,
@@ -21,7 +21,6 @@ from .states import (
     bell_state,
     make_nonorthogonal_pair,
     perp,
-    rotate_rows,
     rotation_plane,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "bell_state",
     "born_probabilities",
     "fidelity",
-    "inverse_cdf",
     "make_nonorthogonal_pair",
     "measure_povm",
     "measure_projective",
@@ -50,7 +48,6 @@ __all__ = [
     "perp",
     "povm_probabilities",
     "purify",
-    "rotate_rows",
     "rotation_plane",
     "running_sums",
     "usd_povm",

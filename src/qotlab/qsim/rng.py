@@ -50,12 +50,6 @@ def passed_sums(sums: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def inverse_cdf(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise inverse-CDF sampling of an (N, K) probability array, one
-    uniform per row: `passed_sums` of the rows' `running_sums`."""
-    return passed_sums(running_sums(probabilities), np.asarray(u))
-
-
 class RngStream:
     """A numpy Generator bound to a (master_seed, stream_index) pair.
 

@@ -74,21 +74,6 @@ def rotation_plane(angle: float) -> Unitary2x2:
     return Unitary2x2(entries=np.array([[c, -s], [s, c]]))
 
 
-def rotate_rows(amps: np.ndarray, angles) -> np.ndarray:
-    """Batched rotation_plane on qubit 0: row i of an (N, 2**n) amplitude
-    array gets rotation_plane(angles[i]); a scalar angle applies to all rows."""
-    amps = np.asarray(amps)
-    if amps.ndim != 2:
-        raise ValueError("amplitudes must be an (N, 2**n) array")
-    rows, dim = amps.shape
-    angles = np.broadcast_to(np.asarray(angles, dtype=np.float64), (rows,))
-    c = np.cos(angles)[:, np.newaxis]
-    s = np.sin(angles)[:, np.newaxis]
-    t = amps.reshape(rows, 2, dim // 2)
-    a0, a1 = t[:, 0], t[:, 1]
-    return np.stack((c * a0 - s * a1, s * a0 + c * a1), axis=1).reshape(rows, dim)
-
-
 def make_nonorthogonal_pair(theta: float) -> tuple[StateVector, StateVector]:
     """The coding pair |0> and rotation_plane(theta)|0>, overlap cos(theta)."""
     zero = StateVector.computational([0])

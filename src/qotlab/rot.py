@@ -176,11 +176,8 @@ _USD_DECODED.flags.writeable = False
 def honest_probabilities(amps: np.ndarray, theta: float, x: np.ndarray) -> np.ndarray:
     """The Born step of the honest measurement: row i's outcome probabilities
     in basis x[i] = {Psi_x, Psi_x perp}, column PERP_INDEX the conclusive
-    outcome, which decodes the bit x xor 1. A row of several qubits is
-    measured on qubit 0 with the rest traced out.
-    """
-    qubits = (0,) if amps.shape[1] > 2 else None
-    return batch_probabilities(amps, measurement_bases(theta), choice=x, qubits=qubits)
+    outcome, which decodes the bit x xor 1."""
+    return batch_probabilities(amps, measurement_bases(theta), choice=x)
 
 
 def honest_draws(rng: RngStream, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,17 +1,53 @@
-"""The rotation route of the blinded receiver, the reference for its table.
+"""The rotation route of the blinded channel, the reference for its closed forms.
 
-Each returned qubit is one amplitude row, turned back by its blinding angle
-and put through the honest Born step in its basis, one row at a time. The
-P4 and P5 samplers read the plain channel's cached table at pi/4 instead,
-since an unblinded coding state is the plain pair; the tests hold them to
-this route draw for draw.
+Each qubit is one amplitude row: blinded, encoded, turned back by its
+blinding angle and put through the honest Born step in its basis, one row
+at a time. The P4 and P5 samplers read the plain channel's cached table at
+pi/4 instead, since an unblinded coding state is the plain pair, and the
+P4 copy probe reads its closed form; the tests hold them to this route
+draw for draw.
 """
 
 import numpy as np
 
-from qotlab.bitcommit import ENCODE_ANGLE
-from qotlab.qsim import inverse_cdf, rotate_rows
-from qotlab.rot import PERP_INDEX, honest_probabilities
+from qotlab.attacks import entangle_probe_rows
+from qotlab.bitcommit import ENCODE_ANGLE, blinding_angles
+from qotlab.qsim import batch_probabilities, passed_sums, running_sums
+from qotlab.rot import (
+    HONEST_DECODE,
+    PERP_INDEX,
+    honest_draws,
+    honest_probabilities,
+    measurement_bases,
+)
+
+
+def rotate_rows(amps: np.ndarray, angles) -> np.ndarray:
+    """Batched rotation_plane on qubit 0: row i of an (N, 2**n) amplitude
+    array gets rotation_plane(angles[i]); a scalar angle applies to all rows."""
+    amps = np.asarray(amps)
+    if amps.ndim != 2:
+        raise ValueError("amplitudes must be an (N, 2**n) array")
+    rows, dim = amps.shape
+    angles = np.broadcast_to(np.asarray(angles, dtype=np.float64), (rows,))
+    c = np.cos(angles)[:, np.newaxis]
+    s = np.sin(angles)[:, np.newaxis]
+    t = amps.reshape(rows, 2, dim // 2)
+    a0, a1 = t[:, 0], t[:, 1]
+    return np.stack((c * a0 - s * a1, s * a0 + c * a1), axis=1).reshape(rows, dim)
+
+
+def inverse_cdf(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise inverse-CDF sampling of an (N, K) probability array, one
+    uniform per row: `passed_sums` of the rows' `running_sums`."""
+    return passed_sums(running_sums(probabilities), np.asarray(u))
+
+
+def blinded_amps(alphas, bits=0) -> np.ndarray:
+    """|0> rotated by each blinding angle, then by the encoding angle iff its
+    bit is 1; amplitudes on a trailing axis of length 2."""
+    angle = np.asarray(alphas, dtype=np.float64) + ENCODE_ANGLE * np.asarray(bits)
+    return np.stack((np.cos(angle), np.sin(angle)), axis=-1)
 
 
 def unblind_and_measure(amps, alphas, x, u) -> np.ndarray:
@@ -21,3 +57,26 @@ def unblind_and_measure(amps, alphas, x, u) -> np.ndarray:
     unblinded = rotate_rows(amps, -np.asarray(alphas))
     outcomes = inverse_cdf(honest_probabilities(unblinded, ENCODE_ANGLE, x), u)
     return np.where(outcomes == PERP_INDEX, x ^ 1, -1).astype(np.int8)
+
+
+def probed_probabilities(alphas, r, x) -> np.ndarray:
+    """The honest Born step on blinded qubits copied onto a probe: row i
+    blinded by alphas[i], probed, encoded with bit r[i], turned back and
+    measured in basis x[i] with the probe traced out."""
+    alphas = np.asarray(alphas, dtype=np.float64)
+    probed = rotate_rows(entangle_probe_rows(blinded_amps(alphas)), ENCODE_ANGLE * np.asarray(r))
+    x = np.broadcast_to(np.asarray(x, dtype=np.int8), alphas.shape)
+    unblinded = rotate_rows(probed, -alphas)
+    return batch_probabilities(unblinded, measurement_bases(ENCODE_ANGLE), choice=x, qubits=(0,))
+
+
+def reference_probe_attack_p4(n: int, trials: int, rng) -> np.ndarray:
+    """The copy-probe campaign on blinded qubits through the rotation route,
+    with the draws of `attacks.probe_attack_p4` in its order: a detection is
+    a conclusive outcome that decodes a bit other than r."""
+    size = trials * n
+    alphas = blinding_angles(rng, size)
+    r = rng.bits(size)
+    x, u = honest_draws(rng, size)
+    decoded = HONEST_DECODE[x, inverse_cdf(probed_probabilities(alphas, r, x), u)]
+    return ((decoded >= 0) & (decoded != r)).reshape(trials, n)

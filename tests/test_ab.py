@@ -89,26 +89,47 @@ _EXACT = {"csv": "header\n", "n": 20000, "p1": 0.25, "p2": 1e-90}
     ],
 )
 def test_the_first_output_difference_is_named(workload, base, new, key):
-    assert ab.first_difference(workload, base, new) == key
+    differs = ab.differences(workload, base, new)
+    assert next((k for k, moved in differs.items() if moved), None) == key
 
 
 # a tree's bench/workloads.py, reduced to what ab.py calls: its `exact` ops
-# return n = 1, or on odd op seeds 1 + SHIFT; the per-op check counts the
+# return n = 1, or on odd op seeds 1 + SHIFT; its `campaign` ops return two
+# CSV keys and two transcripts, and on odd op seeds SHIFT moves the probe-p3
+# CSV and the decoded row of both transcripts; the per-op check counts the
 # ops it saw, and the pooled check fails when told to or when an op went
 # unchecked
 _FAKE_WORKLOADS = """
+from types import SimpleNamespace
+
+import numpy as np
+
+
 def op_seed(seed, index):
     return 1000 * seed + index
 
 
+def transcript(shift):
+    return SimpleNamespace(
+        sender=SimpleNamespace(bits=np.array([1, 0])),
+        receiver=SimpleNamespace(decoded=np.array([1, -shift]), conclusive=((1, 1),)),
+        sets=None, c0=None, c1=None, b_received=None,
+    )
+
+
 class Workload:
-    def __init__(self):
+    def __init__(self, name):
+        self.name = name
         self.problems = []
         self.ops = self.checked = 0
 
     def op(self, seed):
         self.ops += 1
-        return {{"csv": "", "n": 1 + {shift} * (seed % 2), "p1": 0.5, "p2": 0.25}}
+        moved = {shift} * (seed % 2)
+        if self.name == "campaign":
+            csv = {{"rot": "rows", "probe-p3": f"rows {{moved}}"}}
+            return {{"csv": csv, "transcripts": [transcript(moved), transcript(moved)]}}
+        return {{"csv": "", "n": 1 + moved, "p1": 0.5, "p2": 0.25}}
 
     def check(self, out):
         self.checked += 1
@@ -119,7 +140,7 @@ class Workload:
 
 
 def make(name):
-    return Workload()
+    return Workload(name)
 """
 
 
@@ -141,10 +162,10 @@ def trees(tmp_path):
     sys.modules.update(saved)
 
 
-def _ab(base, new, *flags):
+def _ab(base, new, *flags, workload="exact"):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = ab.main([str(base), str(new), "--workload", "exact", "--pairs", "4", *flags])
+        code = ab.main([str(base), str(new), "--workload", workload, "--pairs", "4", *flags])
     return code, out.getvalue()
 
 
@@ -164,6 +185,40 @@ def test_counted_differences_are_printed_beside_the_timing_rows(trees, shift, di
     assert lines[3].startswith(f"outputs differ in {differing}")
     if shift:
         assert lines[3].endswith("; first: exact op 1 (op seed 7001): n")
+    assert lines[4:] == ["  csv: 0", f"  n: {2 * shift}", "  p1: 0", "  p2: 0"]
+
+
+def test_differences_are_counted_per_key_with_indices_read_as_a_star(trees):
+    """Every key is listed, those that never differed at 0; the two
+    transcripts' decoded rows differ in the same two ops, counted once each."""
+    code, out = _ab(trees("base"), trees("new", shift=1), "--count-differences", workload="campaign")
+    assert code == 0, out
+    lines = out.splitlines()
+    assert lines[3].endswith("; first: campaign op 1 (op seed 7001): csv[probe-p3]")
+    assert lines[4:] == [
+        "  csv[rot]: 0",
+        "  csv[probe-p3]: 2",
+        "  transcripts[*].sent: 0",
+        "  transcripts[*].decoded: 2",
+        "  transcripts[*].conclusive: 0",
+        "  transcripts[*].sets: 0",
+        "  transcripts[*].c0: 0",
+        "  transcripts[*].c1: 0",
+        "  transcripts[*].b_received: 0",
+    ]
+
+
+@pytest.mark.parametrize(
+    "key, group",
+    [
+        ("transcripts[12].decoded", "transcripts[*].decoded"),
+        ("results[0].tampered.reason", "results[*].tampered.reason"),
+        ("csv[probe-p3]", "csv[probe-p3]"),
+        ("p2", "p2"),
+    ],
+)
+def test_a_key_group_reads_list_indices_as_a_star(key, group):
+    assert ab.key_group(key) == group
 
 
 def test_counted_differences_keep_the_checks(trees):

@@ -31,7 +31,6 @@ from qotlab.bitcommit import (
     bc_open,
     bc_verify,
     bell_state,
-    blinded_amps,
     p5_commit,
     p5_open,
     p5_verify,
@@ -46,12 +45,11 @@ from qotlab.qsim import (
     fidelity,
     partial_trace,
     purify,
-    rotate_rows,
     rotation_plane,
     usd_povm,
 )
 from qotlab.rot import HONEST, USD, RotConfig, honest_draws, run_rot
-from rotation_route import unblind_and_measure
+from rotation_route import blinded_amps, rotate_rows, unblind_and_measure
 from uhlmann_route import svd_cheating_unitary
 
 

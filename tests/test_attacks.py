@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qotlab import attacks
+from qotlab import attacks, rot
 from qotlab.attacks import (
     CheatReport,
     NoGoInstance,
@@ -30,7 +30,6 @@ from qotlab.bitcommit import (
     PROTOCOL_P5,
     P5OpenMessage,
     P5ReceiverState,
-    blinded_amps,
     blinding_angles,
     p3_bases,
     p3_pair_states,
@@ -46,8 +45,14 @@ from qotlab.qsim import (
     make_nonorthogonal_pair,
 )
 from qotlab.qsim import states
-from qotlab.rot import encoding_amps, honest_draws
-from rotation_route import unblind_and_measure
+from qotlab.rot import PERP_INDEX, encoding_amps, honest_draws
+import rotation_route
+from rotation_route import (
+    blinded_amps,
+    probed_probabilities,
+    reference_probe_attack_p4,
+    unblind_and_measure,
+)
 from uhlmann_route import svd_cheating_unitary
 
 
@@ -424,10 +429,11 @@ class TestEquivocationAttack:
 def reference_probe_attack_p3(n: int, trials: int, rng: RngStream) -> np.ndarray:
     """The outcome-index kernel `probe_attack_p3` replaced: sample each
     qubit's outcome by inverse CDF, then look its (cell, outcome) up in the
-    detection masks. Same draws, same order."""
+    detection masks. Same draws, same order: one byte per cell, its two low
+    bits the cell."""
     probs, masks = _p3_probe_tables()
     cum = np.cumsum(probs, axis=1)
-    cells = rng.gen.integers(0, 4, size=(trials, n))
+    cells = np.frombuffer(rng.gen.bytes(trials * n), np.uint8).reshape(trials, n) % 4
     u = rng.gen.random(size=(trials, n))
     outcomes = np.zeros(cells.shape, dtype=np.intp)
     for j in range(cum.shape[1]):
@@ -506,14 +512,16 @@ class TestProbeCopies:
     def test_a_uniform_above_every_running_sum_is_the_last_outcome(self):
         """Every cell's running sums end just below 1, so a uniform can lie
         above all of them; like `inverse_cdf`, the probe then takes the
-        cell's last outcome rather than reading past the cell's mask."""
+        cell's last outcome rather than reading past the cell's mask. The
+        cells are the two low bits of the stream's bytes: each of the 256
+        byte values gives its cell, 64 bytes to a cell."""
         probs, masks = _p3_probe_tables()
         last = np.nextafter(1.0, 0.0)
         assert (np.cumsum(probs, axis=1)[:, -1] <= last).all()
 
         class Draws:
-            def integers(self, low, high, size):
-                return np.arange(4).reshape(size)
+            def bytes(self, length):
+                return np.arange(length, dtype=np.uint8).tobytes()
 
             def random(self, size):
                 return np.full(size, last)
@@ -522,6 +530,8 @@ class TestProbeCopies:
             gen = Draws()
 
         assert np.array_equal(probe_attack_p3(4, 1, Stream())[0], masks[:, -1])
+        cells = np.arange(256) % 4
+        assert np.array_equal(probe_attack_p3(64, 4, Stream()).ravel(), masks[cells, -1])
 
     @pytest.mark.parametrize("n, trials", [(8, 50), (8, 20000), (3, 1000)])
     def test_crossing_rule_matches_the_outcome_index(self, n, trials):
@@ -563,6 +573,58 @@ class TestProbeOnBlindedQubits:
         sigma = np.sqrt(0.125 * 0.875 / (n * trials))
         assert abs(detected.mean() - 0.125) < 5 * sigma
         assert wilson_interval(int(detected.sum()), detected.size)[0] > 0.0
+
+    def test_perp_probability_is_the_closed_form(self):
+        """The rotation route's perp probability, at every (r, x) over a grid
+        of blinding angles, is 1/2 (1 - cos 2a cos(pi/2 (r - x) - 2a)); at
+        x = r the sampler's running sum is one minus it, and the exact twin
+        is its average over the uniform r and x."""
+        alphas = np.linspace(0.0, 2 * np.pi, 721)
+        twin = np.zeros_like(alphas)
+        for r in (0, 1):
+            for x in (0, 1):
+                perp = probed_probabilities(alphas, np.full(alphas.shape, r), x)[:, PERP_INDEX]
+                closed = (1 - np.cos(2 * alphas) * np.cos(np.pi / 2 * (r - x) - 2 * alphas)) / 2
+                np.testing.assert_allclose(perp, closed, rtol=0, atol=1e-15)
+                if x == r:
+                    np.testing.assert_allclose(
+                        1 - perp, (1 + np.cos(2 * alphas) ** 2) / 2, rtol=0, atol=1e-15
+                    )
+                    twin += perp / 4
+        np.testing.assert_allclose(
+            p4_probe_detection_probability(alphas), twin, rtol=0, atol=1e-15
+        )
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 8])
+    def test_closed_form_grid_is_the_rotation_route_draw_for_draw(self, n):
+        for seed in range(4):
+            got = probe_attack_p4(n, 500, RngStream(seed, 9))
+            want = reference_probe_attack_p4(n, 500, RngStream(seed, 9))
+            assert np.array_equal(got, want)
+
+    def test_the_campaign_runs_no_engine(self, monkeypatch):
+        """The campaign reads its closed form: no rotation, probe copy or
+        Born step; the rotation route makes each of them."""
+        calls = {}
+        for module, name in (
+            (rotation_route, "rotate_rows"),
+            (rotation_route, "entangle_probe_rows"),
+            (rotation_route, "batch_probabilities"),
+            (rot, "batch_probabilities"),
+        ):
+            calls[name] = 0
+            real = getattr(module, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        probe_attack_p4(4, 25, RngStream(5, 0))
+        p4_probe_detection_probability(2 * np.pi * np.arange(8) / 8)
+        assert set(calls.values()) == {0}
+        reference_probe_attack_p4(4, 25, RngStream(5, 0))
+        assert 0 not in calls.values()
 
 
 def reference_omission_trial(n: int, m: int, perfect_detectors: bool, rng: RngStream, flip=None):

@@ -23,7 +23,6 @@ from qotlab.bitcommit import (
     bc_open,
     bc_verify,
     bell_state,
-    blinded_amps,
     open_message_from_dict,
     open_message_to_dict,
     p3_bases,
@@ -50,11 +49,9 @@ from qotlab.qsim import (
     RngStream,
     batch_probabilities,
     born_probabilities,
-    inverse_cdf,
-    rotate_rows,
 )
 from qotlab.rot import ChannelPass, honest_channel, honest_draws
-from rotation_route import unblind_and_measure
+from rotation_route import blinded_amps, inverse_cdf, rotate_rows, unblind_and_measure
 from walsh_route import correlation_immunity_order
 
 

@@ -613,6 +613,36 @@ def test_a_share_split_field_that_is_not_a_bit_is_refused(name, path, value, tmp
 
 
 @pytest.mark.parametrize(
+    "path, value, got",
+    [
+        (("bit",), 9, "9"),
+        (("bit",), True, "bool"),
+        (("strings", 1, 2), 2, "2"),
+        (("strings", 0, 0), -1, "-1"),
+        (("strings", 2, 7), 0.0, "float"),
+    ],
+    ids=["bit", "bit-bool", "strings-two", "strings-negative", "strings-float"],
+)
+def test_a_p5_sender_field_that_is_not_a_bit_is_refused(path, value, got, tmp_path, capsys):
+    """The P5 sender file's committed bit and every cell of its strings are
+    read as bits: unchecked, `open` would declare them in open.json."""
+    common = ["--out", str(tmp_path)]
+    assert main(["commit", "--protocol", "p5", "--seed", "3", *common]) == 0
+    doc = json.loads((tmp_path / "sender.json").read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    (tmp_path / "sender.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["open", *common]) == 2
+    assert capsys.readouterr().err == (
+        f"error: field '{path[0]}' is malformed: expected a bit, got {got}\n"
+    )
+    assert not (tmp_path / "open.json").exists()
+
+
+@pytest.mark.parametrize(
     "mutate, reason",
     [
         (lambda cells: cells + "-", "expected a string of n = 8 cells, got 9"),

@@ -94,6 +94,11 @@ FILES = ("sender.json", "receiver.json", "open.json")
 # channel before any announcement, so its rounds keep their shares and rows
 # (see test_the_share_split_files_hold_the_0_1_0_content). No campaign or P5
 # digest moved: every rate reads only conclusive counts.
+# The three P3 probe digests (probe-p3, probe-p3-n3 and bench-probe-p3) were
+# recorded at version 0.4.1, which draws each (bit, basis) cell as the two
+# low bits of one random byte in place of an int64 draw on 0..3; each keeps
+# its 0.4.0 digest in a comment. No other digest moved: the P4 probe reads
+# its closed form with the same draws and comes out the same.
 DIGESTS = {
     "rot": "cd9b3bc0f190a190e71939f2ea3136bf6ce33bb5ac60cffb52ece595bba7f494",
     "ot12": "eebcb5adc5bf0df52b94dcc33d22f5e121977c888961066c8dd807a914e05771",
@@ -108,7 +113,8 @@ DIGESTS = {
     # the earlier one with only that row added
     "usd": "9e1b11e39fe11393cd8bee193de86dbf8ed210ae509cd27be29c63893bf02bd4",
     "nogo": "af4e3860881449a8cf8286b355052433e54eb6be82bc21f4f711a5ea4ead3f1e",
-    "probe-p3": "2ba9a4f0a8701e4a030b0621c268d63f35d3ed81fe1031e63d99c6e9a9c99e92",
+    # 0.4.0, before the byte cells: 2ba9a4f0a8701e4a030b0621c268d63f35d3ed81fe1031e63d99c6e9a9c99e92
+    "probe-p3": "6074e985647397e2e67042cdf422580a1ff77dbe748a0564a58574226ac13d49",
     # recorded after attack probe-p4 gained its per_qubit_detection_exact and
     # run_success_exact rows; the output is the earlier one with only those added
     "probe-p4": "0e391e22429fa421267a4f04eac868155487b53d8ccbedf8d145f78247af3503",
@@ -155,10 +161,11 @@ DIGESTS = {
     "bench-ot12": "b8c396fe6dd584c173807eeefb6a13dd3ea7cc10a687b044294bbd7369011631",
     "bench-usd": "a7cdbfe6ce38a0698aa7bef7d5d891f672784808524a33004e4b9722b55a1f03",
     "bench-probe-p4": "9198a948fa09ab2295801d34ac44dce602ffa1e36694dc9790dcaedb152a2d5f",
-    "bench-probe-p3": "e60a35eb7c7248098be54178b6e11e3638ea79fe2de6a6a5f8c1e29788ce3003",
+    # 0.4.0, before the byte cells: e60a35eb7c7248098be54178b6e11e3638ea79fe2de6a6a5f8c1e29788ce3003
+    "bench-probe-p3": "473a0606783f708595de921f205faae9880814eb04bc4a344198fa44bb71c8d8",
     "bench-omission": "3696d0d5003704adb2ef9b8942204cb7128ee408a15f793e1e6455494be87141",
-    # recorded before the pair channel sampled from its Born table
-    "probe-p3-n3": "0280a13b4152ba518ac11eb3ec90057ba13298b9b00c32a0b383b016b0ebec92",
+    # 0.4.0, before the byte cells: 0280a13b4152ba518ac11eb3ec90057ba13298b9b00c32a0b383b016b0ebec92
+    "probe-p3-n3": "607bcb7de09dcd174369c2d2a125869947b4d696608efdc3c9372a832c5f5a72",
     # recorded before the no-go algebra ran in real arithmetic; the CSV rows
     # print 12 digits and none of them moved
     "bench-nogo": "b224b5977c83dfebb94e93075e5438a3e26dbe4bd866cb0d8998749ba45bd02b",

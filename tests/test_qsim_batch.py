@@ -1,9 +1,9 @@
 """The batched channel kernel against the per-state engine, channel by channel.
 
-Every channel samples its qubits through `batch_probabilities` and
-`inverse_cdf`; each test here rebuilds the same states one at a
-time with `StateVector`, `apply_on_qubit` and the single-state Born rule and
-requires agreement to 1e-12.
+Every channel's table is built with `batch_probabilities`, and the
+reference routes sample through it with `inverse_cdf`; each test here
+rebuilds the same states one at a time with `StateVector`, `apply_on_qubit`
+and the single-state Born rule and requires agreement to 1e-12.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qotlab.attacks import _p3_probe_tables, entangle_probe_rows, p3_probe_pre_state
-from qotlab.bitcommit import blinded_amps, p3_bases, p3_pair_states
+from qotlab.bitcommit import p3_bases, p3_pair_states
 from qotlab.qsim import (
     ProjectiveBasis,
     RngStream,
@@ -21,15 +21,14 @@ from qotlab.qsim import (
     batch_probabilities,
     bell_state,
     born_probabilities,
-    inverse_cdf,
     passed_sums,
     povm_probabilities,
-    rotate_rows,
     rotation_plane,
     running_sums,
     usd_povm,
 )
 from qotlab.rot import USD, born_table, encoding_amps, measurement_bases
+from rotation_route import blinded_amps, inverse_cdf, rotate_rows
 
 ATOL = 1e-12
 ENCODE = np.pi / 4

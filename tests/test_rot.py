@@ -10,7 +10,6 @@ from qotlab.qsim import (
     CONCLUSIVE_1,
     RngStream,
     batch_probabilities,
-    inverse_cdf,
     make_nonorthogonal_pair,
     usd_povm,
 )
@@ -26,6 +25,7 @@ from qotlab.rot import (
     honest_probabilities,
     run_rot,
 )
+from rotation_route import inverse_cdf
 
 # the angles the golden digests pin (pi/4, 0.5, 0.7) and three more
 THETAS = (0.3, 0.5, 0.7, np.pi / 4, 1.2, np.pi / 2)

@@ -28,7 +28,6 @@ from qotlab.bitcommit import (
     ReceiverCommitRound,
     SenderCommitRound,
     bc_commit_over_ot,
-    blinded_amps,
     blinding_angles,
     p3_measure,
 )
@@ -42,7 +41,7 @@ from qotlab.ot12 import (
 from qotlab.qsim import RngStream
 from qotlab.rot import HONEST, USD, ReceiverRecord, RotConfig, SenderRecord, honest_draws, run_rot
 from masking_route import receiver_decrypt, sender_encrypt
-from rotation_route import unblind_and_measure
+from rotation_route import blinded_amps, unblind_and_measure
 
 SEEDS = range(100)
 

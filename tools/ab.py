@@ -15,7 +15,10 @@ first difference is printed with its workload, op seed and key, and the
 run exits 1. With `--count-differences`, for a change that moves seeded
 output on purpose, a difference does not end the run: every op still goes
 through its tree's own check and the pooled checks, and the number of ops
-whose outputs differed is printed beside the timing rows, with the first.
+whose outputs differed is printed beside the timing rows, with the first;
+below it, for every output key, the number of ops in which that key
+differed (a transcript's or result's index read as `*`), so a change that
+moves one command's seeded output on purpose shows that no other key moved.
 
 It prints each tree's median op time with its quartiles, the ratio of the
 medians as BASE / NEW (above 1 means NEW is faster), and how many pairs
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
+import re
 import statistics
 import sys
 import time
@@ -93,14 +97,20 @@ def op_output(workload: str, out) -> dict[str, object]:
     return fields
 
 
-def first_difference(workload: str, base_out, new_out) -> str | None:
-    """The first key whose value differs between the trees' outputs, if any;
-    values are compared by repr, so floats must agree to the last bit."""
+def differences(workload: str, base_out, new_out) -> dict[str, bool]:
+    """Every key of either tree's output, in order, and whether its value
+    differs between them; values are compared by repr, so floats must agree
+    to the last bit."""
     base, new = op_output(workload, base_out), op_output(workload, new_out)
-    for key in dict.fromkeys([*base, *new]):
-        if repr(base.get(key)) != repr(new.get(key)):
-            return key
-    return None
+    return {
+        key: repr(base.get(key)) != repr(new.get(key)) for key in dict.fromkeys([*base, *new])
+    }
+
+
+def key_group(key: str) -> str:
+    """A key with its list indices read as `*`: `transcripts[3].sent` is
+    counted as `transcripts[*].sent`, while `csv[rot]` stays itself."""
+    return re.sub(r"\[\d+\]", "[*]", key)
 
 
 def main(argv=None) -> int:
@@ -125,6 +135,8 @@ def main(argv=None) -> int:
         sides[label] = (module, module.make(args.workload))
     times: dict[str, list[float]] = {"base": [], "new": []}
     differing: list[str] = []
+    # per key group, the number of ops in which any of its keys differed
+    counts: dict[str, int] = {}
     gc.collect()
     for index in range(args.pairs + 1):  # op 0 warms both trees up, untimed
         order = ("base", "new") if index % 2 == 0 else ("new", "base")
@@ -137,9 +149,14 @@ def main(argv=None) -> int:
             if index:
                 times[label].append(time.perf_counter() - t)
             wl.check(outs[label])
-        key = first_difference(args.workload, outs["base"], outs["new"])
-        if key is not None:
-            where = f"{args.workload} op {index} (op seed {seed}): {key}"
+        diff = differences(args.workload, outs["base"], outs["new"])
+        moved = [key for key, differs in diff.items() if differs]
+        for group in map(key_group, diff):
+            counts.setdefault(group, 0)
+        for group in set(map(key_group, moved)):
+            counts[group] += 1
+        if moved:
+            where = f"{args.workload} op {index} (op seed {seed}): {moved[0]}"
             if not args.count_differences:
                 print(f"OUTPUT DIFFERS: {where}")
                 return 1
@@ -159,6 +176,8 @@ def main(argv=None) -> int:
     if args.count_differences:
         first = f"; first: {differing[0]}" if differing else ""
         print(f"outputs differ in {len(differing)}/{args.pairs + 1} ops, warm-up included{first}")
+        for group, count in counts.items():
+            print(f"  {group}: {count}")
     return 1 if any(wl.problems for _, wl in sides.values()) else 0
 
 
