@@ -7,4 +7,4 @@ discrimination receivers, `ot12` the one-out-of-two transfer built on top,
 strategies, and `cli` the experiment runner. Import from those submodules;
 the package top level holds only `__version__`.
 """
-__version__ = "0.4.1"
+__version__ = "0.4.2"

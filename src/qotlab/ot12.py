@@ -158,11 +158,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # log(n + 1), are dropped: together they weigh less than e**-60 of the tail
 TAIL_LOG_MARGIN = 60.0
 
-# the lgamma form of a log pmf is trusted against a tail's cut only farther
-# from it than this many ulp of S, the bound on its operands: four times the
-# most its rounding can err (`_tail_window`)
-_LGAMMA_FORM_ULPS = 32.0
-
 _LN_2PI = math.log(2.0 * math.pi)
 
 
@@ -213,92 +208,43 @@ def _tail_window(n: int, p: float, threshold: int) -> tuple[int, int, int, float
     """(lo, top, hi, log pmf at top) for a tail with 0 < threshold <= n.
 
     top is the largest term in [threshold, n]; [lo, hi] holds every term
-    whose log is within TAIL_LOG_MARGIN + log(n + 1) of it. The pmf is
-    log-concave, so those terms form one interval; the at most n + 1 terms
-    outside weigh less than e**-60 of the term at top.
+    whose log is within TAIL_LOG_MARGIN + log(n + 1) of it, and some below
+    that cut. The at most n + 1 terms outside weigh less than e**-60 of the
+    term at top.
 
-    Each end is searched for on the lgamma form of the log pmf, a fraction
-    of the cost of a saddle-point call, within a bracket of a term that
-    clears the cut and one that does not. The first probe lies a normal
-    width, sqrt(2 (log_top - cut) n p (1 - p)), from top; the next few
-    where the lgamma form's tangent meets the cut, at least a term on, which
-    soon lands next to the end; a probe outside the bracket, and every
-    probe after those, bisects it. The end is then confirmed at and next to
-    it, stepping while the guess fails the cut or its outer neighbour
-    clears it.
-
-    The lgamma form only errs by rounding. It adds five terms, none larger
-    than S = lgamma(n + 1) + n max(|log p|, |log(1 - p)|), each within a few
-    ulp of S, and the saddle-point form is accurate relative to its own,
-    smaller, value: the two differ by at most about 8 ulp(S), 3 measured
-    for n up to 10**12. So a term whose lgamma form lies more than
-    eps = _LGAMMA_FORM_ULPS ulp(S) from the cut is on the same side of it in
-    the saddle-point form; only a term within eps gets a saddle-point call,
-    and the ends are those of the saddle-point form. A tail makes one
-    saddle-point call, for top, plus one per end term within eps of the cut
-    (at n = 20000 eps is 1e-9, and neighbouring terms near the cut differ by
-    about 0.2 in log) and one per term by which rounding misplaces an end:
-    none for n up to about 10**9, tens at 10**12.
+    The ends come in closed form from the concavity of the log pmf f: its
+    second difference at j, log(1 - (n + 1) / ((j + 1) (n - j + 1))), is at
+    most -c for c = (n + 1) / ((x + 1) (n - x + 1)), x the point of a side
+    nearest n / 2, since log(1 - y) <= -y and the product peaks at n / 2.
+    With s the first difference at top towards that side,
+    f(top +- d) <= f(top) - d |s| - c d (d - 1) / 2, and the side ends at
+    the least d for which that drop exceeds the margin, a term kept though
+    below the cut so that rounding shuts out none at it: one quadratic root
+    a side, and one saddle-point call, for top.
     """
     top = max(threshold, min(n, math.floor((n + 1) * p)))
     log_top = _log_pmf(n, top, p)
-    cut = log_top - TAIL_LOG_MARGIN - math.log(n + 1)
-    log_n_fact, log_p, log_q = math.lgamma(n + 1.0), math.log(p), math.log1p(-p)
-    eps = _LGAMMA_FORM_ULPS * math.ulp(log_n_fact + n * max(-log_p, -log_q))
-    normal_width = math.sqrt(2.0 * (log_top - cut) * n * p * (1.0 - p))
-    # each probed term's lgamma form: the confirmation rereads the bracket's ends
-    values: dict[int, float] = {}
+    margin = TAIL_LOG_MARGIN + math.log(n + 1)
+    log_odds = math.log(p) - math.log1p(-p)
 
-    def rough(j: int) -> float:
-        if j not in values:
-            values[j] = log_n_fact - math.lgamma(j + 1.0) - math.lgamma(n - j + 1.0) + j * log_p + (n - j) * log_q
-        return values[j]
+    def reach(slope: float, nearest: float) -> int:
+        # the least d with d slope + c d (d - 1) / 2 > margin, from the stable root
+        c = (n + 1) / ((nearest + 1) * (n - nearest + 1))
+        b = slope - c / 2
+        return math.floor(2 * margin / (b + math.sqrt(b * b + 2 * c * margin))) + 1
 
-    def clears(j: int) -> bool:
-        # the saddle-point verdict, read off the lgamma form unless too close to call
-        value = rough(j)
-        if abs(value - cut) > eps:
-            return value > cut
-        return _log_pmf(n, j, p) >= cut
-
-    def edge(bound: int) -> int:
-        # the farthest term from top towards `bound` that clears the cut
-        step = 1 if bound > top else -1
-        inside, outside = top, bound + step
-        probe = top + step * math.ceil(normal_width)
-        tangents = 4
-        while abs(outside - inside) > 1:
-            if not 0 < (probe - inside) * step < (outside - inside) * step:
-                probe = (inside + outside) // 2
-            value = rough(probe)
-            if value >= cut:
-                inside, toward = probe, step
-            else:
-                outside, toward = probe, -step
-            if tangents:
-                # next, the last term inside where the tangent here meets the
-                # cut, at least one term from this probe towards it
-                tangents -= 1
-                slope = math.log((n - probe + 0.5) / (probe + 0.5)) + log_p - log_q
-                if slope * step < 0:
-                    crossing = probe + (cut - value) / slope
-                    last = math.floor(crossing) if step > 0 else math.ceil(crossing)
-                    probe = last if (last - probe) * toward > 0 else probe + toward
-        if inside != top and not clears(inside):
-            inside -= step
-            while inside != top and not clears(inside):
-                inside -= step
-            return inside
-        while inside != bound and clears(inside + step):
-            inside += step
-        return inside
-
-    return edge(threshold), top, edge(n), log_top
+    lo = hi = top
+    if top < n:
+        hi = min(n, top + reach(math.log((top + 1) / (n - top)) - log_odds, max(top, n / 2)))
+    if top > threshold:
+        lo = max(threshold, top - reach(math.log((n - top + 1) / top) + log_odds, min(top, n / 2)))
+    return lo, top, hi, log_top
 
 
 def binomial_tail(n: int, p: float, threshold: int) -> float:
-    """P[Binomial(n, p) >= threshold], summed over the window of terms that
-    can matter, relative to the largest term so nothing underflows."""
+    """P[Binomial(n, p) >= threshold], summed over `_tail_window`'s terms
+    relative to the largest, so nothing underflows: one saddle-point call
+    anchors that term and the others follow from it by the pmf's ratios."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:

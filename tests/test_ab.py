@@ -94,11 +94,11 @@ def test_the_first_output_difference_is_named(workload, base, new, key):
 
 
 # a tree's bench/workloads.py, reduced to what ab.py calls: its `exact` ops
-# return n = 1, or on odd op seeds 1 + SHIFT; its `campaign` ops return two
-# CSV keys and two transcripts, and on odd op seeds SHIFT moves the probe-p3
-# CSV and the decoded row of both transcripts; the per-op check counts the
-# ops it saw, and the pooled check fails when told to or when an op went
-# unchecked
+# return n = 1 and p1 = 1/2, or on odd op seeds 1 + SHIFT and 1/2 + SHIFT
+# ulp; its `campaign` ops return two CSV keys and two transcripts, and on
+# odd op seeds SHIFT moves the probe-p3 CSV and the decoded row of both
+# transcripts; the per-op check counts the ops it saw, and the pooled check
+# fails when told to or when an op went unchecked
 _FAKE_WORKLOADS = """
 from types import SimpleNamespace
 
@@ -129,7 +129,7 @@ class Workload:
         if self.name == "campaign":
             csv = {{"rot": "rows", "probe-p3": f"rows {{moved}}"}}
             return {{"csv": csv, "transcripts": [transcript(moved), transcript(moved)]}}
-        return {{"csv": "", "n": 1 + moved, "p1": 0.5, "p2": 0.25}}
+        return {{"csv": "", "n": 1 + moved, "p1": 0.5 + moved * 2.0**-53, "p2": 0.25}}
 
     def check(self, out):
         self.checked += 1
@@ -185,7 +185,9 @@ def test_counted_differences_are_printed_beside_the_timing_rows(trees, shift, di
     assert lines[3].startswith(f"outputs differ in {differing}")
     if shift:
         assert lines[3].endswith("; first: exact op 1 (op seed 7001): n")
-    assert lines[4:] == ["  csv: 0", f"  n: {2 * shift}", "  p1: 0", "  p2: 0"]
+    # the float key that moved shows by how much; the int key does not
+    p1 = "  p1: 2 (max rel 2.2e-16)" if shift else "  p1: 0"
+    assert lines[4:] == ["  csv: 0", f"  n: {2 * shift}", p1, "  p2: 0"]
 
 
 def test_differences_are_counted_per_key_with_indices_read_as_a_star(trees):
@@ -219,6 +221,25 @@ def test_differences_are_counted_per_key_with_indices_read_as_a_star(trees):
 )
 def test_a_key_group_reads_list_indices_as_a_star(key, group):
     assert ab.key_group(key) == group
+
+
+@pytest.mark.parametrize(
+    "base, new, size",
+    [
+        (0.5, 0.5, 0.0),
+        (1.0, 1.0 - 2.0**-53, 2.0**-53),
+        (-2.0, -1.0, 0.5),
+        (np.float64(1e-90), np.nextafter(1e-90, 1.0), 1.0 - 1e-90 / np.nextafter(1e-90, 1.0)),
+        (0.0, 1e-300, 1.0),
+        (1, 2, None),
+        (True, 0.5, None),
+        ("header", "other", None),
+        (None, 0.5, None),
+    ],
+)
+def test_a_relative_difference_is_read_between_floats_only(base, new, size):
+    got = ab.relative_difference(base, new)
+    assert got == (pytest.approx(size, rel=1e-12) if size else size)
 
 
 def test_counted_differences_keep_the_checks(trees):

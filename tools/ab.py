@@ -19,6 +19,8 @@ whose outputs differed is printed beside the timing rows, with the first;
 below it, for every output key, the number of ops in which that key
 differed (a transcript's or result's index read as `*`), so a change that
 moves one command's seeded output on purpose shows that no other key moved.
+Beside a float key that moved goes the largest relative difference seen,
+`p1: 103 (max rel 7.1e-15)`, which tells a rounding move from a real one.
 
 It prints each tree's median op time with its quartiles, the ratio of the
 medians as BASE / NEW (above 1 means NEW is faster), and how many pairs
@@ -37,6 +39,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 # modules a tree brings: its package, and the benchmark modules workloads imports
 _TREE_MODULES = ("qotlab", "workloads", "oracles")
@@ -107,6 +110,16 @@ def differences(workload: str, base_out, new_out) -> dict[str, bool]:
     }
 
 
+def relative_difference(base, new) -> Optional[float]:
+    """|base - new| relative to the larger of the two when both are floats
+    (np.float64 is one), else None."""
+    if not all(isinstance(v, float) for v in (base, new)):
+        return None
+    if base == new:
+        return 0.0
+    return float(abs(base - new) / max(abs(base), abs(new)))
+
+
 def key_group(key: str) -> str:
     """A key with its list indices read as `*`: `transcripts[3].sent` is
     counted as `transcripts[*].sent`, while `csv[rot]` stays itself."""
@@ -137,6 +150,8 @@ def main(argv=None) -> int:
     differing: list[str] = []
     # per key group, the number of ops in which any of its keys differed
     counts: dict[str, int] = {}
+    # per float key group that moved, the largest relative difference
+    largest: dict[str, float] = {}
     gc.collect()
     for index in range(args.pairs + 1):  # op 0 warms both trees up, untimed
         order = ("base", "new") if index % 2 == 0 else ("new", "base")
@@ -161,6 +176,12 @@ def main(argv=None) -> int:
                 print(f"OUTPUT DIFFERS: {where}")
                 return 1
             differing.append(where)
+            fields = [op_output(args.workload, outs[label]) for label in ("base", "new")]
+            for key in moved:
+                size = relative_difference(*(f.get(key) for f in fields))
+                if size is not None:
+                    group = key_group(key)
+                    largest[group] = max(largest.get(group, 0.0), size)
     for label, (_, wl) in sides.items():
         wl.finish()
         for problem in wl.problems:
@@ -177,7 +198,8 @@ def main(argv=None) -> int:
         first = f"; first: {differing[0]}" if differing else ""
         print(f"outputs differ in {len(differing)}/{args.pairs + 1} ops, warm-up included{first}")
         for group, count in counts.items():
-            print(f"  {group}: {count}")
+            size = f" (max rel {largest[group]:.2g})" if group in largest else ""
+            print(f"  {group}: {count}{size}")
     return 1 if any(wl.problems for _, wl in sides.values()) else 0
 
 
