@@ -300,6 +300,73 @@ class TestTailWindow:
             _tail_window(n, p, t)
             assert calls == [(n, max(t, min(n, math.floor((n + 1) * p))), p)], (n, p, t)
 
+    @pytest.mark.parametrize("n, p", ROUNDING_CASES)
+    def test_the_rounding_cases_make_one_saddle_point_call(self, n, p, monkeypatch):
+        calls = count_saddle_point_calls(monkeypatch)
+        _tail_window(n, p, 1)
+        assert calls == [(n, min(n, math.floor((n + 1) * p)), p)], calls
+
+    @pytest.mark.parametrize("n", [7, 64, 300, 20000, 10**6])
+    @pytest.mark.parametrize("p", WINDOW_RATES)
+    def test_the_terms_next_to_the_window_lie_below_the_cut(self, n, p):
+        """At the thresholds of p1, p2, the mode and the extremes: the window
+        holds the reference window, and the term just outside each end that
+        is not the threshold or n lies below the cut."""
+        thresholds = sorted({1, max(1, k_of(n)), max(1, 2 * k_of(n)), max(1, math.floor(n * p)), n})
+        for t in thresholds:
+            assert_window_covers(n, p, t)
+            lo, top, hi, log_top = _tail_window(n, p, t)
+            cut = log_top - TAIL_LOG_MARGIN - math.log(n + 1)
+            if lo > t:
+                assert _log_pmf(n, lo - 1, p) < cut, (n, p, t, lo)
+            if hi < n:
+                assert _log_pmf(n, hi + 1, p) < cut, (n, p, t, hi)
+
+
+# the rates of the concavity premise: near 0 and 1, the honest and the
+# discriminating rate at pi/4, and one half
+PREMISE_RATES = (1e-4, 0.25, 1 - math.cos(math.pi / 4), 0.5, 0.999)
+
+
+@pytest.mark.parametrize("p", PREMISE_RATES)
+def test_the_concavity_bound_holds_in_exact_arithmetic(p):
+    """The premise of the closed-form ends: d terms out from top towards
+    either side, the log pmf has dropped by at least d s + c d (d - 1) / 2,
+    with s the first difference at top towards that side and c the curvature
+    bound at the side's point nearest n / 2. Checked in 50-digit arithmetic
+    at each end, its neighbours and random terms of the side."""
+    rng = np.random.default_rng(17)
+    with mpmath.workdps(50):
+        q = mpmath.mpf(p)
+        log_odds = mpmath.log(q) - mpmath.log1p(-q)
+
+        def log_pmf(n, j):
+            return (
+                mpmath.loggamma(n + 1)
+                - mpmath.loggamma(j + 1)
+                - mpmath.loggamma(n - j + 1)
+                + j * mpmath.log(q)
+                + (n - j) * mpmath.log1p(-q)
+            )
+
+        for n in [*range(1, 301, 7), 300, 10**4, 10**6, 10**9, 10**12]:
+            for t in sorted({1, max(1, k_of(n)), max(1, math.floor(n * p)), n}):
+                lo, top, hi, _ = _tail_window(n, p, t)
+                log_top = log_pmf(n, top)
+                sides = []
+                if hi > top:
+                    sides.append((hi, n, mpmath.log(mpmath.mpf(top + 1) / (n - top)) - log_odds, max(top, n / 2)))
+                if lo < top:
+                    sides.append((lo, t, mpmath.log(mpmath.mpf(n - top + 1) / top) + log_odds, min(top, n / 2)))
+                for end, bound, slope, nearest in sides:
+                    c = mpmath.mpf(n + 1) / ((mpmath.mpf(nearest) + 1) * (n - mpmath.mpf(nearest) + 1))
+                    terms = {end - 1, end, end + 1}
+                    terms |= set(rng.integers(min(top, bound), max(top, bound) + 1, size=6).tolist())
+                    for j in sorted(j for j in terms if min(top, bound) <= j <= max(top, bound) and j != top):
+                        d = abs(j - top)
+                        drop = log_top - log_pmf(n, j)
+                        assert drop >= d * slope + c * d * (d - 1) / 2 - mpmath.mpf(10) ** -30, (n, p, t, j)
+
 
 class TestTailProbabilities:
     def test_binomial_tail_against_direct_sum(self):
