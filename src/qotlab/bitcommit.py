@@ -45,7 +45,7 @@ from .qsim import (
     rotation_plane,
     running_sums,
 )
-from .rot import ChannelPass, honest_channel, honest_draws, sample_table
+from .rot import honest_channel, honest_draws, sample_table
 
 # Not used below (the channels sample cached tables), but bench/tracing.py
 # wraps the per-state engine and the plain run under these names here.
@@ -144,7 +144,7 @@ def _p3_decode() -> np.ndarray:
     return decode
 
 
-def p3_measure(r_bits: np.ndarray, x: np.ndarray, u: np.ndarray) -> ChannelPass:
+def p3_measure(r_bits: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Measure the returned pair of each bit of r_bits in pair basis x[i],
     sampled from its `p3_born_sums` column with uniform u[i]."""
     return sample_table(p3_born_sums(), _p3_decode(), r_bits, x, u)
@@ -159,7 +159,7 @@ def blinding_angles(rng: RngStream, shape) -> np.ndarray:
     return rng.gen.uniform(0.0, 2 * np.pi, size=shape)
 
 
-def p4_unblind_and_measure(bits: np.ndarray, x: np.ndarray, u: np.ndarray) -> ChannelPass:
+def p4_unblind_and_measure(bits: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The blinded receiver's pass over the returned qubits.
 
     The receiver turns |0> by a secret angle, the committer turns it by the
@@ -274,13 +274,13 @@ def _ot_channel(
     bits = rng.bits(size)
     x, u = honest_draws(rng, size)
     if variant == PROTOCOL_P2BC:
-        received = honest_channel(bits, x, u, theta)
+        decoded = honest_channel(bits, x, u, theta)
     elif variant == PROTOCOL_P3:
-        received = p3_measure(bits, x, u)
+        decoded = p3_measure(bits, x, u)
     else:
-        received = p4_unblind_and_measure(bits, x, u)
+        decoded = p4_unblind_and_measure(bits, x, u)
     bits.flags.writeable = False
-    return bits.reshape(rounds, n), received.decoded.reshape(rounds, n)
+    return bits.reshape(rounds, n), decoded.reshape(rounds, n)
 
 
 def check_channel_angle(variant: str, theta: float) -> float:
@@ -487,15 +487,15 @@ def p5_measure_record(
     receiver, after unblinding: the read-only (m, n) int8 grid of decoded bits.
 
     Where the optional (m, n) mask `present` is False the qubit never arrived
-    and its cell is -1. The arriving qubits, in row-major order, take their
-    basis bits from `x` and their uniforms from `u`, the draws of
-    `honest_draws`.
+    and its cell is -1; with no mask every qubit arrived. The arriving
+    qubits, in row-major order, take their basis bits from `x` and their
+    uniforms from `u`, the draws of `honest_draws`.
     """
     bits = np.asarray(bits)
     if present is None:
-        return honest_channel(bits.ravel(), x, u, ENCODE_ANGLE).decoded.reshape(bits.shape)
+        present = np.ones(bits.shape, dtype=bool)
     decoded = np.full(bits.shape, -1, dtype=np.int8)
-    decoded[present] = honest_channel(bits[present], x, u, ENCODE_ANGLE).decoded
+    decoded[present] = honest_channel(bits[present], x, u, ENCODE_ANGLE)
     decoded.flags.writeable = False
     return decoded
 

@@ -58,13 +58,10 @@ class RngStream:
     led here, so every path of indices names its own stream.
     """
 
-    def __init__(
-        self, master_seed: int = DEFAULT_SEED, stream_index: int = 0, _path: tuple[int, ...] = ()
-    ):
+    def __init__(self, master_seed: int = DEFAULT_SEED, stream_index: int = 0):
         if master_seed < 0 or master_seed >= 2**64:
             raise ValueError("master_seed must fit in 64 bits")
-        path = tuple(_check_index(i) for i in _path)
-        self._bind(int(master_seed), _check_index(stream_index), path)
+        self._bind(int(master_seed), _check_index(stream_index), ())
 
     def _bind(self, master_seed: int, stream_index: int, path: tuple[int, ...]) -> "RngStream":
         self.master_seed = master_seed

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -113,35 +112,6 @@ class ReceiverRecord:
         decoded.flags.writeable = False
         object.__setattr__(self, "decoded", decoded)
 
-    @classmethod
-    def from_decoded(
-        cls, strategy: str, basis_choices: np.ndarray, decoded: np.ndarray
-    ) -> "ReceiverRecord":
-        """Record from one decoded bit per qubit, -1 where inconclusive.
-
-        Positions read off the decoded vector increase and lie in 1..n by
-        construction, so only its cells are checked, in one pass.
-        """
-        basis = np.array(basis_choices, dtype=np.int8)
-        basis.flags.writeable = False
-        decoded = np.asarray(decoded)
-        if decoded.shape != basis.shape or basis.ndim != 1:
-            raise ValueError("need one decoded value per basis choice")
-        if not np.isin(decoded, (-1, 0, 1)).all():
-            raise ValueError("decoded cells must be -1 or a bit")
-        row = decoded.astype(np.int8)
-        row.flags.writeable = False
-        return _drawn_receiver(strategy, basis, row)
-
-
-def _drawn_receiver(strategy: str, basis: np.ndarray, decoded: np.ndarray) -> ReceiverRecord:
-    """The record of read-only int8 rows whose cells are -1 or a bit, as a
-    pass decodes them, with its conclusive pairs read off in one pass."""
-    pairs = tuple([(pos, val) for pos, val in enumerate(decoded.tolist(), start=1) if val >= 0])
-    return _unchecked(
-        ReceiverRecord, strategy=strategy, basis_choices=basis, conclusive=pairs, decoded=decoded
-    )
-
 
 @functools.lru_cache(maxsize=None)
 def encoding_amps(theta: float) -> np.ndarray:
@@ -213,28 +183,21 @@ def born_sums(theta: float, strategy: str) -> np.ndarray:
     return running_sums(born_table(theta, strategy))
 
 
-class ChannelPass(NamedTuple):
-    """A receiver's pass over a channel: each qubit's basis bit and the
-    read-only int8 row of decoded bits, -1 where nothing was learned."""
-
-    basis: np.ndarray
-    decoded: np.ndarray
-
-
 def sample_table(
     sums: np.ndarray, decode: np.ndarray, bits: np.ndarray, x: np.ndarray, u: np.ndarray
-) -> ChannelPass:
+) -> np.ndarray:
     """The one channel interface: qubit i, sent for bits[i] and measured in
     basis x[i], samples column 2 * bits[i] + x[i] of a cached `running_sums`
-    table with uniform u[i], and outcome o decodes to decode[x[i], o]."""
+    table with uniform u[i], and outcome o decodes to decode[x[i], o]: the
+    read-only int8 row returned, -1 where nothing was learned."""
     if len(x) != len(bits) or len(u) != len(bits):
         raise ValueError("need one basis bit and one uniform per qubit")
     decoded = decode[x, passed_sums(sums[:, 2 * bits + x], u)]
     decoded.flags.writeable = False
-    return ChannelPass(x, decoded)
+    return decoded
 
 
-def honest_channel(bits: np.ndarray, x: np.ndarray, u: np.ndarray, theta: float) -> ChannelPass:
+def honest_channel(bits: np.ndarray, x: np.ndarray, u: np.ndarray, theta: float) -> np.ndarray:
     """The plain channel at angle theta and the honest receiver, sampled from
     `born_sums(theta, HONEST)` with the draws of `honest_draws`."""
     return sample_table(born_sums(theta, HONEST), HONEST_DECODE, bits, x, u)
@@ -254,9 +217,14 @@ def run_rot(
     sums = born_sums(config.theta, strategy)
     bits = rng.bits(config.n)
     if strategy == HONEST:
-        x, decoded = honest_channel(bits, *honest_draws(rng, config.n), config.theta)
+        x, u = honest_draws(rng, config.n)
+        decoded = honest_channel(bits, x, u, config.theta)
     else:
         x = np.full(config.n, -1, dtype=np.int8)
         decoded = _USD_DECODED[passed_sums(sums[:, bits], rng.gen.random(config.n))]
     bits.flags.writeable = x.flags.writeable = decoded.flags.writeable = False
-    return _unchecked(SenderRecord, bits=bits), _drawn_receiver(strategy, x, decoded)
+    pairs = tuple([(pos, val) for pos, val in enumerate(decoded.tolist(), start=1) if val >= 0])
+    receiver = _unchecked(
+        ReceiverRecord, strategy=strategy, basis_choices=x, conclusive=pairs, decoded=decoded
+    )
+    return _unchecked(SenderRecord, bits=bits), receiver

@@ -5,7 +5,8 @@ blinding angle and put through the honest Born step in its basis, one row
 at a time. The P4 and P5 samplers read the plain channel's cached table at
 pi/4 instead, since an unblinded coding state is the plain pair, and the
 P4 copy probe reads its closed form; the tests hold them to this route
-draw for draw.
+draw for draw. The reference routes build their receiver records through
+the checked constructor, from the pairs `decoded_pairs` reads off a row.
 """
 
 import numpy as np
@@ -41,6 +42,13 @@ def inverse_cdf(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-wise inverse-CDF sampling of an (N, K) probability array, one
     uniform per row: `passed_sums` of the rows' `running_sums`."""
     return passed_sums(running_sums(probabilities), np.asarray(u))
+
+
+def decoded_pairs(decoded) -> tuple[tuple[int, int], ...]:
+    """The conclusive (position, value) pairs of a decoded row, 1-based: every
+    cell that is not -1 becomes a pair, so `ReceiverRecord` refuses a row
+    with a cell other than -1 or a bit."""
+    return tuple((pos, val) for pos, val in enumerate(np.asarray(decoded).tolist(), 1) if val != -1)
 
 
 def blinded_amps(alphas, bits=0) -> np.ndarray:

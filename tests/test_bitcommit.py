@@ -50,14 +50,20 @@ from qotlab.qsim import (
     batch_probabilities,
     born_probabilities,
 )
-from qotlab.rot import ChannelPass, honest_channel, honest_draws
-from rotation_route import blinded_amps, inverse_cdf, rotate_rows, unblind_and_measure
+from qotlab.rot import honest_channel, honest_draws
+from rotation_route import (
+    blinded_amps,
+    decoded_pairs,
+    inverse_cdf,
+    rotate_rows,
+    unblind_and_measure,
+)
 from walsh_route import correlation_immunity_order
 
 
 def known_bits(rnd) -> dict[int, int]:
     """A receiver round's decoded bits by position, where one was learned."""
-    return {pos: val for pos, val in enumerate(rnd.decoded.tolist(), start=1) if val >= 0}
+    return dict(decoded_pairs(rnd.decoded))
 
 
 class TestEntangledEncoding:
@@ -95,7 +101,7 @@ class TestEntangledEncoding:
         total = 0
         for rep in range(reps):
             bits = np.array([rng.bit() for _ in range(n)], dtype=np.int8)
-            decoded = p3_measure(bits, *honest_draws(RngStream(32, rep), n)).decoded
+            decoded = p3_measure(bits, *honest_draws(RngStream(32, rep), n))
             conclusive = decoded >= 0
             assert np.array_equal(decoded[conclusive], bits[conclusive])
             total += np.count_nonzero(conclusive)
@@ -144,9 +150,8 @@ class TestPairBornTable:
             bits = RngStream(seed, 9).bits(n)
             x, u = honest_draws(RngStream(seed, 10), n)
             got = p3_measure(bits, x, u)
-            assert got.basis is x
-            assert got.decoded.dtype == np.int8 and not got.decoded.flags.writeable
-            assert got.decoded.tolist() == reference_p3_measure(bits, x, u).tolist()
+            assert got.dtype == np.int8 and not got.flags.writeable
+            assert got.tolist() == reference_p3_measure(bits, x, u).tolist()
 
     def test_derived_decoder(self):
         """Only psi+ in basis 0 and phi- minus psi+ in basis 1 are conclusive."""
@@ -179,7 +184,7 @@ class TestBlindedEncoding:
         assert abs(rate - 0.25) < 5 * sigma
 
 
-# the commitment channels, each (bits, x, u) -> ChannelPass
+# the commitment channels, each (bits, x, u) -> read-only int8 decoded row
 _CHANNELS = {
     "plain": lambda bits, x, u: honest_channel(bits, x, u, ENCODE_ANGLE),
     "pair": p3_measure,
@@ -189,21 +194,19 @@ _CHANNELS = {
 
 class TestChannelInterface:
     """Every commitment channel takes the sent bits and the receiver's
-    draws, and returns the basis bits and a read-only decoded int8 row."""
+    draws, and returns a read-only decoded int8 row."""
 
     @pytest.mark.parametrize("name", sorted(_CHANNELS))
-    def test_a_pass_is_the_basis_bits_and_a_read_only_row(self, name):
+    def test_a_pass_is_a_read_only_row(self, name):
         rng = RngStream(35, 0)
         bits = rng.bits(64)
         x, u = honest_draws(rng, 64)
-        received = _CHANNELS[name](bits, x, u)
-        assert isinstance(received, ChannelPass)
-        assert received.basis is x
-        assert received.decoded.shape == (64,) and received.decoded.dtype == np.int8
-        assert not received.decoded.flags.writeable
-        conclusive = received.decoded >= 0
+        decoded = _CHANNELS[name](bits, x, u)
+        assert decoded.shape == (64,) and decoded.dtype == np.int8
+        assert not decoded.flags.writeable
+        conclusive = decoded >= 0
         assert conclusive.any() and not conclusive.all()
-        assert np.array_equal(received.decoded[conclusive], bits[conclusive])
+        assert np.array_equal(decoded[conclusive], bits[conclusive])
 
     @pytest.mark.parametrize("name", sorted(_CHANNELS))
     def test_a_draw_count_mismatch_is_refused(self, name):
@@ -234,7 +237,7 @@ class TestBlindedTable:
         for seed in self.SEEDS:
             alphas, bits, rng = _blinded_draws(seed, size)
             x, u = honest_draws(rng, size)
-            got = p4_unblind_and_measure(bits, x, u).decoded
+            got = p4_unblind_and_measure(bits, x, u)
             want = unblind_and_measure(blinded_amps(alphas, bits), alphas, x, u)
             assert got.tolist() == want.tolist(), seed
 
@@ -550,7 +553,7 @@ class TestCommitWaves:
 
         def never_conclusive(bits, x, u, theta):
             qubits.append(len(bits))
-            return ChannelPass(x, np.full(len(bits), -1, dtype=np.int8))
+            return np.full(len(bits), -1, dtype=np.int8)
 
         monkeypatch.setattr(bitcommit, "honest_channel", never_conclusive)
         monkeypatch.setattr(bitcommit, "MAX_WAVES", 7)

@@ -25,7 +25,7 @@ from qotlab.rot import (
     honest_probabilities,
     run_rot,
 )
-from rotation_route import inverse_cdf
+from rotation_route import decoded_pairs, inverse_cdf
 
 # the angles the golden digests pin (pi/4, 0.5, 0.7) and three more
 THETAS = (0.3, 0.5, 0.7, np.pi / 4, 1.2, np.pi / 2)
@@ -45,7 +45,7 @@ def bob_measure_honest(amps: np.ndarray, theta: float, rng: RngStream) -> Receiv
     x = rng.bits(len(amps))
     probs = honest_probabilities(amps, theta, x)
     outcomes = inverse_cdf(probs, rng.gen.random(len(probs)))
-    return ReceiverRecord.from_decoded(HONEST, x, np.where(outcomes == PERP_INDEX, x ^ 1, -1))
+    return ReceiverRecord(HONEST, x, decoded_pairs(np.where(outcomes == PERP_INDEX, x ^ 1, -1)))
 
 
 def bob_measure_usd(amps: np.ndarray, theta: float, rng: RngStream) -> ReceiverRecord:
@@ -53,7 +53,7 @@ def bob_measure_usd(amps: np.ndarray, theta: float, rng: RngStream) -> ReceiverR
     values = np.array([{CONCLUSIVE_0: 0, CONCLUSIVE_1: 1}.get(label, -1) for label in povm.labels])
     probs = batch_probabilities(amps, povm)
     decoded = values[inverse_cdf(probs, rng.gen.random(len(probs)))]
-    return ReceiverRecord.from_decoded(USD, np.full(len(amps), -1), decoded)
+    return ReceiverRecord(USD, np.full(len(amps), -1), decoded_pairs(decoded))
 
 
 def reference_rot(config: RotConfig, strategy: str, rng: RngStream):
@@ -158,14 +158,15 @@ def test_receiver_record_helpers():
     for row, want in (
         (record.decoded, [0, 1, -1]),
         (dataclasses.replace(record, conclusive=((3, 1),)).decoded, [-1, -1, 1]),
-        (ReceiverRecord.from_decoded(HONEST, (0, 1, 0), np.array([-1, 0, 1])).decoded, [-1, 0, 1]),
+        (ReceiverRecord(HONEST, (0, 1, 0), decoded_pairs([-1, 0, 1])).decoded, [-1, 0, 1]),
     ):
         assert row.dtype == np.int8 and not row.flags.writeable
         assert row.tolist() == want
-    # any cell outside {-1, 0, 1} is refused, negative ones too
+    # a decoded row with any cell outside {-1, 0, 1}, negative ones too,
+    # gives a pair the checked constructor refuses
     for cells in ([-2, 1, -7], [0, 2, -1], [-1, -1, -128], [0.5, 0, 1]):
-        with pytest.raises(ValueError, match="^decoded cells must be -1 or a bit$"):
-            ReceiverRecord.from_decoded(HONEST, (0, 0, 1), np.array(cells))
+        with pytest.raises(ValueError, match="^conclusive values must be bits$"):
+            ReceiverRecord(HONEST, (0, 0, 1), decoded_pairs(cells))
 
 
 @pytest.mark.parametrize(

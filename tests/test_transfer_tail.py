@@ -41,7 +41,7 @@ from qotlab.ot12 import (
 from qotlab.qsim import RngStream
 from qotlab.rot import HONEST, USD, ReceiverRecord, RotConfig, SenderRecord, honest_draws, run_rot
 from masking_route import receiver_decrypt, sender_encrypt
-from rotation_route import blinded_amps, unblind_and_measure
+from rotation_route import blinded_amps, decoded_pairs, unblind_and_measure
 
 SEEDS = range(100)
 
@@ -94,15 +94,15 @@ def reference_commit_over_ot(b, l, n, variant, rng, theta=ENCODE_ANGLE, alpha=DE
             bits = rng.bits(size)
             x, u = honest_draws(rng, size)
             sender = SenderRecord(bits=bits)
-            receiver = ReceiverRecord.from_decoded(HONEST, *p3_measure(bits, x, u))
+            receiver = ReceiverRecord(HONEST, x, decoded_pairs(p3_measure(bits, x, u)))
         else:
             alphas = blinding_angles(rng, size)
             bits = rng.bits(size)
             encoded = blinded_amps(alphas, bits)
             x, u = honest_draws(rng, size)
             sender = SenderRecord(bits=bits)
-            receiver = ReceiverRecord.from_decoded(
-                HONEST, x, unblind_and_measure(encoded, alphas, x, u)
+            receiver = ReceiverRecord(
+                HONEST, x, decoded_pairs(unblind_and_measure(encoded, alphas, x, u))
             )
         for r, share0 in enumerate(shares0):
             lo = r * n
