@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .qsim import RngStream
-from .rot import HONEST, USD, ReceiverRecord, RotConfig, SenderRecord, _unchecked, run_rot
+from .rot import HONEST, USD, ReceiverRecord, RotConfig, SenderRecord, run_rot
 
 DEFAULT_ALPHA = Fraction(1, 16)
 BASE_RATE = Fraction(1, 4)
@@ -71,17 +71,6 @@ class IndexSets:
     j_set: tuple[int, ...]
     m: int
 
-    def __post_init__(self):
-        if self.m not in (0, 1):
-            raise ValueError("m must be a bit")
-        for s in (self.i_set, self.j_set):
-            if list(s) != sorted(set(s)):
-                raise ValueError("index sets must be sorted without repeats")
-        if len(self.i_set) != len(self.j_set):
-            raise ValueError("index sets must have equal size")
-        if set(self.i_set) & set(self.j_set):
-            raise ValueError("index sets must be disjoint")
-
     def pick(self, first, second):
         """The slot rule: first when m = 0 (I announced first), else second.
 
@@ -91,12 +80,11 @@ class IndexSets:
 
     @classmethod
     def from_slots(cls, x_set: tuple[int, ...], y_set: tuple[int, ...], m: int) -> "IndexSets":
-        """The announcement read back from its slots, built unchecked. The
-        slot rule only swaps the pair or not, so it undoes itself:
-        I = pick(X, Y) and J = pick(Y, X). The caller vouches for what the
-        constructor checks."""
+        """The announcement read back from its slots. The slot rule only
+        swaps the pair or not, so it undoes itself: I = pick(X, Y) and
+        J = pick(Y, X)."""
         i_set, j_set = (x_set, y_set) if m == 0 else (y_set, x_set)
-        return _unchecked(cls, i_set=i_set, j_set=j_set, m=m)
+        return cls(i_set, j_set, m)
 
     @property
     def x_set(self) -> tuple[int, ...]:
@@ -123,11 +111,6 @@ class Ot12Transcript:
     c0: Optional[int]
     c1: Optional[int]
     b_received: Optional[int]
-
-    def __post_init__(self):
-        missing = [v is None for v in (self.sets, self.c0, self.c1, self.b_received)]
-        if any(missing) and not all(missing):
-            raise ValueError("sets, ciphertexts and b_received are all set or all None")
 
     @property
     def aborted(self) -> bool:
@@ -295,9 +278,6 @@ def choose_index_sets(
     positions went unlearned, and then the top-up is a uniform subset of
     the leftovers. The discriminating receiver (strategy USD) swaps the two
     groups, so that 2k conclusive bits make both masks known to it.
-
-    The sets are sorted and disjoint by construction, so they are built
-    unchecked.
     """
     conclusive: list[int] = []
     unknown: list[int] = []
@@ -310,12 +290,8 @@ def choose_index_sets(
     unknown.sort(key=keys.__getitem__)
     leftovers = conclusive[k:]
     j_pool = leftovers + unknown if strategy == USD else unknown + leftovers
-    return _unchecked(
-        IndexSets,
-        i_set=tuple(sorted(conclusive[:k])),
-        j_set=tuple(sorted(j_pool[:k])),
-        m=int(keys[0] >= 0.5),
-    )
+    i_set, j_set = tuple(sorted(conclusive[:k])), tuple(sorted(j_pool[:k]))
+    return IndexSets(i_set, j_set, int(keys[0] >= 0.5))
 
 
 def mask(values: Iterable[int]) -> int:
@@ -384,19 +360,14 @@ def run_ot12(
     theta: float = float(np.pi / 4),
     alpha: Fraction = DEFAULT_ALPHA,
 ) -> Ot12Transcript:
-    """One full run: qubit phase, announcement, masking, decryption. The
-    tail sets the announcement, ciphertexts and received bit all or none,
-    so the transcript is built unchecked."""
+    """One full run: qubit phase, announcement, masking, decryption."""
     config = RotConfig(n=n, theta=theta)
     k = transfer_k(n, alpha)
     sender, receiver = run_rot(config, strategy, rng)
-    sets, c0, c1, b_received = run_masked_transfer(
+    tail = run_masked_transfer(
         sender.bits.tolist(), receiver.decoded.tolist(), n, k, b0, b1, rng, strategy
     )
-    return _unchecked(
-        Ot12Transcript,
-        sender=sender, receiver=receiver, sets=sets, c0=c0, c1=c1, b_received=b_received,
-    )
+    return Ot12Transcript(sender, receiver, *tail)
 
 
 def abort_rate_exact(n: int, rate: float, alpha: Fraction) -> float:

@@ -55,62 +55,25 @@ class RotConfig:
         return 1.0 - float(np.cos(self.theta))
 
 
-def _unchecked(cls, **fields):
-    """A frozen record of `cls` from fields that already passed its checks,
-    such as rows of a checked pass, without copying or checking them again."""
-    record = object.__new__(cls)
-    record.__dict__.update(fields)
-    return record
-
-
 @dataclass(frozen=True)
 class SenderRecord:
     """The sender's only secret: the transmitted bit string."""
 
     bits: np.ndarray
 
-    def __post_init__(self):
-        bits = np.array(self.bits, dtype=np.int8)
-        if bits.ndim != 1 or bits.size < 1:
-            raise ValueError("bits must be a nonempty vector")
-        if np.count_nonzero(bits & -2):
-            raise ValueError("bits must be 0 or 1")
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
-
 
 @dataclass(frozen=True)
 class ReceiverRecord:
-    """Per-qubit basis bits plus the conclusive (position, value) pairs.
+    """The conclusive (position, value) pairs and the decoded row.
 
-    basis_choices holds the basis bit x of each qubit, or -1 for the
-    discriminating receiver, which chooses no basis. Positions are 1-based
-    and strictly increasing; a value is the decoded sender bit, which for
-    both receiver strategies is never wrong. `decoded` holds the same as a
-    read-only int8 row, -1 where inconclusive.
+    Positions are 1-based and strictly increasing; a value is the decoded
+    sender bit, which for both receiver strategies is never wrong.
+    `decoded` holds the same as a read-only int8 row, -1 where inconclusive.
     """
 
     strategy: str
-    basis_choices: np.ndarray
     conclusive: tuple[tuple[int, int], ...]
-    decoded: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        basis = np.array(self.basis_choices, dtype=np.int8)
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis_choices", basis)
-        # positions strictly increase within 1..n, and every value is a bit
-        decoded = np.full(len(basis), -1, dtype=np.int8)
-        last = 0
-        for pos, val in self.conclusive:
-            if not last < pos <= len(basis):
-                raise ValueError("conclusive positions must be increasing and in [1, n]")
-            if val not in (0, 1):
-                raise ValueError("conclusive values must be bits")
-            decoded[pos - 1] = val
-            last = pos
-        decoded.flags.writeable = False
-        object.__setattr__(self, "decoded", decoded)
+    decoded: np.ndarray = field(repr=False, compare=False)
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,9 +173,8 @@ def run_rot(
     sender's bits are drawn before any receiver draw, then each receiver
     samples its n outcomes from the `born_sums` columns its qubits select.
 
-    Both records hold the drawn rows themselves, made read-only: each is
-    int8 and every decoded cell is -1 or a bit by construction, so nothing
-    is copied or checked again.
+    Both records hold the drawn int8 rows themselves, made read-only, and
+    the conclusive pairs are read off the decoded row in one pass.
     """
     sums = born_sums(config.theta, strategy)
     bits = rng.bits(config.n)
@@ -220,11 +182,7 @@ def run_rot(
         x, u = honest_draws(rng, config.n)
         decoded = honest_channel(bits, x, u, config.theta)
     else:
-        x = np.full(config.n, -1, dtype=np.int8)
         decoded = _USD_DECODED[passed_sums(sums[:, bits], rng.gen.random(config.n))]
-    bits.flags.writeable = x.flags.writeable = decoded.flags.writeable = False
+    bits.flags.writeable = decoded.flags.writeable = False
     pairs = tuple([(pos, val) for pos, val in enumerate(decoded.tolist(), start=1) if val >= 0])
-    receiver = _unchecked(
-        ReceiverRecord, strategy=strategy, basis_choices=x, conclusive=pairs, decoded=decoded
-    )
-    return _unchecked(SenderRecord, bits=bits), receiver
+    return SenderRecord(bits), ReceiverRecord(strategy, pairs, decoded)

@@ -5,8 +5,9 @@ blinding angle and put through the honest Born step in its basis, one row
 at a time. The P4 and P5 samplers read the plain channel's cached table at
 pi/4 instead, since an unblinded coding state is the plain pair, and the
 P4 copy probe reads its closed form; the tests hold them to this route
-draw for draw. The reference routes build their receiver records through
-the checked constructor, from the pairs `decoded_pairs` reads off a row.
+draw for draw. The reference routes build their receiver records from a
+decoded row with `receiver_record`, which refuses a cell other than -1 or a
+bit.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from qotlab.qsim import batch_probabilities, passed_sums, running_sums
 from qotlab.rot import (
     HONEST_DECODE,
     PERP_INDEX,
+    ReceiverRecord,
     honest_draws,
     honest_probabilities,
     measurement_bases,
@@ -46,9 +48,20 @@ def inverse_cdf(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def decoded_pairs(decoded) -> tuple[tuple[int, int], ...]:
     """The conclusive (position, value) pairs of a decoded row, 1-based: every
-    cell that is not -1 becomes a pair, so `ReceiverRecord` refuses a row
-    with a cell other than -1 or a bit."""
+    cell that is not -1 becomes a pair."""
     return tuple((pos, val) for pos, val in enumerate(np.asarray(decoded).tolist(), 1) if val != -1)
+
+
+def receiver_record(strategy: str, decoded) -> ReceiverRecord:
+    """The record of a receiver that decoded `decoded` (-1 where it learned
+    nothing): the row as read-only int8 and its `decoded_pairs`. A cell
+    other than -1, 0 or 1 is refused."""
+    cells = np.asarray(decoded).tolist()
+    if any(cell not in (-1, 0, 1) for cell in cells):
+        raise ValueError("decoded cells must be -1, 0 or 1")
+    row = np.array(cells, dtype=np.int8)
+    row.flags.writeable = False
+    return ReceiverRecord(strategy, decoded_pairs(row), row)
 
 
 def blinded_amps(alphas, bits=0) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Every name imported into a qotlab module, a test module or a benchmark
-module is read there. The benchmark files are only read, never changed."""
+module is read there, and no qotlab module builds an object around its
+constructor. The benchmark files are only read, never changed."""
 
 import ast
 from pathlib import Path
@@ -90,3 +91,57 @@ def test_no_unused_import(path):
     allowed = ALLOWED | ALLOWED_IN.get(_name(path), set())
     unused = [n for n in unused_imports(ast.parse(path.read_text())) if n not in allowed]
     assert unused == [], f"{_name(path)} imports {unused} and never uses them"
+
+
+# the one object built around its constructor: a substream binds its parent's
+# checked seed and path through _bind instead of checking them again
+BYPASS_ALLOWED = {("qsim/rng.py", "RngStream.substream")}
+
+
+def constructor_bypasses(tree: ast.Module) -> list[str]:
+    """The qualified name of the function around each `object.__new__` call
+    and each `<x>.__dict__.update` call ("<module>" at module level)."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call):
+                called = ast.unparse(child.func)
+                if called == "object.__new__" or called.endswith(".__dict__.update"):
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_the_check_sees_a_constructor_bypass():
+    tree = ast.parse(
+        "def _unchecked(cls, **fields):\n"
+        "    record = object.__new__(cls)\n"
+        "    record.__dict__.update(fields)\n"
+        "    return record\n"
+        "class Record:\n"
+        "    def copy(self):\n"
+        "        object.__setattr__(self, 'bits', ())\n"
+        "        return [object.__new__(Record) for _ in range(2)]\n"
+        "object.__new__(Record).__dict__.update({})\n"
+    )
+    assert constructor_bypasses(tree) == [
+        "_unchecked", "_unchecked", "Record.copy", "<module>", "<module>"
+    ]
+
+
+def test_records_are_built_by_their_constructors():
+    """Every qotlab object is built through its class's own __init__, so
+    its checks, if any, run; `BYPASS_ALLOWED` lists the one exception, and
+    fails loudly once that exception is gone."""
+    found = {
+        (_name(path), scope)
+        for path in sorted(SRC.rglob("*.py"))
+        for scope in constructor_bypasses(ast.parse(path.read_text()))
+    }
+    assert found == BYPASS_ALLOWED

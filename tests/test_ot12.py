@@ -30,8 +30,9 @@ from qotlab.ot12 import (
     wilson_interval,
 )
 from qotlab.qsim import RngStream
-from qotlab.rot import HONEST, ReceiverRecord
+from qotlab.rot import HONEST
 from masking_route import receiver_decrypt, sender_encrypt
+from rotation_route import receiver_record
 
 
 def test_k_of_reference_values():
@@ -450,11 +451,11 @@ class TestEstimators:
 
 
 def make_record(n, conclusive, strategy=HONEST):
-    return ReceiverRecord(
-        strategy=strategy,
-        basis_choices=np.zeros(n, dtype=np.int8),
-        conclusive=tuple(conclusive),
-    )
+    """The record of a receiver that learned the given (position, value) pairs."""
+    decoded = [-1] * n
+    for pos, val in conclusive:
+        decoded[pos - 1] = val
+    return receiver_record(strategy, decoded)
 
 
 def draw_sets(record, k, rng):

@@ -22,10 +22,12 @@ from qotlab.rot import (
     SenderRecord,
     born_table,
     encoding_amps,
+    honest_channel,
+    honest_draws,
     honest_probabilities,
     run_rot,
 )
-from rotation_route import decoded_pairs, inverse_cdf
+from rotation_route import inverse_cdf, receiver_record
 
 # the angles the golden digests pin (pi/4, 0.5, 0.7) and three more
 THETAS = (0.3, 0.5, 0.7, np.pi / 4, 1.2, np.pi / 2)
@@ -45,7 +47,7 @@ def bob_measure_honest(amps: np.ndarray, theta: float, rng: RngStream) -> Receiv
     x = rng.bits(len(amps))
     probs = honest_probabilities(amps, theta, x)
     outcomes = inverse_cdf(probs, rng.gen.random(len(probs)))
-    return ReceiverRecord(HONEST, x, decoded_pairs(np.where(outcomes == PERP_INDEX, x ^ 1, -1)))
+    return receiver_record(HONEST, np.where(outcomes == PERP_INDEX, x ^ 1, -1))
 
 
 def bob_measure_usd(amps: np.ndarray, theta: float, rng: RngStream) -> ReceiverRecord:
@@ -53,7 +55,7 @@ def bob_measure_usd(amps: np.ndarray, theta: float, rng: RngStream) -> ReceiverR
     values = np.array([{CONCLUSIVE_0: 0, CONCLUSIVE_1: 1}.get(label, -1) for label in povm.labels])
     probs = batch_probabilities(amps, povm)
     decoded = values[inverse_cdf(probs, rng.gen.random(len(probs)))]
-    return ReceiverRecord(USD, np.full(len(amps), -1), decoded_pairs(decoded))
+    return receiver_record(USD, decoded)
 
 
 def reference_rot(config: RotConfig, strategy: str, rng: RngStream):
@@ -138,60 +140,32 @@ def test_usd_beats_honest_but_both_miss_most_bits():
 
 def test_honest_basis_choice_determines_learnable_bit():
     # basis B_x can only produce a conclusive value of x XOR 1
-    cfg = RotConfig(500)
-    _, receiver = run_rot(cfg, HONEST, RngStream(10, 0))
-    assert len(receiver.conclusive) > 0
-    for pos, val in receiver.conclusive:
-        choice = receiver.basis_choices[pos - 1]
-        assert val == (0 if choice == 1 else 1)
+    for theta in THETAS:
+        rng = RngStream(10, 0)
+        bits = rng.bits(500)
+        x, u = honest_draws(rng, 500)
+        decoded = honest_channel(bits, x, u, theta)
+        conclusive = decoded >= 0
+        assert conclusive.any()
+        assert np.array_equal(decoded[conclusive], x[conclusive] ^ 1)
 
 
 def test_receiver_record_helpers():
-    record = ReceiverRecord(
-        strategy=HONEST,
-        basis_choices=(0, 1, 0),
-        conclusive=((1, 0), (2, 1)),
-    )
+    record = receiver_record(HONEST, [0, 1, -1])
     assert record.conclusive == ((1, 0), (2, 1))
-    assert record.basis_choices.dtype == np.int8
-    assert not record.basis_choices.flags.writeable
     for row, want in (
         (record.decoded, [0, 1, -1]),
-        (dataclasses.replace(record, conclusive=((3, 1),)).decoded, [-1, -1, 1]),
-        (ReceiverRecord(HONEST, (0, 1, 0), decoded_pairs([-1, 0, 1])).decoded, [-1, 0, 1]),
+        (receiver_record(USD, np.array([-1, 0, 1])).decoded, [-1, 0, 1]),
     ):
         assert row.dtype == np.int8 and not row.flags.writeable
         assert row.tolist() == want
-    # a decoded row with any cell outside {-1, 0, 1}, negative ones too,
-    # gives a pair the checked constructor refuses
+    # records compare by strategy and pairs; the row is their copy
+    assert dataclasses.replace(record, decoded=np.zeros(3, dtype=np.int8)) == record
+    assert dataclasses.replace(record, strategy=USD) != record
+    # a decoded row with any cell outside {-1, 0, 1}, negative ones too, is refused
     for cells in ([-2, 1, -7], [0, 2, -1], [-1, -1, -128], [0.5, 0, 1]):
-        with pytest.raises(ValueError, match="^conclusive values must be bits$"):
-            ReceiverRecord(HONEST, (0, 0, 1), decoded_pairs(cells))
-
-
-@pytest.mark.parametrize(
-    "conclusive, reason",
-    [
-        (((0, 1),), "increasing and in"),
-        (((4, 1),), "increasing and in"),
-        (((2, 1), (2, 1)), "increasing and in"),
-        (((3, 0), (2, 1)), "increasing and in"),
-        (((1, 2),), "must be bits"),
-    ],
-    ids=["position-zero", "position-n-plus-1", "repeated", "decreasing", "value-two"],
-)
-def test_receiver_record_refuses_a_bad_conclusive_pair(conclusive, reason):
-    with pytest.raises(ValueError, match=reason):
-        ReceiverRecord(strategy=HONEST, basis_choices=(0, 1, 0), conclusive=conclusive)
-
-
-def test_receivers_record_basis_bits():
-    cfg = RotConfig(200)
-    _, honest = run_rot(cfg, HONEST, RngStream(10, 1))
-    _, usd = run_rot(cfg, USD, RngStream(10, 2))
-    assert set(honest.basis_choices.tolist()) == {0, 1}
-    # the discriminating receiver chooses no basis
-    assert set(usd.basis_choices.tolist()) == {-1}
+        with pytest.raises(ValueError, match="^decoded cells must be -1, 0 or 1$"):
+            receiver_record(HONEST, cells)
 
 
 def test_sender_record_reveals_nothing_about_outcomes():
@@ -210,7 +184,6 @@ def test_run_rot_matches_the_per_row_route(theta, strategy):
             sender, receiver = run_rot(RotConfig(n, theta), strategy, RngStream(seed, 4))
             ref_sender, ref_receiver = reference_rot(RotConfig(n, theta), strategy, RngStream(seed, 4))
             assert np.array_equal(sender.bits, ref_sender.bits)
-            assert np.array_equal(receiver.basis_choices, ref_receiver.basis_choices)
             assert receiver.conclusive == ref_receiver.conclusive
             assert receiver.decoded.tolist() == ref_receiver.decoded.tolist()
             assert receiver.strategy == strategy

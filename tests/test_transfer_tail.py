@@ -5,7 +5,8 @@ and a commitment hands it the rows of each wave's one channel pass.
 A completed round keeps its rows: the sent bits and the decoded bits, -1
 where nothing was learned.
 The reference below is the earlier route: per-round `SenderRecord` and
-`ReceiverRecord` built and checked from the pass, the announcement drawn
+`ReceiverRecord` built from the pass (the receiver's by `receiver_record`,
+which refuses a cell other than -1 or a bit), the announcement drawn
 from the receiver record (its keys ordered with `np.argsort`), then
 `sender_encrypt` and `receiver_decrypt`.
 Both must make the same draws in the same order, so every field and the
@@ -31,17 +32,11 @@ from qotlab.bitcommit import (
     blinding_angles,
     p3_measure,
 )
-from qotlab.ot12 import (
-    DEFAULT_ALPHA,
-    IndexSets,
-    Ot12Transcript,
-    run_ot12,
-    transfer_k,
-)
+from qotlab.ot12 import DEFAULT_ALPHA, IndexSets, run_ot12, transfer_k
 from qotlab.qsim import RngStream
 from qotlab.rot import HONEST, USD, ReceiverRecord, RotConfig, SenderRecord, honest_draws, run_rot
 from masking_route import receiver_decrypt, sender_encrypt
-from rotation_route import blinded_amps, decoded_pairs, unblind_and_measure
+from rotation_route import blinded_amps, receiver_record, unblind_and_measure
 
 SEEDS = range(100)
 
@@ -81,7 +76,7 @@ def reference_tail(sender: SenderRecord, receiver: ReceiverRecord, n, k, b0, b1,
 
 
 def reference_commit_over_ot(b, l, n, variant, rng, theta=ENCODE_ANGLE, alpha=DEFAULT_ALPHA):
-    """The commitment with one checked record pair per round of each wave."""
+    """The commitment with one record pair per round of each wave."""
     k = transfer_k(n, alpha)
     sender_rounds, receiver_rounds = [], []
     for _wave in range(MAX_WAVES):
@@ -93,25 +88,19 @@ def reference_commit_over_ot(b, l, n, variant, rng, theta=ENCODE_ANGLE, alpha=DE
         elif variant == PROTOCOL_P3:
             bits = rng.bits(size)
             x, u = honest_draws(rng, size)
-            sender = SenderRecord(bits=bits)
-            receiver = ReceiverRecord(HONEST, x, decoded_pairs(p3_measure(bits, x, u)))
+            sender = SenderRecord(bits)
+            receiver = receiver_record(HONEST, p3_measure(bits, x, u))
         else:
             alphas = blinding_angles(rng, size)
             bits = rng.bits(size)
             encoded = blinded_amps(alphas, bits)
             x, u = honest_draws(rng, size)
-            sender = SenderRecord(bits=bits)
-            receiver = ReceiverRecord(
-                HONEST, x, decoded_pairs(unblind_and_measure(encoded, alphas, x, u))
-            )
+            sender = SenderRecord(bits)
+            receiver = receiver_record(HONEST, unblind_and_measure(encoded, alphas, x, u))
         for r, share0 in enumerate(shares0):
             lo = r * n
-            round_sender = SenderRecord(bits=sender.bits[lo:lo + n])
-            round_receiver = ReceiverRecord(
-                strategy=HONEST,
-                basis_choices=receiver.basis_choices[lo:lo + n],
-                conclusive=tuple((p - lo, v) for p, v in receiver.conclusive if lo < p <= lo + n),
-            )
+            round_sender = SenderRecord(sender.bits[lo:lo + n])
+            round_receiver = receiver_record(HONEST, receiver.decoded[lo:lo + n])
             share1 = share0 ^ b
             sets, c0, c1, received = reference_tail(
                 round_sender, round_receiver, n, k, share0, share1, rng
@@ -189,30 +178,40 @@ def test_a_transfer_equals_the_per_record_reference(strategy, theta, n):
 @pytest.mark.parametrize("theta", [math.pi / 4, 0.7])
 @pytest.mark.parametrize("strategy", [HONEST, USD])
 @pytest.mark.parametrize("n", [6, 16, 64])
-def test_what_a_run_builds_unchecked_equals_the_checked_constructors(strategy, theta, n):
-    """A run builds its records and announcement once, from what it drew;
-    the checked constructors rebuild the same from the same fields."""
+def test_what_a_run_returns_holds_the_record_invariants(strategy, theta, n):
+    """A run builds its records and announcement once, from what it drew,
+    through the plain constructors; each invariant the records state holds
+    of what it returns."""
     k = transfer_k(n)
     topped_up = 0
     for seed in SEEDS:
         t = run_ot12(n, seed % 2, (seed // 2) % 2, strategy, RngStream(seed, 2), theta=theta)
-        sender = SenderRecord(bits=t.sender.bits)
-        receiver = ReceiverRecord(t.strategy, t.receiver.basis_choices, t.receiver.conclusive)
-        assert sender.bits.tolist() == t.sender.bits.tolist(), seed
-        assert receiver.basis_choices.tolist() == t.receiver.basis_choices.tolist(), seed
-        assert receiver.decoded.tolist() == t.receiver.decoded.tolist(), seed
-        for row in (t.sender.bits, t.receiver.basis_choices, t.receiver.decoded):
-            assert row.dtype == "int8" and not row.flags.writeable
-        # the transcript's checked constructor takes the tail's fields as they are
-        Ot12Transcript(t.sender, t.receiver, t.sets, t.c0, t.c1, t.b_received)
+        for row in (t.sender.bits, t.receiver.decoded):
+            assert row.dtype == "int8" and not row.flags.writeable, seed
+        assert set(t.sender.bits.tolist()) <= {0, 1}, seed
+        decoded = t.receiver.decoded.tolist()
+        assert set(decoded) <= {-1, 0, 1}, seed
+        # the pairs are the row's learned cells, positions strictly increasing
+        pairs = t.receiver.conclusive
+        assert pairs == tuple((p, v) for p, v in enumerate(decoded, 1) if v != -1), seed
+        positions = [p for p, _ in pairs]
+        assert all(a < b for a, b in zip(positions, positions[1:])), seed
+        # the tail's fields are all set or all None, and None only on abort
+        tail = (t.sets, t.c0, t.c1, t.b_received)
+        assert [v is None for v in tail] == [t.aborted] * 4, seed
         if t.aborted:
+            assert len(positions) < k, seed
             continue
-        assert IndexSets(t.sets.i_set, t.sets.j_set, t.sets.m) == t.sets, seed
+        i_set, j_set = t.sets.i_set, t.sets.j_set
+        for s in (i_set, j_set):
+            assert list(s) == sorted(set(s)) and len(s) == k, seed
+            assert 1 <= s[0] and s[-1] <= n, seed
+        assert not set(i_set) & set(j_set), seed
+        assert set(i_set) <= set(positions), seed
+        assert t.sets.m in (0, 1) and {t.c0, t.c1, t.b_received} <= {0, 1}, seed
         # the slot rule undoes itself: the announcement reads back from its slots
         assert IndexSets.from_slots(t.sets.x_set, t.sets.y_set, t.sets.m) == t.sets, seed
-        assert len(t.sets.j_set) == k
-        known = {pos for pos, _ in t.receiver.conclusive}
-        topped_up += {pos in known for pos in t.sets.j_set} == {True, False}
+        topped_up += {pos in set(positions) for pos in j_set} == {True, False}
     if strategy == USD and k > 1:
         # fewer than k leftover conclusive positions: J is drawn from both lists
         assert topped_up > 0
