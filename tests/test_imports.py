@@ -118,21 +118,49 @@ def constructor_bypasses(tree: ast.Module) -> list[str]:
     return found
 
 
-def test_the_check_sees_a_constructor_bypass():
-    tree = ast.parse(
-        "def _unchecked(cls, **fields):\n"
-        "    record = object.__new__(cls)\n"
-        "    record.__dict__.update(fields)\n"
-        "    return record\n"
-        "class Record:\n"
-        "    def copy(self):\n"
-        "        object.__setattr__(self, 'bits', ())\n"
-        "        return [object.__new__(Record) for _ in range(2)]\n"
-        "object.__new__(Record).__dict__.update({})\n"
-    )
-    assert constructor_bypasses(tree) == [
-        "_unchecked", "_unchecked", "Record.copy", "<module>", "<module>"
-    ]
+@pytest.mark.parametrize(
+    "source, want",
+    [
+        (
+            "def _unchecked(cls, **fields):\n"
+            "    record = object.__new__(cls)\n"
+            "    record.__dict__.update(fields)\n"
+            "    return record\n",
+            ["_unchecked", "_unchecked"],
+        ),
+        (
+            "class Record:\n"
+            "    def copy(self):\n"
+            "        return [object.__new__(Record) for _ in range(2)]\n",
+            ["Record.copy"],
+        ),
+        (
+            "def outer():\n"
+            "    def inner(record, fields):\n"
+            "        record.__dict__.update(fields)\n"
+            "    return inner\n",
+            ["outer.inner"],
+        ),
+        ("object.__new__(Record).__dict__.update({})\n", ["<module>", "<module>"]),
+        # a frozen dataclass setting its own field inside its constructor
+        (
+            "class Record:\n"
+            "    def __post_init__(self):\n"
+            "        object.__setattr__(self, 'bits', ())\n",
+            [],
+        ),
+        # a plain dict merged, and a record built by its constructor
+        ("def build(fields, extra):\n    fields.update(extra)\n    return Record(**fields)\n", []),
+        # a class's own __new__ runs as part of its constructor
+        ("class Record:\n    def __new__(cls):\n        return super().__new__(cls)\n", []),
+    ],
+    ids=[
+        "function", "method", "nested-function", "module-level",
+        "frozen-setattr", "dict-update", "own-new",
+    ],
+)
+def test_the_check_sees_a_constructor_bypass(source, want):
+    assert constructor_bypasses(ast.parse(source)) == want
 
 
 def test_records_are_built_by_their_constructors():
