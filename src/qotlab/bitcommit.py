@@ -566,26 +566,28 @@ def p5_verify(receiver_state: P5ReceiverState, open_msg: P5OpenMessage) -> Verif
 # JSON views (classical data only), one codec per protocol family
 
 
+def _bc_to_dict(state, rounds: list, **fields) -> dict:
+    """A share-split sender or receiver file: the header both sides share,
+    the side's own `fields` and its l written `rounds`."""
+    header = dict(
+        protocol_id=state.protocol_id, l=len(rounds), n=state.n, k=state.k, theta=state.theta
+    )
+    return {**header, **fields, "rounds": rounds}
+
+
 def _bc_sender_to_dict(state: CommitSenderState) -> dict:
-    return {
-        "protocol_id": state.protocol_id,
-        "bit": state.bit,
-        "l": len(state.rounds),
-        "n": state.n,
-        "k": state.k,
-        "theta": state.theta,
-        "rounds": [
-            {
-                "share0": rnd.share0,
-                "share1": rnd.share1,
-                "r": _cells_text(rnd.bits),
-                "sets": _sets_text(state.n, rnd.x_set, rnd.y_set),
-                "c0": rnd.c0,
-                "c1": rnd.c1,
-            }
-            for rnd in state.rounds
-        ],
-    }
+    rounds = [
+        {
+            "share0": rnd.share0,
+            "share1": rnd.share1,
+            "r": _cells_text(rnd.bits),
+            "sets": _sets_text(state.n, rnd.x_set, rnd.y_set),
+            "c0": rnd.c0,
+            "c1": rnd.c1,
+        }
+        for rnd in state.rounds
+    ]
+    return _bc_to_dict(state, rounds, bit=state.bit)
 
 
 # an int8 row in JSON: one cell per position, the sent bit ("r") or the
@@ -616,24 +618,18 @@ def _sets_text(n: int, x_set: tuple[int, ...], y_set: tuple[int, ...]) -> str:
 
 
 def _bc_receiver_to_dict(state: CommitReceiverState) -> dict:
-    return {
-        "protocol_id": state.protocol_id,
-        "l": len(state.rounds),
-        "n": state.n,
-        "k": state.k,
-        "theta": state.theta,
-        "rounds": [
-            {
-                "m": rnd.sets.m,
-                "sets": _sets_text(state.n, rnd.sets.x_set, rnd.sets.y_set),
-                "conclusive": _cells_text(rnd.decoded),
-                "c0": rnd.c0,
-                "c1": rnd.c1,
-                "received_share": rnd.received_share,
-            }
-            for rnd in state.rounds
-        ],
-    }
+    rounds = [
+        {
+            "m": rnd.sets.m,
+            "sets": _sets_text(state.n, rnd.sets.x_set, rnd.sets.y_set),
+            "conclusive": _cells_text(rnd.decoded),
+            "c0": rnd.c0,
+            "c1": rnd.c1,
+            "received_share": rnd.received_share,
+        }
+        for rnd in state.rounds
+    ]
+    return _bc_to_dict(state, rounds)
 
 
 def _bc_open_to_dict(msg: OpenMessage) -> dict:
@@ -852,30 +848,29 @@ def _angle(protocol_id: str, x) -> float:
     return check_channel_angle(protocol_id, _float(x))
 
 
-def _bc_sender_round(rnd: dict, at: int, sent, sets) -> SenderCommitRound:
-    """Round `at` of a sender file, its sent bits and sets read by `sent`
-    and `sets`."""
+def _bc_from_dict(d: dict, state_type, read_round, **fields):
+    """A share-split sender or receiver file as `state_type`: the header
+    both sides share, each round as read_round(rnd, at, n, sets) reads it,
+    and the side's own `fields`, each read by the reader named for it."""
+    l, n, k = _field(d, "l", _count), _field(d, "n", _count), _field(d, "k", _count)
+    sets = functools.partial(_sets, n, k)
+    rounds = tuple(read_round(rnd, at, n, sets) for at, rnd in enumerate(_rounds(d, l)))
+    own = {key: _field(d, key, read) for key, read in fields.items()}
+    theta = _field(d, "theta", functools.partial(_angle, d["protocol_id"]))
+    return state_type(protocol_id=d["protocol_id"], n=n, k=k, theta=theta, rounds=rounds, **own)
+
+
+def _bc_sender_round(rnd: dict, at: int, n: int, sets) -> SenderCommitRound:
+    """Round `at` of a sender file, its sets read by `sets`."""
     share0, share1 = _field(rnd, "share0", _bit, at), _field(rnd, "share1", _bit, at)
-    bits = _field(rnd, "r", sent, at)
+    bits = _field(rnd, "r", functools.partial(_cells, n, "01"), at)
     x_set, y_set = _field(rnd, "sets", sets, at)
     c0, c1 = _field(rnd, "c0", _bit, at), _field(rnd, "c1", _bit, at)
     return SenderCommitRound(share0, share1, bits, x_set, y_set, c0, c1)
 
 
 def _bc_sender_from_dict(d: dict) -> CommitSenderState:
-    l, n, k = _field(d, "l", _count), _field(d, "n", _count), _field(d, "k", _count)
-    sent, sets = functools.partial(_cells, n, "01"), functools.partial(_sets, n, k)
-    rounds = tuple(
-        _bc_sender_round(rnd, at, sent, sets) for at, rnd in enumerate(_rounds(d, l))
-    )
-    return CommitSenderState(
-        protocol_id=d["protocol_id"],
-        bit=_field(d, "bit", _bit),
-        n=n,
-        k=k,
-        theta=_field(d, "theta", functools.partial(_angle, d["protocol_id"])),
-        rounds=rounds,
-    )
+    return _bc_from_dict(d, CommitSenderState, _bc_sender_round, bit=_bit)
 
 
 def _bc_receiver_round(rnd: dict, at: int, n: int, sets) -> ReceiverCommitRound:
@@ -893,16 +888,7 @@ def _bc_receiver_round(rnd: dict, at: int, n: int, sets) -> ReceiverCommitRound:
 
 
 def _bc_receiver_from_dict(d: dict) -> CommitReceiverState:
-    l, n, k = _field(d, "l", _count), _field(d, "n", _count), _field(d, "k", _count)
-    sets = functools.partial(_sets, n, k)
-    rounds = tuple(_bc_receiver_round(rnd, at, n, sets) for at, rnd in enumerate(_rounds(d, l)))
-    return CommitReceiverState(
-        protocol_id=d["protocol_id"],
-        n=n,
-        k=k,
-        theta=_field(d, "theta", functools.partial(_angle, d["protocol_id"])),
-        rounds=rounds,
-    )
+    return _bc_from_dict(d, CommitReceiverState, _bc_receiver_round)
 
 
 def _bc_open_from_dict(d: dict) -> OpenMessage:

@@ -163,16 +163,22 @@ def cmd_rot(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     return rows, fails
 
 
-def cmd_ot12(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
-    rows: list[ResultRow] = []
-    fails: list[str] = []
-    camp = RngStream(cfg.seed, _STREAM_OT12)
-    aborts = 0
-    correct = 0
+def _transfer_trials(cfg: argparse.Namespace, strategy: str, stream: int):
+    """Yield (b0, b1, transcript) per trial: trial t reads substream t of
+    the campaign's stream and draws b0, then b1. `run_ot12` is looked up
+    here at each call, so a wrapper on `cli.run_ot12` sees every trial."""
+    camp = RngStream(cfg.seed, stream)
     for t in range(cfg.trials):
         rng = camp.substream(t)
         b0, b1 = rng.bit(), rng.bit()
-        tr = run_ot12(cfg.n, b0, b1, HONEST, rng, theta=cfg.theta, alpha=cfg.alpha)
+        yield b0, b1, run_ot12(cfg.n, b0, b1, strategy, rng, theta=cfg.theta, alpha=cfg.alpha)
+
+
+def cmd_ot12(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
+    rows: list[ResultRow] = []
+    fails: list[str] = []
+    aborts = correct = 0
+    for b0, b1, tr in _transfer_trials(cfg, HONEST, _STREAM_OT12):
         if tr.aborted:
             aborts += 1
         elif tr.b_received == tr.sets.pick(b0, b1):
@@ -208,14 +214,9 @@ def cmd_ot12(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
 def _attack_usd(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     rows: list[ResultRow] = []
     fails: list[str] = []
-    camp = RngStream(cfg.seed, _STREAM_ATTACK_USD)
     decoded = []
-    aborts = 0
-    learned_both = 0
-    for t in range(cfg.trials):
-        rng = camp.substream(t)
-        b0, b1 = rng.bit(), rng.bit()
-        tr = run_ot12(cfg.n, b0, b1, USD, rng, theta=cfg.theta, alpha=cfg.alpha)
+    aborts = learned_both = 0
+    for _, _, tr in _transfer_trials(cfg, USD, _STREAM_ATTACK_USD):
         decoded.append(tr.receiver.decoded)
         if tr.aborted:
             aborts += 1
@@ -261,16 +262,14 @@ def _probe_rows(
     n qubits is detected."""
     trials, n = detected.shape
     hits = int(np.count_nonzero(detected))
-    # a run is detected when any of its columns is: read each row as whole
-    # 8-byte words and OR the word columns, which beats a row-wise any() on
-    # a grid of many short rows; a row of another length is padded to whole
-    # words, with a copy
-    width = -(-n // 8) * 8
+    # a run is detected when any of its columns is: OR the columns, reading
+    # each row's whole 8-byte words as uint64 columns (a view, no copy) and
+    # the cells after them as bool columns, which beats a row-wise any() on
+    # a grid of many short rows
     grid = np.ascontiguousarray(detected, dtype=bool)
-    if width != n:
-        grid = np.zeros((trials, width), dtype=bool)
-        grid[:, :n] = detected
-    runs_detected = functools.reduce(np.bitwise_or, grid.view(np.uint64).T)
+    whole = n - n % 8
+    columns = [*grid[:, :whole].view(np.uint64).T, *grid[:, whole:].T]
+    runs_detected = functools.reduce(np.logical_or, columns)
     successes = trials - int(np.count_nonzero(runs_detected))
     exact_run = (1.0 - exact_pq) ** n
     params = f"attack={attack};n={n}"

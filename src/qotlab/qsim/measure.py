@@ -51,8 +51,8 @@ class ProjectiveBasis:
         return self.states[0].num_qubits
 
 
-def _residual_amplitudes(state: StateVector, basis: ProjectiveBasis, qubits):
-    """Rows: per-outcome unnormalized amplitudes of the unmeasured rest."""
+def born_probabilities(state: StateVector, basis: ProjectiveBasis, qubits=None) -> np.ndarray:
+    """Outcome probabilities for measuring `basis` on `state` (or a subset)."""
     n = state.num_qubits
     k = basis.num_qubits
     if qubits is None:
@@ -68,12 +68,8 @@ def _residual_amplitudes(state: StateVector, basis: ProjectiveBasis, qubits):
         t = state.amps.reshape([2] * n)
         t = np.moveaxis(t, qubits, range(k))
         mat = np.ascontiguousarray(t).reshape(2**k, -1)
-    return basis._matrix_conj @ mat
-
-
-def born_probabilities(state: StateVector, basis: ProjectiveBasis, qubits=None) -> np.ndarray:
-    """Outcome probabilities for measuring `basis` on `state` (or a subset)."""
-    resid = _residual_amplitudes(state, basis, qubits)
+    # row j: the unnormalized amplitudes of the unmeasured rest after outcome j
+    resid = basis._matrix_conj @ mat
     probs = np.sum(np.abs(resid) ** 2, axis=1)
     if abs(probs.sum() - 1.0) > SPAN_ATOL:
         raise ValueError("basis does not span the measured space")
@@ -82,22 +78,9 @@ def born_probabilities(state: StateVector, basis: ProjectiveBasis, qubits=None) 
 
 def measure_projective(
     state: StateVector, basis: ProjectiveBasis, rng: RngStream, qubits=None
-) -> tuple[str, StateVector]:
-    """Sample one outcome; returns (label, post-measurement state)."""
-    resid = _residual_amplitudes(state, basis, qubits)
-    probs = np.sum(np.abs(resid) ** 2, axis=1)
-    if abs(probs.sum() - 1.0) > SPAN_ATOL:
-        raise ValueError("basis does not span the measured space")
-    idx = rng.choice_index(probs)
-    n = state.num_qubits
-    k = basis.num_qubits
-    if k == n and (qubits is None or list(qubits) == list(range(n))):
-        return basis.labels[idx], basis.states[idx]
-    rest = resid[idx] / np.sqrt(probs[idx])
-    t = np.outer(basis.states[idx].amps, rest).reshape([2] * n)
-    t = np.moveaxis(t, range(k), list(qubits))
-    post = StateVector(num_qubits=n, amps=np.ascontiguousarray(t).reshape(-1))
-    return basis.labels[idx], post
+) -> str:
+    """Sample an outcome label; the post-measurement state is not kept."""
+    return basis.labels[rng.choice_index(born_probabilities(state, basis, qubits))]
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,27 @@ def test_commit_open_verify_round_trip(protocol, tmp_path, capsys):
         assert (tmp_path / name).exists()
 
 
+@pytest.mark.parametrize(
+    "protocol, angle",
+    [("p2bc", []), ("p2bc", ["--theta", "0.7"]), ("p3", []), ("p4", [])],
+    ids=["p2bc", "p2bc-theta", "p3", "p4"],
+)
+def test_share_split_files_carry_one_header(protocol, angle, tmp_path, capsys):
+    """A share-split commit's sender and receiver files agree on the
+    protocol, the round count, n, k and the channel angle."""
+    commit = ["commit", "--protocol", protocol, "--l", "3", *angle, "--seed", "26"]
+    assert main([*commit, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    sender, receiver = (
+        json.loads((tmp_path / name).read_text()) for name in ("sender.json", "receiver.json")
+    )
+    header = ("protocol_id", "l", "n", "k", "theta")
+    assert {key: sender[key] for key in header} == {key: receiver[key] for key in header}
+    assert sender["protocol_id"] == cli._PROTOCOLS[protocol]
+    assert sender["l"] == len(sender["rounds"]) == len(receiver["rounds"]) == 3
+    assert sender["theta"] == (float(angle[1]) if angle else float(np.pi / 4))
+
+
 def test_tampered_opening_is_rejected(tmp_path, capsys):
     workdir = str(tmp_path)
     common = ["--out", workdir]
@@ -869,10 +890,10 @@ def test_a_failing_check_reports_its_spread(argv, name, fake, label, spread, mon
     assert _run(argv, capsys) == (0, out, "")
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9, 17])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9, 16, 17])
 def test_probe_run_success_counts_the_rows_without_a_detection(n):
-    """The word-column OR counts the same undetected runs as a row-wise
-    any(), whether a row is whole 8-byte words or padded to them."""
+    """The column OR counts the same undetected runs as a row-wise any(),
+    whether a row is whole 8-byte words, shorter, or words and cells after."""
     rng = np.random.default_rng(n)
     # sparse hits leave many rows clear; one hit in each column's own row
     detected = rng.random((500, n)) < 0.2 / n

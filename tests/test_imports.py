@@ -1,6 +1,7 @@
-"""Every name imported into a qotlab module, a test module or a benchmark
-module is read there, and no qotlab module builds an object around its
-constructor. The benchmark files are only read, never changed."""
+"""Every name imported into a qotlab module, a test module, a benchmark
+module or a tool script is read there, and no qotlab module builds an
+object around its constructor. The benchmark files are only read, never
+changed."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,7 @@ MODULES = (
     sorted(SRC.rglob("*.py"))
     + sorted((ROOT / "tests").glob("*.py"))
     + sorted((ROOT / "bench").rglob("*.py"))
+    + sorted((ROOT / "tools").glob("*.py"))
 )
 
 # the future import, and the per-state samplers, the plain run and the
@@ -81,8 +83,8 @@ def test_every_allowed_import_is_one_the_tracer_wraps():
 
 
 def _name(path: Path) -> str:
-    """A module's path below src/qotlab, or below the root for a test or
-    benchmark module."""
+    """A module's path below src/qotlab, or below the root for a test,
+    benchmark or tool module."""
     return str(path.relative_to(SRC if path.is_relative_to(SRC) else ROOT))
 
 
