@@ -40,8 +40,8 @@ from .qsim import (
     RngStream,
     StateVector,
     apply_on_qubit,
-    batch_probabilities,
     bell_state,
+    born_probabilities,
     rotation_plane,
     running_sums,
 )
@@ -114,9 +114,10 @@ def p3_pair_states() -> tuple[StateVector, StateVector]:
 def p3_born_table() -> np.ndarray:
     """The pair channel's outcome probabilities, read-only: row 2*r + x
     measures the pair state for bit r in pair basis x, the layout of
-    `rot.born_table`. A receiver gathers one row per pair from here."""
-    amps = np.stack([s.amps for s in p3_pair_states()])[[0, 0, 1, 1]]
-    table = batch_probabilities(amps, p3_bases(), choice=np.array([0, 1, 0, 1]))
+    `rot.born_table`, one single-state Born rule call per row. A receiver
+    gathers one row per pair from here."""
+    bases = p3_bases()
+    table = np.array([born_probabilities(s, bases[x]) for s in p3_pair_states() for x in (0, 1)])
     table.flags.writeable = False
     return table
 

@@ -6,7 +6,6 @@ from .measure import (
     INCONCLUSIVE,
     Povm,
     ProjectiveBasis,
-    batch_probabilities,
     born_probabilities,
     measure_povm,
     measure_projective,
@@ -36,7 +35,6 @@ __all__ = [
     "StateVector",
     "Unitary2x2",
     "apply_on_qubit",
-    "batch_probabilities",
     "bell_state",
     "born_probabilities",
     "fidelity",

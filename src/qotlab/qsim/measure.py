@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -40,7 +39,7 @@ class ProjectiveBasis:
             raise ValueError("basis states must share a qubit count")
         matrix = np.stack([s.amps for s in states])
         gram = matrix.conj() @ matrix.T
-        if np.max(np.abs(gram - np.eye(len(states)))) > CONSTRUCTION_ATOL:
+        if not np.max(np.abs(gram - np.eye(len(states)))) <= CONSTRUCTION_ATOL:
             raise ValueError("basis states are not orthonormal")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "labels", labels)
@@ -71,7 +70,7 @@ def born_probabilities(state: StateVector, basis: ProjectiveBasis, qubits=None) 
     # row j: the unnormalized amplitudes of the unmeasured rest after outcome j
     resid = basis._matrix_conj @ mat
     probs = np.sum(np.abs(resid) ** 2, axis=1)
-    if abs(probs.sum() - 1.0) > SPAN_ATOL:
+    if not abs(probs.sum() - 1.0) <= SPAN_ATOL:
         raise ValueError("basis does not span the measured space")
     return probs
 
@@ -100,23 +99,20 @@ class Povm:
         for e in effects:
             if e.shape != (dim, dim):
                 raise ValueError("effects must be square matrices of one dimension")
-            if np.max(np.abs(e - e.conj().T)) > CONSTRUCTION_ATOL:
+            if not np.max(np.abs(e - e.conj().T)) <= CONSTRUCTION_ATOL:
                 raise ValueError("effect is not Hermitian")
             if np.min(np.linalg.eigvalsh(e)) < -1e-12:
                 raise ValueError("effect is not positive semidefinite")
             total += e
-        if np.max(np.abs(total - np.eye(dim))) > CONSTRUCTION_ATOL:
+        if not np.max(np.abs(total - np.eye(dim))) <= CONSTRUCTION_ATOL:
             raise ValueError("effects do not sum to the identity")
         locked = []
         for e in effects:
             e = e.copy()
             e.flags.writeable = False
             locked.append(e)
-        stack = np.stack(locked)
-        stack.flags.writeable = False
         object.__setattr__(self, "effects", tuple(locked))
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_stack", stack)
 
     @property
     def dim(self) -> int:
@@ -144,7 +140,7 @@ def usd_povm(theta: float) -> Povm:
     effect. Conclusive outcomes are then never wrong, and either conclusive
     outcome fires with probability 1 - cos(theta) on its matching input.
     """
-    if theta <= 0.0 or theta > np.pi / 2:
+    if not 0.0 < theta <= np.pi / 2:
         raise ValueError("theta must lie in (0, pi/2]: the pair must be distinct")
     psi0, psi1 = make_nonorthogonal_pair(theta)
     scale = 1.0 / (1.0 + np.cos(theta))
@@ -152,73 +148,3 @@ def usd_povm(theta: float) -> Povm:
     e1 = scale * np.outer(perp(psi0).amps, perp(psi0).amps.conj())
     e_inc = np.eye(2) - e0 - e1
     return Povm(effects=(e0, e1, e_inc), labels=(CONCLUSIVE_0, CONCLUSIVE_1, INCONCLUSIVE))
-
-
-# ---------------------------------------------------------------------------
-# batched Born rule: one pure state per row of an (N, 2**n) amplitude array
-
-Measurement = Union[ProjectiveBasis, Povm]
-
-
-def _batch_one(amps: np.ndarray, measurement: Measurement, qubits) -> np.ndarray:
-    rows, dim = amps.shape
-    if isinstance(measurement, Povm):
-        if qubits is not None:
-            raise ValueError("a POVM acts on the whole state")
-        if dim != measurement.dim:
-            raise ValueError("state dimension does not match the POVM")
-        return np.einsum("nd,jde,ne->nj", amps.conj(), measurement._stack, amps).real
-    n = dim.bit_length() - 1
-    k = measurement.num_qubits
-    if qubits is None:
-        if k != n:
-            raise ValueError("basis size does not match the states; pass qubits")
-        resid = (amps @ measurement._matrix_conj.T)[:, :, np.newaxis]
-    else:
-        qubits = list(qubits)
-        if len(qubits) != k or len(set(qubits)) != k:
-            raise ValueError("qubits must list one distinct index per basis qubit")
-        if any(not 0 <= q < n for q in qubits):
-            raise ValueError("qubit index out of range")
-        t = amps.reshape((rows,) + (2,) * n)
-        t = np.moveaxis(t, [q + 1 for q in qubits], range(1, k + 1)).reshape(rows, 2**k, -1)
-        resid = np.einsum("kd,ndr->nkr", measurement._matrix_conj, t)
-    return (resid.real**2 + resid.imag**2).sum(axis=2)
-
-
-def batch_probabilities(
-    amps: np.ndarray,
-    measurement: Union[Measurement, Sequence[Measurement]],
-    choice=None,
-    qubits=None,
-) -> np.ndarray:
-    """Born-rule outcome probabilities for N pure states at once.
-
-    `amps` holds one state per row. `measurement` is a ProjectiveBasis or a
-    Povm applied to every row, or a sequence of them with a common outcome
-    count, in which case `choice` names each row's entry. With `qubits` a
-    projective basis measures only those qubits and the rest are traced
-    out. Returns an (N, K) array whose rows must each sum to one.
-    """
-    amps = np.asarray(amps)
-    if amps.ndim != 2:
-        raise ValueError("amplitudes must be an (N, 2**n) array")
-    if isinstance(measurement, (ProjectiveBasis, Povm)):
-        if choice is not None:
-            raise ValueError("choice needs a sequence of measurements")
-        probs = _batch_one(amps, measurement, qubits)
-    else:
-        options = tuple(measurement)
-        choice = np.asarray(choice)
-        if choice.shape != (amps.shape[0],):
-            raise ValueError("need one measurement choice per row")
-        if choice.size and not 0 <= choice.min() <= choice.max() < len(options):
-            raise ValueError("measurement choice out of range")
-        # each option over every row, then select: no per-row matrix gather
-        probs = _batch_one(amps, options[0], qubits)
-        for idx in range(1, len(options)):
-            picked = (choice == idx)[:, np.newaxis]
-            probs = np.where(picked, _batch_one(amps, options[idx], qubits), probs)
-    if probs.size and np.max(np.abs(probs.sum(axis=1) - 1.0)) > SPAN_ATOL:
-        raise ValueError("measurement does not span the measured space")
-    return probs

@@ -32,7 +32,7 @@ class StateVector:
         if amps.ndim != 1 or amps.shape[0] != 2**self.num_qubits:
             raise ValueError("amplitude length must be 2**num_qubits")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > CONSTRUCTION_ATOL:
+        if not abs(norm - 1.0) <= CONSTRUCTION_ATOL:
             raise ValueError(f"state is not normalized (norm={norm!r})")
         object.__setattr__(self, "amps", amps)
 
@@ -58,7 +58,7 @@ class Unitary2x2:
         if entries.shape != (2, 2):
             raise ValueError("entries must be a 2x2 matrix")
         defect = entries.conj().T @ entries - np.eye(2)
-        if np.max(np.abs(defect)) > CONSTRUCTION_ATOL:
+        if not np.max(np.abs(defect)) <= CONSTRUCTION_ATOL:
             raise ValueError("matrix is not unitary")
         object.__setattr__(self, "entries", entries)
 

@@ -19,16 +19,17 @@ import numpy as np
 from .qsim import (
     ProjectiveBasis,
     RngStream,
-    batch_probabilities,
+    born_probabilities,
     make_nonorthogonal_pair,
     passed_sums,
     perp,
+    povm_probabilities,
     running_sums,
     usd_povm,
 )
 
-# Not used below (the receivers sample through the batched kernel), but
-# bench/tracing.py wraps the per-state engine under these names here.
+# Not used below (the receivers sample cached tables), but bench/tracing.py
+# wraps the per-state samplers under these names here.
 from .qsim import measure_povm, measure_projective  # noqa: F401
 
 HONEST = "honest"
@@ -106,13 +107,6 @@ _USD_DECODED = np.array([0, 1, -1], dtype=np.int8)
 _USD_DECODED.flags.writeable = False
 
 
-def honest_probabilities(amps: np.ndarray, theta: float, x: np.ndarray) -> np.ndarray:
-    """The Born step of the honest measurement: row i's outcome probabilities
-    in basis x[i] = {Psi_x, Psi_x perp}, column PERP_INDEX the conclusive
-    outcome, which decodes the bit x xor 1."""
-    return batch_probabilities(amps, measurement_bases(theta), choice=x)
-
-
 def honest_draws(rng: RngStream, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The honest receiver's draws for `count` qubits, in the order he makes
     them: every basis bit, then one uniform per qubit."""
@@ -123,18 +117,22 @@ def honest_draws(rng: RngStream, count: int) -> tuple[np.ndarray, np.ndarray]:
 def born_table(theta: float, strategy: str) -> np.ndarray:
     """The plain channel's outcome probabilities at one angle, read-only.
 
-    HONEST: row 2*bit + x measures the state encoding `bit` in basis x, as
-    `honest_probabilities` does. USD: row `bit` is that state under
-    usd_povm(theta). A receiver gathers one row per qubit from here instead
-    of running the Born rule once per qubit.
+    HONEST: row 2*bit + x measures the state encoding `bit` in basis x, with
+    column PERP_INDEX the conclusive outcome. USD: row `bit` is that state
+    under usd_povm(theta). Each row is one call of the single-state Born
+    rule; a receiver gathers one row per qubit from here instead of running
+    the Born rule once per qubit.
     """
-    amps = encoding_amps(theta)
     if strategy == HONEST:
-        table = honest_probabilities(amps[[0, 0, 1, 1]], theta, np.array([0, 1, 0, 1]))
+        bases = measurement_bases(theta)
+        pair = make_nonorthogonal_pair(theta)
+        rows = [born_probabilities(s, bases[x]) for s in pair for x in (0, 1)]
     elif strategy == USD:
-        table = batch_probabilities(amps, usd_povm(theta))
+        povm = usd_povm(theta)
+        rows = [povm_probabilities(s, povm) for s in make_nonorthogonal_pair(theta)]
     else:
         raise ValueError(f"unknown receiver strategy {strategy!r}")
+    table = np.array(rows)
     table.flags.writeable = False
     return table
 

@@ -5,24 +5,19 @@ blinding angle and put through the honest Born step in its basis, one row
 at a time. The P4 and P5 samplers read the plain channel's cached table at
 pi/4 instead, since an unblinded coding state is the plain pair, and the
 P4 copy probe reads its closed form; the tests hold them to this route
-draw for draw. The reference routes build their receiver records from a
-decoded row with `receiver_record`, which refuses a cell other than -1 or a
-bit.
+draw for draw. The route's Born step, `born_rows` and `povm_rows`, is plain
+numpy over the amplitude rows and shares no code with the single-state Born
+rule that builds the cached tables. The reference routes build their
+receiver records from a decoded row with `receiver_record`, which refuses a
+cell other than -1 or a bit.
 """
 
 import numpy as np
 
 from qotlab.attacks import entangle_probe_rows
 from qotlab.bitcommit import ENCODE_ANGLE, blinding_angles
-from qotlab.qsim import batch_probabilities, passed_sums, running_sums
-from qotlab.rot import (
-    HONEST_DECODE,
-    PERP_INDEX,
-    ReceiverRecord,
-    honest_draws,
-    honest_probabilities,
-    measurement_bases,
-)
+from qotlab.qsim import passed_sums, running_sums
+from qotlab.rot import HONEST_DECODE, PERP_INDEX, ReceiverRecord, honest_draws, measurement_bases
 
 
 def rotate_rows(amps: np.ndarray, angles) -> np.ndarray:
@@ -38,6 +33,28 @@ def rotate_rows(amps: np.ndarray, angles) -> np.ndarray:
     t = amps.reshape(rows, 2, dim // 2)
     a0, a1 = t[:, 0], t[:, 1]
     return np.stack((c * a0 - s * a1, s * a0 + c * a1), axis=1).reshape(rows, dim)
+
+
+def born_rows(amps, bases, x) -> np.ndarray:
+    """The Born step of the reference routes: row i of an (N, 2**n) amplitude
+    array measured in bases[x[i]] on its leading qubits, the rest traced
+    out. Returns the (N, K) outcome probabilities."""
+    amps = np.asarray(amps)
+    x = np.broadcast_to(np.asarray(x), (len(amps),))
+    dim = 2 ** bases[0].num_qubits
+    rows = amps.reshape(len(amps), dim, amps.shape[1] // dim)
+    probs = np.empty((len(amps), len(bases[0].states)))
+    for option, basis in enumerate(bases):
+        picked = x == option
+        conj = np.stack([state.amps for state in basis.states]).conj()
+        resid = np.einsum("kd,ndr->nkr", conj, rows[picked])
+        probs[picked] = (np.abs(resid) ** 2).sum(axis=2)
+    return probs
+
+
+def povm_rows(amps, povm) -> np.ndarray:
+    """The POVM's outcome probabilities for each row of an (N, dim) array."""
+    return np.einsum("nd,jde,ne->nj", np.conj(amps), np.stack(povm.effects), amps).real
 
 
 def inverse_cdf(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -76,7 +93,7 @@ def unblind_and_measure(amps, alphas, x, u) -> np.ndarray:
     and measured in basis x[i] with uniform u[i]. The perp outcome decodes
     x xor 1, the other one -1."""
     unblinded = rotate_rows(amps, -np.asarray(alphas))
-    outcomes = inverse_cdf(honest_probabilities(unblinded, ENCODE_ANGLE, x), u)
+    outcomes = inverse_cdf(born_rows(unblinded, measurement_bases(ENCODE_ANGLE), x), u)
     return np.where(outcomes == PERP_INDEX, x ^ 1, -1).astype(np.int8)
 
 
@@ -88,7 +105,7 @@ def probed_probabilities(alphas, r, x) -> np.ndarray:
     probed = rotate_rows(entangle_probe_rows(blinded_amps(alphas)), ENCODE_ANGLE * np.asarray(r))
     x = np.broadcast_to(np.asarray(x, dtype=np.int8), alphas.shape)
     unblinded = rotate_rows(probed, -alphas)
-    return batch_probabilities(unblinded, measurement_bases(ENCODE_ANGLE), choice=x, qubits=(0,))
+    return born_rows(unblinded, measurement_bases(ENCODE_ANGLE), x)
 
 
 def reference_probe_attack_p4(n: int, trials: int, rng) -> np.ndarray:

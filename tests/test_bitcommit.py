@@ -45,14 +45,11 @@ from qotlab.bitcommit import (
     verify_from_states,
 )
 from qotlab.ot12 import k_of, p1_exact
-from qotlab.qsim import (
-    RngStream,
-    batch_probabilities,
-    born_probabilities,
-)
+from qotlab.qsim import RngStream, born_probabilities
 from qotlab.rot import honest_channel, honest_draws
 from rotation_route import (
     blinded_amps,
+    born_rows,
     decoded_pairs,
     inverse_cdf,
     rotate_rows,
@@ -116,10 +113,10 @@ def _p3_pair_amps(r_bits: np.ndarray) -> np.ndarray:
 
 
 def reference_p3_measure(r_bits: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The per-row route `p3_measure` replaced: run the batched Born rule on
+    """The per-row route `p3_measure` replaced: run the route's Born step on
     every returned pair, then decode the one conclusive label of each basis.
     Same draws."""
-    probs = batch_probabilities(_p3_pair_amps(r_bits), p3_bases(), choice=x)
+    probs = born_rows(_p3_pair_amps(r_bits), p3_bases(), x)
     outcomes = inverse_cdf(probs, u)
     labels = [p3_bases()[xi].labels[o] for xi, o in zip(x.tolist(), outcomes.tolist())]
     return np.array([{"psi+": 1, "phi-minus-psi+": 0}.get(label, -1) for label in labels])
@@ -130,13 +127,22 @@ class TestPairBornTable:
     one table; each test pins it to the route it replaced."""
 
     def test_table_rows_are_the_per_row_probabilities(self):
-        """Bit for bit, not to a tolerance: a table row and the kernel's row
-        for the same (r, x) must sample the same outcome from the same uniform."""
+        """Bit for bit, the table is the single-state Born rule, one call per
+        (r, x); and the route's Born step gives each row to within 1e-15."""
+        bases = p3_bases()
+        rows = [born_probabilities(s, bases[x]) for s in p3_pair_states() for x in (0, 1)]
+        assert np.array_equal(p3_born_table(), rows)
         gen = np.random.default_rng(19)
         r = gen.integers(0, 2, size=1000)
         x = gen.integers(0, 2, size=1000)
-        kernel = batch_probabilities(_p3_pair_amps(r), p3_bases(), choice=x)
-        assert np.array_equal(p3_born_table()[2 * r + x], kernel)
+        route = born_rows(_p3_pair_amps(r), bases, x)
+        np.testing.assert_allclose(p3_born_table()[2 * r + x], route, rtol=0, atol=1e-15)
+
+    def test_table_is_its_closed_form(self):
+        """Each pair state gives one outcome in the basis of its own bit and
+        two outcomes at 1/2 in the other."""
+        closed = [[0, 1, 0, 0], [0.5, 0.5, 0, 0], [0, 0.5, 0.5, 0], [1, 0, 0, 0]]
+        np.testing.assert_allclose(p3_born_table(), closed, rtol=0, atol=1e-15)
 
     def test_table_is_read_only_and_built_once(self):
         table = p3_born_table()

@@ -95,6 +95,85 @@ def test_no_unused_import(path):
     assert unused == [], f"{_name(path)} imports {unused} and never uses them"
 
 
+def top_level_definitions(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level by def, class or
+    assignment, but not `__all__`, which the import system reads."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names - {"__all__"}
+
+
+def reads(tree: ast.Module) -> set[str]:
+    """The names a module reads: loaded names, attribute names and whole
+    string constants, such as the tracer's SPANS, but not the strings of an
+    `__all__`, which lists a name without reading it."""
+    listed = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+        for node in ast.walk(stmt.value)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in listed:
+                found.add(node.value)
+    return found
+
+
+def test_the_check_sees_an_unread_definition():
+    tree = ast.parse(
+        "__all__ = ['dead', 'used']\n"
+        "LIMIT = 3\n"
+        "def used():\n    return LIMIT\n"
+        "def dead():\n    'calls used'\n"
+        "def spanned():\n    pass\n"
+        "class Kept:\n    pass\n"
+        "SPANS = (('mod', 'spanned'),)\n"
+        "print(used(), mod.Kept)\n"
+    )
+    assert top_level_definitions(tree) == {"LIMIT", "used", "dead", "spanned", "Kept", "SPANS"}
+    assert top_level_definitions(tree) - reads(tree) == {"dead", "SPANS"}
+
+
+# the qotlab definitions that nothing under src/, bench/ or tools/ reads:
+# the package version, the mixed-state helpers only the tests call, and the
+# honest perp column the tests index
+UNREAD_ALLOWED = {
+    ("__init__.py", "__version__"),
+    ("qsim/density.py", "partial_trace"),
+    ("qsim/density.py", "purify"),
+    ("rot.py", "PERP_INDEX"),
+}
+
+
+def test_every_definition_is_read_outside_the_tests():
+    """A top-level qotlab name that no file under src/, bench/ or tools/
+    reads is dead or test-only. `UNREAD_ALLOWED` pins the ones that stay, so
+    a new one fails here, and so does a pinned one that is read again."""
+    read = set()
+    for path in MODULES:
+        if not path.is_relative_to(ROOT / "tests"):
+            read |= reads(ast.parse(path.read_text()))
+    unread = {
+        (_name(path), name)
+        for path in sorted(SRC.rglob("*.py"))
+        for name in top_level_definitions(ast.parse(path.read_text()))
+        if name not in read
+    }
+    assert unread == UNREAD_ALLOWED
+
+
 # the one object built around its constructor: a substream binds its parent's
 # checked seed and path through _bind instead of checking them again
 BYPASS_ALLOWED = {("qsim/rng.py", "RngStream.substream")}

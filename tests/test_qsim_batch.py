@@ -1,9 +1,10 @@
-"""The batched channel kernel against the per-state engine, channel by channel.
+"""The reference routes' Born step against the per-state engine, channel by channel.
 
-Every channel's table is built with `batch_probabilities`, and the
-reference routes sample through it with `inverse_cdf`; each test here
-rebuilds the same states one at a time with `StateVector`, `apply_on_qubit`
-and the single-state Born rule and requires agreement to 1e-12.
+Every channel's table is built by the single-state Born rule, and the
+reference routes sample through their own Born step, `born_rows` and
+`povm_rows`, with `inverse_cdf`; each test here rebuilds the route's states
+one at a time with `StateVector`, `apply_on_qubit` and the single-state
+Born rule and requires agreement to 1e-12.
 """
 
 import numpy as np
@@ -14,11 +15,9 @@ from hypothesis import strategies as st
 from qotlab.attacks import _p3_probe_tables, entangle_probe_rows, p3_probe_pre_state
 from qotlab.bitcommit import p3_bases, p3_pair_states
 from qotlab.qsim import (
-    ProjectiveBasis,
     RngStream,
     StateVector,
     apply_on_qubit,
-    batch_probabilities,
     bell_state,
     born_probabilities,
     passed_sums,
@@ -28,7 +27,7 @@ from qotlab.qsim import (
     usd_povm,
 )
 from qotlab.rot import USD, born_table, encoding_amps, measurement_bases
-from rotation_route import blinded_amps, inverse_cdf, rotate_rows
+from rotation_route import blinded_amps, born_rows, inverse_cdf, povm_rows, rotate_rows
 
 ATOL = 1e-12
 ENCODE = np.pi / 4
@@ -68,8 +67,8 @@ def test_honest_and_usd_channels_match_the_single_state_rule(theta):
     amps = encoding_amps(theta)[bits]
     bases = measurement_bases(theta)
     povm = usd_povm(theta)
-    honest = batch_probabilities(amps, bases, choice=x)
-    usd = batch_probabilities(amps, povm)
+    honest = born_rows(amps, bases, x)
+    usd = povm_rows(amps, povm)
     for i, state in enumerate(rows_as_states(amps)):
         np.testing.assert_allclose(honest[i], born_probabilities(state, bases[x[i]]), atol=ATOL)
         np.testing.assert_allclose(usd[i], povm_probabilities(state, povm), atol=ATOL)
@@ -81,7 +80,7 @@ def test_pair_channel_matches_the_single_state_rule():
     x = gen.integers(0, 2, size=40)
     amps = np.stack([state.amps for state in p3_pair_states()])[bits]
     bases = p3_bases()
-    probs = batch_probabilities(amps, bases, choice=x)
+    probs = born_rows(amps, bases, x)
     for i, state in enumerate(rows_as_states(amps)):
         np.testing.assert_allclose(probs[i], born_probabilities(state, bases[x[i]]), atol=ATOL)
 
@@ -98,7 +97,7 @@ def test_blinded_and_grid_channels_match_the_single_state_rule():
     p5 = blinded_amps(alphas, bits).reshape(-1, 2)
     np.testing.assert_allclose(p4, p5, atol=ATOL)
     unblinded = rotate_rows(p4, -alphas.ravel())
-    probs = batch_probabilities(unblinded, bases, choice=x)
+    probs = born_rows(unblinded, bases, x)
     for i, (a, b) in enumerate(zip(alphas.ravel(), bits.ravel())):
         state = StateVector(num_qubits=1, amps=[1.0, 0.0])
         state = apply_on_qubit(state, 0, rotation_plane(a))
@@ -121,7 +120,7 @@ def test_probe_on_blinded_qubits_matches_the_single_state_rule(apply_probe):
         amps = entangle_probe_rows(amps)
     amps = rotate_rows(rotate_rows(amps, ENCODE * r), -alphas)
     qubits = (0,) if apply_probe else None
-    probs = batch_probabilities(amps, bases, choice=x, qubits=qubits)
+    probs = born_rows(amps, bases, x)
     for i in range(30):
         state = StateVector(num_qubits=1, amps=blinded_amps(alphas[i]))
         if apply_probe:
@@ -170,29 +169,12 @@ def test_rotate_rows_acts_on_qubit_zero():
 
 def test_partial_measurement_traces_out_the_other_qubits():
     amps = np.stack([bell_state("phi-").amps, bell_state("psi+").amps])
-    basis = measurement_bases(ENCODE)[0]
-    for qubit in (0, 1):
-        probs = batch_probabilities(amps, basis, qubits=(qubit,))
-        for i, state in enumerate(rows_as_states(amps)):
-            expected = born_probabilities(state, basis, qubits=(qubit,))
-            np.testing.assert_allclose(probs[i], expected, atol=ATOL)
-
-
-def test_batch_kernel_rejects_bad_input():
-    amps = encoding_amps(ENCODE)[[0, 1]]
     bases = measurement_bases(ENCODE)
-    with pytest.raises(ValueError):
-        batch_probabilities(amps, bases, choice=[0])  # one choice for two rows
-    with pytest.raises(ValueError):
-        batch_probabilities(amps, bases, choice=[0, 2])  # no third basis
-    with pytest.raises(ValueError):
-        batch_probabilities(amps, usd_povm(ENCODE), qubits=(0,))
-    with pytest.raises(ValueError):
-        batch_probabilities(amps[0], bases[0])  # not a batch
-    half = ProjectiveBasis(states=(StateVector.computational([0]),), labels=("0",))
-    with pytest.raises(ValueError):
-        batch_probabilities(amps, half)
-
+    for x in (0, 1):
+        probs = born_rows(amps, bases, x)
+        for i, state in enumerate(rows_as_states(amps)):
+            expected = born_probabilities(state, bases[x], qubits=(0,))
+            np.testing.assert_allclose(probs[i], expected, atol=ATOL)
 
 def test_sampler_agrees_with_choice_index_for_the_same_uniforms():
     gen = np.random.default_rng(7)

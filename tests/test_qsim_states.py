@@ -29,6 +29,10 @@ def test_state_vector_rejects_bad_input():
         StateVector(num_qubits=1, amps=np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         StateVector(num_qubits=1, amps=np.array([1.0, 1.0]))
+    # a NaN norm fails the tolerance check too
+    for amps in ([np.nan, np.nan], [1.0, np.nan]):
+        with pytest.raises(ValueError, match=r"^state is not normalized \(norm="):
+            StateVector(num_qubits=1, amps=np.array(amps))
 
 
 def test_amplitudes_are_locked():
@@ -48,6 +52,9 @@ def test_tensor_ordering_is_big_endian():
 def test_unitary_validation():
     with pytest.raises(ValueError):
         Unitary2x2(entries=np.array([[1.0, 1.0], [0.0, 1.0]]))
+    for build in (rotation_plane, make_nonorthogonal_pair):
+        with pytest.raises(ValueError, match="^matrix is not unitary$"):
+            build(np.nan)
     u = rotation_plane(0.3)
     np.testing.assert_allclose(
         u.entries @ u.entries.conj().T, np.eye(2), atol=1e-12

@@ -9,8 +9,9 @@ from qotlab.qsim import (
     CONCLUSIVE_0,
     CONCLUSIVE_1,
     RngStream,
-    batch_probabilities,
+    born_probabilities,
     make_nonorthogonal_pair,
+    povm_probabilities,
     usd_povm,
 )
 from qotlab.rot import (
@@ -24,17 +25,17 @@ from qotlab.rot import (
     encoding_amps,
     honest_channel,
     honest_draws,
-    honest_probabilities,
+    measurement_bases,
     run_rot,
 )
-from rotation_route import inverse_cdf, receiver_record
+from rotation_route import born_rows, inverse_cdf, povm_rows, receiver_record
 
 # the angles the golden digests pin (pi/4, 0.5, 0.7) and three more
 THETAS = (0.3, 0.5, 0.7, np.pi / 4, 1.2, np.pi / 2)
 
 
 # The per-row reference route: the sender's qubits as one amplitude row
-# each, and the receivers' Born rule run over every row. `run_rot` gathers
+# each, and the route's own Born step run over every row. `run_rot` gathers
 # the same probabilities from `born_table` and must agree with it draw by draw.
 
 
@@ -45,7 +46,7 @@ def alice_send(config: RotConfig, rng: RngStream) -> tuple[SenderRecord, np.ndar
 
 def bob_measure_honest(amps: np.ndarray, theta: float, rng: RngStream) -> ReceiverRecord:
     x = rng.bits(len(amps))
-    probs = honest_probabilities(amps, theta, x)
+    probs = born_rows(amps, measurement_bases(theta), x)
     outcomes = inverse_cdf(probs, rng.gen.random(len(probs)))
     return receiver_record(HONEST, np.where(outcomes == PERP_INDEX, x ^ 1, -1))
 
@@ -53,7 +54,7 @@ def bob_measure_honest(amps: np.ndarray, theta: float, rng: RngStream) -> Receiv
 def bob_measure_usd(amps: np.ndarray, theta: float, rng: RngStream) -> ReceiverRecord:
     povm = usd_povm(theta)
     values = np.array([{CONCLUSIVE_0: 0, CONCLUSIVE_1: 1}.get(label, -1) for label in povm.labels])
-    probs = batch_probabilities(amps, povm)
+    probs = povm_rows(amps, povm)
     decoded = values[inverse_cdf(probs, rng.gen.random(len(probs)))]
     return receiver_record(USD, decoded)
 
@@ -191,16 +192,33 @@ def test_run_rot_matches_the_per_row_route(theta, strategy):
 
 @pytest.mark.parametrize("theta", THETAS)
 def test_born_table_rows_are_the_per_row_probabilities(theta):
-    """Bit for bit, not to a tolerance: a table row and the kernel's row for
-    the same (bit, x) must sample the same outcome from the same uniform."""
+    """Bit for bit, the table is the single-state Born rule, one call per
+    (bit, x); and the route's Born step gives each row to within 1e-15."""
+    pair = make_nonorthogonal_pair(theta)
+    bases = measurement_bases(theta)
+    povm = usd_povm(theta)
+    honest = [born_probabilities(pair[bit], bases[x]) for bit in (0, 1) for x in (0, 1)]
+    assert np.array_equal(born_table(theta, HONEST), honest)
+    assert np.array_equal(born_table(theta, USD), [povm_probabilities(s, povm) for s in pair])
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2, size=64)
     x = rng.integers(0, 2, size=64)
     amps = encoding_amps(theta)[bits]
-    honest = honest_probabilities(amps, theta, x)
-    assert np.array_equal(born_table(theta, HONEST)[2 * bits + x], honest)
-    usd = batch_probabilities(amps, usd_povm(theta))
-    assert np.array_equal(born_table(theta, USD)[bits], usd)
+    route = born_rows(amps, bases, x)
+    np.testing.assert_allclose(born_table(theta, HONEST)[2 * bits + x], route, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(born_table(theta, USD)[bits], povm_rows(amps, povm), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_born_tables_are_their_closed_forms(theta):
+    """Honest row 2b + x is [1 - s, s], s = sin^2(theta) when b != x and 0
+    otherwise; USD row b gives its conclusive outcome with 1 - cos(theta)."""
+    s = np.sin(theta) ** 2
+    honest = [[1 - s * (b != x), s * (b != x)] for b in (0, 1) for x in (0, 1)]
+    np.testing.assert_allclose(born_table(theta, HONEST), honest, rtol=0, atol=1e-15)
+    c = np.cos(theta)
+    usd = [[1 - c, 0, c], [0, 1 - c, c]]
+    np.testing.assert_allclose(born_table(theta, USD), usd, rtol=0, atol=1e-15)
 
 
 def test_born_table_is_read_only_and_built_once():
@@ -212,7 +230,7 @@ def test_born_table_is_read_only_and_built_once():
             table[0, 0] = 0.5
 
 
-@pytest.mark.parametrize("theta", [0.0, -0.1, np.pi / 2 + 1e-9, np.pi])
+@pytest.mark.parametrize("theta", [0.0, -0.1, np.pi / 2 + 1e-9, np.pi, float("nan")])
 def test_angles_outside_the_range_are_refused(theta):
     with pytest.raises(ValueError, match=r"^theta must lie in \(0, pi/2\]$"):
         RotConfig(8, theta=theta)
