@@ -339,7 +339,10 @@ def bc_commit_over_ot(
         if len(sender_rounds) == l:
             break
     else:
-        raise RuntimeError("transfer round kept aborting; n is too small for k")
+        raise ValueError(
+            f"transfer round kept aborting in {MAX_WAVES} waves: n = {n} qubits "
+            f"seldom give k = {k} conclusive ones at theta = {theta:g}"
+        )
     return CommitTranscript(
         sender=CommitSenderState(
             protocol_id=variant, bit=b, n=n, k=k, theta=theta, rounds=tuple(sender_rounds)

@@ -1,10 +1,7 @@
-"""Minimal dense-state quantum simulation primitives."""
-from .density import DensityMatrix, fidelity, partial_trace, purify
+"""Minimal dense-state quantum simulation primitives, re-exporting only the
+names the qotlab modules, the benchmark and the tools import from here."""
+from .density import DensityMatrix, fidelity
 from .measure import (
-    CONCLUSIVE_0,
-    CONCLUSIVE_1,
-    INCONCLUSIVE,
-    Povm,
     ProjectiveBasis,
     born_probabilities,
     measure_povm,
@@ -12,10 +9,9 @@ from .measure import (
     povm_probabilities,
     usd_povm,
 )
-from .rng import DEFAULT_SEED, RngStream, passed_sums, running_sums
+from .rng import RngStream, passed_sums, running_sums
 from .states import (
     StateVector,
-    Unitary2x2,
     apply_on_qubit,
     bell_state,
     make_nonorthogonal_pair,
@@ -24,16 +20,10 @@ from .states import (
 )
 
 __all__ = [
-    "CONCLUSIVE_0",
-    "CONCLUSIVE_1",
-    "DEFAULT_SEED",
     "DensityMatrix",
-    "INCONCLUSIVE",
-    "Povm",
     "ProjectiveBasis",
     "RngStream",
     "StateVector",
-    "Unitary2x2",
     "apply_on_qubit",
     "bell_state",
     "born_probabilities",
@@ -41,11 +31,9 @@ __all__ = [
     "make_nonorthogonal_pair",
     "measure_povm",
     "measure_projective",
-    "partial_trace",
     "passed_sums",
     "perp",
     "povm_probabilities",
-    "purify",
     "rotation_plane",
     "running_sums",
     "usd_povm",

@@ -1,4 +1,4 @@
-"""Density matrices: partial trace, fidelity, purification.
+"""Density matrices and their fidelity, for the no-go reference route.
 
 Entries are stored real (float64) when their imaginary part is exactly zero,
 and complex128 otherwise. States with real amplitudes, such as the coding
@@ -9,11 +9,10 @@ product on the cached purification, dispatch on the dtype.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .states import CONSTRUCTION_ATOL, StateVector
+from .states import CONSTRUCTION_ATOL
 
 
 @dataclass(frozen=True)
@@ -55,27 +54,6 @@ class DensityMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "purification_amps", amps)
 
-    @classmethod
-    def from_pure(cls, state: StateVector) -> "DensityMatrix":
-        return cls(
-            num_qubits=state.num_qubits,
-            entries=np.outer(state.amps, state.amps.conj()),
-        )
-
-
-def partial_trace(dm: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Trace out every qubit not listed in `keep` (kept in ascending order)."""
-    n = dm.num_qubits
-    keep = sorted(set(int(q) for q in keep))
-    if not keep or any(not 0 <= q < n for q in keep):
-        raise ValueError("keep must be a nonempty subset of qubit indices")
-    t = dm.entries.reshape([2] * (2 * n))
-    row = list(range(n))
-    col = [n + i if i in keep else i for i in range(n)]
-    out = [q for q in keep] + [n + q for q in keep]
-    reduced = np.einsum(t, row + col, out)
-    return DensityMatrix(num_qubits=len(keep), entries=reduced.reshape(2 ** len(keep), -1))
-
 
 def _clipped_eigvals(vals: np.ndarray) -> np.ndarray:
     """Zero out eigenvalues below 1e-14 times the largest: eigh's junk where
@@ -101,12 +79,3 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
         raise ValueError("dimension mismatch")
     cross_gram = a.purification_amps.conj().T @ b.purification_amps
     return float(min(1.0, np.linalg.svd(cross_gram, compute_uv=False).sum()))
-
-
-def purify(dm: DensityMatrix) -> StateVector:
-    """A pure state on twice the qubits whose reduction over the appended
-    ancilla reproduces dm. Built from the eigendecomposition: amplitudes
-    sqrt(w_k) on |v_k> (system, leading qubits) tensor |k> (ancilla),
-    renormalised for the eigenvalues the clip dropped."""
-    amps = dm.purification_amps.reshape(-1)
-    return StateVector(num_qubits=2 * dm.num_qubits, amps=amps / np.linalg.norm(amps))

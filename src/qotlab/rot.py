@@ -94,9 +94,6 @@ def measurement_bases(theta: float) -> tuple[ProjectiveBasis, ProjectiveBasis]:
     return b0, b1
 
 
-# position of the perp outcome in each of measurement_bases
-PERP_INDEX = 1
-
 # decoded bit of each honest outcome, by basis x and outcome index: the perp
 # outcome decodes x xor 1, the other one nothing (-1)
 HONEST_DECODE = np.array([[-1, 1], [-1, 0]], dtype=np.int8)
@@ -118,7 +115,7 @@ def born_table(theta: float, strategy: str) -> np.ndarray:
     """The plain channel's outcome probabilities at one angle, read-only.
 
     HONEST: row 2*bit + x measures the state encoding `bit` in basis x, with
-    column PERP_INDEX the conclusive outcome. USD: row `bit` is that state
+    column 1 the conclusive outcome. USD: row `bit` is that state
     under usd_povm(theta). Each row is one call of the single-state Born
     rule; a receiver gathers one row per qubit from here instead of running
     the Born rule once per qubit.

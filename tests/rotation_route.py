@@ -17,7 +17,10 @@ import numpy as np
 from qotlab.attacks import entangle_probe_rows
 from qotlab.bitcommit import ENCODE_ANGLE, blinding_angles
 from qotlab.qsim import passed_sums, running_sums
-from qotlab.rot import HONEST_DECODE, PERP_INDEX, ReceiverRecord, honest_draws, measurement_bases
+from qotlab.rot import HONEST_DECODE, ReceiverRecord, honest_draws, measurement_bases
+
+# position of the perp outcome in each of measurement_bases
+PERP_INDEX = 1
 
 
 def rotate_rows(amps: np.ndarray, angles) -> np.ndarray:

@@ -43,8 +43,6 @@ from qotlab.qsim import (
     RngStream,
     apply_on_qubit,
     fidelity,
-    partial_trace,
-    purify,
     rotation_plane,
     usd_povm,
 )
@@ -272,14 +270,18 @@ def test_criterion_09_povm_and_linear_algebra():
         f_ab, f_ba = fidelity(a, b), fidelity(b, a)
         fid_ok = fid_ok and -1e-12 <= f_ab <= 1 + 1e-12 and abs(f_ab - f_ba) < 1e-10
 
-    purify_ok = True
-    for _ in range(10):
-        dm = random_density(2)
-        back = partial_trace(DensityMatrix.from_pure(purify(dm)), (0, 1))
-        purify_ok = purify_ok and float(np.abs(back.entries - dm.entries).max()) < 1e-10
+    # fidelity and the no-go eigen route read the purification amplitudes A
+    # in place of the entries, so A A^dagger must reproduce them
+    states = [random_density(q) for q in (1, 2) for _ in range(10)]
+    states += [rho for two_k in (2, 4, 6) for rho in nogo_reduced_states(NoGoInstance(two_k))]
+    amps_ok = all(
+        float(np.abs(dm.purification_amps @ dm.purification_amps.conj().T - dm.entries).max())
+        < 1e-10
+        for dm in states
+    )
 
-    ok = povm_ok and fid_ok and purify_ok
-    report(9, ok, f"povm={povm_ok}, fidelity bounds/symmetry={fid_ok}, purify round-trip={purify_ok}")
+    ok = povm_ok and fid_ok and amps_ok
+    report(9, ok, f"povm={povm_ok}, fidelity bounds/symmetry={fid_ok}, purification amps={amps_ok}")
 
 
 def test_criterion_10_blinding_equivalence():

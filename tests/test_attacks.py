@@ -45,9 +45,10 @@ from qotlab.qsim import (
     make_nonorthogonal_pair,
 )
 from qotlab.qsim import states
-from qotlab.rot import PERP_INDEX, encoding_amps, honest_draws
+from qotlab.rot import encoding_amps, honest_draws
 import rotation_route
 from rotation_route import (
+    PERP_INDEX,
     blinded_amps,
     probed_probabilities,
     reference_probe_attack_p4,

@@ -563,7 +563,7 @@ class TestCommitWaves:
 
         monkeypatch.setattr(bitcommit, "honest_channel", never_conclusive)
         monkeypatch.setattr(bitcommit, "MAX_WAVES", 7)
-        with pytest.raises(RuntimeError, match="transfer round kept aborting; n is too small for k"):
+        with pytest.raises(ValueError, match="transfer round kept aborting in 7 waves"):
             bc_commit_over_ot(0, l=3, n=16, variant=PROTOCOL_P2BC, rng=RngStream(46, 0))
         assert qubits == [3 * 16] * 7
 

@@ -860,6 +860,30 @@ def _run(argv, capsys):
     return code, out, err
 
 
+_SHARE_SPLIT_COMMITS = [
+    *(
+        ("p2bc", theta, seed)
+        for theta in (1e-9, 0.05, 0.2, 0.3, np.pi / 4, np.pi / 2)
+        for seed in (1, 8)
+    ),
+    *((protocol, None, seed) for protocol in ("p3", "p4") for seed in (1, 8)),
+]
+
+
+@pytest.mark.parametrize("protocol, theta, seed", _SHARE_SPLIT_COMMITS)
+def test_a_share_split_commit_succeeds_or_is_refused(protocol, theta, seed, tmp_path, capsys):
+    """At the default n and l, a commit whose transfer rounds keep aborting,
+    as they do at small theta, is refused on one stderr line, like any other
+    setting the run cannot serve."""
+    angle = ["--theta", repr(theta)] if theta is not None else []
+    argv = ["commit", "--protocol", protocol, *angle, "--seed", str(seed), "--out", str(tmp_path)]
+    code, _, err = _run(argv, capsys)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: transfer round kept aborting") and err.count("\n") == 1
+
+
 _OT12 = ["ot12", "--n", "64", "--trials", "100", "--seed", "2"]
 _PROBE_P4 = ["attack", "--attack", "probe-p4", "--trials", "100", "--seed", "2"]
 

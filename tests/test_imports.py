@@ -1,7 +1,8 @@
 """Every name imported into a qotlab module, a test module, a benchmark
-module or a tool script is read there, and no qotlab module builds an
-object around its constructor. The benchmark files are only read, never
-changed."""
+module or a tool script is read there; every qotlab definition, method
+and `qotlab.qsim` re-export is used outside the tests; and no qotlab module
+builds an object around its constructor. The benchmark files are only
+read, never changed."""
 
 import ast
 from pathlib import Path
@@ -146,25 +147,25 @@ def test_the_check_sees_an_unread_definition():
     assert top_level_definitions(tree) - reads(tree) == {"dead", "SPANS"}
 
 
-# the qotlab definitions that nothing under src/, bench/ or tools/ reads:
-# the package version, the mixed-state helpers only the tests call, and the
-# honest perp column the tests index
-UNREAD_ALLOWED = {
-    ("__init__.py", "__version__"),
-    ("qsim/density.py", "partial_trace"),
-    ("qsim/density.py", "purify"),
-    ("rot.py", "PERP_INDEX"),
-}
+# the one qotlab definition that nothing under src/, bench/ or tools/ reads:
+# the package version
+UNREAD_ALLOWED = {("__init__.py", "__version__")}
+
+NON_TEST_MODULES = [path for path in MODULES if not path.is_relative_to(ROOT / "tests")]
+
+
+def _read_outside_the_tests() -> set[str]:
+    read = set()
+    for path in NON_TEST_MODULES:
+        read |= reads(ast.parse(path.read_text()))
+    return read
 
 
 def test_every_definition_is_read_outside_the_tests():
     """A top-level qotlab name that no file under src/, bench/ or tools/
     reads is dead or test-only. `UNREAD_ALLOWED` pins the ones that stay, so
     a new one fails here, and so does a pinned one that is read again."""
-    read = set()
-    for path in MODULES:
-        if not path.is_relative_to(ROOT / "tests"):
-            read |= reads(ast.parse(path.read_text()))
+    read = _read_outside_the_tests()
     unread = {
         (_name(path), name)
         for path in sorted(SRC.rglob("*.py"))
@@ -172,6 +173,92 @@ def test_every_definition_is_read_outside_the_tests():
         if name not in read
     }
     assert unread == UNREAD_ALLOWED
+
+
+def methods(tree: ast.Module) -> set[tuple[str, str]]:
+    """The (class, function) pairs of every function a class in the module
+    defines, properties and classmethods included, but not the dunders,
+    which Python calls by itself."""
+    return {
+        (node.name, item.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+    }
+
+
+def test_the_check_sees_an_unread_method():
+    tree = ast.parse(
+        "class Record:\n"
+        "    def __post_init__(self):\n        pass\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    @classmethod\n    def dead(cls):\n        return cls()\n"
+        "    def spanned(self):\n        pass\n"
+        "SPANS = (('Record', 'spanned'),)\n"
+        "print(Record().size)\n"
+    )
+    assert methods(tree) == {("Record", "size"), ("Record", "dead"), ("Record", "spanned")}
+    assert {m for m in methods(tree) if m[1] not in reads(tree)} == {("Record", "dead")}
+
+
+def test_every_method_is_read_outside_the_tests():
+    """A qotlab method, property or classmethod whose name no file under
+    src/, bench/ or tools/ reads is dead or test-only."""
+    read = _read_outside_the_tests()
+    unread = {
+        (_name(path), f"{cls}.{name}")
+        for path in sorted(SRC.rglob("*.py"))
+        for cls, name in methods(ast.parse(path.read_text()))
+        if name not in read
+    }
+    assert unread == set()
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The names a module takes from the qotlab.qsim package itself rather
+    than from one of its submodules: `from .qsim import x`, `from
+    qotlab.qsim import x` and `qsim.x`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.module == "qotlab.qsim" or (node.level == 1 and node.module == "qsim")
+        ):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and ast.unparse(node.value) in ("qsim", "qotlab.qsim"):
+            found.add(node.attr)
+    return found
+
+
+def test_the_check_sees_an_unimported_reexport():
+    tree = ast.parse(
+        "from .qsim import RngStream\n"
+        "from qotlab.qsim import fidelity\n"
+        "from qotlab.qsim.states import StateVector\n"
+        "from .rot import HONEST\n"
+        "import qotlab.qsim\n"
+        "from qotlab import qsim\n"
+        "print(qsim.perp, qotlab.qsim.bell_state, rot.born_table)\n"
+    )
+    assert package_imports(tree) == {"RngStream", "fidelity", "perp", "bell_state"}
+
+
+def test_every_reexport_is_imported_through_the_package():
+    """Each name qotlab.qsim re-exports is imported through the package by
+    some file under src/, bench/ or tools/; a name only the tests use is
+    imported from its submodule instead."""
+    init = SRC / "qsim" / "__init__.py"
+    exported = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+    imported = set()
+    for path in NON_TEST_MODULES:
+        imported |= package_imports(ast.parse(path.read_text()))
+    assert set(exported) - imported == set()
 
 
 # the one object built around its constructor: a substream binds its parent's

@@ -1,20 +1,20 @@
-"""Density matrices, partial trace, fidelity, purification."""
+"""Density matrices, their fidelity and their purification amplitudes."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from qotlab.attacks import NoGoInstance, nogo_reduced_states
 from qotlab.qsim import (
     DensityMatrix,
     StateVector,
-    bell_state,
     fidelity,
     make_nonorthogonal_pair,
-    partial_trace,
-    purify,
 )
 
-INV_SQRT2 = 1.0 / np.sqrt(2.0)
+def projector(state):
+    """The density matrix of a pure state."""
+    return DensityMatrix(state.num_qubits, np.outer(state.amps, state.amps.conj()))
 
 
 def random_density(rng, num_qubits):
@@ -61,55 +61,11 @@ def test_entries_are_real_exactly_when_their_imaginary_part_is_zero():
     assert not dm.entries.flags.writeable and not dm.purification_amps.flags.writeable
 
 
-def test_from_pure_is_projector():
-    state = StateVector(num_qubits=1, amps=np.array([INV_SQRT2, INV_SQRT2]))
-    dm = DensityMatrix.from_pure(state)
-    np.testing.assert_allclose(dm.entries, np.full((2, 2), 0.5), atol=1e-12)
-    np.testing.assert_allclose(dm.entries @ dm.entries, dm.entries, atol=1e-12)
-
-
-def test_partial_trace_of_bell_pair_is_maximally_mixed():
-    for kind in ("phi+", "phi-", "psi+", "psi-"):
-        dm = DensityMatrix.from_pure(bell_state(kind))
-        for keep in ((0,), (1,)):
-            reduced = partial_trace(dm, keep)
-            np.testing.assert_allclose(reduced.entries, np.eye(2) / 2, atol=1e-12)
-
-
-def test_partial_trace_of_product_state():
-    a = StateVector(num_qubits=1, amps=np.array([0.6, 0.8]))
-    b = StateVector(num_qubits=1, amps=np.array([INV_SQRT2, -INV_SQRT2]))
-    dm = DensityMatrix.from_pure(StateVector(num_qubits=2, amps=np.kron(a.amps, b.amps)))
-    np.testing.assert_allclose(
-        partial_trace(dm, (0,)).entries, DensityMatrix.from_pure(a).entries, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        partial_trace(dm, (1,)).entries, DensityMatrix.from_pure(b).entries, atol=1e-12
-    )
-
-
-def test_partial_trace_keep_is_a_set():
-    # keep is treated as a set: order and duplicates do not matter
-    dm = DensityMatrix.from_pure(StateVector.computational([0, 1, 0]))
-    expected = DensityMatrix.from_pure(StateVector.computational([0, 1]))
-    for keep in ((0, 1), (1, 0), (1, 0, 1)):
-        reduced = partial_trace(dm, keep)
-        np.testing.assert_allclose(reduced.entries, expected.entries, atol=1e-12)
-
-
-def test_partial_trace_validates_keep_list():
-    dm = DensityMatrix.from_pure(bell_state("phi+"))
-    with pytest.raises(ValueError):
-        partial_trace(dm, (0, 2))
-    with pytest.raises(ValueError):
-        partial_trace(dm, ())
-
-
 class TestFidelity:
     def test_pure_pure_reduces_to_inner_product(self):
         theta = 0.9
         psi0, psi1 = make_nonorthogonal_pair(theta)
-        f = fidelity(DensityMatrix.from_pure(psi0), DensityMatrix.from_pure(psi1))
+        f = fidelity(projector(psi0), projector(psi1))
         assert f == pytest.approx(np.cos(theta), abs=1e-12)
 
     def test_self_fidelity_is_one(self):
@@ -119,7 +75,7 @@ class TestFidelity:
             assert fidelity(dm, dm) == pytest.approx(1.0, abs=1e-10)
 
     def test_pure_versus_maximally_mixed(self):
-        pure = DensityMatrix.from_pure(StateVector.computational([0]))
+        pure = projector(StateVector.computational([0]))
         mixed = DensityMatrix(num_qubits=1, entries=np.eye(2) / 2)
         assert fidelity(pure, mixed) == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
@@ -169,32 +125,28 @@ class TestFidelity:
                 assert fidelity(mixed, pure) == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        one = DensityMatrix.from_pure(StateVector.computational([0]))
-        two = DensityMatrix.from_pure(StateVector.computational([0, 0]))
+        one = projector(StateVector.computational([0]))
+        two = projector(StateVector.computational([0, 0]))
         with pytest.raises(ValueError):
             fidelity(one, two)
 
 
-class TestPurify:
-    def test_round_trip_recovers_the_state(self):
+class TestPurificationAmps:
+    """`fidelity` and the no-go eigen route read a state's purification
+    amplitudes A in place of its entries, so A A^dagger must reproduce them."""
+
+    @staticmethod
+    def assert_reproduces(dm):
+        amps = dm.purification_amps
+        np.testing.assert_allclose(amps @ amps.conj().T, dm.entries, rtol=0, atol=1e-10)
+
+    def test_random_states(self):
         rng = np.random.default_rng(2025)
         for num_qubits in (1, 2):
             for _ in range(10):
-                dm = random_density(rng, num_qubits)
-                pure = purify(dm)
-                assert pure.num_qubits == 2 * num_qubits
-                back = partial_trace(
-                    DensityMatrix.from_pure(pure), tuple(range(num_qubits))
-                )
-                np.testing.assert_allclose(back.entries, dm.entries, atol=1e-10)
+                self.assert_reproduces(random_density(rng, num_qubits))
 
-    def test_pure_input_purifies_to_a_product(self):
-        dm = DensityMatrix.from_pure(StateVector.computational([1]))
-        pure = purify(dm)
-        reduced = partial_trace(DensityMatrix.from_pure(pure), (0,))
-        np.testing.assert_allclose(reduced.entries, dm.entries, atol=1e-12)
-        # rank one means the ancilla is unentangled
-        evals = np.linalg.eigvalsh(
-            partial_trace(DensityMatrix.from_pure(pure), (1,)).entries
-        )
-        assert evals.max() == pytest.approx(1.0, abs=1e-12)
+    def test_nogo_states(self):
+        for two_k in (2, 4, 6):
+            for rho in nogo_reduced_states(NoGoInstance(two_k)):
+                self.assert_reproduces(rho)

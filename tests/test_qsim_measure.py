@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from qotlab.qsim import (
-    CONCLUSIVE_0,
-    CONCLUSIVE_1,
-    INCONCLUSIVE,
     ProjectiveBasis,
     RngStream,
     StateVector,
@@ -20,6 +17,7 @@ from qotlab.qsim import (
     rotation_plane,
     usd_povm,
 )
+from qotlab.qsim.measure import CONCLUSIVE_0, CONCLUSIVE_1, INCONCLUSIVE
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 

@@ -5,13 +5,13 @@ import pytest
 
 from qotlab.qsim import (
     StateVector,
-    Unitary2x2,
     apply_on_qubit,
     bell_state,
     make_nonorthogonal_pair,
     perp,
     rotation_plane,
 )
+from qotlab.qsim.states import Unitary2x2
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 

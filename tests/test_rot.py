@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from qotlab.qsim import (
-    CONCLUSIVE_0,
-    CONCLUSIVE_1,
     RngStream,
     born_probabilities,
     make_nonorthogonal_pair,
     povm_probabilities,
     usd_povm,
 )
+from qotlab.qsim.measure import CONCLUSIVE_0, CONCLUSIVE_1
 from qotlab.rot import (
     HONEST,
-    PERP_INDEX,
     USD,
     ReceiverRecord,
     RotConfig,
@@ -28,7 +26,7 @@ from qotlab.rot import (
     measurement_bases,
     run_rot,
 )
-from rotation_route import born_rows, inverse_cdf, povm_rows, receiver_record
+from rotation_route import PERP_INDEX, born_rows, inverse_cdf, povm_rows, receiver_record
 
 # the angles the golden digests pin (pi/4, 0.5, 0.7) and three more
 THETAS = (0.3, 0.5, 0.7, np.pi / 4, 1.2, np.pi / 2)
