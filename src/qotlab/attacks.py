@@ -28,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .bitcommit import (
-    ENCODE_ANGLE,
     P5OpenMessage,
     P5ReceiverState,
     PROTOCOL_P5,
@@ -44,11 +43,10 @@ from .qsim import (
     RngStream,
     StateVector,
     apply_on_qubit,
-    bell_state,
     born_probabilities,
     rotation_plane,
 )
-from .qsim.states import CONSTRUCTION_ATOL
+from .qsim.states import CONSTRUCTION_ATOL, ENCODE_ANGLE, check_angle
 from .rot import encoding_amps, honest_draws
 
 # Not used below (the report reads the purifications), but bench/tracing.py
@@ -77,8 +75,7 @@ class NoGoInstance:
 def _check_parity_instance(two_k: int, theta: float) -> None:
     if two_k < 2 or two_k % 2 != 0:
         raise ValueError("two_k must be an even integer >= 2")
-    if not 0.0 <= theta <= np.pi / 2:
-        raise ValueError("theta must lie in [0, pi/2]")
+    check_angle(theta)
 
 
 @dataclass(frozen=True)
@@ -268,7 +265,7 @@ def nogo_fidelity_gap(two_k: int, theta: float) -> tuple[float, float]:
     _check_parity_instance(two_k, theta)
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     if s == 0.0:
-        # one coding state: both commitments are the same pure state
+        # theta/2 underflowed (theta = 5e-324): both commitments are one pure state
         return 1.0, 0.0
     log_tan = math.log(math.tan(theta / 2))
     f_terms, g_terms = [], []
@@ -334,24 +331,13 @@ def nogo_cheat_report(inst: NoGoInstance) -> CheatReport:
 # probe attack on the entangled-pair commitment
 
 
-def entangle_probe_rows(amps: np.ndarray) -> np.ndarray:
-    """Append a fresh probe qubit copying qubit 0 in the standard basis, to
-    every row of an (N, 2**n) amplitude array; the probe comes last."""
-    rows, dim = amps.shape
-    old = amps.reshape(rows, 2, dim // 2)
-    new = np.zeros(old.shape + (2,), dtype=np.result_type(amps, np.float64))
-    new[:, 0, :, 0] = old[:, 0]
-    new[:, 1, :, 1] = old[:, 1]
-    return new.reshape(rows, 2 * dim)
-
-
 def p3_probe_pre_state() -> StateVector:
-    """Transit qubit copied onto the probe before any encoding.
+    """Transit qubit of the phi- pair copied onto the probe in the standard
+    basis before any encoding: (|000> - |111>)/sqrt(2).
 
     Qubit order: transit, receiver's half, probe.
     """
-    amps = entangle_probe_rows(bell_state("phi-").amps[np.newaxis])[0]
-    return StateVector(num_qubits=3, amps=amps)
+    return StateVector(num_qubits=3, amps=np.array([1.0, 0, 0, 0, 0, 0, 0, -1.0]) / np.sqrt(2.0))
 
 
 @functools.lru_cache(maxsize=1)

@@ -45,6 +45,7 @@ from .qsim import (
     rotation_plane,
     running_sums,
 )
+from .qsim.states import ENCODE_ANGLE, check_angle
 from .rot import honest_channel, honest_draws, sample_table
 
 # Not used below (the channels sample cached tables), but bench/tracing.py
@@ -58,8 +59,6 @@ PROTOCOL_P4 = "P4"
 PROTOCOL_P5 = "P5"
 
 OT_VARIANTS = (PROTOCOL_P2BC, PROTOCOL_P3, PROTOCOL_P4)
-
-ENCODE_ANGLE = float(np.pi / 4)
 
 # channel passes a share-split commitment makes before it stops retrying
 MAX_WAVES = 1000
@@ -75,11 +74,12 @@ _SUPPORT_TOL = 1e-9
 def p3_bases() -> tuple[ProjectiveBasis, ProjectiveBasis]:
     """The receiver's two pair bases.
 
-    Basis 0 is the four maximally entangled pair states; the psi+ outcome
-    only occurs for an encoded 1. Basis 1 consists of the four balanced
-    combinations below; the (phi-) - (psi+) combination only occurs for an
-    encoded 0. Each basis identifies the encoded bit on one outcome out of
-    four, giving the same conclusive rate 1/4 as the plain channel.
+    Basis 0 is the four maximally entangled pair states (phi+, phi-, psi+,
+    psi-); the psi+ outcome, index 2, only occurs for an encoded 1. Basis 1
+    consists of the four balanced combinations below; the (phi-) - (psi+)
+    combination, index 1, only occurs for an encoded 0. Each basis
+    identifies the encoded bit on one outcome out of four, giving the same
+    conclusive rate 1/4 as the plain channel.
     """
     phip, phim = bell_state("phi+"), bell_state("phi-")
     psip, psim = bell_state("psi+"), bell_state("psi-")
@@ -87,12 +87,9 @@ def p3_bases() -> tuple[ProjectiveBasis, ProjectiveBasis]:
     def mix(a: StateVector, b: StateVector, sign: float) -> StateVector:
         return StateVector(num_qubits=2, amps=(a.amps + sign * b.amps) / np.sqrt(2.0))
 
-    basis0 = ProjectiveBasis(
-        states=(phip, phim, psip, psim), labels=("phi+", "phi-", "psi+", "psi-")
-    )
+    basis0 = ProjectiveBasis(states=(phip, phim, psip, psim))
     basis1 = ProjectiveBasis(
-        states=(mix(phim, psip, 1.0), mix(phim, psip, -1.0), mix(phip, psim, 1.0), mix(phip, psim, -1.0)),
-        labels=("phi-plus-psi+", "phi-minus-psi+", "phi+plus-psi-", "phi+minus-psi-"),
+        states=(mix(phim, psip, 1.0), mix(phim, psip, -1.0), mix(phip, psim, 1.0), mix(phip, psim, -1.0))
     )
     return basis0, basis1
 
@@ -287,8 +284,7 @@ def _ot_channel(
 def check_channel_angle(variant: str, theta: float) -> float:
     """theta, refused unless it lies in (0, pi/2] and, for the pair and
     blinded channels, within 1e-12 of the pi/4 they fix."""
-    if not 0.0 < theta <= np.pi / 2:  # also refuses nan
-        raise ValueError(f"theta must lie in (0, pi/2], got {theta!r}")
+    check_angle(theta)
     if variant != PROTOCOL_P2BC and abs(theta - ENCODE_ANGLE) > 1e-12:
         raise ValueError(f"the pair and blinded channels fix theta at pi/4, got {theta!r}")
     return theta

@@ -34,7 +34,6 @@ from .attacks import (
     probe_attack_p4,
 )
 from .bitcommit import (
-    ENCODE_ANGLE,
     PROTOCOL_FAMILIES,
     PROTOCOL_P5,
     bc_commit_over_ot,
@@ -52,6 +51,7 @@ from .bitcommit import (
 from .ot12 import (
     DEFAULT_ALPHA,
     abort_rate_exact,
+    binomial_tail,
     k_of,
     p1_exact,
     p2_exact,
@@ -59,6 +59,7 @@ from .ot12 import (
     wilson_interval,
 )
 from .qsim.rng import DEFAULT_SEED, RngStream
+from .qsim.states import ENCODE_ANGLE
 from .rot import HONEST, USD, RotConfig, run_rot
 
 CSV_HEADER = "experiment,params,metric,value,ci_low,ci_high,trials"
@@ -124,19 +125,24 @@ def rows_to_json(rows: list[ResultRow]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _agree(fails: list[str], label: str, value: float, exact: float, trials: int) -> None:
-    """Record a failure when a measured rate lies more than 5 sigma from its
-    exact value; at sigma = 0 (an exact value of 0 or 1) any gap fails."""
-    sigma = math.sqrt(exact * (1.0 - exact) / trials)
+def _disagreement(label: str, hits: int, trials: int, exact: float) -> Optional[str]:
+    """The failure line of a Monte-Carlo count of hits in trials against its
+    exact rate, or None. It fails when a count at least as far out on its
+    side, X >= hits or X <= hits for X ~ Binomial(trials, exact), has exact
+    probability below 2.8665e-7, the normal tail beyond 5 sigma on one side;
+    at an exact 0 or 1 any other count has probability 0."""
+    p, count = (exact, hits) if hits > exact * trials else (1.0 - exact, trials - hits)
+    if binomial_tail(trials, p, count) >= 2.8665e-7:
+        return None
+    value, sigma = hits / trials, math.sqrt(exact * (1.0 - exact) / trials)
     gap = value - exact
-    if abs(gap) > 5.0 * sigma:
-        spread = f"sigma {sigma:.6g}, z {gap / sigma:.2f}" if sigma else f"sigma 0, gap {gap:.6g}"
-        fails.append(f"{label} {value:.6f} off exact {exact:.6f}: {spread}")
+    spread = f"sigma {sigma:.6g}, z {gap / sigma:.2f}" if sigma else f"sigma 0, gap {gap:.6g}"
+    return f"{label} {value:.6f} off exact {exact:.6f}: {spread}"
 
 
-def cmd_rot(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
+def cmd_rot(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[tuple]]:
     rows: list[ResultRow] = []
-    fails: list[str] = []
+    checks: list[tuple] = []
     config = RotConfig(n=cfg.n, theta=cfg.theta)
     for strategy, offset in ((HONEST, _STREAM_ROT_HONEST), (USD, _STREAM_ROT_USD)):
         camp = RngStream(cfg.seed, offset)
@@ -157,10 +163,9 @@ def cmd_rot(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
         )
         rows.append(_exact_row("rot", params, "conclusive_rate_exact", exact))
         rows.append(_mc_row("rot", params, "conclusive_error_rate", errors, max(conclusive, 1)))
-        _agree(fails, f"rot {strategy}: conclusive rate", conclusive / qubits, exact, qubits)
-        checked = max(conclusive, 1)
-        _agree(fails, f"rot {strategy}: conclusive error rate", errors / checked, 0.0, checked)
-    return rows, fails
+        checks.append((f"rot {strategy}: conclusive rate", conclusive, qubits, exact))
+        checks.append((f"rot {strategy}: conclusive error rate", errors, max(conclusive, 1), 0.0))
+    return rows, checks
 
 
 def _transfer_trials(cfg: argparse.Namespace, strategy: str, stream: int):
@@ -174,9 +179,8 @@ def _transfer_trials(cfg: argparse.Namespace, strategy: str, stream: int):
         yield b0, b1, run_ot12(cfg.n, b0, b1, strategy, rng, theta=cfg.theta, alpha=cfg.alpha)
 
 
-def cmd_ot12(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
+def cmd_ot12(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[tuple]]:
     rows: list[ResultRow] = []
-    fails: list[str] = []
     aborts = correct = 0
     for b0, b1, tr in _transfer_trials(cfg, HONEST, _STREAM_OT12):
         if tr.aborted:
@@ -205,15 +209,14 @@ def cmd_ot12(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
         rows.append(_exact_row("ot12-curve", cparams, "k", float(k_of(n, cfg.alpha))))
         for metric, value in tails[n].items():
             rows.append(_exact_row("ot12-curve", cparams, metric, value))
-    _agree(fails, "ot12: abort rate", aborts / cfg.trials, abort_exact, cfg.trials)
-    checked = max(completed, 1)
-    _agree(fails, "ot12: wrong-bit rate", (completed - correct) / checked, 0.0, checked)
-    return rows, fails
+    return rows, [
+        ("ot12: abort rate", aborts, cfg.trials, abort_exact),
+        ("ot12: wrong-bit rate", completed - correct, max(completed, 1), 0.0),
+    ]
 
 
-def _attack_usd(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
+def _attack_usd(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[tuple]]:
     rows: list[ResultRow] = []
-    fails: list[str] = []
     decoded = []
     aborts = learned_both = 0
     for _, _, tr in _transfer_trials(cfg, USD, _STREAM_ATTACK_USD):
@@ -236,13 +239,14 @@ def _attack_usd(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
     rows.append(_exact_row("attack", params, "abort_rate_exact", abort_exact))
     rows.append(_mc_row("attack", params, "learned_both_rate", learned_both, cfg.trials))
     rows.append(_exact_row("attack", params, "learned_both_exact", p2.value))
-    _agree(fails, "attack usd: conclusive rate", conclusive / qubits, exact_rate, qubits)
-    _agree(fails, "attack usd: abort rate", aborts / cfg.trials, abort_exact, cfg.trials)
-    _agree(fails, "attack usd: learned-both rate", learned_both / cfg.trials, p2.value, cfg.trials)
-    return rows, fails
+    return rows, [
+        ("attack usd: conclusive rate", conclusive, qubits, exact_rate),
+        ("attack usd: abort rate", aborts, cfg.trials, abort_exact),
+        ("attack usd: learned-both rate", learned_both, cfg.trials, p2.value),
+    ]
 
 
-def _attack_nogo(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
+def _attack_nogo(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[tuple]]:
     inst = NoGoInstance(two_k=cfg.n, theta=cfg.theta)
     report = nogo_cheat_report(inst)
     params = f"attack=nogo;theta={_g(cfg.theta)};two_k={cfg.n}"
@@ -256,7 +260,7 @@ def _attack_nogo(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
 
 def _probe_rows(
     attack: str, detected: np.ndarray, exact_pq: float
-) -> tuple[list[ResultRow], list[str]]:
+) -> tuple[list[ResultRow], list[tuple]]:
     """Rows and checks of a probe campaign from its (trials, n) detection
     grid, each rate beside its exact twin: a run succeeds when none of its
     n qubits is detected."""
@@ -279,13 +283,13 @@ def _probe_rows(
         _mc_row("attack", params, "run_success", successes, trials),
         _exact_row("attack", params, "run_success_exact", exact_run),
     ]
-    fails: list[str] = []
-    _agree(fails, f"{attack}: per-qubit detection", hits / detected.size, exact_pq, detected.size)
-    _agree(fails, f"{attack}: run success", successes / trials, exact_run, trials)
-    return rows, fails
+    return rows, [
+        (f"{attack}: per-qubit detection", hits, detected.size, exact_pq),
+        (f"{attack}: run success", successes, trials, exact_run),
+    ]
 
 
-def _attack_probe_p3(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
+def _attack_probe_p3(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[tuple]]:
     detected = probe_attack_p3(cfg.n, cfg.trials, RngStream(cfg.seed, _STREAM_PROBE_P3))
     exact_pq = sum(
         p3_probe_detection_probability(r, x) for r in (0, 1) for x in (0, 1)
@@ -293,7 +297,7 @@ def _attack_probe_p3(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str
     return _probe_rows("probe-p3", detected, exact_pq)
 
 
-def _attack_probe_p4(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
+def _attack_probe_p4(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[tuple]]:
     detected = probe_attack_p4(cfg.n, cfg.trials, RngStream(cfg.seed, _STREAM_PROBE_P4))
     # detection is a trigonometric polynomial of degree 4 in the blinding
     # angle, so its mean over 8 equispaced angles is its exact uniform average
@@ -302,9 +306,8 @@ def _attack_probe_p4(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str
     return _probe_rows("probe-p4", detected, exact_pq)
 
 
-def _attack_omission(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str]]:
+def _attack_omission(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[tuple]]:
     rows: list[ResultRow] = []
-    fails: list[str] = []
     report = omission_attack_p5(
         cfg.n, cfg.m, cfg.trials, cfg.perfect_detectors, RngStream(cfg.seed, _STREAM_OMISSION)
     )
@@ -318,9 +321,10 @@ def _attack_omission(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[str
     rows.append(_mc_row("attack", params, "both_openings_accepted_rate", both_accepted, cfg.trials))
     # perfect detectors catch every omission; with imperfect ones every run opens both ways
     perfect = float(cfg.perfect_detectors)
-    _agree(fails, "omission: detected-at-commit rate", detected / cfg.trials, perfect, cfg.trials)
-    _agree(fails, "omission: opened-both-ways rate", both_accepted / cfg.trials, 1 - perfect, cfg.trials)
-    return rows, fails
+    return rows, [
+        ("omission: detected-at-commit rate", detected, cfg.trials, perfect),
+        ("omission: opened-both-ways rate", both_accepted, cfg.trials, 1 - perfect),
+    ]
 
 
 def _dump(path: Path, payload: dict) -> None:
@@ -338,7 +342,6 @@ def _load(path: Path):
 
 def cmd_commit(cfg: argparse.Namespace) -> int:
     protocol_id = _PROTOCOLS[cfg.protocol]
-    cfg.out.mkdir(parents=True, exist_ok=True)
     rng = RngStream(cfg.seed, _STREAM_COMMIT)
     b = rng.bit()
     if protocol_id == PROTOCOL_P5:
@@ -349,6 +352,7 @@ def cmd_commit(cfg: argparse.Namespace) -> int:
         transcript = bc_commit_over_ot(
             b, cfg.l, cfg.n, protocol_id, rng, theta=theta, alpha=cfg.alpha
         )
+    cfg.out.mkdir(parents=True, exist_ok=True)
     _dump(cfg.out / "sender.json", sender_state_to_dict(transcript.sender))
     _dump(cfg.out / "receiver.json", receiver_state_to_dict(transcript.receiver))
     print(f"committed under {transcript.sender.protocol_id}; transcripts in {cfg.out}")
@@ -376,14 +380,15 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 class Experiment(NamedTuple):
     """A runner and the flags it reads, each with its default. A runner that
-    reads --format returns (rows, fails); any other returns its exit code."""
+    reads --format returns (rows, checks), each check a (label, hits,
+    trials, exact) tuple; any other returns its exit code."""
 
     runner: Callable[[argparse.Namespace], object]
     flags: dict[str, object]
 
 
 _REQUIRED = object()  # the default of a flag the experiment cannot run without
-_THETA = {"--theta": float(np.pi / 4)}
+_THETA = {"--theta": ENCODE_ANGLE}
 _ALPHA = {"--alpha": str(DEFAULT_ALPHA)}
 # a seed of None is read from QOT_SEED, else DEFAULT_SEED
 _CAMPAIGN = {"--trials": 200, "--seed": None, "--out": None, "--format": "csv", "--check": False}
@@ -478,8 +483,6 @@ def _resolve_config(
             parser.error(f"--alpha {args.alpha!r} is not a fraction")
     if any(flags.get(name, 1) < 1 for name in ("n", "l", "m", "trials")):
         parser.error("n, l, m and trials must be positive")
-    if not 0.0 < flags.get("theta", np.pi / 4) <= np.pi / 2:
-        parser.error("theta must lie in (0, pi/2]")
     return args, experiment
 
 
@@ -490,7 +493,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         outcome = experiment.runner(cfg)
         if "--format" not in experiment.flags:
             return outcome
-        rows, fails = outcome
+        rows, checks = outcome
         text = rows_to_csv(rows) if cfg.format == "csv" else rows_to_json(rows)
         if cfg.out is not None:
             cfg.out.write_text(text)
@@ -499,7 +502,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    fails = fails if vars(cfg).get("check") else []
+    # only --check sums the exact tails; a plain run pays nothing for them
+    fails = [f for c in checks if (f := _disagreement(*c))] if vars(cfg).get("check") else []
     for line in fails:
         print(f"CHECK FAIL: {line}", file=sys.stderr)
     return 3 if fails else 0

@@ -19,11 +19,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .qsim import RngStream
+from .qsim.states import ENCODE_ANGLE
 from .rot import HONEST, USD, ReceiverRecord, RotConfig, SenderRecord, run_rot
 
 DEFAULT_ALPHA = Fraction(1, 16)
@@ -98,27 +99,6 @@ class IndexSets:
 @dataclass(frozen=True)
 class SecurityEstimate:
     value: float
-
-
-@dataclass(frozen=True)
-class Ot12Transcript:
-    """What one run produced; quantum data never leaves the run. An aborted
-    run has no announcement, ciphertexts or received bit."""
-
-    sender: SenderRecord
-    receiver: ReceiverRecord
-    sets: Optional[IndexSets]
-    c0: Optional[int]
-    c1: Optional[int]
-    b_received: Optional[int]
-
-    @property
-    def aborted(self) -> bool:
-        return self.sets is None
-
-    @property
-    def strategy(self) -> str:
-        return self.receiver.strategy
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -303,7 +283,8 @@ def mask(values: Iterable[int]) -> int:
     return out
 
 
-class MaskedTransfer(NamedTuple):
+@dataclass(frozen=True)
+class MaskedTransfer:
     """What the classical tail produced: the announcement, both ciphertexts
     and the received bit, all None when the run aborted."""
 
@@ -317,7 +298,16 @@ class MaskedTransfer(NamedTuple):
         return self.sets is None
 
 
-_ABORTED = MaskedTransfer(None, None, None, None)
+@dataclass(frozen=True)
+class Ot12Transcript(MaskedTransfer):
+    """One run: the classical tail and both records; quantum data never leaves the run."""
+
+    sender: SenderRecord
+    receiver: ReceiverRecord
+
+    @property
+    def strategy(self) -> str:
+        return self.receiver.strategy
 
 
 def run_masked_transfer(
@@ -344,7 +334,7 @@ def run_masked_transfer(
         raise ValueError("messages must be bits")
     sets = choose_index_sets(decoded, k, rng, strategy)
     if sets is None:
-        return _ABORTED
+        return MaskedTransfer(None, None, None, None)
     c0 = b0 ^ mask([bits[p - 1] for p in sets.x_set])
     c1 = b1 ^ mask([bits[p - 1] for p in sets.y_set])
     b_received = sets.pick(c0, c1) ^ mask([decoded[p - 1] for p in sets.i_set])
@@ -357,7 +347,7 @@ def run_ot12(
     b1: int,
     strategy: str,
     rng: RngStream,
-    theta: float = float(np.pi / 4),
+    theta: float = ENCODE_ANGLE,
     alpha: Fraction = DEFAULT_ALPHA,
 ) -> Ot12Transcript:
     """One full run: qubit phase, announcement, masking, decryption."""
@@ -367,7 +357,7 @@ def run_ot12(
     tail = run_masked_transfer(
         sender.bits.tolist(), receiver.decoded.tolist(), n, k, b0, b1, rng, strategy
     )
-    return Ot12Transcript(sender, receiver, *tail)
+    return Ot12Transcript(tail.sets, tail.c0, tail.c1, tail.b_received, sender, receiver)
 
 
 def abort_rate_exact(n: int, rate: float, alpha: Fraction) -> float:
@@ -378,7 +368,7 @@ def abort_rate_exact(n: int, rate: float, alpha: Fraction) -> float:
 
 
 def p1_exact(
-    n: int, alpha: Fraction = DEFAULT_ALPHA, theta: float = float(np.pi / 4)
+    n: int, alpha: Fraction = DEFAULT_ALPHA, theta: float = ENCODE_ANGLE
 ) -> SecurityEstimate:
     """Probability an honest receiver reaches k conclusive bits (no abort).
 
@@ -391,7 +381,7 @@ def p1_exact(
 
 
 def p2_exact(
-    n: int, alpha: Fraction = DEFAULT_ALPHA, theta: float = float(np.pi / 4)
+    n: int, alpha: Fraction = DEFAULT_ALPHA, theta: float = ENCODE_ANGLE
 ) -> SecurityEstimate:
     """Probability a discrimination receiver reaches 2k and learns both bits."""
     rate = RotConfig(n=n, theta=theta).usd_conclusive_rate

@@ -1,9 +1,9 @@
 """Projective and POVM measurements with Born-rule sampling.
 
 A ProjectiveBasis may cover the whole system or, via the `qubits` argument
-of the measurement routines, just a subset of it; probabilities must sum to
-one over the basis, otherwise the basis does not span the measured space and
-the call is rejected.
+of `born_probabilities`, just a subset of it; probabilities must sum to one
+over the basis, otherwise the basis does not span the measured space and
+the call is rejected. An outcome is named by its index in the basis or POVM.
 """
 from __future__ import annotations
 
@@ -13,13 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngStream
-from .states import CONSTRUCTION_ATOL, StateVector, make_nonorthogonal_pair, perp
+from .states import CONSTRUCTION_ATOL, StateVector, check_angle, make_nonorthogonal_pair, perp
 
 SPAN_ATOL = 1e-9
-
-CONCLUSIVE_0 = "conclusive-0"
-CONCLUSIVE_1 = "conclusive-1"
-INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -27,13 +23,11 @@ class ProjectiveBasis:
     """Mutually orthonormal states spanning the measured space."""
 
     states: tuple[StateVector, ...]
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         states = tuple(self.states)
-        labels = tuple(self.labels)
-        if len(states) != len(labels) or not states:
-            raise ValueError("need one label per basis state")
+        if not states:
+            raise ValueError("a basis needs at least one state")
         n = states[0].num_qubits
         if any(s.num_qubits != n for s in states):
             raise ValueError("basis states must share a qubit count")
@@ -42,7 +36,6 @@ class ProjectiveBasis:
         if not np.max(np.abs(gram - np.eye(len(states)))) <= CONSTRUCTION_ATOL:
             raise ValueError("basis states are not orthonormal")
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_matrix_conj", matrix.conj())
 
     @property
@@ -75,11 +68,9 @@ def born_probabilities(state: StateVector, basis: ProjectiveBasis, qubits=None) 
     return probs
 
 
-def measure_projective(
-    state: StateVector, basis: ProjectiveBasis, rng: RngStream, qubits=None
-) -> str:
-    """Sample an outcome label; the post-measurement state is not kept."""
-    return basis.labels[rng.choice_index(born_probabilities(state, basis, qubits))]
+def measure_projective(state: StateVector, basis: ProjectiveBasis, rng: RngStream) -> int:
+    """Sample an outcome index; the post-measurement state is not kept."""
+    return rng.choice_index(born_probabilities(state, basis))
 
 
 @dataclass(frozen=True)
@@ -87,13 +78,11 @@ class Povm:
     """Positive effects summing to the identity."""
 
     effects: tuple[np.ndarray, ...]
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         effects = tuple(np.asarray(e, dtype=np.complex128) for e in self.effects)
-        labels = tuple(self.labels)
-        if len(effects) != len(labels) or not effects:
-            raise ValueError("need one label per effect")
+        if not effects:
+            raise ValueError("a POVM needs at least one effect")
         dim = effects[0].shape[0]
         total = np.zeros((dim, dim), dtype=np.complex128)
         for e in effects:
@@ -112,7 +101,6 @@ class Povm:
             e.flags.writeable = False
             locked.append(e)
         object.__setattr__(self, "effects", tuple(locked))
-        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
@@ -125,10 +113,9 @@ def povm_probabilities(state: StateVector, povm: Povm) -> np.ndarray:
     return np.array([np.real(np.vdot(state.amps, e @ state.amps)) for e in povm.effects])
 
 
-def measure_povm(state: StateVector, povm: Povm, rng: RngStream) -> str:
-    """Sample an outcome label; POVMs carry no post-measurement state here."""
-    probs = povm_probabilities(state, povm)
-    return povm.labels[rng.choice_index(probs)]
+def measure_povm(state: StateVector, povm: Povm, rng: RngStream) -> int:
+    """Sample an outcome index; POVMs carry no post-measurement state here."""
+    return rng.choice_index(povm_probabilities(state, povm))
 
 
 @functools.lru_cache(maxsize=None)
@@ -139,12 +126,12 @@ def usd_povm(theta: float) -> Povm:
     state, scaled by 1/(1 + cos(theta)); what remains is the inconclusive
     effect. Conclusive outcomes are then never wrong, and either conclusive
     outcome fires with probability 1 - cos(theta) on its matching input.
+    Outcome 0 decodes bit 0, outcome 1 bit 1, and outcome 2 is inconclusive.
     """
-    if not 0.0 < theta <= np.pi / 2:
-        raise ValueError("theta must lie in (0, pi/2]: the pair must be distinct")
+    check_angle(theta)
     psi0, psi1 = make_nonorthogonal_pair(theta)
     scale = 1.0 / (1.0 + np.cos(theta))
     e0 = scale * np.outer(perp(psi1).amps, perp(psi1).amps.conj())
     e1 = scale * np.outer(perp(psi0).amps, perp(psi0).amps.conj())
     e_inc = np.eye(2) - e0 - e1
-    return Povm(effects=(e0, e1, e_inc), labels=(CONCLUSIVE_0, CONCLUSIVE_1, INCONCLUSIVE))
+    return Povm(effects=(e0, e1, e_inc))

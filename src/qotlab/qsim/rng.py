@@ -58,7 +58,7 @@ class RngStream:
     led here, so every path of indices names its own stream.
     """
 
-    def __init__(self, master_seed: int = DEFAULT_SEED, stream_index: int = 0):
+    def __init__(self, master_seed: int, stream_index: int):
         if master_seed < 0 or master_seed >= 2**64:
             raise ValueError("master_seed must fit in 64 bits")
         self._bind(int(master_seed), _check_index(stream_index), ())

@@ -7,11 +7,19 @@ States validate to unit norm on construction and are treated as immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 CONSTRUCTION_ATOL = 1e-12
+
+# the coding angle of every channel that is not given another
+ENCODE_ANGLE = float(np.pi / 4)
+
+
+def check_angle(theta: float) -> None:
+    """Refuse a coding angle outside (0, pi/2], NaN included."""
+    if not 0.0 < theta <= np.pi / 2:
+        raise ValueError(f"theta must lie in (0, pi/2], got {theta!r}")
 
 
 def _as_locked_complex(values) -> np.ndarray:
@@ -35,16 +43,6 @@ class StateVector:
         if not abs(norm - 1.0) <= CONSTRUCTION_ATOL:
             raise ValueError(f"state is not normalized (norm={norm!r})")
         object.__setattr__(self, "amps", amps)
-
-    @classmethod
-    def computational(cls, bits: Sequence[int]) -> "StateVector":
-        n = len(bits)
-        amps = np.zeros(2**n, dtype=np.complex128)
-        index = 0
-        for b in bits:
-            index = (index << 1) | int(b)
-        amps[index] = 1.0
-        return cls(num_qubits=n, amps=amps)
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ def rotation_plane(angle: float) -> Unitary2x2:
 
 def make_nonorthogonal_pair(theta: float) -> tuple[StateVector, StateVector]:
     """The coding pair |0> and rotation_plane(theta)|0>, overlap cos(theta)."""
-    zero = StateVector.computational([0])
+    zero = StateVector(num_qubits=1, amps=np.array([1.0, 0.0]))
     rotated = StateVector(num_qubits=1, amps=rotation_plane(theta).entries[:, 0])
     return zero, rotated
 

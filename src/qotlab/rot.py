@@ -27,6 +27,7 @@ from .qsim import (
     running_sums,
     usd_povm,
 )
+from .qsim.states import ENCODE_ANGLE, check_angle
 
 # Not used below (the receivers sample cached tables), but bench/tracing.py
 # wraps the per-state samplers under these names here.
@@ -39,13 +40,12 @@ USD = "usd"
 @dataclass(frozen=True)
 class RotConfig:
     n: int
-    theta: float = float(np.pi / 4)
+    theta: float = ENCODE_ANGLE
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if not 0.0 < self.theta <= np.pi / 2:
-            raise ValueError("theta must lie in (0, pi/2]")
+        check_angle(self.theta)
 
     @property
     def honest_conclusive_rate(self) -> float:
@@ -89,9 +89,7 @@ def encoding_amps(theta: float) -> np.ndarray:
 def measurement_bases(theta: float) -> tuple[ProjectiveBasis, ProjectiveBasis]:
     """Basis x = {Psi_x, Psi_x perp}; the perp outcome decodes the bit x xor 1."""
     psi0, psi1 = make_nonorthogonal_pair(theta)
-    b0 = ProjectiveBasis(states=(psi0, perp(psi0)), labels=("psi", "perp"))
-    b1 = ProjectiveBasis(states=(psi1, perp(psi1)), labels=("psi", "perp"))
-    return b0, b1
+    return ProjectiveBasis(states=(psi0, perp(psi0))), ProjectiveBasis(states=(psi1, perp(psi1)))
 
 
 # decoded bit of each honest outcome, by basis x and outcome index: the perp
@@ -99,7 +97,7 @@ def measurement_bases(theta: float) -> tuple[ProjectiveBasis, ProjectiveBasis]:
 HONEST_DECODE = np.array([[-1, 1], [-1, 0]], dtype=np.int8)
 HONEST_DECODE.flags.writeable = False
 
-# decoded bit of each usd_povm outcome: conclusive-0, conclusive-1, inconclusive
+# decoded bit of each usd_povm outcome: conclusive 0, conclusive 1, inconclusive
 _USD_DECODED = np.array([0, 1, -1], dtype=np.int8)
 _USD_DECODED.flags.writeable = False
 

@@ -14,9 +14,9 @@ cell other than -1 or a bit.
 
 import numpy as np
 
-from qotlab.attacks import entangle_probe_rows
-from qotlab.bitcommit import ENCODE_ANGLE, blinding_angles
+from qotlab.bitcommit import blinding_angles
 from qotlab.qsim import passed_sums, running_sums
+from qotlab.qsim.states import ENCODE_ANGLE
 from qotlab.rot import HONEST_DECODE, ReceiverRecord, honest_draws, measurement_bases
 
 # position of the perp outcome in each of measurement_bases
@@ -36,6 +36,17 @@ def rotate_rows(amps: np.ndarray, angles) -> np.ndarray:
     t = amps.reshape(rows, 2, dim // 2)
     a0, a1 = t[:, 0], t[:, 1]
     return np.stack((c * a0 - s * a1, s * a0 + c * a1), axis=1).reshape(rows, dim)
+
+
+def entangle_probe_rows(amps: np.ndarray) -> np.ndarray:
+    """Append a fresh probe qubit copying qubit 0 in the standard basis, to
+    every row of an (N, 2**n) amplitude array; the probe comes last."""
+    rows, dim = amps.shape
+    old = amps.reshape(rows, 2, dim // 2)
+    new = np.zeros(old.shape + (2,), dtype=np.result_type(amps, np.float64))
+    new[:, 0, :, 0] = old[:, 0]
+    new[:, 1, :, 1] = old[:, 1]
+    return new.reshape(rows, 2 * dim)
 
 
 def born_rows(amps, bases, x) -> np.ndarray:

@@ -271,11 +271,19 @@ class TestEquivocationAttack:
 
     @pytest.mark.parametrize("two_k", [2, 4, 6, 8, 10])
     def test_identical_coding_states_leave_nothing_to_detect(self, two_k):
-        """At theta = 0, where log sin(theta/2) is undefined, both
-        commitments are one pure state."""
-        report = nogo_cheat_report(NoGoInstance(two_k, theta=0.0))
+        """At the least angle, 5e-324, theta/2 underflows to 0, where log
+        sin(theta/2) is undefined: both commitments are one pure state."""
+        report = nogo_cheat_report(NoGoInstance(two_k, theta=5e-324))
         assert (report.fidelity, report.detection_probability) == (1.0, 0.0)
         assert report.achieved_overlap == pytest.approx(1.0, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("theta", [0.0, -0.1, np.pi / 2 + 1e-9, float("nan")])
+    def test_an_angle_outside_the_range_is_refused(self, theta):
+        """The instance takes the angles every channel takes, (0, pi/2]."""
+        with pytest.raises(ValueError, match=r"^theta must lie in \(0, pi/2\], got "):
+            NoGoInstance(4, theta=theta)
+        with pytest.raises(ValueError, match=r"^theta must lie in \(0, pi/2\], got "):
+            nogo_fidelity_gap(4, theta)
 
     @pytest.mark.parametrize("two_k", [2, 4, 6, 8, 10])
     def test_orthogonal_coding_states_give_a_fidelity_no_less_than_zero(self, two_k):

@@ -57,6 +57,11 @@ from rotation_route import (
 )
 from walsh_route import correlation_immunity_order
 
+# the conclusive outcome of each pair basis, by its index in `p3_bases`:
+# psi+ in basis 0 signals an encoded 1, (phi-) - (psi+) in basis 1 an encoded 0
+PSI_PLUS = 2
+PHI_MINUS_MINUS_PSI_PLUS = 1
+
 
 def known_bits(rnd) -> dict[int, int]:
     """A receiver round's decoded bits by position, where one was learned."""
@@ -82,15 +87,14 @@ class TestEntangledEncoding:
         # the outcome that signals r=1 never fires on the r=0 state, and vice versa
         basis0, basis1 = p3_bases()
         state0, state1 = p3_pair_states()
-        p0_in_b0 = dict(zip(basis0.labels, born_probabilities(state0, basis0)))
-        p1_in_b0 = dict(zip(basis0.labels, born_probabilities(state1, basis0)))
-        assert p0_in_b0["psi+"] == pytest.approx(0.0, abs=1e-12)
-        assert p1_in_b0["psi+"] == pytest.approx(0.5, abs=1e-12)
-        p0_in_b1 = dict(zip(basis1.labels, born_probabilities(state0, basis1)))
-        p1_in_b1 = dict(zip(basis1.labels, born_probabilities(state1, basis1)))
-        conclusive_for_0 = "phi-minus-psi+"
-        assert p1_in_b1[conclusive_for_0] == pytest.approx(0.0, abs=1e-12)
-        assert p0_in_b1[conclusive_for_0] == pytest.approx(0.5, abs=1e-12)
+        p0_in_b0 = born_probabilities(state0, basis0)
+        p1_in_b0 = born_probabilities(state1, basis0)
+        assert p0_in_b0[PSI_PLUS] == pytest.approx(0.0, abs=1e-12)
+        assert p1_in_b0[PSI_PLUS] == pytest.approx(0.5, abs=1e-12)
+        p0_in_b1 = born_probabilities(state0, basis1)
+        p1_in_b1 = born_probabilities(state1, basis1)
+        assert p1_in_b1[PHI_MINUS_MINUS_PSI_PLUS] == pytest.approx(0.0, abs=1e-12)
+        assert p0_in_b1[PHI_MINUS_MINUS_PSI_PLUS] == pytest.approx(0.5, abs=1e-12)
 
     def test_measurement_conclusive_rate(self):
         rng = RngStream(31, 0)
@@ -114,12 +118,15 @@ def _p3_pair_amps(r_bits: np.ndarray) -> np.ndarray:
 
 def reference_p3_measure(r_bits: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The per-row route `p3_measure` replaced: run the route's Born step on
-    every returned pair, then decode the one conclusive label of each basis.
-    Same draws."""
+    every returned pair, then decode the one conclusive outcome of each
+    basis. Same draws."""
     probs = born_rows(_p3_pair_amps(r_bits), p3_bases(), x)
     outcomes = inverse_cdf(probs, u)
-    labels = [p3_bases()[xi].labels[o] for xi, o in zip(x.tolist(), outcomes.tolist())]
-    return np.array([{"psi+": 1, "phi-minus-psi+": 0}.get(label, -1) for label in labels])
+    return np.select(
+        [(x == 0) & (outcomes == PSI_PLUS), (x == 1) & (outcomes == PHI_MINUS_MINUS_PSI_PLUS)],
+        [1, 0],
+        -1,
+    )
 
 
 class TestPairBornTable:

@@ -1,6 +1,8 @@
 """Command-line entry point: flags, exit codes, output formats, reproducibility."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qotlab import bitcommit, cli
 from qotlab.cli import CSV_HEADER, main
@@ -862,26 +866,37 @@ def _run(argv, capsys):
 
 _SHARE_SPLIT_COMMITS = [
     *(
-        ("p2bc", theta, seed)
+        pytest.param("p2bc", ["--theta", repr(theta)], seed, id=f"p2bc-{theta}-{seed}")
         for theta in (1e-9, 0.05, 0.2, 0.3, np.pi / 4, np.pi / 2)
         for seed in (1, 8)
     ),
-    *((protocol, None, seed) for protocol in ("p3", "p4") for seed in (1, 8)),
+    *(
+        pytest.param(protocol, [], seed, id=f"{protocol}-None-{seed}")
+        for protocol in ("p3", "p4")
+        for seed in (1, 8)
+    ),
+    # n = 4 gives k = 0 announced positions, which leave both shares unmasked
+    *(pytest.param(protocol, ["--n", "4"], 1, id=f"{protocol}-n4-1") for protocol in ("p2bc", "p3", "p4")),
 ]
+_COMMIT_REFUSALS = ("error: transfer round kept aborting", "error: n=4 gives k=0 announced positions")
 
 
-@pytest.mark.parametrize("protocol, theta, seed", _SHARE_SPLIT_COMMITS)
-def test_a_share_split_commit_succeeds_or_is_refused(protocol, theta, seed, tmp_path, capsys):
+@pytest.mark.parametrize("protocol, extra, seed", _SHARE_SPLIT_COMMITS)
+def test_a_share_split_commit_succeeds_or_is_refused(protocol, extra, seed, tmp_path, capsys):
     """At the default n and l, a commit whose transfer rounds keep aborting,
     as they do at small theta, is refused on one stderr line, like any other
-    setting the run cannot serve."""
-    angle = ["--theta", repr(theta)] if theta is not None else []
-    argv = ["commit", "--protocol", protocol, *angle, "--seed", str(seed), "--out", str(tmp_path)]
+    setting the run cannot serve, and so is one at n = 4, where k = 0. A
+    refused commit leaves no transcript directory behind."""
+    out = tmp_path / "commit"
+    argv = ["commit", "--protocol", protocol, *extra, "--seed", str(seed), "--out", str(out)]
     code, _, err = _run(argv, capsys)
     assert code in (0, 2)
     assert "Traceback" not in err
     if code == 2:
-        assert err.startswith("error: transfer round kept aborting") and err.count("\n") == 1
+        assert err.startswith(_COMMIT_REFUSALS) and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert sorted(path.name for path in out.iterdir()) == ["receiver.json", "sender.json"]
 
 
 _OT12 = ["ot12", "--n", "64", "--trials", "100", "--seed", "2"]
@@ -936,6 +951,53 @@ def test_every_check_passes_at_its_defaults(key, capsys):
     experiment's default sizes."""
     code, _, err = _run([*_experiment_argv(*key, None), "--seed", "5", "--check"], capsys)
     assert code == 0, err
+
+
+# angles and rate margins the contract draws from, the accepted ones three
+# times as often: 0 and 2 lie outside (0, pi/2], and 0, 1/4 and 1/2 are no
+# margin below the base rate 1/4
+_CONTRACT_THETAS = (1e-9, 0.05, 0.3, np.pi / 4, 1.2, np.pi / 2) * 3 + (0.0, 2.0)
+_CONTRACT_ALPHAS = ("1/32", "1/16", "1/8", "3/16") * 3 + ("0", "1/4", "1/2", "a/b")
+
+
+@st.composite
+def _checked_command(draw):
+    """A `--check` campaign and a value for each flag it reads: a small n
+    from 1, 1 to 30 trials, an angle and a margin from the grids above and
+    a fixed seed, so a failing example replays as it is."""
+    key = draw(st.sampled_from(_CHECKED))
+    flags = cli.EXPERIMENTS[key].flags
+    argv = _experiment_argv(*key, None)
+    argv += ["--n", str(draw(st.integers(1, 64))), "--trials", str(draw(st.integers(1, 30)))]
+    if "--theta" in flags:
+        argv += ["--theta", repr(draw(st.sampled_from(_CONTRACT_THETAS)))]
+    if "--alpha" in flags:
+        argv += ["--alpha", draw(st.sampled_from(_CONTRACT_ALPHAS))]
+    if "--m" in flags:
+        argv += ["--m", str(draw(st.integers(1, 4)))]
+    if "--perfect-detectors" in flags and draw(st.booleans()):
+        argv.append("--perfect-detectors")
+    return [*argv, "--seed", str(draw(st.integers(0, 2**16))), "--check"]
+
+
+@example(argv=["rot", "--n", "1", "--theta", "0.05", "--trials", "20", "--seed", "3", "--check"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=_checked_command())
+def test_every_accepted_setting_keeps_the_dual_route_contract(argv):
+    """Over the flags a campaign accepts, each Monte-Carlo rate agrees with
+    its exact twin: a run exits 0, or refuses its setting with exit 2 and a
+    reason on stderr; never exit 3, never a traceback. The example, one
+    conclusive outcome at rate 0.00125 over 20 qubits, is as likely as 0.025
+    and once read as 6.17 sigma."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 2), (code, err.getvalue())
+    assert (code == 2) == bool(err.getvalue().strip()), err.getvalue()
 
 
 # a value other than the default for each flag but --n; none for a store_true flag

@@ -1,11 +1,13 @@
 """Every name imported into a qotlab module, a test module, a benchmark
 module or a tool script is read there; every qotlab definition, method
-and `qotlab.qsim` re-export is used outside the tests; and no qotlab module
-builds an object around its constructor. The benchmark files are only
-read, never changed."""
+and `qotlab.qsim` re-export is used outside the tests; every parameter a
+qotlab function gives a default is passed outside the tests; and no qotlab
+module builds an object around its constructor. The benchmark files are
+only read, never changed."""
 
 import ast
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -341,3 +343,102 @@ def test_records_are_built_by_their_constructors():
         for scope in constructor_bypasses(ast.parse(path.read_text()))
     }
     assert found == BYPASS_ALLOWED
+
+
+def defaulted_parameters(tree: ast.Module) -> set[tuple[str, str, str, Optional[int]]]:
+    """(function, parameter, called name, position) for each parameter a
+    function or method gives a default. A call names the function, or the
+    class for an `__init__`; the position counts the arguments a call
+    passes before the parameter, the bound self or cls not among them, and
+    is None for a keyword-only parameter."""
+    found = set()
+
+    def visit(node: ast.AST, cls: Optional[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls)
+                continue
+            args = child.args
+            positional = [*args.posonlyargs, *args.args]
+            static = any(ast.unparse(d) == "staticmethod" for d in child.decorator_list)
+            bound = int(cls is not None and not static)
+            name = f"{cls}.{child.name}" if cls else child.name
+            called = cls if child.name == "__init__" else child.name
+            first = len(positional) - len(args.defaults)
+            for index, arg in enumerate(positional[first:], start=first):
+                found.add((name, arg.arg, called, index - bound))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found.add((name, arg.arg, called, None))
+            visit(child, None)
+
+    visit(tree, None)
+    return found
+
+
+def passes(tree: ast.Module) -> set[tuple[str, object]]:
+    """(called name, keyword or position) for every argument some call in
+    the module passes; a `*args` passes every position ("*"), a `**kwargs`
+    every keyword ("**")."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        for index, arg in enumerate(node.args):
+            found.add((called, "*" if isinstance(arg, ast.Starred) else index))
+        found.update((called, kw.arg or "**") for kw in node.keywords)
+    return found
+
+
+def unpassed(defaults, passed) -> set[tuple[str, str]]:
+    """The (function, parameter) pairs no call passes, by keyword or position."""
+    return {
+        (name, param)
+        for name, param, called, index in defaults
+        if not {(called, param), (called, "**")} & passed
+        and (index is None or not {(called, index), (called, "*")} & passed)
+    }
+
+
+def test_the_check_sees_a_parameter_no_call_passes():
+    tree = ast.parse(
+        "class Stream:\n"
+        "    def __init__(self, seed, index=0):\n        pass\n"
+        "    def draw(self, n=1, *, fast=False):\n        pass\n"
+        "    @staticmethod\n    def make(size=2):\n        pass\n"
+        "def run(n, theta=0.5, alpha=0.1, qubits=None):\n    pass\n"
+        "def spread(values, scale=1.0):\n    pass\n"
+        "run(3, 0.7)\n"
+        "run(3, alpha=0.2)\n"
+        "Stream(1, 2).draw(fast=True)\n"
+        "Stream.make(4)\n"
+        "spread(*pair)\n"
+    )
+    assert unpassed(defaulted_parameters(tree), passes(tree)) == {
+        ("run", "qubits"),
+        ("Stream.draw", "n"),
+    }
+
+
+# the modules whose calls count: the package, the benchmark and the tools
+CALLERS = [
+    path for path in NON_TEST_MODULES if not path.is_relative_to(ROOT / "bench" / "tests")
+]
+
+
+def test_every_default_is_overridden_outside_the_tests():
+    """A parameter with a default that no call under src/, bench/ (not
+    bench/tests) or tools/ passes is a knob only the tests turn: the default
+    is the one value the program uses, so it belongs in the body."""
+    defaults = set()
+    for path in sorted(SRC.rglob("*.py")):
+        defaults |= defaulted_parameters(ast.parse(path.read_text()))
+    passed = set()
+    for path in CALLERS:
+        passed |= passes(ast.parse(path.read_text()))
+    assert unpassed(defaults, passed) == set()

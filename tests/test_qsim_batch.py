@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qotlab.attacks import _p3_probe_tables, entangle_probe_rows, p3_probe_pre_state
+from qotlab.attacks import _p3_probe_tables, p3_probe_pre_state
 from qotlab.bitcommit import p3_bases, p3_pair_states
 from qotlab.qsim import (
     RngStream,
@@ -27,7 +27,14 @@ from qotlab.qsim import (
     usd_povm,
 )
 from qotlab.rot import USD, born_table, encoding_amps, measurement_bases
-from rotation_route import blinded_amps, born_rows, inverse_cdf, povm_rows, rotate_rows
+from rotation_route import (
+    blinded_amps,
+    born_rows,
+    entangle_probe_rows,
+    inverse_cdf,
+    povm_rows,
+    rotate_rows,
+)
 
 ATOL = 1e-12
 ENCODE = np.pi / 4

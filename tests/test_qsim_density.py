@@ -75,7 +75,7 @@ class TestFidelity:
             assert fidelity(dm, dm) == pytest.approx(1.0, abs=1e-10)
 
     def test_pure_versus_maximally_mixed(self):
-        pure = projector(StateVector.computational([0]))
+        pure = projector(StateVector(num_qubits=1, amps=[1.0, 0]))
         mixed = DensityMatrix(num_qubits=1, entries=np.eye(2) / 2)
         assert fidelity(pure, mixed) == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
@@ -125,8 +125,8 @@ class TestFidelity:
                 assert fidelity(mixed, pure) == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        one = projector(StateVector.computational([0]))
-        two = projector(StateVector.computational([0, 0]))
+        one = projector(StateVector(num_qubits=1, amps=[1.0, 0]))
+        two = projector(StateVector(num_qubits=2, amps=[1.0, 0, 0, 0]))
         with pytest.raises(ValueError):
             fidelity(one, two)
 

@@ -17,22 +17,30 @@ from qotlab.qsim import (
     rotation_plane,
     usd_povm,
 )
-from qotlab.qsim.measure import CONCLUSIVE_0, CONCLUSIVE_1, INCONCLUSIVE
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
+# usd_povm's outcomes by index
+CONCLUSIVE_0, CONCLUSIVE_1, INCONCLUSIVE = 0, 1, 2
+
+
+def basis_state(index, n):
+    """The n-qubit computational basis state of the given index, whose
+    binary digits, most significant first, are the qubits' values."""
+    amps = np.zeros(2**n)
+    amps[index] = 1.0
+    return StateVector(num_qubits=n, amps=amps)
+
 
 def comp_basis(n):
-    states = tuple(
-        StateVector.computational([int(c) for c in format(i, f"0{n}b")]) for i in range(2**n)
-    )
-    return ProjectiveBasis(states=states, labels=tuple(format(i, f"0{n}b") for i in range(2**n)))
+    """The computational basis of n qubits; outcome i is basis state i."""
+    return ProjectiveBasis(states=tuple(basis_state(i, n) for i in range(2**n)))
 
 
 def test_basis_must_be_orthonormal():
     plus = StateVector(num_qubits=1, amps=np.array([INV_SQRT2, INV_SQRT2]))
     with pytest.raises(ValueError):
-        ProjectiveBasis(states=(plus, StateVector.computational([0])), labels=("a", "b"))
+        ProjectiveBasis(states=(plus, basis_state(0, 1)))
 
 
 def test_born_probabilities_plus_state():
@@ -54,31 +62,35 @@ def test_born_probabilities_subsystem():
 
 def test_born_probabilities_incomplete_basis_rejected():
     # a one-element "basis" does not span the qubit
-    basis = ProjectiveBasis(states=(StateVector.computational([0]),), labels=("0",))
+    basis = ProjectiveBasis(states=(basis_state(0, 1),))
     with pytest.raises(ValueError):
         born_probabilities(StateVector(num_qubits=1, amps=np.array([INV_SQRT2, INV_SQRT2])), basis)
 
 
-def test_measure_projective_collapses_subsystem():
-    rng = RngStream(11, 0)
-    state = bell_state("phi+")
-    assert measure_projective(state, comp_basis(1), rng, qubits=(0,)) in ("0", "1")
-    # on |10> the label is the measured qubit's own value
-    product = StateVector.computational([1, 0])
-    assert measure_projective(product, comp_basis(1), rng, qubits=(0,)) == "1"
+def test_born_probabilities_of_one_qubit_of_a_pair():
+    np.testing.assert_allclose(
+        born_probabilities(bell_state("phi+"), comp_basis(1), qubits=(0,)), [0.5, 0.5], atol=1e-12
+    )
+    # on |10> the outcome is the measured qubit's own value
+    np.testing.assert_allclose(
+        born_probabilities(basis_state(0b10, 2), comp_basis(1), qubits=(0,)), [0, 1], atol=1e-12
+    )
 
 
-def test_measure_projective_with_permuted_qubits():
-    # measuring qubits (1, 0) of |01> must report the swapped word "10"
-    state = StateVector.computational([0, 1])
-    rng = RngStream(12, 0)
-    assert measure_projective(state, comp_basis(2), rng, qubits=(1, 0)) == "10"
+def test_born_probabilities_with_permuted_qubits():
+    # measuring qubits (1, 0) of |01> must give the swapped word 10, outcome 2
+    state = basis_state(0b01, 2)
+    np.testing.assert_allclose(
+        born_probabilities(state, comp_basis(2), qubits=(1, 0)), [0, 0, 1, 0], atol=1e-12
+    )
 
 
 def test_measure_projective_full_space_returns_basis_state():
-    rng = RngStream(13, 0)
+    # the outcome is the index of the basis state sampled
     plus = StateVector(num_qubits=1, amps=np.array([INV_SQRT2, INV_SQRT2]))
-    assert measure_projective(plus, comp_basis(1), rng) in ("0", "1")
+    rng = RngStream(13, 0)
+    assert {measure_projective(plus, comp_basis(1), rng) for _ in range(20)} == {0, 1}
+    assert measure_projective(basis_state(0b10, 2), comp_basis(2), RngStream(11, 0)) == 2
 
 
 def test_measure_projective_frequencies():
@@ -89,7 +101,7 @@ def test_measure_projective_frequencies():
     state = StateVector(num_qubits=1, amps=np.array([amp0, np.sqrt(0.7)]))
     samples = 100_000
     ones = sum(
-        1 for _ in range(samples) if measure_projective(state, basis, rng) == "1"
+        1 for _ in range(samples) if measure_projective(state, basis, rng) == 1
     )
     sigma = np.sqrt(0.3 * 0.7 / samples)
     assert abs(ones / samples - 0.7) < 5 * sigma
@@ -114,13 +126,11 @@ class TestUsdPovm:
         p0 = povm_probabilities(psi0, povm)
         p1 = povm_probabilities(psi1, povm)
         success = 1.0 - np.cos(theta)
-        by_label0 = dict(zip(povm.labels, p0))
-        by_label1 = dict(zip(povm.labels, p1))
-        assert by_label0[CONCLUSIVE_0] == pytest.approx(success, abs=1e-12)
-        assert by_label0[CONCLUSIVE_1] == pytest.approx(0.0, abs=1e-12)
-        assert by_label1[CONCLUSIVE_1] == pytest.approx(success, abs=1e-12)
-        assert by_label1[CONCLUSIVE_0] == pytest.approx(0.0, abs=1e-12)
-        assert by_label0[INCONCLUSIVE] == pytest.approx(np.cos(theta), abs=1e-12)
+        assert p0[CONCLUSIVE_0] == pytest.approx(success, abs=1e-12)
+        assert p0[CONCLUSIVE_1] == pytest.approx(0.0, abs=1e-12)
+        assert p1[CONCLUSIVE_1] == pytest.approx(success, abs=1e-12)
+        assert p1[CONCLUSIVE_0] == pytest.approx(0.0, abs=1e-12)
+        assert p0[INCONCLUSIVE] == pytest.approx(np.cos(theta), abs=1e-12)
 
     def test_identical_states_are_rejected(self):
         with pytest.raises(ValueError):
@@ -134,7 +144,7 @@ class TestUsdPovm:
         psi0, _ = make_nonorthogonal_pair(theta)
         rng = RngStream(15, 0)
         samples = 100_000
-        counts = {label: 0 for label in povm.labels}
+        counts = [0, 0, 0]
         for _ in range(samples):
             counts[measure_povm(psi0, povm, rng)] += 1
         success = 1.0 - np.cos(theta)
@@ -147,7 +157,7 @@ def test_perp_outcome_identifies_the_other_state():
     # the outcome along perp(psi_x) can only come from psi_{1-x}
     theta = np.pi / 4
     psi0, psi1 = make_nonorthogonal_pair(theta)
-    basis0 = ProjectiveBasis(states=(psi0, perp(psi0)), labels=("along", "perp"))
+    basis0 = ProjectiveBasis(states=(psi0, perp(psi0)))
     np.testing.assert_allclose(born_probabilities(psi0, basis0), [1.0, 0.0], atol=1e-12)
     probs1 = born_probabilities(psi1, basis0)
     assert probs1[1] == pytest.approx(np.sin(theta) ** 2, abs=1e-12)
@@ -155,10 +165,10 @@ def test_perp_outcome_identifies_the_other_state():
 
 def test_four_outcome_entangled_basis_measurement():
     bases = tuple(bell_state(k) for k in ("phi+", "phi-", "psi+", "psi-"))
-    basis = ProjectiveBasis(states=bases, labels=("phi+", "phi-", "psi+", "psi-"))
+    basis = ProjectiveBasis(states=bases)
     probs = born_probabilities(bell_state("psi+"), basis)
     np.testing.assert_allclose(probs, [0, 0, 1, 0], atol=1e-12)
-    mixed = StateVector.computational([0, 1])
+    mixed = basis_state(0b01, 2)
     np.testing.assert_allclose(born_probabilities(mixed, basis), [0, 0, 0.5, 0.5], atol=1e-12)
 
 

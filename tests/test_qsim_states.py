@@ -16,12 +16,12 @@ from qotlab.qsim.states import Unitary2x2
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def test_computational_basis_states():
-    zero = StateVector.computational([0])
-    one = StateVector.computational([1])
-    np.testing.assert_allclose(zero.amps, [1.0, 0.0])
-    np.testing.assert_allclose(one.amps, [0.0, 1.0])
-    assert abs(np.vdot(zero.amps, one.amps)) == 0.0
+@pytest.mark.parametrize("theta", [1e-9, 0.3, np.pi / 4, np.pi / 2])
+def test_the_first_coding_state_is_zero(theta):
+    zero, rotated = make_nonorthogonal_pair(theta)
+    assert zero.num_qubits == 1
+    assert np.array_equal(zero.amps, [1.0, 0.0])
+    assert np.vdot(zero.amps, rotated.amps) == pytest.approx(np.cos(theta), abs=1e-15)
 
 
 def test_state_vector_rejects_bad_input():
@@ -36,17 +36,9 @@ def test_state_vector_rejects_bad_input():
 
 
 def test_amplitudes_are_locked():
-    state = StateVector.computational([0])
+    state = make_nonorthogonal_pair(0.3)[0]
     with pytest.raises(ValueError):
         state.amps[0] = 0.5
-
-
-def test_tensor_ordering_is_big_endian():
-    # qubit 0 is the most significant index of the amplitude vector
-    s = StateVector.computational([1, 0])
-    np.testing.assert_allclose(s.amps, [0, 0, 1, 0])
-    t = StateVector.computational([0, 1])
-    np.testing.assert_allclose(t.amps, [0, 1, 0, 0])
 
 
 def test_unitary_validation():
@@ -106,8 +98,9 @@ def test_bell_states():
 
 
 def test_apply_on_qubit_targets_the_right_factor():
+    # qubit 0 is the most significant index of the amplitude vector
     u = rotation_plane(np.pi / 2)
-    base = StateVector.computational([0, 0])
+    base = StateVector(num_qubits=2, amps=[1.0, 0, 0, 0])
     on_first = apply_on_qubit(base, 0, u)
     on_second = apply_on_qubit(base, 1, u)
     np.testing.assert_allclose(on_first.amps, [0, 0, 1, 0], atol=1e-12)
