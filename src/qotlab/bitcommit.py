@@ -566,40 +566,41 @@ def p5_verify(receiver_state: P5ReceiverState, open_msg: P5OpenMessage) -> Verif
 # JSON views (classical data only), one codec per protocol family
 
 
-def _bc_to_dict(state, rounds: list, **fields) -> dict:
-    """A share-split sender or receiver file: the header both sides share,
-    the side's own `fields` and its l written `rounds`."""
+def _bc_to_dict(state, **fields) -> dict:
+    """A share-split sender or receiver file: the header both sides share
+    and the side's own `fields`, each per-round field one value over the
+    l rounds, a string of l cells or a list of l strings of n cells."""
     header = dict(
-        protocol_id=state.protocol_id, l=len(rounds), n=state.n, k=state.k, theta=state.theta
+        protocol_id=state.protocol_id, l=len(state.rounds), n=state.n, k=state.k, theta=state.theta
     )
-    return {**header, **fields, "rounds": rounds}
+    return {**header, **fields}
 
 
 def _bc_sender_to_dict(state: CommitSenderState) -> dict:
-    rounds = [
-        {
-            "share0": rnd.share0,
-            "share1": rnd.share1,
-            "r": _cells_text(rnd.bits),
-            "sets": _sets_text(state.n, rnd.x_set, rnd.y_set),
-            "c0": rnd.c0,
-            "c1": rnd.c1,
-        }
-        for rnd in state.rounds
-    ]
-    return _bc_to_dict(state, rounds, bit=state.bit)
+    rounds = state.rounds
+    return _bc_to_dict(
+        state,
+        bit=state.bit,
+        share0=_cells_text([rnd.share0 for rnd in rounds]),
+        share1=_cells_text([rnd.share1 for rnd in rounds]),
+        r=[_cells_text(rnd.bits) for rnd in rounds],
+        sets=[_sets_text(state.n, rnd.x_set, rnd.y_set) for rnd in rounds],
+        c0=_cells_text([rnd.c0 for rnd in rounds]),
+        c1=_cells_text([rnd.c1 for rnd in rounds]),
+    )
 
 
-# an int8 row in JSON: one cell per position, the sent bit ("r") or the
-# decoded bit ("conclusive"), and "-" where no bit was learned (-1, the byte 0xff)
+# cells in JSON: a string of one cell per round ("share0", "c0", ...) or
+# per position ("r", "conclusive", the P5 "strings"), the bit, or "-" where
+# no bit was learned (-1, the byte 0xff)
 _DECODED_CELLS = "01-"
 _TO_CELLS = bytes.maketrans(b"\x00\x01\xff", _DECODED_CELLS.encode("ascii"))
 _FROM_CELLS = bytes.maketrans(_DECODED_CELLS.encode("ascii"), b"\x00\x01\xff")
 
 
-def _cells_text(row: np.ndarray) -> str:
-    """An int8 row of 0, 1 and -1 as its string of cells."""
-    return row.tobytes().translate(_TO_CELLS).decode("ascii")
+def _cells_text(row) -> str:
+    """An int8 row of 0, 1 and -1, or a sequence of bits, as its string of cells."""
+    return bytes(row).translate(_TO_CELLS).decode("ascii")
 
 
 # a round's announcement in JSON ("sets"): one cell per position, "x" in
@@ -618,18 +619,16 @@ def _sets_text(n: int, x_set: tuple[int, ...], y_set: tuple[int, ...]) -> str:
 
 
 def _bc_receiver_to_dict(state: CommitReceiverState) -> dict:
-    rounds = [
-        {
-            "m": rnd.sets.m,
-            "sets": _sets_text(state.n, rnd.sets.x_set, rnd.sets.y_set),
-            "conclusive": _cells_text(rnd.decoded),
-            "c0": rnd.c0,
-            "c1": rnd.c1,
-            "received_share": rnd.received_share,
-        }
-        for rnd in state.rounds
-    ]
-    return _bc_to_dict(state, rounds)
+    rounds = state.rounds
+    return _bc_to_dict(
+        state,
+        m=_cells_text([rnd.sets.m for rnd in rounds]),
+        sets=[_sets_text(state.n, rnd.sets.x_set, rnd.sets.y_set) for rnd in rounds],
+        conclusive=[_cells_text(rnd.decoded) for rnd in rounds],
+        c0=_cells_text([rnd.c0 for rnd in rounds]),
+        c1=_cells_text([rnd.c1 for rnd in rounds]),
+        received_share=_cells_text([rnd.received_share for rnd in rounds]),
+    )
 
 
 def _bc_open_to_dict(msg: OpenMessage) -> dict:
@@ -654,7 +653,7 @@ def _p5_sender_to_dict(state: P5SenderState) -> dict:
         "m": len(state.strings),
         "n": state.function.arity,
         "function": state.function.name,
-        "strings": [list(s) for s in state.strings],
+        "strings": [_cells_text(s) for s in state.strings],
     }
 
 
@@ -714,6 +713,36 @@ def _field_name(key: str, round_index: Optional[int]) -> str:
     return key if round_index is None else f"rounds[{round_index}].{key}"
 
 
+def _strings(d: dict, key: str, count_key: str, count: int, n: int, alphabet: str) -> list[str]:
+    """d[key], which must be a list of `count` strings (the value of header
+    field `count_key`), each of n cells from `alphabet`. The whole list is
+    checked at once; a refused string is then named (`key[i]`)."""
+    rows = _field(d, key, _list)
+    if len(rows) != count:
+        raise ValueError(
+            f"field {key!r} holds {len(rows)} strings, but field {count_key!r} is {count}"
+        )
+    try:
+        faulty = set(map(len, rows)) != {n} or bool("".join(rows).strip(alphabet))
+    except TypeError:  # a row that is no string
+        faulty = True
+    if faulty:  # name the first faulty string: _each raises there
+        _each(key, rows, functools.partial(_cell_string, "n", n, alphabet))
+    return rows
+
+
+def _each(key: str, rows: list, read, *per_row) -> list:
+    """read(row i, *entry i of each of per_row) for every row of field
+    `key`; a refusal raises a ValueError naming the row (`key[i]`)."""
+    out = []
+    for i, args in enumerate(zip(rows, *per_row)):
+        try:
+            out.append(read(*args))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"field '{key}[{i}]' is malformed: {exc}") from None
+    return out
+
+
 def _int(x) -> int:
     if type(x) is not int:  # a JSON bool is no integer here
         raise TypeError(f"expected an integer, got {type(x).__name__}")
@@ -766,13 +795,17 @@ def _ints(x) -> tuple[int, ...]:
     return values
 
 
-def _cell_string(n: int, alphabet: str, x) -> str:
-    """x, which must be a string of n cells, each one of the characters of
-    `alphabet`."""
+def _int_rows(x) -> tuple[tuple[int, ...], ...]:
+    return tuple(_ints(row) for row in _list(x))
+
+
+def _cell_string(size_key: str, size: int, alphabet: str, x) -> str:
+    """x, which must be a string of `size` cells (the value of header field
+    `size_key`), each one of the characters of `alphabet`."""
     if not isinstance(x, str):
-        raise TypeError(f"expected a string of n = {n} cells, got {type(x).__name__}")
-    if len(x) != n:
-        raise ValueError(f"expected a string of n = {n} cells, got {len(x)}")
+        raise TypeError(f"expected a string of {size_key} = {size} cells, got {type(x).__name__}")
+    if len(x) != size:
+        raise ValueError(f"expected a string of {size_key} = {size} cells, got {len(x)}")
     # strip leaves the string from its first cell outside the alphabet on
     rest = x.strip(alphabet)
     if rest:
@@ -780,20 +813,26 @@ def _cell_string(n: int, alphabet: str, x) -> str:
     return x
 
 
-def _cells(n: int, alphabet: str, x) -> np.ndarray:
-    """A string of n cells from `alphabet` (a part of "01-"), read back into
-    the read-only int8 row `_cells_text` writes it from."""
-    text = _cell_string(n, alphabet, x)
-    return np.frombuffer(text.encode("ascii").translate(_FROM_CELLS), dtype=np.int8)
+def _grid(rows: list[str], n: int) -> np.ndarray:
+    """Checked strings of n cells from "01-", read back into the read-only
+    int8 (len(rows), n) array whose rows `_cells_text` writes them from."""
+    cells = "".join(rows).encode("ascii").translate(_FROM_CELLS)
+    return np.frombuffer(cells, dtype=np.int8).reshape(len(rows), n)
 
 
-def _sets(n: int, k: int, x) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The announced sets (X, Y), read back from the string of n cells
-    `_sets_text` writes them as; each must hold k positions. The cells make
-    the sets disjoint, sorted and within 1..n."""
+def _bits(l: int, x) -> tuple[int, ...]:
+    """A string of l cells "0"/"1", one bit per round, read back into the
+    bits `_cells_text` writes it from."""
+    return tuple(_cell_string("l", l, "01", x).encode("ascii").translate(_FROM_CELLS))
+
+
+def _sets(k: int, cells: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The announced sets (X, Y), read back from the checked string of
+    cells `_sets_text` writes them as; each must hold k positions. The
+    cells make the sets disjoint, sorted and within 1..n."""
     x_set: list[int] = []
     y_set: list[int] = []
-    for p, cell in enumerate(_cell_string(n, _SET_CELLS, x), start=1):
+    for p, cell in enumerate(cells, start=1):
         if cell == "x":
             x_set.append(p)
         elif cell == "y":
@@ -803,14 +842,6 @@ def _sets(n: int, k: int, x) -> tuple[tuple[int, ...], tuple[int, ...]]:
             f"expected k = {k} cells each of 'x' and 'y', got {len(x_set)} and {len(y_set)}"
         )
     return tuple(x_set), tuple(y_set)
-
-
-def _int_rows(x) -> tuple[tuple[int, ...], ...]:
-    return tuple(_ints(row) for row in _list(x))
-
-
-def _bit_rows(x) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(_bit(v) for v in _list(row)) for row in _list(x))
 
 
 def _pos_vals(x) -> tuple[tuple[int, int], ...]:
@@ -826,69 +857,51 @@ def _pos_vals(x) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _conclusive(n: int, i_set: tuple[int, ...], x) -> np.ndarray:
-    """A round's decoded row, read from its n cells; every announced I
-    position (sorted, in 1..n) must be conclusive."""
-    decoded = _cells(n, _DECODED_CELLS, x)
+def _conclusive(cells: str, i_set: tuple[int, ...]) -> None:
+    """Refuse a round's checked string of decoded cells unless every
+    announced I position (sorted, in 1..n) is conclusive."""
     for p in i_set:
-        if decoded[p - 1] < 0:
+        if cells[p - 1] == "-":
             raise ValueError(f"announced I position {p} is not conclusive")
-    return decoded
-
-
-def _rounds(d: dict, l: Optional[int] = None) -> list:
-    """d["rounds"], which must hold l rounds if l is given."""
-    rounds = _field(d, "rounds", _list)
-    if l is not None and len(rounds) != l:
-        raise ValueError(f"field 'rounds' holds {len(rounds)} rounds, but field 'l' is {l}")
-    return rounds
 
 
 def _angle(protocol_id: str, x) -> float:
     return check_channel_angle(protocol_id, _float(x))
 
 
-def _bc_from_dict(d: dict, state_type, read_round, **fields):
-    """A share-split sender or receiver file as `state_type`: the header
-    both sides share, each round as read_round(rnd, at, n, sets) reads it,
-    and the side's own `fields`, each read by the reader named for it."""
+def _bc_header(d: dict) -> tuple[int, int, int, float]:
+    """The header both share-split files hold: l, n, k and theta."""
     l, n, k = _field(d, "l", _count), _field(d, "n", _count), _field(d, "k", _count)
-    sets = functools.partial(_sets, n, k)
-    rounds = tuple(read_round(rnd, at, n, sets) for at, rnd in enumerate(_rounds(d, l)))
-    own = {key: _field(d, key, read) for key, read in fields.items()}
     theta = _field(d, "theta", functools.partial(_angle, d["protocol_id"]))
-    return state_type(protocol_id=d["protocol_id"], n=n, k=k, theta=theta, rounds=rounds, **own)
-
-
-def _bc_sender_round(rnd: dict, at: int, n: int, sets) -> SenderCommitRound:
-    """Round `at` of a sender file, its sets read by `sets`."""
-    share0, share1 = _field(rnd, "share0", _bit, at), _field(rnd, "share1", _bit, at)
-    bits = _field(rnd, "r", functools.partial(_cells, n, "01"), at)
-    x_set, y_set = _field(rnd, "sets", sets, at)
-    c0, c1 = _field(rnd, "c0", _bit, at), _field(rnd, "c1", _bit, at)
-    return SenderCommitRound(share0, share1, bits, x_set, y_set, c0, c1)
+    return l, n, k, theta
 
 
 def _bc_sender_from_dict(d: dict) -> CommitSenderState:
-    return _bc_from_dict(d, CommitSenderState, _bc_sender_round, bit=_bit)
-
-
-def _bc_receiver_round(rnd: dict, at: int, n: int, sets) -> ReceiverCommitRound:
-    """Round `at` of a receiver file, its sets read by `sets`; every I
-    position must be conclusive."""
-    x_set, y_set = _field(rnd, "sets", sets, at)
-    announced = IndexSets.from_slots(x_set, y_set, _field(rnd, "m", _bit, at))
-    return ReceiverCommitRound(
-        sets=announced,
-        decoded=_field(rnd, "conclusive", functools.partial(_conclusive, n, announced.i_set), at),
-        c0=_field(rnd, "c0", _bit, at),
-        c1=_field(rnd, "c1", _bit, at),
-        received_share=_field(rnd, "received_share", _bit, at),
+    l, n, k, theta = _bc_header(d)
+    bits = functools.partial(_bits, l)
+    share0, share1 = _field(d, "share0", bits), _field(d, "share1", bits)
+    sent = _grid(_strings(d, "r", "l", l, n, "01"), n)
+    sets = _each("sets", _strings(d, "sets", "l", l, n, _SET_CELLS), functools.partial(_sets, k))
+    x_sets, y_sets = zip(*sets)
+    c0, c1 = _field(d, "c0", bits), _field(d, "c1", bits)
+    rounds = tuple(map(SenderCommitRound, share0, share1, sent, x_sets, y_sets, c0, c1))
+    return CommitSenderState(
+        protocol_id=d["protocol_id"], bit=_field(d, "bit", _bit), n=n, k=k, theta=theta, rounds=rounds
     )
 
 
 def _bc_receiver_from_dict(d: dict) -> CommitReceiverState:
-    return _bc_from_dict(d, CommitReceiverState, _bc_receiver_round)
+    l, n, k, theta = _bc_header(d)
+    bits = functools.partial(_bits, l)
+    slots = _field(d, "m", bits)
+    sets = _each("sets", _strings(d, "sets", "l", l, n, _SET_CELLS), functools.partial(_sets, k))
+    announced = [IndexSets.from_slots(x_set, y_set, m) for (x_set, y_set), m in zip(sets, slots)]
+    cells = _strings(d, "conclusive", "l", l, n, _DECODED_CELLS)
+    _each("conclusive", cells, _conclusive, [a.i_set for a in announced])
+    c0, c1 = _field(d, "c0", bits), _field(d, "c1", bits)
+    received = _field(d, "received_share", bits)
+    rounds = tuple(map(ReceiverCommitRound, announced, _grid(cells, n), c0, c1, received))
+    return CommitReceiverState(protocol_id=d["protocol_id"], n=n, k=k, theta=theta, rounds=rounds)
 
 
 def _bc_open_from_dict(d: dict) -> OpenMessage:
@@ -899,44 +912,28 @@ def _bc_open_from_dict(d: dict) -> OpenMessage:
             declared_x=_field(rnd, "declared_x", _pos_vals, at),
             declared_y=_field(rnd, "declared_y", _pos_vals, at),
         )
-        for at, rnd in enumerate(_rounds(d))
+        for at, rnd in enumerate(_field(d, "rounds", _list))
     )
     return OpenMessage(protocol_id=d["protocol_id"], rounds=rounds)
 
 
 def _p5_sender_from_dict(d: dict) -> P5SenderState:
     m, n = _field(d, "m", _count), _field(d, "n", _count)
-    strings = _field(d, "strings", _bit_rows)
-    if len(strings) != m:
-        raise ValueError(f"field 'strings' holds {len(strings)} strings, but field 'm' is {m}")
-    for i, string in enumerate(strings):
-        if len(string) != n:
-            raise ValueError(f"field 'strings[{i}]' has length {len(string)}, but field 'n' is {n}")
+    strings = _strings(d, "strings", "m", m, n, "01")
     return P5SenderState(
         protocol_id=PROTOCOL_P5,
         bit=_field(d, "bit", _bit),
         function=_field(d, "function", functools.partial(_function, n)),
-        strings=strings,
+        strings=tuple(map(tuple, _grid(strings, n).tolist())),
     )
 
 
 def _p5_receiver_from_dict(d: dict) -> P5ReceiverState:
     m, n = _field(d, "m", _count), _field(d, "n", _count)
-    rows = _field(d, "conclusive", _list)
-    if len(rows) != m:
-        raise ValueError(f"field 'conclusive' holds {len(rows)} strings, but field 'm' is {m}")
-    cells = []
-    for i, row in enumerate(rows):
-        try:
-            cells.append(_cells(n, _DECODED_CELLS, row))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"field 'conclusive[{i}]' is malformed: {exc}") from None
-    decoded = np.stack(cells)
-    decoded.flags.writeable = False
     return P5ReceiverState(
         protocol_id=PROTOCOL_P5,
         function=_field(d, "function", functools.partial(_function, n)),
-        decoded=decoded,
+        decoded=_grid(_strings(d, "conclusive", "m", m, n, _DECODED_CELLS), n),
     )
 
 

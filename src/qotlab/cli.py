@@ -7,7 +7,8 @@ flags it reads with their defaults; the parser, the defaults, the dispatch
 and the refusal of a flag the experiment does not read all come from it.
 Campaigns emit rows of (experiment, params, metric, value, ci_low, ci_high,
 trials) as CSV or JSON, sorted so that a fixed seed gives byte-identical
-output; `--check` exits 3 when one of their statistical guards fails.
+output; `--check` prints each statistical guard to stderr and exits 3 when
+one of them fails.
 """
 from __future__ import annotations
 
@@ -125,19 +126,20 @@ def rows_to_json(rows: list[ResultRow]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _disagreement(label: str, hits: int, trials: int, exact: float) -> Optional[str]:
-    """The failure line of a Monte-Carlo count of hits in trials against its
-    exact rate, or None. It fails when a count at least as far out on its
-    side, X >= hits or X <= hits for X ~ Binomial(trials, exact), has exact
-    probability below 2.8665e-7, the normal tail beyond 5 sigma on one side;
-    at an exact 0 or 1 any other count has probability 0."""
+def _comparison(label: str, hits: int, trials: int, exact: float) -> tuple[str, bool]:
+    """The line `--check` prints for a Monte-Carlo count of hits in trials
+    against its exact rate, and whether the count fails. It fails when a
+    count at least as far out on its side, X >= hits or X <= hits for
+    X ~ Binomial(trials, exact), has exact probability (the line's tail)
+    below 2.8665e-7, the normal tail beyond 5 sigma on one side; at an
+    exact 0 or 1 any other count has probability 0."""
     p, count = (exact, hits) if hits > exact * trials else (1.0 - exact, trials - hits)
-    if binomial_tail(trials, p, count) >= 2.8665e-7:
-        return None
+    tail = binomial_tail(trials, p, count)
     value, sigma = hits / trials, math.sqrt(exact * (1.0 - exact) / trials)
     gap = value - exact
     spread = f"sigma {sigma:.6g}, z {gap / sigma:.2f}" if sigma else f"sigma 0, gap {gap:.6g}"
-    return f"{label} {value:.6f} off exact {exact:.6f}: {spread}"
+    line = f"{label} {value:.6g} ({hits}/{trials}), exact {exact:.6g}, tail {tail:.3g}, {spread}"
+    return line, tail < 2.8665e-7
 
 
 def cmd_rot(cfg: argparse.Namespace) -> tuple[list[ResultRow], list[tuple]]:
@@ -503,10 +505,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # only --check sums the exact tails; a plain run pays nothing for them
-    fails = [f for c in checks if (f := _disagreement(*c))] if vars(cfg).get("check") else []
-    for line in fails:
-        print(f"CHECK FAIL: {line}", file=sys.stderr)
-    return 3 if fails else 0
+    compared = [_comparison(*c) for c in checks] if vars(cfg).get("check") else []
+    for line, failed in compared:
+        print(f"CHECK {'FAIL' if failed else 'ok'}: {line}", file=sys.stderr)
+    return 3 if any(failed for _, failed in compared) else 0
 
 
 if __name__ == "__main__":

@@ -97,8 +97,9 @@ def test_the_first_output_difference_is_named(workload, base, new, key):
 # return n = 1 and p1 = 1/2, or on odd op seeds 1 + SHIFT and 1/2 + SHIFT
 # ulp; its `campaign` ops return two CSV keys and two transcripts, and on
 # odd op seeds SHIFT moves the probe-p3 CSV and the decoded row of both
-# transcripts; the per-op check counts the ops it saw, and the pooled check
-# fails when told to or when an op went unchecked
+# transcripts; every op encodes CODEC bytes of transcript JSON; the per-op
+# check counts the ops it saw, and the pooled check fails when told to or
+# when an op went unchecked
 _FAKE_WORKLOADS = """
 from types import SimpleNamespace
 
@@ -134,6 +135,9 @@ class Workload:
     def check(self, out):
         self.checked += 1
 
+    def codec_bytes(self, out):
+        return {codec}
+
     def finish(self):
         if {fail} or self.checked != self.ops:
             self.problems.append("pooled check failed")
@@ -144,11 +148,12 @@ def make(name):
 """
 
 
-def _fake_tree(root, shift=0, fail=False):
+def _fake_tree(root, shift=0, fail=False, codec=0):
     (root / "src" / "qotlab").mkdir(parents=True)
     (root / "src" / "qotlab" / "__init__.py").write_text("")
     (root / "bench").mkdir()
-    (root / "bench" / "workloads.py").write_text(_FAKE_WORKLOADS.format(shift=shift, fail=fail))
+    workloads = _FAKE_WORKLOADS.format(shift=shift, fail=fail, codec=codec)
+    (root / "bench" / "workloads.py").write_text(workloads)
     return root
 
 
@@ -249,3 +254,13 @@ def test_counted_differences_keep_the_checks(trees):
     assert code == 1
     assert "CHECK FAIL (base): pooled check failed" in out
     assert "CHECK FAIL (new)" not in out
+
+
+def test_each_tree_prints_its_codec_bytes_beside_its_time(trees):
+    """A tree whose ops encode transcripts shows its median bytes per op on
+    its timing row; a tree whose ops encode none shows nothing there."""
+    code, out = _ab(trees("base", codec=2646), trees("new"))
+    assert code == 0, out
+    base, new = out.splitlines()[:2]
+    assert base.startswith("base exact: median ") and base.endswith(" over 4 ops; codec 2646 B/op")
+    assert new.startswith("new  exact: median ") and new.endswith(" over 4 ops")

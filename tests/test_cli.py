@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -191,7 +192,10 @@ def test_share_split_files_carry_one_header(protocol, angle, tmp_path, capsys):
     header = ("protocol_id", "l", "n", "k", "theta")
     assert {key: sender[key] for key in header} == {key: receiver[key] for key in header}
     assert sender["protocol_id"] == cli._PROTOCOLS[protocol]
-    assert sender["l"] == len(sender["rounds"]) == len(receiver["rounds"]) == 3
+    # every other field is one value per round: a string of cells or a list of strings
+    columns = [v for doc in (sender, receiver) for k, v in doc.items() if k not in (*header, "bit")]
+    assert sender["l"] == 3
+    assert {len(column) for column in columns} == {3}
     assert sender["theta"] == (float(angle[1]) if angle else float(np.pi / 4))
 
 
@@ -412,23 +416,25 @@ def test_verify_refuses_a_forged_announcement(tmp_path):
     receiver = json.loads((tmp_path / "receiver.json").read_text())
     opening = json.loads((tmp_path / "open.json").read_text())
     honest = bitcommit.receiver_state_from_dict(receiver)
-    rnd, orn = receiver["rounds"][0], opening["rounds"][0]
+    orn = opening["rounds"][0]
     assert receiver["k"] == 3
     # the masked slot: X (c0, share0) when m = 0, Y (c1, share1) when m = 1
-    slot = rnd["m"]
-    cells = zip(rnd["sets"], rnd["conclusive"])
+    slot = int(receiver["m"][0])
+    cells = zip(receiver["sets"][0], receiver["conclusive"][0])
     extra = next(i for i, (a, c) in enumerate(cells) if a == "-" and c != "-")
-    val = int(rnd["conclusive"][extra])
-    rnd["sets"] = _set_cell(rnd["sets"], extra, "xy"[slot])
+    val = int(receiver["conclusive"][0][extra])
+    receiver["sets"][0] = _set_cell(receiver["sets"][0], extra, "xy"[slot])
     side = ("declared_x", "declared_y")[slot]
     orn[side] = sorted([*orn[side], {"pos": extra + 1, "val": val}], key=lambda d: d["pos"])
-    rnd[f"c{slot}"] ^= val
+    cipher = f"c{slot}"
+    receiver[cipher] = _set_cell(receiver[cipher], 0, str(int(receiver[cipher][0]) ^ val))
     # built past the reader, the forged round verifies
     first = honest.rounds[0]
     slots = [first.sets.x_set, first.sets.y_set]
     slots[slot] = tuple(sorted((*slots[slot], extra + 1)))
     sets = IndexSets.from_slots(*slots, first.sets.m)
-    forged = dataclasses.replace(first, sets=sets, c0=rnd["c0"], c1=rnd["c1"])
+    c0, c1 = int(receiver["c0"][0]), int(receiver["c1"][0])
+    forged = dataclasses.replace(first, sets=sets, c0=c0, c1=c1)
     state = dataclasses.replace(honest, rounds=(forged, *honest.rounds[1:]))
     assert bitcommit.bc_verify(state, bitcommit.open_message_from_dict(opening)).accepted
     (tmp_path / "receiver.json").write_text(json.dumps(receiver))
@@ -437,13 +443,9 @@ def test_verify_refuses_a_forged_announcement(tmp_path):
     assert result.returncode == 2, result.stdout
     counts = ("4 and 3", "3 and 4")[slot]
     assert result.stderr == (
-        "error: field 'rounds[0].sets' is malformed: "
+        "error: field 'sets[0]' is malformed: "
         f"expected k = 3 cells each of 'x' and 'y', got {counts}\n"
     )
-
-
-def _set_cell(cells: str, i: int, value: str) -> str:
-    return cells[:i] + value + cells[i + 1:]
 
 
 def _first_cell(cells: str, want: str) -> int:
@@ -458,13 +460,13 @@ def _recelled(old: str, new: str):
 def _moved_i_cell(sets: str, rnd) -> str:
     """One I cell moved to a position the receiver did not learn; X is I
     when m = 0."""
-    i_cell = "xy"[rnd["m"]]
+    i_cell = "xy"[int(rnd["m"])]
     sets = _set_cell(sets, _first_cell(sets, i_cell), "-")
     cells = zip(sets, rnd["conclusive"])
     return _set_cell(sets, next(i for i, (a, c) in enumerate(cells) if a == c == "-"), i_cell)
 
 
-_SETS = "'rounds[1].sets' is malformed: "
+_SETS = "'sets[1]' is malformed: "
 _K_CELLS = _SETS + "expected k = 3 cells each of 'x' and 'y', got "
 
 
@@ -478,28 +480,28 @@ _K_CELLS = _SETS + "expected k = 3 cells each of 'x' and 'y', got "
         (_recelled("-", "1"), _SETS + "cell '1' is not one of 'xy-'"),
         (_recelled("y", "-"), _K_CELLS + "3 and 2"),
         (_recelled("y", "x"), _K_CELLS + "4 and 2"),
-        (_moved_i_cell, "'rounds[1].conclusive' is malformed: announced I position"),
+        (_moved_i_cell, "'conclusive[1]' is malformed: announced I position"),
     ],
     ids=["long", "short", "list", "foreign-cell", "bit-cell", "k-short", "k-moved", "i-unlearned"],
 )
 def test_verify_refuses_a_malformed_announcement(mutate, reason, tmp_path, capsys):
-    """A round's "sets" is one string of n cells, k of them "x", k "y" and
-    the rest "-", and every cell of I must be conclusive."""
+    """A round's string of "sets" is n cells, k of them "x", k "y" and the
+    rest "-", and every cell of I must be conclusive."""
     common = ["--out", str(tmp_path)]
     assert main(
         ["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", "--seed", "25", *common]
     ) == 0
     assert main(["open", *common]) == 0
     receiver = json.loads((tmp_path / "receiver.json").read_text())
-    rnd = receiver["rounds"][1]
-    rnd["sets"] = mutate(rnd["sets"], rnd)
+    rnd = {key: receiver[key][1] for key in ("m", "sets", "conclusive")}
+    receiver["sets"][1] = mutate(rnd["sets"], rnd)
     (tmp_path / "receiver.json").write_text(json.dumps(receiver))
     capsys.readouterr()
     assert main(["verify", *common]) == 2
     assert reason in capsys.readouterr().err
 
 
-_CONCLUSIVE = "'rounds[0].conclusive' is malformed: "
+_CONCLUSIVE = "'conclusive[0]' is malformed: "
 
 
 @pytest.mark.parametrize(
@@ -528,8 +530,7 @@ def test_verify_refuses_a_forged_conclusive_record(mutate, reason, tmp_path, cap
     ) == 0
     assert main(["open", *common]) == 0
     receiver = json.loads((tmp_path / "receiver.json").read_text())
-    rnd = receiver["rounds"][0]
-    rnd["conclusive"] = mutate(rnd["conclusive"])
+    receiver["conclusive"][0] = mutate(receiver["conclusive"][0])
     (tmp_path / "receiver.json").write_text(json.dumps(receiver))
     capsys.readouterr()
     assert main(["verify", *common]) == 2
@@ -545,13 +546,16 @@ _COUNTED_COMMITS = {"p2bc": ["--l", "2", "--n", "16"], "p5": []}
     [
         (
             "receiver.json", "k", 2,
-            "'rounds[0].sets' is malformed: expected k = 2 cells each of 'x' and 'y', got 3 and 3",
+            "'sets[0]' is malformed: expected k = 2 cells each of 'x' and 'y', got 3 and 3",
         ),
-        ("receiver.json", "l", 3, "field 'rounds' holds 2 rounds, but field 'l' is 3"),
-        ("sender.json", "l", 1, "field 'rounds' holds 2 rounds, but field 'l' is 1"),
-        ("sender.json", "n", 8, "'rounds[0].r' is malformed: expected a string of n = 8 cells, got 16"),
+        ("receiver.json", "l", 3, "field 'm' is malformed: expected a string of l = 3 cells, got 2"),
+        ("sender.json", "l", 1, "field 'share0' is malformed: expected a string of l = 1 cells, got 2"),
+        ("sender.json", "n", 8, "'r[0]' is malformed: expected a string of n = 8 cells, got 16"),
         ("p5/sender.json", "m", 7, "field 'strings' holds 3 strings, but field 'm' is 7"),
-        ("p5/sender.json", "n", 6, "field 'strings[0]' has length 8, but field 'n' is 6"),
+        (
+            "p5/sender.json", "n", 6,
+            "field 'strings[0]' is malformed: expected a string of n = 6 cells, got 8",
+        ),
     ],
 )
 def test_transcript_counts_must_agree(name, field, value, reason, tmp_path, capsys):
@@ -589,81 +593,76 @@ def test_open_refuses_a_malformed_sender_announcement(mutate, reason, tmp_path, 
         ["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", "--seed", "25", *common]
     ) == 0
     sender = json.loads((tmp_path / "sender.json").read_text())
-    sender["rounds"][0]["sets"] = mutate(sender["rounds"][0]["sets"])
+    sender["sets"][0] = mutate(sender["sets"][0])
     (tmp_path / "sender.json").write_text(json.dumps(sender))
     capsys.readouterr()
     assert main(["open", *common]) == 2
-    assert capsys.readouterr().err == f"error: field 'rounds[0].sets' is malformed: {reason}\n"
+    assert capsys.readouterr().err == f"error: field 'sets[0]' is malformed: {reason}\n"
 
 
 @pytest.mark.parametrize(
-    "name, path, value",
+    "name, key, at, value",
     [
-        ("sender.json", ("bit",), 9),
-        ("sender.json", ("rounds", 0, "share0"), 7),
-        ("sender.json", ("rounds", 1, "share1"), -1),
-        ("sender.json", ("rounds", 0, "c0"), 2),
-        ("sender.json", ("rounds", 1, "c1"), 2),
-        ("receiver.json", ("rounds", 0, "m"), 2),
-        ("receiver.json", ("rounds", 0, "c0"), 2),
-        ("receiver.json", ("rounds", 1, "c1"), -1),
-        ("receiver.json", ("rounds", 1, "received_share"), 3),
+        ("sender.json", "bit", None, 9),
+        ("sender.json", "share0", 0, "7"),
+        ("sender.json", "share1", 1, "-"),
+        ("sender.json", "c0", 0, "2"),
+        ("sender.json", "c1", 1, "2"),
+        ("receiver.json", "m", 0, "2"),
+        ("receiver.json", "c0", 0, "2"),
+        ("receiver.json", "c1", 1, "-"),
+        ("receiver.json", "received_share", 1, "3"),
     ],
     ids=[
         "sender-bit", "sender-share0", "sender-share1", "sender-c0", "sender-c1",
         "receiver-m", "receiver-c0", "receiver-c1", "receiver-received_share",
     ],
 )
-def test_a_share_split_field_that_is_not_a_bit_is_refused(name, path, value, tmp_path, capsys):
-    """Every bit of a share-split sender or receiver file is read as a bit:
-    unchecked, a share of 7 would be declared at open, and a ciphertext of 2
-    would be blamed on the opening."""
+def test_a_share_split_field_that_is_not_a_bit_is_refused(name, key, at, value, tmp_path, capsys):
+    """Every bit of a share-split sender or receiver file is read as a bit,
+    the committed bit as a number and each round's cell of a bit column as
+    "0" or "1": unchecked, a share of 7 would be declared at open, and a
+    ciphertext of 2 would be blamed on the opening."""
     common = ["--out", str(tmp_path)]
     assert main(
         ["commit", "--protocol", "p2bc", "--l", "2", "--n", "16", "--seed", "25", *common]
     ) == 0
     assert main(["open", *common]) == 0
     doc = json.loads((tmp_path / name).read_text())
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    doc[key] = value if at is None else _set_cell(doc[key], at, value)
     (tmp_path / name).write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["open" if name == "sender.json" else "verify", *common]) == 2
-    field = path[0] if len(path) == 1 else f"rounds[{path[1]}].{path[2]}"
-    assert capsys.readouterr().err == (
-        f"error: field '{field}' is malformed: expected a bit, got {value}\n"
-    )
+    reason = f"expected a bit, got {value}" if at is None else f"cell {value!r} is not one of '01'"
+    assert capsys.readouterr().err == f"error: field '{key}' is malformed: {reason}\n"
 
 
 @pytest.mark.parametrize(
-    "path, value, got",
+    "key, at, value, reason",
     [
-        (("bit",), 9, "9"),
-        (("bit",), True, "bool"),
-        (("strings", 1, 2), 2, "2"),
-        (("strings", 0, 0), -1, "-1"),
-        (("strings", 2, 7), 0.0, "float"),
+        ("bit", None, 9, "field 'bit' is malformed: expected a bit, got 9"),
+        ("bit", None, True, "field 'bit' is malformed: expected a bit, got bool"),
+        ("strings", (1, 2), "2", "field 'strings[1]' is malformed: cell '2' is not one of '01'"),
+        ("strings", (0, 0), "-", "field 'strings[0]' is malformed: cell '-' is not one of '01'"),
+        ("strings", (2, 7), "x", "field 'strings[2]' is malformed: cell 'x' is not one of '01'"),
     ],
-    ids=["bit", "bit-bool", "strings-two", "strings-negative", "strings-float"],
+    ids=["bit", "bit-bool", "strings-two", "strings-negative", "strings-letter"],
 )
-def test_a_p5_sender_field_that_is_not_a_bit_is_refused(path, value, got, tmp_path, capsys):
+def test_a_p5_sender_field_that_is_not_a_bit_is_refused(key, at, value, reason, tmp_path, capsys):
     """The P5 sender file's committed bit and every cell of its strings are
     read as bits: unchecked, `open` would declare them in open.json."""
     common = ["--out", str(tmp_path)]
     assert main(["commit", "--protocol", "p5", "--seed", "3", *common]) == 0
     doc = json.loads((tmp_path / "sender.json").read_text())
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    if at is None:
+        doc[key] = value
+    else:
+        i, j = at
+        doc[key][i] = _set_cell(doc[key][i], j, value)
     (tmp_path / "sender.json").write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["open", *common]) == 2
-    assert capsys.readouterr().err == (
-        f"error: field '{path[0]}' is malformed: expected a bit, got {got}\n"
-    )
+    assert capsys.readouterr().err == f"error: {reason}\n"
     assert not (tmp_path / "open.json").exists()
 
 
@@ -729,8 +728,10 @@ def test_every_header_refusal_names_its_field(
 
 # a round that announces nothing: with k = 0 every check of the opening holds
 _EMPTY_ROUND = {
-    "m": 0, "sets": "-" * 16, "conclusive": "-" * 16, "c0": 1, "c1": 0, "received_share": 1
+    "m": "0", "sets": ["-" * 16], "conclusive": ["-" * 16], "c0": "1", "c1": "0", "received_share": "1"
 }
+# no round at all: every column empty
+_NO_ROUND = {"m": "", "sets": [], "conclusive": [], "c0": "", "c1": "", "received_share": ""}
 _EMPTY_OPEN_ROUND = {"share0": 1, "share1": 0, "declared_x": [], "declared_y": []}
 _SHARE_SPLIT = {"protocol_id": "P2-BC", "n": 16, "theta": math.pi / 4}
 
@@ -740,12 +741,12 @@ _SHARE_SPLIT = {"protocol_id": "P2-BC", "n": 16, "theta": math.pi / 4}
     [
         (
             "k",
-            {**_SHARE_SPLIT, "l": 1, "k": 0, "rounds": [_EMPTY_ROUND]},
+            {**_SHARE_SPLIT, "l": 1, "k": 0, **_EMPTY_ROUND},
             {"protocol_id": "P2-BC", "rounds": [_EMPTY_OPEN_ROUND]},
         ),
         (
             "l",
-            {**_SHARE_SPLIT, "l": 0, "k": 3, "rounds": []},
+            {**_SHARE_SPLIT, "l": 0, "k": 3, **_NO_ROUND},
             {"protocol_id": "P2-BC", "rounds": []},
         ),
         (
@@ -953,6 +954,39 @@ def test_every_check_passes_at_its_defaults(key, capsys):
     assert code == 0, err
 
 
+# one passing comparison: label, measured rate (hits/trials), exact rate,
+# exact tail probability, and sigma with z, or sigma 0 with the bare gap
+_CHECK_LINE = re.compile(
+    r"CHECK ok: [a-z0-9 :-]+ \S+ \(\d+/\d+\), exact \S+, tail \S+, "
+    r"sigma (0, gap \S+|\S+, z -?\d+\.\d\d)"
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("key", _CHECKED, ids=["-".join(filter(None, key)) for key in _CHECKED])
+def test_check_prints_every_comparison_and_leaves_the_output_alone(key, fmt, capsys):
+    """With --check every comparison goes to stderr, pass or fail, one line
+    each; stdout carries the same CSV or JSON bytes as without it, and a
+    run without it prints nothing to stderr."""
+    argv = [*_experiment_argv(*key, None), "--trials", "20", "--seed", "5", "--format", fmt]
+    code, out, err = _run(argv, capsys)
+    assert (code, err) == (0, "")
+    checked = _run([*argv, "--check"], capsys)
+    assert checked[:2] == (0, out)
+    lines = checked[2].splitlines()
+    assert len(lines) >= 2
+    for line in lines:
+        assert _CHECK_LINE.fullmatch(line), line
+
+
+def test_a_plain_run_sums_no_tail(monkeypatch, capsys):
+    """Without --check no exact tail is summed for the comparisons."""
+    argv = ["ot12", "--n", "64", "--trials", "20", "--seed", "5"]
+    out = _run(argv, capsys)
+    monkeypatch.setattr(cli, "binomial_tail", None)
+    assert _run(argv, capsys) == out
+
+
 # angles and rate margins the contract draws from, the accepted ones three
 # times as often: 0 and 2 lie outside (0, pi/2], and 0, 1/4 and 1/2 are no
 # margin below the base rate 1/4
@@ -997,7 +1031,9 @@ def test_every_accepted_setting_keeps_the_dual_route_contract(argv):
             code = exc.code
     assert "Traceback" not in err.getvalue()
     assert code in (0, 2), (code, err.getvalue())
-    assert (code == 2) == bool(err.getvalue().strip()), err.getvalue()
+    # a run prints its passing comparisons; anything else on stderr is the refusal
+    refusal = [line for line in err.getvalue().splitlines() if not line.startswith("CHECK ok: ")]
+    assert (code == 2) == bool(refusal), err.getvalue()
 
 
 # a value other than the default for each flag but --n; none for a store_true flag

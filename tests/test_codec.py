@@ -205,7 +205,7 @@ def _receiver_files(row: list[int]) -> list[tuple[dict, list, int, str]]:
     holds the row's string, the string's index there, the name a refusal
     gives it): a P5 file with the row as its one string, and a one-round
     share-split file announcing I at the row's first conclusive position,
-    when it has one and n > 1."""
+    when it has one and n > 1. Both name the string as conclusive[0]."""
     n = len(row)
     decoded = np.array(row, dtype=np.int8)
     p5 = receiver_state_to_dict(
@@ -220,7 +220,7 @@ def _receiver_files(row: list[int]) -> list[tuple[dict, list, int, str]]:
         rnd = ReceiverCommitRound(sets, decoded, 0, 0, 0)
         state = CommitReceiverState(PROTOCOL_P2BC, n, 1, math.pi / 4, (rnd,))
         split = receiver_state_to_dict(state)
-        files.append((split, split["rounds"][0], "conclusive", "rounds[0].conclusive"))
+        files.append((split, split["conclusive"], 0, "conclusive[0]"))
     return files
 
 
@@ -234,7 +234,7 @@ def test_any_decoded_row_round_trips_through_both_receiver_files(row):
     for doc, holder, key, _ in _receiver_files(row):
         assert holder[key] == text
         state = receiver_state_from_dict(json.loads(json.dumps(doc)))
-        rows = [rnd.decoded for rnd in state.rounds] if "rounds" in doc else list(state.decoded)
+        rows = [rnd.decoded for rnd in state.rounds] if "l" in doc else list(state.decoded)
         assert [r.tolist() for r in rows] == [row]
         assert all(r.dtype == np.int8 and not r.flags.writeable for r in rows)
 
@@ -269,10 +269,121 @@ def test_a_forged_cell_string_is_refused_naming_it(row, data):
 def test_an_unlearned_cell_at_an_announced_i_position_is_refused(row):
     for doc, holder, key, name in _receiver_files(row)[1:]:
         # m = 0 announces I first, as X
-        i_pos = doc["rounds"][0]["sets"].index("x") + 1
+        i_pos = doc["sets"][0].index("x") + 1
         holder[key] = holder[key][:i_pos - 1] + "-" + holder[key][i_pos:]
         with pytest.raises(ValueError) as refusal:
             receiver_state_from_dict(doc)
         assert str(refusal.value) == (
             f"field '{name}' is malformed: announced I position {i_pos} is not conclusive"
         )
+
+
+# ---------------------------------------------------------------------------
+# the share-split columns: each per-round field is one value over the l rounds
+
+# per file: its bit columns, each a string of l cells "0"/"1", and its row
+# columns, each a list of l strings of n cells from the alphabet given
+_BIT_COLUMNS = {
+    "sender.json": ("share0", "share1", "c0", "c1"),
+    "receiver.json": ("m", "c0", "c1", "received_share"),
+}
+_ROW_COLUMNS = {
+    "sender.json": {"r": "01", "sets": "xy-"},
+    "receiver.json": {"sets": "xy-", "conclusive": "01-"},
+}
+# a cell outside each alphabet, taken from another column's
+_FOREIGN = {"01": "-", "xy-": "0", "01-": "y"}
+# the column each reader reads first, after the header
+_FIRST = {"sender.json": "share0", "receiver.json": "m"}
+
+
+def _set_cell(cells: str, i: int, value: str) -> str:
+    return cells[:i] + value + cells[i + 1:]
+
+
+def _column_forgeries(name: str, doc: dict):
+    """(what was forged, the forged document, the refusal) for every way of
+    breaking a column of a valid share-split file of l = 3 rounds, n = 16
+    and k = 3: each column deleted, retyped, a cell or row short or long, a
+    cell outside its alphabet; an `l` the columns do not hold; a `sets`
+    row without k of each letter; and "-" at an announced I cell."""
+
+    def forged(key, value):
+        return {**doc, key: value}
+
+    for key in _BIT_COLUMNS[name]:
+        cells, bad = doc[key], f"field {key!r} is malformed: "
+        yield f"{key} deleted", {k: v for k, v in doc.items() if k != key}, f"missing field {key!r}"
+        yield f"{key} retyped", forged(key, [int(c) for c in cells]), (
+            bad + "expected a string of l = 3 cells, got list"
+        )
+        yield f"{key} short", forged(key, cells[:-1]), bad + "expected a string of l = 3 cells, got 2"
+        yield f"{key} long", forged(key, cells + "0"), bad + "expected a string of l = 3 cells, got 4"
+        yield f"{key} foreign cell", forged(key, _set_cell(cells, 1, "-")), (
+            bad + "cell '-' is not one of '01'"
+        )
+    for key, alphabet in _ROW_COLUMNS[name].items():
+        rows, bad = doc[key], f"field '{key}[1]' is malformed: "
+
+        def row(value, rows=rows):
+            return [rows[0], value, *rows[2:]]
+
+        yield f"{key} deleted", {k: v for k, v in doc.items() if k != key}, f"missing field {key!r}"
+        yield f"{key} retyped", forged(key, "".join(rows)), (
+            f"field {key!r} is malformed: expected a list, got str"
+        )
+        yield f"{key} short", forged(key, rows[:-1]), f"field {key!r} holds 2 strings, but field 'l' is 3"
+        yield f"{key} long", forged(key, rows + rows[:1]), (
+            f"field {key!r} holds 4 strings, but field 'l' is 3"
+        )
+        yield f"{key}[1] short", forged(key, row(rows[1][:-1])), (
+            bad + "expected a string of n = 16 cells, got 15"
+        )
+        yield f"{key}[1] long", forged(key, row(rows[1] + rows[1][0])), (
+            bad + "expected a string of n = 16 cells, got 17"
+        )
+        yield f"{key}[1] retyped", forged(key, row(list(rows[1]))), (
+            bad + "expected a string of n = 16 cells, got list"
+        )
+        cell = _FOREIGN[alphabet]
+        yield f"{key}[1] foreign cell", forged(key, row(_set_cell(rows[1], 0, cell))), (
+            bad + f"cell {cell!r} is not one of {alphabet!r}"
+        )
+    first = _FIRST[name]
+    yield "l above the columns", {**doc, "l": 4}, (
+        f"field {first!r} is malformed: expected a string of l = 4 cells, got 3"
+    )
+    sets = doc["sets"]
+    yield "sets[1] short of k", forged("sets", [sets[0], sets[1].replace("x", "-", 1), sets[2]]), (
+        "field 'sets[1]' is malformed: expected k = 3 cells each of 'x' and 'y', got 2 and 3"
+    )
+    if name == "receiver.json":
+        # X is I when m = 0, else Y
+        i_pos = sets[1].index("xy"[int(doc["m"][1])])
+        cells = doc["conclusive"]
+        unlearned = [cells[0], _set_cell(cells[1], i_pos, "-"), cells[2]]
+        yield "conclusive[1] unlearned at I", forged("conclusive", unlearned), (
+            f"field 'conclusive[1]' is malformed: announced I position {i_pos + 1} is not conclusive"
+        )
+
+
+@pytest.mark.parametrize("name", ["sender.json", "receiver.json"])
+def test_every_malformed_column_is_refused_naming_it(name, tmp_path):
+    """Each forgery of a column exits 2 with one line naming the field, and
+    no traceback; `open` reads the sender file and `verify` the receiver's."""
+    common = ["--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        commit = ["commit", "--protocol", "p2bc", "--l", "3", "--n", "16", "--seed", "26"]
+        assert cli.main([*commit, *common]) == 0
+        assert cli.main(["open", *common]) == 0
+    valid = json.loads((tmp_path / name).read_text())
+    assert valid["l"] == 3 and valid["n"] == 16 and valid["k"] == 3
+    cases = list(_column_forgeries(name, valid))
+    assert len(cases) == (39 if name == "receiver.json" else 38)
+    command = "open" if name == "sender.json" else "verify"
+    for what, doc, reason in cases:
+        (tmp_path / name).write_text(json.dumps(doc))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([command, *common])
+        assert (code, stdout.getvalue(), stderr.getvalue()) == (2, "", f"error: {reason}\n"), what

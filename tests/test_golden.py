@@ -99,6 +99,14 @@ FILES = ("sender.json", "receiver.json", "open.json")
 # low bits of one random byte in place of an int64 draw on 0..3; each keeps
 # its 0.4.0 digest in a comment. No other digest moved: the P4 probe reads
 # its closed form with the same draws and comes out the same.
+# The ten share-split sender.json and receiver.json digests (p2bc, p3, p4,
+# p2bc-theta and p3-l3-n24) and the P5 sender.json digest were recorded at
+# version 0.5.0, which writes each per-round field of a share-split file as
+# one value over the l rounds (a string of l cells, or a list of l strings
+# of n cells) and the P5 strings as strings of n cells; the files hold the
+# 0.4.2 content, transposed (see test_the_files_hold_the_0_4_2_content), and
+# each keeps its 0.4.2 digest in a comment. No open.json, P5 receiver.json
+# or campaign digest moved.
 DIGESTS = {
     "rot": "cd9b3bc0f190a190e71939f2ea3136bf6ce33bb5ac60cffb52ece595bba7f494",
     "ot12": "eebcb5adc5bf0df52b94dcc33d22f5e121977c888961066c8dd807a914e05771",
@@ -121,29 +129,36 @@ DIGESTS = {
     "omission": "4b84cc90941428c426583008a53bc26f52abe03fd8a75a3842d0d1e23ffa1987",
     # 0.1.0, before the string fields: 511bb309a730befee44d98f5d03f79aca2ccc0fdfb31d3675dc1bcd24282757a
     # 0.3.2, before the "sets" cells: 1e4b304f44b1adef8da46d46c72e95bd9425d0ecc1c71fb9544b9464b61e74f5
-    "p2bc/sender.json": "c3c7660dfd2884975a7ec9cdcb1bb00a1112686be12a7b8f3963734214cd521e",
+    # 0.4.2, before the columns: c3c7660dfd2884975a7ec9cdcb1bb00a1112686be12a7b8f3963734214cd521e
+    "p2bc/sender.json": "d9ae3421c29268b70456a981bbbef8ffa55ee9f237b99f3e1da0dcca6fa7298d",
     # 0.1.0, before the string fields: 355eeba8ecb6dded2cbe06ad02f783c06d8a5adf818dd0e11c2d9e0fddb4a4aa
     # 0.3.2, before the "sets" cells: 6075a86587e264e9cba8657f496b634bebbf68fe6e4095fabba3e5d8b1dff5c1
-    "p2bc/receiver.json": "fd2d0628d25f20eeaec37a7b8481e2b2572ce1410da41d71a002768f19f71140",
+    # 0.4.2, before the columns: fd2d0628d25f20eeaec37a7b8481e2b2572ce1410da41d71a002768f19f71140
+    "p2bc/receiver.json": "92fbcedc21bca67dc44f884f69cc82b1a4b36bd990335f55689f19942e33b937",
     # 0.3.2, before the "sets" cells: f871e23a406a9c8dc0e46ec695ca0ee7625537da00edc109bc6a32d201d4af0d
     "p2bc/open.json": "4bf7f2e665107a915d3ce4c2763219a86b1d2b507c778d869f4bb587f2f27647",
     # 0.1.0, before the string fields: 8abc9334d4232c0dcb49aea8292cef8702618a478a90e1c226d1652918f9f81b
     # 0.3.2, before the "sets" cells: 2078f3268de29943df1a6a98a08c5179ec0e81033b33bd92258300d69d96d425
-    "p3/sender.json": "bbfbde0c978ab1787306d6a103accf0933492ac6c0892795486bbd5f4c7b87d8",
+    # 0.4.2, before the columns: bbfbde0c978ab1787306d6a103accf0933492ac6c0892795486bbd5f4c7b87d8
+    "p3/sender.json": "de5ee503607ca76ba2c01903c5ff8c68496adbaec0fa924aa12e3d195417ec14",
     # 0.1.0, before the string fields: 3bc8632880ef1476e9204cba7cc073c882ccec6234da5a1343b9826432df0fef
     # 0.3.2, before the "sets" cells: ecb1db086418a45abd705a78a6a8cc4a626e94fd5c3387b2769325ed9fd1d825
-    "p3/receiver.json": "f4c3a4cbca8df44e7eef3d9577e8b18f6ae9f99e70e2418118295a7b9df9211f",
+    # 0.4.2, before the columns: f4c3a4cbca8df44e7eef3d9577e8b18f6ae9f99e70e2418118295a7b9df9211f
+    "p3/receiver.json": "b5d204bdf2246081336f840d54b9c61113adc07c2213e3cae1b90179bd3602c4",
     # 0.3.2, before the "sets" cells: fde22e2cad4b3ec321fed2f32014753700df31d570ca768b012d7ac11c090eb0
     "p3/open.json": "acba46dd6682e58f70fbd9a9591b92ac1664ae004128b3c6557365e6b374378f",
     # 0.1.0, before the string fields: 94e447becc4201d90d16b927f7f99b7f2a2b2b018d4a411088bf87b7c9c1471f
     # 0.3.2, before the "sets" cells: ad4aa8c6237a9ac5fec2029c2a218eceb55e28be9ebd2dc7d1cad701c2bb185e
-    "p4/sender.json": "4653655e26055f2742b623d1c49d7d8846dbcfcafb360d21af2129936d441cd1",
+    # 0.4.2, before the columns: 4653655e26055f2742b623d1c49d7d8846dbcfcafb360d21af2129936d441cd1
+    "p4/sender.json": "1e7c90aac5174006dd303b7e82dfd93ebf72dfbbca29948065cc55c75598dc8d",
     # 0.1.0, before the string fields: 74f7b62aa3986c067b63ed6199794d0fe38dcb40439235d6e0f0f28578d6a923
     # 0.3.2, before the "sets" cells: ec4b57dc5e5c24fa95f23005758d3630df01764e927503c4bf4ce9dba3d21f7f
-    "p4/receiver.json": "239b0944cbade7626ef25eeb5ee592cc9593d615713be1561b64e4af2eb40232",
+    # 0.4.2, before the columns: 239b0944cbade7626ef25eeb5ee592cc9593d615713be1561b64e4af2eb40232
+    "p4/receiver.json": "066304d3548f7c34d77277f59b9f79cd4a46c5c95cd9d6c773ce1cf93e4e177e",
     # 0.3.2, before the "sets" cells: 727d7a2de4c6bcb1519bd41e92357124ed9fb53d4f5828a37a43ad49fc793636
     "p4/open.json": "b65716281580d8d1897cd2beeecf3cf229e69ec88d153bc895b8a7f0a2b2d73b",
-    "p5/sender.json": "fcd2a07753541d59c0e9c16a12cce0e48e8ebc4f337a64a28bd9e5bca791c964",
+    # 0.4.2, before the columns: fcd2a07753541d59c0e9c16a12cce0e48e8ebc4f337a64a28bd9e5bca791c964
+    "p5/sender.json": "e855243f482e0fa26c74f55710399672ee229d56cf52a9a6d72e57a75cc5ee9f",
     # 0.2.0, before the decoded cells: 3297fead4b6dfa97e3f7987d5d4dc8727ee349ae635215fbfae27e982f1bed66
     "p5/receiver.json": "845914e7538b2ef7b5febd929c5ebfb0cbf06f90580d40cfda65ad7c0a69d20a",
     "p5/open.json": "574917924ee44901d3ed10fe7fe8e765e7d171818b9e9dc012afb99c93376a81",
@@ -151,10 +166,12 @@ DIGESTS = {
     "rot-theta": "e45f0085363a90e9636f95b94f70422a38977769a970f8a10360aab11d59872e",
     # 0.1.0, before the string fields: 21af68f778d8a924a856aab39d9915923bfdef93305ef4337b909705ef9c1271
     # 0.3.2, before the "sets" cells: 294c46f4b1d4f5fd4536ec7d83657fe382e2b66e156ee0da406060b58c8a9331
-    "p2bc-theta/sender.json": "15431fb9822c2379401304690577bd9ba0f6397eafacba8f26217dd4411b1bff",
+    # 0.4.2, before the columns: 15431fb9822c2379401304690577bd9ba0f6397eafacba8f26217dd4411b1bff
+    "p2bc-theta/sender.json": "167693d34de5305aa148583917a776ff0a10355c5e97e2d7f77c4de5fa736f66",
     # 0.1.0, before the string fields: 225998d8197951a2ddc80ebb97586268b26850d596b9da345494214c52600d60
     # 0.3.2, before the "sets" cells: 606df28a449738af66ef24cd17001755e1331fa9bcce3aed442e5857bb93b806
-    "p2bc-theta/receiver.json": "654304be1dee645a320456723916ce5a7990d02917d4358001bef21f1c258d7b",
+    # 0.4.2, before the columns: 654304be1dee645a320456723916ce5a7990d02917d4358001bef21f1c258d7b
+    "p2bc-theta/receiver.json": "22d50045ef824e78a98ebf5da3cb999bbf878889bf2f48573b8e6816c1028d1e",
     # 0.3.2, before the "sets" cells: 9c37aaf6db6e04793c47761bbbb2584bb330e7853f59cb022fda77720a1622ec
     "p2bc-theta/open.json": "4f417a9286e6a9d6211c7d30233189f4e7727720cfec7e82d1ff1c7f0c9fddb7",
     "bench-rot": "b45d1945132d165ce919e3fc2f04e3d8b8139c237cd0ece649e9a7924515d3b2",
@@ -200,10 +217,12 @@ DIGESTS = {
     "nogo-theta-json": "a96ccc90c8bde1afef76b5748b02249a027f0729eb716b696c7e199a78403315",
     # 0.1.0, before the string fields: 4ef42898af5cafea43bebb85bc0b2178a32887e311d275d193af2340029fbe98
     # 0.3.2, before the "sets" cells: 207cda527a5571f7f2ea23a82e4827a55a9bf4688fc26a01f6eab220ea9ede7f
-    "p3-l3-n24/sender.json": "e5bf29a30108aa8b05770e5feca1389356571372d2f6e0d5bcee2b1a61f32322",
+    # 0.4.2, before the columns: e5bf29a30108aa8b05770e5feca1389356571372d2f6e0d5bcee2b1a61f32322
+    "p3-l3-n24/sender.json": "134b93ed6e3a8baad93dfaf91c80232cffcf92acdc2d44fe2b64e91d99e07324",
     # 0.1.0, before the string fields: 0c5a04ab67238cbfa138b15e8a65db8302b9e33a3339c3a2d65cec46443523c3
     # 0.3.2, before the "sets" cells: 5926705c32732f7ddfd8b0c029c148623715cdeadfa915b4a7599396b0bbe2a3
-    "p3-l3-n24/receiver.json": "6e31515e8d7f986704fb18d519315c17b45c8f3c220d4231a54a8951482f75a3",
+    # 0.4.2, before the columns: 6e31515e8d7f986704fb18d519315c17b45c8f3c220d4231a54a8951482f75a3
+    "p3-l3-n24/receiver.json": "09cdec7c6edd66d7f1fec797d4f09c48076b2812deef1085ff350996f381533c",
     # 0.3.2, before the "sets" cells: 67d7ac601d4a4aebbe793bec8750879e0bed535557e3324608e8d8af9783cfd3
     "p3-l3-n24/open.json": "7321f5db4bce54ab1d1f11af7211f98535326c2611412a394c101ba45806cdac",
     # recorded before the omission trials were measured in one stacked pass
@@ -216,15 +235,20 @@ DIGESTS = {
 DATA = Path(__file__).parent / "data"
 
 # P2-BC sender.json and receiver.json files of commit --protocol p2bc
-# --seed 11, the "p2bc" files pinned above, as two older versions wrote
+# --seed 11, the "p2bc" files pinned above, as three older versions wrote
 # them: 0.1.0, where a round's "r" was a list of bits and its "conclusive" a
-# list of {"pos", "val"} objects, and 0.3.2, the last to list the announced
-# sets ("x_set"/"y_set", "i_set"/"j_set").
+# list of {"pos", "val"} objects, 0.3.2, the last to list the announced
+# sets ("x_set"/"y_set", "i_set"/"j_set"), and 0.4.2, the last to write
+# each round as its own object.
 OLD_P2BC = {
     (version, name): DATA / f"p2bc_{name.removesuffix('.json')}_{version}.json"
-    for version in ("0.1.0", "0.3.2")
+    for version in ("0.1.0", "0.3.2", "0.4.2")
     for name in ("sender.json", "receiver.json")
 }
+
+# The P5 sender.json of commit --protocol p5 --seed 11, the "p5" file pinned
+# above, as version 0.4.2 wrote it: each string a list of bits.
+OLD_P5_SENDER = DATA / "p5_sender_0.4.2.json"
 
 # Two older P5 receiver.json files of commit --protocol p5 --n 4 --m 2
 # --seed 11, both holding the grid as [basis, outcome] "records": one from
@@ -334,6 +358,25 @@ def _as_cells(old_round: dict, field: str, n: int) -> str:
     return "".join(cells)
 
 
+# the per-round fields of a share-split file: since 0.5.0 each is one value
+# over the l rounds, a string of one bit cell per round or a list of l strings
+_COLUMNS = ("share0", "share1", "r", "sets", "c0", "c1", "m", "conclusive", "received_share")
+
+
+def _as_rounds(doc: dict) -> dict:
+    """A 0.5.0 share-split file as 0.4.2 wrote it: one object per round,
+    holding the round's cell of each bit column as an integer and its string
+    of each row column."""
+    doc = dict(doc)
+    rounds = [{} for _ in range(doc["l"])]
+    for key in [key for key in _COLUMNS if key in doc]:
+        column = doc.pop(key)
+        assert len(column) == doc["l"], key
+        for rnd, value in zip(rounds, column):
+            rnd[key] = int(value) if isinstance(column, str) else value
+    return {**doc, "rounds": rounds}
+
+
 @pytest.mark.parametrize(
     "name, fields",
     [("sender.json", ("share0", "share1", "r")), ("receiver.json", ("conclusive",))],
@@ -343,7 +386,7 @@ def test_the_share_split_files_hold_the_0_1_0_content(p2bc_seeded, name, fields)
     round's shares and row: the string holds the old list's bits, or the old
     pairs' values at their positions and "-" elsewhere."""
     old = json.loads(OLD_P2BC["0.1.0", name].read_text())
-    new = json.loads((p2bc_seeded / name).read_text())
+    new = _as_rounds(json.loads((p2bc_seeded / name).read_text()))
     assert {**old, "rounds": None} == {**new, "rounds": None}
     assert len(old["rounds"]) == len(new["rounds"]) == 8
     first_wave = _first_wave_rounds()
@@ -354,20 +397,50 @@ def test_the_share_split_files_hold_the_0_1_0_content(p2bc_seeded, name, fields)
             assert new_round[field] == (_as_cells(old_round, field, 16) if cells else old_round[field])
 
 
+@pytest.fixture
+def p5_seeded(tmp_path):
+    """The P5 commit that OLD_P5_SENDER came from."""
+    workdir = tmp_path / "p5"
+    _run(["commit", *COMMITS["p5"], "--out", str(workdir)])
+    return workdir
+
+
+@pytest.mark.parametrize("name", ["sender.json", "receiver.json", "p5/sender.json"])
+def test_the_files_hold_the_0_4_2_content(p2bc_seeded, p5_seeded, name):
+    """Transposed back, each column into one object per round, a share-split
+    file is the 0.4.2 file; a P5 sender file is it with each string read
+    back into its list of bits."""
+    if name == "p5/sender.json":
+        new = json.loads((p5_seeded / "sender.json").read_text())
+        new["strings"] = [[int(cell) for cell in string] for string in new["strings"]]
+        assert new == json.loads(OLD_P5_SENDER.read_text())
+    else:
+        new = json.loads((p2bc_seeded / name).read_text())
+        assert _as_rounds(new) == json.loads(OLD_P2BC["0.4.2", name].read_text())
+
+
 @pytest.mark.parametrize(
     "version, command, name, reason",
     [
-        (
-            "0.1.0", "open", "sender.json",
-            "field 'rounds[0].r' is malformed: expected a string of n = 16 cells, got list",
-        ),
-        ("0.1.0", "verify", "receiver.json", "missing field 'rounds[0].sets'"),
-        ("0.3.2", "open", "sender.json", "missing field 'rounds[0].sets'"),
-        ("0.3.2", "verify", "receiver.json", "missing field 'rounds[0].sets'"),
+        ("0.1.0", "open", "sender.json", "missing field 'share0'"),
+        ("0.1.0", "verify", "receiver.json", "missing field 'm'"),
+        ("0.3.2", "open", "sender.json", "missing field 'share0'"),
+        ("0.3.2", "verify", "receiver.json", "missing field 'm'"),
+        ("0.4.2", "open", "sender.json", "missing field 'share0'"),
+        ("0.4.2", "verify", "receiver.json", "missing field 'm'"),
     ],
 )
 def test_an_old_share_split_file_is_refused(p2bc_seeded, version, command, name, reason):
-    """A list form of a field read as a string is a malformed field, and the
-    listed sets are a missing "sets"; each is named, with no traceback."""
+    """Each older file keeps its rounds as a list of objects, so it lacks
+    the first column its reader looks for; that field is named, with no
+    traceback."""
     (p2bc_seeded / name).write_text(OLD_P2BC[version, name].read_text())
     assert _main(command, p2bc_seeded) == (2, "", f"error: {reason}\n")
+
+
+def test_an_old_p5_sender_file_is_refused(p5_seeded):
+    """A list of bits where a string of cells belongs is a malformed string,
+    named with its index, and no traceback."""
+    (p5_seeded / "sender.json").write_text(OLD_P5_SENDER.read_text())
+    reason = "field 'strings[0]' is malformed: expected a string of n = 8 cells, got list"
+    assert _main("open", p5_seeded) == (2, "", f"error: {reason}\n")

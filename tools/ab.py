@@ -24,7 +24,9 @@ Beside a float key that moved goes the largest relative difference seen,
 
 It prints each tree's median op time with its quartiles, the ratio of the
 medians as BASE / NEW (above 1 means NEW is faster), and how many pairs
-NEW won. Alternating ops in one process cancels most of the machine's
+NEW won. Beside a tree's time goes its median bytes of transcript JSON per
+op (`Workload.codec_bytes`) when that is not 0, as on commit-roundtrip, so
+a change to the transcript format shows its size next to its speed. Alternating ops in one process cancels most of the machine's
 drift, which moves one op's time by +-20% within seconds; `bench/run.py`
 times the two trees in separate processes minutes apart. Nothing under
 `bench/` is written.
@@ -147,6 +149,7 @@ def main(argv=None) -> int:
         module = load_workloads(root.resolve())
         sides[label] = (module, module.make(args.workload))
     times: dict[str, list[float]] = {"base": [], "new": []}
+    codec_bytes: dict[str, list[int]] = {"base": [], "new": []}
     differing: list[str] = []
     # per key group, the number of ops in which any of its keys differed
     counts: dict[str, int] = {}
@@ -163,6 +166,7 @@ def main(argv=None) -> int:
             outs[label] = wl.op(seed)
             if index:
                 times[label].append(time.perf_counter() - t)
+                codec_bytes[label].append(wl.codec_bytes(outs[label]))
             wl.check(outs[label])
         diff = differences(args.workload, outs["base"], outs["new"])
         moved = [key for key, differs in diff.items() if differs]
@@ -189,8 +193,10 @@ def main(argv=None) -> int:
 
     for label in ("base", "new"):
         q1, med, q3 = statistics.quantiles(times[label], n=4)
+        size = statistics.median(codec_bytes[label])
+        codec = f"; codec {size:.0f} B/op" if size else ""
         print(f"{label:4s} {args.workload}: median {med * 1e3:.3f} ms/op "
-              f"(q1 {q1 * 1e3:.3f}, q3 {q3 * 1e3:.3f}) over {args.pairs} ops")
+              f"(q1 {q1 * 1e3:.3f}, q3 {q3 * 1e3:.3f}) over {args.pairs} ops{codec}")
     ratio = statistics.median(times["base"]) / statistics.median(times["new"])
     wins = sum(b > n for b, n in zip(times["base"], times["new"]))
     print(f"ratio base/new of the medians: x{ratio:.3f}; new faster in {wins}/{args.pairs} pairs")
